@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 tests plus a benchmark smoke run.
+# CI entry point: tier-1 tests, then traced smokes, profile gates and
+# benchmark smokes.
 #
-#   scripts/ci.sh          # tests + bench smoke (writes BENCH_PR1.json)
-#   scripts/ci.sh --fast   # tests only
+#   scripts/ci.sh          # everything below
+#   scripts/ci.sh --fast   # tier-1 tests + lint only
 #
-# The bench smoke runs the suites this PR's feature work rides on (GPU
-# operator chaining, cache GC policies); the full paper-figure suite is
-# `python -m pytest benchmarks/`.
+# The full run adds: traced wordcount smokes (pipelined, staged, vectorized)
+# with schema validation and profile gates against the committed baselines
+# in traces/, chaos / monitor / flight-recorder / churn smokes, the
+# paper-figure bench smokes (`python -m pytest benchmarks/` is the whole
+# suite; they write BENCH_PR*.json), and the quick test of the repo's
+# benchmark (benchmarks/perf — imports, determinism check, output shape).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -140,6 +144,11 @@ if [[ "${1:-}" != "--fast" ]]; then
         benchmarks/bench_elastic.py \
         benchmarks/bench_explain.py
     echo "consolidated results written to BENCH_PR1.json, BENCH_PR8.json, BENCH_PR9.json and BENCH_PR10.json"
+
+    echo "== benchmark quick test: benchmarks/perf imports, determinism, output =="
+    # A change that breaks the benchmark's imports or its fixed-seed
+    # determinism check should fail here, not in the next perf run.
+    python -m pytest -q benchmarks/perf/test_quick.py
 fi
 
 echo "CI OK"

@@ -14,13 +14,29 @@ from typing import Any, Callable, Iterable, List
 
 import numpy as np
 
+from repro.flink.columnar import (as_block, group_columnar, group_plan,
+                                  key_column)
+
 
 def vectorized(udf: Callable) -> Callable:
     """Mark ``udf`` as operating on a whole partition payload at once.
 
     A vectorized map receives the partition's elements (list or ndarray) and
     returns the transformed elements; a vectorized filter returns a boolean
-    mask or a filtered payload.
+    mask or a filtered payload; a vectorized plain ``reduce`` receives the
+    whole payload and returns the reduced value.
+
+    A vectorized *key extractor* maps a block of n rows to a 1-D key column
+    of length n (any sortable dtype; HASH routing also needs integers).  A
+    vectorized *keyed reducer* — ``group_by(vectorized(key)).reduce(...)``
+    — is called once per block as ``reduce_fn(block, starts)``: ``block``
+    holds the rows sorted so that every group is one contiguous segment
+    (groups in first-seen order, rows in original order), ``starts`` the
+    first row of each segment, and it returns one row per segment as a
+    block.  To stay bit-identical to the element path a float reducer must
+    fold each segment left to right
+    (:func:`repro.flink.columnar.segment_sum`); ``np.add.reduceat`` sums
+    long segments pairwise and does not.
     """
     udf.__repro_vectorized__ = True
     return udf
@@ -95,8 +111,8 @@ def apply_flat_map(elements: Any, udf: Callable) -> List[Any]:
 def apply_reduce(elements: Any, udf: Callable) -> Any:
     """``reduce``: pairwise fold of all elements into one value.
 
-    A vectorized reducer receives the whole payload (group block or
-    partition array) and returns the reduced value directly.
+    A vectorized reducer receives the whole payload and returns the
+    reduced value directly.
     """
     if is_vectorized(udf):
         if _is_empty(elements):
@@ -115,25 +131,18 @@ def apply_reduce(elements: Any, udf: Callable) -> Any:
 def group_elements(elements: Iterable[Any], key_fn: Callable) -> dict:
     """Group elements by ``key_fn`` preserving first-seen key order.
 
-    A vectorized ``key_fn`` over a columnar (ndarray) payload groups in
-    bulk — keys still come out in first-seen order and members in original
-    order, so results are bit-identical to the element path; group values
-    are ndarray blocks instead of lists.
+    A vectorized ``key_fn`` runs once over the payload as a block (row
+    lists are lifted, see :func:`repro.flink.columnar.as_block`) and groups
+    in bulk — keys still come out in first-seen order and members in
+    original order, so results are bit-identical to the element path; group
+    values are ndarray blocks instead of lists.
     """
-    if is_vectorized(key_fn) and isinstance(elements, np.ndarray):
-        from repro.flink.columnar import group_columnar, vector_keys
-        keys = vector_keys(key_fn, elements)
-        if keys is not None:
-            return group_columnar(elements, keys)
-        # Non-integral keys: fall through to the row loop, evaluating the
-        # vectorized extractor once and pairing keys with rows.
-        all_keys = np.asarray(key_fn(elements))
-        groups: dict = {}
-        for k, x in zip(all_keys, elements):
-            groups.setdefault(k.item() if hasattr(k, "item") else k,
-                              []).append(x)
-        return groups
-    groups = {}
+    if _is_empty(elements):
+        return {}
+    if is_vectorized(key_fn):
+        block = as_block(elements)
+        return group_columnar(block, key_column(key_fn, block))
+    groups: dict = {}
     for x in elements:
         groups.setdefault(key_fn(x), []).append(x)
     return groups
@@ -143,16 +152,17 @@ def apply_grouped_reduce(elements: Any, key_fn: Callable,
                          reduce_fn: Callable) -> Any:
     """Group-by-key then reduce each group (keyed reduce / pre-combine).
 
-    When the payload is columnar and both functions are vectorized, the
-    reduced rows are stacked back into a columnar block so the zero-copy
-    path continues downstream; otherwise the classic row list is returned.
+    A vectorized ``(key_fn, reduce_fn)`` pair takes the segmented path:
+    one key extraction, one sort, one ``reduce_fn(block, starts)`` call
+    (contract in :func:`vectorized`), and the result stays a block so the
+    zero-copy path continues downstream.  Anything else is the classic
+    per-group fold returning a row list.
     """
     if _is_empty(elements):
         return [] if elements is None else elements
+    if is_vectorized(key_fn) and is_vectorized(reduce_fn):
+        block = as_block(elements)
+        plan = group_plan(key_column(key_fn, block))
+        return reduce_fn(block[plan.order], plan.starts)
     groups = group_elements(elements, key_fn)
-    out = [apply_reduce(members, reduce_fn) for members in groups.values()]
-    if (isinstance(elements, np.ndarray)
-            and is_vectorized(key_fn) and is_vectorized(reduce_fn)):
-        from repro.flink.columnar import maybe_stack
-        return maybe_stack(out)
-    return out
+    return [apply_reduce(members, reduce_fn) for members in groups.values()]

@@ -491,9 +491,9 @@ class KeyedReduceOp(Operator):
         yield from charge_udf_compute(ctx, self.cost, part.nominal_count,
                                       part.nominal_nbytes,
                                       self.key_fn, self.reduce_fn)
-        # Vectorized key/reduce over a columnar payload group in bulk and
-        # stack reduced rows back into a block (zero-copy continues
-        # downstream); otherwise this is the classic per-row group+fold.
+        # A vectorized key/reduce pair runs once over the segment-sorted
+        # block and returns a block (zero-copy continues downstream);
+        # otherwise this is the classic per-row group+fold.
         out = apply_grouped_reduce(part.elements, self.key_fn,
                                    self.reduce_fn)
         # One output record per key: the nominal count collapses to the real

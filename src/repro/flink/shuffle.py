@@ -20,7 +20,10 @@ Two wire formats exist (docs/STREAMING_EXECUTOR.md §columnar):
   each framed block pays only a fixed descriptor cost on each side.  A
   destination payload above ``FlinkConfig.shuffle_spill_nbytes`` is spilled
   through the simulated HDFS (disk + replication) instead of held in
-  exchange buffers.
+  exchange buffers.  Host work is one pass per producer block: keys are
+  extracted once, one stable sort lays the rows out by destination, and a
+  ``(key_fn, reduce_fn)`` pre-combiner on the routing key runs once over
+  the whole block *before* it is cut into buckets (``_columnar_buckets``).
 
 ``only_consumers`` (lineage recovery) restricts both paths identically:
 non-recovering consumer indexes get no shipping, no spill and a ``None``
@@ -36,9 +39,9 @@ import numpy as np
 
 from repro.common.network import Network
 from repro.common.simclock import Environment, Event
-from repro.flink.columnar import (columnar_compatible, columnar_concat,
-                                  is_columnar, n_wire_blocks, soa_regions,
-                                  vector_keys)
+from repro.flink.columnar import (bucket_plan, columnar_compatible,
+                                  columnar_concat, group_plan, is_columnar,
+                                  key_column, n_wire_blocks, soa_regions)
 from repro.flink.config import FlinkConfig
 from repro.flink.iterators import apply_grouped_reduce, is_vectorized
 from repro.flink.partition import Partition, real_len
@@ -201,30 +204,38 @@ class Exchange:
                         for p in self.producers)
                 and any(is_columnar(p.elements) for p in self.producers))
 
-    def _columnar_routed(self) -> bool:
-        """True when a routed exchange can take the zero-copy block path.
+    def _columnar_keys(self) -> Optional[List[Optional[np.ndarray]]]:
+        """Per-producer HASH key columns if the routed exchange can take the
+        zero-copy block path, else ``None``.
 
         Requires columnar payloads, a block-compatible combiner (none, or a
         vectorized ``(key_fn, reduce_fn)`` pair) and — for HASH — a
         vectorized key extractor yielding integer keys on every producer.
         ``COUNT_COMBINER`` and free-form combiners stay on the row path.
+        Keys are extracted here, once; entries are ``None`` for empty
+        payloads and for strategies that do not route by key.
         """
         if not self.flink.columnar_shuffle or not self._columnar_payloads():
-            return False
+            return None
         if self.combiner is COUNT_COMBINER or callable(self.combiner):
-            return False
+            return None
         if self.combiner is not None:
             key_fn, reduce_fn = self.combiner
             if not (is_vectorized(key_fn) and is_vectorized(reduce_fn)):
-                return False
-        if self.strategy is ShipStrategy.HASH:
-            if self.key_fn is None or not is_vectorized(self.key_fn):
-                return False
-            for part in self.producers:
-                if (is_columnar(part.elements)
-                        and vector_keys(self.key_fn, part.elements) is None):
-                    return False
-        return True
+                return None
+        if self.strategy is not ShipStrategy.HASH:
+            return [None] * len(self.producers)
+        if self.key_fn is None or not is_vectorized(self.key_fn):
+            return None
+        keys: List[Optional[np.ndarray]] = []
+        for part in self.producers:
+            column = None
+            if is_columnar(part.elements):
+                column = key_column(self.key_fn, part.elements)
+                if column.dtype.kind not in "iu":
+                    return None  # only integers hash by ``key % q``
+            keys.append(column)
+        return keys
 
     # -- routed strategies (hash / rebalance / gather) ----------------------------
     def _hash_route(self, part: Partition) -> List[Any]:
@@ -242,48 +253,62 @@ class Exchange:
     def _gather_route(self, part: Partition) -> List[Any]:
         return [list(part.elements)]
 
-    def _route_columnar(self, part: Partition) -> List[Any]:
-        """Bucket a columnar payload without leaving NumPy.
+    def _columnar_buckets(self, part: Partition,
+                          keys: Optional[np.ndarray]) -> List[Any]:
+        """Bucket (and pre-combine) a columnar payload without leaving NumPy.
 
-        Bucket contents and order match the per-row routes exactly: masks
-        preserve original order (hash), ``arr[j::q]`` is the round-robin
-        residue class (rebalance), gather keeps the block whole.
+        Bucket contents and order match the per-row routes exactly: one
+        stable sort by bucket keeps original order (hash), ``arr[j::q]`` is
+        the round-robin residue class (rebalance), gather keeps the block
+        whole.  A pair combiner keyed on the routing key is fused: combine
+        the whole block once, then cut it at the bucket bounds.
         """
         arr = part.elements
         q = self.n_consumers
         if self.strategy is ShipStrategy.GATHER:
-            return [arr]
-        if not is_columnar(arr):  # empty list payload
-            return [[] for _ in range(q)]
-        if self.strategy is ShipStrategy.HASH:
-            keys = vector_keys(self.key_fn, arr)
-            bucket_ids = keys % q  # ints: identical to hash_bucket()
-            return [arr[bucket_ids == j] for j in range(q)]
-        return [arr[j::q] for j in range(q)]
+            buckets = [arr]
+        elif not is_columnar(arr):  # empty list payload
+            buckets = [arr] * q
+        elif self.strategy is ShipStrategy.REBALANCE:
+            buckets = [arr[j::q] for j in range(q)]
+        elif self.combiner is not None and self.combiner[0] is self.key_fn:
+            plan = group_plan(keys, q)
+            combined = self.combiner[1](arr[plan.order], plan.starts)
+            return [combined[plan.bounds[j]:plan.bounds[j + 1]]
+                    for j in range(q)]
+        else:
+            order, cuts = bucket_plan(keys % q, q)  # == hash_bucket() on ints
+            routed = arr[order]
+            buckets = [routed[cuts[j]:cuts[j + 1]] for j in range(q)]
+        if self.combiner is not None:
+            buckets = [self._combine(b) for b in buckets]
+        return buckets
 
     def _run_routed(self, route: Callable[[Partition], List[Any]]
                     ) -> Generator[Event, None, List[Partition]]:
         q = self.n_consumers
-        columnar = self._columnar_routed()
+        keys = self._columnar_keys()
+        columnar = keys is not None
         # bucket_payloads[j] collects (elements, count, nbytes) per producer.
         bucket_payloads: List[List[Tuple[Any, float, float]]] = [
             [] for _ in range(q)]
         senders = []
-        for part in self.producers:
-            buckets = self._route_columnar(part) if columnar else route(part)
+        for i, part in enumerate(self.producers):
+            if columnar:  # routed and pre-combined in one pass
+                buckets = self._columnar_buckets(part, keys[i])
+            else:
+                buckets = route(part)
+                if (self.combiner is not None
+                        and self.combiner is not COUNT_COMBINER):
+                    buckets = [self._combine(b) for b in buckets]
             if self.combiner is COUNT_COMBINER:
                 buckets = [[real_len(b) * part.scale] for b in buckets]
                 counts = [1.0 for _ in buckets]
                 element_nbytes = 8.0  # partial counts travel as one long each
-            elif self.combiner is not None:
-                buckets = [self._combine(b) for b in buckets]
+            else:
                 # Combined buckets are still samples: each real group stands
                 # for `scale` nominal groups, so shipped counts keep the
-                # producer's scale (previously dropped, under-charging wire
-                # and serde time for sampled datasets).
-                counts = [real_len(b) * part.scale for b in buckets]
-                element_nbytes = part.element_nbytes
-            else:
+                # producer's scale.
                 counts = [real_len(b) * part.scale for b in buckets]
                 element_nbytes = part.element_nbytes
             for j, (bucket, count) in enumerate(zip(buckets, counts)):

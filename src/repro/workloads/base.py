@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
@@ -119,6 +120,11 @@ class Workload:
         """Run the workload end to end; returns per-iteration times."""
         if mode not in ("cpu", "gpu"):
             raise ConfigError(f"mode must be 'cpu' or 'gpu': {mode!r}")
+        # A finished run's cluster is one web of reference cycles (workers,
+        # managers, self-valued resource requests), ~1 MB that refcounting
+        # never frees; drivers running workloads back to back would carry
+        # two or three dead ones until a full collection happens to fire.
+        gc.collect()
         self.prepare(session.cluster)
         if mode == "gpu":
             self.register_kernels(session.cluster.registry)

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.gdst import ExtraInput
 from repro.core.gstruct import GStruct4, Int32, StructField
+from repro.flink.columnar import segment_sum
 from repro.flink.dataset import OpCost
 from repro.flink.iterators import vectorized
 from repro.gpu.kernel import KernelSpec
@@ -50,17 +51,15 @@ def pagerank_contrib_kernel(inputs, params):
                                      inputs["out_degree"])}
 
 
-def _sum_contrib(group: np.ndarray) -> np.ndarray:
-    """Vectorized per-destination reducer over a (rows, 2) group block.
+def _sum_contrib(block: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Vectorized keyed reducer over ``[dst, partial]`` rows sorted by group.
 
-    Accumulates sequentially in group order so the float result is
-    bit-identical to the element path's left fold over the same rows.
+    One output row per segment: the segment's first row with its partials
+    summed left to right, so the float result is bit-identical to the
+    element path's left fold over the same rows.
     """
-    out = group[0].copy()
-    acc = out[1]
-    for v in group[1:, 1]:
-        acc = acc + v
-    out[1] = acc
+    out = block[starts]
+    out[:, 1] = segment_sum(block[:, 1], starts)
     return out
 
 
@@ -151,8 +150,8 @@ class PageRankWorkload(Workload):
             # caps PageRank's speedup.
             if self.vectorized:
                 # Columnar end to end: no tuple materialization; the float64
-                # [dst, partial] rows shuffle zero-copy and are group-summed
-                # in blocks (same fold order: results are bit-identical).
+                # [dst, partial] rows shuffle zero-copy and are summed per
+                # segment (same fold order: results are bit-identical).
                 summed = partial_rows \
                     .group_by(vectorized(
                         lambda rows: rows[:, 0].astype(np.int64))) \

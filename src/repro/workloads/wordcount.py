@@ -17,6 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.flink.columnar import segment_sum
 from repro.flink.dataset import OpCost
 from repro.flink.iterators import vectorized
 from repro.gpu.kernel import KernelSpec
@@ -42,14 +43,14 @@ def _partial_rows(word_ids: np.ndarray) -> np.ndarray:
     return np.stack([nz, counts[nz]], axis=1).astype(np.int64)
 
 
-def _sum_rows(group: np.ndarray) -> np.ndarray:
-    """Vectorized per-key reducer over a (count-rows, 2) group block.
+def _sum_rows(block: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Vectorized keyed reducer over ``(word, count)`` rows sorted by group.
 
-    Integer sums are exact, so totals are bit-identical to the element
-    path's pairwise fold whatever the summation order.
+    One output row per segment: the segment's first row with its counts
+    summed (integer sums are exact whatever the order).
     """
-    out = group[0].copy()
-    out[1] = group[:, 1].sum()
+    out = block[starts]
+    out[:, 1] = segment_sum(block[:, 1], starts)
     return out
 
 
