@@ -5,14 +5,14 @@ Three experiments, consolidated into ``BENCH_PR9.json``:
 
 * **Churn matrix** — WordCount, KMeans and PageRank each run under a
   seeded membership schedule (two joins, one graceful drain, one abrupt
-  leave, all mid-job) across staged/pipelined x cpu/gpu.  Every cell must
+  leave, all mid-job) in cpu and gpu mode.  Every cell must
   produce results bit-identical to the static-membership run: elasticity
   changes placement and timing only, never the answer.
 * **Per-event recovery** — the same runs report, per membership event, the
   time back to steady state (recovery latency from the cluster's
   recovery-action log) plus the p50/p95/p99 across events and the makespan
   overhead vs the static run.
-* **Autoscaler** — a pipelined WordCount on 2 workers with the autoscaler
+* **Autoscaler** — a WordCount on 2 workers with the autoscaler
   allowed to grow to 4 is compared against fixed 2-worker and fixed
   4-worker runs.  The autoscaled run must return the identical result and
   never be slower than the fixed run at its *starting* size; the report
@@ -40,11 +40,10 @@ WORKLOADS = {
 }
 
 
-def _config(executor: str) -> ClusterConfig:
+def _config() -> ClusterConfig:
     return ClusterConfig(n_workers=N_WORKERS, cpu=CPUSpec(cores=2),
                          gpus_per_worker=("c2050",),
-                         flink=FlinkConfig(executor=executor,
-                                           retry_backoff_base_s=0.05))
+                         flink=FlinkConfig(retry_backoff_base_s=0.05))
 
 
 def _churn_schedule(span_s: float) -> ChurnSchedule:
@@ -56,16 +55,16 @@ def _churn_schedule(span_s: float) -> ChurnSchedule:
             .leave_worker("elastic0", at=span_s * 0.65))
 
 
-def _run_cell(name: str, executor: str, mode: str) -> dict:
+def _run_cell(name: str, mode: str) -> dict:
     static = WORKLOADS[name]().run(
-        GFlinkSession(GFlinkCluster(_config(executor))), mode)
+        GFlinkSession(GFlinkCluster(_config())), mode)
     span = static.job_metrics[0].started_at + static.total_seconds
-    cluster = GFlinkCluster(_config(executor))
+    cluster = GFlinkCluster(_config())
     engine = cluster.install_chaos(_churn_schedule(span))
     result = WORKLOADS[name]().run(GFlinkSession(cluster), mode)
     summary = engine.summary()
     return {
-        "workload": name, "executor": executor, "mode": mode,
+        "workload": name, "mode": mode,
         "identical": values_equal(static.value, result.value),
         "events_applied": summary["events_applied"],
         "by_kind": summary["by_kind"],
@@ -86,26 +85,24 @@ def _run_cell(name: str, executor: str, mode: str) -> dict:
 
 def test_churn_bit_identity_matrix(benchmark):
     def measure():
-        return [_run_cell(name, executor, mode)
+        return [_run_cell(name, mode)
                 for name in sorted(WORKLOADS)
-                for executor in ("staged", "pipelined")
                 for mode in ("cpu", "gpu")]
 
     cells = run_once(benchmark, measure)
 
     print("\n== Elastic churn: 2 joins + 1 drain + 1 leave mid-job ==")
-    print(f"{'workload':>9} {'executor':>9} {'mode':>4} {'same':>5} "
+    print(f"{'workload':>9} {'mode':>4} {'same':>5} "
           f"{'static':>9} {'churn':>9} {'overhead':>9} "
           f"{'recov p95':>9}")
     for c in cells:
         p95 = c["recovery_latency_s"].get("p95", 0.0)
-        print(f"{c['workload']:>9} {c['executor']:>9} {c['mode']:>4} "
+        print(f"{c['workload']:>9} {c['mode']:>4} "
               f"{'yes' if c['identical'] else 'NO':>5} "
               f"{c['static_s']:>8.3f}s {c['churn_s']:>8.3f}s "
               f"{c['overhead']:>+8.1%} {p95:>8.3f}s")
 
-    summary = {f"{c['workload']}-{c['executor']}-{c['mode']}": c
-               for c in cells}
+    summary = {f"{c['workload']}-{c['mode']}": c for c in cells}
     benchmark.extra_info["table"] = summary
     record_bench("elastic_churn_matrix", summary, path=RESULTS_PATH)
     print(f"consolidated results written to {RESULTS_PATH.name}")
@@ -124,8 +121,7 @@ def _autoscale_workload():
 
 def _fixed_run(n_workers: int):
     config = ClusterConfig(n_workers=n_workers, cpu=CPUSpec(cores=2),
-                           gpus_per_worker=("c2050",),
-                           flink=FlinkConfig(executor="pipelined"))
+                           gpus_per_worker=("c2050",))
     return _autoscale_workload().run(
         GFlinkSession(GFlinkCluster(config)), "gpu")
 
@@ -135,8 +131,7 @@ def test_autoscaler_vs_fixed_capacity(benchmark):
         small = _fixed_run(2)
         peak = _fixed_run(4)
         config = ClusterConfig(n_workers=2, cpu=CPUSpec(cores=2),
-                               gpus_per_worker=("c2050",),
-                               flink=FlinkConfig(executor="pipelined"))
+                               gpus_per_worker=("c2050",))
         cluster = GFlinkCluster(config)
         scaler = Autoscaler(cluster, AutoscalerPolicy(
             interval_s=1.0, cooldown_s=2.0, max_workers=4,

@@ -1,12 +1,14 @@
-"""Pipelined-executor benchmark: staged vs streaming A/B + knob sweep.
+"""Block-pipeline benchmark: barriered vs streaming A/B + knob sweep.
 
 Two experiments, consolidated into ``BENCH_PR6.json``:
 
-* **A/B** — the same workloads run under the barriered staged executor and
-  the streaming block-pipelined one.  Results must be *bit-identical* (the
-  data plane is untouched; only the clock changes) and the pipelined clock
-  must never lose: overlapping HDFS reads with deserialization, H2D copies
-  and kernels can only hide latency, never add it.
+* **A/B** — the same workloads run on the barriered reference clock
+  (``tests.flink.conftest.barriered``: every operator an exchange boundary,
+  nothing streams) and as the engine runs them.  Results must be
+  *bit-identical* (the data plane is untouched; only the clock changes) and
+  the pipelined clock must never lose: overlapping HDFS reads with
+  deserialization, H2D copies and kernels can only hide latency, never add
+  it.
 * **Knob sweep** — block size (``pipeline_block_nbytes``) × queue depth
   (``pipeline_queue_blocks``) on the I/O-bound WordCount.  Finer blocks
   expose more of the read window to downstream stages; deeper queues buy
@@ -25,6 +27,7 @@ from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.flink.chaos import values_equal
 from repro.workloads import KMeansWorkload, WordCountWorkload
+from tests.flink.conftest import barriered
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
 
@@ -51,9 +54,9 @@ BLOCK_MIB = (2, 8, 32)
 QUEUE_BLOCKS = (2, 4, 8)
 
 
-def _config(executor: str, block_mib: float = None,
+def _config(block_mib: float = None,
             queue_blocks: int = None) -> ClusterConfig:
-    flink_kwargs = {"executor": executor}
+    flink_kwargs = {}
     if block_mib is not None:
         flink_kwargs["pipeline_block_nbytes"] = block_mib * 2 ** 20
     if queue_blocks is not None:
@@ -67,39 +70,45 @@ def _run(factory, mode: str, config: ClusterConfig):
     return factory().run(GFlinkSession(GFlinkCluster(config)), mode)
 
 
-def test_pipeline_staged_vs_pipelined(benchmark):
+def _run_barriered(factory, mode: str):
+    with barriered():
+        return _run(factory, mode, _config())
+
+
+def test_pipeline_barriered_vs_pipelined(benchmark):
     def measure():
         points = []
         for label, mode, factory in WORKLOADS:
-            staged = _run(factory, mode, _config("staged"))
-            piped = _run(factory, mode, _config("pipelined"))
+            reference = _run_barriered(factory, mode)
+            piped = _run(factory, mode, _config())
             points.append({
                 "workload": label,
-                "staged_s": round(staged.total_seconds, 4),
+                "barriered_s": round(reference.total_seconds, 4),
                 "pipelined_s": round(piped.total_seconds, 4),
-                "speedup": round(staged.total_seconds
+                "speedup": round(reference.total_seconds
                                  / piped.total_seconds, 4),
-                "identical": values_equal(staged.value, piped.value),
+                "identical": values_equal(reference.value, piped.value),
             })
         return points
 
     points = run_once(benchmark, measure)
 
-    print("\n== Staged vs pipelined executor "
+    print("\n== Barriered reference vs pipelined clock "
           f"({N_WORKERS} workers) ==")
-    print(f"{'workload':<18} {'staged':>9} {'pipelined':>10} "
+    print(f"{'workload':<18} {'barriered':>9} {'pipelined':>10} "
           f"{'speedup':>8} {'same':>5}")
     for p in points:
-        print(f"{p['workload']:<18} {p['staged_s']:>8.2f}s "
+        print(f"{p['workload']:<18} {p['barriered_s']:>8.2f}s "
               f"{p['pipelined_s']:>9.2f}s {p['speedup']:>7.3f}x "
               f"{'yes' if p['identical'] else 'NO':>5}")
 
     summary = {p["workload"]: p for p in points}
     benchmark.extra_info["table"] = summary
-    record_bench("pipeline_staged_vs_pipelined", summary, path=RESULTS_PATH)
+    record_bench("pipeline_barriered_vs_pipelined", summary,
+                 path=RESULTS_PATH)
     print(f"consolidated results written to {RESULTS_PATH.name}")
 
-    # The two executors share one data plane: results are bit-identical.
+    # The two clocks share one data plane: results are bit-identical.
     assert all(p["identical"] for p in points)
     # Overlap can only hide latency; the pipelined clock never loses.
     assert all(p["speedup"] >= 1.0 for p in points)
@@ -111,25 +120,24 @@ def test_pipeline_block_queue_sweep(benchmark):
     factory = WORKLOADS[1][2]  # wordcount-gpu-1e8: I/O-bound, single pass
 
     def measure():
-        staged = _run(factory, "gpu", _config("staged"))
+        reference = _run_barriered(factory, "gpu")
         grid = []
         for block_mib in BLOCK_MIB:
             for queue in QUEUE_BLOCKS:
-                piped = _run(factory, "gpu",
-                             _config("pipelined", block_mib, queue))
+                piped = _run(factory, "gpu", _config(block_mib, queue))
                 grid.append({
                     "block_mib": block_mib, "queue_blocks": queue,
                     "pipelined_s": round(piped.total_seconds, 4),
-                    "speedup": round(staged.total_seconds
+                    "speedup": round(reference.total_seconds
                                      / piped.total_seconds, 4),
-                    "identical": values_equal(staged.value, piped.value),
+                    "identical": values_equal(reference.value, piped.value),
                 })
-        return staged.total_seconds, grid
+        return reference.total_seconds, grid
 
-    staged_s, grid = run_once(benchmark, measure)
+    barriered_s, grid = run_once(benchmark, measure)
 
     print("\n== Pipeline knobs: block size x queue depth "
-          f"(wordcount-gpu-1e8, staged {staged_s:.2f} s) ==")
+          f"(wordcount-gpu-1e8, barriered {barriered_s:.2f} s) ==")
     print(f"{'block':>6} {'queue':>6} {'pipelined':>10} {'speedup':>8} "
           f"{'same':>5}")
     for g in grid:
@@ -139,7 +147,7 @@ def test_pipeline_block_queue_sweep(benchmark):
 
     summary = {f"block{g['block_mib']}MB-queue{g['queue_blocks']}": g
                for g in grid}
-    summary["staged_s"] = round(staged_s, 4)
+    summary["barriered_s"] = round(barriered_s, 4)
     benchmark.extra_info["table"] = summary
     record_bench("pipeline_block_queue_sweep", summary, path=RESULTS_PATH)
     print(f"consolidated results written to {RESULTS_PATH.name}")

@@ -10,8 +10,10 @@ magnitude.
 import sys
 from pathlib import Path
 
-# Make `from harness import ...` work regardless of invocation directory.
+# Make `from harness import ...` (and the barriered reference clock in
+# `tests.flink.conftest`) work regardless of invocation directory.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
 
 def run_once(benchmark, fn):

@@ -5,7 +5,7 @@
 #   scripts/ci.sh          # everything below
 #   scripts/ci.sh --fast   # tier-1 tests + lint only
 #
-# The full run adds: traced wordcount smokes (pipelined, staged, vectorized)
+# The full run adds: traced wordcount smokes (element-wise and vectorized)
 # with schema validation and profile gates against the committed baselines
 # in traces/, chaos / monitor / flight-recorder / churn smokes, the
 # paper-figure bench smokes (`python -m pytest benchmarks/` is the whole
@@ -30,20 +30,11 @@ fi
 echo "ok"
 
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "== traced bench smoke: wordcount (pipelined) + schema validation =="
+    echo "== traced bench smoke: wordcount + schema validation =="
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \
-        --executor pipelined \
         --out traces/ci_wordcount.json \
         --metrics-out traces/ci_wordcount_metrics.json
     python -m repro.obs.validate traces/ci_wordcount.json
-
-    echo "== traced bench smoke: wordcount (staged) + schema validation =="
-    # The barriered executor stays supported (FlinkConfig.executor);
-    # its trace must keep validating too.
-    python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \
-        --executor staged \
-        --out traces/ci_wordcount_staged.json
-    python -m repro.obs.validate traces/ci_wordcount_staged.json
 
     echo "== profile gate: critical path + regression vs committed baseline =="
     # Profiles the traced smoke (the summary schema is validated by the
@@ -74,7 +65,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     #   python -m repro profile traces/ci_wordcount_vectorized.json --quiet \
     #       --json traces/ci_wordcount_vectorized_profile_baseline.json
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \
-        --executor pipelined --vectorized \
+        --vectorized \
         --out traces/ci_wordcount_vectorized.json
     python -m repro.obs.validate traces/ci_wordcount_vectorized.json
     python -m repro profile traces/ci_wordcount_vectorized.json \

@@ -71,10 +71,6 @@ def _add_run_options(p: argparse.ArgumentParser, single_mode: bool) -> None:
     p.add_argument("--real", type=int, default=12_000,
                    help="in-memory sample size")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--executor", choices=("staged", "pipelined"),
-                   default="pipelined",
-                   help="execution architecture: barriered stage-at-a-time "
-                        "or streaming block-pipelined (default)")
     p.add_argument("--vectorized", action="store_true",
                    help="run block-vectorized CPU operators: same results, "
                         "SIMD block cost model + zero-copy columnar "
@@ -262,9 +258,7 @@ def _cmd_run(args, out) -> int:
     scalers = {}
     for mode in modes:
         config = ClusterConfig(n_workers=args.workers, cpu=CPUSpec(),
-                               gpus_per_worker=gpus if mode == "gpu" else
-                               gpus,
-                               flink=FlinkConfig(executor=args.executor))
+                               gpus_per_worker=gpus)
         cluster = GFlinkCluster(config)
         if getattr(args, "autoscale", False):
             from repro.flink.autoscaler import Autoscaler, AutoscalerPolicy
@@ -304,8 +298,7 @@ def _traced_run(args):
     gpus = tuple(g for g in args.gpus.split(",") if g)
     config = ClusterConfig(n_workers=args.workers, cpu=CPUSpec(),
                            gpus_per_worker=gpus,
-                           flink=FlinkConfig(enable_tracing=True,
-                                             executor=args.executor))
+                           flink=FlinkConfig(enable_tracing=True))
     cluster = GFlinkCluster(config)
     workload = _make_workload(args.workload, args)
     result = workload.run(GFlinkSession(cluster), args.mode)
@@ -479,7 +472,6 @@ def _cmd_chaos(args, out) -> int:
             n_workers=args.workers, cpu=CPUSpec(), gpus_per_worker=gpus,
             flink=FlinkConfig(enable_tracing=tracing,
                               retry_backoff_base_s=args.backoff,
-                              executor=args.executor,
                               enable_flight_recorder=bool(
                                   args.postmortem_dir
                                   and schedule is not None),
@@ -597,7 +589,6 @@ def _cmd_monitor(args, out) -> int:
         flink=FlinkConfig(enable_tracing=True, enable_monitoring=True,
                           monitor_window_s=args.window,
                           retry_backoff_base_s=args.backoff,
-                          executor=args.executor,
                           enable_flight_recorder=bool(args.postmortem_dir),
                           flight_recorder_dir=args.postmortem_dir))
     cluster = GFlinkCluster(config)

@@ -61,15 +61,11 @@ class FlinkConfig:
     heap_copy_bps: float = 4.0e9
 
     # Columnar zero-copy exchange (docs/STREAMING_EXECUTOR.md §columnar):
-    # when a routed/broadcast exchange carries columnar payloads (NumPy /
-    # GStruct SoA regions) and its key extractor is vectorized, partitions
-    # ship as raw block regions — no per-row serde; only a per-block
-    # descriptor is charged (``shuffle_block_header_s``).  Serde is charged
-    # only at the columnar↔row boundary.  Row payloads always take the
-    # classic per-record path regardless of this flag.
-    columnar_shuffle: bool = True
-    # Fixed cost of framing one shipped columnar block (length/dtype/key
-    # descriptor) on each side of the wire.
+    # a routed/broadcast exchange that carries columnar payloads (NumPy /
+    # GStruct SoA regions) under a vectorized key extractor ships raw block
+    # regions — no per-row serde; each framed block pays this fixed
+    # descriptor cost (length/dtype/key) on each side of the wire.  Row
+    # payloads take the classic per-record path.
     shuffle_block_header_s: float = 2e-6
     # A single destination payload larger than this (nominal bytes) is
     # spilled through the simulated HDFS instead of held in exchange
@@ -79,12 +75,10 @@ class FlinkConfig:
 
     # Vectorized CPU operators: UDFs marked with
     # ``repro.flink.iterators.vectorized`` are charged the *block* model —
-    # one dispatch per block (``block_overhead_s``) plus SIMD-rate
-    # arithmetic — instead of the per-element iterator model.  Functional
-    # results are bit-identical; only the charge model changes.
-    vectorized_ops: bool = True
-    # Per-block dispatch overhead of a vectorized operator (loop setup,
-    # bounds checks, one virtual call per block instead of per element).
+    # one dispatch per block plus SIMD-rate arithmetic — instead of the
+    # per-element iterator model.  This is the per-block dispatch overhead
+    # (loop setup, bounds checks, one virtual call per block instead of
+    # per element).
     block_overhead_s: float = 5e-6
 
     # Job-level fixed overheads (Observation 3 in §6.3: these dominate small
@@ -112,12 +106,6 @@ class FlinkConfig:
     retry_backoff_jitter: float = 0.1
     retry_jitter_seed: int = 20160816
 
-    # Elastic membership (repro.flink.rebalance): when a worker joins
-    # mid-run, spread already-materialized cached partitions onto it over
-    # the zero-copy wire so iterative jobs use the new capacity without
-    # recomputation.  Draining always migrates regardless of this flag.
-    rebalance_on_join: bool = True
-
     # Operator chaining: fuse element-wise operator chains into one task
     # (Flink's default behavior); see repro.flink.optimizer.
     enable_chaining: bool = True
@@ -141,8 +129,6 @@ class FlinkConfig:
     enable_monitoring: bool = False
     # Width of one sampling window, in simulated seconds.
     monitor_window_s: float = 1.0
-    # Windows retained per series (older points are dropped).
-    monitor_retention_windows: int = 720
 
     # Flight recorder (repro.obs.flightrecorder): retain a bounded ring of
     # recent spans + closed metric windows and dump a post-mortem bundle
@@ -152,22 +138,13 @@ class FlinkConfig:
     enable_flight_recorder: bool = False
     # Directory bundles are written to (None keeps them in memory only).
     flight_recorder_dir: Optional[str] = None
-    # Ring capacities and the bundle cap (a runaway alert storm must not
-    # fill the disk).
-    flight_recorder_spans: int = 512
-    flight_recorder_windows: int = 512
-    flight_recorder_max_bundles: int = 16
 
-    # Execution architecture (docs/STREAMING_EXECUTOR.md).  "staged" runs
-    # one operator wave at a time with a full barrier between operators;
-    # "pipelined" streams HDFS blocks through whole pipeline regions with a
-    # bounded per-operator block queue, overlapping read / CPU / H2D /
-    # kernel / D2H within a region.  Job *results* are bit-identical
-    # between the two; only the simulated clock differs.
-    executor: str = "pipelined"
-    # Bounded block-queue depth between adjacent pipelined operators: a
-    # producer that runs this many blocks ahead of its slowest consumer
-    # stalls (backpressure) until credits return.
+    # Block pipeline (docs/STREAMING_EXECUTOR.md): HDFS blocks stream
+    # through whole pipeline regions, overlapping read / CPU / H2D /
+    # kernel / D2H within a region.  This is the bounded block-queue depth
+    # between adjacent operators of a region: a producer that runs this
+    # many blocks ahead of its slowest consumer stalls (backpressure)
+    # until credits return.
     pipeline_queue_blocks: int = 4
     # Streaming granularity: HDFS blocks are far coarser (tens to hundreds
     # of MB) than useful pipeline quanta, so the source splits each block's
@@ -181,19 +158,10 @@ class FlinkConfig:
             raise ConfigError("page_size must be positive")
         if self.serde_bps <= 0 or self.heap_copy_bps <= 0:
             raise ConfigError("bandwidths must be positive")
-        if self.executor not in ("staged", "pipelined"):
-            raise ConfigError(
-                f"executor must be 'staged' or 'pipelined': {self.executor!r}")
         if self.pipeline_queue_blocks < 1:
             raise ConfigError("pipeline_queue_blocks must be >= 1")
         if self.monitor_window_s <= 0:
             raise ConfigError("monitor_window_s must be positive")
-        if self.monitor_retention_windows < 1:
-            raise ConfigError("monitor_retention_windows must be >= 1")
-        if self.flight_recorder_spans < 1 or \
-                self.flight_recorder_windows < 1 or \
-                self.flight_recorder_max_bundles < 1:
-            raise ConfigError("flight recorder capacities must be >= 1")
         if self.pipeline_block_nbytes <= 0:
             raise ConfigError("pipeline_block_nbytes must be positive")
         if self.shuffle_block_header_s < 0:

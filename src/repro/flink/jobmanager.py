@@ -5,10 +5,13 @@ paper §3.3).  For each job it:
 
 1. charges the job-submission overhead (Eq. 1's ``T_submit``),
 2. compiles the logical plan into an :class:`~repro.flink.graph.ExecutionGraph`,
-3. walks operators in dependency order, skipping any already materialized
-   (persisted datasets from earlier jobs — the in-memory iteration path),
-4. runs the data exchange for each input edge, then the operator's subtasks
-   in task slots with per-task scheduling/deploy overhead and retry-on-failure,
+3. hands the graph to the block pipeline
+   (:class:`~repro.flink.pipeline.PipelinedExecutor`), which skips operators
+   already materialized (persisted datasets from earlier jobs — the
+   in-memory iteration path) after recovering any partitions they lost,
+4. runs the data exchange at every pipeline-region boundary and each
+   operator's subtasks in task slots with per-task scheduling/deploy
+   overhead and retry-on-failure,
 5. extracts sink results and evicts non-persisted intermediates.
 """
 
@@ -25,6 +28,7 @@ from repro.flink.fault import FailureInjector, TaskFailure
 from repro.flink.graph import ExecutionGraph, ExecutionJobVertex, \
     ExecutionVertex
 from repro.flink.partition import Partition, split_evenly
+from repro.flink.pipeline import PipelinedExecutor
 from repro.flink.plan import (
     CollectionSource,
     CollectSink,
@@ -85,7 +89,7 @@ class JobMetrics:
     recovered_partitions: int = 0
     #: GPU subtasks that degraded to CPU execution (all devices blacklisted).
     fallback_tasks: int = 0
-    #: Streaming-executor counters (zero under the staged executor): the
+    #: Block-pipeline counters (zero for a job with no streaming edge): the
     #: deepest block-queue occupancy seen, producer stalls on full queues
     #: (count and stalled seconds), and H2D copies that waited for host
     #: bytes to stream in.  Surfaced by repro.flink.report.breakdown.
@@ -102,6 +106,12 @@ class JobMetrics:
     def makespan(self) -> float:
         """Simulated wall time of the whole job."""
         return self.finished_at - self.started_at
+
+    def record_operator(self, op: Operator, parallelism: int,
+                        start: float, end: float) -> None:
+        """Record the span of ``op``'s subtask wave."""
+        self.operator_spans[op.uid] = OperatorSpan(
+            name=op.name, parallelism=parallelism, start=start, end=end)
 
     def span_of(self, name: str) -> Optional[OperatorSpan]:
         """First operator span with the given name (convenience for tests)."""
@@ -138,12 +148,13 @@ class TaskContext:
         self.assigned_blocks = vertex.assigned_blocks
         self.preassigned_partition = preassigned_partition
         self.op_name = vertex.op.name
-        # Pipelined executor wiring (repro.flink.pipeline.BlockStream):
+        # Block-stream wiring (repro.flink.pipeline.BlockStream):
         # ``in_stream`` carries the input partition's block availability
         # (``in_slot`` is this consumer's subscriber cursor), ``out_stream``
-        # is where this subtask publishes its own blocks.  All None under
-        # the staged executor.  Per-attempt: a retry gets a fresh context,
-        # so its charges replay from the start (streams are idempotent).
+        # is where this subtask publishes its own blocks.  All None for a
+        # subtask behind an exchange boundary.  Per-attempt: a retry gets a
+        # fresh context, so its charges replay from the start (streams are
+        # idempotent).
         self.in_stream = in_stream
         self.in_slot = in_slot
         self.out_stream = out_stream
@@ -189,12 +200,12 @@ class TaskContext:
         its arithmetic.  ``element_overhead_s`` overrides the engine default
         for object-heavy UDFs (see :class:`repro.flink.plan.OpCost`).
 
-        Under the pipelined executor the *first* charge of a streaming
-        consumer is interleaved with upstream block arrivals: the per-block
-        share of the total waits for that block to be published, then (if
-        this operator relays a stream) republishes it downstream.  The cost
-        model is linear, so the interleaved charges sum to exactly the
-        staged total; only the clock shape differs.
+        The *first* charge of a streaming consumer is interleaved with
+        upstream block arrivals: the per-block share of the total waits for
+        that block to be published, then (if this operator relays a stream)
+        republishes it downstream.  The cost model is linear, so the
+        interleaved charges sum to exactly the one-shot total; only the
+        clock shape differs.
         """
         overhead = (self.config.flink.element_overhead_s
                     if element_overhead_s is None else element_overhead_s)
@@ -212,9 +223,8 @@ class TaskContext:
         one dispatch per pipeline-sized block instead of a virtual call per
         element, with arithmetic at the SIMD rate
         (:attr:`repro.flink.config.CPUSpec.simd_flops_per_core`).  Used for
-        UDFs marked :func:`repro.flink.iterators.vectorized` when
-        ``FlinkConfig.vectorized_ops`` is on; functional results are
-        unchanged — only the charge model differs.
+        UDFs marked :func:`repro.flink.iterators.vectorized`; functional
+        results are unchanged — only the charge model differs.
         """
         flink = self.config.flink
         # Block width through the *tuning* overlay, not the frozen config:
@@ -313,23 +323,8 @@ class JobManager:
                                   monitor=obs.monitor,
                                   tuning=self.cluster.tuning)
 
-            if flink.executor == "pipelined":
-                from repro.flink.pipeline import PipelinedExecutor
-                executor = PipelinedExecutor(self, graph, scheduler,
-                                             metrics, failure_injector)
-                yield from executor.run()
-            else:
-                for op in graph.order:
-                    if op.uid in self.cluster.materialized:
-                        # Persisted from an earlier job — but a worker loss
-                        # may have taken some of its partitions down with
-                        # it; lineage recovery recomputes exactly those.
-                        yield from self._recover_dataset(
-                            op, graph, scheduler, metrics, failure_injector)
-                        continue
-                    yield from self._run_operator(op, graph, scheduler,
-                                                  metrics, failure_injector)
-                    metrics.materialized_uids.add(op.uid)
+            yield from PipelinedExecutor(self, graph, scheduler, metrics,
+                                         failure_injector).run()
 
             metrics.finished_at = self.env.now
         metrics.hdfs_read_bytes = (self.cluster.hdfs.total_bytes_read()
@@ -353,19 +348,64 @@ class JobManager:
         obs.monitor.job_completed(job_name, metrics.makespan)
         return metrics
 
-    # -- per-operator execution ----------------------------------------------------
+    # -- exchange boundary -----------------------------------------------------
+    def _run_exchanges(self, op: Operator, jv: ExecutionJobVertex,
+                      graph: ExecutionGraph, scheduler: Scheduler,
+                      metrics: JobMetrics,
+                      producer_parts: List[List[Partition]],
+                      only_consumers: Optional[Set[int]] = None
+                      ) -> Generator[Event, None, List[List[Partition]]]:
+        """Place ``op``'s subtasks and ship every input edge to them.
+
+        The exchange boundary of a pipeline region: ``producer_parts`` holds
+        the final partitions of each input, one
+        :class:`~repro.flink.shuffle.Exchange` per edge runs under an
+        ``exchange:*`` span, and the result is each subtask's input list.
+        ``only_consumers`` (lineage recovery) ships to the lost consumer
+        indices only.
+        """
+        scheduler.schedule_consumer(jv, graph, producer_parts)
+        consumer_workers = [v.worker for v in jv.subtasks]
+        tracer = self.cluster.obs.tracer
+        ex_track = tracer.track(self.cluster.master_name, "exchange")
+        per_subtask_inputs: List[List[Partition]] = [
+            [] for _ in range(jv.parallelism)]
+        for k, strat in enumerate(op.strategies):
+            exchange = Exchange(
+                self.env, self.cluster.network, self.cluster.serializer,
+                strat, producer_parts[k], jv.parallelism, consumer_workers,
+                key_fn=op.key_fn_for_input(k),
+                combiner=op.combiner_for_input(k),
+                only_consumers=only_consumers,
+                hdfs=self.cluster.hdfs, flink=self.config.flink)
+            with tracer.span(f"exchange:{op.name}", "shuffle", ex_track,
+                             op=op.name, input=k,
+                             strategy=strat.name) as sp:
+                result = yield self.env.process(
+                    exchange.run(), name=f"exchange-{op.name}-{k}")
+                sp.set(bytes=result.bytes_shuffled,
+                       zero_copy=result.bytes_zero_copy)
+            metrics.shuffle_bytes += result.bytes_shuffled
+            metrics.shuffle_zero_copy_bytes += result.bytes_zero_copy
+            metrics.shuffle_spill_bytes += result.bytes_spilled
+            for j, part in enumerate(result.inputs):
+                per_subtask_inputs[j].append(part)
+        return per_subtask_inputs
+
+    # -- lineage recovery ------------------------------------------------------
     def _run_operator(self, op: Operator, graph: ExecutionGraph,
                       scheduler: Scheduler, metrics: JobMetrics,
                       injector: Optional[FailureInjector],
                       only: Optional[Set[int]] = None
                       ) -> Generator[Event, None, None]:
-        """Run (or partially re-run) one operator's subtask wave.
+        """Re-run one operator's subtask wave behind an exchange boundary.
 
-        When ``only`` is given this is a lineage-recovery pass: a *fresh*
-        job vertex is scheduled at the dataset's original parallelism, the
-        exchanges ship data only to the lost consumer indices, and only
-        those subtasks execute; their outputs replace the lost partitions
-        in ``cluster.materialized``.
+        Reached from :meth:`_recover_dataset` only.  When ``only`` is given
+        a *fresh* job vertex is scheduled at the dataset's original
+        parallelism, the exchanges ship data only to the lost consumer
+        indices, and only those subtasks execute; their outputs replace the
+        lost partitions in ``cluster.materialized``.  Without it the whole
+        dataset (an evicted intermediate) is recomputed.
         """
         recovering = only is not None
         if recovering:
@@ -403,32 +443,9 @@ class JobManager:
                             inp, graph, scheduler, metrics, injector)
                 producer_parts = [self.cluster.materialized[inp.uid]
                                   for inp in op.inputs]
-                scheduler.schedule_consumer(jv, graph, producer_parts)
-                consumer_workers = [v.worker for v in jv.subtasks]
-                ex_track = tracer.track(self.cluster.master_name, "exchange")
-                for k, (inp, strat) in enumerate(zip(op.inputs,
-                                                     op.strategies)):
-                    exchange = Exchange(
-                        self.env, self.cluster.network,
-                        self.cluster.serializer, strat, producer_parts[k],
-                        jv.parallelism, consumer_workers,
-                        key_fn=op.key_fn_for_input(k),
-                        combiner=op.combiner_for_input(k),
-                        only_consumers=only,
-                        hdfs=self.cluster.hdfs,
-                        flink=self.config.flink)
-                    with tracer.span(f"exchange:{op.name}", "shuffle",
-                                     ex_track, op=op.name, input=k,
-                                     strategy=strat.name) as sp:
-                        result = yield self.env.process(
-                            exchange.run(), name=f"exchange-{op.name}-{k}")
-                        sp.set(bytes=result.bytes_shuffled,
-                               zero_copy=result.bytes_zero_copy)
-                    metrics.shuffle_bytes += result.bytes_shuffled
-                    metrics.shuffle_zero_copy_bytes += result.bytes_zero_copy
-                    metrics.shuffle_spill_bytes += result.bytes_spilled
-                    for j, part in enumerate(result.inputs):
-                        per_subtask_inputs[j].append(part)
+                per_subtask_inputs = yield from self._run_exchanges(
+                    op, jv, graph, scheduler, metrics, producer_parts,
+                    only_consumers=only)
 
             if isinstance(op, HdfsSink) and not recovering:
                 self.cluster.hdfs.namenode.create_file(op.path)
@@ -448,9 +465,8 @@ class JobManager:
             outputs = sorted(results.values(), key=lambda p: p.index)
 
             if not recovering:
-                metrics.operator_spans[op.uid] = OperatorSpan(
-                    name=op.name, parallelism=jv.parallelism,
-                    start=start, end=self.env.now)
+                metrics.record_operator(op, jv.parallelism, start,
+                                        self.env.now)
             metrics.subtasks += len(subtask_procs)
 
         if recovering:
@@ -471,7 +487,6 @@ class JobManager:
                 worker.taskmanager.put_partition(op.uid, part)
         scheduler.release(jv)
 
-    # -- lineage recovery ------------------------------------------------------
     def _recover_dataset(self, op: Operator, graph: ExecutionGraph,
                          scheduler: Scheduler, metrics: JobMetrics,
                          injector: Optional[FailureInjector]

@@ -1,12 +1,12 @@
-"""Streaming block-pipelined executor (``FlinkConfig.executor="pipelined"``).
+"""Streaming block-pipelined executor — the engine's one execution path.
 
-The staged executor in :mod:`repro.flink.jobmanager` runs one operator wave
-at a time with a full barrier in between, so an HDFS read, the CPU parse,
-the H2D upload and the kernel of one dataset never overlap.  This module
-replaces the barrier with per-partition **block streams**: every operator
-becomes a producer/consumer node over a bounded queue of blocks, so block
-*k* can be in a kernel while block *k+1* is mid-H2D and block *k+2* is
-still on disk — all on the simulated clock (docs/STREAMING_EXECUTOR.md).
+Running one operator wave at a time with a full barrier in between would
+never overlap an HDFS read, the CPU parse, the H2D upload and the kernel of
+one dataset.  This module connects operators by per-partition **block
+streams** instead: every operator becomes a producer/consumer node over a
+bounded queue of blocks, so block *k* can be in a kernel while block *k+1*
+is mid-H2D and block *k+2* is still on disk — all on the simulated clock
+(docs/STREAMING_EXECUTOR.md).
 
 Two planes, one result
     The *data plane* (functional values) is evaluated eagerly: block
@@ -14,15 +14,18 @@ Two planes, one result
     value is known the moment its inputs' values are.  The *timing plane*
     (disk, serde, CPU, PCIe charges) streams block-by-block.  Because every
     per-block cost in the engine is linear, the block-split charges sum to
-    exactly the staged charges — job results are bit-identical between
-    executors, only the clock differs.
+    exactly the one-shot charges — how finely a job streams changes its
+    clock, never its results.
 
 Pipeline regions
     Streaming applies along forward/union edges only
     (:attr:`~repro.flink.plan.ShipStrategy.is_streaming`).  An operator
     with any hash/gather/broadcast/rebalance input is a *barrier* consumer:
-    it waits for all its producers' final partitions, then runs the same
-    :class:`~repro.flink.shuffle.Exchange` the staged executor runs.
+    it waits for all its producers' final partitions, then runs one
+    :class:`~repro.flink.shuffle.Exchange` per input edge — the exchange
+    boundary of a pipeline region
+    (:meth:`~repro.flink.jobmanager.JobManager._run_exchanges`, shared with
+    lineage recovery).
 
 Slot sharing
     Streaming consumers ride their producer's task slot
@@ -52,7 +55,6 @@ from repro.flink.plan import (
     ShipStrategy,
     _ElementWise,
 )
-from repro.flink.shuffle import Exchange
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flink.fault import FailureInjector
@@ -259,7 +261,7 @@ class PipelinedExecutor:
     producing subtask returns) — plus an optional :class:`BlockStream`
     carrying block-level availability.  Streaming consumers start at the
     shell and gate their charges on the stream; barrier consumers wait for
-    finals and reuse the staged Exchange machinery unchanged.
+    finals and run their exchanges.
     """
 
     def __init__(self, jm: "JobManager", graph: ExecutionGraph,
@@ -284,7 +286,7 @@ class PipelinedExecutor:
         self._op_start: Dict[int, Optional[float]] = {}
         self._region_of: Dict[int, int] = {}
         # Serializes lineage recoveries triggered by concurrent barrier
-        # consumers (the recovery path itself is the staged machinery).
+        # consumers (JobManager._recover_dataset is not reentrant).
         self._recovering: Optional[Event] = None
 
     # -- static wiring ----------------------------------------------------------
@@ -298,7 +300,7 @@ class PipelinedExecutor:
         for inp, strat in zip(op.inputs, op.strategies):
             p = len(self._shells[inp.uid])
             if strat is ShipStrategy.FORWARD and p != jv.parallelism:
-                return False  # staged would reject this too — same path
+                return False  # the FORWARD exchange rejects this shape
         return True
 
     def _source_index(self, op: Operator, input_idx: int, subtask: int
@@ -352,9 +354,9 @@ class PipelinedExecutor:
         fresh: List[Operator] = []
         for op in self.graph.order:
             if op.uid in self.cluster.materialized:
-                # Persisted from an earlier job: recover lost partitions on
-                # the staged machinery (serially, before the pipeline), then
-                # expose the dataset as already-final.
+                # Persisted from an earlier job: recover lost partitions
+                # (serially, before the pipeline), then expose the dataset
+                # as already-final.
                 yield from self.jm._recover_dataset(
                     op, self.graph, self.scheduler, self.metrics,
                     self.injector)
@@ -392,12 +394,10 @@ class PipelinedExecutor:
         results = yield self.env.all_of(procs)
         outputs = sorted(results.values(), key=lambda p: p.index)
 
-        from repro.flink.jobmanager import OperatorSpan
         end = self.env.now
         start = self._op_start[uid] if self._op_start[uid] is not None \
             else end
-        self.metrics.operator_spans[uid] = OperatorSpan(
-            name=op.name, parallelism=jv.parallelism, start=start, end=end)
+        self.metrics.record_operator(op, jv.parallelism, start, end)
         self.metrics.subtasks += len(procs)
         self.tracer.complete(
             f"op:{op.name}", "operator",
@@ -475,7 +475,7 @@ class PipelinedExecutor:
 
     def _start_barrier(self, op: Operator, jv: ExecutionJobVertex
                        ) -> Generator[Event, None, list]:
-        """Wait for all input finals, run staged exchanges, spawn subtasks."""
+        """Wait for all input finals, run the exchanges, spawn subtasks."""
         producer_parts: List[List[Partition]] = []
         for inp in op.inputs:
             parts = []
@@ -483,8 +483,7 @@ class PipelinedExecutor:
                 parts.append((yield evt))
             producer_parts.append(sorted(parts, key=lambda p: p.index))
         # A worker may have died between an input completing and this
-        # barrier consuming it — recover lost partitions first, exactly as
-        # the staged executor does before each exchange.
+        # barrier consuming it — recover lost partitions first.
         for idx, inp in enumerate(op.inputs):
             if any(not self.cluster.worker_is_alive(p.worker)
                    for p in producer_parts[idx]):
@@ -493,30 +492,8 @@ class PipelinedExecutor:
                     self.cluster.materialized[inp.uid],
                     key=lambda p: p.index)
 
-        per_subtask_inputs: List[List[Partition]] = [
-            [] for _ in range(jv.parallelism)]
-        self.scheduler.schedule_consumer(jv, self.graph, producer_parts)
-        consumer_workers = [v.worker for v in jv.subtasks]
-        ex_track = self.tracer.track(self.cluster.master_name, "exchange")
-        for k, (inp, strat) in enumerate(zip(op.inputs, op.strategies)):
-            exchange = Exchange(
-                self.env, self.cluster.network, self.cluster.serializer,
-                strat, producer_parts[k], jv.parallelism, consumer_workers,
-                key_fn=op.key_fn_for_input(k),
-                combiner=op.combiner_for_input(k),
-                hdfs=self.cluster.hdfs, flink=self.cluster.config.flink)
-            with self.tracer.span(f"exchange:{op.name}", "shuffle", ex_track,
-                                  op=op.name, input=k,
-                                  strategy=strat.name) as sp:
-                result = yield self.env.process(
-                    exchange.run(), name=f"exchange-{op.name}-{k}")
-                sp.set(bytes=result.bytes_shuffled,
-                       zero_copy=result.bytes_zero_copy)
-            self.metrics.shuffle_bytes += result.bytes_shuffled
-            self.metrics.shuffle_zero_copy_bytes += result.bytes_zero_copy
-            self.metrics.shuffle_spill_bytes += result.bytes_spilled
-            for j, part in enumerate(result.inputs):
-                per_subtask_inputs[j].append(part)
+        per_subtask_inputs = yield from self.jm._run_exchanges(
+            op, jv, self.graph, self.scheduler, self.metrics, producer_parts)
         return [self.env.process(
                     self._slice(op, jv, i, per_subtask_inputs[i], None,
                                 needs_slot=True),
@@ -566,7 +543,7 @@ class PipelinedExecutor:
         vertex = jv.subtasks[i]
         self.scheduler.schedule_subtask(vertex, colocate)
 
-        # Mirror the staged Exchange's forward/union reindexing.  Placement
+        # Mirror the forward/union Exchange's reindexing.  Placement
         # differs from the producer's home only when that worker died
         # (health fallback), in which case the producer's own retry is
         # already re-shipping the data — no extra transfer is charged here.

@@ -60,12 +60,8 @@ class Cluster:
             self.env, enabled=flink.enable_tracing,
             monitoring=flink.enable_monitoring,
             monitor_window_s=flink.monitor_window_s,
-            monitor_retention=flink.monitor_retention_windows,
             flight_recorder=flink.enable_flight_recorder,
-            flight_recorder_dir=flink.flight_recorder_dir,
-            flight_recorder_spans=flink.flight_recorder_spans,
-            flight_recorder_windows=flink.flight_recorder_windows,
-            flight_recorder_max_bundles=flink.flight_recorder_max_bundles)
+            flight_recorder_dir=flink.flight_recorder_dir)
         names = self.config.worker_names()
         for name in names:
             self.obs.monitor.register_worker(name)
@@ -146,17 +142,16 @@ class Cluster:
                        tracer.track(self.master_name, "membership"),
                        worker=worker, **args)
 
-    def add_worker(self, name: Optional[str] = None,
-                   rebalance: Optional[bool] = None) -> str:
+    def add_worker(self, name: Optional[str] = None) -> str:
         """Register a new worker node mid-run; returns its name.
 
         The joiner gets a TaskManager (with fresh slots), a co-located HDFS
         datanode (eligible for new block placements), a network port, and is
         enrolled with the monitor and the heartbeat plane.  It becomes
-        schedulable immediately; when ``rebalance`` (default
-        ``FlinkConfig.rebalance_on_join``) is on and cached partitions
-        exist, a background process migrates a fair share onto it over the
-        zero-copy wire (see :mod:`repro.flink.rebalance`).
+        schedulable immediately; when cached partitions exist, a background
+        process migrates a fair share onto it over the zero-copy wire (see
+        :mod:`repro.flink.rebalance`), so iterative jobs use the new
+        capacity without recomputation.
         """
         if name is None:
             name = f"elastic{self._next_elastic_id}"
@@ -172,9 +167,7 @@ class Cluster:
         self._churn_instant("churn.join", name)
         self.obs.registry.counter("churn.joins", worker=name).inc()
         self.obs.monitor.count("churn.events", event="join")
-        do_rebalance = (self.config.flink.rebalance_on_join
-                        if rebalance is None else rebalance)
-        if do_rebalance and any(self.materialized.values()):
+        if any(self.materialized.values()):
             from repro.flink.rebalance import Rebalancer
             self.env.process(Rebalancer(self).rebalance_onto(name),
                              name=f"rebalance-{name}")

@@ -39,9 +39,10 @@ import numpy as np
 
 from repro.common.network import Network
 from repro.common.simclock import Environment, Event
-from repro.flink.columnar import (bucket_plan, columnar_compatible,
-                                  columnar_concat, group_plan, is_columnar,
-                                  key_column, n_wire_blocks, soa_regions)
+from repro.flink.columnar import (as_block, bucket_plan,
+                                  columnar_compatible, columnar_concat,
+                                  group_plan, is_columnar, key_column,
+                                  n_wire_blocks, soa_regions)
 from repro.flink.config import FlinkConfig
 from repro.flink.iterators import apply_grouped_reduce, is_vectorized
 from repro.flink.partition import Partition, real_len
@@ -61,10 +62,16 @@ def hash_bucket(key: Any, n: int) -> int:
     """Deterministic bucket for ``key`` among ``n`` consumers.
 
     Python's builtin ``hash`` is salted per process for str/bytes; use a
-    stable hash so runs are reproducible.
+    stable hash so runs are reproducible.  Keys that compare equal share a
+    bucket whatever their scalar type: NumPy scalars hash as the Python
+    value they hold, ``-0.0`` as ``0.0``.
     """
-    if isinstance(key, (int, np.integer)):
-        return int(key) % n
+    if isinstance(key, int):
+        return key % n
+    if isinstance(key, np.generic):
+        return hash_bucket(key.item(), n)
+    if isinstance(key, float) and key == 0.0:
+        key = 0.0
     h = 2166136261  # FNV-1a over the repr; stable and cheap
     for ch in repr(key):
         h = ((h ^ ord(ch)) * 16777619) & 0xFFFFFFFF
@@ -124,12 +131,9 @@ class Exchange:
         elif self.strategy in (ShipStrategy.UNION_LEFT,
                                ShipStrategy.UNION_RIGHT):
             inputs = yield from self._run_union()
-        elif self.strategy is ShipStrategy.HASH:
-            inputs = yield from self._run_routed(self._hash_route)
-        elif self.strategy is ShipStrategy.REBALANCE:
-            inputs = yield from self._run_routed(self._rebalance_route)
-        elif self.strategy is ShipStrategy.GATHER:
-            inputs = yield from self._run_routed(self._gather_route)
+        elif self.strategy in (ShipStrategy.HASH, ShipStrategy.REBALANCE,
+                               ShipStrategy.GATHER):
+            inputs = yield from self._run_routed()
         elif self.strategy is ShipStrategy.BROADCAST:
             inputs = yield from self._run_broadcast()
         else:  # pragma: no cover - exhaustive over the enum
@@ -204,54 +208,64 @@ class Exchange:
                         for p in self.producers)
                 and any(is_columnar(p.elements) for p in self.producers))
 
-    def _columnar_keys(self) -> Optional[List[Optional[np.ndarray]]]:
-        """Per-producer HASH key columns if the routed exchange can take the
-        zero-copy block path, else ``None``.
+    def _key_columns(self) -> List[Optional[np.ndarray]]:
+        """Per-producer HASH key columns under a vectorized key extractor.
+
+        Keys are extracted here, once per producer block, for both wire
+        formats (a vectorized extractor takes the block, never one row).
+        Entries are ``None`` for empty payloads, and throughout when keys
+        are extracted per row or the strategy does not route by key.
+        """
+        if (self.strategy is not ShipStrategy.HASH
+                or not is_vectorized(self.key_fn)):
+            return [None] * len(self.producers)
+        return [key_column(self.key_fn, as_block(part.elements))
+                if is_columnar(part.elements) or real_len(part.elements)
+                else None
+                for part in self.producers]
+
+    def _zero_copy(self, keys: List[Optional[np.ndarray]]) -> bool:
+        """True if the routed exchange can take the zero-copy block path.
 
         Requires columnar payloads, a block-compatible combiner (none, or a
         vectorized ``(key_fn, reduce_fn)`` pair) and — for HASH — a
         vectorized key extractor yielding integer keys on every producer.
         ``COUNT_COMBINER`` and free-form combiners stay on the row path.
-        Keys are extracted here, once; entries are ``None`` for empty
-        payloads and for strategies that do not route by key.
         """
-        if not self.flink.columnar_shuffle or not self._columnar_payloads():
-            return None
+        if not self._columnar_payloads():
+            return False
         if self.combiner is COUNT_COMBINER or callable(self.combiner):
-            return None
+            return False
         if self.combiner is not None:
             key_fn, reduce_fn = self.combiner
             if not (is_vectorized(key_fn) and is_vectorized(reduce_fn)):
-                return None
+                return False
         if self.strategy is not ShipStrategy.HASH:
-            return [None] * len(self.producers)
-        if self.key_fn is None or not is_vectorized(self.key_fn):
-            return None
-        keys: List[Optional[np.ndarray]] = []
-        for part in self.producers:
-            column = None
-            if is_columnar(part.elements):
-                column = key_column(self.key_fn, part.elements)
-                if column.dtype.kind not in "iu":
-                    return None  # only integers hash by ``key % q``
-            keys.append(column)
-        return keys
+            return True
+        # Only integers hash by ``key % q``.
+        return is_vectorized(self.key_fn) and all(
+            column is None or column.dtype.kind in "iu" for column in keys)
 
     # -- routed strategies (hash / rebalance / gather) ----------------------------
-    def _hash_route(self, part: Partition) -> List[Any]:
-        buckets: List[List[Any]] = [[] for _ in range(self.n_consumers)]
-        for x in part.elements:
-            buckets[hash_bucket(self.key_fn(x), self.n_consumers)].append(x)
+    def _row_buckets(self, part: Partition,
+                     keys: Optional[np.ndarray]) -> List[Any]:
+        """Bucket (and pre-combine) a payload one row at a time."""
+        q = self.n_consumers
+        if self.strategy is ShipStrategy.GATHER:
+            buckets = [list(part.elements)]
+        else:
+            buckets = [[] for _ in range(q)]
+            if self.strategy is ShipStrategy.REBALANCE:
+                for i, x in enumerate(part.elements):
+                    buckets[i % q].append(x)
+            else:
+                row_keys = (keys.tolist() if keys is not None
+                            else map(self.key_fn, part.elements))
+                for key, x in zip(row_keys, part.elements):
+                    buckets[hash_bucket(key, q)].append(x)
+        if self.combiner is not None and self.combiner is not COUNT_COMBINER:
+            buckets = [self._combine(b) for b in buckets]
         return buckets
-
-    def _rebalance_route(self, part: Partition) -> List[Any]:
-        buckets: List[List[Any]] = [[] for _ in range(self.n_consumers)]
-        for i, x in enumerate(part.elements):
-            buckets[i % self.n_consumers].append(x)
-        return buckets
-
-    def _gather_route(self, part: Partition) -> List[Any]:
-        return [list(part.elements)]
 
     def _columnar_buckets(self, part: Partition,
                           keys: Optional[np.ndarray]) -> List[Any]:
@@ -284,23 +298,17 @@ class Exchange:
             buckets = [self._combine(b) for b in buckets]
         return buckets
 
-    def _run_routed(self, route: Callable[[Partition], List[Any]]
-                    ) -> Generator[Event, None, List[Partition]]:
+    def _run_routed(self) -> Generator[Event, None, List[Partition]]:
         q = self.n_consumers
-        keys = self._columnar_keys()
-        columnar = keys is not None
+        keys = self._key_columns()
+        columnar = self._zero_copy(keys)
+        bucketed = self._columnar_buckets if columnar else self._row_buckets
         # bucket_payloads[j] collects (elements, count, nbytes) per producer.
         bucket_payloads: List[List[Tuple[Any, float, float]]] = [
             [] for _ in range(q)]
         senders = []
         for i, part in enumerate(self.producers):
-            if columnar:  # routed and pre-combined in one pass
-                buckets = self._columnar_buckets(part, keys[i])
-            else:
-                buckets = route(part)
-                if (self.combiner is not None
-                        and self.combiner is not COUNT_COMBINER):
-                    buckets = [self._combine(b) for b in buckets]
+            buckets = bucketed(part, keys[i])  # routed and pre-combined
             if self.combiner is COUNT_COMBINER:
                 buckets = [[real_len(b) * part.scale] for b in buckets]
                 counts = [1.0 for _ in buckets]
@@ -384,7 +392,7 @@ class Exchange:
 
     # -- broadcast ----------------------------------------------------------------
     def _run_broadcast(self) -> Generator[Event, None, List[Partition]]:
-        columnar = self.flink.columnar_shuffle and self._columnar_payloads()
+        columnar = self._columnar_payloads()
         senders = []
         total_nbytes = sum(p.nominal_nbytes for p in self.producers)
         total_count = sum(p.nominal_count for p in self.producers)

@@ -95,28 +95,20 @@ class Observability:
 
     def __init__(self, env: Any, enabled: bool = False,
                  monitoring: bool = False, monitor_window_s: float = 1.0,
-                 monitor_retention: int = 720,
                  flight_recorder: bool = False,
-                 flight_recorder_dir: Any = None,
-                 flight_recorder_spans: int = 512,
-                 flight_recorder_windows: int = 512,
-                 flight_recorder_max_bundles: int = 16):
+                 flight_recorder_dir: Any = None):
         self.tracer = Tracer(env, enabled=enabled)
         self.registry = MetricsRegistry(enabled=enabled or monitoring)
         # The recorder is passive (bounded deques + dump-time file I/O):
         # it works with monitoring (alert-triggered bundles with metric
         # windows) or with bare chaos runs (fault-triggered bundles).
         self.recorder = (FlightRecorder(
-            env, tracer=self.tracer, dirpath=flight_recorder_dir,
-            span_capacity=flight_recorder_spans,
-            window_capacity=flight_recorder_windows,
-            max_bundles=flight_recorder_max_bundles)
+            env, tracer=self.tracer, dirpath=flight_recorder_dir)
             if flight_recorder else None)
         if monitoring:
             self.monitor = GMonitor(env, tracer=self.tracer,
                                     registry=self.registry,
                                     window_s=monitor_window_s,
-                                    retention=monitor_retention,
                                     recorder=self.recorder)
         else:
             self.monitor = NULL_MONITOR

@@ -25,6 +25,12 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 POSTMORTEM_SCHEMA = "repro.obs.postmortem/v1"
 
+#: Ring capacities and the bundle cap of a cluster's recorder (a runaway
+#: alert storm must not fill the disk).
+SPAN_CAPACITY = 512
+WINDOW_CAPACITY = 512
+MAX_BUNDLES = 16
+
 _SLUG_RE = re.compile(r"[^a-zA-Z0-9_.-]+")
 
 
@@ -41,9 +47,9 @@ class FlightRecorder:
 
     def __init__(self, env: Any, tracer=None,
                  dirpath: Optional[str] = None,
-                 span_capacity: int = 512,
-                 window_capacity: int = 512,
-                 max_bundles: int = 16):
+                 span_capacity: int = SPAN_CAPACITY,
+                 window_capacity: int = WINDOW_CAPACITY,
+                 max_bundles: int = MAX_BUNDLES):
         if span_capacity < 1 or window_capacity < 1 or max_bundles < 1:
             raise ValueError("flight recorder capacities must be >= 1")
         self._env = env

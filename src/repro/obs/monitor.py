@@ -67,6 +67,9 @@ __all__ = [
 
 MONITOR_SCHEMA = "repro.monitor.summary/v1"
 
+#: Windows retained per series (older points are dropped).
+RETENTION_WINDOWS = 720
+
 #: severity -> health penalty per active alert touching a worker/device
 _SEVERITY_PENALTY = {"critical": 40.0, "warning": 15.0}
 
@@ -140,7 +143,7 @@ class Series:
 class TimeSeriesStore:
     """Get-or-create registry of :class:`Series` with bounded retention."""
 
-    def __init__(self, retention: int = 720):
+    def __init__(self, retention: int = RETENTION_WINDOWS):
         if retention < 1:
             raise ConfigError(f"retention must be >= 1, got {retention}")
         self.retention = retention
@@ -643,7 +646,7 @@ class GMonitor:
     )
 
     def __init__(self, env: Any, tracer=None, registry=None,
-                 window_s: float = 1.0, retention: int = 720,
+                 window_s: float = 1.0, retention: int = RETENTION_WINDOWS,
                  recorder=None):
         if window_s <= 0:
             raise ConfigError(f"window_s must be positive, got {window_s}")

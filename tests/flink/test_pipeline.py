@@ -8,18 +8,18 @@ Covers the executor's contracts:
   idempotent so retried attempts can replay;
 * ``pipeline_regions`` groups operators along streaming edges and cuts at
   shuffles;
-* staged and pipelined executors produce **bit-identical** results across
-  the workload matrix (two planes, one result) while the pipelined clock
-  never loses;
+* the pipelined clock and the barriered reference clock
+  (``tests.flink.conftest.barriered``) carry **bit-identical** results
+  across the workload matrix (two planes, one result) while the pipelined
+  clock never loses;
 * a consumer wave overlaps its producer wave (the behavior
-  tests/flink/test_runtime_timing.py pins its staged-only tests against);
+  tests/flink/test_runtime_timing.py pins its barriered tests against);
 * queue/backpressure stats surface in the metrics registry;
 * a worker killed mid-pipeline recovers to an identical result.
 """
 
 import pytest
 
-from repro.common.errors import ConfigError
 from repro.common.simclock import Environment
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig, FlinkSession, \
@@ -37,12 +37,13 @@ from repro.flink.plan import (
 )
 from repro.workloads import (
     KMeansWorkload,
+    LinearRegressionWorkload,
     PageRankWorkload,
     PointAddWorkload,
     SpMVWorkload,
     WordCountWorkload,
 )
-from tests.flink.conftest import make_cluster
+from tests.flink.conftest import barriered, make_cluster
 
 
 class TestSplitChunks:
@@ -188,12 +189,18 @@ class TestPipelineRegions:
         assert {op.name for op in merged[0]} >= {"left", "right", "ml", "mr"}
 
 
-def dual_cluster(executor, **flink_overrides):
+def dual_cluster(**flink_overrides):
     config = ClusterConfig(n_workers=2, cpu=CPUSpec(cores=2),
                            gpus_per_worker=("c2050", "k20"),
-                           flink=FlinkConfig(executor=executor,
-                                             **flink_overrides))
+                           flink=FlinkConfig(**flink_overrides))
     return GFlinkCluster(config)
+
+
+def run_both(factory, mode):
+    """One workload on the barriered reference clock and the pipelined one."""
+    with barriered():
+        reference = factory().run(GFlinkSession(dual_cluster()), mode)
+    return reference, factory().run(GFlinkSession(dual_cluster()), mode)
 
 
 MATRIX = [
@@ -209,6 +216,14 @@ MATRIX = [
         nominal_elements=1e6, real_elements=8000)),
     ("pointadd-gpu", "gpu", lambda: PointAddWorkload(
         nominal_elements=1e5, real_elements=2000, iterations=3)),
+    ("kmeans-cpu", "cpu", lambda: KMeansWorkload(
+        nominal_elements=5e6, real_elements=4000, iterations=3)),
+    ("pagerank-cpu", "cpu", lambda: PageRankWorkload(
+        nominal_pages=1e5, real_pages=500, iterations=3)),
+    ("pagerank-cpu-vectorized", "cpu", lambda: PageRankWorkload(
+        nominal_pages=1e5, real_pages=500, iterations=3, vectorized=True)),
+    ("linreg-gpu", "gpu", lambda: LinearRegressionWorkload(
+        nominal_elements=5e6, real_elements=4000, iterations=3)),
 ]
 
 
@@ -217,36 +232,30 @@ class TestStagedVsPipelined:
                              ids=[m[0] for m in MATRIX])
     def test_results_bit_identical_and_never_slower(self, name, mode,
                                                     factory):
-        staged = factory().run(
-            GFlinkSession(dual_cluster("staged")), mode)
-        piped = factory().run(
-            GFlinkSession(dual_cluster("pipelined")), mode)
+        reference, piped = run_both(factory, mode)
         # One data plane, two clocks: the values agree exactly, not just
         # within tolerance.
-        assert values_equal(staged.value, piped.value), name
-        assert staged.iterations == piped.iterations
+        assert values_equal(reference.value, piped.value), name
+        assert reference.iterations == piped.iterations
         # Overlap can hide latency but never add it.
-        assert piped.total_seconds <= staged.total_seconds + 1e-9
+        assert piped.total_seconds <= reference.total_seconds + 1e-9
 
     def test_hdfs_scan_strictly_faster_pipelined(self):
         # A multi-block HDFS scan is where the pipeline pays: the read
         # window hides deserialization and per-block downstream charges.
-        factory = lambda: WordCountWorkload(  # noqa: E731
-            nominal_elements=1e8, real_elements=8000)
-        staged = factory().run(GFlinkSession(dual_cluster("staged")), "gpu")
-        piped = factory().run(
-            GFlinkSession(dual_cluster("pipelined")), "gpu")
-        assert values_equal(staged.value, piped.value)
-        assert piped.total_seconds < staged.total_seconds
+        reference, piped = run_both(lambda: WordCountWorkload(
+            nominal_elements=1e8, real_elements=8000), "gpu")
+        assert values_equal(reference.value, piped.value)
+        assert piped.total_seconds < reference.total_seconds
 
     def test_consumer_wave_overlaps_producer_wave(self):
         # Collection-fed consumers gate on their own producer's FINAL, not
         # on the whole producer wave -- so with more subtasks than slots
         # the map wave starts while the source wave's tail is still
-        # running.  (This is why test_runtime_timing pins its exact
-        # phase-ratio tests to executor="staged".)
-        def runtime(executor):
-            cluster = make_cluster(n_workers=1, cores=2, executor=executor)
+        # running.  (This is why test_runtime_timing runs its exact
+        # phase-ratio tests on the barriered reference clock.)
+        def runtime():
+            cluster = make_cluster(n_workers=1, cores=2)
             sess = FlinkSession(cluster)
             ds = sess.from_collection(list(range(1000)), element_nbytes=8.0,
                                       scale=1e4, parallelism=4)
@@ -254,14 +263,16 @@ class TestStagedVsPipelined:
                           cost=OpCost(flops_per_element=100.0),
                           name="m").count()
 
-        staged, piped = runtime("staged"), runtime("pipelined")
-        assert staged.value == piped.value
-        assert piped.seconds <= staged.seconds + 1e-9
+        with barriered():
+            reference = runtime()
+        piped = runtime()
+        assert reference.value == piped.value
+        assert piped.seconds <= reference.seconds + 1e-9
 
 
 class TestPipelineObservability:
     def test_queue_stats_reach_the_registry(self):
-        cluster = dual_cluster("pipelined", enable_tracing=True,
+        cluster = dual_cluster(enable_tracing=True,
                                pipeline_block_nbytes=64 * 1024.0)
         WordCountWorkload(nominal_elements=1e7, real_elements=4000).run(
             GFlinkSession(cluster), "gpu")
@@ -274,8 +285,10 @@ class TestPipelineObservability:
         assert reg.sum_values("pipeline.backpressure.blocks") >= 0
 
     def test_invalid_executor_rejected(self):
-        with pytest.raises(ConfigError):
-            FlinkConfig(executor="bogus")
+        # One engine configuration: the path selectors are not fields.
+        for selector in ("executor", "columnar_shuffle", "vectorized_ops"):
+            with pytest.raises(TypeError):
+                FlinkConfig(**{selector: True})
 
 
 class TestPipelinedChaos:
@@ -284,8 +297,7 @@ class TestPipelinedChaos:
             nominal_elements=6000, real_elements=6000, iterations=3)
 
         def cluster():
-            return dual_cluster("pipelined",
-                                heartbeat_interval_s=0.05,
+            return dual_cluster(heartbeat_interval_s=0.05,
                                 heartbeat_timeout_s=0.2,
                                 retry_backoff_base_s=0.01)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flink import FlinkSession, OpCost
-from tests.flink.conftest import make_cluster
+from tests.flink.conftest import barriered, make_cluster
 
 
 class TestIteratorCostModel:
@@ -36,14 +36,13 @@ class TestIteratorCostModel:
         assert result.seconds >= session.cluster.config.flink.job_submit_s
 
     def test_more_cores_speed_up_parallel_map(self):
-        # Staged executor: the map wave starts only after the whole source
-        # wave finished, so the phase ratio is exactly the slot ratio.  The
-        # pipelined executor overlaps the waves (a consumer subtask starts
-        # on its own producer's final), which is measured in
+        # Barriered reference clock: the map wave starts only after the
+        # whole source wave finished, so the phase ratio is exactly the
+        # slot ratio.  The pipeline overlaps the waves (a consumer subtask
+        # starts on its own producer's final), which is measured in
         # tests/flink/test_pipeline.py instead.
         def runtime(cores):
-            cluster = make_cluster(n_workers=1, cores=cores,
-                                   executor="staged")
+            cluster = make_cluster(n_workers=1, cores=cores)
             sess = FlinkSession(cluster)
             # element_nbytes=0 isolates compute from source-shipping time.
             ds = sess.from_collection(list(range(1000)), element_nbytes=0.0,
@@ -53,7 +52,8 @@ class TestIteratorCostModel:
                             name="m").count()
             return result.seconds, result.metrics.span_of("m").seconds
 
-        (slow, slow_span), (fast, fast_span) = runtime(1), runtime(4)
+        with barriered():
+            (slow, slow_span), (fast, fast_span) = runtime(1), runtime(4)
         assert fast < slow
         # The map phase itself scales ~linearly with slots; the whole job is
         # capped by the fixed submit overhead (Observation 3).
@@ -75,23 +75,19 @@ class TestIteratorCostModel:
 class TestSlotContention:
     def test_tasks_queue_when_slots_exhausted(self):
         # 1 worker x 1 slot, 4 subtasks of equal compute -> ~4x serial time.
-        # Staged: waves never overlap, so the ratio is exact (the pipelined
-        # executor lets map subtasks contend with the source wave's tail).
-        cluster = make_cluster(n_workers=1, cores=1, executor="staged")
-        session = FlinkSession(cluster)
-        ds = session.from_collection(list(range(400)), scale=1e4,
-                                     parallelism=4)
-        serial = ds.map(lambda x: x, cost=OpCost(flops_per_element=100.0),
-                        name="m").count()
-        span_serial = serial.metrics.span_of("m").seconds
+        # Barriered: waves never overlap, so the ratio is exact (the
+        # pipeline lets map subtasks contend with the source wave's tail).
+        def map_span(cores):
+            session = FlinkSession(make_cluster(n_workers=1, cores=cores))
+            ds = session.from_collection(list(range(400)), scale=1e4,
+                                         parallelism=4)
+            result = ds.map(lambda x: x,
+                            cost=OpCost(flops_per_element=100.0),
+                            name="m").count()
+            return result.metrics.span_of("m").seconds
 
-        cluster4 = make_cluster(n_workers=1, cores=4, executor="staged")
-        session4 = FlinkSession(cluster4)
-        ds4 = session4.from_collection(list(range(400)), scale=1e4,
-                                       parallelism=4)
-        parallel = ds4.map(lambda x: x, cost=OpCost(flops_per_element=100.0),
-                           name="m").count()
-        span_parallel = parallel.metrics.span_of("m").seconds
+        with barriered():
+            span_serial, span_parallel = map_span(1), map_span(4)
         assert span_serial / span_parallel == pytest.approx(4.0, rel=0.05)
 
 

@@ -18,7 +18,6 @@ from repro.flink import FlinkSession
 from repro.flink.chaos import values_equal
 from repro.flink.columnar import (bucket_plan, group_columnar, group_plan,
                                   segment_sum)
-from repro.flink.config import FlinkConfig
 from repro.flink.iterators import (apply_grouped_reduce, group_elements,
                                    vectorized)
 from repro.flink.partition import Partition
@@ -30,13 +29,10 @@ from tests.flink.test_shuffle_accounting import WORKERS, make_exchange, run
 RECORD = np.dtype([("k", np.int64), ("v", np.float64)])
 
 # -- the two block layouts and their UDFs ------------------------------------
-# Key extractors index with ``...`` / a field name so the same function also
-# works on one row: the row-serde exchange calls its key_fn per element
-# (``[()]`` unwraps that 0-d result to a scalar and leaves a column alone).
 
 
 def plain_key(rows):
-    return rows[..., 0].astype(np.int64)[()]
+    return rows[:, 0].astype(np.int64)
 
 
 def plain_sum(block, starts):
@@ -234,15 +230,44 @@ class TestKeyDtypes:
         merged = [tuple(r) for p in result.inputs for r in p.elements]
         assert sorted(merged) == [(0.5, 4.0), (2.5, 6.0)]
 
+    def test_block_only_key_extractor_routes_on_the_row_path(self):
+        # ``rows[:, 0]`` cannot index one row: the row fallback must hand a
+        # vectorized extractor the producer's block, as every other caller
+        # does — in an exchange, and under distinct (no vectorized combiner).
+        block = np.array([[0.5, 1.0], [2.5, 2.0], [0.5, 3.0], [2.5, 4.0]])
+        producers = [Partition(0, block, 16.0, 1.0, "w0")]
+        result = run_exchange(Environment(), producers, 2, self.first_column,
+                              (self.first_column, vectorized(plain_sum)))
+        assert result.bytes_zero_copy == 0.0
+        merged = [tuple(r) for p in result.inputs for r in p.elements]
+        assert sorted(merged) == [(0.5, 4.0), (2.5, 6.0)]
+        distinct = FlinkSession(make_cluster()).from_collection(
+            block, element_nbytes=16.0).distinct(self.first_column).collect()
+        assert sorted(r[0] for r in distinct.value) == [0.5, 2.5]
+
+    def test_equal_keys_of_mixed_scalar_type_share_a_bucket(self):
+        for q in range(1, 33):
+            assert hash_bucket(np.float64(0.5), q) == hash_bucket(0.5, q)
+            assert hash_bucket(np.int64(-3), q) == hash_bucket(-3, q)
+            assert hash_bucket(np.str_("a"), q) == hash_bucket("a", q)
+            assert hash_bucket(-0.0, q) == hash_bucket(0.0, q)
+        # Two producers spell one key differently; at parallelism 7 the
+        # spellings used to land on different consumers, one row each.
+        data = [(np.float64(0.5), 1.0), (0.5, 2.0)]
+        result = FlinkSession(make_cluster()).from_collection(
+            data, element_nbytes=16.0, parallelism=2) \
+            .group_by(lambda kv: kv[0]) \
+            .reduce(lambda a, b: (a[0], a[1] + b[1]), parallelism=7) \
+            .collect()
+        assert result.value == [(0.5, 3.0)]
+
 
 # -- exchanges ---------------------------------------------------------------
 
-def run_exchange(env, producers, q, key_fn, combiner, columnar=True,
-                 only_consumers=None):
+def run_exchange(env, producers, q, key_fn, combiner, only_consumers=None):
     exchange = make_exchange(
         env, ShipStrategy.HASH, producers, q, key_fn=key_fn,
-        combiner=combiner, only_consumers=only_consumers,
-        flink=FlinkConfig(columnar_shuffle=columnar))
+        combiner=combiner, only_consumers=only_consumers)
     return run(env, exchange)
 
 
@@ -253,7 +278,8 @@ def exchange_variants(partitions, q, structured, only_consumers=None):
     routing key *object*); ``routed`` gets an equal but distinct key
     function, which keeps the columnar path on route-then-combine — the
     reference the fused path must match to the last simulated second;
-    ``rows`` is the row-serde wire format.
+    ``rows`` ships the same rows as list payloads, which is what selects
+    the row-serde wire format.
     """
     key_fn, reduce_fn = udfs(structured)
     key, reducer = vectorized(key_fn), vectorized(reduce_fn)
@@ -263,12 +289,14 @@ def exchange_variants(partitions, q, structured, only_consumers=None):
                                          ("routed", twin, True),
                                          ("rows", key, False)):
         env = Environment()
+        blocks = [make_block(pairs, structured) if pairs else []
+                  for pairs in partitions]
         producers = [
-            Partition(i, make_block(pairs, structured) if pairs else [],
+            Partition(i, block if columnar else list(block),
                       16.0, 3.0, WORKERS[i % len(WORKERS)])
-            for i, pairs in enumerate(partitions)]
+            for i, block in enumerate(blocks)]
         result = run_exchange(env, producers, q, key, (combiner_key, reducer),
-                              columnar, only_consumers)
+                              only_consumers)
         runs[name] = (env.now, result)
     return runs
 
@@ -364,6 +392,13 @@ class TestOneCallPerBlock:
         assert result.bytes_zero_copy > 0
         # 4 blocks — not 4 x 40 buckets, not ~1100 groups.
         assert calls == {"key": 4, "reduce": 4}
+        # The row fallback (float keys) extracts per block too, not per row.
+        float_calls = []
+        float_key = vectorized(
+            lambda rows: float_calls.append(len(rows)) or rows[:, 0])
+        result = run_exchange(Environment(), producers, 40, float_key, None)
+        assert result.bytes_zero_copy == 0.0
+        assert float_calls == [300] * 4
 
     def test_keyed_reduce_job_calls_udfs_once_per_partition(self):
         calls, key_fn, reduce_fn = self.counting_udfs()

@@ -178,20 +178,25 @@ class TestOnlyConsumers:
 
 
 class TestColumnarZeroCopy:
-    def columnar_exchange(self, env, flink, strategy=ShipStrategy.HASH,
-                          n=40, q=4, **kw):
+    def columnar_exchange(self, env, columnar=True,
+                          strategy=ShipStrategy.HASH, n=40, q=4, **kw):
+        """Two producers of int64 keys.  ``columnar=False`` is the row
+        reference, selected the way the product selects it: list payloads
+        under an unmarked key function."""
         arrs = np.array_split(np.arange(n, dtype=np.int64), 2)
+        if not columnar:
+            arrs = [a.tolist() for a in arrs]
         producers = [part(i, a, WORKERS[i % 2]) for i, a in enumerate(arrs)]
         if strategy is ShipStrategy.HASH:
-            kw.setdefault("key_fn", vectorized(lambda arr: arr))
-        return make_exchange(env, strategy, producers, q, flink=flink, **kw)
+            kw.setdefault("key_fn", vectorized(lambda arr: arr) if columnar
+                          else (lambda x: x))
+        return make_exchange(env, strategy, producers, q, **kw)
 
     def test_routes_identically_to_row_path(self):
         outs = {}
         for on in (True, False):
             env = Environment()
-            flink = FlinkConfig(columnar_shuffle=on)
-            ex = self.columnar_exchange(env, flink)
+            ex = self.columnar_exchange(env, columnar=on)
             result = run(env, ex)
             outs[on] = [np.asarray(p.elements) for p in result.inputs]
             assert (result.bytes_zero_copy > 0) == on
@@ -203,13 +208,13 @@ class TestColumnarZeroCopy:
         totals = {}
         for on in (True, False):
             env = Environment()
-            ex = self.columnar_exchange(env, FlinkConfig(columnar_shuffle=on))
+            ex = self.columnar_exchange(env, columnar=on)
             totals[on] = run(env, ex).bytes_shuffled
         assert totals[True] == pytest.approx(totals[False])
 
     def test_zero_copy_bypasses_serde_accounting(self):
         env = Environment()
-        ex = self.columnar_exchange(env, FlinkConfig(columnar_shuffle=True))
+        ex = self.columnar_exchange(env)
         result = run(env, ex)
         stats = ex.serializer.stats()
         assert stats.bytes_serialized == 0.0
@@ -222,8 +227,7 @@ class TestColumnarZeroCopy:
         times = {}
         for on in (True, False):
             env = Environment()
-            ex = self.columnar_exchange(
-                env, FlinkConfig(columnar_shuffle=on), n=100_000)
+            ex = self.columnar_exchange(env, columnar=on, n=100_000)
             run(env, ex)
             times[on] = env.now
         assert times[True] < times[False]
@@ -233,8 +237,7 @@ class TestColumnarZeroCopy:
         for on in (True, False):
             env = Environment()
             ex = self.columnar_exchange(
-                env, FlinkConfig(columnar_shuffle=on),
-                strategy=ShipStrategy.REBALANCE, n=37, q=3)
+                env, columnar=on, strategy=ShipStrategy.REBALANCE, n=37, q=3)
             result = run(env, ex)
             got[on] = [list(np.asarray(p.elements)) for p in result.inputs]
         assert got[True] == got[False]
@@ -242,16 +245,13 @@ class TestColumnarZeroCopy:
     def test_count_combiner_stays_on_row_path(self):
         env = Environment()
         ex = self.columnar_exchange(
-            env, FlinkConfig(columnar_shuffle=True),
-            strategy=ShipStrategy.GATHER, q=1, combiner=COUNT_COMBINER)
+            env, strategy=ShipStrategy.GATHER, q=1, combiner=COUNT_COMBINER)
         result = run(env, ex)
         assert result.bytes_zero_copy == 0.0
 
     def test_unvectorized_key_fn_stays_on_row_path(self):
         env = Environment()
-        ex = self.columnar_exchange(
-            env, FlinkConfig(columnar_shuffle=True),
-            key_fn=lambda x: int(x))
+        ex = self.columnar_exchange(env, key_fn=lambda x: int(x))
         result = run(env, ex)
         assert result.bytes_zero_copy == 0.0
 
