@@ -18,13 +18,28 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 
 echo "== tier-1: unit + integration tests =="
-python -m pytest -q
+# The duration is printed for the record (ROADMAP re-anchor: 24.5 s on the
+# reference box); there is no wall-clock gate.
+tier1_start=$SECONDS
+python -m pytest -q --durations=10
+echo "tier-1 wall time: $((SECONDS - tier1_start)) s"
 
 echo "== lint: cache-region table is private to gmemory.py/repro.obs =="
 if grep -rnE '(^|[^a-zA-Z0-9_])_regions\b' src/repro --include='*.py' \
         | grep -v 'repro/core/gmemory\.py' \
         | grep -v 'repro/obs/'; then
     echo "FAIL: _regions accessed outside core/gmemory.py and repro/obs" >&2
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: processed-at-birth events are built only by the sim kernel =="
+# `callbacks = None` (wrapped by Event._born) is how the kernel marks an event
+# processed; doing that by hand anywhere else would fork the representation.
+if grep -rnE '\.callbacks[[:space:]]*=[[:space:]]*None|\._born\(' src/repro --include='*.py' \
+        | grep -v 'repro/common/simclock\.py' \
+        | grep -v 'repro/common/resources\.py'; then
+    echo "FAIL: processed event built outside common/simclock.py and common/resources.py" >&2
     exit 1
 fi
 echo "ok"

@@ -97,11 +97,17 @@ class Network:
         in_port = self._ingress[dst]
         out_req = out_port.lock.request()
         in_req = in_port.lock.request()
-        yield self.env.all_of([out_req, in_req])
         try:
-            yield self.env.timeout(self.config.latency_s)
-            yield from self._charge(nbytes / self.config.bandwidth_bps,
-                                    nbytes, progress)
+            # The wait is inside the try: an interrupt while queued must
+            # release a port already granted and withdraw the other request.
+            yield self.env.all_of([out_req, in_req])
+            wire_s = nbytes / self.config.bandwidth_bps
+            if progress is None:
+                # Nothing observes the instant between latency and wire time.
+                yield self.env.timeout(self.config.latency_s, then=wire_s)
+            else:
+                yield self.env.timeout(self.config.latency_s)
+                yield from self._charge(wire_s, nbytes, progress)
             out_port.bytes_moved += nbytes
             in_port.bytes_moved += nbytes
         finally:

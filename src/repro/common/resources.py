@@ -12,11 +12,22 @@
 All follow the SimPy convention: ``request()`` / ``get()`` / ``put()`` return
 events to ``yield`` on, and requests act as context managers that release on
 exit.
+
+Zero-wait rule (see :mod:`repro.common.simclock`): an event satisfiable when
+created is processed at birth; the creating process runs on within the same
+instant; waiters are still woken through the heap in FIFO order.  Here that
+means a :class:`Request` on a resource with a free slot, a ``put`` into a
+store with room and no earlier putter, and a ``get`` from a store holding an
+item (a matching one, for :class:`FilterStore`) with no earlier getter come
+back already processed and cost no heap entry.  A request that had to queue,
+and a putter or getter that had to block, is granted later by ``succeed`` —
+one heap entry, delivered in request order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Optional
 
 from repro.common.errors import ResourceError
 from repro.common.simclock import Environment, Event
@@ -31,8 +42,7 @@ class Request(Event):
         super().__init__(resource.env)
         self.resource = resource
         self.priority = priority
-        resource._order += 1
-        self._order = resource._order
+        resource._order = self._order = resource._order + 1
         resource._request(self)
 
     def __enter__(self) -> "Request":
@@ -59,7 +69,7 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.users: list[Request] = []
-        self._queue: list[Request] = []
+        self._queue: Deque[Request] = deque()
         self._order = 0
 
     # -- public API -----------------------------------------------------------
@@ -69,11 +79,12 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Return a granted slot (idempotent for convenience in finally blocks)."""
-        if request in self.users:
+        try:
             self.users.remove(request)
-            self._grant_next()
-        else:
+        except ValueError:
             request.cancel()
+        else:
+            self._grant_next()
 
     @property
     def count(self) -> int:
@@ -88,13 +99,11 @@ class Resource:
     # -- internals --------------------------------------------------------------
     def _request(self, request: Request) -> None:
         if len(self.users) < self.capacity:
+            # Free slot: granted at birth, no heap entry.
             self.users.append(request)
-            request.succeed(request)
+            request._born(request)
         else:
-            self._enqueue(request)
-
-    def _enqueue(self, request: Request) -> None:
-        self._queue.append(request)
+            self._queue.append(request)
 
     def _grant_next(self) -> None:
         if self._queue and len(self.users) < self.capacity:
@@ -103,7 +112,7 @@ class Resource:
             request.succeed(request)
 
     def _dequeue(self) -> Request:
-        return self._queue.pop(0)
+        return self._queue.popleft()
 
 
 class PriorityResource(Resource):
@@ -144,22 +153,33 @@ class Store:
             raise ResourceError(f"capacity must be positive, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self.items: list[Any] = []
-        self._putters: list[StorePut] = []
-        self._getters: list[StoreGet] = []
+        self.items: Deque[Any] = deque()
+        self._putters: Deque[StorePut] = deque()
+        self._getters: Deque[StoreGet] = deque()
 
     def put(self, item: Any) -> StorePut:
         """Insert ``item``; the event fires once there is room."""
         event = StorePut(self, item)
-        self._putters.append(event)
-        self._dispatch()
+        if not self._putters and len(self.items) < self.capacity:
+            # Room and nobody ahead: stored at birth, no heap entry.
+            self.items.append(item)
+            event._born()
+            if self._getters:
+                self._dispatch()
+        else:
+            self._putters.append(event)
         return event
 
     def get(self) -> StoreGet:
         """Remove the oldest item; the event fires with the item as value."""
         event = StoreGet(self)
-        self._getters.append(event)
-        self._dispatch()
+        if self.items and not self._getters:
+            # An item and nobody ahead: handed over at birth, no heap entry.
+            event._born(self.items.popleft())
+            if self._putters:
+                self._dispatch()
+        else:
+            self._getters.append(event)
         return event
 
     def __len__(self) -> int:
@@ -167,12 +187,13 @@ class Store:
 
     # -- internals ----------------------------------------------------------------
     def _dispatch(self) -> None:
+        """Wake blocked putters and getters (through the heap, in order)."""
         progress = True
         while progress:
             progress = False
             # Move waiting putters into the buffer while there is room.
             while self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
+                put = self._putters.popleft()
                 self.items.append(put.item)
                 put.succeed()
                 progress = True
@@ -183,8 +204,8 @@ class Store:
     def _serve_getters(self) -> bool:
         served = False
         while self._getters and self.items:
-            get = self._getters.pop(0)
-            get.succeed(self.items.pop(0))
+            get = self._getters.popleft()
+            get.succeed(self.items.popleft())
             served = True
         return served
 
@@ -192,17 +213,33 @@ class Store:
 class FilterStore(Store):
     """A :class:`Store` whose getters may demand the first matching item."""
 
+    def __init__(self, env: Environment, capacity: float = float("inf")):
+        super().__init__(env, capacity)
+        # Getters take from the middle, which a deque does no better.
+        self.items: list[Any] = []
+
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Remove the oldest item satisfying ``filter`` (any item if None)."""
         event = StoreGet(self, filter)
-        self._getters.append(event)
-        self._dispatch()
+        if self._getters:
+            # Someone is ahead: queue, and let the arrival-order scan decide
+            # (a later getter may still match an item the earlier ones skip).
+            self._getters.append(event)
+            self._dispatch()
+            return event
+        index = self._find(filter)
+        if index is None:
+            self._getters.append(event)
+        else:
+            event._born(self.items.pop(index))
+            if self._putters:
+                self._dispatch()
         return event
 
     def _serve_getters(self) -> bool:
         served = False
         # Scan getters in arrival order; each takes its first matching item.
-        remaining: list[StoreGet] = []
+        remaining: Deque[StoreGet] = deque()
         for get in self._getters:
             index = self._find(get.filter)
             if index is None:

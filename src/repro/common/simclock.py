@@ -17,11 +17,35 @@ Design notes
 * The engine is single-threaded and allocation-light; benchmark jobs schedule
   hundreds of thousands of events, so the hot paths avoid closures where a
   bound method suffices.
+
+Zero-wait rule
+--------------
+An event that can be satisfied at the instant it is created is *processed at
+birth*: it comes back with ``callbacks is None`` and its value set, never
+touches the heap, and the process that yields it runs on within the same
+instant (``Process._resume`` continues the generator in the same call).  The
+kernel applies this to nothing of its own; :mod:`repro.common.resources` uses
+it for uncontended grants and hand-offs.  Whoever *waits* — a queued request,
+a blocked putter or getter — is still woken through the heap, in FIFO order.
+The consequence is an ordering statement: at one timestamp, a process whose
+request was granted at birth runs ahead of peers whose events were already
+scheduled for that timestamp.  The processed representation
+(``callbacks = None``, set at birth by ``Event._born``) is private to this
+module and ``resources.py``; ``scripts/ci.sh`` lints for that.
+
+Fused charges
+-------------
+``env.timeout(a, then=b)`` is one event for two back-to-back charges by the
+same process.  It fires at the left-folded instant ``(now + a) + b`` — the
+exact float a ``timeout(a)`` followed by a ``timeout(b)`` reaches — not at
+``now + (a + b)``, which can differ in the last bit.  Use it only where no
+observer can tell the intermediate instant apart (nothing is read or written
+between the two charges).
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.common.errors import InterruptError, SimulationError
@@ -44,7 +68,7 @@ class Event:
     callbacks have run.  Processes wait on events by ``yield``-ing them.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled", "_defused")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     _PENDING = object()
 
@@ -53,7 +77,6 @@ class Event:
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = Event._PENDING
         self._ok: bool = True
-        self._scheduled = False
         self._defused = False
 
     # -- state ----------------------------------------------------------------
@@ -106,6 +129,13 @@ class Event:
         self.env._schedule(self, NORMAL, 0.0)
         return self
 
+    def _born(self, value: Any = None) -> None:
+        """Mark the event processed at birth (the zero-wait rule): it has its
+        value, was never scheduled, and a process yielding it runs straight
+        on.  For the kernel's resource primitives only."""
+        self.callbacks = None
+        self._value = value
+
     def defused(self) -> None:
         """Mark a failed event as handled so it will not crash ``run()``."""
         self._defused = True
@@ -117,18 +147,28 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` seconds after creation."""
+    """An event that fires ``delay`` (then ``then``) seconds after creation.
 
-    __slots__ = ("delay",)
+    ``then`` is a second charge fused into the same event: the firing instant
+    is the left fold ``(now + delay) + then`` (see the module docstring).
+    """
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", delay: float, value: Any = None,
+                 then: float = 0.0):
+        if delay < 0 or then < 0:
+            raise ValueError(
+                f"negative timeout delay: {delay!r} then {then!r}")
+        # Slots written directly and pushed inline: a timeout is the most
+        # common event and is exactly one heap entry.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, NORMAL, delay)
+        self._ok = True
+        self._defused = False
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, ((env._now + delay) + then, NORMAL, seq, self))
 
 
 class Initialize(Event):
@@ -205,15 +245,17 @@ class Process(Event):
 
     # -- the scheduler's entry point --------------------------------------------
     def _resume(self, event: Event) -> None:
-        self.env._active = self
+        env = self.env
+        generator = self._generator
+        env._active = self
         try:
             while True:
                 try:
                     if event._ok:
-                        next_event = self._generator.send(event._value)
+                        next_event = generator.send(event._value)
                     else:
                         event._defused = True
-                        next_event = self._generator.throw(event._value)
+                        next_event = generator.throw(event._value)
                 except StopIteration as stop:
                     self._target = None
                     self.succeed(stop.value)
@@ -229,21 +271,23 @@ class Process(Event):
                         f"{next_event!r}")
                     self._target = None
                     try:
-                        self._generator.throw(err)
+                        generator.throw(err)
                     except (StopIteration, SimulationError):
                         pass
                     self.fail(err)
                     break
 
-                if next_event.callbacks is not None:
+                callbacks = next_event.callbacks
+                if callbacks is not None:
                     # Not yet processed: subscribe and go to sleep.
-                    next_event.callbacks.append(self._resume)
+                    callbacks.append(self._resume)
                     self._target = next_event
                     break
-                # Already processed: continue immediately with its value.
+                # Already processed (or processed at birth): continue within
+                # this instant with its value.
                 event = next_event
         finally:
-            self.env._active = None
+            env._active = None
 
 
 class ConditionValue:
@@ -272,9 +316,17 @@ class ConditionValue:
 
 
 class Condition(Event):
-    """Base for composite events over a fixed set of sub-events."""
+    """Base for composite events over a fixed set of sub-events.
 
-    __slots__ = ("_events", "_remaining")
+    Counts down: each sub-event reports exactly once (at construction if it
+    is already processed, from its callbacks otherwise), so fan-in costs
+    O(1) per sub-event.  A failed sub-event fails the condition at once.
+    """
+
+    __slots__ = ("_events", "_pending")
+
+    #: Wait for every sub-event (True) or for the first one (False).
+    _wait_for_all: bool
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -282,28 +334,15 @@ class Condition(Event):
         for e in self._events:
             if e.env is not env:
                 raise SimulationError("events from different environments")
-        self._remaining = 0
-        if self._check_trivial():
+        self._pending = len(self._events) if self._wait_for_all else 1
+        if not self._events:
+            self.succeed(ConditionValue([]))
             return
         for e in self._events:
             if e.callbacks is None:
                 self._on_sub_event(e)
             else:
-                self._remaining += 1
                 e.callbacks.append(self._on_sub_event)
-        # Re-check in case all sub-events were already processed.
-        if not self.triggered and self._satisfied():
-            self.succeed(ConditionValue(self._fired()))
-
-    # subclass hooks ------------------------------------------------------------
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
-    def _check_trivial(self) -> bool:
-        if not self._events:
-            self.succeed(ConditionValue([]))
-            return True
-        return False
 
     def _fired(self) -> list[Event]:
         # "Fired" means the event has been processed by the scheduler, not
@@ -312,7 +351,7 @@ class Condition(Event):
         return [e for e in self._events if e.callbacks is None]
 
     def _on_sub_event(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not Event._PENDING:
             if not event._ok:
                 event._defused = True
             return
@@ -320,7 +359,8 @@ class Condition(Event):
             event._defused = True
             self.fail(event._value)
             return
-        if self._satisfied():
+        self._pending -= 1
+        if self._pending <= 0:
             self.succeed(ConditionValue(self._fired()))
 
 
@@ -329,8 +369,7 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def _satisfied(self) -> bool:
-        return all(e.callbacks is None and e._ok for e in self._events)
+    _wait_for_all = True
 
 
 class AnyOf(Condition):
@@ -338,8 +377,7 @@ class AnyOf(Condition):
 
     __slots__ = ()
 
-    def _satisfied(self) -> bool:
-        return any(e.callbacks is None and e._ok for e in self._events)
+    _wait_for_all = False
 
 
 class Environment:
@@ -367,9 +405,14 @@ class Environment:
         """A fresh, untriggered event (a one-shot signal)."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` seconds from now with ``value``."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: Any = None,
+                then: float = 0.0) -> Timeout:
+        """An event that fires ``delay`` seconds from now with ``value``.
+
+        ``then`` fuses a second back-to-back charge into the same event,
+        firing at ``(now + delay) + then``.
+        """
+        return Timeout(self, delay, value, then)
 
     def process(self, generator: ProcessGenerator,
                 name: Optional[str] = None) -> Process:
@@ -386,9 +429,8 @@ class Environment:
 
     # -- scheduling --------------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        event._scheduled = True
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self._now + delay, priority, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -398,8 +440,7 @@ class Environment:
         """Process the next scheduled event."""
         if not self._heap:
             raise SimulationError("step() on an empty schedule")
-        when, _prio, _seq, event = heapq.heappop(self._heap)
-        self._now = when
+        self._now, _prio, _seq, event = heappop(self._heap)
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:

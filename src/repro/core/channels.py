@@ -61,7 +61,9 @@ class CUDAWrapper:
 
     Every method charges one JNI redirect (the control channel) before
     delegating to the native :class:`~repro.gpu.runtime.CUDARuntime`
-    ("CUDAStub").
+    ("CUDAStub").  Where the stub's first act is a fixed driver charge
+    (``cudaMalloc``, ``cudaFree``, ``cudaHostRegister``) the redirect rides
+    in the same fused event — nothing can observe the instant between them.
     """
 
     def __init__(self, env: Environment, runtime: CUDARuntime,
@@ -80,15 +82,16 @@ class CUDAWrapper:
     def cuda_malloc(self, device: GPUDevice,
                     nbytes: int) -> Generator[Event, None, DeviceBuffer]:
         """``cudaMalloc`` via JNI."""
-        yield self._jni()
-        buf = yield from self.runtime.malloc(device, nbytes)
+        self.jni_calls += 1
+        buf = yield from self.runtime.malloc(device, nbytes,
+                                             self.costs.jni_call_s)
         return buf
 
     def cuda_free(self, device: GPUDevice,
                   buf: DeviceBuffer) -> Generator[Event, None, None]:
         """``cudaFree`` via JNI."""
-        yield self._jni()
-        yield from self.runtime.free(device, buf)
+        self.jni_calls += 1
+        yield from self.runtime.free(device, buf, self.costs.jni_call_s)
 
     def cuda_stream_create(self, device: GPUDevice) -> CUDAStream:
         """``cudaStreamCreate`` via JNI (wrapper-side object, no wait)."""
@@ -98,8 +101,9 @@ class CUDAWrapper:
     def cuda_host_register(self, host: HostBuffer
                            ) -> Generator[Event, None, HostBuffer]:
         """``cudaHostRegister``: page-lock a host buffer."""
-        yield self._jni()
-        result = yield from self.runtime.host_register(host)
+        self.jni_calls += 1
+        result = yield from self.runtime.host_register(
+            host, self.costs.jni_call_s)
         return result
 
     def cuda_device_synchronize(self, device: GPUDevice) -> Event:
@@ -215,13 +219,18 @@ class CUDAWrapper:
     def launch_kernel_inline(self, device: GPUDevice, kernel_name: str,
                              n_elements: float, launch: LaunchConfig,
                              inputs, outputs, params=None,
-                             layout=None) -> Generator[Event, None, dict]:
-        """Kernel execution inside the calling process (pipeline stage)."""
+                             layout=None
+                             ) -> Generator[Event, None, "tuple[dict, float]"]:
+        """Kernel execution inside the calling process (pipeline stage).
+
+        Returns ``(results, kernel_seconds)`` as
+        :meth:`~repro.gpu.runtime.CUDARuntime.kernel_op` does.
+        """
         yield self._jni()
-        results = yield from self.runtime.kernel_op(
+        launched = yield from self.runtime.kernel_op(
             device, kernel_name, n_elements, launch, inputs, outputs, params,
             layout=layout)
-        return results
+        return launched
 
     def _path_premium_s(self, nbytes: float, mode: CommMode) -> float:
         """Extra per-byte cost the non-GFlink paths pay (one direction)."""

@@ -208,6 +208,9 @@ class GStream:
         tracer = obs.tracer
         reg = obs.registry
         monitor = obs.monitor
+        # Taken once per pipeline: with every sink off, the stage loops
+        # below skip their (no-op) emission calls and the argument building.
+        observed = obs.active
         # Distinct lanes per engine role make the paper's overlap argument
         # visible in Perfetto: kernels on one row, each copy direction on
         # its own, cache probes as markers.
@@ -248,7 +251,8 @@ class GStream:
                         (work.cache_key, PRIMARY, blk.index))
                     if entry is not None and entry.buffer.data is not None:
                         dev_buf = entry.buffer
-                if region is not None or primary_region is not None:
+                if observed and (region is not None
+                                 or primary_region is not None):
                     outcome = ("stage-hit" if resume
                                else "primary-hit" if dev_buf is not None
                                else "miss")
@@ -262,20 +266,22 @@ class GStream:
                         if not evt.triggered:
                             host_stream.stall_count += 1
                             host_stream.starved_count += 1
-                            reg.counter("pipeline.h2d.starved",
-                                        device=device.name).inc()
+                            if observed:
+                                reg.counter("pipeline.h2d.starved",
+                                            device=device.name).inc()
                             stall_start = self.env.now
                             yield evt
                             starved = self.env.now - stall_start
                             host_stream.stall_seconds += starved
                             host_stream.starved_seconds += starved
-                            # The registry counter above is sampled into
-                            # the store; just drive the window clock here.
-                            monitor.tick()
-                            tracer.complete(
-                                "h2d.starved", "pipeline", pipeline_track,
-                                start=stall_start, end=self.env.now,
-                                block=blk.index)
+                            if observed:
+                                # The registry counter above is sampled into
+                                # the store; just drive the window clock here.
+                                monitor.tick()
+                                tracer.complete(
+                                    "h2d.starved", "pipeline",
+                                    pipeline_track, start=stall_start,
+                                    end=self.env.now, block=blk.index)
                     entry = (primary_region.try_insert(
                                  (work.cache_key, PRIMARY, blk.index),
                                  blk.nbytes)
@@ -288,12 +294,13 @@ class GStream:
                         temp = True
                     window = yield from wrapper.transfer_h2d_inline(
                         device, dev_buf, blk, primary, work.comm_mode)
-                    tracer.complete("h2d", "gpu.device", h2d_track,
-                                    start=window[0], end=window[1],
-                                    nbytes=blk.nbytes, block=blk.index)
-                    h2d_bytes_ctr.inc(blk.nbytes)
-                    monitor.count("gpu.pcie.bytes", blk.nbytes,
-                                  device=device.name)
+                    if observed:
+                        tracer.complete("h2d", "gpu.device", h2d_track,
+                                        start=window[0], end=window[1],
+                                        nbytes=blk.nbytes, block=blk.index)
+                        h2d_bytes_ctr.inc(blk.nbytes)
+                        monitor.count("gpu.pcie.bytes", blk.nbytes,
+                                      device=device.name)
                 if host_stream is not None:
                     host_stream.ack_nbytes(
                         work.host_stream_slot,
@@ -302,6 +309,7 @@ class GStream:
             yield to_kernel.put(None)
 
         def kernel_stage():
+            default_out_per_elem = self._out_nbytes_per_element(work, primary)
             while True:
                 item = yield to_kernel.get()
                 if item is None:
@@ -318,13 +326,12 @@ class GStream:
                     nominal = (blk.nominal_count * real / blk.real_count
                                if blk.real_count else float(real))
                 d2h_nominal = nominal
-                out_per_elem = self._out_nbytes_per_element(work, primary)
+                out_per_elem = default_out_per_elem
                 for idx in range(resume, len(stages)):
                     st = stages[idx]
                     out_per_elem = (st.out_element_nbytes
                                     if st.out_element_nbytes is not None
-                                    else self._out_nbytes_per_element(
-                                        work, primary))
+                                    else default_out_per_elem)
                     out_nbytes = int(max(nominal * out_per_elem, 8))
                     out_dev, out_temp, out_spill = (
                         yield from self._stage_out_buffer(
@@ -335,28 +342,28 @@ class GStream:
                     stage_inputs = {PRIMARY: cur}
                     for arg, alias in st.extra.items():
                         stage_inputs[arg] = secondary[alias]
-                    kernel_result = yield from wrapper.launch_kernel_inline(
-                        device, st.execute_name, nominal, launch,
-                        inputs=stage_inputs,
-                        outputs={"out": out_dev}, params=st.params,
-                        layout=primary.layout)
-                    spec = wrapper.runtime.registry.get(st.execute_name)
-                    ksec = spec.execution_seconds(nominal, launch,
-                                                  device.spec,
-                                                  layout=primary.layout)
+                    kernel_result, ksec = (
+                        yield from wrapper.launch_kernel_inline(
+                            device, st.execute_name, nominal, launch,
+                            inputs=stage_inputs,
+                            outputs={"out": out_dev}, params=st.params,
+                            layout=primary.layout))
                     work.stage_seconds[st.execute_name] = (
                         work.stage_seconds.get(st.execute_name, 0.0) + ksec)
-                    # The launch returns at kernel end while holding the
-                    # exclusive compute engine, so [now - ksec, now] is the
-                    # engine's occupancy window — kernel spans never overlap.
-                    tracer.complete(st.execute_name, "gpu.device",
-                                    kernel_track, start=self.env.now - ksec,
-                                    end=self.env.now, block=blk.index,
-                                    stage=idx)
-                    reg.counter("gpu.kernel.seconds", device=device.name,
-                                kernel=st.execute_name).inc(ksec)
-                    monitor.count("gstream.engine_busy_s", ksec,
-                                  device=device.name)
+                    if observed:
+                        # The launch returns at kernel end while holding the
+                        # exclusive compute engine, so [now - ksec, now] is
+                        # the engine's occupancy window — kernel spans never
+                        # overlap.
+                        tracer.complete(st.execute_name, "gpu.device",
+                                        kernel_track,
+                                        start=self.env.now - ksec,
+                                        end=self.env.now, block=blk.index,
+                                        stage=idx)
+                        reg.counter("gpu.kernel.seconds", device=device.name,
+                                    kernel=st.execute_name).inc(ksec)
+                        monitor.count("gstream.engine_busy_s", ksec,
+                                      device=device.name)
                     # Retire this stage's input: spilled intermediates give
                     # their region room back, temporaries are freed, cached
                     # buffers stay resident.
@@ -390,11 +397,13 @@ class GStream:
                 data, window = yield from wrapper.transfer_d2h_inline(
                     device, work.out_buffer, out_dev, nbytes,
                     work.comm_mode)
-                tracer.complete("d2h", "gpu.device", d2h_track,
-                                start=window[0], end=window[1],
-                                nbytes=nbytes, block=blk.index)
-                d2h_bytes_ctr.inc(nbytes)
-                monitor.count("gpu.pcie.bytes", nbytes, device=device.name)
+                if observed:
+                    tracer.complete("d2h", "gpu.device", d2h_track,
+                                    start=window[0], end=window[1],
+                                    nbytes=nbytes, block=blk.index)
+                    d2h_bytes_ctr.inc(nbytes)
+                    monitor.count("gpu.pcie.bytes", nbytes,
+                                  device=device.name)
                 if out_spill is not None and spill_region is not None:
                     spill_region.remove(out_spill)
                 elif out_temp:
@@ -582,8 +591,9 @@ class GStreamManager:
         if block_nbytes <= 0:
             raise ConfigError("block_nbytes must be positive")
         self.env = env
-        # A disabled stand-in keeps every call site unconditional (spans and
-        # instants are no-ops; the private registry still counts).
+        # A disabled stand-in keeps the per-work call sites unconditional
+        # (spans, instants and counters are no-ops); the per-block stage
+        # loops check once per pipeline instead.
         self.obs = obs if obs is not None else Observability(env)
         self.devices = list(devices)
         self.wrapper = wrapper

@@ -56,24 +56,30 @@ class CUDARuntime:
                                 for d in devices}
 
     # -- memory management --------------------------------------------------------
-    def malloc(self, device: GPUDevice,
-               nbytes: int) -> Generator[Event, None, DeviceBuffer]:
+    # ``redirect_s`` on the three calls below is the caller's control-channel
+    # latency (the JNI redirect), charged ahead of the driver time in the
+    # same fused event: ``(now + redirect_s) + driver_s``.
+    def malloc(self, device: GPUDevice, nbytes: int,
+               redirect_s: float = 0.0
+               ) -> Generator[Event, None, DeviceBuffer]:
         """``cudaMalloc``: allocate device memory (raises on OOM)."""
-        yield self.env.timeout(self.alloc_overhead_s)
+        yield self.env.timeout(redirect_s, then=self.alloc_overhead_s)
         return device.memory.alloc(nbytes)
 
-    def free(self, device: GPUDevice,
-             buf: DeviceBuffer) -> Generator[Event, None, None]:
+    def free(self, device: GPUDevice, buf: DeviceBuffer,
+             redirect_s: float = 0.0) -> Generator[Event, None, None]:
         """``cudaFree``."""
-        yield self.env.timeout(self.alloc_overhead_s)
+        yield self.env.timeout(redirect_s, then=self.alloc_overhead_s)
         device.memory.free(buf)
 
-    def host_register(self,
-                      hbuf: HostBuffer) -> Generator[Event, None, HostBuffer]:
+    def host_register(self, hbuf: HostBuffer, redirect_s: float = 0.0
+                      ) -> Generator[Event, None, HostBuffer]:
         """``cudaHostRegister``: page-lock a host buffer for async DMA."""
         if not hbuf.pinned:
-            yield self.env.timeout(hbuf.nbytes / self.pin_bps)
+            yield self.env.timeout(redirect_s, then=hbuf.nbytes / self.pin_bps)
             hbuf.pinned = True
+        elif redirect_s:
+            yield self.env.timeout(redirect_s)
         return hbuf
 
     # -- streams -------------------------------------------------------------------
@@ -185,7 +191,7 @@ class CUDARuntime:
         input buffers and writes the output buffers.
         """
         def op():
-            results = yield from self.kernel_op(
+            results, _seconds = yield from self.kernel_op(
                 device, kernel_name, n_elements, launch, inputs, outputs,
                 params, layout=layout)
             return results
@@ -198,11 +204,15 @@ class CUDARuntime:
                   outputs: Mapping[str, DeviceBuffer],
                   params: Optional[Mapping[str, Any]] = None,
                   layout: Optional[Any] = None
-                  ) -> Generator[Event, None, Dict[str, Any]]:
+                  ) -> Generator[Event, None, "tuple[Dict[str, Any], float]"]:
         """Inline (stream-less) kernel execution for custom pipelines.
 
         Acquires the device's compute engine directly; callers that need
         stream ordering should use :meth:`launch_kernel` instead.
+
+        Returns ``(results, seconds)``: the kernel's outputs and the roofline
+        seconds the engine was held — the launch's one evaluation of the
+        cost model, so callers recording the span need not repeat it.
         """
         spec = self.registry.get(kernel_name)
         params = dict(params or {})
@@ -223,4 +233,4 @@ class CUDARuntime:
                         f"kernel {kernel_name!r} produced no output "
                         f"{name!r}; got {sorted(results)}")
                 buf.data = results[name]
-        return results
+        return results, seconds

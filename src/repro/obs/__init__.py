@@ -117,3 +117,13 @@ class Observability:
     def enabled(self) -> bool:
         """True when the tracer and registry are recording."""
         return self.tracer.enabled
+
+    @property
+    def active(self) -> bool:
+        """True when any sink (tracer, registry, monitor) records anything.
+
+        Per-block loops test this once and skip their emission calls —
+        all no-ops otherwise — together with the argument building.
+        """
+        return (self.tracer.enabled or self.registry.enabled
+                or self.monitor.enabled)

@@ -89,3 +89,40 @@ class TestNetwork:
         assert t == pytest.approx(1.0001)
         with pytest.raises(ConfigError):
             net.add_node("d")
+
+    def test_interrupt_while_waiting_for_ports_releases_them(self, env, net):
+        """A transfer interrupted while queued for a port must hand back the
+        port it was already granted and withdraw the request still queued."""
+        from repro.common.errors import InterruptError
+        finished = []
+
+        def hold_ingress_b():
+            with net._ingress["b"].lock.request() as grant:
+                yield grant
+                yield env.timeout(1.0)
+
+        def doomed():
+            try:
+                yield from net.transfer("a", "b", 1000)
+            except InterruptError:
+                finished.append(("doomed-interrupted", env.now))
+
+        def killer(victim):
+            yield env.timeout(0.1)
+            victim.interrupt("worker died")
+
+        def later():
+            yield env.timeout(0.2)
+            yield from net.transfer("a", "c", 1000)
+            finished.append(("later", env.now))
+
+        env.process(hold_ingress_b())
+        victim = env.process(doomed())
+        env.process(killer(victim))
+        env.process(later())
+        env.run()
+        assert [name for name, _ in finished] == ["doomed-interrupted",
+                                                  "later"]
+        assert finished[1][1] == pytest.approx(0.2 + 1e-4 + 1e-6)
+        for port in (net._egress["a"], net._ingress["b"], net._ingress["c"]):
+            assert port.lock.count == 0 and port.lock.queue_length == 0
