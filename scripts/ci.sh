@@ -7,10 +7,11 @@
 #
 # The full run adds: traced wordcount smokes (element-wise and vectorized)
 # with schema validation and profile gates against the committed baselines
-# in traces/, chaos / monitor / flight-recorder / churn smokes, the
-# paper-figure bench smokes (`python -m pytest benchmarks/` is the whole
-# suite; they write BENCH_PR*.json), and the quick test of the repo's
-# benchmark (benchmarks/perf — imports, determinism check, output shape).
+# in traces/, a traced iterative (PageRank-GPU) profile smoke, chaos /
+# monitor / flight-recorder / churn smokes, the paper-figure bench smokes
+# (`python -m pytest benchmarks/` is the whole suite; they write
+# BENCH_PR*.json), and the quick test of the repo's benchmark
+# (benchmarks/perf — imports, determinism check, output shape).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -89,6 +90,24 @@ if [[ "${1:-}" != "--fast" ]]; then
         --threshold makespan_s=0.25 --threshold critical_path=0.60 \
         --threshold operator_wall=0.60 --threshold overlap_pct=0.50 \
         --explain
+
+    echo "== traced iterative smoke: 3-iteration PageRank-GPU, repeated operator names =="
+    # WordCount emits every operator once; an iterative job emits each once
+    # per iteration under one name, and the profile must sum them into one
+    # consistent entry (occurrences == iterations) that still validates.
+    python -m repro trace pagerank --mode gpu --workers 2 --real 500 \
+        --nominal 1e5 --iterations 3 --out traces/ci_pagerank.json
+    python -m repro.obs.validate traces/ci_pagerank.json
+    python -m repro profile traces/ci_pagerank.json --quiet \
+        --json traces/ci_pagerank_profile_summary.json
+    python -m repro.obs.validate traces/ci_pagerank_profile_summary.json
+    python - <<'PY'
+import json
+entry = json.load(open("traces/ci_pagerank_profile_summary.json"))[
+    "operators"]["pagerank-sum"]
+assert entry["occurrences"] == 3, entry
+assert entry["task_latency_s"]["count"] == 3 * entry["parallelism"], entry
+PY
 
     echo "== chaos smoke: wordcount survives worker kill + GPU fault =="
     # Exits non-zero unless the faulted run's result is identical to the

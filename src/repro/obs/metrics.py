@@ -18,15 +18,30 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "metric_key",
-           "parse_prometheus", "prometheus_name"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "label_items",
+           "metric_key", "parse_prometheus", "prometheus_name"]
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
 
+def label_items(labels: Dict[str, Any]) -> LabelItems:
+    """Canonical label identity: ``(key, str(value))`` pairs sorted by key.
+
+    Every emission (``registry.counter(...)``, ``monitor.count(...)``)
+    resolves its series through here, almost always with no label or one:
+    those need no sort.
+    """
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        [(k, v)] = labels.items()
+        return ((k, str(v)),)
+    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
 def metric_key(name: str, labels: Dict[str, Any]) -> Tuple[str, LabelItems]:
     """Canonical identity of a metric: name plus sorted stringified labels."""
-    return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
+    return name, label_items(labels)
 
 
 def render_key(name: str, labels: LabelItems) -> str:

@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.obs.anomaly import SlidingTrend, trend_snapshot
-from repro.obs.metrics import Histogram, LabelItems, metric_key, render_key
+from repro.obs.metrics import Histogram, LabelItems, label_items, render_key
 
 __all__ = [
     "Alert",
@@ -150,7 +150,7 @@ class TimeSeriesStore:
         self._series: Dict[Tuple[str, LabelItems], Series] = {}
 
     def series(self, name: str, kind: str, **labels: Any) -> Series:
-        return self.series_items(name, kind, metric_key(name, labels)[1])
+        return self.series_items(name, kind, label_items(labels))
 
     def series_items(self, name: str, kind: str,
                      labels: LabelItems) -> Series:

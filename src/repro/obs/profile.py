@@ -18,9 +18,23 @@ file (so it works offline on ``traces/*.json``) and produces:
 * **bottleneck classification** — each operator's wall time is partitioned
   into kernel / h2d / d2h / shuffle / hdfs / cpu / sched shares; the
   dominating share names the class (``kernel_bound``, ``pcie_bound``, …).
+  An operator name that occurs several times (one span per iteration of an
+  iterative job) is one entry summed over its occurrences.
 * **a regression gate** — :func:`compare_summaries` diffs two summaries
   against configurable relative thresholds; ``repro profile --baseline``
   exits non-zero on regression (wired into ``scripts/ci.sh``).
+
+**The index.**  A :class:`ProfileTrace` reads its spans once, when it is
+built, and every analysis above is answered from what that pass leaves:
+spans bucketed by category; task spans bucketed by ``args["op"]`` and
+sorted by start, exchange spans likewise; every ``gpu.device`` span
+classified once (kernel / h2d / d2h) and attached to its owning worker by
+one rule — the device process is named ``<worker>-gpu<idx>``, the worker is
+``process.rsplit("-gpu", 1)[0]`` — and kept per (worker, engine category)
+and per device as a start-sorted interval lane with a running-max-end
+array; HDFS spans likewise per worker.  "The intervals of a lane that touch
+``[t0, t1]``" is then two bisects and a slice, so a query costs the spans
+it touches, not the trace.
 
 Everything here is read-only analysis over recorded events: profiling a
 trace never touches the simulation, and runs with tracing disabled simply
@@ -31,9 +45,14 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 __all__ = [
     "SUMMARY_SCHEMA",
@@ -61,6 +80,9 @@ SUMMARY_SCHEMA = "repro.profile.summary/v1"
 #: claim the time first (a kernel running during a copy is kernel time).
 CATEGORIES = ("kernel", "h2d", "d2h", "shuffle", "hdfs", "cpu", "sched")
 
+#: The engine lanes of one device, in that priority order.
+_ENGINES = ("kernel", "h2d", "d2h")
+
 #: One simulated-clock tick: float-comparison slack for span boundaries.
 TICK_S = 1e-9
 
@@ -70,7 +92,7 @@ _US = 1e6
 Interval = Tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PSpan:
     """One complete span, normalized to seconds with resolved lane names."""
 
@@ -83,17 +105,105 @@ class PSpan:
     process: str
     thread: str
     args: Dict[str, Any]
+    end: float = field(init=False)
 
-    @property
-    def end(self) -> float:
-        return self.ts + self.dur
+    def __post_init__(self) -> None:
+        self.end = self.ts + self.dur
+
+
+# -- interval arithmetic -----------------------------------------------------------
+def _union(intervals: Iterable[Interval]) -> List[Interval]:
+    """Merged, sorted, non-overlapping cover of ``intervals``."""
+    out: List[Interval] = []
+    for lo, hi in sorted(i for i in intervals if i[1] > i[0]):
+        if out and lo <= out[-1][1] + TICK_S:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+def _length(intervals: List[Interval]) -> float:
+    return sum(hi - lo for lo, hi in intervals)
+
+def _clip(intervals: Iterable[Interval], lo: float,
+          hi: float) -> List[Interval]:
+    return [(max(a, lo), min(b, hi)) for a, b in intervals
+            if min(b, hi) > max(a, lo)]
+
+def _subtract(base: List[Interval],
+              minus: List[Interval]) -> List[Interval]:
+    """``base − minus``; both inputs must be merged/sorted (``_union``)."""
+    out: List[Interval] = []
+    j, n = 0, len(minus)
+    for lo, hi in base:
+        cursor = lo
+        while j < n and minus[j][1] <= cursor:
+            j += 1
+        # minus[j] may reach into the next base interval: j stays on it.
+        while j < n and minus[j][0] < hi:
+            mlo, mhi = minus[j]
+            if mlo > cursor:
+                out.append((cursor, mlo))
+            cursor = max(cursor, mhi)
+            if cursor >= hi:
+                break
+            j += 1
+        if cursor < hi:
+            out.append((cursor, hi))
+    return out
+
+def _intersect(a: List[Interval], b: List[Interval]) -> List[Interval]:
+    """Pairwise intersection of two merged interval lists."""
+    out: List[Interval] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if hi > lo:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+class _Lane:
+    """Intervals sorted by start, beside the running maximum of their ends.
+
+    Nothing before the first member whose running maximum passes ``t0`` can
+    touch ``[t0, t1]``, and nothing from the first member starting at
+    ``t1`` on: the candidates are one slice (it may hold members that end
+    before ``t0``; clipping drops them).
+    """
+
+    __slots__ = ("intervals", "starts", "reach")
+
+    def __init__(self, intervals: Iterable[Interval] = ()):
+        self.intervals = sorted(intervals)
+        self.starts = [lo for lo, _ in self.intervals]
+        self.reach = list(accumulate((hi for _, hi in self.intervals), max))
+
+    def clipped(self, t0: float, t1: float) -> List[Interval]:
+        """The members' parts inside ``[t0, t1]``, still start-sorted."""
+        return _clip(self.intervals[bisect_right(self.reach, t0):
+                                    bisect_left(self.starts, t1)], t0, t1)
+
+
+_NO_LANE = _Lane()
+
+
+def _device_cat(span: PSpan) -> str:
+    return span.name if span.name in ("h2d", "d2h") else "kernel"
 
 
 class ProfileTrace:
     """A parsed trace: spans with resolved process/thread names, in seconds.
 
     Build one with :meth:`from_tracer` (live run) or :meth:`from_chrome`
-    (exported JSON document); :meth:`load` reads a file.
+    (exported JSON document); :meth:`load` reads a file.  Construction
+    indexes the spans (see the module docstring); the trace is read-only
+    afterwards.
     """
 
     def __init__(self, spans: Sequence[PSpan],
@@ -102,25 +212,95 @@ class ProfileTrace:
         self.spans = list(spans)
         self.processes = dict(processes)
         self.threads = dict(threads)
+        self._index()
+
+    def _index(self) -> None:
+        """The one pass over the spans every analysis is answered from."""
+        cats: Dict[str, List[PSpan]] = defaultdict(list)
+        #: Critical-path candidates (task / exchange / recovery spans, then
+        #: the ``job.submit`` spans) and operator occurrences, trace order.
+        self.chain: List[PSpan] = []
+        self.op_spans: List[PSpan] = []
+        #: op -> its tasks as (start, end, worker) rows sorted by start, and
+        #: their durations in trace order (how the latency histogram is fed).
+        self.op_tasks: Dict[Any, List[Tuple[float, float, str]]] = \
+            defaultdict(list)
+        self.op_task_durations: Dict[Any, List[float]] = defaultdict(list)
+        exchanges: Dict[Any, List[Interval]] = defaultdict(list)
+        #: (worker, "kernel" | "h2d" | "d2h" | "hdfs") -> that worker's lane.
+        lanes: Dict[Tuple[str, str], List[Interval]] = defaultdict(list)
+        #: device -> its owning worker, its three engines' intervals and the
+        #: copy engines' bytes.
+        self.devices: Dict[str, Dict[str, Any]] = {}
+        #: (worker, slot thread) -> the task intervals run on that slot.
+        self.slots: Dict[Tuple[str, str], List[Interval]] = defaultdict(list)
+        submits: List[PSpan] = []
+        for s in self.spans:
+            cat = s.cat
+            cats[cat].append(s)
+            if cat == "gpu.device":
+                device = self.devices.get(s.process)
+                if device is None:
+                    # The one device -> worker rule: "<worker>-gpu<idx>".
+                    device = self.devices[s.process] = {
+                        "worker": s.process.rsplit("-gpu", 1)[0],
+                        "kernel": [], "h2d": [], "d2h": [],
+                        "h2d_bytes": 0, "d2h_bytes": 0}
+                engine = _device_cat(s)
+                device[engine].append((s.ts, s.end))
+                lanes[device["worker"], engine].append((s.ts, s.end))
+                if engine != "kernel":
+                    device[engine + "_bytes"] += int(s.args.get("nbytes", 0))
+            elif cat == "task":
+                self.chain.append(s)
+                op = s.args.get("op")
+                self.op_tasks[op].append((s.ts, s.end, s.process))
+                self.op_task_durations[op].append(s.dur)
+                if s.thread.startswith("slot"):
+                    self.slots[s.process, s.thread].append((s.ts, s.end))
+            elif cat == "hdfs":
+                lanes[s.process, "hdfs"].append((s.ts, s.end))
+            elif cat == "shuffle":
+                self.chain.append(s)
+                exchanges[s.args.get("op")].append((s.ts, s.end))
+            elif cat == "recovery":
+                self.chain.append(s)
+                self.op_spans.append(s)
+            elif cat == "operator":
+                self.op_spans.append(s)
+            elif cat == "job" and s.name == "job.submit":
+                submits.append(s)
+        self.chain += submits
+        self._cats = cats
+        for rows in self.op_tasks.values():
+            rows.sort()
+        self.op_exchanges = {op: _Lane(v) for op, v in exchanges.items()}
+        self.worker_lanes = {key: _Lane(v) for key, v in lanes.items()}
+        jobs = [s for s in cats.get("job", ()) if s.name.startswith("job:")]
+        self.jobs = [s.name[len("job:"):] for s in jobs]
+        pool = jobs or self.spans
+        self._window = ((min(s.ts for s in pool), max(s.end for s in pool))
+                        if pool else (0.0, 0.0))
 
     # -- constructors ----------------------------------------------------------
     @classmethod
     def from_tracer(cls, tracer: Any) -> "ProfileTrace":
         """From a live :class:`repro.obs.trace.Tracer` (timestamps already
-        in seconds)."""
+        in seconds).  Spans share the tracer's ``args`` dicts."""
         processes = {pid: name for pid, name in tracer._process_names}
         threads = {(pid, tid): name
                    for pid, tid, name in tracer._thread_names}
         spans = [PSpan(e.name, e.cat, e.ts, e.dur, e.pid, e.tid,
                        processes.get(e.pid, f"pid{e.pid}"),
                        threads.get((e.pid, e.tid), f"tid{e.tid}"),
-                       dict(e.args) if e.args else {})
+                       e.args or {})
                  for e in tracer.events if e.ph == "X"]
         return cls(spans, processes, threads)
 
     @classmethod
     def from_chrome(cls, doc: Dict[str, Any]) -> "ProfileTrace":
-        """From a Chrome trace-event document (µs timestamps)."""
+        """From a Chrome trace-event document (µs timestamps).  Spans share
+        the document's ``args`` dicts."""
         events = doc.get("traceEvents", [])
         processes: Dict[int, str] = {}
         threads: Dict[Tuple[int, int], str] = {}
@@ -144,7 +324,7 @@ class ProfileTrace:
                 pid, tid,
                 processes.get(pid, f"pid{pid}"),
                 threads.get((pid, tid), f"tid{tid}"),
-                dict(ev.get("args") or {})))
+                ev.get("args") or {}))
         return cls(spans, processes, threads)
 
     @classmethod
@@ -153,70 +333,19 @@ class ProfileTrace:
         return cls.from_chrome(json.loads(Path(path).read_text()))
 
     # -- selectors -------------------------------------------------------------
-    def by_cat(self, *cats: str) -> List[PSpan]:
-        wanted = set(cats)
-        return [s for s in self.spans if s.cat in wanted]
+    def by_cat(self, cat: str) -> List[PSpan]:
+        """The spans of one category, in trace order."""
+        return self._cats.get(cat, [])
 
     def window(self) -> Interval:
         """The analysis window: union of job spans, else full span extent."""
-        jobs = [s for s in self.by_cat("job")
-                if s.name.startswith("job:")]
-        pool = jobs or self.spans
-        if not pool:
-            return 0.0, 0.0
-        return (min(s.ts for s in pool), max(s.end for s in pool))
+        return self._window
 
-
-# -- interval arithmetic -----------------------------------------------------------
-def _union(intervals: List[Interval]) -> List[Interval]:
-    """Merged, sorted, non-overlapping cover of ``intervals``."""
-    out: List[Interval] = []
-    for lo, hi in sorted(i for i in intervals if i[1] > i[0]):
-        if out and lo <= out[-1][1] + TICK_S:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-def _length(intervals: List[Interval]) -> float:
-    return sum(hi - lo for lo, hi in intervals)
-
-def _clip(intervals: List[Interval], lo: float, hi: float) -> List[Interval]:
-    return [(max(a, lo), min(b, hi)) for a, b in intervals
-            if min(b, hi) > max(a, lo)]
-
-def _subtract(base: List[Interval],
-              minus: List[Interval]) -> List[Interval]:
-    """``base − minus``; both inputs must be merged/sorted (``_union``)."""
-    out: List[Interval] = []
-    for lo, hi in base:
-        cursor = lo
-        for mlo, mhi in minus:
-            if mhi <= cursor or mlo >= hi:
-                continue
-            if mlo > cursor:
-                out.append((cursor, mlo))
-            cursor = max(cursor, mhi)
-            if cursor >= hi:
-                break
-        if cursor < hi:
-            out.append((cursor, hi))
-    return out
-
-def _intersect(a: List[Interval], b: List[Interval]) -> List[Interval]:
-    """Pairwise intersection of two merged interval lists."""
-    out: List[Interval] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
+    def worker_cover(self, worker: str, cat: str, t0: float,
+                     t1: float) -> List[Interval]:
+        """What ``worker``'s ``cat`` lane (an engine category summed over
+        its devices, or ``"hdfs"``) occupies of ``[t0, t1]``."""
+        return self.worker_lanes.get((worker, cat), _NO_LANE).clipped(t0, t1)
 
 
 # -- critical path -----------------------------------------------------------------
@@ -235,47 +364,35 @@ class Segment:
         return self.t1 - self.t0
 
 
-def _device_cat(span: PSpan) -> str:
-    if span.name == "h2d":
-        return "h2d"
-    if span.name == "d2h":
-        return "d2h"
-    return "kernel"
+def _claim(t0: float, t1: float,
+           covers: Iterable[Tuple[str, List[Interval]]]
+           ) -> Tuple[Dict[str, float], List[Interval]]:
+    """Partition ``[t0, t1]`` by coverage priority.
 
-
-def _fine_spans_for_worker(trace: ProfileTrace,
-                           worker: str) -> Dict[str, List[Interval]]:
-    """Fine-grained activity intervals attributable to one worker: its GPU
-    devices' engine lanes plus its HDFS lane."""
-    out: Dict[str, List[Interval]] = {"kernel": [], "h2d": [], "d2h": [],
-                                      "hdfs": []}
-    gpu_prefix = f"{worker}-gpu"
-    for s in trace.by_cat("gpu.device"):
-        if s.process.startswith(gpu_prefix):
-            out[_device_cat(s)].append((s.ts, s.end))
-    for s in trace.by_cat("hdfs"):
-        if s.process == worker:
-            out["hdfs"].append((s.ts, s.end))
-    return out
-
-
-def _attribute_window(t0: float, t1: float,
-                      fine: Dict[str, List[Interval]],
-                      rest_cat: str = "cpu") -> Dict[str, float]:
-    """Partition ``[t0, t1]`` by coverage priority; remainder → rest_cat."""
+    ``covers`` pairs a category with its activity clipped to the window, in
+    priority order; each claims what the earlier ones left.  Returns the
+    seconds claimed per category and the unclaimed remainder.
+    """
     remaining = [(t0, t1)]
     out: Dict[str, float] = {}
-    for cat in ("kernel", "h2d", "d2h", "shuffle", "hdfs"):
-        cover = _union(_clip(fine.get(cat, []), t0, t1))
-        if not cover:
-            continue
-        claimed = _intersect(remaining, cover)
+    for cat, clipped in covers:
+        claimed = _intersect(remaining, _union(clipped))
         if claimed:
-            out[cat] = out.get(cat, 0.0) + _length(claimed)
+            out[cat] = _length(claimed)
             remaining = _subtract(remaining, _union(claimed))
+    return out, remaining
+
+
+def _attribute_window(trace: ProfileTrace, worker: str, t0: float,
+                      t1: float) -> Dict[str, float]:
+    """Partition a task's stretch ``[t0, t1]`` of the critical path over its
+    worker's device engines and HDFS lane; the remainder is CPU time."""
+    out, remaining = _claim(
+        t0, t1, ((cat, trace.worker_cover(worker, cat, t0, t1))
+                 for cat in _ENGINES + ("hdfs",)))
     rest = _length(remaining)
     if rest > 0.0:
-        out[rest_cat] = out.get(rest_cat, 0.0) + rest
+        out["cpu"] = rest
     return out
 
 
@@ -287,20 +404,30 @@ def extract_critical_path(trace: ProfileTrace) -> List[Segment]:
     span); uncovered stretches become ``wait`` segments (scheduling).  The
     returned segments partition the window exactly, so their category
     attribution sums to the makespan.
+
+    Among candidates reaching equally far the earliest start wins (it
+    covers more of the remaining window), then the greater name, then trace
+    order.  The chain is sorted by exactly that preference once; the cursor
+    only moves down, so the candidates (spans starting before it) are a
+    shrinking prefix and the spans ending at or beyond it a growing set —
+    the preferred one is the lowest rank seen so far.
     """
     lo, hi = trace.window()
     if hi - lo <= TICK_S:
         return []
-    chain: List[PSpan] = list(trace.by_cat("task", "shuffle", "recovery"))
-    chain += [s for s in trace.by_cat("job") if s.name == "job.submit"]
-    worker_fine: Dict[str, Dict[str, List[Interval]]] = {}
+    order = sorted(trace.chain, key=attrgetter("name"), reverse=True)
+    order.sort(key=attrgetter("ts"))
+    starts = [s.ts for s in order]
+    # furthest[k]: rank of the span ending last among order[:k + 1].
+    furthest: List[int] = []
+    best_rank = 0
+    for rank, s in enumerate(order):
+        if s.end > order[best_rank].end:
+            best_rank = rank
+        furthest.append(best_rank)
+    by_end = sorted(range(len(order)), key=lambda r: order[r].end,
+                    reverse=True)
     segments: List[Segment] = []
-
-    def fine_for(span: PSpan) -> Dict[str, List[Interval]]:
-        worker = span.process
-        if worker not in worker_fine:
-            worker_fine[worker] = _fine_spans_for_worker(trace, worker)
-        return worker_fine[worker]
 
     def close(seg_span: PSpan, t0: float, t1: float) -> Segment:
         if seg_span.cat == "shuffle":
@@ -309,31 +436,29 @@ def extract_critical_path(trace: ProfileTrace) -> List[Segment]:
         if seg_span.cat == "job":
             return Segment(t0, t1, "submit", seg_span.name,
                            {"sched": t1 - t0})
-        cats = _attribute_window(t0, t1, fine_for(seg_span))
-        return Segment(t0, t1, "task", seg_span.name, cats)
+        return Segment(t0, t1, "task", seg_span.name,
+                       _attribute_window(trace, seg_span.process, t0, t1))
 
     cursor = hi
+    reaching = len(order)          # lowest rank ending at/after the cursor
+    seen = 0
     while cursor > lo + TICK_S:
-        best: Optional[PSpan] = None
-        best_reach = -math.inf
-        for s in chain:
-            if s.ts >= cursor - TICK_S:
-                continue
-            reach = min(s.end, cursor)
-            # Prefer the furthest reach; tie-break on the earliest start
-            # (covers more of the remaining window), then name for
-            # determinism.
-            key = (reach, -s.ts, s.name)
-            if best is None or key > (best_reach, -best.ts, best.name):
-                best, best_reach = s, reach
-        if best is None:
+        candidates = bisect_left(starts, cursor - TICK_S)
+        if not candidates:
             segments.append(Segment(lo, cursor, "wait", "wait",
                                     {"sched": cursor - lo}))
             break
-        if best_reach < cursor - TICK_S:
-            segments.append(Segment(best_reach, cursor, "wait", "wait",
-                                    {"sched": cursor - best_reach}))
-            cursor = best_reach
+        while seen < len(by_end) and order[by_end[seen]].end >= cursor:
+            reaching = min(reaching, by_end[seen])
+            seen += 1
+        if reaching < candidates:
+            best = order[reaching]
+        else:
+            best = order[furthest[candidates - 1]]
+            if best.end < cursor - TICK_S:
+                segments.append(Segment(best.end, cursor, "wait", "wait",
+                                        {"sched": cursor - best.end}))
+                cursor = best.end
         start = max(best.ts, lo)
         segments.append(close(best, start, cursor))
         cursor = start
@@ -342,58 +467,75 @@ def extract_critical_path(trace: ProfileTrace) -> List[Segment]:
 
 
 # -- operator bottlenecks ----------------------------------------------------------
+def _occurrence_seconds(trace: ProfileTrace, t0: float, t1: float,
+                        rows: List[Tuple[float, float, str]],
+                        exchanges: _Lane) -> Dict[str, float]:
+    """Partition one operator occurrence ``[t0, t1]``, run by the task
+    ``rows``: engine categories first, then CPU where a subtask ran,
+    scheduling wait where none did."""
+    workers = {worker for _, _, worker in rows}
+
+    def across_workers(cat: str) -> List[Interval]:
+        return [i for w in workers for i in trace.worker_cover(w, cat, t0, t1)]
+
+    seconds, remaining = _claim(t0, t1, (
+        ("kernel", across_workers("kernel")),
+        ("h2d", across_workers("h2d")),
+        ("d2h", across_workers("d2h")),
+        ("shuffle", exchanges.clipped(t0, t1)),
+        ("hdfs", across_workers("hdfs"))))
+    busy = _union(_clip(((a, b) for a, b, _ in rows), t0, t1))
+    cpu = _intersect(remaining, busy)
+    if cpu:
+        seconds["cpu"] = _length(cpu)
+        remaining = _subtract(remaining, _union(cpu))
+    sched = _length(remaining)
+    if sched > 0.0:
+        seconds["sched"] = sched
+    return seconds
+
+
 def classify_operators(trace: ProfileTrace) -> Dict[str, Dict[str, Any]]:
     """Per-operator wall-time shares and the bottleneck class.
 
-    Each operator's wall window is partitioned (priority coverage over
-    exact span occupancy) into kernel / h2d / d2h / shuffle / hdfs plus
-    ``cpu`` (subtask running, nothing finer covering) and ``sched`` (no
-    subtask running).  The class is ``<dominant>_bound`` with h2d+d2h
-    folded into ``pcie``.
+    Each occurrence of an operator (an ``operator`` or ``recovery`` span;
+    an iterative job emits one per iteration under the same name) has its
+    wall window partitioned (priority coverage over exact span occupancy)
+    into kernel / h2d / d2h / shuffle / hdfs plus ``cpu`` (subtask running,
+    nothing finer covering) and ``sched`` (no subtask running).  An
+    occurrence owns the operator's tasks that start from its own start up
+    to the next occurrence's (the first also owns any earlier ones) and
+    sees the exchanges inside its window.  The entry sums its occurrences:
+    ``wall_s`` is the summed wall, ``shares`` the summed seconds over it,
+    ``parallelism`` the widest occurrence, ``task_latency_s`` covers every
+    owned task, and ``occurrences`` counts them when there are several.
+    The class is ``<dominant>_bound`` with h2d+d2h folded into ``pcie``.
     """
     from repro.obs.metrics import Histogram
+    groups: Dict[str, List[PSpan]] = {}
+    for op_span in trace.op_spans:
+        if op_span.end - op_span.ts > 0.0:
+            op = op_span.args.get("op") or op_span.name.split(":", 1)[-1]
+            groups.setdefault(op, []).append(op_span)
     out: Dict[str, Dict[str, Any]] = {}
-    tasks = trace.by_cat("task")
-    exchanges = trace.by_cat("shuffle")
-    device = trace.by_cat("gpu.device")
-    hdfs = trace.by_cat("hdfs")
-    for op_span in trace.by_cat("operator", "recovery"):
-        op = op_span.args.get("op") or op_span.name.split(":", 1)[-1]
-        t0, t1 = op_span.ts, op_span.end
-        wall = t1 - t0
-        if wall <= 0.0:
-            continue
-        op_tasks = [s for s in tasks if s.args.get("op") == op]
-        workers = {s.process for s in op_tasks}
-        fine: Dict[str, List[Interval]] = {
-            "kernel": [], "h2d": [], "d2h": [], "hdfs": [], "shuffle": []}
-        for s in device:
-            if any(s.process.startswith(f"{w}-gpu") for w in workers):
-                fine[_device_cat(s)].append((s.ts, s.end))
-        for s in hdfs:
-            if s.process in workers:
-                fine["hdfs"].append((s.ts, s.end))
-        for s in exchanges:
-            if s.args.get("op") == op:
-                fine["shuffle"].append((s.ts, s.end))
-        busy = _union(_clip([(s.ts, s.end) for s in op_tasks], t0, t1))
-        # Partition the operator window: engine categories first, then CPU
-        # where a subtask ran, scheduling wait where none did.
-        remaining = [(t0, t1)]
+    for op, occurrences in groups.items():
+        occurrences.sort(key=attrgetter("ts"))
+        tasks = trace.op_tasks.get(op, [])
+        exchanges = trace.op_exchanges.get(op, _NO_LANE)
+        starts = [row[0] for row in tasks] if len(occurrences) > 1 else []
+        cuts = [0] + [bisect_left(starts, nxt.ts)
+                      for nxt in occurrences[1:]] + [len(tasks)]
+        wall = 0.0
+        parallelism = 0
         shares: Dict[str, float] = {}
-        for cat in ("kernel", "h2d", "d2h", "shuffle", "hdfs"):
-            cover = _union(_clip(fine[cat], t0, t1))
-            claimed = _intersect(remaining, cover)
-            if claimed:
-                shares[cat] = _length(claimed)
-                remaining = _subtract(remaining, _union(claimed))
-        cpu = _intersect(remaining, busy)
-        if cpu:
-            shares["cpu"] = _length(cpu)
-            remaining = _subtract(remaining, _union(cpu))
-        sched = _length(remaining)
-        if sched > 0.0:
-            shares["sched"] = sched
+        for i, op_span in enumerate(occurrences):
+            rows = tasks[cuts[i]:cuts[i + 1]]
+            wall += op_span.end - op_span.ts
+            parallelism = max(parallelism, int(
+                op_span.args.get("parallelism", len(rows)) or 0))
+            for cat, seconds in _occurrence_seconds(
+                    trace, op_span.ts, op_span.end, rows, exchanges).items():
+                shares[cat] = shares.get(cat, 0.0) + seconds
         grouped = {
             "pcie": shares.get("h2d", 0.0) + shares.get("d2h", 0.0),
             "kernel": shares.get("kernel", 0.0),
@@ -406,10 +548,10 @@ def classify_operators(trace: ProfileTrace) -> Dict[str, Dict[str, Any]]:
         # Per-subtask latency distribution: the task spans of this operator
         # fed through a Histogram so the text report can print percentiles.
         hist = Histogram("op.task_s", ())
-        for s in op_tasks:
-            hist.observe(s.dur)
+        for seconds in trace.op_task_durations.get(op, ()):
+            hist.observe(seconds)
         latency: Dict[str, float] = {}
-        if op_tasks:
+        if hist.count:
             latency = {
                 "count": float(hist.count),
                 "min": hist.vmin,
@@ -421,13 +563,14 @@ def classify_operators(trace: ProfileTrace) -> Dict[str, Dict[str, Any]]:
             }
         out[op] = {
             "wall_s": wall,
-            "parallelism": int(op_span.args.get("parallelism",
-                                                len(op_tasks)) or 0),
+            "parallelism": parallelism,
             "shares": {k: v / wall for k, v in sorted(shares.items())},
             "class": f"{dominant}_bound",
             "dominant_share": grouped[dominant] / wall,
             "task_latency_s": latency,
         }
+        if len(occurrences) > 1:
+            out[op]["occurrences"] = len(occurrences)
     return out
 
 
@@ -452,31 +595,18 @@ def device_utilization(trace: ProfileTrace) -> Dict[str, Dict[str, Any]]:
     lo, hi = trace.window()
     makespan = max(hi - lo, TICK_S)
     out: Dict[str, Dict[str, Any]] = {}
-    by_device: Dict[str, List[PSpan]] = {}
-    for s in trace.by_cat("gpu.device"):
-        by_device.setdefault(s.process, []).append(s)
-    hdfs_by_worker: Dict[str, List[Interval]] = {}
-    for s in trace.by_cat("hdfs"):
-        hdfs_by_worker.setdefault(s.process, []).append((s.ts, s.end))
-    for name in sorted(by_device):
-        spans = by_device[name]
-        kernel = _union([(s.ts, s.end) for s in spans
-                         if _device_cat(s) == "kernel"])
-        copies = _union([(s.ts, s.end) for s in spans
-                         if _device_cat(s) in ("h2d", "d2h")])
+    for name in sorted(trace.devices):
+        device = trace.devices[name]
+        kernel = _union(device["kernel"])
+        copies = _union(device["h2d"] + device["d2h"])
         overlap = _intersect(kernel, copies)
-        # The worker that owns this device (process names are
-        # "<worker>-gpu<idx>"); its disk activity counts as pipeline work.
-        worker = name.rsplit("-gpu", 1)[0]
-        pipeline_cover = _union(list(kernel)
-                                + hdfs_by_worker.get(worker, []))
-        pipeline_overlap = _intersect(copies, pipeline_cover)
+        # The owning worker's disk activity counts as pipeline work.
+        hdfs = trace.worker_lanes.get((device["worker"], "hdfs"), _NO_LANE)
+        pipeline_overlap = _intersect(
+            copies, _union(kernel + hdfs.intervals))
         kernel_busy = _length(kernel)
         copy_busy = _length(copies)
-        h2d_bytes = sum(int(s.args.get("nbytes", 0)) for s in spans
-                        if _device_cat(s) == "h2d")
-        d2h_bytes = sum(int(s.args.get("nbytes", 0)) for s in spans
-                        if _device_cat(s) == "d2h")
+        h2d_bytes, d2h_bytes = device["h2d_bytes"], device["d2h_bytes"]
         out[name] = {
             "kernel_busy_s": kernel_busy,
             "kernel_busy_pct": kernel_busy / makespan,
@@ -501,12 +631,8 @@ def worker_occupancy(trace: ProfileTrace) -> Dict[str, Dict[str, Any]]:
     """Per-worker slot-lane busy fraction over the analysis window."""
     lo, hi = trace.window()
     makespan = max(hi - lo, TICK_S)
-    lanes: Dict[Tuple[str, str], List[Interval]] = {}
-    for s in trace.by_cat("task"):
-        if s.thread.startswith("slot"):
-            lanes.setdefault((s.process, s.thread), []).append((s.ts, s.end))
     out: Dict[str, Dict[str, Any]] = {}
-    for (worker, slot), intervals in sorted(lanes.items()):
+    for (worker, _slot), intervals in sorted(trace.slots.items()):
         entry = out.setdefault(worker, {"slots": 0, "slot_busy_s": 0.0})
         entry["slots"] += 1
         entry["slot_busy_s"] += _length(_union(intervals))
@@ -530,8 +656,6 @@ def summarize(trace: ProfileTrace,
     operators = classify_operators(trace)
     devices = device_utilization(trace)
     workers = worker_occupancy(trace)
-    jobs = [s.name[len("job:"):] for s in trace.by_cat("job")
-            if s.name.startswith("job:")]
     total_overlap = sum(d["copy_compute_overlap_s"] for d in devices.values())
     total_pipeline = sum(d["copy_pipeline_overlap_s"]
                          for d in devices.values())
@@ -539,7 +663,7 @@ def summarize(trace: ProfileTrace,
     return {
         "schema": SUMMARY_SCHEMA,
         "source": source,
-        "jobs": jobs,
+        "jobs": list(trace.jobs),
         "makespan_s": makespan,
         "clock_tick_s": TICK_S,
         "span_count": len(trace.spans),
@@ -631,6 +755,13 @@ def validate_profile_summary(doc: Any) -> List[str]:
             if not isinstance(entry, dict) or \
                     not str(entry.get("class", "")).endswith("_bound"):
                 errors.append(f"operators[{op!r}].class must be *_bound")
+                continue
+            shares = entry.get("shares")
+            numeric = isinstance(shares, dict) and all(
+                isinstance(v, (int, float)) for v in shares.values())
+            if not numeric or abs(sum(shares.values()) - 1.0) > 1e-6:
+                errors.append(f"operators[{op!r}].shares must be numbers "
+                              f"summing to 1, got {shares!r}")
     return errors
 
 
