@@ -141,7 +141,7 @@ def profile_brief(session: GFlinkSession) -> Optional[dict]:
     cluster-wide copy/compute overlap.
     """
     cluster = session.cluster
-    if not cluster.obs.enabled:
+    if not cluster.obs.tracer.enabled:
         return None
     from repro.obs.profile import summarize_tracer
     summary = summarize_tracer(cluster.obs.tracer)
@@ -166,7 +166,7 @@ def _maybe_dump_trace(session: GFlinkSession, label: str) -> None:
     """Drop this run's trace + metrics into ``$REPRO_BENCH_TRACE_DIR``."""
     out_dir = os.environ.get("REPRO_BENCH_TRACE_DIR")
     cluster = session.cluster
-    if not out_dir or not cluster.obs.enabled:
+    if not out_dir or not cluster.obs.tracer.enabled:
         return
     collect_cluster(cluster.obs.registry, cluster)
     base = Path(out_dir) / f"{next(_trace_seq):03d}-{label}"

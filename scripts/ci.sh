@@ -7,7 +7,8 @@
 #
 # The full run adds: traced wordcount smokes (element-wise and vectorized)
 # with schema validation and profile gates against the committed baselines
-# in traces/, a traced iterative (PageRank-GPU) profile smoke, chaos /
+# in traces/ (cross-checked against their exported metrics), a traced
+# iterative (PageRank-GPU) profile smoke gated the same way, chaos /
 # monitor / flight-recorder / churn smokes, the paper-figure bench smokes
 # (`python -m pytest benchmarks/` is the whole suite; they write
 # BENCH_PR*.json), and the quick test of the repo's benchmark
@@ -45,12 +46,33 @@ if grep -rnE '\.callbacks[[:space:]]*=[[:space:]]*None|\._born\(' src/repro --in
 fi
 echo "ok"
 
+echo "== lint: one emission path — no sink calls or sink guards outside repro/obs =="
+# Engine code states facts through Observability.emit / .span and the FACTS
+# table derives every sink from them.  Outside repro/obs: no metric handles
+# (np.histogram is NumPy's), no tracer recording, no monitor call except the
+# named queries and configuration (trends, add_rule, set_*_target, finalize,
+# summary; add_argument is argparse's `monitor` subparser), and none of the
+# old guard spellings — disabled is the bus's own single `active` test.
+if grep -rnE '\.(counter|gauge|histogram)\(|tracer\.(span|instant|complete|track)\(|monitor\.[a-z_]+\(|obs is (not )?None|monitor is (not )?None|(obs|tracer|monitor|registry)\.enabled' \
+        src/repro --include='*.py' \
+        | grep -v 'repro/obs/' \
+        | grep -vE 'np\.histogram\(' \
+        | grep -vE 'monitor\.(trends|add_rule|set_latency_target|set_availability_target|finalize|summary|add_argument)\('; then
+    echo "FAIL: sink call or sink guard outside src/repro/obs (emit a fact instead)" >&2
+    exit 1
+fi
+echo "ok"
+
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "== traced bench smoke: wordcount + schema validation =="
+    echo "== traced bench smoke: wordcount + schema validation + cross-check =="
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \
         --out traces/ci_wordcount.json \
         --metrics-out traces/ci_wordcount_metrics.json
     python -m repro.obs.validate traces/ci_wordcount.json
+    # Every registry metric FACTS derives from a drawn fact, recomputed
+    # from the exported trace, must equal the exported snapshot.
+    python -m repro.obs.validate --cross traces/ci_wordcount.json \
+        traces/ci_wordcount_metrics.json
 
     echo "== profile gate: critical path + regression vs committed baseline =="
     # Profiles the traced smoke (the summary schema is validated by the
@@ -95,11 +117,23 @@ if [[ "${1:-}" != "--fast" ]]; then
     # WordCount emits every operator once; an iterative job emits each once
     # per iteration under one name, and the profile must sum them into one
     # consistent entry (occurrences == iterations) that still validates.
+    # Gated against its own committed baseline like the WordCount traces (a
+    # profiler bug on repeated operators once hid because CI only ever
+    # profiled WordCount).  Refresh deliberately with:
+    #   python -m repro profile traces/ci_pagerank.json --quiet \
+    #       --json traces/ci_pagerank_profile_baseline.json
     python -m repro trace pagerank --mode gpu --workers 2 --real 500 \
-        --nominal 1e5 --iterations 3 --out traces/ci_pagerank.json
+        --nominal 1e5 --iterations 3 --out traces/ci_pagerank.json \
+        --metrics-out traces/ci_pagerank_metrics.json
     python -m repro.obs.validate traces/ci_pagerank.json
+    python -m repro.obs.validate --cross traces/ci_pagerank.json \
+        traces/ci_pagerank_metrics.json
     python -m repro profile traces/ci_pagerank.json --quiet \
-        --json traces/ci_pagerank_profile_summary.json
+        --json traces/ci_pagerank_profile_summary.json \
+        --baseline traces/ci_pagerank_profile_baseline.json \
+        --threshold makespan_s=0.25 --threshold critical_path=0.60 \
+        --threshold operator_wall=0.60 --threshold overlap_pct=0.50 \
+        --explain
     python -m repro.obs.validate traces/ci_pagerank_profile_summary.json
     python - <<'PY'
 import json
@@ -114,8 +148,11 @@ PY
     # fault-free run's; the trace must also pass schema validation.
     python -m repro chaos wordcount --mode gpu --workers 4 --real 4000 \
         --kill worker1@150 --gpu-fail worker0:0@10 --backoff 0.05 \
-        --out traces/ci_chaos_wordcount.json
+        --out traces/ci_chaos_wordcount.json \
+        --metrics-out traces/ci_chaos_wordcount_metrics.json
     python -m repro.obs.validate traces/ci_chaos_wordcount.json
+    python -m repro.obs.validate --cross traces/ci_chaos_wordcount.json \
+        traces/ci_chaos_wordcount_metrics.json
 
     echo "== monitored chaos smoke: alerts fire+resolve, summary + dashboard =="
     # Runs wordcount under a worker kill with the online monitor: the
@@ -146,8 +183,11 @@ PY
     # instants included) must keep validating against the schema.
     python -m repro chaos wordcount --mode gpu --workers 4 --real 4000 \
         --churn join@150 --churn drain:worker1@175 --backoff 0.05 \
-        --out traces/ci_churn_wordcount.json
+        --out traces/ci_churn_wordcount.json \
+        --metrics-out traces/ci_churn_wordcount_metrics.json
     python -m repro.obs.validate traces/ci_churn_wordcount.json
+    python -m repro.obs.validate --cross traces/ci_churn_wordcount.json \
+        traces/ci_churn_wordcount_metrics.json
 
     echo "== churn profile gate: regression vs committed baseline =="
     # Same deterministic-clock contract as the fault-free gate: refresh

@@ -167,6 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--no-cpu-fallback", action="store_true",
                        help="fail GPU operators instead of degrading to CPU "
                             "when every device is blacklisted")
+    chaos.add_argument("--metrics-out", default=None,
+                       help="also write the faulted run's metrics JSON")
     chaos.add_argument("--out", default=None,
                        help="also write the chaos run's Chrome trace here")
 
@@ -501,6 +503,9 @@ def _cmd_chaos(args, out) -> int:
     if args.out:
         write_chrome_trace(cluster.obs.tracer, args.out)
         print(f"trace: {args.out}", file=out)
+    if args.metrics_out:
+        write_metrics(cluster.obs.registry, args.metrics_out)
+        print(f"metrics: {args.metrics_out}", file=out)
     recorder = cluster.obs.recorder
     if recorder is not None and recorder.bundles:
         print(f"post-mortems: {len(recorder.bundles)} bundle(s) in "

@@ -127,13 +127,8 @@ def _cpu_fallback(op_name: str, ctx, gpumanager, part: Partition,
     metrics = ctx.metrics
     if hasattr(metrics, "fallback_tasks"):
         metrics.fallback_tasks += 1
-    obs = getattr(getattr(ctx, "cluster", None), "obs", None)
-    if obs is not None:
-        tracer = obs.tracer
-        tracer.instant("task.cpu_fallback", "fault",
-                       tracer.track(ctx.worker.name, "fallback"),
-                       op=op_name, subtask=ctx.subtask_index)
-        obs.registry.counter("fallback.cpu_tasks", op=op_name).inc()
+    ctx.cluster.obs.emit("task.cpu_fallback", ctx.worker.name, "fallback",
+                         op=op_name, subtask=ctx.subtask_index)
     return _assemble(results)
 
 

@@ -28,6 +28,7 @@ from repro.gpu.device import GPUDevice
 from repro.gpu.kernel import KernelRegistry
 from repro.gpu.runtime import CUDARuntime
 from repro.gpu.specs import get_spec
+from repro.obs import OFF, Observability
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ class GPUManager:
 
     def __init__(self, env: Environment, worker_name: str,
                  gpu_spec_names: Sequence[str], registry: KernelRegistry,
-                 config: Optional[GPUManagerConfig] = None, obs=None):
+                 config: Optional[GPUManagerConfig] = None,
+                 obs: Observability = OFF):
         self.env = env
         self.worker_name = worker_name
         self.config = config or GPUManagerConfig()
@@ -75,12 +77,10 @@ class GPUManager:
                       name=f"{worker_name}-gpu{i}")
             for i, name in enumerate(gpu_spec_names)
         ]
-        if obs is not None:
-            # Health scoring per device, plus a pcie_saturated alert rule
-            # pinned to each device's calibrated bus ceiling.
-            for device in self.devices:
-                obs.monitor.register_device(
-                    device.name, pcie_bps=device.spec.pcie_effective_bps)
+        # Health scoring per device, plus a pcie_saturated alert rule
+        # pinned to each device's calibrated bus ceiling.
+        for device in self.devices:
+            obs.register_device(device.name, device.spec.pcie_effective_bps)
         self.runtime = CUDARuntime(env, self.devices, registry)
         self.wrapper = CUDAWrapper(env, self.runtime,
                                    self.config.comm_costs)
@@ -158,14 +158,9 @@ class GPUManager:
         # scheduling stops steering work at the dead device.
         self.gmm.invalidate_device(device_index)
         self.gstream_manager.mark_blacklisted(device_index)
-        if self.obs is not None:
-            device = self.devices[device_index]
-            tracer = self.obs.tracer
-            tracer.instant("device.blacklisted", "fault",
-                           tracer.track(device.name, "sched"),
-                           device=device.name, cause=cause)
-            self.obs.registry.counter("device.blacklisted",
-                                      device=device.name).inc()
+        device = self.devices[device_index]
+        self.obs.emit("device.blacklisted", device.name, "sched",
+                      device=device.name, cause=cause)
 
     def healthy_device_indices(self) -> List[int]:
         """Indices of in-service (non-blacklisted) devices."""

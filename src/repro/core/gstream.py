@@ -33,7 +33,7 @@ from repro.core.scheduling import locality_keys, schedule_work, steal_work
 from repro.gpu.device import GPUDevice
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import DeviceBuffer
-from repro.obs import Observability
+from repro.obs import OFF, Observability
 
 #: Depth of the inter-stage queues: how many blocks may be in flight between
 #: two stages.  2 suffices for full overlap of a 3-stage linear pipeline.
@@ -85,12 +85,9 @@ class GStream:
                 and mgr.gmm.has_region(work.app_id, self.device_index)):
             spill_region = mgr.gmm.region(work.app_id, self.device_index)
         live_before = {buf.buffer_id for buf in device.memory.live_buffers()}
-        tracer = mgr.obs.tracer
-        with tracer.span(f"gwork:{work.execute_name}", "gpu.pipeline",
-                         tracer.track(device.name,
-                                      f"stream{self.stream_index}"),
-                         kernel=work.execute_name, work=work.work_id,
-                         cached=bool(work.cache)) as wsp:
+        with mgr.obs.span("gwork", device.name, f"stream{self.stream_index}",
+                          kernel=work.execute_name, work=work.work_id,
+                          cached=bool(work.cache)) as wsp:
             try:
                 injected = (mgr.faults.consume_fault(self.device_index)
                             if mgr.faults is not None else None)
@@ -136,7 +133,6 @@ class GStream:
             out.element_nbytes = work.out_element_nbytes
         self.works_executed += 1
         mgr.works_completed += 1
-        mgr.obs.registry.counter("gwork.completed", device=device.name).inc()
         if work.completion is not None:
             work.completion.succeed(out)
 
@@ -147,7 +143,6 @@ class GStream:
         secondary: Dict[str, DeviceBuffer] = {}
         self._temp_secondary: List[DeviceBuffer] = []
         obs = self.manager.obs
-        tracer = obs.tracer
         for name, hbuf in work.in_buffers.items():
             if name == PRIMARY:
                 continue
@@ -155,12 +150,8 @@ class GStream:
             use_cache = region is not None and hbuf.cacheable
             if use_cache:
                 entry = region.lookup(key)
-                outcome = "hit" if entry is not None else "miss"
-                tracer.instant("cache.probe", "gpu.cache",
-                               tracer.track(device.name, "cache"),
-                               operand=name, outcome=outcome)
-                obs.registry.counter("gpu.cache.probe", device=device.name,
-                                     outcome=outcome).inc()
+                obs.emit("cache.probe", device.name, "cache", operand=name,
+                         outcome="hit" if entry is not None else "miss")
                 if entry is not None:
                     secondary[name] = entry.buffer
                     continue
@@ -180,14 +171,8 @@ class GStream:
                 device, dev_buf, whole, hbuf, work.comm_mode)
             # The engine-occupancy window is exact: spans on a copy lane
             # never overlap (queue wait is excluded, not hidden inside).
-            tracer.complete("h2d", "gpu.device",
-                            tracer.track(device.name, "copy:h2d"),
-                            start=window[0], end=window[1],
-                            nbytes=int(hbuf.nbytes), operand=name)
-            obs.registry.counter("gpu.pcie.h2d.bytes",
-                                 device=device.name).inc(int(hbuf.nbytes))
-            obs.monitor.count("gpu.pcie.bytes", int(hbuf.nbytes),
-                              device=device.name)
+            obs.emit("h2d", device.name, "copy:h2d", window[0], window[1],
+                     nbytes=int(hbuf.nbytes), operand=name)
             secondary[name] = dev_buf
         return secondary
 
@@ -205,28 +190,20 @@ class GStream:
         results: Dict[int, object] = {}
         primary_region = region if work.primary_cached else None
         obs = self.manager.obs
-        tracer = obs.tracer
-        reg = obs.registry
-        monitor = obs.monitor
         # Taken once per pipeline: with every sink off, the stage loops
-        # below skip their (no-op) emission calls and the argument building.
+        # below skip their emission calls and the argument building.
         observed = obs.active
         # Distinct lanes per engine role make the paper's overlap argument
         # visible in Perfetto: kernels on one row, each copy direction on
-        # its own, cache probes as markers.
-        h2d_track = tracer.track(device.name, "copy:h2d")
-        d2h_track = tracer.track(device.name, "copy:d2h")
-        kernel_track = tracer.track(device.name, "kernel")
-        cache_track = tracer.track(device.name, "cache")
-        h2d_bytes_ctr = reg.counter("gpu.pcie.h2d.bytes", device=device.name)
-        d2h_bytes_ctr = reg.counter("gpu.pcie.d2h.bytes", device=device.name)
+        # its own, cache probes as markers.  This fact opens them (and the
+        # device's PCIe byte counters, at zero).
+        obs.emit("gpu.pipeline", device.name)
         # Pipelined executor: the producing operator may still be streaming
         # the primary input onto the host.  The H2D stage waits for each
         # device block's byte prefix before uploading (cache hits skip the
         # wait) and acknowledges consumption so backpressure credits return.
         host_stream = work.host_stream
         host_total = float(sum(b.nbytes for b in blocks)) or 1.0
-        pipeline_track = tracer.track(device.name, "pipeline")
 
         def h2d_stage():
             host_cum = 0.0
@@ -256,32 +233,24 @@ class GStream:
                     outcome = ("stage-hit" if resume
                                else "primary-hit" if dev_buf is not None
                                else "miss")
-                    tracer.instant("cache.probe", "gpu.cache", cache_track,
-                                   block=blk.index, outcome=outcome)
-                    reg.counter("gpu.cache.probe", device=device.name,
-                                outcome=outcome).inc()
+                    obs.emit("cache.probe", device.name, "cache",
+                             block=blk.index, outcome=outcome)
                 if dev_buf is None:
                     if host_stream is not None:
                         evt = host_stream.when_fraction(host_cum / host_total)
                         if not evt.triggered:
                             host_stream.stall_count += 1
                             host_stream.starved_count += 1
-                            if observed:
-                                reg.counter("pipeline.h2d.starved",
-                                            device=device.name).inc()
                             stall_start = self.env.now
-                            yield evt
+                            if observed:
+                                with obs.span("h2d.starved", device.name,
+                                              "pipeline", block=blk.index):
+                                    yield evt
+                            else:
+                                yield evt
                             starved = self.env.now - stall_start
                             host_stream.stall_seconds += starved
                             host_stream.starved_seconds += starved
-                            if observed:
-                                # The registry counter above is sampled into
-                                # the store; just drive the window clock here.
-                                monitor.tick()
-                                tracer.complete(
-                                    "h2d.starved", "pipeline",
-                                    pipeline_track, start=stall_start,
-                                    end=self.env.now, block=blk.index)
                     entry = (primary_region.try_insert(
                                  (work.cache_key, PRIMARY, blk.index),
                                  blk.nbytes)
@@ -295,12 +264,9 @@ class GStream:
                     window = yield from wrapper.transfer_h2d_inline(
                         device, dev_buf, blk, primary, work.comm_mode)
                     if observed:
-                        tracer.complete("h2d", "gpu.device", h2d_track,
-                                        start=window[0], end=window[1],
-                                        nbytes=blk.nbytes, block=blk.index)
-                        h2d_bytes_ctr.inc(blk.nbytes)
-                        monitor.count("gpu.pcie.bytes", blk.nbytes,
-                                      device=device.name)
+                        obs.emit("h2d", device.name, "copy:h2d", window[0],
+                                 window[1], nbytes=blk.nbytes,
+                                 block=blk.index)
                 if host_stream is not None:
                     host_stream.ack_nbytes(
                         work.host_stream_slot,
@@ -355,15 +321,10 @@ class GStream:
                         # exclusive compute engine, so [now - ksec, now] is
                         # the engine's occupancy window — kernel spans never
                         # overlap.
-                        tracer.complete(st.execute_name, "gpu.device",
-                                        kernel_track,
-                                        start=self.env.now - ksec,
-                                        end=self.env.now, block=blk.index,
-                                        stage=idx)
-                        reg.counter("gpu.kernel.seconds", device=device.name,
-                                    kernel=st.execute_name).inc(ksec)
-                        monitor.count("gstream.engine_busy_s", ksec,
-                                      device=device.name)
+                        obs.emit("kernel", device.name, "kernel",
+                                 self.env.now - ksec, self.env.now,
+                                 kernel=st.execute_name, seconds=ksec,
+                                 block=blk.index, stage=idx)
                     # Retire this stage's input: spilled intermediates give
                     # their region room back, temporaries are freed, cached
                     # buffers stay resident.
@@ -398,12 +359,8 @@ class GStream:
                     device, work.out_buffer, out_dev, nbytes,
                     work.comm_mode)
                 if observed:
-                    tracer.complete("d2h", "gpu.device", d2h_track,
-                                    start=window[0], end=window[1],
-                                    nbytes=nbytes, block=blk.index)
-                    d2h_bytes_ctr.inc(nbytes)
-                    monitor.count("gpu.pcie.bytes", nbytes,
-                                  device=device.name)
+                    obs.emit("d2h", device.name, "copy:d2h", window[0],
+                             window[1], nbytes=nbytes, block=blk.index)
                 if out_spill is not None and spill_region is not None:
                     spill_region.remove(out_spill)
                 elif out_temp:
@@ -489,8 +446,6 @@ class GStream:
         results: Dict[int, object] = {}
         out_per_elem = self._out_nbytes_per_element(work, primary)
         obs = self.manager.obs
-        tracer = obs.tracer
-        kernel_track = tracer.track(device.name, "kernel")
         for blk in primary.split_blocks(self.manager.block_nbytes):
             host_view = DeviceBuffer(blk.nbytes, device.name)
             host_view.data = blk.elements
@@ -512,15 +467,6 @@ class GStream:
                 yield grant
                 yield wrapper._jni()
                 yield self.env.timeout(mapped_s)
-                tracer.complete(work.execute_name, "gpu.device",
-                                kernel_track, start=self.env.now - mapped_s,
-                                end=self.env.now, block=blk.index,
-                                mapped=True)
-                obs.registry.counter(
-                    "gpu.kernel.seconds", device=device.name,
-                    kernel=work.execute_name).inc(kernel_s)
-                obs.monitor.count("gstream.engine_busy_s", kernel_s,
-                                  device=device.name)
                 device.kernel_seconds += kernel_s
                 device.kernels_launched += 1
                 device.h2d_bytes += blk.nbytes
@@ -530,8 +476,14 @@ class GStream:
                 if "out" not in out:
                     raise ConfigError(
                         f"kernel {work.execute_name!r} produced no 'out'")
-                device.d2h_bytes += int(
+                d2h_nbytes = int(
                     _result_len(out["out"]) * primary.scale * out_per_elem)
+                device.d2h_bytes += d2h_nbytes
+                obs.emit("kernel.mapped", device.name, "kernel",
+                         self.env.now - mapped_s, self.env.now,
+                         kernel=work.execute_name, block=blk.index,
+                         mapped=True, kernel_s=kernel_s,
+                         h2d_bytes=blk.nbytes, d2h_bytes=d2h_nbytes)
                 results[blk.index] = out["out"]
         for buf in self._temp_secondary:
             yield from wrapper.cuda_free(device, buf)
@@ -585,16 +537,13 @@ class GStreamManager:
                  streams_per_gpu: int = 2,
                  block_nbytes: int = 8 * (1 << 20),
                  locality_aware: bool = True,
-                 obs: Optional[Observability] = None):
+                 obs: Observability = OFF):
         if streams_per_gpu < 1:
             raise ConfigError("streams_per_gpu must be >= 1")
         if block_nbytes <= 0:
             raise ConfigError("block_nbytes must be positive")
         self.env = env
-        # A disabled stand-in keeps the per-work call sites unconditional
-        # (spans, instants and counters are no-ops); the per-block stage
-        # loops check once per pipeline instead.
-        self.obs = obs if obs is not None else Observability(env)
+        self.obs = obs
         self.devices = list(devices)
         self.wrapper = wrapper
         self.gmm = gmm
@@ -645,14 +594,9 @@ class GStreamManager:
                                   key=lambda g: (len(self.queues[g]), g))
             target, dispatch = queue_index, "queued"
             self.queues[queue_index].append(work)
-        device_name = self.devices[target].name
-        tracer = self.obs.tracer
-        tracer.instant("gwork.submit", "gpu.schedule",
-                       tracer.track(device_name, "sched"),
-                       kernel=work.execute_name, work=work.work_id,
-                       dispatch=dispatch)
-        self.obs.registry.counter("gwork.submitted",
-                                  device=device_name).inc()
+        self.obs.emit("gwork.submit", self.devices[target].name, "sched",
+                      kernel=work.execute_name, work=work.work_id,
+                      dispatch=dispatch)
         return work.completion
 
     def _locality_keys(self, work: GWork) -> List[Hashable]:

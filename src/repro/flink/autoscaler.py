@@ -180,7 +180,7 @@ class Autoscaler:
         pressure = self.slot_pressure()
         # Publish the sample (a gauge the dashboard can plot and trend
         # rules can watch) and update the local fallback detector.
-        self.cluster.obs.monitor.gauge("scheduler.slot_pressure", pressure)
+        self.cluster.obs.emit("slot_pressure", pressure=pressure)
         self._pressure_trend.update(pressure)
         slope = self.pressure_slope()
         if pressure > policy.slot_pressure_high:
@@ -221,7 +221,7 @@ class Autoscaler:
         policies from GMonitor time-series trends"); falls back to the
         local per-tick detector when monitoring is off.
         """
-        trends = self.cluster.obs.monitor.trends(
+        trends = self.cluster.obs.trends(
             "scheduler.slot_pressure", window=self.policy.trend_window)
         for snap in trends.values():
             return float(snap.get("slope") or 0.0)
@@ -310,12 +310,6 @@ class Autoscaler:
         decision = ScaleDecision(time=self.env.now, signal=signal,
                                  action=action, detail=detail)
         self.decisions.append(decision)
-        obs = self.cluster.obs
-        obs.registry.counter("autoscale.decisions", action=action).inc()
-        obs.monitor.count("autoscale.decisions", action=action)
-        tracer = obs.tracer
-        if tracer.enabled:
-            tracer.instant(
-                f"autoscale.{action}", "alert",
-                tracer.track(self.cluster.master_name, "autoscaler"),
-                signal=signal, **detail)
+        self.cluster.obs.emit("autoscale", self.cluster.master_name,
+                              "autoscaler", action=action, signal=signal,
+                              **detail)

@@ -381,22 +381,18 @@ class ChaosEngine:
 
     def _apply(self, event: ChaosEvent) -> None:
         obs = self.cluster.obs
-        tracer = obs.tracer
-        track = tracer.track("chaos", "injector")
         if event.kind in MEMBERSHIP_KINDS:
             reason = self._check_membership(event)
             if reason is not None:
                 self.skipped.append((event, reason))
-                tracer.instant(f"chaos.skip.{event.kind.value}", "chaos",
-                               track, worker=event.worker, reason=reason)
-                obs.registry.counter("chaos.skipped",
-                                     kind=event.kind.value).inc()
+                obs.emit("chaos.skip", "chaos", "injector",
+                         kind=event.kind.value, worker=event.worker,
+                         reason=reason)
                 return
-        tracer.instant(f"chaos.{event.kind.value}", "chaos", track,
-                       worker=event.worker,
-                       **({} if event.device is None
-                          else {"device": event.device}))
-        obs.registry.counter("chaos.events", kind=event.kind.value).inc()
+        obs.emit("chaos", "chaos", "injector", kind=event.kind.value,
+                 worker=event.worker,
+                 **({} if event.device is None
+                    else {"device": event.device}))
         self.applied.append(event)
         if obs.recorder is not None:
             # Post-mortem bundle at the moment of injection: the trace
@@ -454,8 +450,8 @@ class ChaosEngine:
                 return  # schedule fully applied, every death declared
             yield self.env.timeout(interval)
             now = self.env.now
-            monitor = self.cluster.obs.monitor
-            monitor.tick()
+            obs = self.cluster.obs
+            obs.emit("tick")
             for name in self._undetected():
                 worker = self.cluster.workers[name]
                 # ``or now`` would misread a kill at exactly t=0.0 (falsy)
@@ -464,7 +460,7 @@ class ChaosEngine:
                     if worker.failed_at is not None else now
                 # Every tick a dead worker stays undeclared is one missed
                 # heartbeat — the worker_unhealthy alert's feed.
-                monitor.heartbeat_missed(name)
+                obs.emit("heartbeat.missed", worker=name)
                 if now - failed_at >= timeout:
                     self.declared[name] = now
                     self.cluster.declare_worker_dead(name)

@@ -164,8 +164,10 @@ class TaskContext:
                        ) -> Generator[Event, None, None]:
         """Producer-side credit wait on a bounded block stream.
 
-        Records a backpressure stall span on this worker's "pipeline" lane
-        (plus registry counters) whenever the queue is actually full.
+        A wait on a queue that is actually full is a ``backpressure`` span
+        on this worker's "pipeline" lane.  The stalled seconds are totalled
+        when the wait ends however it ends — a worker kill interrupts it —
+        so the stream's and the job's totals agree with the span's.
         """
         evt = stream.reserve(block_index)
         if evt.triggered:
@@ -173,21 +175,17 @@ class TaskContext:
             return
         stream.stall_count += 1
         self.metrics.pipeline_backpressure_stalls += 1
-        obs = self.cluster.obs
-        obs.registry.counter("pipeline.backpressure.stalls",
-                             op=self.op_name).inc()
-        tracer = obs.tracer
         t0 = self.env.now
-        with tracer.span("backpressure", "pipeline",
-                         tracer.track(self.worker.name, "pipeline"),
-                         op=self.op_name, subtask=self.subtask_index,
-                         block=block_index):
-            yield evt
-        stalled = self.env.now - t0
-        stream.stall_seconds += stalled
-        self.metrics.pipeline_backpressure_s += stalled
-        obs.monitor.count("pipeline.backpressure.stall_s", stalled,
-                          op=self.op_name)
+        try:
+            with self.cluster.obs.span(
+                    "backpressure", self.worker.name, "pipeline",
+                    op=self.op_name, subtask=self.subtask_index,
+                    block=block_index):
+                yield evt
+        finally:
+            stalled = self.env.now - t0
+            stream.stall_seconds += stalled
+            self.metrics.pipeline_backpressure_s += stalled
 
     def charge_compute(self, nominal_elements: float,
                        flops_per_element: float,
@@ -236,8 +234,8 @@ class TaskContext:
                    + nominal_elements * flops_per_element
                    / self.config.cpu.simd_flops_per_core)
         self.metrics.vectorized_blocks += n_blocks
-        self.cluster.obs.registry.counter(
-            "cpu.vectorized.blocks", op=self.op_name).inc(n_blocks)
+        self.cluster.obs.emit("cpu.vectorized", op=self.op_name,
+                              blocks=n_blocks)
         yield from self._charge_linear(seconds)
 
     def _charge_linear(self, seconds: float
@@ -249,6 +247,8 @@ class TaskContext:
                 and stream.n_blocks > 0 and stream.total_nbytes > 0):
             self._stream_consumed = True
             out = self.out_stream
+            obs = self.cluster.obs
+            observed = obs.active
             charged = 0.0
             for k in range(stream.n_blocks):
                 if out is not None:
@@ -263,9 +263,10 @@ class TaskContext:
                 stream.ack(self.in_slot, k + 1)
                 if out is not None:
                     out.publish(k)
-                # Drive the monitor's lazy window clock from the hottest
-                # streaming loop (no-op when monitoring is off).
-                self.cluster.obs.monitor.tick()
+                if observed:
+                    # Drive the monitor's lazy window clock from the hottest
+                    # streaming loop.
+                    obs.emit("tick")
             if out is not None:
                 out.close()
             return
@@ -300,12 +301,11 @@ class JobManager:
         hdfs_read0 = self.cluster.hdfs.total_bytes_read()
         hdfs_write0 = self.cluster.hdfs.total_bytes_written()
         obs = self.cluster.obs
-        obs.monitor.tick()
-        tracer = obs.tracer
-        jm_track = tracer.track(self.cluster.master_name, "jobmanager")
+        master = self.cluster.master_name
+        obs.emit("tick")
 
-        with tracer.span(f"job:{job_name}", "job", jm_track, job=job_name):
-            with tracer.span("job.submit", "job", jm_track, job=job_name):
+        with obs.span("job", master, "jobmanager", job=job_name):
+            with obs.span("job.submit", master, "jobmanager", job=job_name):
                 yield self.env.timeout(self.config.flink.job_submit_s)
             metrics.submit_s = self.config.flink.job_submit_s
 
@@ -318,9 +318,8 @@ class JobManager:
             # Live membership, not the static config list: workers that
             # join mid-job become placement candidates immediately, drained
             # and departed ones stop being considered.
-            scheduler = Scheduler(self.cluster.member_names, tracer=tracer,
+            scheduler = Scheduler(self.cluster.member_names, obs=obs,
                                   health=self.cluster.worker_is_schedulable,
-                                  monitor=obs.monitor,
                                   tuning=self.cluster.tuning)
 
             yield from PipelinedExecutor(self, graph, scheduler, metrics,
@@ -332,20 +331,10 @@ class JobManager:
         metrics.hdfs_write_bytes = (self.cluster.hdfs.total_bytes_written()
                                     - hdfs_write0)
         self.jobs_run += 1
-        reg = obs.registry
-        reg.counter("jobs.completed").inc()
-        reg.counter("job.subtasks", job=job_name).inc(metrics.subtasks)
-        if metrics.shuffle_bytes:
-            reg.counter("shuffle.bytes", job=job_name).inc(
-                metrics.shuffle_bytes)
-        if metrics.shuffle_zero_copy_bytes:
-            reg.counter("shuffle.zero_copy.bytes", job=job_name).inc(
-                metrics.shuffle_zero_copy_bytes)
-        if metrics.shuffle_spill_bytes:
-            reg.counter("shuffle.spill.bytes", job=job_name).inc(
-                metrics.shuffle_spill_bytes)
-        reg.histogram("job.makespan_s").observe(metrics.makespan)
-        obs.monitor.job_completed(job_name, metrics.makespan)
+        obs.emit("job.totals", job=job_name, subtasks=metrics.subtasks,
+                 shuffle_bytes=metrics.shuffle_bytes,
+                 zero_copy_bytes=metrics.shuffle_zero_copy_bytes,
+                 spill_bytes=metrics.shuffle_spill_bytes)
         return metrics
 
     # -- exchange boundary -----------------------------------------------------
@@ -366,8 +355,6 @@ class JobManager:
         """
         scheduler.schedule_consumer(jv, graph, producer_parts)
         consumer_workers = [v.worker for v in jv.subtasks]
-        tracer = self.cluster.obs.tracer
-        ex_track = tracer.track(self.cluster.master_name, "exchange")
         per_subtask_inputs: List[List[Partition]] = [
             [] for _ in range(jv.parallelism)]
         for k, strat in enumerate(op.strategies):
@@ -378,9 +365,9 @@ class JobManager:
                 combiner=op.combiner_for_input(k),
                 only_consumers=only_consumers,
                 hdfs=self.cluster.hdfs, flink=self.config.flink)
-            with tracer.span(f"exchange:{op.name}", "shuffle", ex_track,
-                             op=op.name, input=k,
-                             strategy=strat.name) as sp:
+            with self.cluster.obs.span(
+                    "exchange", self.cluster.master_name, "exchange",
+                    op=op.name, input=k, strategy=strat.name) as sp:
                 result = yield self.env.process(
                     exchange.run(), name=f"exchange-{op.name}-{k}")
                 sp.set(bytes=result.bytes_shuffled,
@@ -419,13 +406,11 @@ class JobManager:
         preassigned: List[Optional[Partition]] = [None] * jv.parallelism
         per_subtask_inputs: List[List[Partition]] = [
             [] for _ in range(jv.parallelism)]
-        tracer = self.cluster.obs.tracer
-        jm_track = tracer.track(self.cluster.master_name, "jobmanager")
-        span_name = (f"recover:{op.name}" if recovering else f"op:{op.name}")
-        span_cat = "recovery" if recovering else "operator"
+        obs = self.cluster.obs
 
-        with tracer.span(span_name, span_cat, jm_track, op=op.name,
-                         parallelism=jv.parallelism):
+        with obs.span("recover" if recovering else "operator",
+                      self.cluster.master_name, "jobmanager", op=op.name,
+                      parallelism=jv.parallelism):
             if isinstance(op, HdfsSource):
                 scheduler.schedule_source(jv, self.cluster.hdfs)
             elif isinstance(op, CollectionSource):
@@ -475,9 +460,7 @@ class JobManager:
             for part in outputs:
                 existing[pos[part.index]] = part
             metrics.recovered_partitions += len(outputs)
-            self.cluster.obs.registry.counter(
-                "recovery.recomputed_partitions", op=op.name).inc(
-                    len(outputs))
+            obs.emit("recover.done", op=op.name, partitions=len(outputs))
             self.cluster.note_recovery_action("recompute")
         else:
             self.cluster.materialized[op.uid] = outputs
@@ -529,7 +512,6 @@ class JobManager:
         op = vertex.op
         flink = self.config.flink
         obs = self.cluster.obs
-        tracer = obs.tracer
         proc = self.env.active_process
         while True:
             # Re-resolved each attempt: a retried or displaced subtask may
@@ -537,9 +519,8 @@ class JobManager:
             worker = self.cluster.workers[vertex.worker]
             # One lane per task slot: concurrent subtasks on a worker render
             # on separate rows, queued ones stack up in simulated time.
-            task_track = tracer.track(
-                worker.name,
-                f"slot{vertex.subtask_index % self.config.slots}")
+            lane = f"slot{vertex.subtask_index % self.config.slots}"
+            obs.emit("task.queued", worker.name, lane)
             failure: Optional[TaskFailure] = None
             worker_lost = False
             worker.taskmanager.register_running(proc)
@@ -548,14 +529,12 @@ class JobManager:
                         shared=not needs_slot) as slot:
                     if slot is not None:
                         yield slot
-                    with tracer.span(f"{op.name}[{vertex.subtask_index}]",
-                                     "task", task_track, op=op.name,
-                                     subtask=vertex.subtask_index,
-                                     attempt=vertex.attempts) as sp:
-                        overhead = flink.task_schedule_s + flink.task_deploy_s
+                    overhead = flink.task_schedule_s + flink.task_deploy_s
+                    with obs.span("task", worker.name, lane, op=op.name,
+                                  subtask=vertex.subtask_index,
+                                  attempt=vertex.attempts,
+                                  deploy_s=overhead) as sp:
                         metrics.schedule_s += overhead
-                        obs.monitor.observe("sched.place_latency_s",
-                                            overhead, op=op.name)
                         yield self.env.timeout(overhead)
                         ctx = TaskContext(self.cluster, vertex, metrics,
                                           n_subtasks,
@@ -567,13 +546,10 @@ class JobManager:
                             if injector is not None and injector.check(
                                     op.name, vertex.subtask_index,
                                     vertex.attempts):
-                                tracer.instant(
-                                    "fault.injected", "fault", task_track,
-                                    op=op.name,
-                                    subtask=vertex.subtask_index,
-                                    attempt=vertex.attempts)
-                                obs.registry.counter("faults.injected",
-                                                     op=op.name).inc()
+                                obs.emit("fault.injected", worker.name, lane,
+                                         op=op.name,
+                                         subtask=vertex.subtask_index,
+                                         attempt=vertex.attempts)
                                 raise TaskFailure(op.name,
                                                   vertex.subtask_index,
                                                   vertex.attempts)
@@ -597,7 +573,6 @@ class JobManager:
                             failure = exc
                 if failure is None:
                     worker.taskmanager.tasks_executed += 1
-                    obs.monitor.task_attempt(op.name, ok=True)
                     if vertex.attempts:
                         self.cluster.note_recovery_action("retry-ok")
                     return partition
@@ -613,14 +588,11 @@ class JobManager:
 
             vertex.attempts += 1
             metrics.retries += 1
-            tracer.instant(
-                "task.retry", "fault", task_track, op=op.name,
-                subtask=vertex.subtask_index,
-                attempt=vertex.attempts - 1,
-                cause="worker-lost" if worker_lost
-                else type(failure).__name__)
-            obs.registry.counter("task.retries", op=op.name).inc()
-            obs.monitor.task_attempt(op.name, ok=False)
+            obs.emit("task.retry", worker.name, lane, op=op.name,
+                     subtask=vertex.subtask_index,
+                     attempt=vertex.attempts - 1,
+                     cause="worker-lost" if worker_lost
+                     else type(failure).__name__)
             if vertex.attempts > flink.max_task_retries:
                 raise JobExecutionError(
                     f"{op.name}[{vertex.subtask_index}] failed "
@@ -643,9 +615,8 @@ class JobManager:
                 scheduler.reschedule(vertex, avoid=avoid,
                                      reason="worker-lost")
                 self.cluster.note_recovery_action("replace")
-                tracer.instant(
-                    "task.displaced", "fault", task_track, op=op.name,
-                    subtask=vertex.subtask_index, worker=vertex.worker)
+                obs.emit("task.displaced", worker.name, lane, op=op.name,
+                         subtask=vertex.subtask_index, worker=vertex.worker)
             else:
                 delay = backoff_delay(flink, vertex.attempts, op.name,
                                       vertex.subtask_index)

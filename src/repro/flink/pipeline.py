@@ -276,7 +276,6 @@ class PipelinedExecutor:
         self.metrics = metrics
         self.injector = injector
         self.obs = self.cluster.obs
-        self.tracer = self.obs.tracer
         self._shells: Dict[int, List[Event]] = {}
         self._finals: Dict[int, List[Event]] = {}
         self._streams: Dict[int, List[Optional[BlockStream]]] = {}
@@ -399,11 +398,9 @@ class PipelinedExecutor:
             else end
         self.metrics.record_operator(op, jv.parallelism, start, end)
         self.metrics.subtasks += len(procs)
-        self.tracer.complete(
-            f"op:{op.name}", "operator",
-            self.tracer.track(self.cluster.master_name, f"op:{op.name}"),
-            start=start, end=end, op=op.name, parallelism=jv.parallelism,
-            region=self._region_of.get(uid, -1))
+        self.obs.emit("operator", self.cluster.master_name, f"op:{op.name}",
+                      start, end, op=op.name, parallelism=jv.parallelism,
+                      region=self._region_of.get(uid, -1))
 
         self.cluster.materialized[uid] = outputs
         for part in outputs:
@@ -417,23 +414,13 @@ class PipelinedExecutor:
         streams = [s for s in self._streams.get(op.uid, []) if s is not None]
         if not streams:
             return
-        reg = self.obs.registry
         max_depth = max(s.max_depth for s in streams)
-        reg.counter("pipeline.queue.max_depth", op=op.name).inc(max_depth)
-        stalls = sum(s.stall_count for s in streams)
-        if stalls:
-            reg.counter("pipeline.backpressure.blocks", op=op.name).inc(
-                stalls)
-        starved = sum(s.starved_count for s in streams)
         self.metrics.pipeline_max_queue_depth = max(
             self.metrics.pipeline_max_queue_depth, max_depth)
-        self.metrics.pipeline_h2d_starved += starved
-        monitor = self.obs.monitor
-        if monitor.enabled:
-            # Distinct name from the registry's pipeline.queue.max_depth
-            # counter: that one is sampled into the store as a counter
-            # series, this is the live per-close gauge.
-            monitor.gauge("pipeline.queue.depth", max_depth, op=op.name)
+        self.metrics.pipeline_h2d_starved += sum(
+            s.starved_count for s in streams)
+        self.obs.emit("pipeline.queue", op=op.name, max_depth=max_depth,
+                      stalls=sum(s.stall_count for s in streams))
 
     # -- operator modes ----------------------------------------------------------
     def _start_source(self, op: HdfsSource, jv: ExecutionJobVertex) -> list:

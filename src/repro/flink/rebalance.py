@@ -79,13 +79,11 @@ class Rebalancer:
         cluster = self.cluster
         source = part.worker
         nbytes = part.nominal_nbytes
-        tracer = cluster.obs.tracer
-        track = tracer.track(cluster.master_name, "rebalance")
         n_blocks = max(1, math.ceil(
             nbytes / cluster.tuning.pipeline_block_nbytes))
-        with tracer.span("rebalance.migrate", "rebalance", track,
-                         dataset=uid, partition=part.index, src=source,
-                         dst=target, nbytes=nbytes):
+        with cluster.obs.span("rebalance.migrate", cluster.master_name,
+                              "rebalance", dataset=uid, partition=part.index,
+                              src=source, dst=target, nbytes=nbytes):
             frame_s = cluster.serializer.zero_copy_time(nbytes, n_blocks)
             if frame_s > 0:
                 yield self.env.timeout(frame_s)
@@ -99,10 +97,6 @@ class Rebalancer:
         dst_worker = cluster.workers.get(target)
         if dst_worker is not None:
             dst_worker.taskmanager.put_partition(uid, part)
-        reg = cluster.obs.registry
-        reg.counter("rebalance.partitions", dst=target).inc()
-        reg.counter("rebalance.bytes", dst=target).inc(nbytes)
-        cluster.obs.monitor.count("rebalance.partitions", dst=target)
 
     # -- membership-event flows ----------------------------------------------------
     def rebalance_onto(self, joiner: str) -> Generator[Event, None, int]:

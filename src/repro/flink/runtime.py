@@ -57,14 +57,14 @@ class Cluster:
         # cluster runs (repro.obs).
         flink = self.config.flink
         self.obs = Observability(
-            self.env, enabled=flink.enable_tracing,
+            self.env, tracing=flink.enable_tracing,
             monitoring=flink.enable_monitoring,
             monitor_window_s=flink.monitor_window_s,
             flight_recorder=flink.enable_flight_recorder,
             flight_recorder_dir=flink.flight_recorder_dir)
         names = self.config.worker_names()
         for name in names:
-            self.obs.monitor.register_worker(name)
+            self.obs.register_worker(name)
         self.network = Network(self.env, [self.master_name] + names,
                                self.config.network)
         self.hdfs = HDFS(self.env, names, self.network,
@@ -136,12 +136,6 @@ class Cluster:
         return (worker is not None and worker.alive
                 and not worker.draining and name in self._members)
 
-    def _churn_instant(self, name: str, worker: str, **args: Any) -> None:
-        tracer = self.obs.tracer
-        tracer.instant(name, "churn",
-                       tracer.track(self.master_name, "membership"),
-                       worker=worker, **args)
-
     def add_worker(self, name: Optional[str] = None) -> str:
         """Register a new worker node mid-run; returns its name.
 
@@ -163,10 +157,9 @@ class Cluster:
         self.hdfs.add_datanode(name)
         self.workers[name] = self._make_worker(name)
         self._members.append(name)
-        self.obs.monitor.register_worker(name)
-        self._churn_instant("churn.join", name)
-        self.obs.registry.counter("churn.joins", worker=name).inc()
-        self.obs.monitor.count("churn.events", event="join")
+        self.obs.register_worker(name)
+        self.obs.emit("churn.join", self.master_name, "membership",
+                      worker=name)
         if any(self.materialized.values()):
             from repro.flink.rebalance import Rebalancer
             self.env.process(Rebalancer(self).rebalance_onto(name),
@@ -192,9 +185,8 @@ class Cluster:
             return
         worker.draining = True
         started = self.env.now
-        self._churn_instant("churn.drain.start", name)
-        self.obs.registry.counter("churn.drains", worker=name).inc()
-        self.obs.monitor.count("churn.events", event="drain")
+        self.obs.emit("churn.drain.start", self.master_name, "membership",
+                      worker=name)
         yield worker.taskmanager.quiesced()
         if not worker.alive:
             return  # killed mid-drain: the failure path owns recovery
@@ -214,8 +206,8 @@ class Cluster:
             waiter = self._declare_waiters.pop(name, None)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(name)
-        self._churn_instant("churn.drain.done", name,
-                            seconds=self.env.now - started)
+        self.obs.emit("churn.drain.done", self.master_name, "membership",
+                      worker=name, seconds=self.env.now - started)
         self.note_recovery_action("drain-complete")
 
     def remove_worker(self, name: str) -> None:
@@ -230,9 +222,8 @@ class Cluster:
         if name not in self._members:
             raise ValueError(f"{name!r} is not a cluster member")
         self._members.remove(name)
-        self._churn_instant("churn.leave", name)
-        self.obs.registry.counter("churn.leaves", worker=name).inc()
-        self.obs.monitor.count("churn.events", event="leave")
+        self.obs.emit("churn.leave", self.master_name, "membership",
+                      worker=name)
         self.fail_worker(name)
 
     def note_recovery_action(self, kind: str) -> None:
@@ -282,12 +273,8 @@ class Cluster:
         datanode = self.hdfs.datanodes.get(name)
         if datanode is not None and datanode.alive:
             datanode.fail()
-        tracer = self.obs.tracer
-        tracer.instant("worker.dead", "fault",
-                       tracer.track(self.master_name, "failures"),
-                       worker=name)
-        self.obs.registry.counter("worker.failures", worker=name).inc()
-        self.obs.monitor.worker_down(name)
+        self.obs.emit("worker.dead", self.master_name, "failures",
+                      worker=name)
         if self.chaos is None:
             self.declare_worker_dead(name)
         else:
@@ -302,12 +289,8 @@ class Cluster:
         if name in self._declared_dead:
             return
         self._declared_dead[name] = self.env.now
-        tracer = self.obs.tracer
-        tracer.instant("worker.declared_dead", "fault",
-                       tracer.track(self.master_name, "failures"),
-                       worker=name)
-        self.obs.registry.counter("worker.declared_dead", worker=name).inc()
-        self.obs.monitor.worker_declared_dead(name)
+        self.obs.emit("worker.declared_dead", self.master_name, "failures",
+                      worker=name)
         self.note_recovery_action("declare")
         waiter = self._declare_waiters.pop(name, None)
         if waiter is not None and not waiter.triggered:

@@ -30,14 +30,15 @@ from repro.flink.graph import ExecutionGraph, ExecutionJobVertex, \
 from repro.flink.plan import HdfsSource, ShipStrategy
 from repro.flink.partition import Partition
 from repro.hdfs.filesystem import HDFS
+from repro.obs import OFF, Observability
 
 
 class Scheduler:
     """Fills in worker assignments for an execution graph, operator by operator."""
 
-    def __init__(self, worker_names, tracer=None,
+    def __init__(self, worker_names, obs: Observability = OFF,
                  health: Optional[Callable[[str], bool]] = None,
-                 monitor=None, tuning=None):
+                 tuning=None):
         # Either a static name list or a live-membership callable
         # (Cluster.member_names): elastic joiners become placement
         # candidates the moment they register, mid-job included.
@@ -47,15 +48,12 @@ class Scheduler:
             static = list(worker_names)
             self._names_fn = lambda: static
         self._load: Dict[str, int] = {w: 0 for w in self._names_fn()}
-        # Optional repro.obs.trace.Tracer: placement decisions become
-        # "place" instants on the master's scheduler lane.
-        self.tracer = tracer
+        # Placement decisions are "place" facts on the master's scheduler
+        # lane (and the monitor's placement / queue-depth series).
+        self.obs = obs
         # Health predicate (Cluster.worker_is_schedulable); None = all
         # healthy.  Dead *and draining* workers take no new placements.
         self._health = health
-        # Optional repro.obs.monitor.GMonitor: per-worker queue depth and
-        # placement counts become live series.
-        self.monitor = monitor
         # Optional repro.flink.config.RuntimeTuning: the autoscaler's
         # prefer-cache bias reads through this.
         self.tuning = tuning
@@ -73,13 +71,6 @@ class Scheduler:
             if w not in self._load:
                 self._load[w] = 0
         return names
-
-    def _feed_monitor(self, worker: str, reason: str) -> None:
-        if self.monitor is None or not self.monitor.enabled:
-            return
-        self.monitor.count("sched.placements", 1, reason=reason)
-        self.monitor.gauge("sched.queue_depth", self._load[worker],
-                           worker=worker)
 
     # -- helpers ---------------------------------------------------------------
     def _is_healthy(self, worker: str) -> bool:
@@ -113,12 +104,9 @@ class Scheduler:
 
     def _trace_place(self, op_name: str, subtask: int, worker: str,
                      reason: str) -> None:
-        self._feed_monitor(worker, reason)
-        if self.tracer is None or not self.tracer.enabled:
-            return
-        self.tracer.instant(
-            "place", "schedule", self.tracer.track("master", "scheduler"),
-            op=op_name, subtask=subtask, worker=worker, reason=reason)
+        self.obs.emit("place", "master", "scheduler", op=op_name,
+                      subtask=subtask, worker=worker, reason=reason,
+                      depth=self._load[worker])
 
     # -- per-operator scheduling ---------------------------------------------------
     def schedule_source(self, jv: ExecutionJobVertex, hdfs: HDFS) -> None:

@@ -10,7 +10,7 @@ from repro.common.simclock import Environment, Event
 from repro.hdfs.blocks import Block
 from repro.hdfs.datanode import DataNode, DiskConfig
 from repro.hdfs.namenode import NameNode, FileStatus
-from repro.obs.trace import NULL_SPAN
+from repro.obs import OFF, Observability
 
 
 class HDFS:
@@ -24,15 +24,15 @@ class HDFS:
 
     def __init__(self, env: Environment, node_names: Sequence[str],
                  network: Network, replication: int = 2,
-                 disk: DiskConfig | None = None, obs=None):
+                 disk: DiskConfig | None = None, obs: Observability = OFF):
         self.env = env
         self.network = network
         self.namenode = NameNode(list(node_names), replication=replication)
         self.disk = disk  # shared spec; elastic datanodes reuse it
         self.datanodes = {name: DataNode(env, name, disk=disk)
                           for name in node_names}
-        # Optional repro.obs.Observability: block reads/writes become spans
-        # on the acting node's "hdfs" lane plus registry byte counters.
+        # Block reads/writes are spans on the acting node's "hdfs" lane; the
+        # read/write counters derive from them.
         self.obs = obs
 
     # -- elastic membership -------------------------------------------------------
@@ -44,13 +44,6 @@ class HDFS:
         node = DataNode(self.env, name, disk=self.disk)
         self.datanodes[name] = node
         return node
-
-    def _span(self, name: str, node: str, **args):
-        """A trace span on ``node``'s hdfs lane (no-op without tracing)."""
-        if self.obs is None or not self.obs.enabled:
-            return NULL_SPAN
-        tracer = self.obs.tracer
-        return tracer.span(name, "hdfs", tracer.track(node, "hdfs"), **args)
 
     # -- metadata ---------------------------------------------------------------
     def exists(self, path: str) -> bool:
@@ -119,15 +112,13 @@ class HDFS:
     def _write_replica(self, block: Block, node: str,
                        writer_node: str | None,
                        first: bool) -> Generator[Event, None, None]:
-        with self._span("hdfs.write", node, nbytes=block.nbytes,
-                        block=block.index, replica=not first):
+        with self.obs.span("hdfs.write", node, "hdfs", nbytes=block.nbytes,
+                           block=block.index, replica=not first):
             # Writer → replica network hop (free if the replica is the writer).
             if writer_node is not None and writer_node != node:
                 yield from self.network.transfer(writer_node, node,
                                                  block.nbytes)
             yield from self.datanodes[node].write_block(block)
-        if self.obs is not None and first:
-            self.obs.registry.counter("hdfs.blocks.written").inc()
 
     def read_block(self, block: Block, at_node: str,
                    progress=None) -> Generator[Event, None, object]:
@@ -151,8 +142,8 @@ class HDFS:
                 f"no live replica of block {block.block_id} "
                 f"(replicas: {block.replicas})")
         local = at_node in live
-        with self._span("hdfs.read", at_node, nbytes=block.nbytes,
-                        block=block.index, local=local):
+        with self.obs.span("hdfs.read", at_node, "hdfs", nbytes=block.nbytes,
+                           block=block.index, local=local):
             if local:
                 stored = yield from self.datanodes[at_node].read_block(
                     block.block_id, progress)
@@ -162,9 +153,6 @@ class HDFS:
                     block.block_id)
                 yield from self.network.transfer(source, at_node,
                                                  block.nbytes, progress)
-        if self.obs is not None:
-            self.obs.registry.counter(
-                "hdfs.reads", locality="local" if local else "remote").inc()
         return stored.payload
 
     def read_file(self, path: str,
@@ -242,8 +230,8 @@ class HDFS:
                     source = live_others[0]
                 else:
                     continue  # lost mid-drain with no surviving copy
-                with self._span("hdfs.decommission", target,
-                                nbytes=block.nbytes, block=block.index):
+                with self.obs.span("hdfs.decommission", target, "hdfs",
+                                   nbytes=block.nbytes, block=block.index):
                     yield from self.datanodes[source].read_block(
                         block.block_id)
                     yield from self.network.transfer(source, target,

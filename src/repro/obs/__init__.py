@@ -5,6 +5,9 @@ The paper's whole evaluation (§6, Eq. 1, Observations 1–3) is a story about
 cache hits.  This package is the unified instrumentation layer that tells
 that story per run instead of per aggregate:
 
+* :class:`~repro.obs.bus.Observability` — the bus: the one object engine
+  code emits facts through; :data:`repro.obs.facts.FACTS` states what each
+  sink below derives from every fact.
 * :class:`~repro.obs.trace.Tracer` — structured spans/instants with
   sim-clock timestamps, organized into per-worker / per-device /
   per-copy-engine tracks so transfer/compute overlap is visible.
@@ -18,16 +21,15 @@ that story per run instead of per aggregate:
   exported trace file.
 
 Wiring: every :class:`~repro.flink.runtime.Cluster` owns an
-:class:`Observability` (tracer + registry), switched by
-``FlinkConfig.enable_tracing`` — off by default (tests), on in benchmarks.
-Tracing never schedules simulation events, so the simulated clock is
-bit-identical with tracing on or off.  See ``docs/OBSERVABILITY.md``.
+:class:`Observability`, switched by ``FlinkConfig.enable_tracing`` /
+``enable_monitoring`` — off by default (tests), on in benchmarks.  No sink
+schedules simulation events, so the simulated clock is bit-identical with
+observability on or off.  See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
+from repro.obs.bus import OFF, Observability
 from repro.obs.explain import (
     explain_summaries,
     render_explanation,
@@ -40,7 +42,6 @@ from repro.obs.flightrecorder import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.monitor import (
-    NULL_MONITOR,
     AlertRule,
     GMonitor,
     SLObjective,
@@ -63,7 +64,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_MONITOR",
+    "OFF",
     "Observability",
     "ProfileTrace",
     "SLObjective",
@@ -83,47 +84,3 @@ __all__ = [
 ]
 
 
-class Observability:
-    """One cluster's tracer + registry + monitor, passed through the stack.
-
-    ``enabled`` switches tracing; ``monitoring`` additionally attaches a
-    live :class:`~repro.obs.monitor.GMonitor` (which needs the registry,
-    so monitoring alone also enables it).  When monitoring is off the
-    shared :data:`~repro.obs.monitor.NULL_MONITOR` is handed out — call
-    sites stay unconditional and allocate nothing.
-    """
-
-    def __init__(self, env: Any, enabled: bool = False,
-                 monitoring: bool = False, monitor_window_s: float = 1.0,
-                 flight_recorder: bool = False,
-                 flight_recorder_dir: Any = None):
-        self.tracer = Tracer(env, enabled=enabled)
-        self.registry = MetricsRegistry(enabled=enabled or monitoring)
-        # The recorder is passive (bounded deques + dump-time file I/O):
-        # it works with monitoring (alert-triggered bundles with metric
-        # windows) or with bare chaos runs (fault-triggered bundles).
-        self.recorder = (FlightRecorder(
-            env, tracer=self.tracer, dirpath=flight_recorder_dir)
-            if flight_recorder else None)
-        if monitoring:
-            self.monitor = GMonitor(env, tracer=self.tracer,
-                                    registry=self.registry,
-                                    window_s=monitor_window_s,
-                                    recorder=self.recorder)
-        else:
-            self.monitor = NULL_MONITOR
-
-    @property
-    def enabled(self) -> bool:
-        """True when the tracer and registry are recording."""
-        return self.tracer.enabled
-
-    @property
-    def active(self) -> bool:
-        """True when any sink (tracer, registry, monitor) records anything.
-
-        Per-block loops test this once and skip their emission calls —
-        all no-ops otherwise — together with the argument building.
-        """
-        return (self.tracer.enabled or self.registry.enabled
-                or self.monitor.enabled)

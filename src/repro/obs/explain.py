@@ -31,10 +31,10 @@ touches the simulated clock.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Tuple
 
-EXPLAIN_SCHEMA = "repro.obs.explain/v1"
+from repro.obs.schema import (  # noqa: F401  (validator re-exported)
+    EXPLAIN_SCHEMA, validate_explanation)
 
 #: Human labels for the attribution buckets, in a stable order.
 _BUCKET_LABELS = {
@@ -288,59 +288,6 @@ def explain_summaries(current: Dict[str, Any], baseline: Dict[str, Any],
         "operators_added": added,
         "operators_removed": removed,
     }
-
-
-# -- validation --------------------------------------------------------------------
-def validate_explanation(doc: Any) -> List[str]:
-    """Structural checks for an explain document; empty list == valid."""
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return ["explanation must be a JSON object"]
-    if doc.get("schema") != EXPLAIN_SCHEMA:
-        errors.append(f"schema must be {EXPLAIN_SCHEMA!r}, "
-                      f"got {doc.get('schema')!r}")
-    for field in ("makespan_delta_s", "noise_floor_s",
-                  "attributed_delta_s", "residual_s"):
-        if not isinstance(doc.get(field), (int, float)):
-            errors.append(f"{field} must be a number")
-    for side in ("baseline", "current"):
-        entry = doc.get(side)
-        if not isinstance(entry, dict) or \
-                not isinstance(entry.get("makespan_s"), (int, float)):
-            errors.append(f"{side}.makespan_s must be a number")
-    causes = doc.get("causes")
-    if not isinstance(causes, list):
-        errors.append("causes must be an array")
-        causes = []
-    prev_mag = math.inf
-    for i, cause in enumerate(causes):
-        if not isinstance(cause, dict):
-            errors.append(f"causes[{i}] must be an object")
-            continue
-        if cause.get("rank") != i + 1:
-            errors.append(f"causes[{i}].rank must be {i + 1}")
-        if not isinstance(cause.get("label"), str) or not cause.get("key"):
-            errors.append(f"causes[{i}] needs key and label")
-        d = cause.get("delta_s")
-        if not isinstance(d, (int, float)):
-            errors.append(f"causes[{i}].delta_s must be a number")
-            continue
-        if abs(d) > prev_mag + 1e-12:
-            errors.append(f"causes[{i}] not sorted by |delta_s|")
-        prev_mag = abs(d)
-        if not isinstance(cause.get("evidence", []), list):
-            errors.append(f"causes[{i}].evidence must be an array")
-    if not errors:
-        total = sum(c["delta_s"] for c in causes)
-        if abs(total - doc["attributed_delta_s"]) > 1e-9:
-            errors.append("attributed_delta_s != sum of cause deltas")
-        if abs(doc["attributed_delta_s"] + doc["residual_s"]
-               - doc["makespan_delta_s"]) > 1e-9:
-            errors.append("attributed + residual != makespan delta")
-    for field in ("operators_added", "operators_removed"):
-        if not isinstance(doc.get(field), list):
-            errors.append(f"{field} must be an array")
-    return errors
 
 
 # -- text rendering ----------------------------------------------------------------

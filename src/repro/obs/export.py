@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON, flat metrics JSON, schema validation.
+"""Exporters: Chrome trace-event JSON and flat metrics JSON.
 
 The trace format is the Chrome/Perfetto "JSON Array with metadata" flavour:
 ``{"traceEvents": [...]}`` where each event is a complete span (``"ph":
@@ -6,19 +6,20 @@ The trace format is the Chrome/Perfetto "JSON Array with metadata" flavour:
 or a metadata record (``"ph": "M"`` naming processes/threads).  Open a
 written file at https://ui.perfetto.dev or chrome://tracing.
 
-:func:`validate_chrome_trace` is a self-contained structural validator (no
-third-party jsonschema dependency): it returns a list of human-readable
-errors, empty when the document conforms.  CI runs it over the traced bench
-smoke via ``python -m repro.obs.validate``.
+:func:`validate_chrome_trace` (re-exported from :mod:`repro.obs.schema`) is
+a self-contained validator (no third-party jsonschema dependency): it
+returns a list of human-readable errors, empty when the document conforms.
+CI runs it over the traced bench smoke via ``python -m repro.obs.validate``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Union
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.schema import validate_chrome_trace, validate_chrome_trace_file
 from repro.obs.trace import Tracer
 
 __all__ = [
@@ -28,9 +29,6 @@ __all__ = [
     "validate_chrome_trace_file",
     "collect_cluster",
 ]
-
-#: Event phases the exporter emits (and the validator accepts).
-_PHASES = {"X", "i", "M"}
 
 
 def write_chrome_trace(tracer: Tracer, path: Union[str, Path]) -> Path:
@@ -47,125 +45,6 @@ def write_metrics(registry: MetricsRegistry, path: Union[str, Path]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(registry.to_json() + "\n")
     return path
-
-
-# -- schema validation ----------------------------------------------------------
-def _check_event(i: int, ev: Any, errors: List[str]) -> None:
-    where = f"traceEvents[{i}]"
-    if not isinstance(ev, dict):
-        errors.append(f"{where}: not an object")
-        return
-    ph = ev.get("ph")
-    if ph not in _PHASES:
-        errors.append(f"{where}: ph must be one of {sorted(_PHASES)}, "
-                      f"got {ph!r}")
-        return
-    if not isinstance(ev.get("name"), str) or not ev["name"]:
-        errors.append(f"{where}: missing/empty name")
-    for field in ("pid", "tid"):
-        if not isinstance(ev.get(field), int):
-            errors.append(f"{where}: {field} must be an int")
-    if "args" in ev and not isinstance(ev["args"], dict):
-        errors.append(f"{where}: args must be an object")
-    if ph == "M":
-        if ev.get("name") not in ("process_name", "thread_name"):
-            errors.append(f"{where}: unknown metadata record {ev.get('name')!r}")
-        elif not isinstance(ev.get("args", {}).get("name"), str):
-            errors.append(f"{where}: metadata args.name must be a string")
-        return
-    ts = ev.get("ts")
-    if not isinstance(ts, (int, float)) or ts < 0:
-        errors.append(f"{where}: ts must be a non-negative number")
-    if not isinstance(ev.get("cat"), str) or not ev["cat"]:
-        errors.append(f"{where}: missing/empty cat")
-    if ph == "X":
-        dur = ev.get("dur")
-        if not isinstance(dur, (int, float)) or dur < 0:
-            errors.append(f"{where}: X event needs non-negative dur")
-    elif ph == "i":
-        if ev.get("s") not in ("t", "p", "g"):
-            errors.append(f"{where}: instant scope s must be t/p/g")
-
-
-#: Thread-lane names that model an exclusive hardware engine: at most one
-#: span may occupy the lane at any instant.  (``copy:*`` covers both copy
-#: directions; streams/slots are virtual and may legitimately overlap.)
-def _is_exclusive_lane(thread_name: str) -> bool:
-    return thread_name == "kernel" or thread_name.startswith("copy:")
-
-
-#: Slack for float µs comparisons: spans recorded back-to-back may differ
-#: by rounding noise after the seconds→µs conversion (1 ns of slack).
-_OVERLAP_EPS_US = 1e-3
-
-
-def _check_exclusive_lanes(events: List[Any], errors: List[str]) -> None:
-    """No two X spans on the same kernel / copy-engine lane may overlap."""
-    exclusive = set()
-    for ev in events:
-        if isinstance(ev, dict) and ev.get("ph") == "M" \
-                and ev.get("name") == "thread_name" \
-                and isinstance(ev.get("args", {}).get("name"), str) \
-                and _is_exclusive_lane(ev["args"]["name"]):
-            exclusive.add((ev.get("pid"), ev.get("tid")))
-    if not exclusive:
-        return
-    lanes: Dict[Any, List[Any]] = {}
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict) or ev.get("ph") != "X":
-            continue
-        key = (ev.get("pid"), ev.get("tid"))
-        if key not in exclusive:
-            continue
-        ts, dur = ev.get("ts"), ev.get("dur")
-        if isinstance(ts, (int, float)) and isinstance(dur, (int, float)):
-            lanes.setdefault(key, []).append((float(ts), float(ts + dur), i))
-    for key in sorted(lanes):
-        spans = sorted(lanes[key])
-        for (ts0, end0, i0), (ts1, _end1, i1) in zip(spans, spans[1:]):
-            if ts1 < end0 - _OVERLAP_EPS_US:
-                errors.append(
-                    f"traceEvents[{i1}]: overlaps traceEvents[{i0}] on "
-                    f"exclusive lane pid={key[0]} tid={key[1]} "
-                    f"({ts1:.3f} < {end0:.3f})")
-
-
-def validate_chrome_trace(doc: Any) -> List[str]:
-    """Structural validation of a Chrome trace document; [] when valid.
-
-    Beyond per-event shape checks, spans on *exclusive* engine lanes
-    (``kernel`` and ``copy:*`` thread names) must never overlap: those
-    lanes model one physical engine each, and the tracer records exact
-    occupancy windows for them.
-    """
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document root must be an object"]
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return ["document must contain a traceEvents array"]
-    pids_named = set()
-    for i, ev in enumerate(events):
-        _check_event(i, ev, errors)
-        if isinstance(ev, dict) and ev.get("ph") == "M" \
-                and ev.get("name") == "process_name":
-            pids_named.add(ev.get("pid"))
-    for i, ev in enumerate(events):
-        if isinstance(ev, dict) and ev.get("ph") in ("X", "i") \
-                and ev.get("pid") not in pids_named:
-            errors.append(f"traceEvents[{i}]: pid {ev.get('pid')!r} has no "
-                          f"process_name metadata")
-    _check_exclusive_lanes(events, errors)
-    return errors
-
-
-def validate_chrome_trace_file(path: Union[str, Path]) -> List[str]:
-    """Validate a trace file on disk; returns the error list."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"cannot load {path}: {exc}"]
-    return validate_chrome_trace(doc)
 
 
 # -- snapshot-time collection ------------------------------------------------------

@@ -23,7 +23,8 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-POSTMORTEM_SCHEMA = "repro.obs.postmortem/v1"
+from repro.obs.schema import (  # noqa: F401  (validator re-exported)
+    POSTMORTEM_SCHEMA, validate_postmortem_bundle)
 
 #: Ring capacities and the bundle cap of a cluster's recorder (a runaway
 #: alert storm must not fill the disk).
@@ -101,15 +102,14 @@ class FlightRecorder:
             "kind": event.kind.value, "at_s": event.at,
             "worker": event.worker, "device": event.device,
         }
-        monitor = cluster.obs.monitor
         return self.dump(f"fault:{event.kind.value}", detail=detail,
-                         monitor=monitor if monitor.enabled else None)
+                         monitor=cluster.obs.monitor)
 
     # -- the bundle --------------------------------------------------------------
 
     def _trace_slice(self) -> List[Dict[str, Any]]:
         tracer = self._tracer
-        if tracer is None or not getattr(tracer, "enabled", False):
+        if tracer is None or not tracer.enabled:
             return []
         pid_names = dict(tracer._process_names)
         tid_names = {(pid, tid): name
@@ -140,7 +140,7 @@ class FlightRecorder:
             "health": {}, "alerts": [], "slos": [], "trends": {},
             "explain": self._explain,
         }
-        if monitor is not None and getattr(monitor, "enabled", False):
+        if monitor is not None:
             doc["health"] = monitor.health.summary()
             doc["alerts"] = monitor.alerts.summary()
             doc["slos"] = monitor.slo.summary()
@@ -163,51 +163,6 @@ class FlightRecorder:
         self.bundles.append(filename)
         self.last_bundle = doc
         return filename
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def validate_postmortem_bundle(doc: Any) -> List[str]:
-    """Structural checks for one bundle document; empty list == valid."""
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return ["bundle must be a JSON object"]
-    if doc.get("schema") != POSTMORTEM_SCHEMA:
-        errors.append(f"schema must be {POSTMORTEM_SCHEMA!r}, "
-                      f"got {doc.get('schema')!r}")
-    if not isinstance(doc.get("reason"), str) or not doc.get("reason"):
-        errors.append("reason must be a non-empty string")
-    if not isinstance(doc.get("triggered_at_s"), (int, float)):
-        errors.append("triggered_at_s must be a number")
-    for field in ("trace_slice", "metric_windows", "alerts", "slos"):
-        if not isinstance(doc.get(field), list):
-            errors.append(f"{field} must be an array")
-    for obj_field in ("detail", "health", "trends"):
-        if not isinstance(doc.get(obj_field), dict):
-            errors.append(f"{obj_field} must be an object")
-    for i, span in enumerate(doc.get("trace_slice") or []):
-        if not isinstance(span, dict) or \
-                not isinstance(span.get("ts"), (int, float)) or \
-                not isinstance(span.get("dur"), (int, float)):
-            errors.append(f"trace_slice[{i}] needs numeric ts/dur")
-            break
-    last = None
-    for i, w in enumerate(doc.get("metric_windows") or []):
-        if not isinstance(w, dict) or not isinstance(w.get("idx"), int):
-            errors.append(f"metric_windows[{i}] needs an integer idx")
-            break
-        if last is not None and w["idx"] < last:
-            errors.append(f"metric_windows[{i}] out of window order")
-            break
-        last = w["idx"]
-    explain = doc.get("explain")
-    if explain is not None:
-        from repro.obs.explain import validate_explanation
-        errors.extend(f"explain: {e}"
-                      for e in validate_explanation(explain))
-    return errors
 
 
 # ---------------------------------------------------------------------------

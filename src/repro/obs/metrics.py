@@ -217,6 +217,10 @@ class _NullMetric:
 
 _NULL_METRIC = _NullMetric()
 
+#: kind -> (metric class, its update method), for :meth:`MetricsRegistry.apply`.
+_UPDATES = {"counter": (Counter, Counter.inc), "gauge": (Gauge, Gauge.set),
+            "histogram": (Histogram, Histogram.observe)}
+
 
 class MetricsRegistry:
     """Get-or-create registry of labelled metrics.
@@ -234,14 +238,16 @@ class MetricsRegistry:
         self.enabled = enabled
         self._metrics: Dict[Tuple[str, LabelItems], Any] = {}
 
-    def _get_or_create(self, cls, name: str, labels: Dict[str, Any],
-                       **kwargs: Any):
+    def _get_or_create(self, cls, name: str, labels, **kwargs: Any):
+        """``labels`` is a keyword dict, or already-canonical label items."""
         if not self.enabled:
             return _NULL_METRIC
-        key = metric_key(name, labels)
+        if labels.__class__ is dict:
+            labels = label_items(labels)
+        key = (name, labels)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(key[0], key[1], **kwargs)
+            metric = cls(name, labels, **kwargs)
             self._metrics[key] = metric
         elif not isinstance(metric, cls):
             raise ConfigError(
@@ -261,6 +267,14 @@ class MetricsRegistry:
         if bounds is not None:
             return self._get_or_create(Histogram, name, labels, bounds=bounds)
         return self._get_or_create(Histogram, name, labels)
+
+    def apply(self, kind: str, name: str, value: float,
+              labels: LabelItems = ()) -> None:
+        """Update the ``kind`` metric ``name`` at pre-sorted label items:
+        the spelling the bus derives with (see :mod:`repro.obs.facts`)."""
+        if self.enabled:
+            cls, update = _UPDATES[kind]
+            update(self._get_or_create(cls, name, labels), value)
 
     # -- introspection -----------------------------------------------------------
     def __len__(self) -> int:

@@ -50,6 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common.errors import ConfigError
 from repro.obs.anomaly import SlidingTrend, trend_snapshot
 from repro.obs.metrics import Histogram, LabelItems, label_items, render_key
+from repro.obs.schema import MONITOR_SCHEMA, validate_monitor_summary
 
 __all__ = [
     "Alert",
@@ -57,15 +58,12 @@ __all__ = [
     "GMonitor",
     "HealthScorer",
     "MONITOR_SCHEMA",
-    "NULL_MONITOR",
     "SLObjective",
     "SLOTracker",
     "Series",
     "TimeSeriesStore",
     "validate_monitor_summary",
 ]
-
-MONITOR_SCHEMA = "repro.monitor.summary/v1"
 
 #: Windows retained per series (older points are dropped).
 RETENTION_WINDOWS = 720
@@ -569,9 +567,6 @@ class HealthScorer:
     def worker_down(self, name: str) -> None:
         self.down.add(name)
 
-    def worker_recovered(self, name: str) -> None:
-        self.down.discard(name)
-
     @staticmethod
     def _touches(alert: Alert, worker: Optional[str] = None,
                  device: Optional[str] = None) -> bool:
@@ -632,8 +627,6 @@ class GMonitor:
     all elapsed windows are closed (registry sampled, alerts evaluated,
     health scored) before the new observation is recorded.
     """
-
-    enabled = True
 
     DEFAULT_RULES = (
         AlertRule(name="worker_unhealthy", series="worker.heartbeat.missed",
@@ -745,7 +738,30 @@ class GMonitor:
             "p99": h.percentile(0.99),
         })
 
-    # -- direct feeds (all tick first) -------------------------------------------
+    # -- feeds (all tick first) ---------------------------------------------------
+
+    def feed(self, kind: str, name: str, value: Any,
+             labels: LabelItems = ()) -> None:
+        """Fold one observation into the open window, ticking first.
+
+        ``kind`` is a series kind (``counter`` / ``gauge`` / ``histogram``),
+        ``slo.latency`` / ``slo.event`` (``name`` is the objective,
+        ``value`` the seconds / the ok flag), ``health.down`` (the
+        ``worker`` label went down) or ``tick`` (only advance the window
+        clock, so what the registry accrued lands in the right window).
+        """
+        self.tick()
+        if kind == "tick":
+            return
+        if kind == "slo.latency":
+            self.slo.observe_latency(self._cur, name, value)
+        elif kind == "slo.event":
+            self.slo.observe_event(self._cur, name, value)
+        elif kind == "health.down":
+            self.health.worker_down(dict(labels)["worker"])
+        else:
+            self.store.series_items(name, kind, labels).record(
+                self._cur, value)
 
     def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         self.tick()
@@ -759,35 +775,6 @@ class GMonitor:
         self.tick()
         self.store.series(name, "histogram",
                           **labels).record(self._cur, value)
-
-    def job_completed(self, job: str, makespan_s: float,
-                      ok: bool = True) -> None:
-        self.tick()
-        self.slo.observe_latency(self._cur, "job_latency", makespan_s)
-        self.store.series("job.makespan_s", "histogram",
-                          job=job).record(self._cur, makespan_s)
-
-    def task_attempt(self, op: str, ok: bool, seconds: float = 0.0) -> None:
-        self.tick()
-        self.slo.observe_event(self._cur, "task_availability", ok)
-        if not ok:
-            self.store.series("task.failures", "counter",
-                              op=op).record(self._cur, 1)
-
-    def heartbeat_missed(self, worker: str) -> None:
-        self.count("worker.heartbeat.missed", 1, worker=worker)
-
-    def worker_down(self, worker: str) -> None:
-        self.tick()
-        self.health.worker_down(worker)
-        self.store.series("worker.down", "counter",
-                          worker=worker).record(self._cur, 1)
-
-    def worker_declared_dead(self, worker: str) -> None:
-        # The runtime's worker.declared_dead registry counter is sampled
-        # into the store; this hook only advances the clock so detection
-        # is attributed to the right window.
-        self.tick()
 
     # -- topology / rules --------------------------------------------------------
 
@@ -880,154 +867,3 @@ class GMonitor:
             "health": self.health.summary(),
         }
         return doc
-
-
-class _NullMonitor:
-    """Shared no-op monitor handed out when monitoring is disabled.
-
-    Mirrors the GMonitor feed surface so instrumentation call sites stay
-    unconditional — the monitoring half of the zero-cost guarantee.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def tick(self) -> None:
-        pass
-
-    def count(self, name, amount=1.0, **labels) -> None:
-        pass
-
-    def gauge(self, name, value, **labels) -> None:
-        pass
-
-    def observe(self, name, value, **labels) -> None:
-        pass
-
-    def job_completed(self, job, makespan_s, ok=True) -> None:
-        pass
-
-    def task_attempt(self, op, ok, seconds=0.0) -> None:
-        pass
-
-    def heartbeat_missed(self, worker) -> None:
-        pass
-
-    def worker_down(self, worker) -> None:
-        pass
-
-    def worker_declared_dead(self, worker) -> None:
-        pass
-
-    def register_worker(self, name) -> None:
-        pass
-
-    def register_device(self, name, pcie_bps=None) -> None:
-        pass
-
-    def add_rule(self, rule) -> None:
-        pass
-
-    def trends(self, name=None, window=8, alpha=0.3) -> dict:
-        return {}
-
-    def set_latency_target(self, target, percentile=0.99) -> None:
-        pass
-
-    def set_availability_target(self, target) -> None:
-        pass
-
-    def finalize(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_MONITOR = _NullMonitor()
-
-
-# ---------------------------------------------------------------------------
-# Summary validation
-# ---------------------------------------------------------------------------
-
-def validate_monitor_summary(doc: Any) -> List[str]:
-    """Structural validation of a ``repro.monitor.summary/v1`` document.
-
-    Returns a list of error strings (empty = valid), mirroring
-    :func:`repro.obs.export.validate_chrome_trace`.
-    """
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return ["summary must be a JSON object"]
-    if doc.get("schema") != MONITOR_SCHEMA:
-        errors.append(f"schema must be {MONITOR_SCHEMA!r}: "
-                      f"{doc.get('schema')!r}")
-    window_s = doc.get("window_s")
-    if not isinstance(window_s, (int, float)) or window_s <= 0:
-        errors.append(f"window_s must be a positive number: {window_s!r}")
-    for field_name in ("series", "rules", "alerts", "slos"):
-        if not isinstance(doc.get(field_name), list):
-            errors.append(f"{field_name} must be a list")
-    if errors:
-        return errors
-    for i, s in enumerate(doc["series"]):
-        where = f"series[{i}]"
-        if not isinstance(s, dict) or not s.get("name"):
-            errors.append(f"{where}: missing name")
-            continue
-        if s.get("kind") not in ("counter", "gauge", "histogram"):
-            errors.append(f"{where}: bad kind {s.get('kind')!r}")
-        points = s.get("points")
-        if not isinstance(points, list):
-            errors.append(f"{where}: points must be a list")
-            continue
-        last_idx = None
-        for p in points:
-            if (not isinstance(p, list) or len(p) != 2
-                    or not isinstance(p[0], int)):
-                errors.append(f"{where}: malformed point {p!r}")
-                break
-            if last_idx is not None and p[0] < last_idx:
-                errors.append(f"{where}: points out of order at {p[0]}")
-                break
-            last_idx = p[0]
-    for i, a in enumerate(doc["alerts"]):
-        where = f"alerts[{i}]"
-        if not isinstance(a, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        for req in ("rule", "series", "severity", "fired_at_s"):
-            if req not in a:
-                errors.append(f"{where}: missing {req}")
-        if a.get("severity") not in ("warning", "critical"):
-            errors.append(f"{where}: bad severity {a.get('severity')!r}")
-        fired = a.get("fired_at_s")
-        resolved = a.get("resolved_at_s")
-        if (isinstance(fired, (int, float)) and resolved is not None
-                and isinstance(resolved, (int, float)) and resolved < fired):
-            errors.append(f"{where}: resolved before fired")
-    for i, s in enumerate(doc["slos"]):
-        where = f"slos[{i}]"
-        if not isinstance(s, dict) or s.get("kind") not in (
-                "latency", "availability"):
-            errors.append(f"{where}: bad SLO kind")
-            continue
-        if not isinstance(s.get("burn_rate"), (int, float)) \
-                or s["burn_rate"] < 0:
-            errors.append(f"{where}: burn_rate must be >= 0")
-        if s.get("bad", 0) > s.get("events", 0):
-            errors.append(f"{where}: bad exceeds events")
-    health = doc.get("health")
-    if not isinstance(health, dict):
-        errors.append("health must be an object")
-    else:
-        flat = [health.get("cluster", 100.0)]
-        flat += list(health.get("workers", {}).values())
-        flat += list(health.get("devices", {}).values())
-        for v in flat:
-            if not isinstance(v, (int, float)) or not 0 <= v <= 100:
-                errors.append(f"health score out of range: {v!r}")
-                break
-    return errors

@@ -54,6 +54,9 @@ from pathlib import Path
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
+from repro.obs.schema import (CATEGORIES, SUMMARY_SCHEMA, TICK_S,
+                              validate_profile_summary)
+
 __all__ = [
     "SUMMARY_SCHEMA",
     "CATEGORIES",
@@ -72,19 +75,8 @@ __all__ = [
     "render_comparison",
 ]
 
-#: Version tag of the machine-readable summary document.
-SUMMARY_SCHEMA = "repro.profile.summary/v1"
-
-#: Critical-path attribution categories, in coverage-priority order: when
-#: fine-grained spans overlap inside one path segment, earlier categories
-#: claim the time first (a kernel running during a copy is kernel time).
-CATEGORIES = ("kernel", "h2d", "d2h", "shuffle", "hdfs", "cpu", "sched")
-
 #: The engine lanes of one device, in that priority order.
 _ENGINES = ("kernel", "h2d", "d2h")
-
-#: One simulated-clock tick: float-comparison slack for span boundaries.
-TICK_S = 1e-9
 
 #: Microseconds (Chrome trace units) → seconds.
 _US = 1e6
@@ -712,57 +704,6 @@ def profile_file(path: Union[str, Path]) -> Dict[str, Any]:
 def load_summary(path: Union[str, Path]) -> Dict[str, Any]:
     """Load a baseline: summary JSON, or a trace (profiled on the fly)."""
     return profile_file(path)
-
-
-# -- summary schema validation ------------------------------------------------------
-def validate_profile_summary(doc: Any) -> List[str]:
-    """Structural check of a profile summary document; [] when valid."""
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return ["summary root must be an object"]
-    if doc.get("schema") != SUMMARY_SCHEMA:
-        errors.append(f"schema must be {SUMMARY_SCHEMA!r}, "
-                      f"got {doc.get('schema')!r}")
-    if not isinstance(doc.get("makespan_s"), (int, float)):
-        errors.append("makespan_s must be a number")
-    cp = doc.get("critical_path")
-    if not isinstance(cp, dict):
-        errors.append("critical_path must be an object")
-    else:
-        cats = cp.get("categories")
-        if not isinstance(cats, dict):
-            errors.append("critical_path.categories must be an object")
-        else:
-            for cat in CATEGORIES:
-                if not isinstance(cats.get(cat), (int, float)):
-                    errors.append(f"critical_path.categories.{cat} missing")
-        if not isinstance(cp.get("segments"), list):
-            errors.append("critical_path.segments must be an array")
-        elif isinstance(cats, dict) and \
-                isinstance(doc.get("makespan_s"), (int, float)):
-            total = sum(v for v in cats.values()
-                        if isinstance(v, (int, float)))
-            if abs(total - doc["makespan_s"]) > max(
-                    1e-6 * max(abs(doc["makespan_s"]), 1.0), 10 * TICK_S):
-                errors.append(
-                    f"critical-path categories sum {total!r} != "
-                    f"makespan {doc['makespan_s']!r}")
-    for section in ("operators", "devices", "workers", "totals"):
-        if not isinstance(doc.get(section), dict):
-            errors.append(f"{section} must be an object")
-    if isinstance(doc.get("operators"), dict):
-        for op, entry in doc["operators"].items():
-            if not isinstance(entry, dict) or \
-                    not str(entry.get("class", "")).endswith("_bound"):
-                errors.append(f"operators[{op!r}].class must be *_bound")
-                continue
-            shares = entry.get("shares")
-            numeric = isinstance(shares, dict) and all(
-                isinstance(v, (int, float)) for v in shares.values())
-            if not numeric or abs(sum(shares.values()) - 1.0) > 1e-6:
-                errors.append(f"operators[{op!r}].shares must be numbers "
-                              f"summing to 1, got {shares!r}")
-    return errors
 
 
 # -- regression gate ---------------------------------------------------------------

@@ -130,10 +130,10 @@ class _NullSpan:
         return False
 
 
-#: Shared no-op span/track instances — also handed out by disabled tracers,
-#: and usable directly by call sites that may have no tracer at all.
-NULL_SPAN = _NULL_SPAN = _NullSpan()
-NULL_TRACK = _NULL_TRACK = Track(0, 0)
+#: The shared no-op span and track a disabled tracer (and the all-off bus)
+#: hands out.
+NULL_SPAN = _NullSpan()
+NULL_TRACK = Track(0, 0)
 
 
 class Tracer:
@@ -148,7 +148,7 @@ class Tracer:
         self.enabled = bool(enabled)
         self.events: List[TraceEvent] = []
         self._pids: Dict[str, int] = {}
-        self._tids: Dict[Tuple[int, str], int] = {}
+        self._tracks: Dict[Tuple[str, str], Track] = {}
         self._process_names: List[Tuple[int, str]] = []
         self._thread_names: List[Tuple[int, int, str]] = []
 
@@ -165,25 +165,24 @@ class Tracer:
         the sim clock — the same run always numbers tracks identically.
         """
         if not self.enabled:
-            return _NULL_TRACK
-        pid = self._pids.get(process)
-        if pid is None:
-            pid = len(self._pids) + 1
-            self._pids[process] = pid
-            self._process_names.append((pid, process))
-        tid_key = (pid, thread)
-        tid = self._tids.get(tid_key)
-        if tid is None:
-            tid = len(self._tids) + 1
-            self._tids[tid_key] = tid
-            self._thread_names.append((pid, tid, thread))
-        return Track(pid, tid)
+            return NULL_TRACK
+        track = self._tracks.get((process, thread))
+        if track is None:
+            pid = self._pids.get(process)
+            if pid is None:
+                pid = len(self._pids) + 1
+                self._pids[process] = pid
+                self._process_names.append((pid, process))
+            track = Track(pid, len(self._tracks) + 1)
+            self._tracks[process, thread] = track
+            self._thread_names.append((pid, track.tid, thread))
+        return track
 
     # -- recording -------------------------------------------------------------
     def span(self, name: str, cat: str, track: Track, **args: Any):
         """A context manager recording ``name`` from enter to exit."""
         if not self.enabled:
-            return _NULL_SPAN
+            return NULL_SPAN
         return _Span(self, name, cat, track, args)
 
     def complete(self, name: str, cat: str, track: Track, start: float,

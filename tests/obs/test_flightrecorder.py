@@ -105,7 +105,8 @@ class TestRecorderUnit:
         rec = FlightRecorder(env)
         mon = GMonitor(env, recorder=rec)
         env.now = 5.0
-        mon.heartbeat_missed("worker0")       # worker_unhealthy, sustained=1
+        # worker_unhealthy, sustained=1
+        mon.count("worker.heartbeat.missed", worker="worker0")
         env.now = 7.0
         mon.finalize()
         fired = [a for a in mon.alerts.history

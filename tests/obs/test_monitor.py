@@ -16,9 +16,9 @@ from repro.common.errors import ConfigError
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.flink.chaos import ChaosSchedule
+from repro.obs import OFF
 from repro.obs.dashboard import render_dashboard
 from repro.obs.monitor import (
-    NULL_MONITOR,
     AlertEngine,
     AlertRule,
     GMonitor,
@@ -311,7 +311,9 @@ class TestTrendsAPI:
         assert all(s["name"] == "a" for s in mon.trends("a").values())
 
     def test_null_monitor_trends_empty(self):
-        assert NULL_MONITOR.trends() == {}
+        # Monitoring off is `obs.monitor is None`; the bus answers for it.
+        assert OFF.monitor is None
+        assert OFF.trends("scheduler.slot_pressure", window=8) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +391,13 @@ class TestGMonitorWindows:
         mon = GMonitor(env, window_s=1.0)
         mon.register_worker("worker0")
         mon.count("tasks", 3, worker="worker0")
-        mon.job_completed("job0", 0.4)
-        mon.task_attempt("map", ok=True)
-        mon.task_attempt("map", ok=False)
+        mon.feed("slo.latency", "job_latency", 0.4)
+        mon.observe("job.makespan_s", 0.4, job="job0")
+        mon.feed("slo.event", "task_availability", True)
+        mon.feed("slo.event", "task_availability", False)
+        mon.count("task.failures", op="map")
         env.now = 4.0
-        mon.heartbeat_missed("worker0")
+        mon.count("worker.heartbeat.missed", worker="worker0")
         mon.finalize()
         summary = mon.summary()
         assert validate_monitor_summary(summary) == []
@@ -464,9 +468,9 @@ class TestZeroCostAndClockIdentity:
     def test_disabled_monitor_is_null_and_empty(self):
         cluster, _ = run_workload(WordCountWorkload,
                                   dict(real_elements=4000), "gpu", False)
-        assert cluster.obs.monitor is NULL_MONITOR
-        assert not cluster.obs.monitor.enabled
-        assert len(cluster.obs.monitor) == 0
+        assert cluster.obs.monitor is None
+        assert not cluster.obs.active
+        assert len(cluster.obs.registry) == 0
 
     def test_enabled_monitor_collects_series(self):
         cluster, _ = run_workload(WordCountWorkload,
