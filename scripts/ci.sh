@@ -5,7 +5,8 @@
 #   scripts/ci.sh          # everything below
 #   scripts/ci.sh --fast   # tier-1 tests + lint only
 #
-# The full run adds: traced wordcount smokes (element-wise and vectorized)
+# The full run adds: the generated payload-format and exchange differentials
+# at full Hypothesis depth, traced wordcount smokes (element-wise and vectorized)
 # with schema validation and profile gates against the committed baselines
 # in traces/ (cross-checked against their exported metrics), a traced
 # iterative (PageRank-GPU) profile smoke gated the same way, chaos /
@@ -63,7 +64,34 @@ if grep -rnE '\.(counter|gauge|histogram)\(|tracer\.(span|instant|complete|track
 fi
 echo "ok"
 
+echo "== lint: one payload module — no format test outside flink/payload.py =="
+# What a partition payload *is* (row list | NumPy block | None) is asked in
+# repro/flink/payload.py and nowhere else under flink/ and core/: no
+# isinstance(..., np.ndarray), none of the retired predicates or helpers,
+# and is_block() itself only where named here:
+#   - flink/iterators.py apply_filter tests what a *UDF returned* (a boolean
+#     mask or the filtered payload), not what the payload is;
+#   - flink/shuffle.py asks is_block() to pick the serde price list
+#     (_block_payloads, behind _zero_copy), to hand a vectorized key
+#     extractor an empty block but not an empty row list (_key_columns), and
+#     to take group_plan's single-sort fast path on a block (_buckets).
+if grep -rnE 'isinstance\([^)]*np\.ndarray|is_columnar\(|columnar_compatible\(|is_block\(|def (_result_len|_is_empty|_concat|_assemble|_as_array|_row_buckets|_columnar_buckets)\(' \
+        src/repro/flink src/repro/core --include='*.py' \
+        | grep -v 'repro/flink/payload\.py' \
+        | grep -vE 'repro/flink/iterators\.py:.*isinstance\(mask, np\.ndarray\)' \
+        | grep -vE 'repro/flink/shuffle\.py:.*is_block\('; then
+    echo "FAIL: payload format tested outside src/repro/flink/payload.py (use its accessors)" >&2
+    exit 1
+fi
+echo "ok"
+
 if [[ "${1:-}" != "--fast" ]]; then
+    echo "== generated differentials at full depth: payload formats + exchange =="
+    # Tier-1 caps their Hypothesis examples (tests/flink/conftest.py depth()).
+    REPRO_FULL_DEPTH=1 python -m pytest -q \
+        tests/flink/test_representation_differential.py \
+        tests/flink/test_exchange_differential.py
+
     echo "== traced bench smoke: wordcount + schema validation + cross-check =="
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \
         --out traces/ci_wordcount.json \

@@ -17,17 +17,15 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.common.errors import ConfigError, KernelError
 from repro.core.channels import CommMode
-from repro.core.gstream import _assemble
 from repro.core.gstruct import DataLayout
 from repro.flink.fault import TaskFailure
 from repro.core.gwork import GWork, KernelStage
 from repro.core.hbuffer import HBuffer
 from repro.flink.dataset import DataSet, OpCost
-from repro.flink.partition import Partition, real_len
+from repro.flink.partition import Partition
+from repro.flink.payload import concat, real_len, to_block
 from repro.flink.plan import Operator, ShipStrategy
 
 
@@ -107,7 +105,7 @@ def _cpu_fallback(op_name: str, ctx, gpumanager, part: Partition,
     registry = gpumanager.runtime.registry
     primary = HBuffer(part.elements, part.element_nbytes, scale=part.scale)
     blocks = primary.split_blocks(gpumanager.config.block_nbytes)
-    results: Dict[int, Any] = {}
+    results: List[Any] = []
     for blk in blocks:
         cur = blk.elements
         for kernel_name, params, extras in stage_specs:
@@ -119,17 +117,17 @@ def _cpu_fallback(op_name: str, ctx, gpumanager, part: Partition,
                 raise ConfigError(
                     f"kernel {kernel_name!r} produced no 'out'")
             cur = out["out"]
-        results[blk.index] = cur
+        results.append(cur)
     for kernel_name, params, extras in stage_specs:
         spec = registry.get(kernel_name)
-        yield from ctx.charge_compute(part.nominal_count,
-                                      spec.flops_per_element)
+        yield from ctx.charge(OpCost(flops_per_element=spec.flops_per_element),
+                              part.nominal_count, part.nominal_nbytes)
     metrics = ctx.metrics
     if hasattr(metrics, "fallback_tasks"):
         metrics.fallback_tasks += 1
     ctx.cluster.obs.emit("task.cpu_fallback", ctx.worker.name, "fallback",
                          op=op_name, subtask=ctx.subtask_index)
-    return _assemble(results)
+    return concat(results)
 
 
 class GpuMapPartitionOp(Operator):
@@ -456,19 +454,20 @@ class GpuJoinOp(Operator):
             return Partition(index=ctx.subtask_index, elements=[],
                              element_nbytes=self.out_element_nbytes(left),
                              scale=1.0, worker=ctx.worker.name)
+        left_rows, right_rows = (_kernel_operand(side.elements)
+                                 for side in inputs)
         if _check_degraded(self.name, ctx, gpumanager):
             out_elements = yield from _cpu_fallback(
-                self.name, ctx, gpumanager,
-                left.derive(_as_array(left.elements)),
+                self.name, ctx, gpumanager, left.derive(left_rows),
                 [(self.kernel_name, dict(self.params),
-                  {"right": _as_array(right.elements)})])
+                  {"right": right_rows})])
             scale = max(left.scale, right.scale)
             return Partition(index=ctx.subtask_index, elements=out_elements,
                              element_nbytes=self.out_element_nbytes(left),
                              scale=scale, worker=ctx.worker.name)
-        primary = HBuffer(_as_array(left.elements), left.element_nbytes,
+        primary = HBuffer(left_rows, left.element_nbytes,
                           scale=left.scale, off_heap=True, pinned=True)
-        build_side = HBuffer(_as_array(right.elements),
+        build_side = HBuffer(right_rows,
                              right.element_nbytes, scale=right.scale,
                              off_heap=True, pinned=True, cacheable=False)
         work = GWork(
@@ -496,13 +495,11 @@ class GpuJoinOp(Operator):
         return 8.0
 
 
-def _as_array(elements: Any) -> Any:
-    """Hash-exchange buckets arrive as lists; kernels want arrays."""
-    if isinstance(elements, np.ndarray):
-        return elements
+def _kernel_operand(elements: Any) -> Any:
+    """Hash-exchange buckets arrive as row lists; kernels want blocks."""
     try:
-        return np.asarray(elements)
-    except Exception:  # heterogeneous payloads stay as lists
+        return to_block(elements)
+    except TypeError:  # heterogeneous rows stay the rows they were
         return elements
 
 

@@ -36,11 +36,9 @@ class GPUManagerConfig:
     """Tunables of the per-worker GPU stack."""
 
     cache_bytes_per_device: int = 1 << 30     # per-app cache region capacity
-    eviction_policy: EvictionPolicy = EvictionPolicy.FIFO
-    #: String form of the eviction policy ("fifo" | "no-evict" | "lru");
-    #: when set, overrides ``eviction_policy`` — the config-file-friendly
-    #: spelling of the same knob.
-    cache_policy: Optional[str] = None
+    #: Cache GC scheme: "fifo" | "no-evict" | "lru" (an
+    #: :class:`~repro.core.gmemory.EvictionPolicy` value).
+    cache_policy: str = "fifo"
     streams_per_gpu: int = 2
     block_nbytes: int = 8 * (1 << 20)         # pipeline block ("page") size
     comm_costs: CommCosts = CommCosts()
@@ -56,8 +54,6 @@ class GPUManagerConfig:
     fault_timeout_s: float = 2.0
 
     def resolved_policy(self) -> EvictionPolicy:
-        if self.cache_policy is None:
-            return self.eviction_policy
         return EvictionPolicy(self.cache_policy.lower())
 
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Generator, Hashable, List, Optional
 
-import numpy as np
-
 from repro.common.errors import ConfigError, DeviceFaultError, InterruptError
 from repro.common.resources import Store
 from repro.common.simclock import Environment, Event
@@ -30,6 +28,7 @@ from repro.core.gmemory import CacheRegion, GMemoryManager
 from repro.core.gwork import GWork, KernelStage, PRIMARY, STAGE_OUT
 from repro.core.hbuffer import Block, HBuffer
 from repro.core.scheduling import locality_keys, schedule_work, steal_work
+from repro.flink.payload import concat, real_len
 from repro.gpu.device import GPUDevice
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import DeviceBuffer
@@ -288,7 +287,7 @@ class GStream:
                 if resume:
                     # Resuming from a cached intermediate: counts reflect
                     # that stage's output, not the raw block.
-                    real = _result_len(cur.data)
+                    real = real_len(cur.data)
                     nominal = (blk.nominal_count * real / blk.real_count
                                if blk.real_count else float(real))
                 d2h_nominal = nominal
@@ -333,7 +332,7 @@ class GStream:
                     elif cur_temp:
                         yield from wrapper.cuda_free(device, cur)
                     cur, cur_temp, cur_spill = out_dev, out_temp, out_spill
-                    out_real = _result_len(kernel_result.get("out"))
+                    out_real = real_len(kernel_result.get("out"))
                     if idx == len(stages) - 1:
                         if out_real == real:
                             d2h_nominal = nominal  # map-style kernel
@@ -392,7 +391,7 @@ class GStream:
         for buf in self._temp_secondary:
             yield from wrapper.cuda_free(device, buf)
         self._temp_secondary = []
-        return _assemble(results)
+        return concat([results[i] for i in sorted(results)])
 
     def _stage_out_buffer(self, work: GWork, device: GPUDevice,
                           region: Optional[CacheRegion],
@@ -477,7 +476,7 @@ class GStream:
                     raise ConfigError(
                         f"kernel {work.execute_name!r} produced no 'out'")
                 d2h_nbytes = int(
-                    _result_len(out["out"]) * primary.scale * out_per_elem)
+                    real_len(out["out"]) * primary.scale * out_per_elem)
                 device.d2h_bytes += d2h_nbytes
                 obs.emit("kernel.mapped", device.name, "kernel",
                          self.env.now - mapped_s, self.env.now,
@@ -488,7 +487,7 @@ class GStream:
         for buf in self._temp_secondary:
             yield from wrapper.cuda_free(device, buf)
         self._temp_secondary = []
-        return _assemble(results)
+        return concat([results[i] for i in sorted(results)])
 
     @staticmethod
     def _out_nbytes_per_element(work: GWork, primary: HBuffer) -> float:
@@ -497,36 +496,6 @@ class GStream:
         if work.out_buffer.element_nbytes > 0:
             return work.out_buffer.element_nbytes
         return primary.element_nbytes
-
-
-def _result_len(data: object) -> int:
-    if data is None:
-        return 0
-    if isinstance(data, np.ndarray):
-        return int(data.shape[0]) if data.ndim else 1
-    try:
-        return len(data)  # type: ignore[arg-type]
-    except TypeError:
-        return 1
-
-
-def _assemble(results: Dict[int, object]) -> object:
-    """Concatenate per-block outputs in block order."""
-    ordered = [results[i] for i in sorted(results)]
-    if not ordered:
-        return []
-    if all(isinstance(r, np.ndarray) for r in ordered):
-        arrays = [r if r.ndim else r.reshape(1) for r in ordered]
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    merged: List[object] = []
-    for r in ordered:
-        if isinstance(r, (list, tuple)):
-            merged.extend(r)
-        elif isinstance(r, np.ndarray):
-            merged.extend(list(r))
-        else:
-            merged.append(r)
-    return merged
 
 
 class GStreamManager:

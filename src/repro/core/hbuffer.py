@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.common.errors import LayoutError
 from repro.core.gstruct import DataLayout, GStruct
-from repro.flink.partition import real_len
+from repro.flink.payload import real_len
 
 
 @dataclass

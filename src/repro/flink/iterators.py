@@ -1,11 +1,12 @@
 """Functional execution of user functions over partition payloads.
 
 The *timing* of CPU operators follows Flink's one-element-at-a-time iterator
-model (per-element overhead plus per-element FLOPs — see
-:meth:`repro.flink.jobmanager.TaskContext.charge_compute`).  The *functional*
-result is computed here, preferring a vectorized whole-partition call when the
-UDF opts in via :func:`vectorized` — per the HPC guide, NumPy vectorization is
-how we make the sample computation cheap without changing the modeled cost.
+model (per-element overhead plus per-element FLOPs) unless every UDF of the
+operator is marked :func:`vectorized` — see
+:meth:`repro.flink.jobmanager.TaskContext.charge`.  The *functional* result
+is computed here, with one whole-partition call for a vectorized UDF.  What
+the payload *is* (row list or NumPy block) is never asked here: that is
+:mod:`repro.flink.payload`'s job.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Any, Callable, Iterable, List
 
 import numpy as np
 
-from repro.flink.columnar import (as_block, group_columnar, group_plan,
-                                  key_column)
+from repro.flink.payload import (group_columnar, group_plan, key_column,
+                                 real_len, rows_like, take, to_block)
 
 
 def vectorized(udf: Callable) -> Callable:
@@ -35,7 +36,7 @@ def vectorized(udf: Callable) -> Callable:
     first row of each segment, and it returns one row per segment as a
     block.  To stay bit-identical to the element path a float reducer must
     fold each segment left to right
-    (:func:`repro.flink.columnar.segment_sum`); ``np.add.reduceat`` sums
+    (:func:`repro.flink.payload.segment_sum`); ``np.add.reduceat`` sums
     long segments pairwise and does not.
     """
     udf.__repro_vectorized__ = True
@@ -47,45 +48,31 @@ def is_vectorized(udf: Callable) -> bool:
     return getattr(udf, "__repro_vectorized__", False)
 
 
-def _is_empty(elements: Any) -> bool:
-    if elements is None:
-        return True
-    if isinstance(elements, np.ndarray):
-        return elements.shape[0] == 0 if elements.ndim else False
-    return len(elements) == 0
-
-
 def apply_map(elements: Any, udf: Callable) -> Any:
     """``map``: one output element per input element."""
-    if _is_empty(elements):
-        # Normalize missing payloads to []; keep empty ndarrays (dtype).
+    if not real_len(elements):
+        # Normalize missing payloads to []; keep empty blocks (dtype).
         return [] if elements is None else elements
     if is_vectorized(udf):
         return udf(elements)
-    if isinstance(elements, np.ndarray):
-        return np.array([udf(x) for x in elements])
-    return [udf(x) for x in elements]
+    return rows_like(elements, [udf(x) for x in elements])
 
 
 def apply_filter(elements: Any, udf: Callable) -> Any:
     """``filter``: keep elements where the predicate holds."""
-    if _is_empty(elements):
+    if not real_len(elements):
         return [] if elements is None else elements
     if is_vectorized(udf):
-        result = udf(elements)
-        if isinstance(result, np.ndarray) and result.dtype == bool:
-            # A boolean mask selects from list payloads too: a vectorized
-            # predicate may run over a list (e.g. np.asarray internally)
-            # and hand back a mask, which `list[mask]` cannot apply.
-            if isinstance(elements, np.ndarray):
-                return elements[result]
-            return [x for x, keep in zip(elements, result) if keep]
-        return result
-    if isinstance(elements, np.ndarray):
+        mask = udf(elements)
+        # This asks what the *UDF returned*, not what the payload is: a
+        # vectorized predicate hands back a boolean mask (which selects
+        # from a row list too) or the filtered payload itself.
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+            return mask
+    else:
         mask = np.fromiter((bool(udf(x)) for x in elements),
                            dtype=bool, count=len(elements))
-        return elements[mask]
-    return [x for x in elements if udf(x)]
+    return take(elements, np.flatnonzero(mask))
 
 
 def apply_flat_map(elements: Any, udf: Callable) -> List[Any]:
@@ -95,7 +82,7 @@ def apply_flat_map(elements: Any, udf: Callable) -> List[Any]:
     None), but flatMap callers ``.extend`` the result and chain stages
     expect list semantics.
     """
-    if _is_empty(elements):
+    if not real_len(elements):
         return []
     if is_vectorized(udf):
         out = udf(elements)
@@ -115,7 +102,7 @@ def apply_reduce(elements: Any, udf: Callable) -> Any:
     reduced value directly.
     """
     if is_vectorized(udf):
-        if _is_empty(elements):
+        if not real_len(elements):
             return None
         return udf(elements)
     iterator = iter(elements)
@@ -132,15 +119,15 @@ def group_elements(elements: Iterable[Any], key_fn: Callable) -> dict:
     """Group elements by ``key_fn`` preserving first-seen key order.
 
     A vectorized ``key_fn`` runs once over the payload as a block (row
-    lists are lifted, see :func:`repro.flink.columnar.as_block`) and groups
+    lists are lifted, see :func:`repro.flink.payload.to_block`) and groups
     in bulk — keys still come out in first-seen order and members in
     original order, so results are bit-identical to the element path; group
     values are ndarray blocks instead of lists.
     """
-    if _is_empty(elements):
+    if not real_len(elements):
         return {}
     if is_vectorized(key_fn):
-        block = as_block(elements)
+        block = to_block(elements)
         return group_columnar(block, key_column(key_fn, block))
     groups: dict = {}
     for x in elements:
@@ -158,10 +145,10 @@ def apply_grouped_reduce(elements: Any, key_fn: Callable,
     zero-copy path continues downstream.  Anything else is the classic
     per-group fold returning a row list.
     """
-    if _is_empty(elements):
+    if not real_len(elements):
         return [] if elements is None else elements
     if is_vectorized(key_fn) and is_vectorized(reduce_fn):
-        block = as_block(elements)
+        block = to_block(elements)
         plan = group_plan(key_column(key_fn, block))
         return reduce_fn(block[plan.order], plan.starts)
     groups = group_elements(elements, key_fn)

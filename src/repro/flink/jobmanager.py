@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Set, TYPE_CHECKING
+from typing import (Any, Callable, Dict, Generator, List, Optional, Set,
+                    TYPE_CHECKING)
 
 from repro.common.errors import JobExecutionError
 from repro.common.simclock import Environment, Event, InterruptError
@@ -27,6 +28,7 @@ from repro.flink.chaos import backoff_delay
 from repro.flink.fault import FailureInjector, TaskFailure
 from repro.flink.graph import ExecutionGraph, ExecutionJobVertex, \
     ExecutionVertex
+from repro.flink.iterators import is_vectorized
 from repro.flink.partition import Partition, split_evenly
 from repro.flink.pipeline import PipelinedExecutor
 from repro.flink.plan import (
@@ -35,6 +37,7 @@ from repro.flink.plan import (
     CountSink,
     HdfsSink,
     HdfsSource,
+    OpCost,
     Operator,
 )
 from repro.flink.scheduler import Scheduler
@@ -125,8 +128,7 @@ class TaskContext:
     """Everything a subtask needs at run time.
 
     GPU operators reach their worker's GPUManager via ``worker.gpumanager``;
-    CPU operators use :meth:`charge_compute`, which implements the
-    one-element-at-a-time iterator cost model.
+    CPU operators pay for their work through :meth:`charge`.
     """
 
     def __init__(self, cluster: "Cluster", vertex: ExecutionVertex,
@@ -187,60 +189,58 @@ class TaskContext:
             stream.stall_seconds += stalled
             self.metrics.pipeline_backpressure_s += stalled
 
-    def charge_compute(self, nominal_elements: float,
-                       flops_per_element: float,
-                       element_overhead_s: Optional[float] = None
-                       ) -> Generator[Event, None, None]:
-        """Charge CPU time for processing ``nominal_elements`` elements.
+    def charge(self, cost: OpCost, nominal_elements: float,
+               nominal_nbytes: float, *udfs: Callable
+               ) -> Generator[Event, None, None]:
+        """Charge CPU time for an operator — the one place that picks the
+        CPU price list.
 
-        ``time = n * (iterator_overhead + flops / per-core-throughput)`` —
-        the iterator model of §3.1: each element pays a virtual call before
-        its arithmetic.  ``element_overhead_s`` overrides the engine default
-        for object-heavy UDFs (see :class:`repro.flink.plan.OpCost`).
+        **Iterator** (§3.1, the default): ``time = n * (iterator_overhead +
+        flops / per-core-throughput)`` — each element pays a virtual call
+        before its arithmetic; ``cost.element_overhead_s`` overrides the
+        engine default for object-heavy UDFs (see
+        :class:`repro.flink.plan.OpCost`).
+
+        **Block** — when the operator names its ``udfs`` and every one is
+        marked :func:`repro.flink.iterators.vectorized`: ``time = n_blocks *
+        block_overhead + n * flops / simd-throughput``, one dispatch per
+        pipeline-sized block of ``nominal_nbytes`` instead of a virtual
+        call per element, arithmetic at the SIMD rate
+        (:attr:`repro.flink.config.CPUSpec.simd_flops_per_core`).
+        Functional results are the same either way.
 
         The *first* charge of a streaming consumer is interleaved with
         upstream block arrivals: the per-block share of the total waits for
         that block to be published, then (if this operator relays a stream)
-        republishes it downstream.  The cost model is linear, so the
+        republishes it downstream.  Both price lists are linear, so the
         interleaved charges sum to exactly the one-shot total; only the
         clock shape differs.
         """
-        overhead = (self.config.flink.element_overhead_s
-                    if element_overhead_s is None else element_overhead_s)
-        per_element = (overhead
-                       + flops_per_element / self.config.cpu.flops_per_core)
-        yield from self._charge_linear(nominal_elements * per_element)
-
-    def charge_block_compute(self, nominal_elements: float,
-                             flops_per_element: float,
-                             nominal_nbytes: float
-                             ) -> Generator[Event, None, None]:
-        """Charge CPU time for a *vectorized block* operator.
-
-        ``time = n_blocks * block_overhead + n * flops / simd-throughput``:
-        one dispatch per pipeline-sized block instead of a virtual call per
-        element, with arithmetic at the SIMD rate
-        (:attr:`repro.flink.config.CPUSpec.simd_flops_per_core`).  Used for
-        UDFs marked :func:`repro.flink.iterators.vectorized`; functional
-        results are unchanged — only the charge model differs.
-        """
         flink = self.config.flink
-        # Block width through the *tuning* overlay, not the frozen config:
-        # the autoscaler widens it online; results are unchanged (the
-        # charge model only shifts dispatch overhead).
-        n_blocks = max(1, math.ceil(nominal_nbytes
-                                    / self.cluster.tuning.pipeline_block_nbytes))
-        seconds = (n_blocks * flink.block_overhead_s
-                   + nominal_elements * flops_per_element
-                   / self.config.cpu.simd_flops_per_core)
-        self.metrics.vectorized_blocks += n_blocks
-        self.cluster.obs.emit("cpu.vectorized", op=self.op_name,
-                              blocks=n_blocks)
+        if udfs and all(is_vectorized(u) for u in udfs):
+            # Block width through the *tuning* overlay, not the frozen
+            # config: the autoscaler widens it online; results are unchanged
+            # (the charge model only shifts dispatch overhead).
+            n_blocks = max(1, math.ceil(
+                nominal_nbytes / self.cluster.tuning.pipeline_block_nbytes))
+            seconds = (n_blocks * flink.block_overhead_s
+                       + nominal_elements * cost.flops_per_element
+                       / self.config.cpu.simd_flops_per_core)
+            self.metrics.vectorized_blocks += n_blocks
+            self.cluster.obs.emit("cpu.vectorized", op=self.op_name,
+                                  blocks=n_blocks)
+        else:
+            overhead = (flink.element_overhead_s
+                        if cost.element_overhead_s is None
+                        else cost.element_overhead_s)
+            per_element = (overhead + cost.flops_per_element
+                           / self.config.cpu.flops_per_core)
+            seconds = nominal_elements * per_element
         yield from self._charge_linear(seconds)
 
     def _charge_linear(self, seconds: float
                        ) -> Generator[Event, None, None]:
-        """Charge ``seconds`` of CPU time, streaming-aware (see above)."""
+        """Charge ``seconds`` of CPU time, streaming-aware (:meth:`charge`)."""
         self.metrics.compute_s += seconds
         stream = self.in_stream
         if (stream is not None and not self._stream_consumed

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Tuple
 
-from repro.flink.partition import Partition, real_len
+from repro.flink.partition import Partition
 from repro.flink.plan import (
     FilterOp,
     FlatMapOp,
@@ -42,7 +42,6 @@ from repro.flink.plan import (
     OpCost,
     Operator,
     ShipStrategy,
-    charge_udf_compute,
     topological_order,
 )
 
@@ -59,39 +58,17 @@ class FusedMapOp(Operator):
         self.stages = stages
 
     def execute_subtask(self, ctx, inputs):
-        (part,) = inputs
-        current = part
+        (current,) = inputs
         for stage in self.stages:
-            yield from charge_udf_compute(
-                ctx, stage.cost, current.nominal_count,
-                current.nominal_nbytes, stage.udf)
-            out_elements = stage._transform(current.elements) \
-                if hasattr(stage, "_transform") else stage.udf(
-                    current.elements)
-            current = self._stage_output(stage, current, out_elements, ctx)
-        current.index = ctx.subtask_index
-        current.worker = ctx.worker.name
+            yield from ctx.charge(stage.cost, current.nominal_count,
+                                  current.nominal_nbytes, stage.udf)
+            out_elements = stage._transform(current.elements)
+            current = Partition(
+                index=ctx.subtask_index, elements=out_elements,
+                element_nbytes=stage.out_element_nbytes(current),
+                scale=stage._output_scale(current, out_elements),
+                worker=ctx.worker.name)
         return current
-
-    @staticmethod
-    def _stage_output(stage: Operator, part: Partition, out_elements,
-                      ctx) -> Partition:
-        out_real = real_len(out_elements)
-        if isinstance(stage, MapPartitionOp):
-            if stage.cost.selectivity is not None and out_real:
-                scale = (part.nominal_count * stage.cost.selectivity
-                         / out_real)
-            elif out_real == part.real_count:
-                scale = part.scale
-            else:
-                scale = 1.0
-        elif hasattr(stage, "_output_scale"):
-            scale = stage._output_scale(part, out_elements)
-        else:  # pragma: no cover - CHAINABLE covers both branches
-            scale = part.scale
-        return Partition(index=part.index, elements=out_elements,
-                         element_nbytes=stage.out_element_nbytes(part),
-                         scale=scale, worker=part.worker)
 
 
 def pipeline_regions(order: List[Operator]) -> List[List[Operator]]:

@@ -14,15 +14,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.common.errors import ConfigError
-
-
-def real_len(elements: Any) -> int:
-    """Number of real elements in a partition payload (list or ndarray)."""
-    if elements is None:
-        return 0
-    if isinstance(elements, np.ndarray):
-        return int(elements.shape[0]) if elements.ndim else 1
-    return len(elements)
+from repro.flink.payload import real_len
 
 
 class Partition:

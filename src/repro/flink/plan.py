@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Generator, List, Optional, TYPE_CHECKING
 
-import numpy as np
-
 from repro.common.errors import ConfigError
 from repro.flink.iterators import (
     apply_filter,
@@ -26,9 +24,9 @@ from repro.flink.iterators import (
     apply_map,
     apply_reduce,
     group_elements,
-    is_vectorized,
 )
-from repro.flink.partition import Partition, real_len
+from repro.flink.partition import Partition
+from repro.flink.payload import concat, real_len, sort_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flink.jobmanager import TaskContext
@@ -88,25 +86,6 @@ class OpCost:
 
 
 _op_counter = itertools.count()
-
-
-def charge_udf_compute(ctx: "TaskContext", cost: OpCost,
-                       nominal_count: float, nominal_nbytes: float,
-                       *udfs: Callable) -> Generator[Any, Any, None]:
-    """Charge CPU time for an operator, picking the right cost model.
-
-    When every UDF involved opts in via
-    :func:`repro.flink.iterators.vectorized`, the operator is charged the
-    *block* model — per-block dispatch plus SIMD-rate arithmetic
-    (:meth:`TaskContext.charge_block_compute`); otherwise the classic
-    one-element-at-a-time iterator model applies.
-    """
-    if udfs and all(is_vectorized(u) for u in udfs):
-        yield from ctx.charge_block_compute(
-            nominal_count, cost.flops_per_element, nominal_nbytes)
-    else:
-        yield from ctx.charge_compute(
-            nominal_count, cost.flops_per_element, cost.element_overhead_s)
 
 
 class Operator:
@@ -213,7 +192,7 @@ class HdfsSource(Operator):
         for block in ctx.assigned_blocks:
             payload = yield from ctx.hdfs.read_block(block, ctx.worker.name)
             payload_parts.append(self.parser(payload))
-        elements = _concat(payload_parts)
+        elements = concat(payload_parts)
         # Deserialization from HDFS bytes into objects.
         n = real_len(elements) * self.scale
         yield ctx.env.timeout(ctx.serializer.deserialize_time(
@@ -234,7 +213,7 @@ class HdfsSource(Operator):
         :meth:`execute_subtask` and :meth:`execute_streaming` return a
         bit-identical partition.
         """
-        elements = _concat([self.parser(b.payload) for b in blocks])
+        elements = concat([self.parser(b.payload) for b in blocks])
         return Partition(index=subtask_index, elements=elements,
                          element_nbytes=self.element_nbytes,
                          scale=self.scale, worker=worker)
@@ -334,21 +313,10 @@ class HdfsSource(Operator):
                 yield from ctx.stream_reserve(stream, first + j)
                 stream.publish(first + j)
         stream.close()
-        elements = _concat(parsed)
+        elements = concat(parsed)
         return Partition(index=ctx.subtask_index, elements=elements,
                          element_nbytes=self.element_nbytes,
                          scale=self.scale, worker=ctx.worker.name)
-
-
-def _concat(payloads: List[Any]) -> Any:
-    if not payloads:
-        return []
-    if all(isinstance(p, np.ndarray) for p in payloads):
-        return payloads[0] if len(payloads) == 1 else np.concatenate(payloads)
-    out: List[Any] = []
-    for p in payloads:
-        out.extend(list(p))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +337,8 @@ class _ElementWise(Operator):
 
     def execute_subtask(self, ctx, inputs):
         (part,) = inputs
-        yield from charge_udf_compute(ctx, self.cost, part.nominal_count,
-                                      part.nominal_nbytes, self.udf)
+        yield from ctx.charge(self.cost, part.nominal_count,
+                              part.nominal_nbytes, self.udf)
         return self.functional_output(part, ctx.subtask_index,
                                       ctx.worker.name)
 
@@ -434,25 +402,28 @@ class MapPartitionOp(Operator):
                          [ShipStrategy.FORWARD], cost)
         self.udf = udf
 
+    def _transform(self, elements: Any) -> Any:
+        return self.udf(elements)
+
     def execute_subtask(self, ctx, inputs):
         (part,) = inputs
-        yield from charge_udf_compute(ctx, self.cost, part.nominal_count,
-                                      part.nominal_nbytes, self.udf)
-        out_elements = self.udf(part.elements)
+        yield from ctx.charge(self.cost, part.nominal_count,
+                              part.nominal_nbytes, self.udf)
+        out_elements = self._transform(part.elements)
+        return Partition(index=ctx.subtask_index, elements=out_elements,
+                         element_nbytes=self.out_element_nbytes(part),
+                         scale=self._output_scale(part, out_elements),
+                         worker=ctx.worker.name)
+
+    def _output_scale(self, part: Partition, out_elements: Any) -> float:
         # Map-style partition functions (one out per in) keep the input's
         # nominal scaling; aggregating ones (partial sums, histograms) emit
         # *real* records that must not be scaled up.  cost.selectivity
         # overrides the heuristic when set.
         out_real = real_len(out_elements)
         if self.cost.selectivity is not None and out_real:
-            scale = part.nominal_count * self.cost.selectivity / out_real
-        elif out_real == part.real_count:
-            scale = part.scale
-        else:
-            scale = 1.0
-        return Partition(index=ctx.subtask_index, elements=out_elements,
-                         element_nbytes=self.out_element_nbytes(part),
-                         scale=scale, worker=ctx.worker.name)
+            return part.nominal_count * self.cost.selectivity / out_real
+        return part.scale if out_real == part.real_count else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +457,9 @@ class KeyedReduceOp(Operator):
 
     def execute_subtask(self, ctx, inputs):
         (part,) = inputs
-        yield from charge_udf_compute(ctx, self.cost, part.nominal_count,
-                                      part.nominal_nbytes,
-                                      self.key_fn, self.reduce_fn)
+        yield from ctx.charge(self.cost, part.nominal_count,
+                              part.nominal_nbytes,
+                              self.key_fn, self.reduce_fn)
         # A vectorized key/reduce pair runs once over the segment-sorted
         # block and returns a block (zero-copy continues downstream);
         # otherwise this is the classic per-row group+fold.
@@ -518,9 +489,9 @@ class GroupReduceOp(Operator):
 
     def execute_subtask(self, ctx, inputs):
         (part,) = inputs
-        yield from charge_udf_compute(ctx, self.cost, part.nominal_count,
-                                      part.nominal_nbytes,
-                                      self.key_fn, self.group_fn)
+        yield from ctx.charge(self.cost, part.nominal_count,
+                              part.nominal_nbytes,
+                              self.key_fn, self.group_fn)
         groups = group_elements(part.elements, self.key_fn)
         out = []
         for key, members in groups.items():
@@ -548,8 +519,8 @@ class ReduceOp(Operator):
 
     def execute_subtask(self, ctx, inputs):
         (part,) = inputs
-        yield from charge_udf_compute(ctx, self.cost, part.nominal_count,
-                                      part.nominal_nbytes, self.reduce_fn)
+        yield from ctx.charge(self.cost, part.nominal_count,
+                              part.nominal_nbytes, self.reduce_fn)
         result = apply_reduce(part.elements, self.reduce_fn)
         out = [] if result is None else [result]
         return Partition(index=0, elements=out,
@@ -579,9 +550,9 @@ class JoinOp(Operator):
 
     def execute_subtask(self, ctx, inputs):
         left, right = inputs
-        total = left.nominal_count + right.nominal_count
-        yield from ctx.charge_compute(total, self.cost.flops_per_element,
-                                      self.cost.element_overhead_s)
+        yield from ctx.charge(self.cost,
+                              left.nominal_count + right.nominal_count,
+                              left.nominal_nbytes + right.nominal_nbytes)
         table = group_elements(left.elements, self.left_key)
         out = []
         for r in right.elements:
@@ -613,7 +584,7 @@ class UnionOp(Operator):
                              element_nbytes=8.0, scale=1.0,
                              worker=ctx.worker.name)
         (part,) = parts
-        yield from ctx.charge_compute(0.0, 0.0)
+        yield from ctx.charge(self.cost, 0.0, 0.0)
         moved = part.derive(part.elements)
         moved.index = ctx.subtask_index
         moved.worker = ctx.worker.name
@@ -639,8 +610,8 @@ class DistinctOp(Operator):
 
     def execute_subtask(self, ctx, inputs):
         (part,) = inputs
-        yield from charge_udf_compute(ctx, self.cost, part.nominal_count,
-                                      part.nominal_nbytes, self.key_fn)
+        yield from ctx.charge(self.cost, part.nominal_count,
+                              part.nominal_nbytes, self.key_fn)
         groups = group_elements(part.elements, self.key_fn)
         out = [members[0] for members in groups.values()]
         return Partition(index=ctx.subtask_index, elements=out,
@@ -653,7 +624,8 @@ class FirstNOp(Operator):
 
     def __init__(self, source: Operator, n: int, name: Optional[str] = None):
         super().__init__(name or f"first({n})", [source], 1,
-                         [ShipStrategy.GATHER])
+                         [ShipStrategy.GATHER],
+                         OpCost(flops_per_element=0.0))
         if n < 1:
             raise ConfigError(f"first(n) needs n >= 1, got {n}")
         self.n = n
@@ -665,7 +637,7 @@ class FirstNOp(Operator):
 
     def execute_subtask(self, ctx, inputs):
         (part,) = inputs
-        yield from ctx.charge_compute(min(part.real_count, self.n), 0.0)
+        yield from ctx.charge(self.cost, min(part.real_count, self.n), 0.0)
         out = list(part.elements)[:self.n]
         return Partition(index=0, elements=out,
                          element_nbytes=self.out_element_nbytes(part),
@@ -692,20 +664,8 @@ class SortPartitionOp(Operator):
         (part,) = inputs
         n = max(part.nominal_count, 1.0)
         comparisons = n * math.log2(n) if n > 1 else 0.0
-        yield from ctx.charge_compute(
-            comparisons, self.cost.flops_per_element,
-            self.cost.element_overhead_s)
-        elements = part.elements
-        if isinstance(elements, np.ndarray):
-            if self.key_fn is None:
-                out = np.sort(elements)
-            else:
-                keys = np.asarray([self.key_fn(x) for x in elements])
-                out = elements[np.argsort(keys, kind="stable")]
-            if self.reverse:
-                out = out[::-1]
-        else:
-            out = sorted(elements, key=self.key_fn, reverse=self.reverse)
+        yield from ctx.charge(self.cost, comparisons, part.nominal_nbytes)
+        out = sort_rows(part.elements, self.key_fn, self.reverse)
         return Partition(index=ctx.subtask_index, elements=out,
                          element_nbytes=part.element_nbytes,
                          scale=part.scale, worker=ctx.worker.name)
@@ -726,8 +686,7 @@ class CrossOp(Operator):
     def execute_subtask(self, ctx, inputs):
         left, right = inputs
         pairs = left.nominal_count * max(right.nominal_count, 1.0)
-        yield from ctx.charge_compute(pairs, self.cost.flops_per_element,
-                                      self.cost.element_overhead_s)
+        yield from ctx.charge(self.cost, pairs, left.nominal_nbytes)
         out = [self.cross_fn(l, r)
                for l in left.elements for r in right.elements]
         real_pairs = max(len(out), 1)
@@ -756,9 +715,9 @@ class CoGroupOp(Operator):
 
     def execute_subtask(self, ctx, inputs):
         left, right = inputs
-        total = left.nominal_count + right.nominal_count
-        yield from ctx.charge_compute(total, self.cost.flops_per_element,
-                                      self.cost.element_overhead_s)
+        yield from ctx.charge(self.cost,
+                              left.nominal_count + right.nominal_count,
+                              left.nominal_nbytes + right.nominal_nbytes)
         lgroups = group_elements(left.elements, self.left_key)
         rgroups = group_elements(right.elements, self.right_key)
         out = []
@@ -792,10 +751,7 @@ class CollectSink(Operator):
             nbytes, part.nominal_count))
         yield from ctx.network.transfer(ctx.worker.name, ctx.master_name,
                                         int(nbytes))
-        elements = part.elements
-        if isinstance(elements, np.ndarray):
-            elements = list(elements)
-        return Partition(index=0, elements=list(elements),
+        return Partition(index=0, elements=list(part.elements),
                          element_nbytes=part.element_nbytes,
                          scale=part.scale, worker=ctx.master_name)
 

@@ -8,24 +8,33 @@ through the shared :class:`~repro.common.network.Network`; consumers pay
 deserialization.  Functional element routing (hash bucketing, combining) is
 computed for real so downstream results are correct.
 
-Two wire formats exist (docs/STREAMING_EXECUTOR.md §columnar):
+There is **one routed path and two price lists** (docs/STREAMING_EXECUTOR.md
+§columnar).  Row lists and NumPy/GStruct blocks are bucketed by the same
+routine (``_buckets``) through :mod:`repro.flink.payload`'s accessors:
 
-* **Row path** — the classic per-record model: serialize on the sender,
-  deserialize on the receiver, both at ``serde_bps`` plus a per-record
-  overhead.  Always used for list payloads, ``COUNT_COMBINER`` counts and
-  free-form combiners.
-* **Columnar path** — payloads that are NumPy/GStruct blocks with a
-  vectorized integer key extractor ship as raw SoA byte regions,
-  partitioned into pipeline-sized blocks.  No per-row serde is charged;
-  each framed block pays only a fixed descriptor cost on each side.  A
-  destination payload above ``FlinkConfig.shuffle_spill_nbytes`` is spilled
-  through the simulated HDFS (disk + replication) instead of held in
-  exchange buffers.  Host work is one pass per producer block: keys are
-  extracted once, one stable sort lays the rows out by destination, and a
-  ``(key_fn, reduce_fn)`` pre-combiner on the routing key runs once over
-  the whole block *before* it is cut into buckets (``_columnar_buckets``).
+* **Bucket rule** — one bucket-id column per producer: ``keys % q`` when a
+  ``vectorized()`` extractor yields a key column of integer dtype,
+  :func:`hash_bucket` per key otherwise (str, tuple, float, bool, mixed and
+  beyond-64-bit keys), ``arange(n) % q`` for REBALANCE.  ``payload.cut``
+  then deals the rows out by id in original order (a block with one
+  stable sort).  A ``(key_fn, reduce_fn)`` pre-combiner keyed on the
+  routing key runs once over the producer *before* the rows are cut into
+  buckets; one keyed otherwise runs per bucket after routing.
+* **Price list** (``_zero_copy``) — ``zero_copy`` when every producer
+  payload is a block (or empty), the combiner is block-compatible (none, or
+  a vectorized pair) and, for HASH, every key column has integer dtype:
+  the payload ships as raw SoA byte regions partitioned into pipeline-sized
+  blocks, each framed block pays a fixed descriptor cost on each side, and
+  the consumer receives a block.  ``per_row`` otherwise — the classic
+  per-record model: serialize on the sender, deserialize on the receiver,
+  both at ``serde_bps`` plus a per-record overhead, and the consumer
+  receives the row objects deserialization materializes.  Forward and union
+  edges always price ``per_row``.
 
-``only_consumers`` (lineage recovery) restricts both paths identically:
+A routed or broadcast destination payload above
+``FlinkConfig.shuffle_spill_nbytes`` is spilled through the simulated HDFS
+(disk + replication) instead of held in exchange buffers.
+``only_consumers`` (lineage recovery) restricts every strategy identically:
 non-recovering consumer indexes get no shipping, no spill and a ``None``
 input slot.
 """
@@ -39,13 +48,13 @@ import numpy as np
 
 from repro.common.network import Network
 from repro.common.simclock import Environment, Event
-from repro.flink.columnar import (as_block, bucket_plan,
-                                  columnar_compatible, columnar_concat,
-                                  group_plan, is_columnar, key_column,
-                                  n_wire_blocks, soa_regions)
 from repro.flink.config import FlinkConfig
-from repro.flink.iterators import apply_grouped_reduce, is_vectorized
-from repro.flink.partition import Partition, real_len
+from repro.flink.iterators import (apply_grouped_reduce, apply_reduce,
+                                   is_vectorized)
+from repro.flink.partition import Partition
+from repro.flink.payload import (concat, cut, group_plan, is_block,
+                                 key_column, n_wire_blocks, real_len, take,
+                                 to_block, to_rows)
 from repro.flink.plan import ShipStrategy
 from repro.flink.serialization import Serializer
 
@@ -126,113 +135,91 @@ class Exchange:
     # -- entry point -------------------------------------------------------------
     def run(self) -> Generator[Event, None, ExchangeResult]:
         """Simulation process performing the whole exchange."""
-        if self.strategy is ShipStrategy.FORWARD:
-            inputs = yield from self._run_forward()
-        elif self.strategy in (ShipStrategy.UNION_LEFT,
-                               ShipStrategy.UNION_RIGHT):
-            inputs = yield from self._run_union()
-        elif self.strategy in (ShipStrategy.HASH, ShipStrategy.REBALANCE,
-                               ShipStrategy.GATHER):
-            inputs = yield from self._run_routed()
+        if self.strategy.is_streaming:  # forward / union
+            inputs = yield from self._run_point_to_point()
         elif self.strategy is ShipStrategy.BROADCAST:
             inputs = yield from self._run_broadcast()
-        else:  # pragma: no cover - exhaustive over the enum
-            raise NotImplementedError(self.strategy)
+        else:  # hash / rebalance / gather
+            inputs = yield from self._run_routed()
         return ExchangeResult(inputs, self.bytes_shuffled,
                               self.bytes_zero_copy, self.bytes_spilled)
 
-    # -- forward ---------------------------------------------------------------
-    def _run_forward(self) -> Generator[Event, None, List[Partition]]:
-        if len(self.producers) != self.n_consumers:
+    # -- forward / union ---------------------------------------------------------
+    def _run_point_to_point(self) -> Generator[Event, None, List[Partition]]:
+        """Partition *i* feeds subtask ``offset + i`` whole.
+
+        FORWARD and UNION_LEFT map partition *i* onto subtask *i*,
+        UNION_RIGHT onto the last ``len(producers)`` subtasks; every other
+        subtask receives ``None`` for this input (a union subtask reads
+        exactly one side).  A partition already on its consumer's worker
+        does not move.
+        """
+        q = self.n_consumers
+        if self.strategy is ShipStrategy.FORWARD and len(self.producers) != q:
             raise ValueError(
                 f"FORWARD needs equal parallelism: {len(self.producers)} "
-                f"producers vs {self.n_consumers} consumers")
-        moves = []
-        for j, part in enumerate(self.producers):
-            if not self._want(j):
-                continue
-            dst = self.consumer_workers[j]
-            if part.worker != dst:
-                moves.append(self.env.process(
-                    self._ship(part.worker, dst, part.nominal_nbytes,
-                               part.nominal_count),
-                    name=f"forward-{j}"))
-        if moves:
-            yield self.env.all_of(moves)
-        inputs: List[Optional[Partition]] = []
-        for j, part in enumerate(self.producers):
-            if not self._want(j):
-                inputs.append(None)
-                continue
-            dst = self.consumer_workers[j]
-            moved = part.derive(part.elements)
-            moved.index = j
-            moved.worker = dst
-            inputs.append(moved)
-        return inputs
-
-    # -- union ------------------------------------------------------------------
-    def _run_union(self) -> Generator[Event, None, List[Partition]]:
-        """Union sides: partition *i* feeds subtask ``offset + i``; every
-        other subtask receives ``None`` for this input (a union subtask
-        reads exactly one side)."""
-        q = self.n_consumers
-        offset = (0 if self.strategy is ShipStrategy.UNION_LEFT
-                  else q - len(self.producers))
+                f"producers vs {q} consumers")
+        offset = (q - len(self.producers)
+                  if self.strategy is ShipStrategy.UNION_RIGHT else 0)
         inputs: List[Optional[Partition]] = [None] * q
         moves = []
         for i, part in enumerate(self.producers):
-            if not self._want(offset + i):
-                continue
-            dst = self.consumer_workers[offset + i]
-            if part.worker != dst:
-                moves.append(self.env.process(
-                    self._ship(part.worker, dst, part.nominal_nbytes,
-                               part.nominal_count), name=f"union-{i}"))
-        if moves:
-            yield self.env.all_of(moves)
-        for i, part in enumerate(self.producers):
-            if not self._want(offset + i):
+            j = offset + i
+            if not self._want(j):
                 continue
             moved = part.derive(part.elements)
-            moved.index = offset + i
-            moved.worker = self.consumer_workers[offset + i]
-            inputs[offset + i] = moved
+            moved.index = j
+            moved.worker = self.consumer_workers[j]
+            inputs[j] = moved
+            if part.worker != moved.worker:
+                moves.append(self.env.process(
+                    self._ship_payload(part.worker, moved.worker,
+                                       part.nominal_nbytes,
+                                       part.nominal_count, part.elements,
+                                       zero_copy=False),
+                    name=f"{self.strategy.value}-{i}"))
+        if moves:
+            yield self.env.all_of(moves)
         return inputs
 
-    # -- columnar eligibility -----------------------------------------------------
-    def _columnar_payloads(self) -> bool:
-        """Every producer payload is a NumPy block (or trivially empty)."""
-        return (bool(self.producers)
-                and all(columnar_compatible(p.elements)
-                        for p in self.producers)
-                and any(is_columnar(p.elements) for p in self.producers))
+    # -- price list ---------------------------------------------------------------
+    def _block_payloads(self) -> bool:
+        """Every producer payload is a block (or empty), and one is a block:
+        an empty row list (a producer that emitted nothing) does not force
+        an exchange onto the per-row price list."""
+        payloads = [part.elements for part in self.producers]
+        return (any(is_block(rows) for rows in payloads)
+                and all(is_block(rows) or not real_len(rows)
+                        for rows in payloads))
 
     def _key_columns(self) -> List[Optional[np.ndarray]]:
         """Per-producer HASH key columns under a vectorized key extractor.
 
-        Keys are extracted here, once per producer block, for both wire
-        formats (a vectorized extractor takes the block, never one row).
-        Entries are ``None`` for empty payloads, and throughout when keys
+        Keys are extracted here, once per producer block, under either
+        price list (a vectorized extractor takes the block, never one row).
+        Entries are ``None`` for empty row lists, and throughout when keys
         are extracted per row or the strategy does not route by key.
         """
         if (self.strategy is not ShipStrategy.HASH
                 or not is_vectorized(self.key_fn)):
             return [None] * len(self.producers)
-        return [key_column(self.key_fn, as_block(part.elements))
-                if is_columnar(part.elements) or real_len(part.elements)
+        return [key_column(self.key_fn, to_block(part.elements))
+                if is_block(part.elements) or real_len(part.elements)
                 else None
                 for part in self.producers]
 
     def _zero_copy(self, keys: List[Optional[np.ndarray]]) -> bool:
-        """True if the routed exchange can take the zero-copy block path.
+        """The serde price list of a routed exchange: True for
+        ``zero_copy``, False for ``per_row``.
 
-        Requires columnar payloads, a block-compatible combiner (none, or a
-        vectorized ``(key_fn, reduce_fn)`` pair) and — for HASH — a
-        vectorized key extractor yielding integer keys on every producer.
-        ``COUNT_COMBINER`` and free-form combiners stay on the row path.
+        Zero-copy requires block payloads, a block-compatible combiner
+        (none, or a vectorized ``(key_fn, reduce_fn)`` pair) and — for
+        HASH — a vectorized key extractor yielding integer keys on every
+        producer.  ``COUNT_COMBINER`` and free-form combiners price per
+        row.  (A broadcast has no keys and no combiner: block payloads
+        alone decide.)
         """
-        if not self._columnar_payloads():
+        if not self._block_payloads():
             return False
         if self.combiner is COUNT_COMBINER or callable(self.combiner):
             return False
@@ -247,68 +234,68 @@ class Exchange:
             column is None or column.dtype.kind in "iu" for column in keys)
 
     # -- routed strategies (hash / rebalance / gather) ----------------------------
-    def _row_buckets(self, part: Partition,
-                     keys: Optional[np.ndarray]) -> List[Any]:
-        """Bucket (and pre-combine) a payload one row at a time."""
-        q = self.n_consumers
-        if self.strategy is ShipStrategy.GATHER:
-            buckets = [list(part.elements)]
-        else:
-            buckets = [[] for _ in range(q)]
-            if self.strategy is ShipStrategy.REBALANCE:
-                for i, x in enumerate(part.elements):
-                    buckets[i % q].append(x)
-            else:
-                row_keys = (keys.tolist() if keys is not None
-                            else map(self.key_fn, part.elements))
-                for key, x in zip(row_keys, part.elements):
-                    buckets[hash_bucket(key, q)].append(x)
-        if self.combiner is not None and self.combiner is not COUNT_COMBINER:
-            buckets = [self._combine(b) for b in buckets]
-        return buckets
+    def _buckets(self, part: Partition,
+                 keys: Optional[np.ndarray]) -> List[Any]:
+        """Route (and pre-combine) one producer's payload, rows or block.
 
-    def _columnar_buckets(self, part: Partition,
-                          keys: Optional[np.ndarray]) -> List[Any]:
-        """Bucket (and pre-combine) a columnar payload without leaving NumPy.
-
-        Bucket contents and order match the per-row routes exactly: one
-        stable sort by bucket keeps original order (hash), ``arr[j::q]`` is
-        the round-robin residue class (rebalance), gather keeps the block
-        whole.  A pair combiner keyed on the routing key is fused: combine
-        the whole block once, then cut it at the bucket bounds.
+        Bucket *j* holds the rows bound for consumer *j* in original order
+        (``payload.cut``).  A pair combiner keyed on the routing key is applied
+        *before* the cut, in one pass over the producer: a vectorized pair
+        on integer keys reduces the whole block once (``group_plan``'s
+        single sort), an element pair folds the rows grouped on *(bucket,
+        key)*.  Either way bucket contents equal route-then-combine's,
+        which is what any other combiner still gets.
         """
-        arr = part.elements
         q = self.n_consumers
+        rows = part.elements
+        combines = (self.combiner is not None
+                    and self.combiner is not COUNT_COMBINER)
         if self.strategy is ShipStrategy.GATHER:
-            buckets = [arr]
-        elif not is_columnar(arr):  # empty list payload
-            buckets = [arr] * q
+            buckets = [rows]
+        elif not real_len(rows):
+            return [rows] * q  # nothing to route, nothing to combine
         elif self.strategy is ShipStrategy.REBALANCE:
-            buckets = [arr[j::q] for j in range(q)]
-        elif self.combiner is not None and self.combiner[0] is self.key_fn:
-            plan = group_plan(keys, q)
-            combined = self.combiner[1](arr[plan.order], plan.starts)
-            return [combined[plan.bounds[j]:plan.bounds[j + 1]]
-                    for j in range(q)]
+            buckets = cut(rows, np.arange(real_len(rows)) % q, q)
         else:
-            order, cuts = bucket_plan(keys % q, q)  # == hash_bucket() on ints
-            routed = arr[order]
-            buckets = [routed[cuts[j]:cuts[j + 1]] for j in range(q)]
-        if self.combiner is not None:
+            on_routing_key = (combines and not callable(self.combiner)
+                              and self.combiner[0] is self.key_fn)
+            if keys is None:  # element extractor: one call per row
+                if on_routing_key:
+                    tables: List[dict] = [{} for _ in range(q)]
+                    for x in rows:
+                        key = self.key_fn(x)
+                        tables[hash_bucket(key, q)].setdefault(
+                            key, []).append(x)
+                    return [[apply_reduce(members, self.combiner[1])
+                             for members in table.values()]
+                            for table in tables]
+                ids = [hash_bucket(self.key_fn(x), q) for x in rows]
+            elif keys.dtype.kind not in "iu":
+                ids = [hash_bucket(key, q) for key in keys.tolist()]
+            elif (on_routing_key and is_block(rows)
+                    and is_vectorized(self.combiner[1])):
+                plan = group_plan(keys, q)
+                combined = self.combiner[1](take(rows, plan.order),
+                                            plan.starts)
+                return [combined[plan.bounds[j]:plan.bounds[j + 1]]
+                        for j in range(q)]
+            else:
+                ids = keys % q  # == hash_bucket() on ints
+            buckets = cut(rows, ids, q)
+        if combines:
             buckets = [self._combine(b) for b in buckets]
         return buckets
 
     def _run_routed(self) -> Generator[Event, None, List[Partition]]:
         q = self.n_consumers
         keys = self._key_columns()
-        columnar = self._zero_copy(keys)
-        bucketed = self._columnar_buckets if columnar else self._row_buckets
-        # bucket_payloads[j] collects (elements, count, nbytes) per producer.
-        bucket_payloads: List[List[Tuple[Any, float, float]]] = [
-            [] for _ in range(q)]
+        zero_copy = self._zero_copy(keys)
+        # Per consumer: one bucket per producer, and what they stand for.
+        parts: List[List[Any]] = [[] for _ in range(q)]
+        nominal, nominal_nbytes = [0.0] * q, [0.0] * q
         senders = []
-        for i, part in enumerate(self.producers):
-            buckets = bucketed(part, keys[i])  # routed and pre-combined
+        for part, part_keys in zip(self.producers, keys):
+            buckets = self._buckets(part, part_keys)
             if self.combiner is COUNT_COMBINER:
                 buckets = [[real_len(b) * part.scale] for b in buckets]
                 counts = [1.0 for _ in buckets]
@@ -320,64 +307,70 @@ class Exchange:
                 counts = [real_len(b) * part.scale for b in buckets]
                 element_nbytes = part.element_nbytes
             for j, (bucket, count) in enumerate(zip(buckets, counts)):
-                bucket_payloads[j].append(
-                    (bucket, count, count * element_nbytes))
+                parts[j].append(bucket)
+                nominal[j] += count
+                nominal_nbytes[j] += count * element_nbytes
             senders.append(self.env.process(
                 self._send_buckets(part, buckets, counts, element_nbytes,
-                                   columnar),
+                                   zero_copy),
                 name=f"shuffle-send-{part.index}"))
         if senders:
             yield self.env.all_of(senders)
-        inputs: List[Optional[Partition]] = []
-        for j in range(q):
-            if not self._want(j):
-                inputs.append(None)
-                continue
-            nominal = sum(count for _, count, _ in bucket_payloads[j])
-            nominal_nbytes = sum(nb for _, _, nb in bucket_payloads[j])
-            if columnar:
-                merged = columnar_concat(
-                    [bucket for bucket, _, _ in bucket_payloads[j]])
-            else:
-                merged = []
-                for bucket, _, _ in bucket_payloads[j]:
-                    merged.extend(bucket)
-            n_real = real_len(merged)
-            scale = nominal / n_real if n_real else 1.0
-            inputs.append(Partition(
-                index=j, elements=merged,
-                element_nbytes=self._merged_element_nbytes(
-                    nominal, nominal_nbytes),
-                scale=scale, worker=self.consumer_workers[j]))
-        return inputs
+        unit = (8.0 if self.combiner is COUNT_COMBINER
+                else self._producer_element_nbytes())
+        return [self._consumer_input(j, self._merge(parts[j], zero_copy),
+                                     nominal[j], nominal_nbytes[j], unit)
+                if self._want(j) else None for j in range(q)]
 
-    def _merged_element_nbytes(self, nominal_count: float,
-                               nominal_nbytes: float) -> float:
-        """Count-weighted per-element size of a merged consumer partition.
+    @staticmethod
+    def _merge(parts: List[Any], zero_copy: bool) -> Any:
+        """What one consumer receives from all its producers, in order.
 
-        Producers may carry heterogeneous ``element_nbytes`` (e.g. after a
-        union of differently-shaped sides); weighting by shipped counts
-        conserves total nominal bytes instead of picking ``producers[0]``.
+        Zero-copy regions arrive as the blocks they were sent as; per-row
+        deserialization materializes row objects, so there the consumer
+        holds a row list whatever the producers held.  Empty parts never
+        reach a block merge: a producer that emitted nothing does not force
+        rows, and a consumer that received nothing sees ``[]``.
         """
-        if nominal_count > 0:
-            return nominal_nbytes / nominal_count
-        if self.combiner is COUNT_COMBINER:
-            return 8.0
+        if zero_copy:
+            return concat([p for p in parts if real_len(p)])
+        return concat([to_rows(p) for p in parts])
+
+    def _producer_element_nbytes(self) -> float:
         return self.producers[0].element_nbytes if self.producers else 8.0
+
+    def _consumer_input(self, j: int, elements: Any, nominal: float,
+                        nominal_nbytes: float, element_nbytes: float
+                        ) -> Partition:
+        """Consumer *j*'s merged partition, standing for ``nominal`` elements.
+
+        Its per-element size is count-weighted: producers may carry
+        heterogeneous ``element_nbytes`` (e.g. after a union of
+        differently-shaped sides), and weighting by shipped counts
+        conserves total nominal bytes instead of picking ``producers[0]``
+        — whose ``element_nbytes`` only sizes a partition nothing reached.
+        """
+        if nominal > 0:
+            element_nbytes = nominal_nbytes / nominal
+        n_real = real_len(elements)
+        return Partition(index=j, elements=elements,
+                         element_nbytes=element_nbytes,
+                         scale=nominal / n_real if n_real else 1.0,
+                         worker=self.consumer_workers[j])
 
     def _combine(self, bucket: Any) -> Any:
         if real_len(bucket) == 0:
             return bucket
         if callable(self.combiner):
-            # Free-form producer-side combiner (e.g. first(n)'s truncation).
-            return list(self.combiner(bucket))
+            # Free-form producer-side combiner (e.g. first(n)'s truncation):
+            # an element-contract UDF, so it sees rows.
+            return list(self.combiner(to_rows(bucket)))
         key_fn, reduce_fn = self.combiner
         return apply_grouped_reduce(bucket, key_fn, reduce_fn)
 
     def _send_buckets(self, part: Partition, buckets: List[Any],
                       counts: List[float], element_nbytes: float,
-                      columnar: bool = False
-                      ) -> Generator[Event, None, None]:
+                      zero_copy: bool) -> Generator[Event, None, None]:
         # Pre-combine compute is charged by the caller via the combiner's
         # operator cost; here we charge shipping: serialize once, then wire
         # time per destination.
@@ -387,45 +380,31 @@ class Exchange:
             nbytes = count * element_nbytes
             dst = self.consumer_workers[j]
             yield from self._ship_payload(
-                part.worker, dst, nbytes, count,
-                bucket, columnar, tag=f"{part.index}-{j}")
+                part.worker, dst, nbytes, count, bucket, zero_copy,
+                spill_tag=f"{part.index}-{j}")
 
     # -- broadcast ----------------------------------------------------------------
     def _run_broadcast(self) -> Generator[Event, None, List[Partition]]:
-        columnar = self._columnar_payloads()
+        zero_copy = self._block_payloads()
         senders = []
         total_nbytes = sum(p.nominal_nbytes for p in self.producers)
         total_count = sum(p.nominal_count for p in self.producers)
         for part in self.producers:
             senders.append(self.env.process(
-                self._broadcast_one(part, columnar),
+                self._broadcast_one(part, zero_copy),
                 name=f"bcast-{part.index}"))
         if senders:
             yield self.env.all_of(senders)
-        if columnar:
-            merged = columnar_concat([p.elements for p in self.producers])
-        else:
-            merged = []
-            for part in self.producers:
-                merged.extend(list(part.elements))
-        # Count-weighted per-element size: conserves total nominal bytes for
-        # heterogeneous producers instead of assuming producers[0]'s shape.
-        if total_count > 0:
-            element_nbytes = total_nbytes / total_count
-        else:
-            element_nbytes = (self.producers[0].element_nbytes
-                              if self.producers else 8.0)
-        n_real = real_len(merged)
-        scale = total_count / n_real if n_real else 1.0
-        return [Partition(index=j,
-                          elements=merged if columnar else list(merged),
-                          element_nbytes=element_nbytes, scale=scale,
-                          worker=self.consumer_workers[j])
+        merged = self._merge([p.elements for p in self.producers], zero_copy)
+        # Every consumer deserializes its own copy of the rows; a zero-copy
+        # block is one region they all read.
+        return [self._consumer_input(
+                    j, merged if zero_copy else list(merged), total_count,
+                    total_nbytes, self._producer_element_nbytes())
                 if self._want(j) else None
                 for j in range(self.n_consumers)]
 
-    def _broadcast_one(self, part: Partition,
-                       columnar: bool = False
+    def _broadcast_one(self, part: Partition, zero_copy: bool
                        ) -> Generator[Event, None, None]:
         wanted = [(j, dst) for j, dst in enumerate(self.consumer_workers)
                   if self._want(j)]
@@ -436,40 +415,35 @@ class Exchange:
             seen.add(dst)
             yield from self._ship_payload(
                 part.worker, dst, part.nominal_nbytes, part.nominal_count,
-                part.elements, columnar, tag=f"b{part.index}-{j}")
+                part.elements, zero_copy, spill_tag=f"b{part.index}-{j}")
 
     # -- common ------------------------------------------------------------------
-    def _ship(self, src: str, dst: str, nbytes: float,
-              count: float) -> Generator[Event, None, None]:
-        yield self.env.timeout(self.serializer.serialize_time(nbytes, count))
-        yield from self.network.transfer(src, dst, int(nbytes))
-        yield self.env.timeout(self.serializer.deserialize_time(nbytes, count))
-        if src != dst:
-            self.bytes_shuffled += nbytes
-
     def _ship_payload(self, src: str, dst: str, nbytes: float, count: float,
-                      payload: Any, columnar: bool, tag: str
+                      payload: Any, zero_copy: bool,
+                      spill_tag: Optional[str] = None
                       ) -> Generator[Event, None, None]:
-        """Move one destination payload: zero-copy or row serde, spilling
-        oversized payloads through HDFS instead of direct exchange buffers."""
+        """Move one destination payload under its price list.
+
+        A payload that carries a ``spill_tag`` (routed and broadcast
+        edges) goes through HDFS instead of direct exchange buffers when
+        oversized; point-to-point edges carry none and never spill.
+        """
         blocks = 0
-        if columnar:
-            regions = (soa_regions(payload) if is_columnar(payload)
-                       else [int(nbytes)])
-            blocks = n_wire_blocks(nbytes, self.flink.pipeline_block_nbytes,
-                                   len(regions))
+        if zero_copy:
+            blocks = n_wire_blocks(payload, nbytes,
+                                   self.flink.pipeline_block_nbytes)
             # Sender frames block descriptors; bytes bypass serde entirely.
             yield self.env.timeout(
                 self.serializer.zero_copy_time(nbytes, blocks))
         else:
             yield self.env.timeout(
                 self.serializer.serialize_time(nbytes, count))
-        if (self.hdfs is not None
+        if (spill_tag is not None and self.hdfs is not None
                 and nbytes > self.flink.shuffle_spill_nbytes):
-            yield from self._spill(src, dst, nbytes, tag)
+            yield from self._spill(src, dst, nbytes, spill_tag)
         else:
             yield from self.network.transfer(src, dst, int(nbytes))
-        if columnar:
+        if zero_copy:
             # Receiver re-parses the block descriptors; no per-row deser.
             yield self.env.timeout(blocks * self.serializer.block_header_s)
         else:
@@ -477,7 +451,7 @@ class Exchange:
                 self.serializer.deserialize_time(nbytes, count))
         if src != dst:
             self.bytes_shuffled += nbytes
-        if columnar:
+        if zero_copy:
             self.bytes_zero_copy += nbytes
 
     def _spill(self, src: str, dst: str, nbytes: float,

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.gdst import ExtraInput
 from repro.core.gstruct import GStruct4, Int32, StructField
-from repro.flink.columnar import segment_sum
+from repro.flink.payload import segment_sum
 from repro.flink.dataset import OpCost
 from repro.flink.iterators import vectorized
 from repro.gpu.kernel import KernelSpec

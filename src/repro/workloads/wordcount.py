@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.flink.columnar import segment_sum
+from repro.flink.payload import segment_sum
 from repro.flink.dataset import OpCost
 from repro.flink.iterators import vectorized
 from repro.gpu.kernel import KernelSpec

@@ -1,9 +1,12 @@
 """Shared fixtures for Flink substrate tests: a small, fast cluster."""
 
+import os
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.flink import Cluster, ClusterConfig, CPUSpec, FlinkConfig, FlinkSession
 from repro.flink.pipeline import PipelinedExecutor
@@ -15,6 +18,28 @@ def make_cluster(n_workers=2, cores=2, **flink_overrides):
                            cpu=CPUSpec(cores=cores),
                            flink=flink)
     return Cluster(config)
+
+
+#: A GStruct-style record: the structured twin of a ``(k, v)`` tuple.
+RECORD = np.dtype([("k", np.int64), ("v", np.float64)])
+
+
+def make_payload(kind, rows):
+    """The same ``(k, v)`` rows as a row list (``"list"``), the stacked 2-D
+    float block (``"2d"``) or a structured GStruct block (``"struct"``)."""
+    if kind == "list":
+        return list(rows)
+    if kind == "struct":
+        return np.array(rows, dtype=RECORD)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 2)
+
+
+def depth(tier1, full):
+    """Hypothesis settings for a generated differential: ``tier1`` examples
+    in the tier-1 suite, ``full`` when ``scripts/ci.sh`` sets
+    ``REPRO_FULL_DEPTH=1``."""
+    examples = full if os.environ.get("REPRO_FULL_DEPTH") else tier1
+    return settings(max_examples=examples, deadline=None)
 
 
 @contextmanager

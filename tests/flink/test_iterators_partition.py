@@ -14,7 +14,8 @@ from repro.flink.iterators import (
     is_vectorized,
     vectorized,
 )
-from repro.flink.partition import Partition, real_len, split_evenly
+from repro.flink.partition import Partition, split_evenly
+from repro.flink.payload import real_len
 
 
 class TestAppliers:

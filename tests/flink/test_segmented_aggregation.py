@@ -9,6 +9,8 @@ checked here on generated inputs against the element path
 UDFs really run once per block rather than once per bucket or per group.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +18,13 @@ from hypothesis import given, settings, strategies as st
 from repro.common import Environment
 from repro.flink import FlinkSession
 from repro.flink.chaos import values_equal
-from repro.flink.columnar import (bucket_plan, group_columnar, group_plan,
-                                  segment_sum)
 from repro.flink.iterators import (apply_grouped_reduce, group_elements,
                                    vectorized)
 from repro.flink.partition import Partition
+from repro.flink.payload import (bucket_plan, group_columnar, group_plan,
+                                 segment_sum)
 from repro.flink.plan import ShipStrategy
-from repro.flink.shuffle import hash_bucket
+from repro.flink.shuffle import Exchange, hash_bucket
 from tests.flink.conftest import make_cluster
 from tests.flink.test_shuffle_accounting import WORKERS, make_exchange, run
 
@@ -271,15 +273,25 @@ def run_exchange(env, producers, q, key_fn, combiner, only_consumers=None):
     return run(env, exchange)
 
 
+def element_key(kv):
+    return kv[0]
+
+
+def element_sum(a, b):
+    return (a[0], a[1] + b[1])
+
+
 def exchange_variants(partitions, q, structured, only_consumers=None):
-    """One HASH exchange with a pre-combiner, three ways.
+    """One HASH exchange with a pre-combiner, four ways.
 
     ``fused`` combines before it routes (the combiner is keyed on the
     routing key *object*); ``routed`` gets an equal but distinct key
-    function, which keeps the columnar path on route-then-combine — the
+    function, which keeps the blocks on route-then-combine — the
     reference the fused path must match to the last simulated second;
     ``rows`` ships the same rows as list payloads, which is what selects
-    the row-serde wire format.
+    the per-row price list; ``elements`` ships the ``(k, v)`` tuples
+    themselves under an element-wise pair keyed on the routing key — the
+    row lists' own combine-before-route.
     """
     key_fn, reduce_fn = udfs(structured)
     key, reducer = vectorized(key_fn), vectorized(reduce_fn)
@@ -298,6 +310,13 @@ def exchange_variants(partitions, q, structured, only_consumers=None):
         result = run_exchange(env, producers, q, key, (combiner_key, reducer),
                               only_consumers)
         runs[name] = (env.now, result)
+    env = Environment()
+    producers = [Partition(i, list(pairs), 16.0, 3.0,
+                           WORKERS[i % len(WORKERS)])
+                 for i, pairs in enumerate(partitions)]
+    runs["elements"] = (env.now, run_exchange(
+        env, producers, q, element_key, (element_key, element_sum),
+        only_consumers))
     return runs
 
 
@@ -325,14 +344,15 @@ class TestCombineBeforeRoute:
         for name, (_, result) in runs.items():
             for j, part in enumerate(result.inputs):
                 assert same_bits(part.elements, expected[j], structured), name
-        (now, fused), (routed_now, routed), (_, rows) = (
-            runs["fused"], runs["routed"], runs["rows"])
+        (now, fused), (routed_now, routed), (_, rows), (_, elements) = (
+            runs["fused"], runs["routed"], runs["rows"], runs["elements"])
         # Same wire format: not a simulated second apart.
         assert now == routed_now
         assert fused.bytes_zero_copy == routed.bytes_zero_copy
         if any(partitions):
-            assert fused.bytes_zero_copy > 0 and rows.bytes_zero_copy == 0
-        for other in (routed, rows):
+            assert fused.bytes_zero_copy > 0
+            assert rows.bytes_zero_copy == elements.bytes_zero_copy == 0
+        for other in (routed, rows, elements):
             assert fused.bytes_shuffled == other.bytes_shuffled
             assert ([p.nominal_count for p in fused.inputs]
                     == [p.nominal_count for p in other.inputs])
@@ -347,7 +367,7 @@ class TestCombineBeforeRoute:
         runs = exchange_variants(partitions, q, structured, only)
         (now, fused), (routed_now, routed) = runs["fused"], runs["routed"]
         assert now == routed_now
-        for other in (routed, runs["rows"][1]):
+        for other in (routed, runs["rows"][1], runs["elements"][1]):
             assert fused.bytes_shuffled == other.bytes_shuffled
         assert fused.bytes_shuffled <= full.bytes_shuffled
         for j in range(q):
@@ -399,6 +419,32 @@ class TestOneCallPerBlock:
         result = run_exchange(Environment(), producers, 40, float_key, None)
         assert result.bytes_zero_copy == 0.0
         assert float_calls == [300] * 4
+
+    def test_row_exchange_extracts_once_per_row_and_groups_once_per_producer(
+            self):
+        extracted = []
+
+        def key_fn(kv):
+            extracted.append(kv)
+            return kv[0]
+
+        rng = np.random.default_rng(5)
+        partitions = [list(zip(rng.integers(0, 500, 300).tolist(),
+                               rng.random(300).tolist())) for _ in range(4)]
+        producers = [Partition(i, rows, 16.0, 1.0, WORKERS[i % 2])
+                     for i, rows in enumerate(partitions)]
+        producers.append(Partition(4, [], 16.0, 1.0, "w0"))  # emitted nothing
+        with mock.patch.object(Exchange, "_combine") as per_bucket:
+            result = run_exchange(Environment(), producers, 40, key_fn,
+                                  (key_fn, element_sum))
+        assert result.bytes_zero_copy == 0.0
+        assert ([p.elements for p in result.inputs]
+                == expected_consumer_rows(partitions, 40))
+        # One key per row — not one to route it and another to group it.
+        assert len(extracted) == 4 * 300
+        # Grouped in that one pass per producer — not bucket by bucket
+        # (4 x 40 combines, 40 more for the producer that emitted nothing).
+        per_bucket.assert_not_called()
 
     def test_keyed_reduce_job_calls_udfs_once_per_partition(self):
         calls, key_fn, reduce_fn = self.counting_udfs()
