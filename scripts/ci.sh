@@ -5,12 +5,13 @@
 #   scripts/ci.sh          # everything below
 #   scripts/ci.sh --fast   # tier-1 tests + lint only
 #
-# The full run adds: the generated payload-format and exchange differentials
-# at full Hypothesis depth, traced wordcount smokes (element-wise and vectorized)
-# with schema validation and profile gates against the committed baselines
-# in traces/ (cross-checked against their exported metrics), a traced
-# iterative (PageRank-GPU) profile smoke gated the same way, chaos /
-# monitor / flight-recorder / churn smokes, the paper-figure bench smokes
+# The full run adds: the generated payload-format, exchange and shipping
+# differentials at full Hypothesis depth, traced wordcount smokes
+# (element-wise and vectorized) with schema validation and profile gates
+# against the committed baselines in traces/ (cross-checked against their
+# exported metrics), a traced iterative (PageRank-GPU) profile smoke gated
+# the same way, chaos / monitor / flight-recorder / churn smokes, the
+# paper-figure bench smokes
 # (`python -m pytest benchmarks/` is the whole suite; they write
 # BENCH_PR*.json), and the quick test of the repo's benchmark
 # (benchmarks/perf — imports, determinism check, output shape).
@@ -43,6 +44,16 @@ if grep -rnE '\.callbacks[[:space:]]*=[[:space:]]*None|\._born\(' src/repro --in
         | grep -v 'repro/common/simclock\.py' \
         | grep -v 'repro/common/resources\.py'; then
     echo "FAIL: processed event built outside common/simclock.py and common/resources.py" >&2
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: port requests are awaited in turn, never joined through all_of =="
+# all_of over raw resource requests costs a composite event (and a
+# ConditionValue) per wait even when every slot is free; issue the requests
+# together and yield them one after the other (common/network.py transfer).
+if grep -rnE 'all_of\([^)]*(\.request\(|_?req(uest)?s?[],) ])' src/repro --include='*.py'; then
+    echo "FAIL: all_of(...) over resource requests in src/ (yield each request in turn)" >&2
     exit 1
 fi
 echo "ok"
@@ -86,11 +97,12 @@ fi
 echo "ok"
 
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "== generated differentials at full depth: payload formats + exchange =="
+    echo "== generated differentials at full depth: payload formats + exchange + shipping =="
     # Tier-1 caps their Hypothesis examples (tests/flink/conftest.py depth()).
     REPRO_FULL_DEPTH=1 python -m pytest -q \
         tests/flink/test_representation_differential.py \
-        tests/flink/test_exchange_differential.py
+        tests/flink/test_exchange_differential.py \
+        tests/flink/test_shipping_differential.py
 
     echo "== traced bench smoke: wordcount + schema validation + cross-check =="
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \

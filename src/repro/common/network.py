@@ -8,6 +8,14 @@ unit-capacity :class:`~repro.common.resources.Resource` drained at the
 configured bandwidth.  A transfer holds the sender's egress port and the
 receiver's ingress port for ``bytes / bandwidth`` plus a fixed round-trip
 latency.  Loopback transfers are free except for a small in-memory copy cost.
+
+The two port requests are *issued together, awaited in turn*: both enter
+their queues at the same instant, egress first, and the transfer then waits
+for each in order.  A free port is granted at birth (the zero-wait rule of
+:mod:`repro.common.simclock`) and costs no event; a queued one costs exactly
+its grant.  The ordering statement that goes with it: the transfer resumes
+inside the later grant's own step, not one heap hop later at the same
+timestamp as a composite ``all_of`` wait would.
 """
 
 from __future__ import annotations
@@ -68,6 +76,21 @@ class Network:
         self._egress[name] = _Port(self.env)
         self._ingress[name] = _Port(self.env)
 
+    def _check(self, src: str, dst: str, nbytes: int) -> None:
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size: {nbytes}")
+        if src not in self._egress:
+            raise ConfigError(f"unknown source node {src!r}")
+        if dst not in self._ingress:
+            raise ConfigError(f"unknown destination node {dst!r}")
+
+    def loopback_s(self, node: str, nbytes: int) -> float:
+        """Seconds a same-node "transfer" of ``nbytes`` costs: a memcpy that
+        touches no NIC and waits for nothing, so a caller may fold it into a
+        fused charge instead of running :meth:`transfer` for it."""
+        self._check(node, node, nbytes)
+        return nbytes / self.config.loopback_bps
+
     def transfer(self, src: str, dst: str, nbytes: int,
                  progress: Optional[
                      Tuple[Sequence[float], Callable[[float], None]]
@@ -83,24 +106,24 @@ class Network:
         network time is unchanged; the pipelined executor uses the callback
         to publish a remote read's byte prefix as it lands.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        if src not in self._egress:
-            raise ConfigError(f"unknown source node {src!r}")
-        if dst not in self._ingress:
-            raise ConfigError(f"unknown destination node {dst!r}")
         if src == dst:
-            yield from self._charge(nbytes / self.config.loopback_bps,
-                                    nbytes, progress)
+            yield from self._charge(self.loopback_s(src, nbytes), nbytes,
+                                    progress)
             return
+        self._check(src, dst, nbytes)
         out_port = self._egress[src]
         in_port = self._ingress[dst]
+        # Issued together, egress first, at one instant — every port queue
+        # holds the same requests in the same order whatever is free — and
+        # awaited in turn: a free port costs no event, a queued one exactly
+        # its grant, and the process resumes inside the later grant's step.
         out_req = out_port.lock.request()
         in_req = in_port.lock.request()
         try:
-            # The wait is inside the try: an interrupt while queued must
+            # The waits are inside the try: an interrupt while queued must
             # release a port already granted and withdraw the other request.
-            yield self.env.all_of([out_req, in_req])
+            yield out_req
+            yield in_req
             wire_s = nbytes / self.config.bandwidth_bps
             if progress is None:
                 # Nothing observes the instant between latency and wire time.

@@ -35,18 +35,24 @@ module and ``resources.py``; ``scripts/ci.sh`` lints for that.
 
 Fused charges
 -------------
-``env.timeout(a, then=b)`` is one event for two back-to-back charges by the
-same process.  It fires at the left-folded instant ``(now + a) + b`` — the
-exact float a ``timeout(a)`` followed by a ``timeout(b)`` reaches — not at
-``now + (a + b)``, which can differ in the last bit.  Use it only where no
-observer can tell the intermediate instant apart (nothing is read or written
-between the two charges).
+``env.timeout(a, then=b)`` is one event for back-to-back charges by the same
+process; ``then`` is one further charge or a tuple/list of them.  The event
+fires at the left fold ``((now + a) + b) + c …`` — bit for bit the instant
+separate ``timeout(a)``, ``timeout(b)``, ``timeout(c)`` … reach — not at
+``now + (a + b + c)``, which can differ in the last bit.  Every part is
+validated on its own (``not (d >= 0)``, so NaN is rejected too: a NaN
+instant would be popped out of order and poison the clock).  Use it only
+where no observer can tell the intermediate instants apart (nothing is read
+or written between the charges).  The idiom for a loop of charges and waits
+is *carry the unfired charge, flush before a wait*: collect what is owed and
+fire it as one event only when the process must really wait for something
+else (:meth:`repro.flink.shuffle.Exchange._send`).
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 from repro.common.errors import InterruptError, SimulationError
 
@@ -147,19 +153,27 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` (then ``then``) seconds after creation.
-
-    ``then`` is a second charge fused into the same event: the firing instant
-    is the left fold ``(now + delay) + then`` (see the module docstring).
+    """An event that fires ``delay`` seconds after creation — plus every
+    charge of ``then`` (one number, or a tuple/list of them), left-folded:
+    ``((now + delay) + then[0]) + then[1] …`` (see the module docstring).
     """
 
     __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None,
-                 then: float = 0.0):
-        if delay < 0 or then < 0:
-            raise ValueError(
-                f"negative timeout delay: {delay!r} then {then!r}")
+                 then: float | Sequence[float] = 0.0):
+        # ``not (d >= 0)`` rather than ``d < 0``: NaN fails it as well.
+        if not delay >= 0:
+            raise ValueError(f"timeout part 0 is negative or NaN: {delay!r}")
+        at = env._now + delay
+        if then:  # 0.0, () and [] add nothing: the plain path stops here
+            parts = then if isinstance(then, (tuple, list)) else (then,)
+            for part in parts:
+                if not part >= 0:
+                    i = next(i for i, p in enumerate(parts, 1) if not p >= 0)
+                    raise ValueError(
+                        f"timeout part {i} is negative or NaN: {part!r}")
+                at += part
         # Slots written directly and pushed inline: a timeout is the most
         # common event and is exactly one heap entry.
         self.env = env
@@ -168,7 +182,7 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         env._seq = seq = env._seq + 1
-        heappush(env._heap, ((env._now + delay) + then, NORMAL, seq, self))
+        heappush(env._heap, (at, NORMAL, seq, self))
 
 
 class Initialize(Event):
@@ -406,11 +420,11 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None,
-                then: float = 0.0) -> Timeout:
+                then: float | Sequence[float] = 0.0) -> Timeout:
         """An event that fires ``delay`` seconds from now with ``value``.
 
-        ``then`` fuses a second back-to-back charge into the same event,
-        firing at ``(now + delay) + then``.
+        ``then`` fuses further back-to-back charges (one, or a tuple/list)
+        into the same event, firing at ``((now + delay) + then[0]) + …``.
         """
         return Timeout(self, delay, value, then)
 

@@ -31,6 +31,28 @@ routine (``_buckets``) through :mod:`repro.flink.payload`'s accessors:
   receives the row objects deserialization materializes.  Forward and union
   edges always price ``per_row``.
 
+Shipping is **one sender loop** (``_send``) whatever the strategy: a routed
+producer's buckets, a broadcast producer's copies and a moved forward/union
+partition are all a list of shipments walked in order.  Its rule is *carry
+the unfired charge, flush before a wait*: serialize, memcpy and deserialize
+charges that follow one another with nothing observing the instants between
+them are collected and fired as one fused event
+(:mod:`repro.common.simclock` "Fused charges": the left fold, bit for bit
+the instant separate timeouts reach) only where the sender must wait for
+something else — the NIC ports of a cross-node transfer, a spill — and once
+at the end.  A shipped bucket thus costs the host two events (one flush,
+one wire time) plus the port grants it really queued for; those grants —
+about two per cross-node bucket at paper scale, since every sender walks
+the destinations in the same order and queues on the same ingress port —
+are the model and stay.  The ordering statement that goes with it: a
+sender keeps the heap position of the moment its chain of charges began,
+not of the moment its last separate charge would have been created.  Every
+sender reaches every wait at the same instant as before; only when two
+senders reach the *same port at exactly the same instant* (equal-sized
+buckets on a symmetric layout) can the FIFO order between them differ from
+per-charge shipping (``tests/flink/test_shipping_differential.py`` states
+both regimes against the retired loops).
+
 A routed or broadcast destination payload above
 ``FlinkConfig.shuffle_spill_nbytes`` is spilled through the simulated HDFS
 (disk + replication) instead of held in exchange buffers.
@@ -42,7 +64,8 @@ input slot.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Generator, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Generator, List, Optional, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -62,6 +85,11 @@ from repro.flink.serialization import Serializer
 #: Sentinel combiner: replace each bucket by its (nominal) element count.
 #: Lets ``count()`` ship 8 bytes per producer instead of the whole dataset.
 COUNT_COMBINER = object()
+
+#: One destination payload of a sender: ``(dst, nbytes, count, payload,
+#: spill_tag)`` — nominal bytes and records, and the scratch-file tag of an
+#: edge that may spill (``None``: never).
+Shipment = Tuple[str, float, float, Any, Optional[str]]
 
 _DEFAULT_FLINK = FlinkConfig()
 _spill_ids = itertools.count()
@@ -173,10 +201,10 @@ class Exchange:
             inputs[j] = moved
             if part.worker != moved.worker:
                 moves.append(self.env.process(
-                    self._ship_payload(part.worker, moved.worker,
-                                       part.nominal_nbytes,
-                                       part.nominal_count, part.elements,
-                                       zero_copy=False),
+                    self._send(part.worker,
+                               [(moved.worker, part.nominal_nbytes,
+                                 part.nominal_count, part.elements, None)],
+                               zero_copy=False),
                     name=f"{self.strategy.value}-{i}"))
         if moves:
             yield self.env.all_of(moves)
@@ -310,9 +338,16 @@ class Exchange:
                 parts[j].append(bucket)
                 nominal[j] += count
                 nominal_nbytes[j] += count * element_nbytes
+            # Pre-combine compute is charged by the caller via the
+            # combiner's operator cost; the sender charges shipping only.
             senders.append(self.env.process(
-                self._send_buckets(part, buckets, counts, element_nbytes,
-                                   zero_copy),
+                self._send(part.worker,
+                           [(self.consumer_workers[j], count * element_nbytes,
+                             count, bucket, f"{part.index}-{j}")
+                            for j, (bucket, count)
+                            in enumerate(zip(buckets, counts))
+                            if count > 0 and self._want(j)],
+                           zero_copy),
                 name=f"shuffle-send-{part.index}"))
         if senders:
             yield self.env.all_of(senders)
@@ -368,30 +403,24 @@ class Exchange:
         key_fn, reduce_fn = self.combiner
         return apply_grouped_reduce(bucket, key_fn, reduce_fn)
 
-    def _send_buckets(self, part: Partition, buckets: List[Any],
-                      counts: List[float], element_nbytes: float,
-                      zero_copy: bool) -> Generator[Event, None, None]:
-        # Pre-combine compute is charged by the caller via the combiner's
-        # operator cost; here we charge shipping: serialize once, then wire
-        # time per destination.
-        for j, (bucket, count) in enumerate(zip(buckets, counts)):
-            if count <= 0 or not self._want(j):
-                continue
-            nbytes = count * element_nbytes
-            dst = self.consumer_workers[j]
-            yield from self._ship_payload(
-                part.worker, dst, nbytes, count, bucket, zero_copy,
-                spill_tag=f"{part.index}-{j}")
-
     # -- broadcast ----------------------------------------------------------------
     def _run_broadcast(self) -> Generator[Event, None, List[Partition]]:
         zero_copy = self._block_payloads()
         senders = []
         total_nbytes = sum(p.nominal_nbytes for p in self.producers)
         total_count = sum(p.nominal_count for p in self.producers)
+        # One copy per distinct wanted worker, in consumer order.
+        first: Dict[str, int] = {}
+        for j, dst in enumerate(self.consumer_workers):
+            if self._want(j):
+                first.setdefault(dst, j)
         for part in self.producers:
             senders.append(self.env.process(
-                self._broadcast_one(part, zero_copy),
+                self._send(part.worker,
+                           [(dst, part.nominal_nbytes, part.nominal_count,
+                             part.elements, f"b{part.index}-{j}")
+                            for dst, j in first.items()],
+                           zero_copy),
                 name=f"bcast-{part.index}"))
         if senders:
             yield self.env.all_of(senders)
@@ -404,55 +433,62 @@ class Exchange:
                 if self._want(j) else None
                 for j in range(self.n_consumers)]
 
-    def _broadcast_one(self, part: Partition, zero_copy: bool
-                       ) -> Generator[Event, None, None]:
-        wanted = [(j, dst) for j, dst in enumerate(self.consumer_workers)
-                  if self._want(j)]
-        seen = set()
-        for j, dst in wanted:
-            if dst in seen:
-                continue
-            seen.add(dst)
-            yield from self._ship_payload(
-                part.worker, dst, part.nominal_nbytes, part.nominal_count,
-                part.elements, zero_copy, spill_tag=f"b{part.index}-{j}")
-
     # -- common ------------------------------------------------------------------
-    def _ship_payload(self, src: str, dst: str, nbytes: float, count: float,
-                      payload: Any, zero_copy: bool,
-                      spill_tag: Optional[str] = None
-                      ) -> Generator[Event, None, None]:
-        """Move one destination payload under its price list.
+    def _send(self, src: str, shipments: List[Shipment],
+              zero_copy: bool) -> Generator[Event, None, None]:
+        """The one sender loop: move each of ``shipments`` from ``src``, in
+        order, under one price list.
+
+        The rule is *carry the unfired charge, flush before a wait*.  A
+        shipment costs the sender a serialize (or block-framing) charge,
+        the move, and the receiver's deserialize (or descriptor-parse)
+        charge, back to back; nothing observes the instants between them,
+        so charges are collected in ``owed`` and fired as one fused event
+        (``Environment.timeout``'s left fold: bit for bit the instant
+        separate timeouts reach) only where the sender must really wait for
+        something else — the NIC ports of a cross-node ``transfer``, a spill
+        through HDFS — and once at the end.  Shipment *j*'s deserialize thus
+        rides with shipment *j+1*'s serialize, and a same-node shipment
+        (serialize + memcpy + deserialize) is all charge and no wait.
+        ``Serializer`` calls and byte counters keep their program order;
+        they are read only when the exchange ends.
 
         A payload that carries a ``spill_tag`` (routed and broadcast
         edges) goes through HDFS instead of direct exchange buffers when
         oversized; point-to-point edges carry none and never spill.
         """
-        blocks = 0
-        if zero_copy:
-            blocks = n_wire_blocks(payload, nbytes,
-                                   self.flink.pipeline_block_nbytes)
-            # Sender frames block descriptors; bytes bypass serde entirely.
-            yield self.env.timeout(
-                self.serializer.zero_copy_time(nbytes, blocks))
-        else:
-            yield self.env.timeout(
-                self.serializer.serialize_time(nbytes, count))
-        if (spill_tag is not None and self.hdfs is not None
-                and nbytes > self.flink.shuffle_spill_nbytes):
-            yield from self._spill(src, dst, nbytes, spill_tag)
-        else:
-            yield from self.network.transfer(src, dst, int(nbytes))
-        if zero_copy:
-            # Receiver re-parses the block descriptors; no per-row deser.
-            yield self.env.timeout(blocks * self.serializer.block_header_s)
-        else:
-            yield self.env.timeout(
-                self.serializer.deserialize_time(nbytes, count))
-        if src != dst:
-            self.bytes_shuffled += nbytes
-        if zero_copy:
-            self.bytes_zero_copy += nbytes
+        env, serializer = self.env, self.serializer
+        owed: List[float] = []
+        for dst, nbytes, count, payload, spill_tag in shipments:
+            if zero_copy:
+                blocks = n_wire_blocks(payload, nbytes,
+                                       self.flink.pipeline_block_nbytes)
+                # Sender frames block descriptors; bytes bypass serde entirely.
+                owed.append(serializer.zero_copy_time(nbytes, blocks))
+            else:
+                owed.append(serializer.serialize_time(nbytes, count))
+            spills = (spill_tag is not None and self.hdfs is not None
+                      and nbytes > self.flink.shuffle_spill_nbytes)
+            if spills or src != dst:
+                yield env.timeout(owed[0], then=owed[1:])
+                owed = []
+                if spills:
+                    yield from self._spill(src, dst, nbytes, spill_tag)
+                else:
+                    yield from self.network.transfer(src, dst, int(nbytes))
+            else:
+                owed.append(self.network.loopback_s(src, int(nbytes)))
+            if zero_copy:
+                # Receiver re-parses the block descriptors; no per-row deser.
+                owed.append(blocks * serializer.block_header_s)
+            else:
+                owed.append(serializer.deserialize_time(nbytes, count))
+            if src != dst:
+                self.bytes_shuffled += nbytes
+            if zero_copy:
+                self.bytes_zero_copy += nbytes
+        if owed:
+            yield env.timeout(owed[0], then=owed[1:])
 
     def _spill(self, src: str, dst: str, nbytes: float,
                tag: str) -> Generator[Event, None, None]:

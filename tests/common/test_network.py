@@ -1,10 +1,13 @@
 """Tests for the cluster network model."""
 
+from collections import Counter
+
 import pytest
 
 from repro.common import Environment
 from repro.common.errors import ConfigError
 from repro.common.network import Network, NetworkConfig
+from tests.common.test_zero_wait_events import counting_steps
 
 
 @pytest.fixture
@@ -83,6 +86,31 @@ class TestNetwork:
         run_transfer(env, net, "a", "a", 999)
         assert net.bytes_sent("a") == 0
 
+    def test_loopback_cost_is_a_validated_pure_function(self, env, net):
+        assert net.loopback_s("a", 8_000_000_000) == 1.0
+        assert env.peek() == float("inf")  # nothing scheduled, nothing held
+        with pytest.raises(ValueError):
+            net.loopback_s("a", -1)
+        with pytest.raises(ConfigError):
+            net.loopback_s("zz", 10)
+
+    def test_free_ports_cost_no_event_and_a_queued_one_its_grant(self, env,
+                                                                 net):
+        """Requests issued together, awaited in turn: no composite event."""
+        def steps(*routes):
+            for src, dst in routes:
+                env.process(net.transfer(src, dst, 1000))
+            with counting_steps() as fired:
+                env.run()
+            return fired
+
+        alone = Counter(Initialize=1, Timeout=1, Process=1)
+        assert steps(("a", "b")) == alone
+        # The second queues on b's ingress port: one grant more, and it
+        # already holds its egress port while it waits.
+        assert steps(("a", "b"), ("c", "b")) == alone + alone + Counter(
+            Request=1)
+
     def test_add_node(self, env, net):
         net.add_node("d")
         t = run_transfer(env, net, "a", "d", 1_000_000_000)
@@ -90,16 +118,26 @@ class TestNetwork:
         with pytest.raises(ConfigError):
             net.add_node("d")
 
-    def test_interrupt_while_waiting_for_ports_releases_them(self, env, net):
+    @pytest.mark.parametrize("position", ["egress", "ingress", "instant"])
+    def test_interrupt_while_waiting_for_ports_releases_them(self, env, net,
+                                                             position):
         """A transfer interrupted while queued for a port must hand back the
-        port it was already granted and withdraw the request still queued."""
+        port it was already granted and withdraw the request still queued —
+        at either of its two waits: queued on egress with ingress already
+        granted, granted egress and queued on ingress, and at the very
+        instant of the second grant (issued, not yet delivered)."""
         from repro.common.errors import InterruptError
         finished = []
+        out_a, in_b = net._egress["a"].lock, net._ingress["b"].lock
+        held = out_a if position == "egress" else in_b
+        # The holder lets go at the instant of the interrupt, just ahead of
+        # it, or long after it.
+        hold_s = 0.1 if position == "instant" else 1.0
 
-        def hold_ingress_b():
-            with net._ingress["b"].lock.request() as grant:
+        def holder():
+            with held.request() as grant:
                 yield grant
-                yield env.timeout(1.0)
+                yield env.timeout(hold_s)
 
         def doomed():
             try:
@@ -109,20 +147,27 @@ class TestNetwork:
 
         def killer(victim):
             yield env.timeout(0.1)
+            waiting_for = victim._target
+            assert (out_a.count, out_a.queue_length,
+                    in_b.count, in_b.queue_length) == {
+                "egress": (1, 1, 1, 0), "ingress": (1, 0, 1, 1),
+                "instant": (1, 0, 1, 0)}[position]
+            assert waiting_for.resource is held
+            assert waiting_for.triggered == (position == "instant")
+            assert not waiting_for.processed
             victim.interrupt("worker died")
 
         def later():
-            yield env.timeout(0.2)
-            yield from net.transfer("a", "c", 1000)
+            yield env.timeout(1.5)
+            yield from net.transfer("a", "b", 1000)
             finished.append(("later", env.now))
 
-        env.process(hold_ingress_b())
+        env.process(holder())
         victim = env.process(doomed())
         env.process(killer(victim))
         env.process(later())
         env.run()
-        assert [name for name, _ in finished] == ["doomed-interrupted",
-                                                  "later"]
-        assert finished[1][1] == pytest.approx(0.2 + 1e-4 + 1e-6)
-        for port in (net._egress["a"], net._ingress["b"], net._ingress["c"]):
+        assert finished == [("doomed-interrupted", 0.1),
+                            ("later", pytest.approx(1.5 + 1e-4 + 1e-6))]
+        for port in (*net._egress.values(), *net._ingress.values()):
             assert port.lock.count == 0 and port.lock.queue_length == 0

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common import Environment, FilterStore, Resource, Store
 from repro.common.errors import InterruptError, SimulationError
-from repro.common.resources import StoreGet, StorePut
+from repro.common.resources import Request, StoreGet, StorePut
 from repro.common.simclock import ConditionValue
 
 
@@ -57,6 +57,27 @@ def heap_only():
                                 (FilterStore, "get", get)):
             stack.enter_context(mock.patch.object(owner, name, fn))
         yield
+
+
+@contextmanager
+def counting_steps():
+    """Count the events ``Environment.step`` fires, by kind; an ``AllOf``
+    over nothing but resource requests (what ``Network.transfer`` used to
+    wait on) is its own kind."""
+    fired = Counter()
+    real_step = Environment.step
+
+    def counting_step(env):
+        event = env._heap[0][3]
+        kind = type(event).__name__
+        if kind == "AllOf" and event._events and all(
+                isinstance(e, Request) for e in event._events):
+            kind = "AllOf[requests]"
+        fired[kind] += 1
+        real_step(env)
+
+    with mock.patch.object(Environment, "step", counting_step):
+        yield fired
 
 
 # -- generated programs -------------------------------------------------------------
@@ -243,7 +264,9 @@ class TestWithTies:
 
 
 class TestFusedCharge:
-    """(c) ``env.timeout(a, then=b)`` fires at ``(now + a) + b``, bit for bit."""
+    """(c) ``env.timeout(a, then=…)`` fires at the left fold
+    ``((now + a) + b) + c …``, bit for bit; ``then`` is one charge or a
+    tuple/list of them."""
 
     def test_left_fold_differs_from_the_summed_delay(self):
         now, a, b = 0.1, 0.2, 0.3
@@ -253,21 +276,48 @@ class TestFusedCharge:
         env.run()
         assert env.now == (now + a) + b
 
+    def test_n_ary_left_fold_differs_from_the_summed_delay(self):
+        now, parts = 0.1, [0.1, 0.2, 0.3, 0.7]
+        fold = now
+        for part in parts:
+            fold += part
+        assert fold != now + sum(parts)
+        for then in (parts[1:], tuple(parts[1:])):
+            env = Environment(initial_time=now)
+            env.timeout(parts[0], then=then)
+            env.run()
+            assert env.now == fold
+
     @given(st.floats(0.0, 1e3), st.floats(0.0, 1e-3), st.floats(0.0, 1e3))
     @settings(max_examples=200, deadline=None)
     def test_same_instant_as_two_timeouts(self, now, a, b):
         fused = Environment(initial_time=now)
         fused.timeout(a, then=b)
         fused.run()
+        assert fused.now == self._chained(now, [a, b])
+
+    @given(st.floats(0.0, 1e3),
+           st.lists(st.one_of(st.floats(0.0, 1e3), st.floats(0.0, 1e-6),
+                              st.just(0.0)), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_same_instant_as_n_separate_timeouts(self, now, parts):
+        fused = Environment(initial_time=now)
+        fused.timeout(parts[0], then=parts[1:])
+        assert fused.peek() == self._chained(now, parts)
+        fused.step()
+        assert fused.peek() == float("inf")  # one event, not n
+
+    @staticmethod
+    def _chained(now, parts):
         chained = Environment(initial_time=now)
 
-        def two():
-            yield chained.timeout(a)
-            yield chained.timeout(b)
+        def one_by_one():
+            for part in parts:
+                yield chained.timeout(part)
 
-        chained.process(two())
+        chained.process(one_by_one())
         chained.run()
-        assert fused.now == chained.now
+        return chained.now
 
     def test_value_is_delivered_and_then_defaults_to_nothing(self):
         env = Environment()
@@ -276,10 +326,12 @@ class TestFusedCharge:
         def proc():
             got.append((yield env.timeout(1.0, "v", then=2.0)))
             got.append((yield env.timeout(1.0, "w")))
+            got.append((yield env.timeout(1.0, "x", then=[2.0, 3.0])))
+            got.append((yield env.timeout(1.0, "y", then=())))
 
         env.process(proc())
         env.run()
-        assert got == ["v", "w"] and env.now == 4.0
+        assert got == ["v", "w", "x", "y"] and env.now == 4.0 + 6.0 + 1.0
 
     @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (1.0, -1.0), (-1e-9, 0.0)])
     def test_negative_part_rejected(self, a, b):
@@ -287,6 +339,19 @@ class TestFusedCharge:
         with pytest.raises(ValueError):
             env.timeout(a, then=b)
         assert env.peek() == float("inf")  # nothing was scheduled
+
+    @pytest.mark.parametrize("delay, then, part", [
+        (float("nan"), 0.0, 0), (1.0, float("nan"), 1),
+        (0.0, [1.0, float("nan"), 2.0], 2), (0.0, (1.0, 2.0, -3.0), 3),
+        (float("nan"), [float("nan")], 0)])
+    def test_nan_or_negative_part_is_named(self, delay, then, part):
+        """``delay < 0`` lets NaN through, and a NaN instant is popped out
+        of order (it compares False against everything) and becomes
+        ``env.now``: each part is checked with ``not (d >= 0)``."""
+        env = Environment()
+        with pytest.raises(ValueError, match=f"part {part} "):
+            env.timeout(delay, then=then)
+        assert env.peek() == float("inf")
 
 
 class TestBornProcessedEvents:
@@ -467,44 +532,61 @@ class TestBornProcessedEvents:
 
 
 class TestEventBudget:
-    """(e) The GPU block pipeline's event count is pinned.
+    """(e) Event counts of two small jobs are pinned.
 
-    A small LinearRegression GPU job at two input sizes: if a later change
-    puts the per-block hops back (grants and hand-offs through the heap,
-    two-event JNI + driver charges), this fails in tier-1 rather than only
-    in the benchmark.  A deliberate model change updates the numbers.  With
-    every grant and hand-off on the heap and unfused charges the same jobs
-    took 5003 and 8747 steps, 15.6 a block.
+    A LinearRegression GPU job at two input sizes (the GPU block pipeline)
+    and a PageRank CPU job at two iteration counts, element-wise and
+    vectorized (the shuffle): if a later change puts the per-block or
+    per-bucket hops back (grants and hand-offs through the heap, two-event
+    JNI + driver charges, a timeout per serde charge, an ``all_of`` per
+    transfer), this fails in tier-1 rather than only in the benchmark.  A
+    deliberate model change updates the numbers.
+
+    With every grant and hand-off on the heap and unfused charges the
+    LinearRegression jobs took 5003 and 8747 steps, 15.6 a block; with
+    zero-wait events and fused JNI charges 3363 and 5811.  The last 32 went
+    with the sender loop and the sequential port wait: 16 ``AllOf`` events,
+    one per cross-node transfer, that only joined its two port requests,
+    and 16 serde timeouts of the exchanges, fused into their neighbours (a
+    deserialize riding with the next serialize, a same-node shipment's
+    serialize + memcpy + deserialize folded whole).
     """
 
     #: nominal elements -> (device blocks, Environment.step calls)
-    PINNED = {10e6: (260, 3363), 20e6: (500, 5811)}
+    PINNED = {10e6: (260, 3331), 20e6: (500, 5779)}
     #: Events fired by kind in the larger job.  Per block that is ~7
     #: timeouts (fused JNI+driver for the output buffer's malloc and free,
     #: a JNI redirect each for launch and D2H, kernel time, wire time) and
     #: under one grant, put and get each — only the side that had to wait.
-    PINNED_KINDS = {"Timeout": 3593, "Request": 442, "StorePut": 474,
-                    "StoreGet": 524}
+    PINNED_KINDS = {"Timeout": 3577, "Request": 442, "StorePut": 474,
+                    "StoreGet": 524, "AllOf[requests]": 0}
 
-    @staticmethod
-    def _run(nominal):
+    #: vectorized -> iterations -> (shipped buckets, Environment.step calls)
+    #: of PageRank on 3 workers x 2 slots.  With per-charge shipping the
+    #: element-wise jobs took 979 and 1653 steps, the vectorized 969 and 1633.
+    SHUFFLE_PINNED = {False: {2: (84, 793), 4: (168, 1293)},
+                      True: {2: (84, 783), 4: (168, 1273)}}
+    #: Events fired by kind in the 4-iteration jobs.  The 168 buckets (112
+    #: of them cross-node) cost the sender one flush and one wire timeout
+    #: per cross-node bucket plus one flush at the end, and the port grants
+    #: it really queued for; no ``AllOf`` joins a pair of port requests.
+    SHUFFLE_PINNED_KINDS = {
+        False: {"Timeout": 499, "Request": 196, "AllOf": 40,
+                "AllOf[requests]": 0},
+        True: {"Timeout": 475, "Request": 200, "AllOf": 40,
+               "AllOf[requests]": 0}}
+
+    def _run(self, nominal):
         from repro.core import GFlinkCluster, GFlinkSession
         from repro.flink import ClusterConfig, CPUSpec
         from repro.workloads import LinearRegressionWorkload
-
-        fired = Counter()
-        real_step = Environment.step
-
-        def counting_step(env):
-            fired[type(env._heap[0][3]).__name__] += 1
-            real_step(env)
 
         cluster = GFlinkCluster(ClusterConfig(
             n_workers=2, cpu=CPUSpec(cores=2), gpus_per_worker=("c2050",)))
         workload = LinearRegressionWorkload(
             nominal_elements=nominal, real_elements=4000, iterations=4,
             seed=20160816)
-        with mock.patch.object(Environment, "step", counting_step):
+        with counting_steps() as fired:
             workload.run(GFlinkSession(cluster), "gpu")
         blocks = sum(d.kernels_launched
                      for gm in cluster.gpu_managers() for d in gm.devices)
@@ -519,3 +601,45 @@ class TestEventBudget:
         assert {k: fired[k] for k in self.PINNED_KINDS} == self.PINNED_KINDS
         (b0, s0), (b1, s1) = measured.values()
         assert (s1 - s0) / (b1 - b0) == 10.2  # events per extra block
+
+    def _run_shuffle(self, vectorized, iterations):
+        from repro.core import GFlinkCluster, GFlinkSession
+        from repro.flink import ClusterConfig, CPUSpec
+        from repro.flink.shuffle import Exchange
+        from repro.workloads import PageRankWorkload
+
+        shipped = []
+        real_send = Exchange._send
+
+        def counting_send(exchange, src, shipments, zero_copy):
+            shipped.extend(dst != src for dst, *_ in shipments)
+            return real_send(exchange, src, shipments, zero_copy)
+
+        cluster = GFlinkCluster(ClusterConfig(n_workers=3,
+                                              cpu=CPUSpec(cores=2)))
+        workload = PageRankWorkload(
+            nominal_pages=1e5, real_pages=600, iterations=iterations,
+            seed=20160816, vectorized=vectorized)
+        with counting_steps() as fired, \
+                mock.patch.object(Exchange, "_send", counting_send):
+            workload.run(GFlinkSession(cluster), "cpu")
+        return shipped, fired
+
+    @pytest.mark.parametrize("vectorized", [False, True],
+                             ids=["rows", "vectorized"])
+    def test_pagerank_cpu_job_steps_and_events_per_shipped_bucket(
+            self, vectorized):
+        measured = {}
+        for iterations in self.SHUFFLE_PINNED[vectorized]:
+            shipped, fired = self._run_shuffle(vectorized, iterations)
+            measured[iterations] = (len(shipped), sum(fired.values()))
+        assert measured == self.SHUFFLE_PINNED[vectorized]
+        pinned = self.SHUFFLE_PINNED_KINDS[vectorized]
+        assert {k: fired[k] for k in pinned} == pinned
+        assert sum(shipped) == 112  # cross-node buckets of the larger job
+        (b0, s0), (b1, s1) = measured.values()
+        # Events per extra shipped bucket, everything else an iteration does
+        # (subtasks, compute charges, barriers) included; 8.02 and 7.90 with
+        # per-charge shipping.
+        assert round((s1 - s0) / (b1 - b0), 2) == (5.83 if vectorized
+                                                   else 5.95)

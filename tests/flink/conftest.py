@@ -42,6 +42,15 @@ def depth(tier1, full):
     return settings(max_examples=examples, deadline=None)
 
 
+def assert_ports_free(network):
+    """Network conservation once the work is over, faults and membership
+    changes included: no NIC port still held, no request still queued."""
+    for ports in (network._egress, network._ingress):
+        for node, port in ports.items():
+            assert port.lock.count == 0, f"{node}: port still held"
+            assert port.lock.queue_length == 0, f"{node}: request queued"
+
+
 @contextmanager
 def barriered():
     """The reference clock: jobs run inside this block stream nothing.

@@ -1,4 +1,5 @@
-"""Retired payload helpers and bucketing routines, kept as test oracles.
+"""Retired payload helpers, bucketing routines and shipping loops, kept as
+test oracles.
 
 Until PR 17 the ``list | ndarray | None`` decision was re-made in seven
 modules of ``repro.flink`` / ``repro.core``; every helper below is one of
@@ -6,16 +7,26 @@ those copies, verbatim from the commit that retired it, and the
 differential tests hold :mod:`repro.flink.payload` and
 :meth:`repro.flink.shuffle.Exchange._buckets` to them (in the style of
 ``group_elements`` for the segmented path, ``barriered()`` for the
-pipelined clock and ``heap_only()`` for zero-wait events).  Nothing under
-``src/`` may import this module.
+pipelined clock and ``heap_only()`` for zero-wait events).  The last
+section is the shipping path as it was until PR 18 — one timeout per
+serde charge, one ``all_of`` per transfer — which
+``test_shipping_differential.py`` holds :meth:`Exchange._send` and
+:meth:`repro.common.network.Network.transfer` to.  Nothing under ``src/``
+may import this module.
 """
 
-from typing import Any, Dict, List
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
+from repro.common.errors import ConfigError
+from repro.common.network import Network
+from repro.common.simclock import Event
 from repro.flink.iterators import apply_grouped_reduce
-from repro.flink.payload import bucket_plan, group_plan
+from repro.flink.partition import Partition
+from repro.flink.payload import (bucket_plan, group_plan, n_wire_blocks,
+                                 real_len)
 from repro.flink.plan import ShipStrategy
 from repro.flink.shuffle import COUNT_COMBINER, Exchange, hash_bucket
 
@@ -200,3 +211,223 @@ class TwoPathExchange(Exchange):
             return list(self.combiner(bucket))
         key_fn, reduce_fn = self.combiner
         return apply_grouped_reduce(bucket, key_fn, reduce_fn)
+
+
+# -- the shipping path: a timeout per charge, an all_of per transfer --------------
+
+class PerChargeExchange(Exchange):
+    """An :class:`Exchange` that ships the way ``shuffle.py`` did before the
+    one sender loop: ``_send_buckets`` / ``_broadcast_one`` / a process per
+    moved partition, each through ``_ship_payload`` — serialize, move and
+    deserialize as three separate events per destination payload, loopback
+    included.  The three ``_run_*`` drivers are here because they are what
+    called them; bucketing, pricing, merging and spilling are the engine's."""
+
+    def _run_point_to_point(self) -> Generator[Event, None, List[Partition]]:
+        """Partition *i* feeds subtask ``offset + i`` whole.
+
+        FORWARD and UNION_LEFT map partition *i* onto subtask *i*,
+        UNION_RIGHT onto the last ``len(producers)`` subtasks; every other
+        subtask receives ``None`` for this input (a union subtask reads
+        exactly one side).  A partition already on its consumer's worker
+        does not move.
+        """
+        q = self.n_consumers
+        if self.strategy is ShipStrategy.FORWARD and len(self.producers) != q:
+            raise ValueError(
+                f"FORWARD needs equal parallelism: {len(self.producers)} "
+                f"producers vs {q} consumers")
+        offset = (q - len(self.producers)
+                  if self.strategy is ShipStrategy.UNION_RIGHT else 0)
+        inputs: List[Optional[Partition]] = [None] * q
+        moves = []
+        for i, part in enumerate(self.producers):
+            j = offset + i
+            if not self._want(j):
+                continue
+            moved = part.derive(part.elements)
+            moved.index = j
+            moved.worker = self.consumer_workers[j]
+            inputs[j] = moved
+            if part.worker != moved.worker:
+                moves.append(self.env.process(
+                    self._ship_payload(part.worker, moved.worker,
+                                       part.nominal_nbytes,
+                                       part.nominal_count, part.elements,
+                                       zero_copy=False),
+                    name=f"{self.strategy.value}-{i}"))
+        if moves:
+            yield self.env.all_of(moves)
+        return inputs
+
+    def _run_routed(self) -> Generator[Event, None, List[Partition]]:
+        q = self.n_consumers
+        keys = self._key_columns()
+        zero_copy = self._zero_copy(keys)
+        # Per consumer: one bucket per producer, and what they stand for.
+        parts: List[List[Any]] = [[] for _ in range(q)]
+        nominal, nominal_nbytes = [0.0] * q, [0.0] * q
+        senders = []
+        for part, part_keys in zip(self.producers, keys):
+            buckets = self._buckets(part, part_keys)
+            if self.combiner is COUNT_COMBINER:
+                buckets = [[real_len(b) * part.scale] for b in buckets]
+                counts = [1.0 for _ in buckets]
+                element_nbytes = 8.0  # partial counts travel as one long each
+            else:
+                # Combined buckets are still samples: each real group stands
+                # for `scale` nominal groups, so shipped counts keep the
+                # producer's scale.
+                counts = [real_len(b) * part.scale for b in buckets]
+                element_nbytes = part.element_nbytes
+            for j, (bucket, count) in enumerate(zip(buckets, counts)):
+                parts[j].append(bucket)
+                nominal[j] += count
+                nominal_nbytes[j] += count * element_nbytes
+            senders.append(self.env.process(
+                self._send_buckets(part, buckets, counts, element_nbytes,
+                                   zero_copy),
+                name=f"shuffle-send-{part.index}"))
+        if senders:
+            yield self.env.all_of(senders)
+        unit = (8.0 if self.combiner is COUNT_COMBINER
+                else self._producer_element_nbytes())
+        return [self._consumer_input(j, self._merge(parts[j], zero_copy),
+                                     nominal[j], nominal_nbytes[j], unit)
+                if self._want(j) else None for j in range(q)]
+
+    def _send_buckets(self, part: Partition, buckets: List[Any],
+                      counts: List[float], element_nbytes: float,
+                      zero_copy: bool) -> Generator[Event, None, None]:
+        # Pre-combine compute is charged by the caller via the combiner's
+        # operator cost; here we charge shipping: serialize once, then wire
+        # time per destination.
+        for j, (bucket, count) in enumerate(zip(buckets, counts)):
+            if count <= 0 or not self._want(j):
+                continue
+            nbytes = count * element_nbytes
+            dst = self.consumer_workers[j]
+            yield from self._ship_payload(
+                part.worker, dst, nbytes, count, bucket, zero_copy,
+                spill_tag=f"{part.index}-{j}")
+
+    def _run_broadcast(self) -> Generator[Event, None, List[Partition]]:
+        zero_copy = self._block_payloads()
+        senders = []
+        total_nbytes = sum(p.nominal_nbytes for p in self.producers)
+        total_count = sum(p.nominal_count for p in self.producers)
+        for part in self.producers:
+            senders.append(self.env.process(
+                self._broadcast_one(part, zero_copy),
+                name=f"bcast-{part.index}"))
+        if senders:
+            yield self.env.all_of(senders)
+        merged = self._merge([p.elements for p in self.producers], zero_copy)
+        # Every consumer deserializes its own copy of the rows; a zero-copy
+        # block is one region they all read.
+        return [self._consumer_input(
+                    j, merged if zero_copy else list(merged), total_count,
+                    total_nbytes, self._producer_element_nbytes())
+                if self._want(j) else None
+                for j in range(self.n_consumers)]
+
+    def _broadcast_one(self, part: Partition, zero_copy: bool
+                       ) -> Generator[Event, None, None]:
+        wanted = [(j, dst) for j, dst in enumerate(self.consumer_workers)
+                  if self._want(j)]
+        seen = set()
+        for j, dst in wanted:
+            if dst in seen:
+                continue
+            seen.add(dst)
+            yield from self._ship_payload(
+                part.worker, dst, part.nominal_nbytes, part.nominal_count,
+                part.elements, zero_copy, spill_tag=f"b{part.index}-{j}")
+
+    def _ship_payload(self, src: str, dst: str, nbytes: float, count: float,
+                      payload: Any, zero_copy: bool,
+                      spill_tag: Optional[str] = None
+                      ) -> Generator[Event, None, None]:
+        """Move one destination payload under its price list.
+
+        A payload that carries a ``spill_tag`` (routed and broadcast
+        edges) goes through HDFS instead of direct exchange buffers when
+        oversized; point-to-point edges carry none and never spill.
+        """
+        blocks = 0
+        if zero_copy:
+            blocks = n_wire_blocks(payload, nbytes,
+                                   self.flink.pipeline_block_nbytes)
+            # Sender frames block descriptors; bytes bypass serde entirely.
+            yield self.env.timeout(
+                self.serializer.zero_copy_time(nbytes, blocks))
+        else:
+            yield self.env.timeout(
+                self.serializer.serialize_time(nbytes, count))
+        if (spill_tag is not None and self.hdfs is not None
+                and nbytes > self.flink.shuffle_spill_nbytes):
+            yield from self._spill(src, dst, nbytes, spill_tag)
+        else:
+            yield from self.network.transfer(src, dst, int(nbytes))
+        if zero_copy:
+            # Receiver re-parses the block descriptors; no per-row deser.
+            yield self.env.timeout(blocks * self.serializer.block_header_s)
+        else:
+            yield self.env.timeout(
+                self.serializer.deserialize_time(nbytes, count))
+        if src != dst:
+            self.bytes_shuffled += nbytes
+        if zero_copy:
+            self.bytes_zero_copy += nbytes
+
+
+class AllOfNetwork(Network):
+    """A :class:`Network` whose ``transfer`` joins its two port requests
+    through ``all_of``: one composite event (and one ``ConditionValue``) per
+    cross-node transfer, free ports or not."""
+
+    def transfer(self, src: str, dst: str, nbytes: int,
+                 progress: Optional[
+                     Tuple[Sequence[float], Callable[[float], None]]
+                 ] = None) -> Generator[Event, None, None]:
+        """Simulation process: move ``nbytes`` from ``src`` to ``dst``.
+
+        Charges wire time on both endpoints' ports; a loopback transfer is
+        charged at memcpy speed without touching the NIC.
+
+        ``progress``, when given, is ``(marks, callback)``: cumulative byte
+        offsets at which ``callback(cum)`` fires as the wire time elapses.
+        The wire charge is sliced per mark with an identical sum, so total
+        network time is unchanged; the pipelined executor uses the callback
+        to publish a remote read's byte prefix as it lands.
+        """
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size: {nbytes}")
+        if src not in self._egress:
+            raise ConfigError(f"unknown source node {src!r}")
+        if dst not in self._ingress:
+            raise ConfigError(f"unknown destination node {dst!r}")
+        if src == dst:
+            yield from self._charge(nbytes / self.config.loopback_bps,
+                                    nbytes, progress)
+            return
+        out_port = self._egress[src]
+        in_port = self._ingress[dst]
+        out_req = out_port.lock.request()
+        in_req = in_port.lock.request()
+        try:
+            # The wait is inside the try: an interrupt while queued must
+            # release a port already granted and withdraw the other request.
+            yield self.env.all_of([out_req, in_req])
+            wire_s = nbytes / self.config.bandwidth_bps
+            if progress is None:
+                # Nothing observes the instant between latency and wire time.
+                yield self.env.timeout(self.config.latency_s, then=wire_s)
+            else:
+                yield self.env.timeout(self.config.latency_s)
+                yield from self._charge(wire_s, nbytes, progress)
+            out_port.bytes_moved += nbytes
+            in_port.bytes_moved += nbytes
+        finally:
+            out_port.lock.release(out_req)
+            in_port.lock.release(in_req)

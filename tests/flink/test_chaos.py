@@ -25,7 +25,7 @@ from repro.flink.chaos import (
 )
 from repro.gpu.kernel import KernelRegistry
 from repro.workloads import PointAddWorkload
-from tests.flink.conftest import make_cluster
+from tests.flink.conftest import assert_ports_free, make_cluster
 
 
 class TestBackoff:
@@ -181,6 +181,7 @@ class TestLineageRecovery:
         assert sorted(result.value) == sorted(baseline.value)
         assert engine.summary()["events_applied"] == 1
         assert not cluster.workers["worker1"].alive
+        assert_ports_free(cluster.network)
 
 
 def gpu_cluster(**flink_overrides):

@@ -29,7 +29,7 @@ from repro.flink.chaos import (
 from repro.flink.graph import ExecutionVertex
 from repro.flink.rebalance import Rebalancer
 from repro.flink.scheduler import Scheduler
-from tests.flink.conftest import make_cluster
+from tests.flink.conftest import assert_ports_free, make_cluster
 
 
 class TestMembership:
@@ -165,6 +165,7 @@ class TestChurnBitIdentity:
         result = self._run_job(cluster)
         assert engine.summary()["events_applied"] == 4
         assert values_equal(sorted(baseline.value), sorted(result.value))
+        assert_ports_free(cluster.network)
 
     def test_random_churn_identical(self):
         overrides = dict(heartbeat_interval_s=0.02,
@@ -180,6 +181,7 @@ class TestChurnBitIdentity:
         cluster.install_chaos(schedule)
         result = self._run_job(cluster)
         assert values_equal(sorted(baseline.value), sorted(result.value))
+        assert_ports_free(cluster.network)
 
     def test_random_churn_schedule_is_deterministic(self):
         kwargs = dict(seed=13, duration_s=120.0,

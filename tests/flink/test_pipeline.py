@@ -43,7 +43,8 @@ from repro.workloads import (
     SpMVWorkload,
     WordCountWorkload,
 )
-from tests.flink.conftest import barriered, make_cluster
+from tests.flink.conftest import (assert_ports_free, barriered,
+                                  make_cluster)
 
 
 class TestSplitChunks:
@@ -309,3 +310,4 @@ class TestPipelinedChaos:
         assert values_equal(baseline.value, result.value)
         assert engine.summary()["events_applied"] == 1
         assert not chaotic.workers["worker1"].alive
+        assert_ports_free(chaotic.network)

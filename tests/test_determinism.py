@@ -11,6 +11,7 @@ from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec
 from repro.flink.chaos import ChaosSchedule, FaultKind
 from repro.workloads import KMeansWorkload, SpMVWorkload, run_concurrent
+from tests.flink.conftest import assert_ports_free
 
 
 def config():
@@ -52,7 +53,9 @@ class TestDeterminism:
                                   .kill_worker("worker1", at=30.0))
             wl = KMeansWorkload(nominal_elements=5e6, real_elements=4000,
                                 iterations=4)
-            return wl.run(GFlinkSession(cluster), "gpu")
+            result = wl.run(GFlinkSession(cluster), "gpu")
+            assert_ports_free(cluster.network)
+            return result
 
         a, b = once(), once()
         assert a.iteration_seconds == b.iteration_seconds
