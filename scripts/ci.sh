@@ -5,8 +5,9 @@
 #   scripts/ci.sh          # everything below
 #   scripts/ci.sh --fast   # tier-1 tests + lint only
 #
-# The full run adds: the generated payload-format, exchange and shipping
-# differentials at full Hypothesis depth, traced wordcount smokes
+# The full run adds: the generated payload-format, exchange, shipping,
+# GWork and stage-loop differentials at full Hypothesis depth, traced
+# wordcount smokes
 # (element-wise and vectorized) with schema validation and profile gates
 # against the committed baselines in traces/ (cross-checked against their
 # exported metrics), a traced iterative (PageRank-GPU) profile smoke gated
@@ -96,13 +97,39 @@ if grep -rnE 'isinstance\([^)]*np\.ndarray|is_columnar\(|columnar_compatible\(|i
 fi
 echo "ok"
 
+echo "== lint: one subtask body — a kernel chain of one, not a second copy =="
+# core/gdst.py builds every GPU map-partition GWork in one _build_gwork and
+# scales every output in one _output_scale (a single kernel is the chain of
+# one; the retired copies are test oracles in tests/core/retired.py).
+for name in _build_gwork _output_scale; do
+    if [[ "$(grep -cE "^[[:space:]]*def ${name}\(" src/repro/core/gdst.py)" != 1 ]]; then
+        echo "FAIL: core/gdst.py must define ${name} exactly once" >&2
+        exit 1
+    fi
+done
+echo "ok"
+
+echo "== lint: cluster.materialized is the one record of where partitions live =="
+# The per-worker partition store was written at five sites and read by
+# none; loss, recovery and rebalancing all go by Partition.worker.
+if grep -rnE '(^|[^a-zA-Z0-9_])(put_partition|_store)\b' src/repro/flink --include='*.py'; then
+    echo "FAIL: a second partition record under src/repro/flink (use cluster.materialized)" >&2
+    exit 1
+fi
+echo "ok"
+
+echo "== code lines per package (scripts/sloc.py: non-blank, non-comment, non-docstring) =="
+python scripts/sloc.py
+
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "== generated differentials at full depth: payload formats + exchange + shipping =="
+    echo "== generated differentials at full depth: payload formats + exchange + shipping + GWork + stage loop =="
     # Tier-1 caps their Hypothesis examples (tests/flink/conftest.py depth()).
     REPRO_FULL_DEPTH=1 python -m pytest -q \
         tests/flink/test_representation_differential.py \
         tests/flink/test_exchange_differential.py \
-        tests/flink/test_shipping_differential.py
+        tests/flink/test_shipping_differential.py \
+        tests/core/test_gwork_differential.py \
+        tests/flink/test_stage_loop_differential.py
 
     echo "== traced bench smoke: wordcount + schema validation + cross-check =="
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \

@@ -131,54 +131,8 @@ class CUDAWrapper:
         return HostBuffer(nbytes=block.nbytes, data=block.elements,
                           pinned=pinned, dma_capable=hbuffer.dma_capable)
 
-    def transfer_h2d(self, device: GPUDevice, stream: CUDAStream,
-                     dst: DeviceBuffer, block: Block, hbuffer: HBuffer,
-                     mode: CommMode = CommMode.GFLINK,
-                     sync: bool = False) -> Event:
-        """Move one block host→device via the chosen path.
-
-        Returns the completion event (enqueued on ``stream``).  The path
-        premium (conversion, heap copy, RPC) is charged in-stream: in a real
-        implementation the feeding thread serializes with the stream's DMA.
-        """
-        self.jni_calls += 1
-        host = self.host_view(block, hbuffer, mode)
-        premium = self._path_premium_s(block.nbytes, mode)
-
-        def op():
-            if premium:
-                yield self.env.timeout(premium)
-            yield self.env.timeout(self.costs.jni_call_s)
-            yield from self.runtime.memcpy_h2d(device, dst, host)
-
-        return stream.enqueue(op, name=f"h2d-{mode.value}")
-
-    def transfer_d2h(self, device: GPUDevice, stream: CUDAStream,
-                     dst_hbuffer: HBuffer, src: DeviceBuffer,
-                     nbytes: int, nominal_count: float,
-                     mode: CommMode = CommMode.GFLINK) -> Event:
-        """Move results device→host via the chosen path.
-
-        The functional payload lands on the returned event's value (the
-        caller assembles output blocks in order).
-        """
-        self.jni_calls += 1
-        host = HostBuffer(nbytes=nbytes,
-                          pinned=dst_hbuffer.pinned and mode is CommMode.GFLINK,
-                          dma_capable=dst_hbuffer.dma_capable)
-        premium = self._path_premium_s(nbytes, mode)
-
-        def op():
-            yield self.env.timeout(self.costs.jni_call_s)
-            yield from self.runtime.memcpy_d2h(device, host, src, nbytes=nbytes)
-            if premium:
-                yield self.env.timeout(premium)
-            return host.data
-
-        return stream.enqueue(op, name=f"d2h-{mode.value}")
-
-    # -- inline variants (used by the three-stage pipeline's stage processes,
-    # which provide their own ordering and must not hold a stream lock) -------
+    # Run inside the calling process: the three-stage pipeline's stage
+    # processes provide their own ordering and must not hold a stream lock.
     def transfer_h2d_inline(self, device: GPUDevice, dst: DeviceBuffer,
                             block: Block, hbuffer: HBuffer,
                             mode: CommMode = CommMode.GFLINK
@@ -244,25 +198,3 @@ class CUDAWrapper:
             return (c.rpc_call_s + nbytes / c.serde_bps
                     + nbytes / c.rpc_loopback_bps)
         raise ValueError(mode)  # pragma: no cover - exhaustive
-
-    # -- kernels ------------------------------------------------------------------
-    def launch_kernel(self, device: GPUDevice, stream: CUDAStream,
-                      kernel_name: str, n_elements: float,
-                      launch: LaunchConfig, inputs, outputs,
-                      params=None) -> Event:
-        """Kernel launch via JNI (asynchronous, on ``stream``).
-
-        The JNI redirect is enqueued as its own tiny stream operation ahead
-        of the kernel (streams are in-order), because the kernel operation
-        itself is enqueued by the native runtime — nesting them would
-        deadlock on the stream lock.
-        """
-        self.jni_calls += 1
-
-        def jni_op():
-            yield self.env.timeout(self.costs.jni_call_s)
-
-        stream.enqueue(jni_op, name=f"jni-launch-{kernel_name}")
-        return self.runtime.launch_kernel(
-            device, stream, kernel_name, n_elements, launch,
-            inputs, outputs, params)

@@ -130,8 +130,42 @@ def _cpu_fallback(op_name: str, ctx, gpumanager, part: Partition,
     return concat(results)
 
 
+def _run_kernels(op_name: str, ctx, part: Partition,
+                 stage_specs: Callable[[], List[tuple]],
+                 build_gwork: Callable[[], GWork]):
+    """The part of a GPU subtask every operator shares; returns the output
+    elements.
+
+    All of the worker's devices blacklisted: the kernels run on the CPU over
+    ``part`` (:func:`_cpu_fallback`); otherwise one GWork is built and
+    submitted.  Both arguments are thunks — only the path taken evaluates
+    its own (a degraded subtask builds no HBuffers, a healthy one calls no
+    operand supplier twice).
+    """
+    gpumanager = ctx.worker.gpumanager
+    if _check_degraded(op_name, ctx, gpumanager):
+        return (yield from _cpu_fallback(op_name, ctx, gpumanager, part,
+                                         stage_specs()))
+    out_hbuf = yield from _submit_gwork(op_name, ctx, gpumanager,
+                                        build_gwork())
+    return out_hbuf.elements
+
+
+def _require_gpumanager(ctx) -> None:
+    if ctx.worker.gpumanager is None:
+        raise ConfigError(
+            f"worker {ctx.worker.name} has no GPUManager; use a "
+            f"GFlinkCluster with gpus_per_worker configured")
+
+
 class GpuMapPartitionOp(Operator):
-    """A partition-wise GPU transformation (gpuMapPartition, Alg. 3.1)."""
+    """A partition-wise GPU transformation (gpuMapPartition, Alg. 3.1).
+
+    The operator *is* an ordered list of kernel members, ``stages``, run by
+    one subtask as ONE GWork; a single kernel is the chain of one
+    (``stages == [self]``, set here) and :class:`FusedGpuOp` is the
+    constructor of longer ones.  Everything below reads ``self.stages``.
+    """
 
     def __init__(self, source: Operator, kernel_name: str, app_id: str,
                  extra_inputs: Optional[Dict[str, "ExtraInput"]] = None,
@@ -168,247 +202,153 @@ class GpuMapPartitionOp(Operator):
         self.cuda_block_size = cuda_block_size
         self.layout = layout
         self.mapped_memory = mapped_memory
+        self.stages: List[GpuMapPartitionOp] = [self]
 
     def execute_subtask(self, ctx, inputs):
         (part,) = inputs
-        gpumanager = ctx.worker.gpumanager
-        if gpumanager is None:
-            raise ConfigError(
-                f"worker {ctx.worker.name} has no GPUManager; use a "
-                f"GFlinkCluster with gpus_per_worker configured")
+        _require_gpumanager(ctx)
         if part.real_count == 0:
             return Partition(index=ctx.subtask_index, elements=[],
                              element_nbytes=self.out_element_nbytes(part),
                              scale=part.scale, worker=ctx.worker.name)
-        if _check_degraded(self.name, ctx, gpumanager):
-            params = dict(self.params)
-            if self.params_fn is not None:
-                params.update(self.params_fn())
-            extras = {name: extra.supplier()
-                      for name, extra in self.extra_inputs.items()}
-            out_elements = yield from _cpu_fallback(
-                self.name, ctx, gpumanager, part,
-                [(self.kernel_name, params, extras)])
-        else:
-            work = self._build_gwork(ctx, part)
-            out_hbuf = yield from _submit_gwork(self.name, ctx, gpumanager,
-                                                work)
-            out_elements = out_hbuf.elements
-        out_real = real_len(out_elements)
-        scale = self._output_scale(part, out_real)
+        out_elements = yield from _run_kernels(
+            self.name, ctx, part,
+            lambda: [(op.kernel_name, op._launch_params(),
+                      {name: extra.supplier()
+                       for name, extra in op.extra_inputs.items()})
+                     for op in self.stages],
+            lambda: self._build_gwork(ctx, part))
+        scale = self._output_scale(part, real_len(out_elements))
         return Partition(index=ctx.subtask_index, elements=out_elements,
                          element_nbytes=self.out_element_nbytes(part),
                          scale=scale, worker=ctx.worker.name)
 
+    def _launch_params(self) -> Dict[str, Any]:
+        params = dict(self.params)
+        if self.params_fn is not None:
+            params.update(self.params_fn())
+        return params
+
     def _output_scale(self, part: Partition, out_real: int) -> float:
-        """Nominal scaling of the kernel output.
+        """Nominal scaling of the chain's final output.
+
+        The last stage's semantics decide:
 
         * ``map`` — one out per in: keep the input's scale.
         * ``flatmap`` — variable fan-out realized on the sample: the sample
           selectivity stands for the nominal one, so the scale carries over.
         * ``reduce`` — the kernel emits *real* partials (per block): scale 1.
         * ``auto`` — map when counts match, reduce otherwise (the two common
-          kernel shapes).
+          kernel shapes) — except downstream of a flatmap-style stage, where
+          the input's scale is kept (the count change is explained upstream,
+          not by a reduce-style contraction).
         """
-        if self.scale_semantics in ("map", "flatmap"):
+        semantics = self.stages[-1].scale_semantics
+        if semantics in ("map", "flatmap"):
             return part.scale
-        if self.scale_semantics == "reduce":
-            return 1.0
-        return part.scale if out_real == part.real_count else 1.0
-
-    def _build_gwork(self, ctx, part: Partition) -> GWork:
-        # GStruct data is raw bytes in off-heap memory already: creating the
-        # HBuffer is free.  Non-array payloads model plain JVM objects and
-        # pay the conversion penalty via the JNI_HEAP path semantics.
-        primary = HBuffer(part.elements, part.element_nbytes,
-                          scale=part.scale,
-                          off_heap=self.comm_mode is CommMode.GFLINK,
-                          pinned=self.comm_mode is CommMode.GFLINK,
-                          layout=self.layout)
-        in_buffers = {"in": primary}
-        for name, extra in self.extra_inputs.items():
-            in_buffers[name] = extra.to_hbuffer(self.comm_mode)
-        out_buffer = HBuffer(
-            [], self.out_element_nbytes(part), scale=part.scale,
-            off_heap=self.comm_mode is CommMode.GFLINK,
-            pinned=self.comm_mode is CommMode.GFLINK)
-        params = dict(self.params)
-        if self.params_fn is not None:
-            params.update(self.params_fn())
-        work = GWork(
-            execute_name=self.kernel_name,
-            ptx_path=f"/{self.kernel_name}.ptx",
-            in_buffers=in_buffers,
-            out_buffer=out_buffer,
-            size=part.nominal_count,
-            block_size=self.cuda_block_size,
-            cache=self.cache,
-            cache_key=(self.cache_key_base, part.index),
-            params=params,
-            app_id=self.app_id,
-            out_element_nbytes=self.out_elem_nbytes,
-            comm_mode=self.comm_mode,
-            mapped_memory=self.mapped_memory,
-        )
-        _attach_host_stream(ctx, work)
-        return work
-
-    def out_element_nbytes(self, input_partition) -> float:
-        if self.out_elem_nbytes is not None:
-            return self.out_elem_nbytes
-        if input_partition is not None:
-            return input_partition.element_nbytes
-        return 8.0
-
-
-class FusedGpuOp(Operator):
-    """A chain of element-wise GPU operators executing as ONE GWork.
-
-    The GPU analogue of :class:`repro.flink.optimizer.FusedMapOp`: the
-    subtask builds a single GWork whose :class:`~repro.core.gwork.KernelStage`
-    list holds every member's kernel.  The pipeline uploads the primary
-    input once, launches the stages back-to-back against device-resident
-    buffers and downloads only the final output — the intermediates never
-    cross PCIe.
-
-    Cache mapping: operator *i+1* asking to cache its input (``cache=True``)
-    becomes stage *i* caching its output, keyed by *i+1*'s
-    ``cache_key_base`` — so iterative jobs hit the same keys fused or not,
-    and a resumed chain skips the already-computed prefix.
-    """
-
-    def __init__(self, source: Operator, stages: List[GpuMapPartitionOp]):
-        name = "gpu-chain(" + "->".join(s.name for s in stages) + ")"
-        super().__init__(name, [source], None, [ShipStrategy.FORWARD],
-                         OpCost())
-        if len(stages) < 2:
-            raise ConfigError("a GPU chain needs at least two stages")
-        for op in stages:
-            if op.mapped_memory:
-                raise ConfigError(
-                    "mapped-memory GPU operators cannot be chained")
-        self.stages = list(stages)
-        first = self.stages[0]
-        self.app_id = first.app_id
-        self.comm_mode = first.comm_mode
-        self.layout = first.layout
-
-    def execute_subtask(self, ctx, inputs):
-        (part,) = inputs
-        gpumanager = ctx.worker.gpumanager
-        if gpumanager is None:
-            raise ConfigError(
-                f"worker {ctx.worker.name} has no GPUManager; use a "
-                f"GFlinkCluster with gpus_per_worker configured")
-        if part.real_count == 0:
-            return Partition(index=ctx.subtask_index, elements=[],
-                             element_nbytes=self.out_element_nbytes(part),
-                             scale=part.scale, worker=ctx.worker.name)
-        if _check_degraded(self.name, ctx, gpumanager):
-            stage_specs = []
-            for op in self.stages:
-                params = dict(op.params)
-                if op.params_fn is not None:
-                    params.update(op.params_fn())
-                extras = {name: extra.supplier()
-                          for name, extra in op.extra_inputs.items()}
-                stage_specs.append((op.kernel_name, params, extras))
-            out_elements = yield from _cpu_fallback(
-                self.name, ctx, gpumanager, part, stage_specs)
-        else:
-            work = self._build_gwork(ctx, part)
-            out_hbuf = yield from _submit_gwork(self.name, ctx, gpumanager,
-                                                work)
-            out_elements = out_hbuf.elements
-        out_real = real_len(out_elements)
-        scale = self._output_scale(part, out_real)
-        return Partition(index=ctx.subtask_index, elements=out_elements,
-                         element_nbytes=self.out_element_nbytes(part),
-                         scale=scale, worker=ctx.worker.name)
-
-    def _output_scale(self, part: Partition, out_real: int) -> float:
-        """Nominal scaling of the chain's final output.
-
-        The last stage's semantics decide, exactly as unfused — except that
-        an ``auto`` tail downstream of a flatmap-style stage must keep the
-        input's scale (the count change is explained upstream, not by a
-        reduce-style contraction)."""
-        last = self.stages[-1]
-        if last.scale_semantics in ("map", "flatmap"):
-            return part.scale
-        if last.scale_semantics == "reduce":
+        if semantics == "reduce":
             return 1.0
         if any(s.scale_semantics == "flatmap" for s in self.stages[:-1]):
             return part.scale
         return part.scale if out_real == part.real_count else 1.0
 
     def _build_gwork(self, ctx, part: Partition) -> GWork:
-        first = self.stages[0]
-        primary = HBuffer(part.elements, part.element_nbytes,
-                          scale=part.scale,
-                          off_heap=self.comm_mode is CommMode.GFLINK,
-                          pinned=self.comm_mode is CommMode.GFLINK,
-                          layout=self.layout)
-        in_buffers = {"in": primary}
+        stages = self.stages
+        head = stages[0]
+        gflink = self.comm_mode is CommMode.GFLINK
+        # GStruct data is raw bytes in off-heap memory already: creating the
+        # HBuffer is free.  Non-array payloads model plain JVM objects and
+        # pay the conversion penalty via the JNI_HEAP path semantics.
+        in_buffers = {"in": HBuffer(part.elements, part.element_nbytes,
+                                    scale=part.scale, off_heap=gflink,
+                                    pinned=gflink, layout=self.layout)}
         kernel_stages: List[KernelStage] = []
-        per_elem = float(part.element_nbytes)
-        for i, op in enumerate(self.stages):
-            # Namespace each member's secondary operands so two stages may
-            # both have e.g. a "centers" input without colliding.
+        per_elem, declared = part.element_nbytes, None
+        for i, op in enumerate(stages):
+            # A lone kernel's secondary operands keep their plain names (its
+            # cache keys are built from them); chain members namespace
+            # theirs so two may both have e.g. a "centers" input.
             extra: Dict[str, str] = {}
             for arg, operand in op.extra_inputs.items():
-                alias = f"s{i}:{arg}"
+                alias = arg if len(stages) == 1 else f"s{i}:{arg}"
                 in_buffers[alias] = operand.to_hbuffer(self.comm_mode)
                 extra[arg] = alias
-            params = dict(op.params)
-            if op.params_fn is not None:
-                params.update(op.params_fn())
             if op.out_elem_nbytes is not None:
-                per_elem = op.out_elem_nbytes
-            nxt = self.stages[i + 1] if i + 1 < len(self.stages) else None
+                per_elem = declared = op.out_elem_nbytes
+            nxt = stages[i + 1] if i + 1 < len(stages) else None
             kernel_stages.append(KernelStage(
                 execute_name=op.kernel_name,
-                params=params,
+                params=op._launch_params(),
                 out_element_nbytes=per_elem,
                 block_size=op.cuda_block_size,
                 extra=extra,
                 # Operator i+1 caching its input == stage i caching its
-                # output, under i+1's (stable) cache_key_base.
+                # output, under i+1's (stable) cache_key_base — so iterative
+                # jobs hit the same keys fused or not, and a resumed chain
+                # skips the already-computed prefix.
                 cache_output=nxt is not None and nxt.cache,
                 cache_key=((nxt.cache_key_base, part.index)
                            if nxt is not None and nxt.cache else None),
             ))
-        cache = first.cache or any(s.cache_output for s in kernel_stages)
-        out_buffer = HBuffer(
-            [], per_elem, scale=part.scale,
-            off_heap=self.comm_mode is CommMode.GFLINK,
-            pinned=self.comm_mode is CommMode.GFLINK)
+        cache = head.cache or any(s.cache_output for s in kernel_stages)
+        # The Algorithm 3.1 fields name the head kernel; ``stages`` carries
+        # the whole chain and is all the stream reads.
         work = GWork(
-            execute_name="+".join(op.kernel_name for op in self.stages),
-            ptx_path=f"/{self.stages[0].kernel_name}.ptx",
+            execute_name="+".join(op.kernel_name for op in stages),
+            ptx_path=f"/{head.kernel_name}.ptx",
             in_buffers=in_buffers,
-            out_buffer=out_buffer,
+            out_buffer=HBuffer([], per_elem, scale=part.scale,
+                               off_heap=gflink, pinned=gflink),
             size=part.nominal_count,
-            block_size=first.cuda_block_size,
+            block_size=head.cuda_block_size,
             cache=cache,
-            cache_key=((first.cache_key_base, part.index) if cache
-                       else None),
+            cache_key=(head.cache_key_base, part.index),
+            params=kernel_stages[0].params,
             app_id=self.app_id,
-            out_element_nbytes=per_elem,
+            out_element_nbytes=declared,
             comm_mode=self.comm_mode,
+            mapped_memory=head.mapped_memory,
             stages=kernel_stages,
-            primary_cached=first.cache,
+            # Stage outputs may be cached without the raw input being so.
+            primary_cached=head.cache or not cache,
         )
         _attach_host_stream(ctx, work)
         return work
 
     def out_element_nbytes(self, input_partition) -> float:
-        per_elem = (float(input_partition.element_nbytes)
-                    if input_partition is not None else 8.0)
-        for op in self.stages:
+        """The last size a member declares, else the input's."""
+        for op in reversed(self.stages):
             if op.out_elem_nbytes is not None:
-                per_elem = op.out_elem_nbytes
-        return per_elem
+                return op.out_elem_nbytes
+        if input_partition is not None:
+            return input_partition.element_nbytes
+        return 8.0
+
+
+class FusedGpuOp(GpuMapPartitionOp):
+    """Two or more element-wise GPU operators executing as ONE GWork.
+
+    The GPU analogue of :class:`repro.flink.optimizer.FusedMapOp`, built by
+    the optimizer: the pipeline uploads the primary input once, launches
+    every member's kernel back-to-back against device-resident buffers and
+    downloads only the final output — the intermediates never cross PCIe.
+    Application, transfer path and device layout are the head's (the
+    optimizer only fuses members that agree on them).
+    """
+
+    def __init__(self, source: Operator, stages: List[GpuMapPartitionOp]):
+        if len(stages) < 2:
+            raise ConfigError("a GPU chain needs at least two stages")
+        for op in stages:
+            if op.mapped_memory:
+                raise ConfigError(
+                    "mapped-memory GPU operators cannot be chained")
+        head = stages[0]
+        super().__init__(
+            source, "+".join(op.kernel_name for op in stages), head.app_id,
+            comm_mode=head.comm_mode, layout=head.layout,
+            name="gpu-chain(" + "->".join(s.name for s in stages) + ")")
+        self.stages = list(stages)
 
 
 class GpuJoinOp(Operator):
@@ -432,13 +372,13 @@ class GpuJoinOp(Operator):
                  name: Optional[str] = None):
         super().__init__(name or f"gpu-join({kernel_name})",
                          [left, right], parallelism,
-                         [ShipStrategy.HASH, ShipStrategy.HASH], OpCost())
+                         [ShipStrategy.HASH, ShipStrategy.HASH],
+                         OpCost(out_element_nbytes=out_element_nbytes))
         self.left_key = left_key
         self.right_key = right_key
         self.kernel_name = kernel_name
         self.app_id = app_id
         self.params = dict(params or {})
-        self.out_elem_nbytes = out_element_nbytes
         self.comm_mode = comm_mode
 
     def key_fn_for_input(self, i):
@@ -446,53 +386,38 @@ class GpuJoinOp(Operator):
 
     def execute_subtask(self, ctx, inputs):
         left, right = inputs
-        gpumanager = ctx.worker.gpumanager
-        if gpumanager is None:
-            raise ConfigError(
-                f"worker {ctx.worker.name} has no GPUManager")
+        _require_gpumanager(ctx)
         if left.real_count == 0 or right.real_count == 0:
             return Partition(index=ctx.subtask_index, elements=[],
                              element_nbytes=self.out_element_nbytes(left),
                              scale=1.0, worker=ctx.worker.name)
         left_rows, right_rows = (_kernel_operand(side.elements)
                                  for side in inputs)
-        if _check_degraded(self.name, ctx, gpumanager):
-            out_elements = yield from _cpu_fallback(
-                self.name, ctx, gpumanager, left.derive(left_rows),
-                [(self.kernel_name, dict(self.params),
-                  {"right": right_rows})])
-            scale = max(left.scale, right.scale)
-            return Partition(index=ctx.subtask_index, elements=out_elements,
-                             element_nbytes=self.out_element_nbytes(left),
-                             scale=scale, worker=ctx.worker.name)
-        primary = HBuffer(left_rows, left.element_nbytes,
-                          scale=left.scale, off_heap=True, pinned=True)
-        build_side = HBuffer(right_rows,
-                             right.element_nbytes, scale=right.scale,
-                             off_heap=True, pinned=True, cacheable=False)
-        work = GWork(
-            execute_name=self.kernel_name,
-            in_buffers={"in": primary, "right": build_side},
-            out_buffer=HBuffer([], self.out_element_nbytes(left),
-                               pinned=True),
-            size=left.nominal_count + right.nominal_count,
-            params=dict(self.params), app_id=self.app_id,
-            out_element_nbytes=self.out_elem_nbytes,
-            comm_mode=self.comm_mode)
-        out_hbuf = yield from _submit_gwork(self.name, ctx, gpumanager, work)
-        out_elements = out_hbuf.elements
+        out_elements = yield from _run_kernels(
+            self.name, ctx, left.derive(left_rows),
+            lambda: [(self.kernel_name, dict(self.params),
+                      {"right": right_rows})],
+            lambda: GWork(
+                execute_name=self.kernel_name,
+                in_buffers={
+                    "in": HBuffer(left_rows, left.element_nbytes,
+                                  scale=left.scale, off_heap=True,
+                                  pinned=True),
+                    # The build side: uploaded whole, never cached.
+                    "right": HBuffer(right_rows, right.element_nbytes,
+                                     scale=right.scale, off_heap=True,
+                                     pinned=True, cacheable=False)},
+                out_buffer=HBuffer([], self.out_element_nbytes(left),
+                                   pinned=True),
+                size=left.nominal_count + right.nominal_count,
+                params=dict(self.params), app_id=self.app_id,
+                out_element_nbytes=self.cost.out_element_nbytes,
+                comm_mode=self.comm_mode))
         # Join fan-out realized on the sample stands for the nominal one.
-        scale = max(left.scale, right.scale)
         return Partition(index=ctx.subtask_index, elements=out_elements,
                          element_nbytes=self.out_element_nbytes(left),
-                         scale=scale, worker=ctx.worker.name)
-
-    def out_element_nbytes(self, input_partition) -> float:
-        if self.out_elem_nbytes is not None:
-            return self.out_elem_nbytes
-        if input_partition is not None:
-            return input_partition.element_nbytes
-        return 8.0
+                         scale=max(left.scale, right.scale),
+                         worker=ctx.worker.name)
 
 
 def _kernel_operand(elements: Any) -> Any:

@@ -49,7 +49,6 @@ class GStream:
         self.device_index = device_index
         self.stream_index = stream_index
         self.mailbox: Store = Store(env, capacity=1)
-        self.works_executed = 0
         self.process = env.process(
             self._run(), name=f"gstream-{device_index}-{stream_index}")
 
@@ -80,7 +79,7 @@ class GStream:
         # Chained works may borrow an already-existing region to spill
         # oversized intermediates even when they cache nothing themselves.
         spill_region = region
-        if (spill_region is None and work.stages
+        if (spill_region is None and work.chained
                 and mgr.gmm.has_region(work.app_id, self.device_index)):
             spill_region = mgr.gmm.region(work.app_id, self.device_index)
         live_before = {buf.buffer_id for buf in device.memory.live_buffers()}
@@ -125,12 +124,10 @@ class GStream:
                     # died) and no longer waits: an unclaimed failure must
                     # not crash the simulation loop.
                     work.completion.defused()
-                self.works_executed += 1
                 return
         out = work.out_buffer.derive(output_elements)
         if work.out_element_nbytes is not None:
             out.element_nbytes = work.out_element_nbytes
-        self.works_executed += 1
         mgr.works_completed += 1
         if work.completion is not None:
             work.completion.succeed(out)
@@ -182,7 +179,7 @@ class GStream:
                   ) -> Generator[Event, None, object]:
         wrapper = self.manager.wrapper
         primary = work.in_buffers[PRIMARY]
-        stages = work.kernel_stages
+        stages = work.stages
         blocks = primary.split_blocks(self.manager.block_nbytes)
         to_kernel: Store = Store(self.env, capacity=PIPELINE_DEPTH)
         to_d2h: Store = Store(self.env, capacity=PIPELINE_DEPTH)
@@ -240,16 +237,12 @@ class GStream:
                         if not evt.triggered:
                             host_stream.stall_count += 1
                             host_stream.starved_count += 1
-                            stall_start = self.env.now
                             if observed:
                                 with obs.span("h2d.starved", device.name,
                                               "pipeline", block=blk.index):
                                     yield evt
                             else:
                                 yield evt
-                            starved = self.env.now - stall_start
-                            host_stream.stall_seconds += starved
-                            host_stream.starved_seconds += starved
                     entry = (primary_region.try_insert(
                                  (work.cache_key, PRIMARY, blk.index),
                                  blk.nbytes)
@@ -437,6 +430,7 @@ class GStream:
         so the per-block time is ``max(kernel, max(in, out) wire time)``.
         """
         wrapper = self.manager.wrapper
+        (stage,) = work.stages  # GWork refuses a mapped chain
         primary = work.in_buffers[PRIMARY]
         if not primary.pinned:
             raise ConfigError(
@@ -451,8 +445,8 @@ class GStream:
             out_view = DeviceBuffer(int(max(blk.nominal_count
                                             * out_per_elem, 8)), device.name)
             launch = LaunchConfig.for_elements(max(blk.nominal_count, 1),
-                                               work.block_size)
-            spec = wrapper.runtime.registry.get(work.execute_name)
+                                               stage.block_size)
+            spec = wrapper.runtime.registry.get(stage.execute_name)
             kernel_s = spec.execution_seconds(
                 blk.nominal_count, launch, device.spec,
                 layout=primary.layout)
@@ -470,17 +464,18 @@ class GStream:
                 device.kernels_launched += 1
                 device.h2d_bytes += blk.nbytes
                 in_arrays = {PRIMARY: host_view.data,
-                             **{k: v.data for k, v in secondary.items()}}
-                out = spec.fn(in_arrays, dict(work.params))
+                             **{arg: secondary[alias].data
+                                for arg, alias in stage.extra.items()}}
+                out = spec.fn(in_arrays, dict(stage.params))
                 if "out" not in out:
                     raise ConfigError(
-                        f"kernel {work.execute_name!r} produced no 'out'")
+                        f"kernel {stage.execute_name!r} produced no 'out'")
                 d2h_nbytes = int(
                     real_len(out["out"]) * primary.scale * out_per_elem)
                 device.d2h_bytes += d2h_nbytes
                 obs.emit("kernel.mapped", device.name, "kernel",
                          self.env.now - mapped_s, self.env.now,
-                         kernel=work.execute_name, block=blk.index,
+                         kernel=stage.execute_name, block=blk.index,
                          mapped=True, kernel_s=kernel_s,
                          h2d_bytes=blk.nbytes, d2h_bytes=d2h_nbytes)
                 results[blk.index] = out["out"]

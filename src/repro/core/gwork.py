@@ -6,10 +6,13 @@ it to the worker's GStreamManager.  "After submission, the input buffer and
 output buffer will be transformed to GPUs automatically ... After executions
 on GPUs, the results are pulled from GPUs to output buffer automatically."
 
-A GWork may carry a *chain* of kernel stages (GPU operator chaining): the
-pipeline uploads the primary input once, launches the stages back-to-back
-against device-resident intermediates, and downloads only the final output.
-A plain single-kernel GWork is the one-stage special case.
+A GWork *is* a chain of kernel stages (GPU operator chaining): the pipeline
+uploads the primary input once, launches the stages back-to-back against
+device-resident intermediates, and downloads only the final output.  A
+single kernel is the chain of one: the Algorithm 3.1 constructor
+(``execute_name`` / ``params`` / ``block_size``) is normalised to a one-stage
+list in :meth:`GWork.__post_init__`, and the stream and the scheduler read
+only :attr:`GWork.stages`.
 """
 
 from __future__ import annotations
@@ -89,8 +92,9 @@ class GWork:
     #: When set, the kernel reads/writes the pinned host buffers directly
     #: over PCIe (zero copy): no explicit H2D/D2H, reads and writes overlap.
     mapped_memory: bool = False
-    #: GPU operator chaining: ordered kernel stages sharing device-resident
-    #: intermediates.  None means "one stage": execute_name/params as-is.
+    #: The kernels to launch, in order, sharing device-resident
+    #: intermediates.  Never empty once constructed: None (the Algorithm 3.1
+    #: form) becomes the one stage that execute_name/params/block_size name.
     stages: Optional[List[KernelStage]] = None
     #: Whether the primary input's blocks may use the cache region (a fused
     #: chain caches stage outputs without necessarily caching its input).
@@ -119,28 +123,23 @@ class GWork:
             raise ConfigError("cache=True requires a cache_key")
         if not self.in_buffers:
             raise ConfigError("GWork needs at least one input buffer")
-        if self.stages is not None and not self.stages:
+        if self.stages is None:
+            extra = {name: name for name in self.in_buffers
+                     if name != PRIMARY}
+            self.stages = [KernelStage(
+                execute_name=self.execute_name, params=dict(self.params),
+                out_element_nbytes=self.out_element_nbytes,
+                block_size=self.block_size, extra=extra)]
+        elif not self.stages:
             raise ConfigError("stages, when given, must be non-empty")
-        if self.stages and self.mapped_memory:
+        if self.chained and self.mapped_memory:
             raise ConfigError(
                 "mapped-memory execution does not support kernel chaining")
 
     @property
-    def input_nbytes(self) -> float:
-        """Total nominal input bytes (drives locality decisions)."""
-        return sum(h.nbytes for h in self.in_buffers.values())
-
-    @property
-    def kernel_stages(self) -> List[KernelStage]:
-        """The stage list; a plain GWork synthesizes its single stage."""
-        if self.stages is not None:
-            return list(self.stages)
-        extra = {name: name for name in self.in_buffers if name != PRIMARY}
-        return [KernelStage(execute_name=self.execute_name,
-                            params=dict(self.params),
-                            out_element_nbytes=self.out_element_nbytes,
-                            block_size=self.block_size,
-                            extra=extra)]
+    def chained(self) -> bool:
+        """More than one stage: there are intermediates to keep resident."""
+        return len(self.stages) > 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<GWork #{self.work_id} {self.execute_name} "

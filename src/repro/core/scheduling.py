@@ -110,7 +110,7 @@ def locality_keys(work: GWork, block_nbytes: int) -> List[Hashable]:
                             for b in blocks)
         else:
             keys.append((work.cache_key, name))
-    for stage in work.kernel_stages:
+    for stage in work.stages:
         if stage.cache_output and stage.cache_key is not None:
             keys.extend((stage.cache_key, STAGE_OUT, i)
                         for i in range(n_primary_blocks))

@@ -132,7 +132,7 @@ class TaskContext:
     """
 
     def __init__(self, cluster: "Cluster", vertex: ExecutionVertex,
-                 metrics: JobMetrics, n_subtasks: int,
+                 metrics: JobMetrics,
                  preassigned_partition: Optional[Partition] = None,
                  in_stream=None, in_slot: Optional[int] = None,
                  out_stream=None):
@@ -146,7 +146,6 @@ class TaskContext:
         self.serializer = cluster.serializer
         self.metrics = metrics
         self.subtask_index = vertex.subtask_index
-        self.n_subtasks = n_subtasks
         self.assigned_blocks = vertex.assigned_blocks
         self.preassigned_partition = preassigned_partition
         self.op_name = vertex.op.name
@@ -169,7 +168,7 @@ class TaskContext:
         A wait on a queue that is actually full is a ``backpressure`` span
         on this worker's "pipeline" lane.  The stalled seconds are totalled
         when the wait ends however it ends — a worker kill interrupts it —
-        so the stream's and the job's totals agree with the span's.
+        so the job's total agrees with the span's.
         """
         evt = stream.reserve(block_index)
         if evt.triggered:
@@ -185,9 +184,7 @@ class TaskContext:
                     block=block_index):
                 yield evt
         finally:
-            stalled = self.env.now - t0
-            stream.stall_seconds += stalled
-            self.metrics.pipeline_backpressure_s += stalled
+            self.metrics.pipeline_backpressure_s += self.env.now - t0
 
     def charge(self, cost: OpCost, nominal_elements: float,
                nominal_nbytes: float, *udfs: Callable
@@ -286,7 +283,6 @@ class JobManager:
         self.cluster = cluster
         self.env = cluster.env
         self.config = cluster.config
-        self.jobs_run = 0
 
     # -- main entry point ------------------------------------------------------
     def run_job(self, sinks: List[Operator], job_name: str,
@@ -330,7 +326,6 @@ class JobManager:
                                    - hdfs_read0)
         metrics.hdfs_write_bytes = (self.cluster.hdfs.total_bytes_written()
                                     - hdfs_write0)
-        self.jobs_run += 1
         obs.emit("job.totals", job=job_name, subtasks=metrics.subtasks,
                  shuffle_bytes=metrics.shuffle_bytes,
                  zero_copy_bytes=metrics.shuffle_zero_copy_bytes,
@@ -441,8 +436,8 @@ class JobManager:
             subtask_procs = [
                 self.env.process(
                     self._run_subtask(jv.subtasks[i], per_subtask_inputs[i],
-                                      preassigned[i], jv.parallelism, metrics,
-                                      injector, scheduler),
+                                      preassigned[i], metrics, injector,
+                                      scheduler),
                     name=f"{op.name}[{i}]")
                 for i in run_indices
             ]
@@ -464,10 +459,6 @@ class JobManager:
             self.cluster.note_recovery_action("recompute")
         else:
             self.cluster.materialized[op.uid] = outputs
-        for part in outputs:
-            worker = self.cluster.workers.get(part.worker)
-            if worker is not None:
-                worker.taskmanager.put_partition(op.uid, part)
         scheduler.release(jv)
 
     def _recover_dataset(self, op: Operator, graph: ExecutionGraph,
@@ -502,7 +493,7 @@ class JobManager:
     def _run_subtask(self, vertex: ExecutionVertex,
                      inputs: List[Partition],
                      preassigned: Optional[Partition],
-                     n_subtasks: int, metrics: JobMetrics,
+                     metrics: JobMetrics,
                      injector: Optional[FailureInjector],
                      scheduler: Scheduler,
                      needs_slot: bool = True,
@@ -537,7 +528,6 @@ class JobManager:
                         metrics.schedule_s += overhead
                         yield self.env.timeout(overhead)
                         ctx = TaskContext(self.cluster, vertex, metrics,
-                                          n_subtasks,
                                           preassigned_partition=preassigned,
                                           in_stream=in_stream,
                                           in_slot=in_slot,
@@ -644,5 +634,3 @@ class JobManager:
                 continue
             if not op.persisted:
                 self.cluster.materialized.pop(op.uid, None)
-                for worker in self.cluster.workers.values():
-                    worker.taskmanager.drop_dataset(op.uid)

@@ -64,10 +64,6 @@ class MemoryManager:
             raise ConfigError(f"negative size: {nbytes}")
         return max(1, -(-int(nbytes) // self.page_size)) if nbytes else 0
 
-    def capacity_pages(self, kind: MemoryKind) -> int:
-        """Total pages in the given pool."""
-        return self._capacity[kind]
-
     def available_pages(self, kind: MemoryKind) -> int:
         """Unallocated pages in the given pool."""
         return self._capacity[kind] - self._allocated[kind]

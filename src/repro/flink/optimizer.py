@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Tuple
 
-from repro.flink.partition import Partition
 from repro.flink.plan import (
     FilterOp,
     FlatMapOp,
@@ -41,34 +40,22 @@ from repro.flink.plan import (
     MapPartitionOp,
     OpCost,
     Operator,
-    ShipStrategy,
+    _StageChain,
     topological_order,
 )
 
 CHAINABLE = (MapOp, FilterOp, FlatMapOp, MapPartitionOp)
 
 
-class FusedMapOp(Operator):
-    """A chain of element-wise operators executing as one task."""
+class FusedMapOp(_StageChain):
+    """Two or more element-wise operators executing as one task: every
+    stage's iterator cost is charged, scheduling/deploy overhead once."""
 
     def __init__(self, source: Operator, stages: List[Operator]):
-        name = "chain(" + "->".join(s.name for s in stages) + ")"
-        super().__init__(name, [source], None, [ShipStrategy.FORWARD],
-                         OpCost())
+        super().__init__(
+            source, None, OpCost(),
+            name="chain(" + "->".join(s.name for s in stages) + ")")
         self.stages = stages
-
-    def execute_subtask(self, ctx, inputs):
-        (current,) = inputs
-        for stage in self.stages:
-            yield from ctx.charge(stage.cost, current.nominal_count,
-                                  current.nominal_nbytes, stage.udf)
-            out_elements = stage._transform(current.elements)
-            current = Partition(
-                index=ctx.subtask_index, elements=out_elements,
-                element_nbytes=stage.out_element_nbytes(current),
-                scale=stage._output_scale(current, out_elements),
-                worker=ctx.worker.name)
-        return current
 
 
 def pipeline_regions(order: List[Operator]) -> List[List[Operator]]:
@@ -113,7 +100,6 @@ def _chainable(op: Operator, consumers: Counter) -> bool:
     consumed, not persisted (persisted datasets keep their identity for
     cross-job reuse)."""
     return (isinstance(op, CHAINABLE)
-            and type(op) is not FusedMapOp
             and op.parallelism is None
             and consumers[op.uid] == 1
             and not op.persisted)

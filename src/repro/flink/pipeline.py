@@ -96,11 +96,9 @@ class BlockStream:
         # Stats surfaced via trace spans and the metrics registry.
         self.max_depth = 0
         self.stall_count = 0
-        self.stall_seconds = 0.0
         # H2D starvation (consumer ready before host bytes): incremented by
         # the GPU pipeline (repro.core.gstream) on its host stream.
         self.starved_count = 0
-        self.starved_seconds = 0.0
 
     # -- state ----------------------------------------------------------------
     @property
@@ -402,11 +400,10 @@ class PipelinedExecutor:
                       start, end, op=op.name, parallelism=jv.parallelism,
                       region=self._region_of.get(uid, -1))
 
-        self.cluster.materialized[uid] = outputs
-        for part in outputs:
-            worker = self.cluster.workers.get(part.worker)
-            if worker is not None:
-                worker.taskmanager.put_partition(uid, part)
+        # Not an assignment: a barrier consumer woken by the same finals,
+        # earlier in this instant, may have registered the dataset already
+        # (_start_barrier) and be repairing that very list.
+        self.cluster.materialized.setdefault(uid, outputs)
         self.scheduler.release(jv)
         self._publish_queue_stats(op)
 
@@ -470,10 +467,16 @@ class PipelinedExecutor:
                 parts.append((yield evt))
             producer_parts.append(sorted(parts, key=lambda p: p.index))
         # A worker may have died between an input completing and this
-        # barrier consuming it — recover lost partitions first.
+        # barrier consuming it — recover lost partitions first.  Finals
+        # imply materialized: the finals wake this process before the
+        # producer's own runner (_run_op), so it is registered here if not
+        # yet there — recovery then recomputes what was lost, not the whole
+        # operator as for a dataset it cannot find.
         for idx, inp in enumerate(op.inputs):
             if any(not self.cluster.worker_is_alive(p.worker)
                    for p in producer_parts[idx]):
+                self.cluster.materialized.setdefault(inp.uid,
+                                                     producer_parts[idx])
                 yield from self._recover_serialized(inp)
                 producer_parts[idx] = sorted(
                     self.cluster.materialized[inp.uid],
@@ -577,7 +580,7 @@ class PipelinedExecutor:
         if self._op_start[op.uid] is None:
             self._op_start[op.uid] = self.env.now
         part = yield from self.jm._run_subtask(
-            jv.subtasks[i], inputs, preassigned, jv.parallelism,
+            jv.subtasks[i], inputs, preassigned,
             self.metrics, self.injector, self.scheduler,
             needs_slot=needs_slot, in_stream=in_stream, in_slot=in_slot,
             out_stream=out_stream)

@@ -323,28 +323,43 @@ class HdfsSource(Operator):
 # Element-wise transforms
 # ---------------------------------------------------------------------------
 
-class _ElementWise(Operator):
-    """Shared machinery for map/filter/flatMap: iterator-model CPU execution."""
+class _StageChain(Operator):
+    """An ordered list of single-UDF stages run by one task.
 
-    def __init__(self, source: Operator, udf: Callable, cost: OpCost,
-                 parallelism: Optional[int] = None, name: str = "element-wise"):
+    ``map`` / ``filter`` / ``flatMap`` / ``mapPartition`` are each the chain
+    of one (``stages == [self]``, set here); the optimizer's
+    :class:`~repro.flink.optimizer.FusedMapOp` is the constructor of longer
+    ones.  A stage is priced by its ``cost`` and ``udf``, computed by
+    ``_transform`` and sized by ``out_element_nbytes`` / ``_output_scale``.
+    """
+
+    def __init__(self, source: Operator, udf: Optional[Callable],
+                 cost: OpCost, parallelism: Optional[int] = None,
+                 name: str = "element-wise"):
         super().__init__(name, [source], parallelism,
                          [ShipStrategy.FORWARD], cost)
         self.udf = udf
+        self.stages: List[_StageChain] = [self]
 
     def _transform(self, elements: Any) -> Any:
         raise NotImplementedError
 
+    def _output_scale(self, part: Partition, out_elements: Any) -> float:
+        raise NotImplementedError
+
     def execute_subtask(self, ctx, inputs):
+        """The one stage loop: charge, transform, wrap — stage by stage."""
         (part,) = inputs
-        yield from ctx.charge(self.cost, part.nominal_count,
-                              part.nominal_nbytes, self.udf)
-        return self.functional_output(part, ctx.subtask_index,
-                                      ctx.worker.name)
+        for stage in self.stages:
+            yield from ctx.charge(stage.cost, part.nominal_count,
+                                  part.nominal_nbytes, stage.udf)
+            part = stage.functional_output(part, ctx.subtask_index,
+                                           ctx.worker.name)
+        return part
 
     def functional_output(self, part: Partition, subtask_index: int,
                           worker: Optional[str]) -> Partition:
-        """Apply the transform with no simulated time charged.
+        """One turn of the stage loop with no simulated time charged.
 
         The pipelined executor evaluates this early (UDFs are pure in the
         simulation) so downstream consumers can be wired up while this
@@ -356,6 +371,11 @@ class _ElementWise(Operator):
         return Partition(index=subtask_index, elements=out_elements,
                          element_nbytes=self.out_element_nbytes(part),
                          scale=out_scale, worker=worker)
+
+
+class _ElementWise(_StageChain):
+    """map/filter/flatMap: iterator-model CPU execution, one element at a
+    time — the operators whose block stream the executor relays."""
 
     def _output_scale(self, part: Partition, out_elements: Any) -> float:
         real_out = real_len(out_elements)
@@ -388,32 +408,15 @@ class FlatMapOp(_ElementWise):
         return apply_flat_map(elements, self.udf)
 
 
-class MapPartitionOp(Operator):
+class MapPartitionOp(_StageChain):
     """``mapPartition``: the UDF sees the whole partition at once.
 
     This is the CPU-side analogue of the block-processing model — and the
     operator GFlink's ``gpuMapPartition`` overrides (paper Algorithm 3.1).
     """
 
-    def __init__(self, source: Operator, udf: Callable, cost: OpCost,
-                 parallelism: Optional[int] = None,
-                 name: str = "map-partition"):
-        super().__init__(name, [source], parallelism,
-                         [ShipStrategy.FORWARD], cost)
-        self.udf = udf
-
     def _transform(self, elements: Any) -> Any:
         return self.udf(elements)
-
-    def execute_subtask(self, ctx, inputs):
-        (part,) = inputs
-        yield from ctx.charge(self.cost, part.nominal_count,
-                              part.nominal_nbytes, self.udf)
-        out_elements = self._transform(part.elements)
-        return Partition(index=ctx.subtask_index, elements=out_elements,
-                         element_nbytes=self.out_element_nbytes(part),
-                         scale=self._output_scale(part, out_elements),
-                         worker=ctx.worker.name)
 
     def _output_scale(self, part: Partition, out_elements: Any) -> float:
         # Map-style partition functions (one out per in) keep the input's

@@ -71,10 +71,9 @@ class Rebalancer:
         """Simulation process: re-home one partition onto ``target``.
 
         Charges the zero-copy framing cost plus the wire transfer of the
-        partition's nominal bytes, then moves the bookkeeping: the source
-        TaskManager forgets the partition, the destination registers it,
-        and ``part.worker`` flips — every later consumer colocates with
-        (or ships from) the new home.
+        partition's nominal bytes, then flips ``part.worker`` — the one
+        record of where a partition lives — so every later consumer
+        colocates with (or ships from) the new home.
         """
         cluster = self.cluster
         source = part.worker
@@ -90,13 +89,7 @@ class Rebalancer:
             if nbytes > 0 and source != target:
                 yield from cluster.network.transfer(source, target,
                                                     int(nbytes))
-        src_worker = cluster.workers.get(source)
-        if src_worker is not None:
-            src_worker.taskmanager.remove_partition(uid, part.index)
         part.worker = target
-        dst_worker = cluster.workers.get(target)
-        if dst_worker is not None:
-            dst_worker.taskmanager.put_partition(uid, part)
 
     # -- membership-event flows ----------------------------------------------------
     def rebalance_onto(self, joiner: str) -> Generator[Event, None, int]:

@@ -78,6 +78,7 @@ class Cluster:
             block_header_s=self.config.flink.shuffle_block_header_s)
         self.jobmanager = JobManager(self)
         # op uid -> materialized partitions; survives jobs for persisted ops.
+        # The one record of where partitions live (Partition.worker).
         self.materialized: Dict[int, List[Partition]] = {}
         # Failure domains (repro.flink.chaos): the installed engine, plus
         # master-side death declarations and their waiter events.
@@ -112,10 +113,6 @@ class Cluster:
         partitions.
         """
         return self.config.total_slots
-
-    @property
-    def worker_list(self) -> List[Worker]:
-        return list(self.workers.values())
 
     def _make_worker(self, name: str) -> Worker:
         """Build one worker node (GFlinkCluster also attaches a GPUManager)."""
@@ -250,16 +247,11 @@ class Cluster:
         worker = self.workers.get(name) if name is not None else None
         return worker.alive if worker is not None else True
 
-    def healthy_worker_names(self) -> List[str]:
-        """Names of live member workers, in stable membership order."""
-        return [name for name in self._members
-                if self.workers[name].alive]
-
     def fail_worker(self, name: str) -> None:
         """Kill a worker node: its whole failure domain goes down at once.
 
-        Running and queued subtasks are interrupted, the TaskManager's
-        partition store is dropped (lineage recovery will recompute what is
+        Running and queued subtasks are interrupted, the partitions that
+        name the worker are lost (lineage recovery will recompute what is
         needed), and the co-located HDFS datanode fails with it — reads fail
         over to surviving replicas.  Detection (the declaration that frees
         displaced subtasks to re-place) happens separately, through the
@@ -376,7 +368,3 @@ class FlinkSession:
         proc = self.cluster.env.process(
             self.execute_job(sink, job_name), name=f"job-{job_name}")
         return self.cluster.env.run(until=proc)
-
-    def total_simulated_seconds(self) -> float:
-        """Sum of makespans over all jobs run in this session."""
-        return sum(m.makespan for m in self.history)

@@ -1,14 +1,13 @@
-"""TaskManager: per-worker task slots, managed memory and partition store."""
+"""TaskManager: per-worker task slots and managed memory."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.resources import Resource
 from repro.common.simclock import Environment, Event, Process
 from repro.flink.config import ClusterConfig
 from repro.flink.memory import MemoryManager
-from repro.flink.partition import Partition
 
 
 class _SharedSlot:
@@ -35,9 +34,9 @@ class TaskManager:
     """Executes subtasks in task slots on one worker node.
 
     One slot per CPU core by default (the paper: "the number of task slots
-    allocated by Flink is equal to that of CPUs").  The partition store keeps
-    materialized dataset partitions in managed memory between operators and —
-    for persisted datasets — between jobs.
+    allocated by Flink is equal to that of CPUs").  Which partitions a
+    worker holds is recorded in one place, ``Cluster.materialized`` (each
+    partition names its ``worker``); a dead worker's are lost by that name.
     """
 
     def __init__(self, env: Environment, worker_name: str,
@@ -49,8 +48,6 @@ class TaskManager:
         self.memory = MemoryManager(
             total_bytes=config.flink.managed_memory_per_worker,
             page_size=config.flink.page_size)
-        # dataset uid -> partition index -> Partition
-        self._store: Dict[int, Dict[int, Partition]] = {}
         self.tasks_executed = 0
         # Subtask processes currently assigned to this worker (queued for a
         # slot or running).  A worker kill interrupts them all: the
@@ -107,16 +104,15 @@ class TaskManager:
         return evt
 
     def fail(self, cause: str = "worker failed") -> None:
-        """Kill this TaskManager: interrupt its subtasks, drop its state.
+        """Kill this TaskManager: interrupt its subtasks.
 
-        The partition store is cleared — everything materialized here is
-        lost and must be recovered by lineage.  Slot bookkeeping needs no
+        Everything materialized here is lost (its partitions name a dead
+        worker) and must be recovered by lineage.  Slot bookkeeping needs no
         special handling: interrupted subtasks release their slot requests
         as the interrupt unwinds their ``with`` blocks.
         """
         victims = list(self._running)
         self._running.clear()
-        self._store.clear()
         for process in victims:
             if process.is_alive:
                 process.interrupt(cause)
@@ -124,32 +120,6 @@ class TaskManager:
         for evt in waiters:
             if not evt.triggered:
                 evt.succeed()
-
-    # -- partition store ------------------------------------------------------
-    def put_partition(self, dataset_uid: int, partition: Partition) -> None:
-        """Register a materialized partition of a dataset on this worker."""
-        self._store.setdefault(dataset_uid, {})[partition.index] = partition
-
-    def get_partition(self, dataset_uid: int,
-                      index: int) -> Optional[Partition]:
-        """Look up a resident partition, or None."""
-        return self._store.get(dataset_uid, {}).get(index)
-
-    def remove_partition(self, dataset_uid: int, index: int) -> None:
-        """Forget one resident partition (it migrated to another worker)."""
-        parts = self._store.get(dataset_uid)
-        if parts is not None:
-            parts.pop(index, None)
-            if not parts:
-                self._store.pop(dataset_uid, None)
-
-    def drop_dataset(self, dataset_uid: int) -> None:
-        """Evict all partitions of a dataset from this worker."""
-        self._store.pop(dataset_uid, None)
-
-    def resident_datasets(self) -> list[int]:
-        """Dataset uids with at least one partition on this worker."""
-        return [uid for uid, parts in self._store.items() if parts]
 
 
 class Worker:

@@ -48,10 +48,5 @@ class GPUDevice:
             return self._d2h_engine
         raise ValueError(f"direction must be 'h2d' or 'd2h': {direction!r}")
 
-    @property
-    def busy_fraction_hint(self) -> int:
-        """Queue depth on the compute engine (scheduling heuristic input)."""
-        return self.compute.count + self.compute.queue_length
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<GPUDevice {self.name}>"

@@ -43,7 +43,10 @@ A :class:`Fact` row:
     :meth:`~repro.obs.bus.Observability.span` is entered rather than when
     it exits (a stall is counted when it begins, timed when it ends).
     Every monitor derivation first ticks the window clock —
-    ``mon("tick")`` does only that.
+    ``mon("tick")`` does only that.  The monitor also samples every
+    registry counter into its store at window close, under the same
+    ``(name, labels)`` series key: a fact never derives one key into both
+    sinks, or its window would count it twice.
 """
 
 from __future__ import annotations
@@ -254,16 +257,15 @@ FACTS: Dict[str, Fact] = {
         mon("counter", "churn.events", event="=leave"))),
     "rebalance.migrate": Fact("rebalance", "X", derive=(
         reg("counter", "rebalance.partitions", unless=_ERR, dst="dst"),
-        reg("counter", "rebalance.bytes", "nbytes", unless=_ERR, dst="dst"),
-        mon("counter", "rebalance.partitions", unless=_ERR, dst="dst"))),
+        reg("counter", "rebalance.bytes", "nbytes", unless=_ERR,
+            dst="dst"))),
 
     # -- autoscaler (flink/autoscaler.py) -----------------------------------------
     "slot_pressure": Fact(derive=(
         mon("gauge", "scheduler.slot_pressure", "pressure"),)),
     "autoscale": Fact("alert", name="autoscale.{action}", hidden=("action",),
                       derive=(
-        reg("counter", "autoscale.decisions", action="action"),
-        mon("counter", "autoscale.decisions", action="action"))),
+        reg("counter", "autoscale.decisions", action="action"),)),
 }
 
 # A drawn fact with no name template of its own is displayed under its key.

@@ -11,8 +11,9 @@ pipelined clock and ``heap_only()`` for zero-wait events).  The last
 section is the shipping path as it was until PR 18 — one timeout per
 serde charge, one ``all_of`` per transfer — which
 ``test_shipping_differential.py`` holds :meth:`Exchange._send` and
-:meth:`repro.common.network.Network.transfer` to.  Nothing under ``src/``
-may import this module.
+:meth:`repro.common.network.Network.transfer` to.  After it, the three CPU
+subtask bodies the one stage loop replaced.  Nothing under ``src/`` may
+import this module.
 """
 
 from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
@@ -27,7 +28,7 @@ from repro.flink.iterators import apply_grouped_reduce
 from repro.flink.partition import Partition
 from repro.flink.payload import (bucket_plan, group_plan, n_wire_blocks,
                                  real_len)
-from repro.flink.plan import ShipStrategy
+from repro.flink.plan import Operator, ShipStrategy, _ElementWise
 from repro.flink.shuffle import COUNT_COMBINER, Exchange, hash_bucket
 
 
@@ -431,3 +432,108 @@ class AllOfNetwork(Network):
         finally:
             out_port.lock.release(out_req)
             in_port.lock.release(in_req)
+
+
+# -- three CPU subtask bodies ----------------------------------------------------
+#
+# Until the fused/unfused fork closed, "charge -> transform -> wrap in a
+# Partition" was spelled by ``_ElementWise``, ``MapPartitionOp`` and
+# ``FusedMapOp`` each; the engine now has one stage loop
+# (``repro.flink.plan._StageChain``) and these are the three retired
+# bodies, methods verbatim.  A twin is made from a live operator's
+# attributes (``cpu_twin``), so both run over the very same plan node;
+# ``test_stage_loop_differential.py`` holds the loop to them.
+
+class RetiredElementWise(_ElementWise):
+    """map / filter / flatMap as they ran on their own (still an
+    ``_ElementWise``: the executor's relay rule must see the twin as one)."""
+
+    def execute_subtask(self, ctx, inputs):
+        (part,) = inputs
+        yield from ctx.charge(self.cost, part.nominal_count,
+                              part.nominal_nbytes, self.udf)
+        return self.functional_output(part, ctx.subtask_index,
+                                      ctx.worker.name)
+
+    def functional_output(self, part: Partition, subtask_index: int,
+                          worker: Optional[str]) -> Partition:
+        """Apply the transform with no simulated time charged.
+
+        The pipelined executor evaluates this early (UDFs are pure in the
+        simulation) so downstream consumers can be wired up while this
+        operator's timing plane is still streaming; the subtask's own
+        :meth:`execute_subtask` produces a bit-identical partition.
+        """
+        out_elements = self._transform(part.elements)
+        out_scale = self._output_scale(part, out_elements)
+        return Partition(index=subtask_index, elements=out_elements,
+                         element_nbytes=self.out_element_nbytes(part),
+                         scale=out_scale, worker=worker)
+
+    def _output_scale(self, part: Partition, out_elements: Any) -> float:
+        real_out = real_len(out_elements)
+        if self.cost.selectivity is None or real_out == 0:
+            return part.scale
+        # Keep nominal_out = nominal_in * selectivity even when the sample's
+        # real selectivity differs.
+        nominal_out = part.nominal_count * self.cost.selectivity
+        return nominal_out / real_out
+
+
+class RetiredMapPartitionOp(Operator):
+    """``mapPartition``'s own copy."""
+
+    def execute_subtask(self, ctx, inputs):
+        (part,) = inputs
+        yield from ctx.charge(self.cost, part.nominal_count,
+                              part.nominal_nbytes, self.udf)
+        out_elements = self._transform(part.elements)
+        return Partition(index=ctx.subtask_index, elements=out_elements,
+                         element_nbytes=self.out_element_nbytes(part),
+                         scale=self._output_scale(part, out_elements),
+                         worker=ctx.worker.name)
+
+    def _output_scale(self, part: Partition, out_elements: Any) -> float:
+        # Map-style partition functions (one out per in) keep the input's
+        # nominal scaling; aggregating ones (partial sums, histograms) emit
+        # *real* records that must not be scaled up.  cost.selectivity
+        # overrides the heuristic when set.
+        out_real = real_len(out_elements)
+        if self.cost.selectivity is not None and out_real:
+            return part.nominal_count * self.cost.selectivity / out_real
+        return part.scale if out_real == part.real_count else 1.0
+
+
+class RetiredFusedMapOp(Operator):
+    """The chain's own copy."""
+
+    def execute_subtask(self, ctx, inputs):
+        (current,) = inputs
+        for stage in self.stages:
+            yield from ctx.charge(stage.cost, current.nominal_count,
+                                  current.nominal_nbytes, stage.udf)
+            out_elements = stage._transform(current.elements)
+            current = Partition(
+                index=ctx.subtask_index, elements=out_elements,
+                element_nbytes=stage.out_element_nbytes(current),
+                scale=stage._output_scale(current, out_elements),
+                worker=ctx.worker.name)
+        return current
+
+
+def cpu_twin(op):
+    """The retired operator over the same attributes as the live ``op``
+    (uid, name, cost, UDF; a chain's members become twins too).  What the
+    UDF computes, ``_transform``, was never part of the fork: the twin asks
+    the live operator."""
+    if len(op.stages) > 1:
+        cls = RetiredFusedMapOp
+    else:
+        cls = (RetiredElementWise if isinstance(op, _ElementWise)
+               else RetiredMapPartitionOp)
+    twin = object.__new__(cls)
+    twin.__dict__.update(vars(op))
+    twin._transform = op._transform
+    twin.stages = ([cpu_twin(member) for member in op.stages]
+                   if len(op.stages) > 1 else [twin])
+    return twin

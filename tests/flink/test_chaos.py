@@ -4,7 +4,9 @@ Covers the chaos subsystem's contracts:
 
 * exponential back-off with deterministic jitter (``backoff_delay``);
 * GPU device blacklisting at the fault threshold + cache invalidation;
-* lineage recovery recomputes exactly the lost partitions;
+* lineage recovery recomputes exactly the lost partitions — of a persisted
+  dataset and of one whose wave had only just finished (finals imply
+  materialized);
 * a worker killed mid-job leaves the job result identical;
 * with every device blacklisted, GPU operators degrade to CPU execution
   and still produce identical results.
@@ -23,8 +25,9 @@ from repro.flink.chaos import (
     backoff_delay,
     values_equal,
 )
+from repro.flink.jobmanager import JobManager
 from repro.gpu.kernel import KernelRegistry
-from repro.workloads import PointAddWorkload
+from repro.workloads import PageRankWorkload, PointAddWorkload
 from tests.flink.conftest import assert_ports_free, make_cluster
 
 
@@ -182,6 +185,76 @@ class TestLineageRecovery:
         assert engine.summary()["events_applied"] == 1
         assert not cluster.workers["worker1"].alive
         assert_ports_free(cluster.network)
+
+
+class TestInFlightRecovery:
+    """A worker dies after some of a wave's partitions finished on it and
+    before the wave ends.  The barrier consumer is woken by the wave's
+    finals before the producer's own runner has put the dataset in
+    ``cluster.materialized``; recovery must still find it there and
+    recompute the lost partitions — not re-run the operator as if the
+    dataset had been evicted."""
+
+    WAVE = "chain(pagerank-contrib->pagerank-tuples)"
+
+    @staticmethod
+    def run(kill_at=None, spy=None):
+        cluster = GFlinkCluster(ClusterConfig(
+            n_workers=4, gpus_per_worker=("c2050",),
+            flink=FlinkConfig(heartbeat_interval_s=0.05,
+                              heartbeat_timeout_s=0.2,
+                              retry_backoff_base_s=0.01)))
+        if kill_at is not None:
+            cluster.install_chaos(
+                ChaosSchedule().kill_worker("worker1", at=kill_at))
+        if spy is not None:
+            spy(cluster)
+        return PageRankWorkload(nominal_pages=1e6, real_pages=400,
+                                iterations=2).run(GFlinkSession(cluster),
+                                                  "cpu")
+
+    def test_recomputes_the_lost_partitions_not_the_operator(
+            self, monkeypatch):
+        baseline = self.run()
+        wave = baseline.job_metrics[0].span_of(self.WAVE)
+        recoveries = []   # (op name, only, lost when entered)
+        executed = []     # (op uid, subtask index) per subtask process
+        run_operator = JobManager._run_operator
+        run_subtask = JobManager._run_subtask
+
+        def recording_operator(jm, op, graph, scheduler, metrics, injector,
+                               only=None):
+            parts = jm.cluster.materialized.get(op.uid)
+            lost = None if parts is None else {
+                p.index for p in parts
+                if not jm.cluster.worker_is_alive(p.worker)}
+            recoveries.append((op, only, lost))
+            return run_operator(jm, op, graph, scheduler, metrics, injector,
+                                only=only)
+
+        def recording_subtask(jm, vertex, *args, **kwargs):
+            executed.append((vertex.op.uid, vertex.subtask_index))
+            return run_subtask(jm, vertex, *args, **kwargs)
+
+        monkeypatch.setattr(JobManager, "_run_operator", recording_operator)
+        monkeypatch.setattr(JobManager, "_run_subtask", recording_subtask)
+        # Late in the wave: worker1 has finished partitions to lose.
+        result = self.run(kill_at=wave.start + 0.95 * wave.seconds)
+
+        assert values_equal(result.value, baseline.value)
+        assert sum(m.recovered_partitions for m in result.job_metrics) > 0
+        # No dataset whose finals fired was re-run whole ...
+        assert recoveries and all(
+            only is not None and only == lost
+            for _op, only, lost in recoveries)
+        # ... the wave's least of all: its lost partitions ran twice, the
+        # rest of its subtasks once.
+        (op, lost), = [(op, only) for op, only, _ in recoveries
+                       if op.name == self.WAVE]
+        assert 0 < len(lost) < wave.parallelism
+        runs = [i for uid, i in executed if uid == op.uid]
+        assert sorted(runs) == sorted(list(range(wave.parallelism))
+                                      + list(lost))
 
 
 def gpu_cluster(**flink_overrides):

@@ -14,10 +14,15 @@ Covers the executor's contracts:
   clock never loses;
 * a consumer wave overlaps its producer wave (the behavior
   tests/flink/test_runtime_timing.py pins its barriered tests against);
+* an element-wise operator between a streaming source and a streaming
+  consumer relays the block stream;
 * queue/backpressure stats surface in the metrics registry;
 * a worker killed mid-pipeline recovers to an identical result.
 """
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from repro.common.simclock import Environment
@@ -25,8 +30,9 @@ from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig, FlinkSession, \
     OpCost
 from repro.flink.chaos import ChaosSchedule, values_equal
+from repro.flink.iterators import vectorized
 from repro.flink.optimizer import pipeline_regions
-from repro.flink.pipeline import BlockStream, _split_chunks
+from repro.flink.pipeline import BlockStream, PipelinedExecutor, _split_chunks
 from repro.flink.plan import (
     CollectionSource,
     CollectSink,
@@ -35,6 +41,7 @@ from repro.flink.plan import (
     UnionOp,
     topological_order,
 )
+from repro.gpu import KernelSpec
 from repro.workloads import (
     KMeansWorkload,
     LinearRegressionWorkload,
@@ -268,6 +275,57 @@ class TestStagedVsPipelined:
             reference = runtime()
         piped = runtime()
         assert reference.value == piped.value
+        assert piped.seconds <= reference.seconds + 1e-9
+
+
+class TestStreamRelay:
+    """``read_hdfs(...).map(f).gpu_map(k)``: the map subtask charges block
+    by block as its source publishes, and republishes each block into a
+    stream of its own for the GPU operator's H2D stage to wait on
+    (``_wire``'s element-wise rule, ``_streaming_slice``'s ``out_stream``,
+    the ``out`` branches of ``TaskContext._charge_linear``)."""
+
+    @staticmethod
+    def run(udf):
+        cluster = GFlinkCluster(ClusterConfig(
+            n_workers=2, cpu=CPUSpec(cores=2), gpus_per_worker=("c2050",),
+            flink=FlinkConfig(pipeline_block_nbytes=64 * 1024.0)))
+        session = GFlinkSession(cluster)
+        session.register_kernel(KernelSpec(
+            "double", lambda i, p: {"out": i["in"] * 2.0},
+            flops_per_element=2.0, efficiency=0.5))
+        rng = np.random.default_rng(7)
+        cluster.load_hdfs_file("/relay", [
+            (rng.random(500), 500 * 1000 * 8)
+            for _ in range(cluster.default_parallelism)])
+        mapped = session.read_hdfs("/relay", element_nbytes=8.0,
+                                   scale=1e3).map(udf, name="inc")
+        executors = []
+        real_run = PipelinedExecutor.run
+
+        def recording(executor):
+            executors.append(executor)
+            return real_run(executor)
+
+        with mock.patch.object(PipelinedExecutor, "run", recording):
+            result = mapped.gpu_map("double").collect()
+        (executor,) = executors
+        return result, executor._streams[mapped.op.uid]
+
+    @pytest.mark.parametrize("udf", [
+        lambda x: x + 1.0, vectorized(lambda block: block + 1.0)],
+        ids=["element", "vectorized"])
+    def test_map_relays_its_source_stream_to_the_gpu_operator(self, udf):
+        piped, relayed = self.run(udf)
+        with barriered():
+            reference, not_relayed = self.run(udf)
+        # Relay engaged: every map subtask published a stream of its own,
+        # block by block, to the end.
+        assert len(relayed) == 4 and not_relayed == [None] * 4
+        assert all(stream.closed and stream.published == stream.n_blocks > 1
+                   for stream in relayed)
+        assert values_equal(piped.value, reference.value)
+        assert len(piped.value) == 4 * 500
         assert piped.seconds <= reference.seconds + 1e-9
 
 

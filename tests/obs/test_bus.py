@@ -5,7 +5,9 @@
 * the table covers the source and the source covers the table;
 * an unobserved job's calls into ``repro.obs`` do not grow with its blocks;
 * a stall interrupted by a worker kill is timed by its span, and every
-  total agrees with it.
+  total agrees with it;
+* one fact, one count: no series key is derived into both sinks (the
+  monitor samples the registry into its store under the same keys).
 """
 
 import ast
@@ -19,8 +21,10 @@ import pytest
 
 import repro
 from repro.common.errors import ConfigError
+from repro.common.simclock import Environment
 from repro.core import GFlinkCluster, GFlinkSession
-from repro.flink import ClusterConfig, CPUSpec, FailureInjector, FlinkConfig
+from repro.flink import (ClusterConfig, CPUSpec, FailureInjector, FlinkConfig,
+                         FlinkSession)
 from repro.flink.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.flink.chaos import ChaosSchedule
 from repro.gpu import KernelSpec
@@ -312,3 +316,54 @@ class TestCrossCheck:
         metrics[retries] += 1
         [error] = cross_check(trace, metrics)
         assert retries in error
+
+
+def window_total(monitor, family):
+    return sum(value for series in monitor.store.family(family)
+               for _idx, value in series.points)
+
+
+class TestOneFactOneCount:
+    """The monitor samples every registry metric into its store at window
+    close, under the metric's own ``(name, labels)`` key.  A monitor
+    derivation under that key would count the fact a second time."""
+
+    def test_no_series_key_is_derived_into_both_sinks(self):
+        keys = {sink: {(d.name, tuple(label for label, _src, _map in d.labels))
+                       for row in FACTS.values() for d in row.derive
+                       if d.sink == sink
+                       and d.kind in ("counter", "gauge", "histogram")}
+                for sink in ("registry", "monitor")}
+        assert len(keys["registry"]) > 30 and len(keys["monitor"]) > 10
+        assert keys["registry"] & keys["monitor"] == set()
+
+    def test_one_decision_reads_one_in_its_window(self):
+        obs = Observability(Environment(), monitoring=True)
+        obs.emit("autoscale", "master", "autoscaler", action="add_worker")
+        obs.monitor.finalize()
+        (series,) = obs.monitor.store.family("autoscale.decisions")
+        assert list(series.points) == [(0, 1.0)]
+        assert obs.registry.sum_values("autoscale.decisions") == 1.0
+
+    def test_windows_sum_to_the_registry_on_an_autoscaled_churn_run(self):
+        """A persisted dataset, then a job whose waves queue: the autoscaler
+        adds a worker and the joiner is handed its share of the dataset."""
+        cluster = GFlinkCluster(ClusterConfig(
+            n_workers=2, cpu=CPUSpec(cores=2),
+            flink=FlinkConfig(enable_monitoring=True)))
+        session = FlinkSession(cluster)
+        data = session.from_collection(
+            list(range(160)), parallelism=16, scale=1e5).map(
+                lambda x: x * 2, name="double").persist()
+        data.collect()
+        scaler = Autoscaler(cluster, AutoscalerPolicy(
+            interval_s=0.5, cooldown_s=0.5, max_workers=4))
+        scaler.start()
+        data.map(lambda x: x - 1, name="dec").collect()
+        scaler.stop()
+        cluster.env.run()             # finish the in-flight rebalance
+        cluster.obs.monitor.finalize()
+        for family in ("autoscale.decisions", "rebalance.partitions"):
+            counted = cluster.obs.registry.sum_values(family)
+            assert counted > 0
+            assert window_total(cluster.obs.monitor, family) == counted
