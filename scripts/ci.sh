@@ -6,8 +6,8 @@
 #   scripts/ci.sh --fast   # tier-1 tests + lint only
 #
 # The full run adds: the generated payload-format, exchange, shipping,
-# GWork and stage-loop differentials at full Hypothesis depth, traced
-# wordcount smokes
+# GWork, stage-loop and keyed-fold differentials at full Hypothesis depth,
+# traced wordcount smokes
 # (element-wise and vectorized) with schema validation and profile gates
 # against the committed baselines in traces/ (cross-checked against their
 # exported metrics), a traced iterative (PageRank-GPU) profile smoke gated
@@ -109,6 +109,18 @@ for name in _build_gwork _output_scale; do
 done
 echo "ok"
 
+echo "== lint: reduce on insert — no group-then-fold keyed reduce under src/repro/flink =="
+# An element (key_fn, reduce_fn) pair is one fold_by_key pass
+# (flink/iterators.py); materialising every group and folding each with
+# apply_reduce in a second pass is the retired composition and lives only in
+# tests/flink/retired.py.
+if grep -rnE 'apply_reduce\(members|apply_reduce\([^)]*\)[[:space:]]+for[[:space:]].*\.values\(\)' \
+        src/repro/flink --include='*.py'; then
+    echo "FAIL: per-group apply_reduce under src/repro/flink (use iterators.fold_by_key)" >&2
+    exit 1
+fi
+echo "ok"
+
 echo "== lint: cluster.materialized is the one record of where partitions live =="
 # The per-worker partition store was written at five sites and read by
 # none; loss, recovery and rebalancing all go by Partition.worker.
@@ -122,14 +134,19 @@ echo "== code lines per package (scripts/sloc.py: non-blank, non-comment, non-do
 python scripts/sloc.py
 
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "== generated differentials at full depth: payload formats + exchange + shipping + GWork + stage loop =="
+    echo "== generated differentials at full depth: payload formats + exchange + shipping + GWork + stage loop + keyed fold =="
     # Tier-1 caps their Hypothesis examples (tests/flink/conftest.py depth()).
+    # The last entry is the property behind hash_bucket's guarantee: a keyed
+    # reduce over mixed scalar key types collects the same multiset at
+    # parallelism 1, 2 and 5.
     REPRO_FULL_DEPTH=1 python -m pytest -q \
         tests/flink/test_representation_differential.py \
         tests/flink/test_exchange_differential.py \
         tests/flink/test_shipping_differential.py \
         tests/core/test_gwork_differential.py \
-        tests/flink/test_stage_loop_differential.py
+        tests/flink/test_stage_loop_differential.py \
+        tests/flink/test_keyed_fold_differential.py \
+        tests/flink/test_shuffle.py::TestEqualKeysReachOneConsumer
 
     echo "== traced bench smoke: wordcount + schema validation + cross-check =="
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \

@@ -264,7 +264,19 @@ class GroupedDataSet:
     def reduce(self, reduce_fn: Callable, cost: OpCost = OpCost(),
                parallelism: Optional[int] = None, combinable: bool = True,
                name: str = "keyed-reduce") -> DataSet:
-        """Pairwise fold per key (combinable on the shuffle's producer side)."""
+        """Pairwise fold per key (combinable on the shuffle's producer side).
+
+        The reducer contract: ``reduce_fn(acc, row)`` is **pure and
+        associative**; every key's rows are folded **left to right in row
+        order**, seeded with the key's first row; and a **one-row group is
+        its row** — it is never passed through ``reduce_fn``.  Associative,
+        because a combinable reduce folds once per producer partition and
+        again over the partials at the consumer; pure, because the engine
+        reduces on insert (:func:`repro.flink.iterators.fold_by_key`), so
+        calls for different keys interleave in row order.  A
+        ``vectorized()`` pair honours the same fold per segment
+        (:func:`repro.flink.iterators.vectorized`).
+        """
         return self.dataset._derive(
                        KeyedReduceOp(self.dataset.op, self.key_fn, reduce_fn,
                                      cost, parallelism, combinable=combinable,

@@ -11,7 +11,8 @@ the payload *is* (row list or NumPy block) is never asked here: that is
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List
+import functools
+from typing import Any, Callable, Iterable, List, Optional
 
 import numpy as np
 
@@ -34,10 +35,13 @@ def vectorized(udf: Callable) -> Callable:
     holds the rows sorted so that every group is one contiguous segment
     (groups in first-seen order, rows in original order), ``starts`` the
     first row of each segment, and it returns one row per segment as a
-    block.  To stay bit-identical to the element path a float reducer must
-    fold each segment left to right
-    (:func:`repro.flink.payload.segment_sum`); ``np.add.reduceat`` sums
-    long segments pairwise and does not.
+    block.  The reducer contract of
+    :meth:`repro.flink.dataset.GroupedDataSet.reduce` holds per segment: to
+    stay bit-identical to the element path a float reducer must fold each
+    segment left to right (:func:`repro.flink.payload.segment_sum`);
+    ``np.add.reduceat`` sums long segments pairwise and does not.  An
+    *element* key paired with a vectorized reducer is handed each group's
+    member list whole instead.
     """
     udf.__repro_vectorized__ = True
     return udf
@@ -135,15 +139,49 @@ def group_elements(elements: Iterable[Any], key_fn: Callable) -> dict:
     return groups
 
 
+def fold_by_key(rows: Iterable[Any], key_fn: Callable, reduce_fn: Callable,
+                q: int = 1, bucket_of: Optional[Callable] = None) -> list:
+    """Hash aggregate of an element ``(key_fn, reduce_fn)`` pair: one pass
+    over ``rows``, reduce on insert (Thrill's ``ReduceByKey`` table).
+
+    Returns ``q`` buckets of reduced rows.  ``bucket_of(key, q)`` names the
+    bucket of every row — asked **per row**, never remembered per key: keys
+    that are one dict key may still route apart (``(1, "a")`` and
+    ``(1.0, "a")`` under :func:`repro.flink.shuffle.hash_bucket`) and then
+    stay apart; without it everything is bucket 0.  Inside a bucket keys
+    come out in first-seen order, each folded left to right in row order; a
+    one-row group is its row, the same object, and never reaches
+    ``reduce_fn``.  That is exactly what grouping the rows and then folding
+    each group returns (``tests/flink/retired.py`` keeps that composition
+    as the oracle) with one difference a pure reducer cannot observe: calls
+    of ``reduce_fn`` for different keys interleave in row order instead of
+    running key by key.
+    """
+    tables: List[dict] = [{} for _ in range(q)]
+    table = tables[0]
+    for x in rows:
+        key = key_fn(x)
+        if bucket_of is not None:
+            table = tables[bucket_of(key, q)]
+        if key in table:
+            table[key] = reduce_fn(table[key], x)
+        else:
+            table[key] = x
+    return [list(table.values()) for table in tables]
+
+
 def apply_grouped_reduce(elements: Any, key_fn: Callable,
                          reduce_fn: Callable) -> Any:
-    """Group-by-key then reduce each group (keyed reduce / pre-combine).
+    """Keyed reduce of one payload (keyed reduce / pre-combine).
 
     A vectorized ``(key_fn, reduce_fn)`` pair takes the segmented path:
     one key extraction, one sort, one ``reduce_fn(block, starts)`` call
     (contract in :func:`vectorized`), and the result stays a block so the
-    zero-copy path continues downstream.  Anything else is the classic
-    per-group fold returning a row list.
+    zero-copy path continues downstream.  An element pair is one
+    :func:`fold_by_key` pass returning a row list.  A mixed pair needs its
+    groups whole (:func:`group_elements`): a vectorized reducer is handed
+    each member list, a vectorized key extractor groups the block in bulk
+    and the element reducer folds each group's rows.
     """
     if not real_len(elements):
         return [] if elements is None else elements
@@ -151,5 +189,9 @@ def apply_grouped_reduce(elements: Any, key_fn: Callable,
         block = to_block(elements)
         plan = group_plan(key_column(key_fn, block))
         return reduce_fn(block[plan.order], plan.starts)
-    groups = group_elements(elements, key_fn)
-    return [apply_reduce(members, reduce_fn) for members in groups.values()]
+    if not (is_vectorized(key_fn) or is_vectorized(reduce_fn)):
+        return fold_by_key(elements, key_fn, reduce_fn)[0]
+    groups = group_elements(elements, key_fn).values()
+    if is_vectorized(reduce_fn):
+        return [reduce_fn(members) for members in groups]
+    return [functools.reduce(reduce_fn, members) for members in groups]

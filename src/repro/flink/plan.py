@@ -439,7 +439,9 @@ class KeyedReduceOp(Operator):
     The shuffle path applies ``fn`` as a pre-combiner on the producer side
     (Flink's combinable GroupReduce), so only one record per key per producer
     partition crosses the network — this is why KMeans "only shuffles centers
-    in each iteration" (paper §6.5).
+    in each iteration" (paper §6.5).  What ``fn`` may assume and must
+    guarantee is stated once, at
+    :meth:`repro.flink.dataset.GroupedDataSet.reduce`.
     """
 
     def __init__(self, source: Operator, key_fn: Callable,
@@ -464,8 +466,8 @@ class KeyedReduceOp(Operator):
                               part.nominal_nbytes,
                               self.key_fn, self.reduce_fn)
         # A vectorized key/reduce pair runs once over the segment-sorted
-        # block and returns a block (zero-copy continues downstream);
-        # otherwise this is the classic per-row group+fold.
+        # block and returns a block (zero-copy continues downstream); an
+        # element pair is one reduce-on-insert pass over the rows.
         out = apply_grouped_reduce(part.elements, self.key_fn,
                                    self.reduce_fn)
         # One output record per key: the nominal count collapses to the real
@@ -594,6 +596,11 @@ class UnionOp(Operator):
         return moved
 
 
+def _keep_first(first: Any, later: Any) -> Any:
+    """``distinct`` as a keyed reduce: a key's first row wins."""
+    return first
+
+
 class DistinctOp(Operator):
     """``distinct``: deduplicate by key (hash shuffle + per-key pick-first)."""
 
@@ -609,14 +616,13 @@ class DistinctOp(Operator):
 
     def combiner_for_input(self, i):
         # Pre-deduplicate on the producer side: keep the first of each key.
-        return (self.key_fn, lambda a, b: a)
+        return (self.key_fn, _keep_first)
 
     def execute_subtask(self, ctx, inputs):
         (part,) = inputs
         yield from ctx.charge(self.cost, part.nominal_count,
                               part.nominal_nbytes, self.key_fn)
-        groups = group_elements(part.elements, self.key_fn)
-        out = [members[0] for members in groups.values()]
+        out = apply_grouped_reduce(part.elements, self.key_fn, _keep_first)
         return Partition(index=ctx.subtask_index, elements=out,
                          element_nbytes=self.out_element_nbytes(part),
                          scale=1.0, worker=ctx.worker.name)

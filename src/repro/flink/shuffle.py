@@ -72,7 +72,7 @@ import numpy as np
 from repro.common.network import Network
 from repro.common.simclock import Environment, Event
 from repro.flink.config import FlinkConfig
-from repro.flink.iterators import (apply_grouped_reduce, apply_reduce,
+from repro.flink.iterators import (apply_grouped_reduce, fold_by_key,
                                    is_vectorized)
 from repro.flink.partition import Partition
 from repro.flink.payload import (concat, cut, group_plan, is_block,
@@ -99,16 +99,22 @@ def hash_bucket(key: Any, n: int) -> int:
     """Deterministic bucket for ``key`` among ``n`` consumers.
 
     Python's builtin ``hash`` is salted per process for str/bytes; use a
-    stable hash so runs are reproducible.  Keys that compare equal share a
-    bucket whatever their scalar type: NumPy scalars hash as the Python
-    value they hold, ``-0.0`` as ``0.0``.
+    stable hash so runs are reproducible.  *Scalar* keys that compare equal
+    share a bucket whatever their type, so a keyed plan's answer does not
+    depend on its parallelism: an ``int`` (``bool`` included) is
+    ``key % n``, a NumPy scalar routes as the Python value it holds, and an
+    integral ``float`` as the ``int`` it equals (``2.0`` with ``2``,
+    ``-0.0`` and ``0.0`` with ``0``).  Everything else — other floats,
+    ``str``, tuples and any other object — is FNV-1a over its ``repr``, so
+    equal keys whose reprs differ (``(1, "a")`` and ``(1.0, "a")``,
+    ``Decimal(1)`` and ``1``) may still route apart.
     """
     if isinstance(key, int):
         return key % n
     if isinstance(key, np.generic):
         return hash_bucket(key.item(), n)
-    if isinstance(key, float) and key == 0.0:
-        key = 0.0
+    if isinstance(key, float) and key.is_integer():
+        return int(key) % n
     h = 2166136261  # FNV-1a over the repr; stable and cheap
     for ch in repr(key):
         h = ((h ^ ord(ch)) * 16777619) & 0xFFFFFFFF
@@ -270,9 +276,10 @@ class Exchange:
         (``payload.cut``).  A pair combiner keyed on the routing key is applied
         *before* the cut, in one pass over the producer: a vectorized pair
         on integer keys reduces the whole block once (``group_plan``'s
-        single sort), an element pair folds the rows grouped on *(bucket,
-        key)*.  Either way bucket contents equal route-then-combine's,
-        which is what any other combiner still gets.
+        single sort), an element pair reduces each row on insert into its
+        bucket's table (:func:`~repro.flink.iterators.fold_by_key`).  Either
+        way bucket contents equal route-then-combine's, which is what any
+        other combiner still gets.
         """
         q = self.n_consumers
         rows = part.elements
@@ -288,15 +295,9 @@ class Exchange:
             on_routing_key = (combines and not callable(self.combiner)
                               and self.combiner[0] is self.key_fn)
             if keys is None:  # element extractor: one call per row
-                if on_routing_key:
-                    tables: List[dict] = [{} for _ in range(q)]
-                    for x in rows:
-                        key = self.key_fn(x)
-                        tables[hash_bucket(key, q)].setdefault(
-                            key, []).append(x)
-                    return [[apply_reduce(members, self.combiner[1])
-                             for members in table.values()]
-                            for table in tables]
+                if on_routing_key and not is_vectorized(self.combiner[1]):
+                    return fold_by_key(rows, self.key_fn, self.combiner[1],
+                                       q, hash_bucket)
                 ids = [hash_bucket(self.key_fn(x), q) for x in rows]
             elif keys.dtype.kind not in "iu":
                 ids = [hash_bucket(key, q) for key in keys.tolist()]

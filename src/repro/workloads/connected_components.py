@@ -21,7 +21,8 @@ import numpy as np
 from repro.core.gdst import ExtraInput
 from repro.flink.dataset import OpCost
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
+from repro.workloads.base import (Workload, block_tuples, ensure_kernel,
+                                  even_chunk_sizes)
 from repro.workloads.pagerank import Edge, EDGES_PER_PAGE
 
 
@@ -116,7 +117,7 @@ class ConnectedComponentsWorkload(Workload):
                                 element_overhead_s=self.CPU_OVERHEAD_S),
                     name="cc-minlabel")
             merged = partial_rows.map_partition(
-                lambda rows: [(int(r[0]), int(r[1])) for r in rows],
+                lambda rows: block_tuples(rows, int, int),
                 cost=OpCost(flops_per_element=0.0), name="cc-tuples") \
                 .group_by(lambda kv: kv[0]) \
                 .reduce(lambda a, b: (a[0], min(a[1], b[1])),

@@ -25,7 +25,8 @@ from repro.flink.payload import segment_sum
 from repro.flink.dataset import OpCost
 from repro.flink.iterators import vectorized
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
+from repro.workloads.base import (Workload, block_tuples, ensure_kernel,
+                                  even_chunk_sizes)
 
 EDGES_PER_PAGE = 8
 DAMPING = 0.85
@@ -160,7 +161,7 @@ class PageRankWorkload(Workload):
                             name="pagerank-sum")
             else:
                 summed = partial_rows.map_partition(
-                    lambda rows: [(int(r[0]), float(r[1])) for r in rows],
+                    lambda rows: block_tuples(rows, int, float),
                     cost=OpCost(flops_per_element=0.0),
                     name="pagerank-tuples") \
                     .group_by(lambda kv: kv[0]) \
@@ -170,8 +171,14 @@ class PageRankWorkload(Workload):
             result = yield from summed.collect_job(
                 job_name=f"pagerank-{'gpu' if gpu else 'cpu'}-iter{it}")
             new_ranks = np.full(n, (1.0 - DAMPING) / n)
-            for dst, total in result.value:
-                new_ranks[int(dst)] += DAMPING * float(total)
+            if self.vectorized:
+                # The block applied as a block; unbuffered and in row order,
+                # so the sums are the loop's bit for bit.
+                dst, total = np.asarray(result.value).T
+                np.add.at(new_ranks, dst.astype(np.intp), DAMPING * total)
+            else:
+                for dst, total in result.value:
+                    new_ranks[int(dst)] += DAMPING * float(total)
             state["ranks"] = new_ranks
             seconds = result.seconds
             if it == self.iterations - 1:

@@ -21,26 +21,24 @@ from repro.flink.payload import segment_sum
 from repro.flink.dataset import OpCost
 from repro.flink.iterators import vectorized
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
+from repro.workloads.base import (Workload, block_tuples, ensure_kernel,
+                                  even_chunk_sizes)
 
 VOCABULARY = 10_000
 ZIPF_A = 1.3
 
 
-def _partial_counts(word_ids: np.ndarray) -> List[Tuple[int, int]]:
-    """(word, count) partials for one partition/block."""
-    counts = np.bincount(word_ids, minlength=0)
-    nz = np.nonzero(counts)[0]
-    return [(int(w), int(counts[w])) for w in nz]
-
-
 def _partial_rows(word_ids: np.ndarray) -> np.ndarray:
-    """Columnar (word, count) partials: same values as
-    :func:`_partial_counts`, kept as one int64 block so the exchange ships
-    it zero-copy."""
+    """Columnar (word, count) partials for one partition/block, kept as one
+    int64 block so the exchange ships it zero-copy."""
     counts = np.bincount(word_ids, minlength=0)
     nz = np.nonzero(counts)[0]
     return np.stack([nz, counts[nz]], axis=1).astype(np.int64)
+
+
+def _partial_counts(word_ids: np.ndarray) -> List[Tuple[int, int]]:
+    """:func:`_partial_rows` as (word, count) tuples, for the element path."""
+    return block_tuples(_partial_rows(word_ids), int, int)
 
 
 def _sum_rows(block: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -143,7 +141,7 @@ class WordCountWorkload(Workload):
             # Row boundary: vectorized mode keeps the kernel's int64 rows
             # columnar instead of materializing Python tuples.
             pairs = pairs.map_partition(
-                lambda rows: [(int(r[0]), int(r[1])) for r in rows],
+                lambda rows: block_tuples(rows, int, int),
                 cost=OpCost(flops_per_element=0.0),
                 name="wordcount-tuples")
         write = yield from self._finish(pairs)

@@ -12,8 +12,11 @@ section is the shipping path as it was until PR 18 — one timeout per
 serde charge, one ``all_of`` per transfer — which
 ``test_shipping_differential.py`` holds :meth:`Exchange._send` and
 :meth:`repro.common.network.Network.transfer` to.  After it, the three CPU
-subtask bodies the one stage loop replaced.  Nothing under ``src/`` may
-import this module.
+subtask bodies the one stage loop replaced, and the group-then-fold
+compositions of the element keyed reduce that
+:func:`repro.flink.iterators.fold_by_key` replaced
+(``test_keyed_fold_differential.py``).  Nothing under ``src/`` may import
+this module.
 """
 
 from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
@@ -24,11 +27,13 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.network import Network
 from repro.common.simclock import Event
-from repro.flink.iterators import apply_grouped_reduce
+from repro.flink.iterators import (apply_reduce, group_elements,
+                                   is_vectorized)
 from repro.flink.partition import Partition
-from repro.flink.payload import (bucket_plan, group_plan, n_wire_blocks,
-                                 real_len)
-from repro.flink.plan import Operator, ShipStrategy, _ElementWise
+from repro.flink.payload import (bucket_plan, group_plan, key_column,
+                                 n_wire_blocks, real_len, to_block)
+from repro.flink.plan import (DistinctOp, Operator, ShipStrategy,
+                              _ElementWise)
 from repro.flink.shuffle import COUNT_COMBINER, Exchange, hash_bucket
 
 
@@ -211,7 +216,7 @@ class TwoPathExchange(Exchange):
         if callable(self.combiner):
             return list(self.combiner(bucket))
         key_fn, reduce_fn = self.combiner
-        return apply_grouped_reduce(bucket, key_fn, reduce_fn)
+        return grouped_reduce(bucket, key_fn, reduce_fn)
 
 
 # -- the shipping path: a timeout per charge, an all_of per transfer --------------
@@ -537,3 +542,56 @@ def cpu_twin(op):
     twin.stages = ([cpu_twin(member) for member in op.stages]
                    if len(op.stages) > 1 else [twin])
     return twin
+
+
+# -- the element keyed reduce: group every key's rows, then fold each group ------
+#
+# Until PR 20 a keyed reduce first materialised every group
+# (``setdefault(key, []).append(x)``) and folded each in a second pass, on
+# both sides of the exchange; the engine now reduces on insert
+# (``repro.flink.iterators.fold_by_key``).  These are the three
+# compositions it replaced, bodies verbatim.
+
+def routing_key_buckets(rows: Any, key_fn: Callable, reduce_fn: Callable,
+                        q: int, bucket_of: Callable = hash_bucket
+                        ) -> List[List[Any]]:
+    """The ``on_routing_key`` element branch of ``Exchange._buckets``
+    (``self.key_fn`` / ``self.combiner[1]`` / ``hash_bucket`` as
+    arguments): a table of member lists per bucket, then a fold per list."""
+    tables: List[dict] = [{} for _ in range(q)]
+    for x in rows:
+        key = key_fn(x)
+        tables[bucket_of(key, q)].setdefault(
+            key, []).append(x)
+    return [[apply_reduce(members, reduce_fn)
+             for members in table.values()]
+            for table in tables]
+
+
+def grouped_reduce(elements: Any, key_fn: Callable,
+                   reduce_fn: Callable) -> Any:
+    """``repro.flink.iterators.apply_grouped_reduce``: ``group_elements``,
+    then ``apply_reduce`` per group (``KeyedReduceOp.execute_subtask`` and
+    ``Exchange._combine``)."""
+    if not real_len(elements):
+        return [] if elements is None else elements
+    if is_vectorized(key_fn) and is_vectorized(reduce_fn):
+        block = to_block(elements)
+        plan = group_plan(key_column(key_fn, block))
+        return reduce_fn(block[plan.order], plan.starts)
+    groups = group_elements(elements, key_fn)
+    return [apply_reduce(members, reduce_fn) for members in groups.values()]
+
+
+class RetiredDistinctOp(DistinctOp):
+    """``distinct``'s consumer as it ran: group, keep ``members[0]``."""
+
+    def execute_subtask(self, ctx, inputs):
+        (part,) = inputs
+        yield from ctx.charge(self.cost, part.nominal_count,
+                              part.nominal_nbytes, self.key_fn)
+        groups = group_elements(part.elements, self.key_fn)
+        out = [members[0] for members in groups.values()]
+        return Partition(index=ctx.subtask_index, elements=out,
+                         element_nbytes=self.out_element_nbytes(part),
+                         scale=1.0, worker=ctx.worker.name)

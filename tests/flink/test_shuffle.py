@@ -1,14 +1,19 @@
 """Unit and property tests for the exchange layer."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common import Environment
 from repro.common.network import Network, NetworkConfig
+from repro.flink import FlinkSession
 from repro.flink.partition import Partition, split_evenly
 from repro.flink.plan import ShipStrategy
 from repro.flink.serialization import Serializer
 from repro.flink.shuffle import Exchange, hash_bucket
+from tests.flink.conftest import depth, make_cluster
 
 WORKERS = ["w0", "w1"]
 
@@ -46,6 +51,67 @@ class TestHashBucket:
 
     def test_tuple_keys_supported(self):
         assert 0 <= hash_bucket(("a", 3), 5) < 5
+
+    @given(st.integers(-2**70, 2**70), st.integers(1, 64))
+    def test_an_integral_float_routes_as_the_int_it_equals(self, key, n):
+        as_float = float(key)  # may round: route as the int *it* equals
+        assert hash_bucket(as_float, n) == int(as_float) % n
+        assert hash_bucket(np.float64(as_float), n) == int(as_float) % n
+
+    def test_every_spelling_of_a_scalar_shares_a_bucket(self):
+        for n in (2, 3, 4, 7, 40):
+            for spellings in ([2, 2.0, np.int64(2), np.float64(2.0),
+                               np.float32(2.0), np.uint8(2)],
+                              [1, 1.0, True, np.bool_(True), np.float64(1)],
+                              [0, 0.0, -0.0, False, np.float64(-0.0)],
+                              [-3, -3.0, np.int8(-3)],
+                              [0.5, np.float64(0.5), np.float32(0.5)]):
+                assert len({hash(key) for key in spellings}) == 1
+                assert len({hash_bucket(key, n) for key in spellings}) == 1
+        # Not integral: still the repr's hash, in range.
+        for key in (float("inf"), float("-inf"), float("nan"), 2.5):
+            assert 0 <= hash_bucket(key, 7) < 7
+
+
+#: Keys of every scalar type a keyed plan may mix; equal ones are one group.
+scalar_keys = st.one_of(
+    st.integers(-3, 6),
+    st.integers(-3, 6).map(float),
+    st.sampled_from([-0.0, 0.5, 2.5, -1.5]),
+    st.booleans(),
+    st.integers(-3, 6).map(np.int64),
+    st.integers(-3, 6).map(np.float64),
+    st.booleans().map(np.bool_))
+
+
+class TestEqualKeysReachOneConsumer:
+    """A keyed plan's answer does not depend on its parallelism: keys that
+    are one ``dict`` key (``2``, ``2.0``, ``np.float64(2)``; ``1`` and
+    ``True``) are one group however many consumers the exchange has."""
+
+    @staticmethod
+    def keyed_sum(rows, parallelism):
+        session = FlinkSession(make_cluster(n_workers=3, cores=2))
+        return session.from_collection(rows, parallelism=parallelism) \
+            .group_by(lambda kv: kv[0]) \
+            .reduce(lambda a, b: (a[0], a[1] + b[1]),
+                    parallelism=parallelism).collect().value
+
+    def test_int_and_float_spellings_collect_one_row_on_two_workers(self):
+        rows = [(2, 1.0), (2.0, 1.0), (3, 1.0), (3.0, 1.0), (5, 1.0)]
+        expected = [(2, 2.0), (3, 2.0), (5, 1.0)]
+        assert sorted(self.keyed_sum(rows, 1)) == expected
+        assert sorted(self.keyed_sum(rows, 2)) == expected
+
+    @depth(tier1=15, full=300)
+    @given(st.lists(st.tuples(scalar_keys, st.integers(-5, 5)),
+                    min_size=1, max_size=30))
+    def test_same_multiset_at_parallelism_1_2_and_5(self, rows):
+        # Integer values: sums are exact in any order, and equal keys of
+        # different types compare (and count) as one.
+        one, two, five = (Counter(self.keyed_sum(rows, p)) for p in (1, 2, 5))
+        assert one == two == five
+        assert len(one) == len({key for key, _ in rows})
 
 
 class TestExchangeStrategies:
