@@ -1,14 +1,12 @@
 """The reliability tour — §1.1: "Reliability thus acts as the main driver
 for constructing our system, GFlink, on top of Flink."
 
-Four failure stories, end to end:
+Three failure stories, end to end:
 
 1. a Flink task crashes twice and is re-executed (task-retry);
 2. a GPU kernel suffers transient device faults and the GWork is retried
    through the same path;
-3. an HDFS datanode dies and reads fail over to surviving replicas;
-4. a streaming job crashes mid-flight and recovers from its last barrier
-   snapshot with exactly-once results (the paper's ref [9]).
+3. an HDFS datanode dies and reads fail over to surviving replicas.
 
 Run:  python examples/fault_tolerance.py
 """
@@ -18,8 +16,6 @@ import numpy as np
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FailureInjector
 from repro.gpu import KernelSpec
-from repro.streaming.checkpoint import CheckpointedStreamJob
-from repro.streaming.engine import WindowStage
 
 
 def cluster_config():
@@ -74,33 +70,11 @@ def story_3_hdfs_failover():
           f"from surviving replicas")
 
 
-def story_4_streaming_exactly_once():
-    window = WindowStage(
-        key_fn=lambda v: int(v) % 3, size_s=0.2, slide_s=0.2,
-        aggregate_fn=lambda key, values: (key, sum(values)),
-        kernel_name=None, flops_per_element=1.0,
-        element_overhead_s=0.2e-6, parallelism=2)
-
-    clean = CheckpointedStreamJob(
-        GFlinkCluster(cluster_config()), rate=400.0, n_events=400,
-        value_fn=float, window=window, checkpoint_interval_s=0.2).run()
-
-    crashed = CheckpointedStreamJob(
-        GFlinkCluster(cluster_config()), rate=400.0, n_events=400,
-        value_fn=float, window=window, checkpoint_interval_s=0.2)
-    recovered = crashed.run(fail_at_s=0.55)
-    assert recovered == clean
-    print(f"4. exactly-once     : crash at t=0.55 s, restored from "
-          f"checkpoint #{crashed.recovered_from}, committed results "
-          f"identical to the clean run ({len(recovered)} windows)")
-
-
 def main():
     print("GFlink reliability tour (the paper's §1.1 driver):")
     story_1_task_retry()
     story_2_gpu_fault()
     story_3_hdfs_failover()
-    story_4_streaming_exactly_once()
 
 
 if __name__ == "__main__":

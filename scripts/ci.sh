@@ -29,106 +29,9 @@ tier1_start=$SECONDS
 python -m pytest -q --durations=10
 echo "tier-1 wall time: $((SECONDS - tier1_start)) s"
 
-echo "== lint: cache-region table is private to gmemory.py/repro.obs =="
-if grep -rnE '(^|[^a-zA-Z0-9_])_regions\b' src/repro --include='*.py' \
-        | grep -v 'repro/core/gmemory\.py' \
-        | grep -v 'repro/obs/'; then
-    echo "FAIL: _regions accessed outside core/gmemory.py and repro/obs" >&2
-    exit 1
-fi
-echo "ok"
-
-echo "== lint: processed-at-birth events are built only by the sim kernel =="
-# `callbacks = None` (wrapped by Event._born) is how the kernel marks an event
-# processed; doing that by hand anywhere else would fork the representation.
-if grep -rnE '\.callbacks[[:space:]]*=[[:space:]]*None|\._born\(' src/repro --include='*.py' \
-        | grep -v 'repro/common/simclock\.py' \
-        | grep -v 'repro/common/resources\.py'; then
-    echo "FAIL: processed event built outside common/simclock.py and common/resources.py" >&2
-    exit 1
-fi
-echo "ok"
-
-echo "== lint: port requests are awaited in turn, never joined through all_of =="
-# all_of over raw resource requests costs a composite event (and a
-# ConditionValue) per wait even when every slot is free; issue the requests
-# together and yield them one after the other (common/network.py transfer).
-if grep -rnE 'all_of\([^)]*(\.request\(|_?req(uest)?s?[],) ])' src/repro --include='*.py'; then
-    echo "FAIL: all_of(...) over resource requests in src/ (yield each request in turn)" >&2
-    exit 1
-fi
-echo "ok"
-
-echo "== lint: one emission path — no sink calls or sink guards outside repro/obs =="
-# Engine code states facts through Observability.emit / .span and the FACTS
-# table derives every sink from them.  Outside repro/obs: no metric handles
-# (np.histogram is NumPy's), no tracer recording, no monitor call except the
-# named queries and configuration (trends, add_rule, set_*_target, finalize,
-# summary; add_argument is argparse's `monitor` subparser), and none of the
-# old guard spellings — disabled is the bus's own single `active` test.
-if grep -rnE '\.(counter|gauge|histogram)\(|tracer\.(span|instant|complete|track)\(|monitor\.[a-z_]+\(|obs is (not )?None|monitor is (not )?None|(obs|tracer|monitor|registry)\.enabled' \
-        src/repro --include='*.py' \
-        | grep -v 'repro/obs/' \
-        | grep -vE 'np\.histogram\(' \
-        | grep -vE 'monitor\.(trends|add_rule|set_latency_target|set_availability_target|finalize|summary|add_argument)\('; then
-    echo "FAIL: sink call or sink guard outside src/repro/obs (emit a fact instead)" >&2
-    exit 1
-fi
-echo "ok"
-
-echo "== lint: one payload module — no format test outside flink/payload.py =="
-# What a partition payload *is* (row list | NumPy block | None) is asked in
-# repro/flink/payload.py and nowhere else under flink/ and core/: no
-# isinstance(..., np.ndarray), none of the retired predicates or helpers,
-# and is_block() itself only where named here:
-#   - flink/iterators.py apply_filter tests what a *UDF returned* (a boolean
-#     mask or the filtered payload), not what the payload is;
-#   - flink/shuffle.py asks is_block() to pick the serde price list
-#     (_block_payloads, behind _zero_copy), to hand a vectorized key
-#     extractor an empty block but not an empty row list (_key_columns), and
-#     to take group_plan's single-sort fast path on a block (_buckets).
-if grep -rnE 'isinstance\([^)]*np\.ndarray|is_columnar\(|columnar_compatible\(|is_block\(|def (_result_len|_is_empty|_concat|_assemble|_as_array|_row_buckets|_columnar_buckets)\(' \
-        src/repro/flink src/repro/core --include='*.py' \
-        | grep -v 'repro/flink/payload\.py' \
-        | grep -vE 'repro/flink/iterators\.py:.*isinstance\(mask, np\.ndarray\)' \
-        | grep -vE 'repro/flink/shuffle\.py:.*is_block\('; then
-    echo "FAIL: payload format tested outside src/repro/flink/payload.py (use its accessors)" >&2
-    exit 1
-fi
-echo "ok"
-
-echo "== lint: one subtask body — a kernel chain of one, not a second copy =="
-# core/gdst.py builds every GPU map-partition GWork in one _build_gwork and
-# scales every output in one _output_scale (a single kernel is the chain of
-# one; the retired copies are test oracles in tests/core/retired.py).
-for name in _build_gwork _output_scale; do
-    if [[ "$(grep -cE "^[[:space:]]*def ${name}\(" src/repro/core/gdst.py)" != 1 ]]; then
-        echo "FAIL: core/gdst.py must define ${name} exactly once" >&2
-        exit 1
-    fi
-done
-echo "ok"
-
-echo "== lint: reduce on insert — no group-then-fold keyed reduce under src/repro/flink =="
-# An element (key_fn, reduce_fn) pair is one fold_by_key pass
-# (flink/iterators.py); materialising every group and folding each with
-# apply_reduce in a second pass is the retired composition and lives only in
-# tests/flink/retired.py.
-if grep -rnE 'apply_reduce\(members|apply_reduce\([^)]*\)[[:space:]]+for[[:space:]].*\.values\(\)' \
-        src/repro/flink --include='*.py'; then
-    echo "FAIL: per-group apply_reduce under src/repro/flink (use iterators.fold_by_key)" >&2
-    exit 1
-fi
-echo "ok"
-
-echo "== lint: cluster.materialized is the one record of where partitions live =="
-# The per-worker partition store was written at five sites and read by
-# none; loss, recovery and rebalancing all go by Partition.worker.
-if grep -rnE '(^|[^a-zA-Z0-9_])(put_partition|_store)\b' src/repro/flink --include='*.py'; then
-    echo "FAIL: a second partition record under src/repro/flink (use cluster.materialized)" >&2
-    exit 1
-fi
-echo "ok"
+# Every grep-lint is a row of scripts/lint.py: the retired spelling, where it
+# may still appear, the message, and the PR whose parent it trips on.
+python scripts/lint.py
 
 echo "== code lines per package (scripts/sloc.py: non-blank, non-comment, non-docstring) =="
 python scripts/sloc.py

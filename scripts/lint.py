@@ -1,0 +1,203 @@
+#!/usr/bin/env python3
+"""Grep-lints: one table of spellings a PR retired and where each may stay.
+
+    python scripts/lint.py            # lint this repository
+    python scripts/lint.py some/tree  # ... or another checkout of it
+
+House rule iii: when a PR deletes a path, a lint trips on its parent so the
+path cannot grow back.  Each row of ``LINTS`` is one such rule — a regular
+expression searched line by line, the roots it is searched under, the sites
+that may still spell it, the message, and the PR that retired it.  A hit is
+reported as ``path:line:text`` (``grep -n``'s shape, which is what the
+``allowed`` expressions are matched against).  Exit status 1 on any hit.
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+from typing import List, Tuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Lint:
+    name: str                      #: the rule, as ci prints it
+    pattern: str                   #: what must not appear ...
+    roots: Tuple[str, ...]         #: ... under these files / directories
+    message: str                   #: what to do instead
+    retired_by: str                #: the PR whose parent this trips on
+    seed: Tuple[str, str]          #: (path, line): a violation, for the test
+    allowed: Tuple[str, ...] = ()  #: hits matching one of these may stay
+    include: Tuple[str, ...] = ("*.py",)
+    #: names that ``pattern``'s group 1 must capture exactly once each
+    #: (a second definition is the violation, and so is none)
+    exactly_once: Tuple[str, ...] = ()
+
+
+LINTS = (
+    Lint("cache-region table is private to gmemory.py/repro.obs",
+         r"(^|[^a-zA-Z0-9_])_regions\b", ("src/repro",),
+         "_regions accessed outside core/gmemory.py and repro/obs",
+         "PR 2", ("src/repro/core/gstream.py", "n = len(mem._regions)"),
+         allowed=(r"repro/core/gmemory\.py", r"repro/obs/")),
+    Lint("processed-at-birth events are built only by the sim kernel",
+         # `callbacks = None` (wrapped by Event._born) is how the kernel
+         # marks an event processed; doing that by hand anywhere else would
+         # fork the representation.
+         r"\.callbacks\s*=\s*None|\._born\(", ("src/repro",),
+         "processed event built outside common/simclock.py and "
+         "common/resources.py",
+         "PR 14", ("src/repro/flink/pipeline.py", "evt._born(None)"),
+         allowed=(r"repro/common/simclock\.py", r"repro/common/resources\.py")),
+    Lint("port requests are awaited in turn, never joined through all_of",
+         # all_of over raw resource requests costs a composite event (and a
+         # ConditionValue) per wait even when every slot is free; issue the
+         # requests together and yield them one after the other
+         # (common/network.py transfer).
+         r"all_of\([^)]*(\.request\(|_?req(uest)?s?[],) ])", ("src/repro",),
+         "all_of(...) over resource requests in src/ (yield each request "
+         "in turn)",
+         "PR 18", ("src/repro/common/network.py",
+                   "yield env.all_of([up.request(), down.request()])")),
+    Lint("one emission path — no sink calls or sink guards outside repro/obs",
+         # Engine code states facts through Observability.emit / .span and
+         # the FACTS table derives every sink from them.  Outside repro/obs:
+         # no metric handles (np.histogram is NumPy's), no tracer recording,
+         # no monitor call except the named queries and configuration
+         # (add_argument is argparse's `monitor` subparser), and none of the
+         # old guard spellings — disabled is the bus's own `active` test.
+         r"\.(counter|gauge|histogram)\(|tracer\.(span|instant|complete|track)\("
+         r"|monitor\.[a-z_]+\(|obs is (not )?None|monitor is (not )?None"
+         r"|(obs|tracer|monitor|registry)\.enabled", ("src/repro",),
+         "sink call or sink guard outside src/repro/obs (emit a fact "
+         "instead)",
+         "PR 16", ("src/repro/flink/jobmanager.py",
+                   'registry.counter("task.retries").inc()'),
+         allowed=(r"repro/obs/", r"np\.histogram\(",
+                  r"monitor\.(trends|set_latency_target"
+                  r"|set_availability_target|finalize|summary"
+                  r"|add_argument)\(")),
+    Lint("one payload module — no format test outside flink/payload.py",
+         # What a partition payload *is* (row list | NumPy block | None) is
+         # asked in repro/flink/payload.py and nowhere else under flink/ and
+         # core/.  The exceptions: flink/iterators.py apply_filter tests what
+         # a *UDF returned* (a boolean mask or the filtered payload), not
+         # what the payload is; flink/shuffle.py asks is_block() to pick the
+         # serde price list (_block_payloads, behind _zero_copy), to hand a
+         # vectorized key extractor an empty block but not an empty row list
+         # (_key_columns), and to take group_plan's single-sort fast path on
+         # a block (_buckets).
+         r"isinstance\([^)]*np\.ndarray|is_columnar\(|columnar_compatible\("
+         r"|is_block\(|def (_result_len|_is_empty|_concat|_assemble"
+         r"|_as_array|_row_buckets|_columnar_buckets)\(",
+         ("src/repro/flink", "src/repro/core"),
+         "payload format tested outside src/repro/flink/payload.py (use its "
+         "accessors)",
+         "PR 17", ("src/repro/flink/plan.py",
+                   "if isinstance(rows, np.ndarray):"),
+         allowed=(r"repro/flink/payload\.py",
+                  r"repro/flink/iterators\.py:.*isinstance\(mask, np\.ndarray\)",
+                  r"repro/flink/shuffle\.py:.*is_block\(")),
+    Lint("one subtask body — a kernel chain of one, not a second copy",
+         # core/gdst.py builds every GPU map-partition GWork in one
+         # _build_gwork and scales every output in one _output_scale (the
+         # retired copies are test oracles in tests/core/retired.py).
+         r"^\s*def (_build_gwork|_output_scale)\(", ("src/repro/core/gdst.py",),
+         "core/gdst.py must define _build_gwork and _output_scale exactly "
+         "once each",
+         "PR 19", ("src/repro/core/gdst.py",
+                   "    def _build_gwork(self, ctx, block):"),
+         exactly_once=("_build_gwork", "_output_scale")),
+    Lint("reduce on insert — no group-then-fold keyed reduce under "
+         "src/repro/flink",
+         # An element (key_fn, reduce_fn) pair is one fold_by_key pass
+         # (flink/iterators.py); materialising every group and folding each
+         # with apply_reduce in a second pass is the retired composition and
+         # lives only in tests/flink/retired.py.
+         r"apply_reduce\(members|apply_reduce\([^)]*\)\s+for\s.*\.values\(\)",
+         ("src/repro/flink",),
+         "per-group apply_reduce under src/repro/flink (use "
+         "iterators.fold_by_key)",
+         "PR 20", ("src/repro/flink/plan.py",
+                   "return [apply_reduce(members, fn) for members in g]")),
+    Lint("cluster.materialized is the one record of where partitions live",
+         # The per-worker partition store was written at five sites and read
+         # by none; loss, recovery and rebalancing all go by Partition.worker.
+         r"(^|[^a-zA-Z0-9_])(put_partition|_store)\b", ("src/repro/flink",),
+         "a second partition record under src/repro/flink (use "
+         "cluster.materialized)",
+         "PR 19", ("src/repro/flink/taskmanager.py",
+                   "self.put_partition(partition)")),
+    Lint("one engine — no streaming side room, no kernel surface kept for it",
+         # The DataStream engine shared nothing with the executor and was
+         # deleted, with the simclock / resources classes only it used
+         # (DESIGN.md §7).
+         r"repro\.streaming|any_of\(|AnyOf|FilterStore|PriorityResource",
+         ("src", "tests", "benchmarks", "examples"),
+         "the streaming package and its kernel surface are gone (AllOf, "
+         "Resource and Store are what is left)",
+         "PR 21", ("examples/windows.py",
+                   "from repro.streaming import StreamEnvironment"),
+         include=("*.py", "*.md")),
+)
+
+
+def _files(root: Path, lint: Lint) -> List[Path]:
+    found: List[Path] = []
+    for rel in lint.roots:
+        top = root / rel
+        if top.is_dir():
+            found += [path for glob in lint.include
+                      for path in top.rglob(glob)]
+        elif top.exists():
+            found.append(top)
+    return sorted(set(found))
+
+
+def hits(lint: Lint, root: Path = REPO) -> List[str]:
+    """The ``path:line:text`` lines of ``root`` that trip ``lint``."""
+    pattern = re.compile(lint.pattern)
+    allowed = [re.compile(expr) for expr in lint.allowed]
+    found = []
+    for path in _files(root, lint):
+        lines = path.read_text(errors="replace").splitlines()
+        for number, text in enumerate(lines, 1):
+            match = pattern.search(text)
+            if not match:
+                continue
+            hit = f"{path.relative_to(root)}:{number}:{text}"
+            if not any(a.search(hit) for a in allowed):
+                found.append((match, hit))
+    if lint.exactly_once:
+        seen = Counter(match.group(1) for match, _ in found)
+        missing = [f"{lint.roots[0]}: no definition of {name}"
+                   for name in lint.exactly_once if not seen[name]]
+        return missing + [hit for match, hit in found
+                          if seen[match.group(1)] > 1]
+    return [hit for _, hit in found]
+
+
+def main(argv: list) -> int:
+    root = Path(argv[0]).resolve() if argv else REPO
+    status = 0
+    for lint in LINTS:
+        print(f"== lint: {lint.name} ==")
+        found = hits(lint, root)
+        for hit in found:
+            print(hit)
+        if found:
+            print(f"FAIL: {lint.message} [retired by {lint.retired_by}]",
+                  file=sys.stderr)
+            status = 1
+        else:
+            print("ok")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

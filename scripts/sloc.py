@@ -68,6 +68,11 @@ def package_table(root: Path) -> Dict[str, int]:
 
 def main(argv: list) -> int:
     paths = [Path(arg) for arg in argv] or [DEFAULT]
+    missing = [path for path in paths if not path.exists()]
+    if missing:
+        print(f"sloc.py: no such file or directory: {missing[0]}\n{__doc__}",
+              file=sys.stderr)
+        return 2
     if len(paths) == 1 and paths[0].is_dir():
         table = package_table(paths[0])
         for name, n in table.items():

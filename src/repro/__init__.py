@@ -24,9 +24,6 @@ Subpackages
     Algorithms 5.1/5.2, GDST, the GFlink runtime, the §6.3 cost model.
 ``repro.workloads``
     The evaluation benchmarks (Table 1), CPU and GPU drivers.
-``repro.streaming``
-    The stated future work: event-level streaming with windows, GPU window
-    aggregation, and checkpointed exactly-once recovery.
 ``repro.compat``
     §3.6's Flink→Spark migration: an RDD facade over the same runtime.
 

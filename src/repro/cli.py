@@ -80,7 +80,7 @@ def _add_run_options(p: argparse.ArgumentParser, single_mode: bool) -> None:
 def _add_fault_options(p: argparse.ArgumentParser) -> None:
     """Fault-schedule options shared by ``chaos`` and ``monitor``."""
     p.add_argument("--kill", action="append", default=[],
-                   metavar="WORKER@T",
+                   type=_parse_kill, metavar="WORKER@T",
                    help="kill WORKER at simulated time T (e.g. worker1@40)")
     p.add_argument("--gpu-fail", action="append", default=[],
                    metavar="WORKER[:DEV]@T[:KIND]",
@@ -104,7 +104,7 @@ def _add_fault_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backoff", type=float, default=0.05,
                    help="retry back-off base seconds (0 disables)")
     p.add_argument("--churn", action="append", default=[],
-                   metavar="EVENT",
+                   type=_parse_churn, metavar="EVENT",
                    help="membership event: join@T (auto-named), "
                         "join:NAME@T, drain:WORKER@T or leave:WORKER@T")
     p.add_argument("--join-rate", type=float, default=0.0,
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--window", type=float, default=1.0,
                          help="monitor window width in simulated seconds")
     monitor.add_argument("--slo", action="append", default=[],
-                         metavar="KIND=TARGET",
+                         type=_parse_slo, metavar="KIND=TARGET",
                          help="set an SLO target and gate on it: "
                               "pNN=SECONDS (job latency, e.g. p99=30) or "
                               "availability=FRAC (task success, e.g. "
@@ -354,12 +354,29 @@ def _cmd_metrics(args, out) -> int:
     return 0
 
 
+def _bad_spec(spec: str, why: str) -> argparse.ArgumentTypeError:
+    """What an option's ``type=`` parser raises: argparse prints the usage
+    and the message and exits 2."""
+    return argparse.ArgumentTypeError(f"bad spec {spec!r}: {why}")
+
+
+def _parse_at(text: str, spec: str) -> float:
+    """The ``T`` of a fault spec: a simulated instant, finite and >= 0."""
+    try:
+        at = float(text)
+    except ValueError:
+        raise _bad_spec(spec, f"{text!r} is not a number") from None
+    if not 0 <= at < float("inf"):
+        raise _bad_spec(spec, f"time {text} is not a finite instant >= 0")
+    return at
+
+
 def _parse_kill(spec: str):
     """``WORKER@T`` → (worker, at)."""
     worker, sep, at = spec.partition("@")
     if not sep or not worker:
-        raise SystemExit(f"bad --kill spec {spec!r}: expected WORKER@T")
-    return worker, float(at)
+        raise _bad_spec(spec, "expected WORKER@T")
+    return worker, _parse_at(at, spec)
 
 
 def _parse_device_fault(spec: str, default_kind, allowed):
@@ -384,9 +401,9 @@ def _parse_churn(spec: str):
     action, _, target = loc.partition(":")
     if not sep or action not in ("join", "drain", "leave") \
             or (action != "join" and not target):
-        raise SystemExit(f"bad --churn spec {spec!r}: expected join[:NAME]@T"
-                         ", drain:WORKER@T or leave:WORKER@T")
-    return action, target or None, float(at)
+        raise _bad_spec(spec, "expected join[:NAME]@T, drain:WORKER@T or "
+                              "leave:WORKER@T")
+    return action, target or None, _parse_at(at, spec)
 
 
 def _build_schedule(args, worker_names, n_gpus):
@@ -395,10 +412,9 @@ def _build_schedule(args, worker_names, n_gpus):
         PCIE_FAULT_KINDS)
     schedule = ChaosSchedule()
     known = set(worker_names)
-    churn_specs = [_parse_churn(spec) for spec in args.churn]
     # Joins introduce names mid-run; later --kill/--churn specs may target
     # them (the engine skips, with a trace, any that never materialize).
-    for action, target, _ in churn_specs:
+    for action, target, _ in args.churn:
         if action == "join" and target:
             known.add(target)
 
@@ -407,9 +423,8 @@ def _build_schedule(args, worker_names, n_gpus):
             raise SystemExit(f"unknown worker in {spec!r} "
                              f"(workers: worker0..worker{len(known) - 1})")
 
-    for spec in args.kill:
-        worker, at = _parse_kill(spec)
-        check_worker(worker, spec)
+    for worker, at in args.kill:
+        check_worker(worker, f"{worker}@{at:g}")
         schedule.kill_worker(worker, at=at)
     for spec in args.gpu_fail:
         worker, dev, at, kind = _parse_device_fault(
@@ -421,18 +436,18 @@ def _build_schedule(args, worker_names, n_gpus):
             spec, FaultKind.PCIE_CORRUPT, PCIE_FAULT_KINDS)
         check_worker(worker, spec)
         schedule.fault_pcie(worker, dev, at=at, kind=kind)
-    for (action, target, at), spec in zip(churn_specs, args.churn):
+    for action, target, at in args.churn:
         if action == "join":
             before = {e.worker for e in schedule.events
                       if e.kind is FaultKind.WORKER_JOIN}
             schedule.join_worker(at=at, name=target)
             known |= {e.worker for e in schedule.events
                       if e.kind is FaultKind.WORKER_JOIN} - before
-        elif action == "drain":
-            check_worker(target, spec)
+            continue
+        check_worker(target, f"{action}:{target}@{at:g}")
+        if action == "drain":
             schedule.drain_worker(target, at=at)
         else:
-            check_worker(target, spec)
             schedule.leave_worker(target, at=at)
     if args.join_rate > 0 or args.leave_rate > 0:
         from repro.common.rng import DEFAULT_SEED
@@ -517,31 +532,22 @@ def _cmd_chaos(args, out) -> int:
     return 1
 
 
-def _parse_slos(specs):
-    """``pNN=SECONDS`` / ``availability=FRAC`` → [(kind, q, target)]."""
-    parsed = []
-    for spec in specs:
-        kind, sep, value = spec.partition("=")
-        if not sep or not kind:
-            raise SystemExit(f"bad --slo spec {spec!r}: expected "
-                             f"pNN=SECONDS or availability=FRAC")
-        try:
-            target = float(value)
-        except ValueError:
-            raise SystemExit(f"bad --slo spec {spec!r}: "
-                             f"{value!r} is not a number")
-        if kind == "availability":
-            if not 0.0 < target < 1.0:
-                raise SystemExit(f"bad --slo spec {spec!r}: availability "
-                                 f"target must be in (0, 1)")
-            parsed.append(("availability", None, target))
-        elif kind.startswith("p") and kind[1:].isdigit():
-            q = float(f"0.{kind[1:]}")
-            parsed.append(("latency", q, target))
-        else:
-            raise SystemExit(f"bad --slo spec {spec!r}: unknown kind "
-                             f"{kind!r}")
-    return parsed
+def _parse_slo(spec: str):
+    """``pNN=SECONDS`` / ``availability=FRAC`` → (kind, q, target)."""
+    kind, sep, value = spec.partition("=")
+    if not sep or not kind:
+        raise _bad_spec(spec, "expected pNN=SECONDS or availability=FRAC")
+    try:
+        target = float(value)
+    except ValueError:
+        raise _bad_spec(spec, f"{value!r} is not a number") from None
+    if kind == "availability":
+        if not 0.0 < target < 1.0:
+            raise _bad_spec(spec, "availability target must be in (0, 1)")
+        return "availability", None, target
+    if kind.startswith("p") and kind[1:].isdigit():
+        return "latency", float(f"0.{kind[1:]}"), target
+    raise _bad_spec(spec, f"unknown kind {kind!r}")
 
 
 def _render_monitor_report(summary, out) -> None:
@@ -584,7 +590,6 @@ def _cmd_monitor(args, out) -> int:
     from repro.obs.monitor import validate_monitor_summary
 
     gpus = tuple(g for g in args.gpus.split(",") if g)
-    slos = _parse_slos(args.slo)
     schedule = _build_schedule(
         args, ClusterConfig(n_workers=args.workers).worker_names(),
         len(gpus) if args.mode == "gpu" else 0)
@@ -598,7 +603,7 @@ def _cmd_monitor(args, out) -> int:
                           flight_recorder_dir=args.postmortem_dir))
     cluster = GFlinkCluster(config)
     mon = cluster.obs.monitor
-    for kind, q, target in slos:
+    for kind, q, target in args.slo:
         if kind == "availability":
             mon.set_availability_target(target)
         else:
@@ -653,7 +658,7 @@ def _cmd_monitor(args, out) -> int:
             failed = True
     # Only explicitly requested SLO targets gate the exit code; the
     # built-in tracking objectives report burn without failing the run.
-    explicit = {kind for kind, _, _ in slos}
+    explicit = {kind for kind, _, _ in args.slo}
     for slo in summary["slos"]:
         gated = ("latency" in explicit and slo["name"] == "job_latency") or \
             ("availability" in explicit and slo["name"]

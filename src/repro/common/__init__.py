@@ -28,9 +28,8 @@ from repro.common.simclock import (
     Timeout,
     Process,
     AllOf,
-    AnyOf,
 )
-from repro.common.resources import Resource, PriorityResource, Store, FilterStore
+from repro.common.resources import Resource, Store
 from repro.common import units
 
 __all__ = [
@@ -39,11 +38,8 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Resource",
-    "PriorityResource",
     "Store",
-    "FilterStore",
     "ReproError",
     "SimulationError",
     "InterruptError",

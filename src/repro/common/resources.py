@@ -2,12 +2,8 @@
 
 * :class:`Resource` — ``capacity`` interchangeable servers (CPU slots, DMA
   copy engines, network links modeled as unit servers).
-* :class:`PriorityResource` — like :class:`Resource` but the wait queue is
-  ordered by a numeric priority (lower first), FIFO within a priority.
 * :class:`Store` — an unbounded-or-bounded FIFO buffer of Python objects
   (work queues, mailboxes).
-* :class:`FilterStore` — a store whose consumers take the first item matching
-  a predicate (used by the locality-aware work stealing pool).
 
 All follow the SimPy convention: ``request()`` / ``get()`` / ``put()`` return
 events to ``yield`` on, and requests act as context managers that release on
@@ -18,16 +14,16 @@ created is processed at birth; the creating process runs on within the same
 instant; waiters are still woken through the heap in FIFO order.  Here that
 means a :class:`Request` on a resource with a free slot, a ``put`` into a
 store with room and no earlier putter, and a ``get`` from a store holding an
-item (a matching one, for :class:`FilterStore`) with no earlier getter come
-back already processed and cost no heap entry.  A request that had to queue,
-and a putter or getter that had to block, is granted later by ``succeed`` —
-one heap entry, delivered in request order.
+item with no earlier getter come back already processed and cost no heap
+entry.  A request that had to queue, and a putter or getter that had to
+block, is granted later by ``succeed`` — one heap entry, delivered in request
+order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Deque
 
 from repro.common.errors import ResourceError
 from repro.common.simclock import Environment, Event
@@ -36,12 +32,11 @@ from repro.common.simclock import Environment, Event
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority", "_order")
+    __slots__ = ("resource", "_order")
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
         resource._order = self._order = resource._order + 1
         resource._request(self)
 
@@ -73,9 +68,9 @@ class Resource:
         self._order = 0
 
     # -- public API -----------------------------------------------------------
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event fires when the slot is granted."""
-        return Request(self, priority)
+        return Request(self)
 
     def release(self, request: Request) -> None:
         """Return a granted slot (idempotent for convenience in finally blocks)."""
@@ -107,21 +102,9 @@ class Resource:
 
     def _grant_next(self) -> None:
         if self._queue and len(self.users) < self.capacity:
-            request = self._dequeue()
+            request = self._queue.popleft()
             self.users.append(request)
             request.succeed(request)
-
-    def _dequeue(self) -> Request:
-        return self._queue.popleft()
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiters are served lowest-priority-value first."""
-
-    def _dequeue(self) -> Request:
-        best = min(self._queue, key=lambda r: (r.priority, r._order))
-        self._queue.remove(best)
-        return best
 
 
 class StorePut(Event):
@@ -137,12 +120,10 @@ class StorePut(Event):
 class StoreGet(Event):
     """Pending removal from a :class:`Store`."""
 
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(self, store: "Store",
-                 filter: Optional[Callable[[Any], bool]] = None):
+    def __init__(self, store: "Store"):
         super().__init__(store.env)
-        self.filter = filter
 
 
 class Store:
@@ -198,62 +179,7 @@ class Store:
                 put.succeed()
                 progress = True
             # Serve waiting getters from the buffer.
-            served = self._serve_getters()
-            progress = progress or served
+            while self._getters and self.items:
+                self._getters.popleft().succeed(self.items.popleft())
+                progress = True
 
-    def _serve_getters(self) -> bool:
-        served = False
-        while self._getters and self.items:
-            get = self._getters.popleft()
-            get.succeed(self.items.popleft())
-            served = True
-        return served
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose getters may demand the first matching item."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        # Getters take from the middle, which a deque does no better.
-        self.items: list[Any] = []
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        """Remove the oldest item satisfying ``filter`` (any item if None)."""
-        event = StoreGet(self, filter)
-        if self._getters:
-            # Someone is ahead: queue, and let the arrival-order scan decide
-            # (a later getter may still match an item the earlier ones skip).
-            self._getters.append(event)
-            self._dispatch()
-            return event
-        index = self._find(filter)
-        if index is None:
-            self._getters.append(event)
-        else:
-            event._born(self.items.pop(index))
-            if self._putters:
-                self._dispatch()
-        return event
-
-    def _serve_getters(self) -> bool:
-        served = False
-        # Scan getters in arrival order; each takes its first matching item.
-        remaining: Deque[StoreGet] = deque()
-        for get in self._getters:
-            index = self._find(get.filter)
-            if index is None:
-                remaining.append(get)
-            else:
-                get.succeed(self.items.pop(index))
-                served = True
-        self._getters = remaining
-        return served
-
-    def _find(self, predicate: Optional[Callable[[Any], bool]]) -> Optional[int]:
-        if predicate is None:
-            return 0 if self.items else None
-        for i, item in enumerate(self.items):
-            if predicate(item):
-                return i
-        return None

@@ -11,7 +11,7 @@ Design notes
   deterministic: FIFO within a priority band.
 * A :class:`Process` is itself an event that succeeds with the generator's
   return value (or fails with its exception), so processes can wait on each
-  other, and :class:`AllOf` / :class:`AnyOf` compose them.
+  other, and :class:`AllOf` joins them.
 * Failed events whose failure is never observed raise at ``run()`` time rather
   than being silently dropped — unhandled model errors must not vanish.
 * The engine is single-threaded and allocation-light; benchmark jobs schedule
@@ -31,7 +31,7 @@ The consequence is an ordering statement: at one timestamp, a process whose
 request was granted at birth runs ahead of peers whose events were already
 scheduled for that timestamp.  The processed representation
 (``callbacks = None``, set at birth by ``Event._born``) is private to this
-module and ``resources.py``; ``scripts/ci.sh`` lints for that.
+module and ``resources.py``; ``scripts/lint.py`` lints for that.
 
 Fused charges
 -------------
@@ -305,7 +305,7 @@ class Process(Event):
 
 
 class ConditionValue:
-    """Ordered mapping of event -> value produced by :class:`AllOf`/:class:`AnyOf`."""
+    """Ordered mapping of event -> value produced by :class:`AllOf`."""
 
     def __init__(self, events: list[Event]):
         self.events = events
@@ -329,18 +329,15 @@ class ConditionValue:
         return f"<ConditionValue {self.values()!r}>"
 
 
-class Condition(Event):
-    """Base for composite events over a fixed set of sub-events.
+class AllOf(Event):
+    """Fires once *all* of a fixed set of sub-events have fired.
 
     Counts down: each sub-event reports exactly once (at construction if it
     is already processed, from its callbacks otherwise), so fan-in costs
-    O(1) per sub-event.  A failed sub-event fails the condition at once.
+    O(1) per sub-event.  A failed sub-event fails the join at once.
     """
 
     __slots__ = ("_events", "_pending")
-
-    #: Wait for every sub-event (True) or for the first one (False).
-    _wait_for_all: bool
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -348,7 +345,7 @@ class Condition(Event):
         for e in self._events:
             if e.env is not env:
                 raise SimulationError("events from different environments")
-        self._pending = len(self._events) if self._wait_for_all else 1
+        self._pending = len(self._events)
         if not self._events:
             self.succeed(ConditionValue([]))
             return
@@ -357,12 +354,6 @@ class Condition(Event):
                 self._on_sub_event(e)
             else:
                 e.callbacks.append(self._on_sub_event)
-
-    def _fired(self) -> list[Event]:
-        # "Fired" means the event has been processed by the scheduler, not
-        # merely given a value: a Timeout carries its value from construction
-        # but only fires when its delay elapses.
-        return [e for e in self._events if e.callbacks is None]
 
     def _on_sub_event(self, event: Event) -> None:
         if self._value is not Event._PENDING:
@@ -375,23 +366,7 @@ class Condition(Event):
             return
         self._pending -= 1
         if self._pending <= 0:
-            self.succeed(ConditionValue(self._fired()))
-
-
-class AllOf(Condition):
-    """Fires once *all* sub-events have fired; fails fast on the first failure."""
-
-    __slots__ = ()
-
-    _wait_for_all = True
-
-
-class AnyOf(Condition):
-    """Fires once *any* sub-event has fired."""
-
-    __slots__ = ()
-
-    _wait_for_all = False
+            self.succeed(ConditionValue(self._events))
 
 
 class Environment:
@@ -436,10 +411,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when all of ``events`` have fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:

@@ -6,12 +6,11 @@ of that story as a first-class, deterministic subsystem:
 
 * :class:`ChaosSchedule` — a declarative, seeded schedule of faults: kill a
   worker at time *t*, fail a GPU device (ECC error / device OOM / kernel
-  hang-timeout), corrupt or time out a PCIe transfer, or fail individual
-  task attempts (the per-attempt :class:`~repro.flink.fault.FailureInjector`
-  stays available as the low-level hook via :meth:`ChaosSchedule.injector`).
-  :meth:`ChaosSchedule.random` draws Poisson fault arrivals from
-  :mod:`repro.common.rng`, so a whole chaos run is reproducible from one
-  integer.
+  hang-timeout), or corrupt or time out a PCIe transfer (failing individual
+  task attempts is :class:`~repro.flink.fault.FailureInjector`'s job, handed
+  to the session).  :meth:`ChaosSchedule.random` draws Poisson fault
+  arrivals from :mod:`repro.common.rng`, so a whole chaos run is
+  reproducible from one integer.
 * :class:`ChaosEngine` — the simulation process that applies the schedule
   to a live cluster and runs the master's *heartbeat monitor*: a dead worker
   stops heartbeating and is declared dead once
@@ -35,7 +34,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 from repro.common.rng import generator
 from repro.common.simclock import Event
 from repro.flink.config import FlinkConfig
-from repro.flink.fault import FailureInjector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flink.runtime import Cluster
@@ -121,7 +119,7 @@ class ChaosSchedule:
         schedule = (ChaosSchedule()
                     .kill_worker("worker1", at=40.0)
                     .fail_gpu("worker0", device=0, at=10.0)
-                    .fail_task("gpu-map(kmeans)", subtask=3, attempts=1))
+                    .fault_pcie("worker0", device=0, at=20.0))
 
     or draw one at random (reproducibly) with :meth:`random`.  The same seed
     and the same schedule give a bit-identical simulated clock and identical
@@ -130,8 +128,6 @@ class ChaosSchedule:
 
     def __init__(self, events: Optional[List[ChaosEvent]] = None):
         self._events: List[ChaosEvent] = list(events or [])
-        #: (op_name, subtask) -> number of attempts to fail (low-level hook).
-        self.task_failures: Dict[Tuple[str, int], int] = {}
 
     # -- builders ---------------------------------------------------------------
     def add(self, event: ChaosEvent) -> "ChaosSchedule":
@@ -159,13 +155,6 @@ class ChaosSchedule:
             raise ValueError(f"not a PCIe fault kind: {kind}")
         return self.add(ChaosEvent(at=at, kind=kind, worker=worker,
                                    device=device))
-
-    def fail_task(self, op_name: str, subtask: int,
-                  attempts: int = 1) -> "ChaosSchedule":
-        """Fail the first ``attempts`` attempts of one subtask (generalizes
-        the per-attempt FailureInjector plan)."""
-        self.task_failures[(op_name, subtask)] = attempts
-        return self
 
     # -- membership builders -----------------------------------------------------
     def join_worker(self, at: float,
@@ -196,12 +185,6 @@ class ChaosSchedule:
     def events(self) -> List[ChaosEvent]:
         """Scheduled faults in deterministic application order."""
         return sorted(self._events, key=_event_order)
-
-    def injector(self) -> Optional[FailureInjector]:
-        """A FailureInjector for the schedule's per-attempt task failures."""
-        if not self.task_failures:
-            return None
-        return FailureInjector(plan=dict(self.task_failures))
 
     def __len__(self) -> int:
         return len(self._events)

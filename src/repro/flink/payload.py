@@ -11,7 +11,7 @@ Every other module in ``repro.flink`` and ``repro.core`` is written once
 against the accessors below — :func:`real_len`, :func:`is_block`,
 :func:`concat`, :func:`take`, :func:`cut`, :func:`to_block` /
 :func:`to_rows` / :func:`rows_like` and :func:`sort_rows` — and never
-tests the representation itself (``scripts/ci.sh`` lints that).  What the
+tests the representation itself (``scripts/lint.py`` lints that).  What the
 two formats *cost* is not decided here: the exchange picks a serde price list
 (:meth:`repro.flink.shuffle.Exchange._zero_copy`) and
 :meth:`repro.flink.jobmanager.TaskContext.charge` a CPU one.

@@ -157,11 +157,6 @@ class BlockStream:
         self._wake()
 
     # -- consumer side ---------------------------------------------------------
-    def subscribe(self) -> int:
-        """Register one more consumer; returns its cursor slot."""
-        self._cursors.append(0)
-        return len(self._cursors) - 1
-
     def when_nbytes(self, nbytes: float) -> Event:
         """Event firing once ``nbytes`` (clamped to the total) are published."""
         evt = Event(self.env)

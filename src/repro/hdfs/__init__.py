@@ -16,14 +16,13 @@ timing is tracked separately so scaled-down data can stand in for the paper's
 multi-gigabyte inputs (see DESIGN.md §2).
 """
 
-from repro.hdfs.blocks import Block, BlockLocation
+from repro.hdfs.blocks import Block
 from repro.hdfs.namenode import NameNode, FileStatus
 from repro.hdfs.datanode import DataNode, DiskConfig
 from repro.hdfs.filesystem import HDFS
 
 __all__ = [
     "Block",
-    "BlockLocation",
     "NameNode",
     "FileStatus",
     "DataNode",

@@ -6,14 +6,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass(frozen=True)
-class BlockLocation:
-    """One replica of a block on a specific datanode."""
-
-    node: str
-    block_id: int
-
-
 @dataclass
 class Block:
     """A unit of HDFS storage.
@@ -43,11 +35,6 @@ class Block:
     nbytes: int
     payload: Any
     replicas: list[str] = field(default_factory=list)
-
-    def locations(self) -> list[BlockLocation]:
-        """Replica locations for this block."""
-        return [BlockLocation(node=n, block_id=self.block_id)
-                for n in self.replicas]
 
     def is_local_to(self, node: str) -> bool:
         """True if ``node`` holds a replica of this block."""

@@ -52,10 +52,6 @@ class DataNode:
         """True if this node stores a replica of ``block_id``."""
         return block_id in self._blocks
 
-    def block_count(self) -> int:
-        """Number of replicas stored on this node."""
-        return len(self._blocks)
-
     # -- simulated I/O -----------------------------------------------------------
     def write_block(self, block: Block) -> Generator[Event, None, None]:
         """Simulation process: persist one replica of ``block`` here."""

@@ -794,9 +794,6 @@ class GMonitor:
                 threshold=0.9 * pcie_bps * self.window_s,
                 sustained=2, resolve_after=2, severity="warning"))
 
-    def add_rule(self, rule: AlertRule) -> AlertRule:
-        return self.alerts.add_rule(rule)
-
     # -- trends ------------------------------------------------------------------
 
     def trends(self, name: Optional[str] = None, window: int = 8,

@@ -67,7 +67,6 @@ __all__ = [
     "summarize",
     "summarize_tracer",
     "profile_file",
-    "load_summary",
     "compare_summaries",
     "default_thresholds",
     "validate_profile_summary",
@@ -701,11 +700,6 @@ def profile_file(path: Union[str, Path]) -> Dict[str, Any]:
     raise ValueError(f"{path}: neither a Chrome trace nor a profile summary")
 
 
-def load_summary(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load a baseline: summary JSON, or a trace (profiled on the fly)."""
-    return profile_file(path)
-
-
 # -- regression gate ---------------------------------------------------------------
 @dataclass
 class Delta:
@@ -717,12 +711,6 @@ class Delta:
     rel_change: float              # signed; positive = metric went up
     threshold: float
     regressed: bool
-
-    def describe(self) -> str:
-        arrow = "worse" if self.regressed else "ok"
-        return (f"{self.metric}: {self.base:.6g} -> {self.current:.6g} "
-                f"({self.rel_change:+.1%}, threshold "
-                f"{self.threshold:.0%}) {arrow}")
 
 
 def default_thresholds() -> Dict[str, float]:

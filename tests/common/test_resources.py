@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Store / FilterStore."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
-from repro.common import Environment, Resource, PriorityResource, Store, FilterStore
+from repro.common import Environment, Resource, Store
 from repro.common.errors import ResourceError
 
 
@@ -115,50 +115,6 @@ class TestResource:
         assert res.count == 0
 
 
-class TestPriorityResource:
-    def test_lower_priority_value_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder():
-            with res.request() as req:
-                yield req
-                yield env.timeout(5.0)
-
-        def user(name, prio, arrive):
-            yield env.timeout(arrive)
-            with res.request(priority=prio) as req:
-                yield req
-                order.append(name)
-
-        env.process(holder())
-        env.process(user("low", 10, 1.0))
-        env.process(user("high", 0, 2.0))
-        env.run()
-        assert order == ["high", "low"]
-
-    def test_fifo_within_priority(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder():
-            with res.request() as req:
-                yield req
-                yield env.timeout(5.0)
-
-        def user(name, arrive):
-            yield env.timeout(arrive)
-            with res.request(priority=1) as req:
-                yield req
-                order.append(name)
-
-        env.process(holder())
-        env.process(user("first", 1.0))
-        env.process(user("second", 2.0))
-        env.run()
-        assert order == ["first", "second"]
-
-
 class TestStore:
     def test_put_then_get(self, env):
         store = Store(env)
@@ -242,74 +198,3 @@ class TestStore:
         store.put(2)
         env.run()
         assert len(store) == 2
-
-
-class TestFilterStore:
-    def test_filtered_get_takes_matching_item(self, env):
-        store = FilterStore(env)
-        out = []
-
-        def producer():
-            for item in ("apple", "banana", "cherry"):
-                yield store.put(item)
-
-        def consumer():
-            item = yield store.get(lambda s: s.startswith("b"))
-            out.append(item)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert out == ["banana"]
-        assert store.items == ["apple", "cherry"]
-
-    def test_filtered_get_waits_for_match(self, env):
-        store = FilterStore(env)
-        out = []
-
-        def consumer():
-            item = yield store.get(lambda x: x > 10)
-            out.append((item, env.now))
-
-        def producer():
-            yield store.put(1)
-            yield env.timeout(2.0)
-            yield store.put(99)
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert out == [(99, 2.0)]
-        assert store.items == [1]
-
-    def test_unfiltered_get_acts_fifo(self, env):
-        store = FilterStore(env)
-        out = []
-
-        def run():
-            yield store.put("x")
-            yield store.put("y")
-            out.append((yield store.get()))
-
-        env.process(run())
-        env.run()
-        assert out == ["x"]
-
-    def test_multiple_getters_matched_independently(self, env):
-        store = FilterStore(env)
-        out = {}
-
-        def consumer(name, pred):
-            item = yield store.get(pred)
-            out[name] = item
-
-        env.process(consumer("evens", lambda x: x % 2 == 0))
-        env.process(consumer("odds", lambda x: x % 2 == 1))
-
-        def producer():
-            yield store.put(3)
-            yield store.put(4)
-
-        env.process(producer())
-        env.run()
-        assert out == {"evens": 4, "odds": 3}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import Environment, AllOf, AnyOf
+from repro.common import Environment, AllOf
 from repro.common.errors import InterruptError, SimulationError
 from repro.common.simclock import ConditionValue
 
@@ -231,17 +231,6 @@ class TestConditions:
         when, values = env.run(until=p)
         assert when == 3.0
         assert values == ["a", "b"]
-
-    def test_any_of_fires_on_fastest(self, env):
-        def proc():
-            result = yield AnyOf(env, [env.timeout(1.0, "fast"),
-                                       env.timeout(3.0, "slow")])
-            return (env.now, result.values())
-
-        p = env.process(proc())
-        when, values = env.run(until=p)
-        assert when == 1.0
-        assert values == ["fast"]
 
     def test_empty_all_of_fires_immediately(self, env):
         def proc():

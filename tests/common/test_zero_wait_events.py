@@ -17,7 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import Environment, FilterStore, Resource, Store
+from repro.common import Environment, Resource, Store
 from repro.common.errors import InterruptError, SimulationError
 from repro.common.resources import Request, StoreGet, StorePut
 from repro.common.simclock import ConditionValue
@@ -45,16 +45,15 @@ def heap_only():
         self._dispatch()
         return event
 
-    def get(self, filter=None):
-        event = StoreGet(self, filter)
+    def get(self):
+        event = StoreGet(self)
         self._getters.append(event)
         self._dispatch()
         return event
 
     with ExitStack() as stack:
         for owner, name, fn in ((Resource, "_request", _request),
-                                (Store, "put", put), (Store, "get", get),
-                                (FilterStore, "get", get)):
+                                (Store, "put", put), (Store, "get", get)):
             stack.enter_context(mock.patch.object(owner, name, fn))
         yield
 
@@ -454,22 +453,6 @@ class TestBornProcessedEvents:
         assert waiting.triggered and not waiting.processed
         env.run()
         assert waiting.value == "z"
-
-    def test_filter_store_matching_get_at_birth_and_not_past_a_waiter(self):
-        env = Environment()
-        store = FilterStore(env)
-        store.put(1)
-        store.put(20)
-        hit = store.get(lambda x: x > 10)
-        assert hit.processed and hit.value == 20
-        miss = store.get(lambda x: x > 10)
-        assert not miss.triggered
-        # An earlier getter is waiting: a later one queues behind it even
-        # though an item matches, and is served by the scheduler.
-        behind = store.get()
-        assert behind.triggered and not behind.processed
-        env.run()
-        assert behind.value == 1 and not miss.triggered
 
     def test_interrupt_of_a_process_that_never_slept_on_the_grant(self):
         env = Environment()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compat import SparkContext
-from repro.core import GFlinkCluster
+from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec
 from repro.gpu import KernelSpec
 
@@ -111,3 +111,68 @@ class TestGpuExtensions:
         sc.parallelize([1, 2, 3], element_nbytes=8.0) \
             .save_as_hdfs_file(path)
         assert sc.cluster.hdfs.exists(path)
+
+
+def _keep_even(bufs, params):
+    block = bufs["in"]
+    return {"out": block[block % 2 == 0]}
+
+
+def _load(cluster):
+    cluster.load_hdfs_file("/in", [(list(range(50)), 400),
+                                   (list(range(50, 100)), 400)])
+
+
+#: facade method -> (build on the RDD side, the GDST call it delegates to)
+DELEGATIONS = {
+    "hdfs_file": (
+        lambda sc: sc.hdfs_file("/in", 8.0, scale=10.0, min_partitions=2),
+        lambda s: s.read_hdfs("/in", 8.0, scale=10.0, parallelism=2)),
+    "map_partitions": (
+        lambda sc: sc.parallelize(range(40), 4)
+        .map_partitions(lambda rows: [sum(rows)]),
+        lambda s: s.from_collection(range(40), parallelism=4)
+        .map_partition(lambda rows: [sum(rows)])),
+    "cartesian": (
+        lambda sc: sc.parallelize([1, 2, 3], 2)
+        .cartesian(sc.parallelize("ab", 2)),
+        lambda s: s.from_collection([1, 2, 3], parallelism=2)
+        .cross(s.from_collection("ab", parallelism=2))),
+    "sort_by": (
+        lambda sc: sc.parallelize([5, 3, 9, 1, 7, 2], 2)
+        .sort_by(lambda x: -x, ascending=False),
+        lambda s: s.from_collection([5, 3, 9, 1, 7, 2], parallelism=2)
+        .sort_partition(key_fn=lambda x: -x, reverse=True)),
+    "gpu_filter": (
+        lambda sc: sc.parallelize(np.arange(64, dtype=np.int64), 2,
+                                  element_nbytes=8.0, scale=100.0)
+        .gpu_filter("keep_even"),
+        lambda s: s.from_collection(np.arange(64, dtype=np.int64),
+                                    element_nbytes=8.0, scale=100.0,
+                                    parallelism=2)
+        .gpu_filter("keep_even")),
+}
+
+
+class TestEveryMethodIsOneDelegation:
+    """The facade is a veneer: a method's answer *and its simulated clock*
+    are those of the GDST call it forwards to, run on a twin cluster."""
+
+    @pytest.mark.parametrize("method", sorted(DELEGATIONS))
+    def test_same_rows_same_clock_as_the_gdst_call(self, sc, method):
+        via_rdd, via_gdst = DELEGATIONS[method]
+        session = GFlinkSession(GFlinkCluster(sc.cluster.config),
+                                app_id=sc.app_name)
+        kernel = KernelSpec("keep_even", _keep_even,
+                            flops_per_element=1.0, efficiency=0.5)
+        sc.register_kernel(kernel)
+        session.register_kernel(kernel)
+        _load(sc.cluster)
+        _load(session.cluster)
+
+        rows = via_rdd(sc).collect()
+        expected = via_gdst(session).collect()
+        assert len(rows) > 0
+        assert [repr(r) for r in rows] == [repr(r) for r in expected.value]
+        assert sc.last_job_metrics.makespan == expected.metrics.makespan
+        assert sc.last_job_metrics.subtasks == expected.metrics.subtasks

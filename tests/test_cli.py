@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main, WORKLOADS
+from repro.obs.metrics import parse_prometheus
 
 
 def run_cli(argv):
@@ -51,6 +52,47 @@ class TestCli:
         assert code == 0
         assert "cpu total" in text
 
+    METRICS_ARGV = ["metrics", "pointadd", "--mode", "gpu", "--workers", "2",
+                    "--real", "2000", "--nominal", "1e4", "--iterations", "2"]
+    BANNER = "workload=pointadd mode=gpu total "
+    SAMPLE = "gpu.device.h2d_bytes{device=worker0-gpu0}"
+
+    @pytest.mark.parametrize("fmt", [None, "text", "json", "prom"])
+    def test_metrics_printed_in_each_format(self, fmt):
+        """One registry, three spellings; text is the default when
+        printing, and a Prometheus exposition stands alone (no banner)."""
+        code, text = run_cli(self.METRICS_ARGV
+                             + (["--format", fmt] if fmt else []))
+        assert code == 0
+        if fmt == "prom":
+            samples = parse_prometheus(text)
+            assert samples[("gpu_device_h2d_bytes",
+                            (("device", "worker0-gpu0"),))] == 80000
+            return
+        banner, _, body = text.partition("\n")
+        assert banner.startswith(self.BANNER)
+        if fmt == "json":
+            assert json.loads(body)[self.SAMPLE] == 80000
+        else:
+            assert [self.SAMPLE, "80000"] in [line.split()
+                                              for line in body.splitlines()]
+
+    @pytest.mark.parametrize("fmt", [None, "json", "prom"])
+    def test_metrics_written_to_a_file(self, fmt, tmp_path):
+        """--out writes the snapshot (JSON unless prom is asked for, parent
+        directories created) and prints where it went instead."""
+        path = tmp_path / "deep" / "snapshot"
+        code, text = run_cli(self.METRICS_ARGV + ["--out", str(path)]
+                             + (["--format", fmt] if fmt else []))
+        assert code == 0
+        assert text.splitlines()[-1] == f"metrics: {path}"
+        assert self.SAMPLE not in text
+        if fmt == "prom":
+            assert ("gpu_device_h2d_bytes", (("device", "worker0-gpu0"),)) \
+                in parse_prometheus(path.read_text())
+        else:
+            assert json.loads(path.read_text())[self.SAMPLE] == 80000
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             run_cli(["run", "sorting"])
@@ -91,6 +133,59 @@ class TestChaosCli:
         with pytest.raises(SystemExit):
             run_cli(["chaos", "pointadd", "--workers", "2",
                      "--real", "1000", "--kill", "worker1"])
+
+    @pytest.mark.parametrize("command, flag, spec", [
+        ("chaos", "--kill", "worker1"),        # no @T
+        ("chaos", "--kill", "@3"),             # no worker
+        ("chaos", "--kill", "worker1@soon"),   # T not a number
+        ("chaos", "--kill", "worker1@-3"),     # T before the run
+        ("chaos", "--kill", "worker1@nan"),
+        ("chaos", "--churn", "resize@1"),      # unknown action
+        ("chaos", "--churn", "drain@1"),       # drain needs a worker
+        ("chaos", "--churn", "leave:worker1"),  # no @T
+        ("chaos", "--churn", "join@later"),
+        ("monitor", "--churn", "join@inf"),
+        ("monitor", "--kill", "worker1"),
+        ("monitor", "--slo", "p99"),           # no =TARGET
+        ("monitor", "--slo", "=3"),
+        ("monitor", "--slo", "p99=fast"),
+        ("monitor", "--slo", "availability=2"),
+        ("monitor", "--slo", "uptime=0.9"),    # unknown kind
+    ])
+    def test_malformed_spec_is_a_usage_error(self, command, flag, spec,
+                                             capsys):
+        """argparse's exit code 2 and a one-line message naming the flag
+        and the spec, never a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, "pointadd", "--workers", "2",
+                     "--real", "1000", flag, spec])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"argument {flag}: bad spec {spec!r}" in message
+
+
+class TestMonitorCli:
+    @pytest.mark.parametrize("spec, percentile, code", [
+        ("p99=1e-6", 0.99, 1),     # no job is that fast: the gate trips
+        ("p50=1e6", 0.5, 0),       # every job is: it holds
+    ])
+    def test_latency_slo_is_set_and_gates_the_exit_code(
+            self, spec, percentile, code, tmp_path):
+        summary_path = tmp_path / "summary.json"
+        got, text = run_cli(["monitor", "pointadd", "--mode", "gpu",
+                             "--workers", "2", "--real", "2000",
+                             "--nominal", "1e4", "--iterations", "2",
+                             "--slo", spec,
+                             "--summary-out", str(summary_path)])
+        assert got == code, text
+        slo = {s["name"]: s for s in
+               json.loads(summary_path.read_text())["slos"]}["job_latency"]
+        assert slo["target"] == float(spec.partition("=")[2])
+        assert slo["percentile"] == percentile
+        assert slo["violated"] == bool(code)
+        assert ("FAIL: SLO job_latency violated" in text) == bool(code)
+        # the availability objective was not asked for: tracked, not gated
+        assert "task_availability" in text
 
 
 class TestProfileCli:
