@@ -13,7 +13,7 @@ grows linearly with depth — and is largest on one-copy-engine GPUs
 import numpy as np
 
 from conftest import run_once
-from harness import record_bench
+from paper import record_bench
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.gpu import KernelSpec

@@ -1,7 +1,8 @@
 """Elastic-membership benchmark: churn bit-identity, recovery overhead,
 time-to-steady-state, and autoscaler vs fixed capacity.
 
-Three experiments, consolidated into ``BENCH_PR9.json``:
+Three experiments, recorded as ``elastic_churn_matrix`` and
+``elastic_autoscaler_vs_fixed``:
 
 * **Churn matrix** — WordCount, KMeans and PageRank each run under a
   seeded membership schedule (two joins, one graceful drain, one abrupt
@@ -19,10 +20,8 @@ Three experiments, consolidated into ``BENCH_PR9.json``:
   shows how much of the fixed-at-peak run's advantage it recovers.
 """
 
-from pathlib import Path
-
 from conftest import run_once
-from harness import record_bench
+from paper import record_bench
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.flink.autoscaler import Autoscaler, AutoscalerPolicy
@@ -30,7 +29,6 @@ from repro.flink.chaos import ChurnSchedule, values_equal
 from repro.workloads import KMeansWorkload, PageRankWorkload, \
     WordCountWorkload
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
 
 N_WORKERS = 3
 WORKLOADS = {
@@ -104,8 +102,7 @@ def test_churn_bit_identity_matrix(benchmark):
 
     summary = {f"{c['workload']}-{c['mode']}": c for c in cells}
     benchmark.extra_info["table"] = summary
-    record_bench("elastic_churn_matrix", summary, path=RESULTS_PATH)
-    print(f"consolidated results written to {RESULTS_PATH.name}")
+    record_bench("elastic_churn_matrix", summary)
 
     for c in cells:
         # Bit-identical results in every cell, with all 4 events applied.
@@ -170,8 +167,7 @@ def test_autoscaler_vs_fixed_capacity(benchmark):
              "action": d.action} for d in scaler.decisions],
     }
     benchmark.extra_info["table"] = summary
-    record_bench("elastic_autoscaler_vs_fixed", summary, path=RESULTS_PATH)
-    print(f"consolidated results written to {RESULTS_PATH.name}")
+    record_bench("elastic_autoscaler_vs_fixed", summary)
 
     # Elastic capacity changes placement/timing only, never the answer.
     assert summary["identical"]

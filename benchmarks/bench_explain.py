@@ -15,15 +15,13 @@ against four perturbed variants, each with a known injected root cause:
 Each cell records the full ranked causes, the rank of the expected
 bucket, and the exact-attribution invariant (cause deltas + residual ==
 makespan delta).  The headline metric is precision@1: the fraction of
-cells whose expected cause ranks first.  Consolidated into
-``BENCH_PR10.json``.
+cells whose expected cause ranks first.  Recorded as
+``explain_precision_matrix``.
 """
 
 import dataclasses
-from pathlib import Path
-
 from conftest import run_once
-from harness import record_bench
+from paper import record_bench
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.core.gpumanager import GPUManagerConfig
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
@@ -33,7 +31,6 @@ from repro.obs.explain import explain_summaries, validate_explanation
 from repro.obs.profile import summarize_tracer
 from repro.workloads import KMeansWorkload
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
 
 N_WORKERS = 3
 SLOW_PCIE_NAME = "c2050-slowpcie"
@@ -139,8 +136,7 @@ def test_explainer_precision_matrix(benchmark):
     summary = {"baseline_makespan_s": round(base["makespan_s"], 4),
                "precision_at_1": precision, "cells": cells}
     benchmark.extra_info["table"] = summary
-    record_bench("explain_precision_matrix", summary, path=RESULTS_PATH)
-    print(f"consolidated results written to {RESULTS_PATH.name}")
+    record_bench("explain_precision_matrix", summary)
 
     # Acceptance: every injected cause is ranked first by the explainer.
     assert precision == 1.0, summary

@@ -3,16 +3,18 @@
 * **7a** KMeans, cluster of 3 slaves, 210 M points: first iteration slow
   (HDFS read + job start), middle iterations flat and fast, last iteration
   slower again (writing results) — in both modes, with the GPU mode faster.
-* **7b** SpMV on a single machine, 1.0 GB matrix + 123 MB vector: first
-  iteration GFlink-on-1-GPU is ~2.5x over 1 CPU; following iterations ~10x
-  (matrix cached); the second GPU cuts GPU iteration time further (the paper
-  measures 30 s → 17 s).
+* **7b** SpMV on a single machine, 1.0 GB matrix + 123 MB vector: the
+  first iteration of GFlink on one GPU gains modestly over one CPU, the
+  following iterations several times more (matrix cached), and the second
+  GPU cuts GPU iteration time further — the ``fig7b-*`` rows of
+  ``paper.py`` carry the paper's three numbers.
 """
 
 from repro.common.units import GB
 
 from conftest import run_once
 from harness import fresh_session, paper_cluster_config
+from paper import CLAIMS
 from repro.flink import ClusterConfig, CPUSpec
 from repro.workloads import KMeansWorkload, SpMVWorkload
 
@@ -75,20 +77,20 @@ def test_fig7b_spmv_single_machine_iterations(benchmark):
     benchmark.extra_info["iterations"] = times
 
     cpu, gpu1, gpu2 = times["cpu"], times["gpu1"], times["gpu2"]
-    # First iteration: ~2.5x (reading + transferring the matrix damps it).
+    # First iteration: reading + transferring the matrix damps the factor.
     first = cpu[0] / gpu1[0]
-    assert 1.5 <= first <= 4.5, f"first-iteration speedup {first:.2f}"
-    # Middle iterations: order-10x (matrix cached in the GPU).  The paper
-    # measures ~10x; our model lands somewhat higher because its per-
-    # iteration framework overhead is leaner than real Flink's.
+    CLAIMS["fig7b-first"].check(first)
+    # Middle iterations: the matrix is cached in the GPU.  Our model lands
+    # somewhat above the paper's factor because its per-iteration framework
+    # overhead is leaner than real Flink's.
     mid = cpu[3] / gpu1[3]
-    assert 6.0 <= mid <= 25.0, f"mid-iteration speedup {mid:.2f}"
+    CLAIMS["fig7b-cached"].check(mid)
     assert mid > 2 * first
     # After the first iteration, GPU time drops sharply; the last rises
     # again (the vector is written to HDFS).
     assert gpu1[1] < 0.8 * gpu1[0]
     assert gpu1[-1] > gpu1[-2]
-    # The second GPU helps (Fig 7b: 30 s -> 17 s), at least on the upload-
+    # The second GPU helps (``fig7b-second-gpu``), at least on the upload-
     # heavy first iteration and in total.
     assert gpu2[0] < gpu1[0]
     assert sum(gpu2) < sum(gpu1)

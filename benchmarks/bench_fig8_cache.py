@@ -8,13 +8,12 @@ policy for a working set larger than the cache region (§4.2.2's second GC
 scheme).
 """
 
-from repro.common.units import GB, MiB
+from repro.common.units import GB
 
 from conftest import run_once
-from harness import fresh_session, paper_cluster_config
-from repro.core import GFlinkCluster, GFlinkSession
+from harness import fresh_session, gc_policy_counts, paper_cluster_config
+from paper import CLAIMS
 from repro.core.gmemory import EvictionPolicy
-from repro.core.gpumanager import GPUManagerConfig
 from repro.workloads import SpMVWorkload
 
 # 2 GB matrix on one node's two C2050s: 1 GB per GPU, comfortably inside
@@ -69,24 +68,8 @@ def test_fig8a_no_evict_policy_for_oversized_working_set(benchmark):
     FIFO here: a pure sequential scan never re-probes a block before its
     eviction, so recency equals insertion order."""
 
-    def run_policy(cache_policy):
-        config = paper_cluster_config(n_workers=1)
-        gpu_config = GPUManagerConfig(
-            cache_bytes_per_device=int(4 * MiB),  # matrix is ~10 MiB
-            cache_policy=cache_policy, block_nbytes=1 * MiB)
-        cluster = GFlinkCluster(config, gpu_config=gpu_config)
-        session = GFlinkSession(cluster)
-        wl = SpMVWorkload(nominal_elements=80_000, real_elements=80_000,
-                          iterations=4)
-        wl.run(session, "gpu")
-        stats = [gm.gmm.stats(session.app_id)
-                 for gm in cluster.gpu_managers()]
-        hits = sum(h for s in stats for (h, m, e) in s.values())
-        evictions = sum(e for s in stats for (h, m, e) in s.values())
-        return hits, evictions
-
     def measure():
-        return {policy.value: run_policy(policy.value)
+        return {policy.value: gc_policy_counts(policy.value)
                 for policy in EvictionPolicy}
 
     out = run_once(benchmark, measure)
@@ -99,8 +82,8 @@ def test_fig8a_no_evict_policy_for_oversized_working_set(benchmark):
     fifo_hits, fifo_evictions = out["fifo"]
     ne_hits, ne_evictions = out["no-evict"]
     lru_hits, lru_evictions = out["lru"]
-    assert fifo_evictions > 0
-    assert ne_evictions == 0
+    CLAIMS["fig8a-fifo"].check(fifo_evictions)
+    CLAIMS["fig8a-no-evict"].check(ne_evictions)
     assert ne_hits > fifo_hits  # the resident prefix keeps paying off
     # LRU == FIFO on a sequential scan (no hit ever precedes an eviction).
     assert lru_evictions == fifo_evictions

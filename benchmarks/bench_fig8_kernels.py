@@ -15,6 +15,7 @@ from repro.common.units import GB
 
 from conftest import run_once
 from harness import fresh_session
+from paper import CLAIMS
 from repro.flink import ClusterConfig, CPUSpec
 from repro.workloads import KMeansWorkload, PointAddWorkload, SpMVWorkload
 
@@ -91,9 +92,9 @@ def test_fig8b_gmapper_greducer_speedups(benchmark):
         # PointAdd's mapper gains least (§6.6.2).
         assert table[gpu]["pointadd"] < table[gpu]["kmeans"]
         assert table[gpu]["pointadd"] < table[gpu]["spmv"]
-    # Mapper speedups far exceed overall speedups (~5x / ~6.3x on C2050).
-    assert table["c2050"]["kmeans"] > 5.0
-    assert table["c2050"]["spmv"] > 6.3
+    # Mapper speedups far exceed the overall speedups of Figs. 5a / 6a.
+    assert table["c2050"]["kmeans"] > CLAIMS["fig5a"].paper
+    assert table["c2050"]["spmv"] > CLAIMS["fig6a"].paper
 
 
 def test_fig8b_greducer_not_compute_intensive(benchmark):
@@ -126,6 +127,6 @@ def test_fig8b_greducer_not_compute_intensive(benchmark):
 
     cpu_s, gpu_s = run_once(benchmark, measure)
     speedup = cpu_s / gpu_s
-    print(f"\nGReducer speedup: {speedup:.2f}x (paper: 'cannot obtain good "
-          f"speedup')")
-    assert speedup < 3.0  # nothing like the 20-50x mapper factors
+    print(f"\nGReducer speedup: {speedup:.2f}x "
+          f"(paper: {CLAIMS['fig8b-greducer'].paper!r})")
+    CLAIMS["fig8b-greducer"].check(speedup)  # nothing like the mapper factors

@@ -1,6 +1,7 @@
 """Block-pipeline benchmark: barriered vs streaming A/B + knob sweep.
 
-Two experiments, consolidated into ``BENCH_PR6.json``:
+Two experiments, recorded as ``pipeline_barriered_vs_pipelined`` and
+``pipeline_block_queue_sweep``:
 
 * **A/B** — the same workloads run on the barriered reference clock
   (``tests.flink.conftest.barriered``: every operator an exchange boundary,
@@ -19,17 +20,14 @@ the win is a few percent of makespan — exactly the HDFS tail the pipeline
 hides — not a step change.
 """
 
-from pathlib import Path
-
 from conftest import run_once
-from harness import record_bench
+from paper import record_bench
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.flink.chaos import values_equal
 from repro.workloads import KMeansWorkload, WordCountWorkload
 from tests.flink.conftest import barriered
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
 
 N_WORKERS = 10
 REAL_WORDS = 40_000
@@ -104,9 +102,7 @@ def test_pipeline_barriered_vs_pipelined(benchmark):
 
     summary = {p["workload"]: p for p in points}
     benchmark.extra_info["table"] = summary
-    record_bench("pipeline_barriered_vs_pipelined", summary,
-                 path=RESULTS_PATH)
-    print(f"consolidated results written to {RESULTS_PATH.name}")
+    record_bench("pipeline_barriered_vs_pipelined", summary)
 
     # The two clocks share one data plane: results are bit-identical.
     assert all(p["identical"] for p in points)
@@ -149,8 +145,7 @@ def test_pipeline_block_queue_sweep(benchmark):
                for g in grid}
     summary["barriered_s"] = round(barriered_s, 4)
     benchmark.extra_info["table"] = summary
-    record_bench("pipeline_block_queue_sweep", summary, path=RESULTS_PATH)
-    print(f"consolidated results written to {RESULTS_PATH.name}")
+    record_bench("pipeline_block_queue_sweep", summary)
 
     # Correctness is knob-independent: every grid point is bit-identical.
     assert all(g["identical"] for g in grid)

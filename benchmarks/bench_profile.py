@@ -2,7 +2,7 @@
 
 Runs traced GPU workloads through the shared harness (which now attaches a
 :func:`harness.profile_brief` to every record), profiles each run, and
-consolidates the briefs into ``BENCH_PR5.json``.  The shape this asserts:
+records the briefs as ``profile_briefs``.  The shape this asserts:
 
 * critical-path attribution partitions the makespan exactly (the profiler's
   acceptance criterion: sums match to within a clock tick);
@@ -13,13 +13,8 @@ consolidates the briefs into ``BENCH_PR5.json``.  The shape this asserts:
 """
 
 from conftest import run_once
-from harness import (
-    BENCH_PROFILE_PATH,
-    fresh_session,
-    paper_cluster_config,
-    record_bench,
-    run_workload,
-)
+from harness import fresh_session, paper_cluster_config, run_workload
+from paper import record_bench
 from repro.obs.profile import compare_summaries, summarize_tracer
 from repro.workloads import KMeansWorkload, WordCountWorkload
 
@@ -81,5 +76,4 @@ def test_profile_briefs(benchmark):
     assert any(d.metric == "makespan_s" and d.regressed for d in deltas)
 
     benchmark.extra_info["table"] = briefs
-    record_bench("profile_briefs", briefs, path=BENCH_PROFILE_PATH)
-    print(f"consolidated briefs written to {BENCH_PROFILE_PATH.name}")
+    record_bench("profile_briefs", briefs)

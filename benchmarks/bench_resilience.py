@@ -5,7 +5,7 @@ intensity (Poisson GPU faults + worker kills drawn from one seed), once
 with GPU→CPU fallback enabled and once without.  For every point that
 completes, the result must be *identical* to the fault-free run — lineage
 recovery and CPU fallback are exact, so faults may only cost time, never
-correctness.  Consolidated results land in ``BENCH_PR4.json``.
+correctness.  Recorded as ``resilience_failure_rate_sweep``.
 
 The shape this asserts:
 
@@ -15,10 +15,8 @@ The shape this asserts:
   exercises the failure machinery (retries / blacklists / fallbacks).
 """
 
-from pathlib import Path
-
 from conftest import run_once
-from harness import record_bench
+from paper import record_bench
 from repro.common.errors import ReproError
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.core.gpumanager import GPUManagerConfig
@@ -26,7 +24,6 @@ from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.flink.chaos import ChaosSchedule, values_equal
 from repro.workloads import PointAddWorkload
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
 
 #: Fault arrivals per simulated second (GPU faults; worker kills at 1/4).
 RATES = (0.0, 1.0, 2.0, 4.0)
@@ -119,9 +116,7 @@ def test_resilience_failure_rate_sweep(benchmark):
                for p in points}
     summary["baseline_s"] = round(baseline.total_seconds, 4)
     benchmark.extra_info["table"] = summary
-    record_bench("resilience_failure_rate_sweep", summary,
-                 path=RESULTS_PATH)
-    print(f"consolidated results written to {RESULTS_PATH.name}")
+    record_bench("resilience_failure_rate_sweep", summary)
 
     by_key = {(p["rate"], p["cpu_fallback"]): p for p in points}
 

@@ -4,7 +4,7 @@ Runs WordCount and PageRank on the paper cluster twice per mode — classic
 element-at-a-time execution vs ``vectorized=True`` (block UDFs charged at
 SIMD rate, exchanges shipped as columnar SoA regions with no per-row
 serde) — and consolidates makespans, zero-copy traffic and GProfiler
-critical-path shares into ``BENCH_PR8.json``.
+critical-path shares as ``zero_copy_vectorized``.
 
 Asserted shape:
 
@@ -16,19 +16,10 @@ Asserted shape:
   becomes (even more) I/O-bound.
 """
 
-from pathlib import Path
-
 from conftest import run_once
-from harness import (
-    fresh_session,
-    paper_cluster_config,
-    record_bench,
-    run_workload,
-)
+from harness import fresh_session, paper_cluster_config, run_workload
+from paper import record_bench
 from repro.workloads import PageRankWorkload, WordCountWorkload
-
-#: Consolidated results for this PR's suite.
-BENCH_SHUFFLE_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
 
 N_WORKERS = 4
 
@@ -100,5 +91,4 @@ def test_zero_copy_vectorized_speedup(benchmark):
         assert vec["cpu_shuffle_share"] < element["cpu_shuffle_share"], name
 
     benchmark.extra_info["table"] = table
-    record_bench("zero_copy_vectorized", table, path=BENCH_SHUFFLE_PATH)
-    print(f"consolidated results written to {BENCH_SHUFFLE_PATH.name}")
+    record_bench("zero_copy_vectorized", table)

@@ -15,6 +15,7 @@ from repro.workloads import (
 )
 from repro.core import GFlinkCluster
 from harness import paper_cluster_config
+from paper import TABLE1_SIZES
 
 
 def test_table1_catalog(benchmark):
@@ -34,13 +35,8 @@ def test_table1_catalog(benchmark):
     benchmark.extra_info["table"] = {n: l for n, l in rows}
 
     table = dict(rows)
-    assert table["kmeans"] == ["150M points", "180M points", "210M points",
-                               "240M points", "270M points"]
-    assert table["pagerank"] == ["5M pages", "10M pages", "15M pages",
-                                 "20M pages", "25M pages"]
-    assert table["wordcount"] == ["24 GB", "32 GB", "40 GB", "48 GB",
-                                  "56 GB"]
-    assert table["spmv"] == ["2 GB", "4 GB", "8 GB", "16 GB", "32 GB"]
+    for family, labels in TABLE1_SIZES.items():
+        assert table[family] == labels
 
 
 def test_generators_hit_nominal_sizes(benchmark):

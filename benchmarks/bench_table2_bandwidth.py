@@ -2,79 +2,42 @@
 
 Reproduces both columns: the GFlink transfer channel (off-heap direct buffer
 through CUDAWrapper/CUDAStub) and the native path (C library straight to the
-GPU), for the paper's eight transfer sizes.  The paper's observations:
-bandwidth rises with size, both plateau just under 3 GB/s beyond 256 KiB, and
-the native path only wins for small transfers (the JNI redirect).
+GPU), for the paper's eight transfer sizes (the ``table2-*`` rows of
+``paper.py``).  The paper's observations: bandwidth rises with size, both
+plateau beyond 256 KiB, and the native path only wins for small transfers
+(the JNI redirect).
 """
 
-import numpy as np
 from conftest import run_once
-
-from repro.common import Environment
-from repro.common.units import MB
-from repro.core.channels import CommCosts, CommMode, CUDAWrapper
-from repro.core.hbuffer import Block, HBuffer
-from repro.gpu import CUDARuntime, GPUDevice, KernelRegistry, TESLA_C2050
-
-SIZES = [2048, 4096, 16384, 32768, 131072, 262144, 524288, 1048576]
-
-PAPER_GFLINK = [776.398, 1241.311, 2195.872, 2556.237, 2858.368, 2968.151,
-                2960.003, 2973.701]
-PAPER_NATIVE = [814.425, 1348.418, 2245.351, 2646.721, 2878.373, 2945.243,
-                2931.513, 2963.532]
-
-
-def _measure(nbytes: int, mode: str) -> float:
-    """Bandwidth in MB/s of one H2D transfer of ``nbytes``."""
-    env = Environment()
-    device = GPUDevice(env, TESLA_C2050)
-    runtime = CUDARuntime(env, [device], KernelRegistry())
-    wrapper = CUDAWrapper(env, runtime, CommCosts())
-    h = HBuffer(np.zeros(max(nbytes // 8, 1)), element_nbytes=8,
-                off_heap=True, pinned=True)
-    block = Block(0, h.elements, nbytes / 8, nbytes)
-
-    def proc():
-        dst = yield from runtime.malloc(device, nbytes)
-        t0 = env.now
-        if mode == "gflink":
-            yield from wrapper.transfer_h2d_inline(device, dst, block, h,
-                                                   CommMode.GFLINK)
-        else:
-            host = wrapper.host_view(block, h, CommMode.GFLINK)
-            yield from runtime.memcpy_h2d(device, dst, host)
-        return env.now - t0
-
-    seconds = env.run(until=env.process(proc()))
-    return nbytes / seconds / MB
+from harness import h2d_bandwidth
+from paper import CLAIMS, TABLE2_BYTES, record_bench
 
 
 def test_table2_transfer_channel_bandwidth(benchmark):
     def measure_all():
-        return {
-            "gflink": [_measure(n, "gflink") for n in SIZES],
-            "native": [_measure(n, "native") for n in SIZES],
-        }
+        return {path: [h2d_bandwidth(n, path) for n in TABLE2_BYTES]
+                for path in ("gflink", "native")}
 
     result = run_once(benchmark, measure_all)
     print("\n== Table 2: Bandwidth of Transfer Channel (Host to Device) ==")
     print(f"{'Bytes':>9}  {'GFlink (sim)':>13} {'GFlink (paper)':>15}  "
           f"{'Native (sim)':>13} {'Native (paper)':>15}")
     rows = []
-    for i, n in enumerate(SIZES):
+    for i, n in enumerate(TABLE2_BYTES):
         g, nat = result["gflink"][i], result["native"][i]
-        print(f"{n:>9}  {g:>10.3f} MB/s {PAPER_GFLINK[i]:>12.3f} MB/s"
-              f"  {nat:>10.3f} MB/s {PAPER_NATIVE[i]:>12.3f} MB/s")
+        print(f"{n:>9}  {g:>10.3f} MB/s "
+              f"{CLAIMS[f'table2-gflink-{n}'].paper:>12.3f} MB/s"
+              f"  {nat:>10.3f} MB/s "
+              f"{CLAIMS[f'table2-native-{n}'].paper:>12.3f} MB/s")
         rows.append({"bytes": n, "gflink_mbps": round(g, 3),
                      "native_mbps": round(nat, 3)})
     benchmark.extra_info["table"] = rows
+    record_bench("table2", {"rows": rows})
 
-    for i, n in enumerate(SIZES):
-        # Within 10% of both paper columns at every size.
-        assert abs(result["gflink"][i] - PAPER_GFLINK[i]) \
-            / PAPER_GFLINK[i] < 0.10
-        assert abs(result["native"][i] - PAPER_NATIVE[i]) \
-            / PAPER_NATIVE[i] < 0.10
+    # Within the row's tolerance of both paper columns at every size.
+    for path, column in result.items():
+        for n, measured in zip(TABLE2_BYTES, column):
+            CLAIMS[f"table2-{path}-{n}"].check(measured)
     # Bandwidth increases with transferred bytes, then stabilizes (§6.7).
     assert result["gflink"] == sorted(result["gflink"])
     assert result["gflink"][-1] / result["gflink"][-3] < 1.02

@@ -14,49 +14,30 @@ simulation.  Every bench
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
+from paper import Sweep, approx, record_bench
+from repro.cli import WORKLOADS
+from repro.common import Environment
+from repro.common.units import MB, MiB
 from repro.core import GFlinkCluster, GFlinkSession
+from repro.core.channels import CommCosts, CommMode, CUDAWrapper
+from repro.core.gpumanager import GPUManagerConfig
+from repro.core.hbuffer import Block, HBuffer
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
+from repro.gpu import CUDARuntime, GPUDevice, KernelRegistry, TESLA_C2050
 from repro.obs.export import (
     collect_cluster,
     write_chrome_trace,
     write_metrics,
 )
+from repro.workloads import SpMVWorkload, table1_sizes
 from repro.workloads.base import WorkloadResult
-
-#: Consolidated results of one benchmark run of this PR's suite: each bench
-#: records its workload's simulated seconds and speedup here, so CI (and a
-#: reviewer) reads one file instead of scraping pytest-benchmark JSON.
-BENCH_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR1.json"
-
-#: Consolidated GProfiler briefs (critical path, bottleneck classes,
-#: copy/compute overlap) from the profiling bench suite.
-BENCH_PROFILE_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
-
-
-def record_bench(name: str, payload: dict,
-                 path: Optional[Path] = None) -> None:
-    """Merge one bench's summary into a consolidated results file.
-
-    Load-merge-write keeps entries from the other benches of the same run;
-    a fresh run simply overwrites stale entries name by name.  ``path``
-    defaults to this PR suite's :data:`BENCH_RESULTS_PATH`; later suites
-    (e.g. ``bench_resilience``) pass their own consolidated file.
-    """
-    path = path or BENCH_RESULTS_PATH
-    results: Dict[str, dict] = {}
-    if path.exists():
-        try:
-            results = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            results = {}
-    results[name] = payload
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 #: The paper's testbed: 10 slaves, each an i5-4590 (4 cores @3.3 GHz) with
 #: two Tesla C2050 GPUs (§6.1, §6.5).
@@ -119,7 +100,8 @@ class FigureReport:
                          f"{r.gpu_s:>10.2f} s  {r.speedup:>7.2f}x")
         return "\n".join(lines)
 
-    def emit(self, benchmark=None) -> None:
+    def emit(self, benchmark, name: str) -> None:
+        """Print the table and record it under ``name`` (the claim's id)."""
         print(self.render())
         table = [
             {"label": r.label, "cpu_s": round(r.cpu_s, 3),
@@ -127,9 +109,8 @@ class FigureReport:
              "speedup": round(r.speedup, 3)}
             for r in self.rows
         ]
-        if benchmark is not None:
-            benchmark.extra_info["table"] = table
-        record_bench(self.title, {"rows": table})
+        benchmark.extra_info["table"] = table
+        record_bench(name, {"rows": table})
 
 
 def profile_brief(session: GFlinkSession) -> Optional[dict]:
@@ -199,26 +180,31 @@ def sweep(workload_factory: Callable[[object], object],
     return report
 
 
-def assert_speedups_in_band(report: FigureReport, low: float, high: float,
-                            paper_value: float) -> None:
-    """The sweep's speedups must bracket the paper's reported factor."""
-    speedups = report.speedups()
-    assert all(low <= s <= high for s in speedups), (
-        f"{report.title}: speedups {speedups} outside [{low}, {high}] "
-        f"(paper reports ~{paper_value}x)")
+def claim_workload(claim: Sweep, nominal: float):
+    """The workload a headline row describes, at one nominal input size."""
+    cls, _, size_param = WORKLOADS[claim.workload]
+    kwargs = {size_param: nominal,
+              size_param.replace("nominal", "real"): claim.real}
+    if claim.iterations is not None:
+        kwargs["iterations"] = claim.iterations
+    return cls(**kwargs)
 
 
-def assert_mid_size_speedup(report: FigureReport, paper_value: float,
-                            rel: float = 0.30) -> None:
-    """The middle input size must land within ``rel`` of the paper's factor.
+def sweep_claim(claim: Sweep, sizes: Optional[Sequence[object]] = None,
+                config: Optional[ClusterConfig] = None) -> FigureReport:
+    """A headline row's sweep on the paper's cluster — over all five
+    Table-1 sizes of its family unless ``sizes`` narrows it."""
+    label = WORKLOADS[claim.workload][0].__name__.removesuffix("Workload")
+    return sweep(lambda size: claim_workload(claim, size.nominal_elements),
+                 sizes or table1_sizes(claim.family),
+                 config or paper_cluster_config(),
+                 f"Fig {claim.id[3:]}: {label} on the cluster "
+                 f"(paper: {approx(claim)})")
 
-    (The paper quotes a single per-benchmark number; its sweeps also fan out
-    around it, smallest inputs being overhead-bound per Observation 3.)
-    """
-    mid = report.rows[len(report.rows) // 2].speedup
-    assert abs(mid - paper_value) / paper_value <= rel, (
-        f"{report.title}: mid-size speedup {mid:.2f}x vs paper "
-        f"~{paper_value}x (tolerance {rel:.0%})")
+
+def mid_size(rows: Sequence[object]):
+    """The middle entry: the input size the paper's one factor is read at."""
+    return rows[len(rows) // 2]
 
 
 def assert_speedup_grows_with_size(report: FigureReport,
@@ -231,3 +217,46 @@ def assert_speedup_grows_with_size(report: FigureReport,
             f"{larger:.2f} as input grew")
     assert speedups[-1] > speedups[0], (
         f"{report.title}: speedup did not grow with input size")
+
+
+def h2d_bandwidth(nbytes: int, path: str) -> float:
+    """Table 2: MB/s of one host-to-device transfer of ``nbytes`` through
+    the GFlink transfer channel (``"gflink"``: off-heap direct buffer via
+    CUDAWrapper / CUDAStub) or straight from a C library (``"native"``)."""
+    env = Environment()
+    device = GPUDevice(env, TESLA_C2050)
+    runtime = CUDARuntime(env, [device], KernelRegistry())
+    wrapper = CUDAWrapper(env, runtime, CommCosts())
+    h = HBuffer(np.zeros(max(nbytes // 8, 1)), element_nbytes=8,
+                off_heap=True, pinned=True)
+    block = Block(0, h.elements, nbytes / 8, nbytes)
+
+    def proc():
+        dst = yield from runtime.malloc(device, nbytes)
+        t0 = env.now
+        if path == "gflink":
+            yield from wrapper.transfer_h2d_inline(device, dst, block, h,
+                                                   CommMode.GFLINK)
+        else:
+            host = wrapper.host_view(block, h, CommMode.GFLINK)
+            yield from runtime.memcpy_h2d(device, dst, host)
+        return env.now - t0
+
+    seconds = env.run(until=env.process(proc()))
+    return nbytes / seconds / MB
+
+
+def gc_policy_counts(cache_policy: str):
+    """Fig. 8a companion: (hits, evictions) of a 4-iteration SpMV whose
+    ~10 MiB matrix meets a 4 MiB cache region under ``cache_policy``."""
+    gpu_config = GPUManagerConfig(
+        cache_bytes_per_device=int(4 * MiB),
+        cache_policy=cache_policy, block_nbytes=1 * MiB)
+    cluster = GFlinkCluster(paper_cluster_config(n_workers=1),
+                            gpu_config=gpu_config)
+    session = GFlinkSession(cluster)
+    SpMVWorkload(nominal_elements=80_000, real_elements=80_000,
+                 iterations=4).run(session, "gpu")
+    stats = [gm.gmm.stats(session.app_id) for gm in cluster.gpu_managers()]
+    return (sum(h for s in stats for (h, m, e) in s.values()),
+            sum(e for s in stats for (h, m, e) in s.values()))

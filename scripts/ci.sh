@@ -6,15 +6,17 @@
 #   scripts/ci.sh --fast   # tier-1 tests + lint only
 #
 # The full run adds: the generated payload-format, exchange, shipping,
-# GWork, stage-loop and keyed-fold differentials at full Hypothesis depth,
+# GWork, stage-loop, keyed-fold and profiler differentials at full Hypothesis
+# depth,
 # traced wordcount smokes
 # (element-wise and vectorized) with schema validation and profile gates
 # against the committed baselines in traces/ (cross-checked against their
 # exported metrics), a traced iterative (PageRank-GPU) profile smoke gated
 # the same way, chaos / monitor / flight-recorder / churn smokes, the
 # paper-figure bench smokes
-# (`python -m pytest benchmarks/` is the whole suite; they write
-# BENCH_PR*.json), and the quick test of the repo's benchmark
+# (`python -m pytest benchmarks/` is the whole suite; results go to the
+# untracked benchmarks/out/results.json and the run must change no tracked
+# file), and the quick test of the repo's benchmark
 # (benchmarks/perf — imports, determinism check, output shape).
 
 set -euo pipefail
@@ -37,7 +39,7 @@ echo "== code lines per package (scripts/sloc.py: non-blank, non-comment, non-do
 python scripts/sloc.py
 
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "== generated differentials at full depth: payload formats + exchange + shipping + GWork + stage loop + keyed fold =="
+    echo "== generated differentials at full depth: payload formats + exchange + shipping + GWork + stage loop + keyed fold + profiler + chaos draw =="
     # Tier-1 caps their Hypothesis examples (tests/flink/conftest.py depth()).
     # The last entry is the property behind hash_bucket's guarantee: a keyed
     # reduce over mixed scalar key types collects the same multiset at
@@ -49,7 +51,9 @@ if [[ "${1:-}" != "--fast" ]]; then
         tests/core/test_gwork_differential.py \
         tests/flink/test_stage_loop_differential.py \
         tests/flink/test_keyed_fold_differential.py \
-        tests/flink/test_shuffle.py::TestEqualKeysReachOneConsumer
+        tests/flink/test_shuffle.py::TestEqualKeysReachOneConsumer \
+        tests/obs/test_profile_differential.py \
+        tests/flink/test_chaos.py::TestChaosSchedule::test_random_spares_one_worker
 
     echo "== traced bench smoke: wordcount + schema validation + cross-check =="
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \
@@ -189,13 +193,21 @@ PY
         --explain
 
     echo "== bench smoke: GPU chaining ablation + cache policies + zero-copy shuffle + elasticity + explainer =="
+    # Results land in the untracked benchmarks/out/results.json; the tracked
+    # record (BENCH.jsonl) is appended to only by `python benchmarks/paper.py
+    # record PR`, so a bench run leaves `git status` as it found it.
+    tree_before=$(git status --porcelain)
     python -m pytest -q \
         benchmarks/bench_ablation_gpu_chaining.py \
         benchmarks/bench_fig8_cache.py \
         benchmarks/bench_shuffle.py \
         benchmarks/bench_elastic.py \
         benchmarks/bench_explain.py
-    echo "consolidated results written to BENCH_PR1.json, BENCH_PR8.json, BENCH_PR9.json and BENCH_PR10.json"
+    if [[ "$(git status --porcelain)" != "$tree_before" ]]; then
+        echo "FAIL: the bench run changed the working tree:" >&2
+        git status --porcelain >&2
+        exit 1
+    fi
 
     echo "== benchmark quick test: benchmarks/perf imports, determinism, output =="
     # A change that breaks the benchmark's imports or its fixed-seed

@@ -144,6 +144,30 @@ LINTS = (
          "PR 21", ("examples/windows.py",
                    "from repro.streaming import StreamEnvironment"),
          include=("*.py", "*.md")),
+    Lint("one results file — benches write benchmarks/out/results.json, "
+         "BENCH.jsonl is the record",
+         # The seven per-PR result files (two of which every bench run
+         # rewrote in the working tree) are BENCH.jsonl's first seven lines;
+         # only CHANGES.md / ROADMAP.md history may still name them.
+         r"BENCH_PR\d+\.json",
+         ("benchmarks", "scripts", "src", "tests", "docs", "examples",
+          "README.md", "EXPERIMENTS.md", "DESIGN.md"),
+         "a per-PR result file (record through benchmarks/paper.py: "
+         "record_bench, then `paper.py record PR`)",
+         "PR 22", ("benchmarks/bench_shuffle.py",
+                   'PATH = Path(__file__).parent.parent / "BENCH_PR8.json"'),
+         allowed=(r"^scripts/lint\.py:",),
+         include=("*.py", "*.md", "*.sh")),
+    Lint("no page allocator — the page is modelled as the block quantum",
+         # flink/memory.py (MemoryManager / MemoryKind / MemorySegment) was
+         # built once per TaskManager and allocated from by nothing.
+         r"repro\.flink\.memory|(^|[^G])MemoryManager\(",
+         ("src", "tests", "benchmarks", "examples"),
+         "the inert managed-memory model is gone (device memory is "
+         "repro.gpu.memory, the GPU cache repro.core.gmemory)",
+         "PR 22", ("src/repro/flink/taskmanager.py",
+                   "from repro.flink.memory import MemoryManager"),
+         include=("*.py", "*.md")),
 )
 
 

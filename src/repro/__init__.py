@@ -15,7 +15,7 @@ Subpackages
     Namenode/datanodes with replication, locality and failover.
 ``repro.flink``
     The CPU substrate: DataSet API, JobManager/TaskManagers, shuffle,
-    managed memory, operator chaining, fault tolerance, reports.
+    operator chaining, fault tolerance, reports.
 ``repro.gpu``
     CUDA device/stream/DMA/kernel models for the paper's testbed GPUs.
 ``repro.core``

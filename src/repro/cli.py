@@ -83,11 +83,11 @@ def _add_fault_options(p: argparse.ArgumentParser) -> None:
                    type=_parse_kill, metavar="WORKER@T",
                    help="kill WORKER at simulated time T (e.g. worker1@40)")
     p.add_argument("--gpu-fail", action="append", default=[],
-                   metavar="WORKER[:DEV]@T[:KIND]",
+                   type=_parse_gpu_fault, metavar="WORKER[:DEV]@T[:KIND]",
                    help="fault a GPU at time T; KIND is gpu-ecc "
                         "(default), gpu-oom or gpu-hang")
     p.add_argument("--pcie-fault", action="append", default=[],
-                   metavar="WORKER[:DEV]@T[:KIND]",
+                   type=_parse_pcie_fault, metavar="WORKER[:DEV]@T[:KIND]",
                    help="fault a PCIe transfer at time T; KIND is "
                         "pcie-corrupt (default) or pcie-timeout")
     p.add_argument("--chaos-seed", type=int, default=None,
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--json", dest="json_out", default=None,
                          help="write the machine-readable summary here")
     profile.add_argument("--threshold", action="append", default=[],
-                         metavar="METRIC=REL",
+                         type=_parse_threshold, metavar="METRIC=REL",
                          help="override a relative regression threshold, "
                               "e.g. makespan_s=0.2 or critical_path=0.5")
     profile.add_argument("--quiet", action="store_true",
@@ -354,6 +354,11 @@ def _cmd_metrics(args, out) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A usage error only seen after parsing (a spec naming a worker the
+    cluster will not have): ``main`` hands it to ``parser.error``."""
+
+
 def _bad_spec(spec: str, why: str) -> argparse.ArgumentTypeError:
     """What an option's ``type=`` parser raises: argparse prints the usage
     and the message and exits 2."""
@@ -379,20 +384,32 @@ def _parse_kill(spec: str):
     return worker, _parse_at(at, spec)
 
 
-def _parse_device_fault(spec: str, default_kind, allowed):
-    """``WORKER[:DEV]@T[:KIND]`` → (worker, device, at, kind)."""
-    from repro.flink.chaos import FaultKind
+def _parse_device_fault(spec: str, kinds):
+    """``WORKER[:DEV]@T[:KIND]`` → (spec, worker, device, at, kind); KIND
+    is one of ``kinds`` and defaults to the first."""
     loc, sep, rest = spec.partition("@")
-    if not sep or not loc:
-        raise SystemExit(f"bad fault spec {spec!r}: "
-                         f"expected WORKER[:DEV]@T[:KIND]")
     worker, _, dev = loc.partition(":")
+    if not sep or not worker:
+        raise _bad_spec(spec, "expected WORKER[:DEV]@T[:KIND]")
+    if dev and not dev.isdigit():
+        raise _bad_spec(spec, f"device {dev!r} is not an index")
     at, _, kind_name = rest.partition(":")
-    kind = FaultKind(kind_name) if kind_name else default_kind
-    if kind not in allowed:
-        raise SystemExit(f"bad fault spec {spec!r}: {kind.value} is not "
-                         f"valid here")
-    return worker, int(dev) if dev else 0, float(at), kind
+    by_name = {kind.value: kind for kind in kinds}
+    if kind_name and kind_name not in by_name:
+        raise _bad_spec(spec, f"kind {kind_name!r} is not one of "
+                              f"{', '.join(by_name)}")
+    return (spec, worker, int(dev or 0), _parse_at(at, spec),
+            by_name.get(kind_name, kinds[0]))
+
+
+def _parse_gpu_fault(spec: str):
+    from repro.flink.chaos import GPU_FAULT_KINDS
+    return _parse_device_fault(spec, GPU_FAULT_KINDS)
+
+
+def _parse_pcie_fault(spec: str):
+    from repro.flink.chaos import PCIE_FAULT_KINDS
+    return _parse_device_fault(spec, PCIE_FAULT_KINDS)
 
 
 def _parse_churn(spec: str):
@@ -407,44 +424,36 @@ def _parse_churn(spec: str):
 
 
 def _build_schedule(args, worker_names, n_gpus):
-    from repro.flink.chaos import (
-        ChaosSchedule, ChurnSchedule, FaultKind, GPU_FAULT_KINDS,
-        PCIE_FAULT_KINDS)
+    from repro.flink.chaos import ChaosSchedule, ChurnSchedule, FaultKind
     schedule = ChaosSchedule()
-    known = set(worker_names)
+    known = list(worker_names)
     # Joins introduce names mid-run; later --kill/--churn specs may target
     # them (the engine skips, with a trace, any that never materialize).
-    for action, target, _ in args.churn:
-        if action == "join" and target:
-            known.add(target)
+    known += [target for action, target, _ in args.churn
+              if action == "join" and target]
 
-    def check_worker(worker, spec):
+    def check_worker(worker, flag, spec):
         if worker not in known:
-            raise SystemExit(f"unknown worker in {spec!r} "
-                             f"(workers: worker0..worker{len(known) - 1})")
+            raise _UsageError(f"argument {flag}: bad spec {spec!r}: unknown "
+                              f"worker (workers: {', '.join(known)})")
 
     for worker, at in args.kill:
-        check_worker(worker, f"{worker}@{at:g}")
+        check_worker(worker, "--kill", f"{worker}@{at:g}")
         schedule.kill_worker(worker, at=at)
-    for spec in args.gpu_fail:
-        worker, dev, at, kind = _parse_device_fault(
-            spec, FaultKind.GPU_ECC, GPU_FAULT_KINDS)
-        check_worker(worker, spec)
+    for spec, worker, dev, at, kind in args.gpu_fail:
+        check_worker(worker, "--gpu-fail", spec)
         schedule.fail_gpu(worker, dev, at=at, kind=kind)
-    for spec in args.pcie_fault:
-        worker, dev, at, kind = _parse_device_fault(
-            spec, FaultKind.PCIE_CORRUPT, PCIE_FAULT_KINDS)
-        check_worker(worker, spec)
+    for spec, worker, dev, at, kind in args.pcie_fault:
+        check_worker(worker, "--pcie-fault", spec)
         schedule.fault_pcie(worker, dev, at=at, kind=kind)
     for action, target, at in args.churn:
         if action == "join":
-            before = {e.worker for e in schedule.events
-                      if e.kind is FaultKind.WORKER_JOIN}
-            schedule.join_worker(at=at, name=target)
-            known |= {e.worker for e in schedule.events
-                      if e.kind is FaultKind.WORKER_JOIN} - before
+            schedule.join_worker(at=at, name=target)   # auto-named if None
+            known += [e.worker for e in schedule.events
+                      if e.kind is FaultKind.WORKER_JOIN
+                      and e.worker not in known]
             continue
-        check_worker(target, f"{action}:{target}@{at:g}")
+        check_worker(target, "--churn", f"{action}:{target}@{at:g}")
         if action == "drain":
             schedule.drain_worker(target, at=at)
         else:
@@ -677,20 +686,15 @@ def _cmd_monitor(args, out) -> int:
     return 1 if failed else 0
 
 
-def _parse_thresholds(specs):
-    """``METRIC=REL`` pairs → threshold-override dict."""
-    overrides = {}
-    for spec in specs:
-        metric, sep, value = spec.partition("=")
-        if not sep or not metric:
-            raise SystemExit(f"bad --threshold spec {spec!r}: "
-                             f"expected METRIC=REL")
-        try:
-            overrides[metric] = float(value)
-        except ValueError:
-            raise SystemExit(f"bad --threshold spec {spec!r}: "
-                             f"{value!r} is not a number")
-    return overrides
+def _parse_threshold(spec: str):
+    """``METRIC=REL`` → (metric, relative threshold)."""
+    metric, sep, value = spec.partition("=")
+    if not sep or not metric:
+        raise _bad_spec(spec, "expected METRIC=REL")
+    try:
+        return metric, float(value)
+    except ValueError:
+        raise _bad_spec(spec, f"{value!r} is not a number") from None
 
 
 def _cmd_profile(args, out) -> int:
@@ -725,8 +729,7 @@ def _cmd_profile(args, out) -> int:
     except (OSError, ValueError, _json.JSONDecodeError) as exc:
         print(f"cannot load baseline {args.baseline}: {exc}", file=out)
         return 2
-    deltas = compare_summaries(summary, baseline,
-                               _parse_thresholds(args.threshold))
+    deltas = compare_summaries(summary, baseline, dict(args.threshold))
     print(render_comparison(deltas), file=out)
     if args.explain or args.explain_out:
         from repro.obs.explain import (
@@ -800,7 +803,15 @@ def _cmd_specs(out) -> int:
 def main(argv: Optional[list] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _dispatch(args, out)
+    except _UsageError as exc:
+        parser.error(str(exc))      # usage + one line on stderr, exit 2
+
+
+def _dispatch(args, out) -> int:
     if args.command == "run":
         return _cmd_run(args, out)
     if args.command == "trace":

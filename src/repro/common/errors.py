@@ -37,7 +37,7 @@ class ResourceError(ReproError):
 
 
 class MemoryExhaustedError(ReproError):
-    """A managed memory pool (Flink pages, GPU device memory) is exhausted."""
+    """A managed memory pool (GPU device memory) is exhausted."""
 
 
 class JobExecutionError(ReproError):

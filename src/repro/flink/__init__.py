@@ -20,8 +20,6 @@ into:
   §3.1 of the paper identifies as a mismatch for GPUs.
 * **Hash shuffle** with serialization over the network
   (:mod:`repro.flink.shuffle`, :mod:`repro.flink.serialization`).
-* **Page-based managed memory** (:mod:`repro.flink.memory`), both on-heap and
-  off-heap — the off-heap pages are where GFlink parks its HBuffers.
 * **Task-retry fault tolerance** (:mod:`repro.flink.fault`).
 
 Timing is simulated (see :mod:`repro.common.simclock`); functional results

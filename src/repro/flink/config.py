@@ -47,10 +47,10 @@ class FlinkConfig:
     All times in seconds, sizes in bytes, rates in bytes or FLOPs per second.
     """
 
-    # Memory management: Flink manages memory in fixed-size pages; GFlink's
-    # block size defaults to one page (§5.1 of the paper).
+    # Flink manages memory in fixed-size pages; GFlink's block is one page
+    # (§5.1 of the paper) — the page is modelled as the block quantum, not as
+    # an allocator.
     page_size: int = 32 * 1024
-    managed_memory_per_worker: int = 8 * (1 << 30)
 
     # Iterator execution model: per-element virtual-call + iterator overhead.
     element_overhead_s: float = 120e-9

@@ -359,7 +359,8 @@ class JobManager:
                 key_fn=op.key_fn_for_input(k),
                 combiner=op.combiner_for_input(k),
                 only_consumers=only_consumers,
-                hdfs=self.cluster.hdfs, flink=self.config.flink)
+                hdfs=self.cluster.hdfs, flink=self.config.flink,
+                block_nbytes=self.cluster.tuning.pipeline_block_nbytes)
             with self.cluster.obs.span(
                     "exchange", self.cluster.master_name, "exchange",
                     op=op.name, input=k, strategy=strat.name) as sp:

@@ -142,7 +142,8 @@ class Exchange:
                  key_fn: Optional[Callable] = None,
                  combiner: Optional[Tuple[Callable, Callable]] = None,
                  only_consumers: Optional[Set[int]] = None,
-                 hdfs=None, flink: Optional[FlinkConfig] = None):
+                 hdfs=None, flink: Optional[FlinkConfig] = None,
+                 block_nbytes: Optional[float] = None):
         self.env = env
         self.network = network
         self.serializer = serializer
@@ -159,6 +160,11 @@ class Exchange:
         # Spill target for oversized destination payloads (None: never spill).
         self.hdfs = hdfs
         self.flink = flink if flink is not None else _DEFAULT_FLINK
+        # Wire-block width: the engine passes the tuned
+        # ``cluster.tuning.pipeline_block_nbytes``, which the autoscaler
+        # may have widened past the frozen config's.
+        self.block_nbytes = (block_nbytes if block_nbytes is not None
+                             else self.flink.pipeline_block_nbytes)
         self.bytes_shuffled = 0.0
         self.bytes_zero_copy = 0.0
         self.bytes_spilled = 0.0
@@ -462,8 +468,7 @@ class Exchange:
         owed: List[float] = []
         for dst, nbytes, count, payload, spill_tag in shipments:
             if zero_copy:
-                blocks = n_wire_blocks(payload, nbytes,
-                                       self.flink.pipeline_block_nbytes)
+                blocks = n_wire_blocks(payload, nbytes, self.block_nbytes)
                 # Sender frames block descriptors; bytes bypass serde entirely.
                 owed.append(serializer.zero_copy_time(nbytes, blocks))
             else:

@@ -1,4 +1,4 @@
-"""TaskManager: per-worker task slots and managed memory."""
+"""TaskManager: per-worker task slots."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from typing import List, Optional
 from repro.common.resources import Resource
 from repro.common.simclock import Environment, Event, Process
 from repro.flink.config import ClusterConfig
-from repro.flink.memory import MemoryManager
 
 
 class _SharedSlot:
@@ -45,9 +44,6 @@ class TaskManager:
         self.worker_name = worker_name
         self.config = config
         self.slots = Resource(env, capacity=config.slots)
-        self.memory = MemoryManager(
-            total_bytes=config.flink.managed_memory_per_worker,
-            page_size=config.flink.page_size)
         self.tasks_executed = 0
         # Subtask processes currently assigned to this worker (queued for a
         # slot or running).  A worker kill interrupts them all: the

@@ -34,12 +34,16 @@ def make_payload(kind, rows):
     return np.array(rows, dtype=np.float64).reshape(len(rows), 2)
 
 
-def depth(tier1, full):
-    """Hypothesis settings for a generated differential: ``tier1`` examples
-    in the tier-1 suite, ``full`` when ``scripts/ci.sh`` sets
+def at_depth(tier1, full):
+    """``tier1`` in the tier-1 suite, ``full`` when ``scripts/ci.sh`` sets
     ``REPRO_FULL_DEPTH=1``."""
-    examples = full if os.environ.get("REPRO_FULL_DEPTH") else tier1
-    return settings(max_examples=examples, deadline=None)
+    return full if os.environ.get("REPRO_FULL_DEPTH") else tier1
+
+
+def depth(tier1, full):
+    """Hypothesis settings for a generated differential: :func:`at_depth`
+    examples."""
+    return settings(max_examples=at_depth(tier1, full), deadline=None)
 
 
 def assert_ports_free(network):

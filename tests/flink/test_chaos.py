@@ -28,7 +28,7 @@ from repro.flink.chaos import (
 from repro.flink.jobmanager import JobManager
 from repro.gpu.kernel import KernelRegistry
 from repro.workloads import PageRankWorkload, PointAddWorkload
-from tests.flink.conftest import assert_ports_free, make_cluster
+from tests.flink.conftest import assert_ports_free, at_depth, make_cluster
 
 
 class TestBackoff:
@@ -111,7 +111,7 @@ class TestChaosSchedule:
 
     def test_random_spares_one_worker(self):
         schedule = ChaosSchedule.random(
-            seed=1, duration_s=1e6, workers=["w0", "w1", "w2"],
+            seed=1, duration_s=at_depth(1e4, 1e6), workers=["w0", "w1", "w2"],
             worker_kill_rate=10.0)
         victims = {e.worker for e in schedule.events
                    if e.kind is FaultKind.WORKER_KILL}

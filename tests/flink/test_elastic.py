@@ -16,6 +16,7 @@ Covers the elasticity contracts:
   tracing enabled.
 """
 
+import numpy as np
 import pytest
 
 from repro.flink import FlinkSession
@@ -27,6 +28,8 @@ from repro.flink.chaos import (
     values_equal,
 )
 from repro.flink.graph import ExecutionVertex
+from repro.flink.iterators import vectorized
+from repro.flink.payload import segment_sum
 from repro.flink.rebalance import Rebalancer
 from repro.flink.scheduler import Scheduler
 from tests.flink.conftest import assert_ports_free, make_cluster
@@ -245,6 +248,35 @@ class TestAutoscaler:
         assert cluster.tuning.prefer_local_placement
         assert cluster.tuning.pipeline_block_nbytes == 2 * before
         assert [d.action for d in scaler.decisions] == ["prefer_cache"]
+
+    def test_widened_blocks_reach_the_exchange(self):
+        """``cluster.tuning`` is the one block width: a cluster widened to
+        2W mid-life prices a zero-copy keyed reduce — source sub-blocks,
+        operator charges *and* the exchange's wire-block framing — exactly
+        like a cluster born at 2W."""
+        narrow = 64 * 1024.0
+
+        def reduce_fn(block, starts):
+            out = block[starts]
+            out[:, 1] = segment_sum(block[:, 1], starts)
+            return out
+
+        def run(born, widen):
+            cluster = make_cluster(n_workers=2, pipeline_block_nbytes=born)
+            if widen:
+                Autoscaler(cluster).observe_profile(
+                    {"operators": {"gpu-map": {"class": "pcie_bound"}}})
+            assert cluster.tuning.pipeline_block_nbytes == 2 * narrow
+            rows = np.stack([np.arange(4000) % 997, np.ones(4000)],
+                            axis=1).astype(np.float64)
+            result = FlinkSession(cluster).from_collection(
+                rows, element_nbytes=16.0, scale=1e3).group_by(vectorized(
+                    lambda block: block[:, 0].astype(np.int64))) \
+                .reduce(vectorized(reduce_fn)).collect()
+            assert result.metrics.shuffle_zero_copy_bytes > 2 * narrow
+            return result.seconds
+
+        assert run(narrow, widen=True) == run(2 * narrow, widen=False)
 
     def test_non_pcie_profile_is_ignored(self):
         cluster = make_cluster(n_workers=2)

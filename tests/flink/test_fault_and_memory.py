@@ -1,11 +1,9 @@
-"""Fault-tolerance and managed-memory tests."""
+"""Fault-tolerance tests."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.common.errors import JobExecutionError, MemoryExhaustedError
+from repro.common.errors import JobExecutionError
 from repro.flink import FailureInjector, FlinkSession
-from repro.flink.memory import MemoryKind, MemoryManager
 from tests.flink.conftest import make_cluster
 
 
@@ -47,48 +45,3 @@ class TestFaultTolerance:
             .map(lambda v: v, name="x").collect()
         assert sorted(result.value) == [1, 2]
         assert result.metrics.retries == 2  # both subtasks failed once
-
-
-class TestMemoryManager:
-    def test_pages_for_rounds_up(self):
-        mm = MemoryManager(total_bytes=1024 * 100, page_size=1024)
-        assert mm.pages_for(1) == 1
-        assert mm.pages_for(1024) == 1
-        assert mm.pages_for(1025) == 2
-        assert mm.pages_for(0) == 0
-
-    def test_allocate_and_release(self):
-        mm = MemoryManager(total_bytes=1024 * 10, page_size=1024,
-                           off_heap_fraction=0.5)
-        segs = mm.allocate(3 * 1024, kind=MemoryKind.OFF_HEAP)
-        assert len(segs) == 3
-        assert all(s.dma_capable for s in segs)
-        assert mm.available_pages(MemoryKind.OFF_HEAP) == 2
-        mm.release(segs)
-        assert mm.available_pages(MemoryKind.OFF_HEAP) == 5
-
-    def test_heap_segments_not_dma_capable(self):
-        mm = MemoryManager(total_bytes=1024 * 10, page_size=1024)
-        (seg,) = mm.allocate(1, kind=MemoryKind.HEAP)
-        assert not seg.dma_capable
-
-    def test_exhaustion_raises(self):
-        mm = MemoryManager(total_bytes=1024 * 4, page_size=1024,
-                           off_heap_fraction=1.0)
-        mm.allocate(4 * 1024)
-        with pytest.raises(MemoryExhaustedError):
-            mm.allocate(1)
-
-    def test_peak_tracking(self):
-        mm = MemoryManager(total_bytes=1024 * 10, page_size=1024)
-        a = mm.allocate(2 * 1024, kind=MemoryKind.HEAP)
-        b = mm.allocate(2 * 1024, kind=MemoryKind.HEAP)
-        mm.release(a)
-        mm.release(b)
-        assert mm.peak_pages == 4
-
-    @given(st.integers(min_value=1, max_value=10**7))
-    def test_pages_for_property(self, nbytes):
-        mm = MemoryManager(total_bytes=1 << 30, page_size=32 * 1024)
-        pages = mm.pages_for(nbytes)
-        assert (pages - 1) * mm.page_size < nbytes <= pages * mm.page_size

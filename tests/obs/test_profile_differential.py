@@ -11,9 +11,10 @@ is the one place the two differ on purpose, see ``test_profile_iterative``).
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.obs.profile import ProfileTrace, _subtract, _union, summarize
+from tests.flink.conftest import depth
 from tests.obs import reference_profile as reference
 from tests.obs.test_profile import (
     add_device, add_exchange, add_hdfs, add_job, add_operator, add_submit,
@@ -106,13 +107,13 @@ def both(trace):
 
 class TestAgainstTheScanningReference:
     @given(traces(unique_names=True))
-    @settings(max_examples=300, deadline=None)
+    @depth(tier1=40, full=300)
     def test_unique_operator_names_summarise_identically(self, t):
         got, expected = both(ProfileTrace.from_tracer(t))
         assert got == expected
 
     @given(traces(unique_names=False))
-    @settings(max_examples=300, deadline=None)
+    @depth(tier1=40, full=300)
     def test_every_other_section_is_identical_under_repeated_names(self, t):
         got, expected = both(ProfileTrace.from_tracer(t))
         repeated = {op for op, entry in got["operators"].items()
@@ -128,7 +129,7 @@ class TestAgainstTheScanningReference:
             assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
 
     @given(traces(unique_names=False))
-    @settings(max_examples=100, deadline=None)
+    @depth(tier1=25, full=100)
     def test_chrome_round_trip_matches_its_own_oracle(self, t):
         got, expected = both(ProfileTrace.from_chrome(t.to_chrome()))
         for section in expected:
@@ -136,7 +137,7 @@ class TestAgainstTheScanningReference:
                 assert got[section] == expected[section], section
 
     @given(st.lists(windows()), st.lists(windows()))
-    @settings(max_examples=300, deadline=None)
+    @depth(tier1=60, full=300)
     def test_two_pointer_subtract(self, base, minus):
         base, minus = _union(base), _union(minus)
         assert _subtract(base, minus) == reference._subtract(base, minus)

@@ -151,6 +151,19 @@ class TestChaosCli:
         ("monitor", "--slo", "p99=fast"),
         ("monitor", "--slo", "availability=2"),
         ("monitor", "--slo", "uptime=0.9"),    # unknown kind
+        ("chaos", "--gpu-fail", "worker0:0"),  # no @T
+        ("chaos", "--gpu-fail", "worker0:gpu1@3"),     # DEV not an index
+        ("chaos", "--gpu-fail", "worker0@soon"),
+        ("chaos", "--gpu-fail", "worker0@3:pcie-timeout"),  # wrong family
+        ("monitor", "--pcie-fault", "worker0@3:meltdown"),  # unknown kind
+        ("monitor", "--pcie-fault", "@3"),
+        ("profile", "--threshold", "makespan_s"),      # no =REL
+        ("profile", "--threshold", "makespan_s=lots"),
+        # A well-formed spec naming a worker the cluster will not have.
+        ("chaos", "--kill", "worker9@1"),
+        ("chaos", "--gpu-fail", "worker9:0@1"),
+        ("monitor", "--pcie-fault", "elastic0@1"),     # nothing joins
+        ("chaos", "--churn", "drain:worker9@1"),
     ])
     def test_malformed_spec_is_a_usage_error(self, command, flag, spec,
                                              capsys):
@@ -162,6 +175,16 @@ class TestChaosCli:
         assert exit_info.value.code == 2
         message = capsys.readouterr().err.strip().splitlines()[-1]
         assert f"argument {flag}: bad spec {spec!r}" in message
+
+    def test_unknown_worker_message_lists_the_names_a_join_added(self,
+                                                                 capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["chaos", "pointadd", "--workers", "2", "--real", "1000",
+                     "--churn", "join:spare@1", "--churn", "join@2",
+                     "--kill", "worker2@3"])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "(workers: worker0, worker1, spare)" in message
 
 
 class TestMonitorCli:
