@@ -168,6 +168,25 @@ LINTS = (
          "PR 22", ("src/repro/flink/taskmanager.py",
                    "from repro.flink.memory import MemoryManager"),
          include=("*.py", "*.md")),
+    Lint("no block -> tuples lift — a keyed stage folds the block it is "
+         "handed",
+         # pagerank-tuples / cc-tuples / wordcount-tuples built one tuple
+         # per partial row so an element pair could walk them; the built-in
+         # pair (flink/iterators.py field / field_sum) takes the block, and
+         # the lift is the oracle in tests/flink/retired.py.
+         r"block_tuples", ("src",),
+         "block_tuples under src/ (hand the block to group_by(0).sum(1); "
+         "payload.to_tuples lowers a keyed stage's output)",
+         "PR 23", ("src/repro/workloads/base.py",
+                   "def block_tuples(rows: Any, *casts: type) -> List[tuple]:")),
+    Lint("a committed workload keys by field, not by lambda",
+         # group_by(lambda kv: kv[0]) is opaque to the engine: one key_fn
+         # call, one dict probe and one reduce_fn call per row.
+         r"\.group_by\(\s*lambda", ("src/repro/workloads",),
+         "group_by(lambda ...) in a workload (key by position: "
+         "group_by(0), or field(i) / vectorized(field(i)))",
+         "PR 23", ("src/repro/workloads/pagerank.py",
+                   "                    .group_by(lambda kv: kv[0]) \\")),
 )
 
 

@@ -6,7 +6,8 @@ abstraction.  It reproduces the architectural features GFlink's design hooks
 into:
 
 * **DataSet API** (:mod:`repro.flink.dataset`) — ``map``, ``flat_map``,
-  ``filter``, ``map_partition``, ``group_by(...).reduce(...)``, ``reduce``,
+  ``filter``, ``map_partition``, ``group_by(...).reduce(...)`` and Flink's
+  positional ``group_by(0).sum(1)`` / ``.min(1)`` / ``.max(1)``, ``reduce``,
   ``join``, ``count``, ``collect``, HDFS sources/sinks, and ``persist`` for
   iterative jobs.
 * **Logical plan → ExecutionGraph** (:mod:`repro.flink.plan`,

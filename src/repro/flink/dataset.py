@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
-from repro.flink.iterators import vectorized as vectorized_udf
+from repro.flink.iterators import (field, field_max, field_min, field_sum,
+                                   vectorized as vectorized_udf)
 from repro.flink.plan import (
     CoGroupOp,
     CollectSink,
@@ -87,9 +88,12 @@ class DataSet:
                        MapPartitionOp(self.op, udf, cost, parallelism,
                                       name=name))
 
-    def group_by(self, key_fn: Callable) -> "GroupedDataSet":
-        """Group by a key extractor; follow with ``reduce``/``reduce_group``."""
-        return GroupedDataSet(self, key_fn)
+    def group_by(self, key: "Callable | int") -> "GroupedDataSet":
+        """Group by a key extractor, or — Flink's ``groupBy(0)`` — by a
+        field position (``group_by(0)`` is ``group_by(field(0))``); follow
+        with ``reduce`` / ``reduce_group`` / ``sum`` / ``min`` / ``max``.
+        The built-in contract is stated at :class:`GroupedDataSet`."""
+        return GroupedDataSet(self, key if callable(key) else field(key))
 
     def reduce(self, reduce_fn: Callable, cost: OpCost = OpCost(),
                name: str = "reduce") -> "DataSet":
@@ -255,7 +259,30 @@ class DataSet:
 
 
 class GroupedDataSet:
-    """A dataset grouped by key — an intermediate builder, as in Flink."""
+    """A dataset grouped by key — an intermediate builder, as in Flink.
+
+    **Built-in keys and aggregates** (``group_by(0).sum(1)``, i.e.
+    :class:`~repro.flink.iterators.field` and
+    :func:`~repro.flink.iterators.field_sum` / ``field_min`` /
+    ``field_max``).  *Row call*: they are ordinary element UDFs —
+    ``field(0)(row) == row[0]``, ``field_sum(1)(a, b)`` is ``a`` with field
+    1 replaced by ``a[1] + b[1]`` — so any path that does not know them
+    (join keys, ``reduce_group``, a row list) just calls them.  *Block
+    call*: handed a 2-D or GStruct block, the engine asks the pair once per
+    keyed pass instead — one key column (field position = column, or field
+    in declaration order; an all-integral float column counts as the ints it
+    equals), one stable sort, one left fold per segment — with the reducer
+    contract of :meth:`reduce` kept bit for bit.  *The marker*:
+    ``vectorized(field(0))`` / ``vectorized(field_sum(1))`` select the SIMD
+    and zero-copy **prices**, exactly as on a lambda; unmarked, the pair is
+    charged per element and per row like the lambdas it replaces.  The
+    marker does not change what the host does with a block, and no marker
+    changes a value.  *Output*: a marked pair's result stays a block; an
+    unmarked pair's is lowered once per consumer subtask, a column at a
+    time, to tuples of Python scalars (a GStruct block's fields keep their
+    own types, a 2-D block's rows its one dtype) — what the element path
+    emits, so everything downstream sees and prices a row list.
+    """
 
     def __init__(self, dataset: DataSet, key_fn: Callable):
         self.dataset = dataset
@@ -281,6 +308,22 @@ class GroupedDataSet:
                        KeyedReduceOp(self.dataset.op, self.key_fn, reduce_fn,
                                      cost, parallelism, combinable=combinable,
                                      name=name))
+
+    def sum(self, index: int, **reduce_kw) -> DataSet:
+        """Per key, the first row with field ``index`` summed over the
+        group (Flink's ``aggregate(SUM, index)``); keywords as for
+        :meth:`reduce`."""
+        return self.reduce(field_sum(index), **reduce_kw)
+
+    def min(self, index: int, **reduce_kw) -> DataSet:
+        """Per key, the first row with the group's smallest field
+        ``index``."""
+        return self.reduce(field_min(index), **reduce_kw)
+
+    def max(self, index: int, **reduce_kw) -> DataSet:
+        """Per key, the first row with the group's largest field
+        ``index``."""
+        return self.reduce(field_max(index), **reduce_kw)
 
     def reduce_group(self, group_fn: Callable[[Any, list], Any],
                      cost: OpCost = OpCost(),

@@ -12,12 +12,15 @@ the payload *is* (row list or NumPy block) is never asked here: that is
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Any, Callable, Iterable, List, Optional
 
 import numpy as np
 
-from repro.flink.payload import (group_columnar, group_plan, key_column,
-                                 real_len, rows_like, take, to_block)
+from repro.flink.payload import (block_of, field_column, group_columnar,
+                                 group_plan, integral_as_int, key_column,
+                                 real_len, rows_like, segment_fold, take,
+                                 to_block, with_field)
 
 
 def vectorized(udf: Callable) -> Callable:
@@ -42,6 +45,9 @@ def vectorized(udf: Callable) -> Callable:
     ``np.add.reduceat`` sums long segments pairwise and does not.  An
     *element* key paired with a vectorized reducer is handed each group's
     member list whole instead.
+
+    On a built-in (:class:`field`, :func:`field_sum`) the marker changes
+    the *price* only — it has a block form either way.
     """
     udf.__repro_vectorized__ = True
     return udf
@@ -50,6 +56,93 @@ def vectorized(udf: Callable) -> Callable:
 def is_vectorized(udf: Callable) -> bool:
     """True if ``udf`` was wrapped with :func:`vectorized`."""
     return getattr(udf, "__repro_vectorized__", False)
+
+
+class _ByField:
+    """A built-in keyed UDF over one field position (Flink's
+    ``groupBy(0).sum(1)``): an ordinary element UDF when called with rows,
+    and one that also answers for a whole block (:func:`takes_block`)."""
+
+    def __init__(self, index: int):
+        if not isinstance(index, int) or index < 0:
+            raise ValueError(
+                f"a field position is a non-negative int, got {index!r}")
+        self.index = index
+
+
+class field(_ByField):
+    """Key extractor by position: ``field(i)(row) == row[i]``.
+
+    Its block form, :meth:`column`, is field ``i`` of every row of a 2-D or
+    GStruct block as one key column; a float column whose values are all
+    integral comes back as the ints they equal, so it routes and prices as
+    the integer keys it holds.
+    """
+
+    def __call__(self, row: Any) -> Any:
+        return row[self.index]
+
+    def column(self, block: np.ndarray) -> np.ndarray:
+        return integral_as_int(field_column(block, self.index))
+
+
+class _FieldFold(_ByField):
+    """Keyed reducer by position: ``reducer(a, b)`` is ``a`` with field
+    ``index`` folded with ``b``'s — never ``a`` itself modified.
+
+    Its block form, :meth:`reduce`, honours the ``reduce_fn(block, starts)``
+    contract of :func:`vectorized`: each segment's first row with the field
+    left-folded over the segment, bit for bit what the row form returns
+    over the same rows (values must be totally ordered for min / max: no
+    NaN).  A subclass names the row form's scalar ``fold`` and the
+    ``ufunc`` that is the same fold of columns.
+    """
+
+    def __call__(self, a: Any, b: Any) -> Any:
+        i = self.index
+        return with_field(a, i, self.fold(a[i], b[i]))
+
+    def reduce(self, block: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        out = block[starts]
+        field_column(out, self.index)[...] = segment_fold(
+            self.ufunc, field_column(block, self.index), starts)
+        return out
+
+
+class field_sum(_FieldFold):
+    """Keyed reducer summing field ``index`` (``a[index] + b[index]``)."""
+
+    fold, ufunc = operator.add, np.add
+
+
+class field_min(_FieldFold):
+    """Keyed reducer keeping the smaller field ``index``."""
+
+    fold, ufunc = min, np.minimum
+
+
+class field_max(_FieldFold):
+    """Keyed reducer keeping the larger field ``index``."""
+
+    fold, ufunc = max, np.maximum
+
+
+def is_builtin(udf: Callable) -> bool:
+    """True for :class:`field` and the :func:`field_sum` family."""
+    return isinstance(udf, _ByField)
+
+
+def takes_block(udf: Callable) -> bool:
+    """True if a keyed ``udf`` has a block form: it is marked
+    :func:`vectorized` (then it has no other) or built in."""
+    return is_vectorized(udf) or is_builtin(udf)
+
+
+def reduce_segments(reduce_fn: Callable, block: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+    """One call of a keyed reducer's block form over a segment-sorted
+    block: a built-in's ``reduce``, else the ``vectorized()`` callable."""
+    return getattr(reduce_fn, "reduce", reduce_fn)(block, starts)
 
 
 def apply_map(elements: Any, udf: Callable) -> Any:
@@ -174,10 +267,11 @@ def apply_grouped_reduce(elements: Any, key_fn: Callable,
                          reduce_fn: Callable) -> Any:
     """Keyed reduce of one payload (keyed reduce / pre-combine).
 
-    A vectorized ``(key_fn, reduce_fn)`` pair takes the segmented path:
-    one key extraction, one sort, one ``reduce_fn(block, starts)`` call
-    (contract in :func:`vectorized`), and the result stays a block so the
-    zero-copy path continues downstream.  An element pair is one
+    A pair that :func:`takes_block` takes the segmented path: one key
+    extraction, one sort, one :func:`reduce_segments` call, and the result
+    stays a block.  A ``vectorized()`` member has no row form, so a row
+    list is lifted for it; an unmarked built-in pair takes a block when
+    handed one and is otherwise an element pair like any other — one
     :func:`fold_by_key` pass returning a row list.  A mixed pair needs its
     groups whole (:func:`group_elements`): a vectorized reducer is handed
     each member list, a vectorized key extractor groups the block in bulk
@@ -185,13 +279,15 @@ def apply_grouped_reduce(elements: Any, key_fn: Callable,
     """
     if not real_len(elements):
         return [] if elements is None else elements
-    if is_vectorized(key_fn) and is_vectorized(reduce_fn):
-        block = to_block(elements)
-        plan = group_plan(key_column(key_fn, block))
-        return reduce_fn(block[plan.order], plan.starts)
-    if not (is_vectorized(key_fn) or is_vectorized(reduce_fn)):
+    marked = is_vectorized(key_fn), is_vectorized(reduce_fn)
+    if takes_block(key_fn) and takes_block(reduce_fn):
+        block = block_of(elements, lift=any(marked))
+        if block is not None:
+            plan = group_plan(key_column(key_fn, block))
+            return reduce_segments(reduce_fn, block[plan.order], plan.starts)
+    if not any(marked):
         return fold_by_key(elements, key_fn, reduce_fn)[0]
     groups = group_elements(elements, key_fn).values()
-    if is_vectorized(reduce_fn):
+    if marked[1] and not is_builtin(reduce_fn):
         return [reduce_fn(members) for members in groups]
     return [functools.reduce(reduce_fn, members) for members in groups]

@@ -10,8 +10,10 @@ array, which is one row.
 Every other module in ``repro.flink`` and ``repro.core`` is written once
 against the accessors below — :func:`real_len`, :func:`is_block`,
 :func:`concat`, :func:`take`, :func:`cut`, :func:`to_block` /
-:func:`to_rows` / :func:`rows_like` and :func:`sort_rows` — and never
-tests the representation itself (``scripts/lint.py`` lints that).  What the
+:func:`block_of` / :func:`to_rows` / :func:`to_tuples` / :func:`rows_like`,
+:func:`sort_rows` and the positional ones (:func:`field_column`,
+:func:`with_field`) — and never tests the representation itself
+(``scripts/lint.py`` lints that).  What the
 two formats *cost* is not decided here: the exchange picks a serde price list
 (:meth:`repro.flink.shuffle.Exchange._zero_copy`) and
 :meth:`repro.flink.jobmanager.TaskContext.charge` a CPU one.
@@ -21,7 +23,7 @@ which is what lets the exchange ship them without per-row serde: the wire
 carries the SoA regions verbatim plus a fixed-cost descriptor per block
 (``FlinkConfig.shuffle_block_header_s``).  The block algorithms that make
 that one pass per producer — :func:`bucket_plan`, :func:`group_plan`,
-:func:`segment_sum` — live here too.
+:func:`segment_fold` — live here too.
 """
 
 from __future__ import annotations
@@ -58,7 +60,14 @@ def concat(parts: Sequence[Any]) -> Any:
     """
     if parts and all(isinstance(p, np.ndarray) for p in parts):
         blocks = [p if p.ndim else p.reshape(1) for p in parts]
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        if len(blocks) == 1:
+            return blocks[0]
+        dtype = blocks[0].dtype
+        if dtype.names and all(b.dtype == dtype for b in blocks):
+            # One record type: named, so NumPy does not promote the fields
+            # pair by pair (a third of the time of the default call).
+            return np.concatenate(blocks, dtype=dtype)
+        return np.concatenate(blocks)
     rows: List[Any] = []
     for p in parts:
         if hasattr(p, "__len__"):
@@ -123,6 +132,54 @@ def to_block(rows: Any) -> np.ndarray:
     return block
 
 
+def block_of(payload: Any, lift: bool) -> Optional[np.ndarray]:
+    """The block a keyed pair's block form takes, or ``None`` when
+    ``payload`` has to be walked row by row: a block is itself, a row list
+    is stacked (:func:`to_block`) only when ``lift`` — a ``vectorized()``
+    UDF has no row form; a built-in one (``repro.flink.iterators.field``)
+    has, and keeps the row types it was handed."""
+    if is_block(payload):
+        return payload
+    return to_block(payload) if lift else None
+
+
+def to_tuples(payload: Any) -> Any:
+    """Lower a block of records to what an element UDF would have emitted:
+    a list of tuples of Python scalars, built a column at a time (no row
+    view, no NumPy scalar box per field).  A GStruct block's tuples carry
+    each field's own type, a 2-D block's its one dtype; anything else (a
+    row list, a 1-D column) passes through."""
+    if is_block(payload):
+        if payload.dtype.names:
+            return payload.tolist()
+        if payload.ndim == 2:
+            return list(zip(*payload.T.tolist()))
+    return payload
+
+
+def field_column(block: np.ndarray, index: int) -> np.ndarray:
+    """Field ``index`` of every row, as a view: column ``index`` of a 2-D
+    block, the ``index``-th field (declaration order) of a GStruct block."""
+    names = block.dtype.names
+    if names:
+        return block[names[index]]
+    if block.ndim != 2:
+        raise TypeError(
+            "rows of a 1-D primitive block have no fields; a positional "
+            "key or aggregate needs a 2-D or GStruct block")
+    return block[:, index]
+
+
+def with_field(row: Any, index: int, value: Any) -> Any:
+    """``row`` with field ``index`` replaced — a new row of the same kind
+    (tuple, list, 1-D block row or GStruct record), never ``row`` itself."""
+    if isinstance(row, tuple):
+        return row[:index] + (value,) + row[index + 1:]
+    out = row.copy()
+    out[index] = value
+    return out
+
+
 def rows_like(payload: Any, rows: List[Any]) -> Any:
     """``rows`` in ``payload``'s format: stacked if ``payload`` is a block."""
     return np.array(rows) if is_block(payload) else rows
@@ -163,14 +220,27 @@ def n_wire_blocks(payload: Any, nbytes: float, block_nbytes: float) -> int:
 
 
 def key_column(key_fn, block: np.ndarray) -> np.ndarray:
-    """Evaluate a ``vectorized()`` key extractor once over ``block``."""
-    keys = np.asarray(key_fn(block))
+    """Evaluate a key extractor's block form once over ``block``: a
+    built-in's ``column`` (``repro.flink.iterators.field``), else the
+    ``vectorized()`` callable itself."""
+    keys = np.asarray(getattr(key_fn, "column", key_fn)(block))
     if keys.ndim != 1 or keys.shape[0] != block.shape[0]:
         raise TypeError(
             "a vectorized() key extractor maps a block of n rows to a 1-D "
             f"key column of length n; got shape {keys.shape} for "
             f"{block.shape[0]} rows")
     return keys
+
+
+def integral_as_int(keys: np.ndarray) -> np.ndarray:
+    """A float key column whose values are all integral (and inside int64)
+    as the ints they equal — ``hash_bucket``'s rule for one key (``2.0``
+    routes with ``2``, ``-0.0`` with ``0``), for a whole column.  Any other
+    column comes back as it is."""
+    if keys.dtype.kind != "f" or not (
+            (keys == np.trunc(keys)) & (np.abs(keys) < 2.0 ** 63)).all():
+        return keys
+    return keys.astype(np.int64)
 
 
 def bucket_plan(bucket_ids: np.ndarray, q: int):
@@ -228,20 +298,27 @@ def group_plan(keys: np.ndarray, q: int = 1) -> GroupPlan:
     return GroupPlan(order, starts, bounds)
 
 
-def segment_sum(column: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Left-fold ``+`` over every segment of a 1-D column.
+def segment_fold(ufunc: np.ufunc, column: np.ndarray,
+                 starts: np.ndarray) -> np.ndarray:
+    """Left-fold a binary ``ufunc`` over every segment of a 1-D column.
 
     Each segment is seeded with its first row and the rest accumulate in
-    row order (unbuffered ``np.add.at``) — the element path's left fold, so
-    float sums are bit-identical to it.  ``np.add.reduceat`` is not: it
-    sums long segments pairwise.
+    row order (unbuffered ``ufunc.at``) — the element path's left fold, so
+    float sums are bit-identical to it and ``np.minimum`` / ``np.maximum``
+    come free.  ``np.add.reduceat`` is not: it sums long segments pairwise.
     """
     out = column[starts]
     rest = np.ones(len(column), dtype=bool)
     rest[starts] = False
     segment_of_row = np.cumsum(~rest) - 1
-    np.add.at(out, segment_of_row[rest], column[rest])
+    ufunc.at(out, segment_of_row[rest], column[rest])
     return out
+
+
+def segment_sum(column: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """:func:`segment_fold` of ``+`` — what a hand-written ``vectorized()``
+    keyed sum calls to stay the left fold."""
+    return segment_fold(np.add, column, starts)
 
 
 def group_columnar(elements: np.ndarray, keys: np.ndarray) -> dict:

@@ -24,9 +24,10 @@ from repro.flink.iterators import (
     apply_map,
     apply_reduce,
     group_elements,
+    is_vectorized,
 )
 from repro.flink.partition import Partition
-from repro.flink.payload import concat, real_len, sort_rows
+from repro.flink.payload import concat, real_len, sort_rows, to_tuples
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flink.jobmanager import TaskContext
@@ -470,6 +471,11 @@ class KeyedReduceOp(Operator):
         # element pair is one reduce-on-insert pass over the rows.
         out = apply_grouped_reduce(part.elements, self.key_fn,
                                    self.reduce_fn)
+        if not is_vectorized(self.reduce_fn):
+            # An unmarked built-in pair folded a block: hand on the rows
+            # the element path emits, so every exchange downstream prices
+            # off a row list.  (A row list passes through.)
+            out = to_tuples(out)
         # One output record per key: the nominal count collapses to the real
         # group count (keys are not sub-sampled by scaling).
         return Partition(index=ctx.subtask_index, elements=out,

@@ -12,10 +12,12 @@ There is **one routed path and two price lists** (docs/STREAMING_EXECUTOR.md
 §columnar).  Row lists and NumPy/GStruct blocks are bucketed by the same
 routine (``_buckets``) through :mod:`repro.flink.payload`'s accessors:
 
-* **Bucket rule** — one bucket-id column per producer: ``keys % q`` when a
-  ``vectorized()`` extractor yields a key column of integer dtype,
-  :func:`hash_bucket` per key otherwise (str, tuple, float, bool, mixed and
-  beyond-64-bit keys), ``arange(n) % q`` for REBALANCE.  ``payload.cut``
+* **Bucket rule** — one bucket-id column per producer: ``keys % q`` when an
+  extractor with a block form (``vectorized()``, or the built-in
+  :class:`~repro.flink.iterators.field` handed a block) yields a key column
+  of integer dtype, :func:`hash_bucket` per key otherwise (str, tuple,
+  float, bool, mixed and beyond-64-bit keys), ``arange(n) % q`` for
+  REBALANCE.  ``payload.cut``
   then deals the rows out by id in original order (a block with one
   stable sort).  A ``(key_fn, reduce_fn)`` pre-combiner keyed on the
   routing key runs once over the producer *before* the rows are cut into
@@ -28,8 +30,10 @@ routine (``_buckets``) through :mod:`repro.flink.payload`'s accessors:
   the consumer receives a block.  ``per_row`` otherwise — the classic
   per-record model: serialize on the sender, deserialize on the receiver,
   both at ``serde_bps`` plus a per-record overhead, and the consumer
-  receives the row objects deserialization materializes.  Forward and union
-  edges always price ``per_row``.
+  receives the row objects deserialization materializes — or, when it folds
+  with a built-in pair (``group_by(0).sum(1)``), the block itself: the
+  price is the marker's, the host path the pair's.  Forward and union edges
+  always price ``per_row``.
 
 Shipping is **one sender loop** (``_send``) whatever the strategy: a routed
 producer's buckets, a broadcast producer's copies and a moved forward/union
@@ -73,7 +77,8 @@ from repro.common.network import Network
 from repro.common.simclock import Environment, Event
 from repro.flink.config import FlinkConfig
 from repro.flink.iterators import (apply_grouped_reduce, fold_by_key,
-                                   is_vectorized)
+                                   is_builtin, is_vectorized,
+                                   reduce_segments, takes_block)
 from repro.flink.partition import Partition
 from repro.flink.payload import (concat, cut, group_plan, is_block,
                                  key_column, n_wire_blocks, real_len, take,
@@ -233,19 +238,23 @@ class Exchange:
                         for rows in payloads))
 
     def _key_columns(self) -> List[Optional[np.ndarray]]:
-        """Per-producer HASH key columns under a vectorized key extractor.
+        """Per-producer HASH key columns under a key extractor that has a
+        block form (:func:`~repro.flink.iterators.takes_block`).
 
         Keys are extracted here, once per producer block, under either
-        price list (a vectorized extractor takes the block, never one row).
-        Entries are ``None`` for empty row lists, and throughout when keys
-        are extracted per row or the strategy does not route by key.
+        price list.  A ``vectorized()`` extractor takes the block, never one
+        row, so a row list is lifted for it; an unmarked built-in reads a
+        block's column and leaves a row list to the per-row route.  Entries
+        are ``None`` for those and for empty row lists, and throughout when
+        the extractor takes rows only or the strategy does not route by key.
         """
         if (self.strategy is not ShipStrategy.HASH
-                or not is_vectorized(self.key_fn)):
+                or not takes_block(self.key_fn)):
             return [None] * len(self.producers)
+        lift = is_vectorized(self.key_fn)
         return [key_column(self.key_fn, to_block(part.elements))
-                if is_block(part.elements) or real_len(part.elements)
-                else None
+                if is_block(part.elements)
+                or (lift and real_len(part.elements)) else None
                 for part in self.producers]
 
     def _zero_copy(self, keys: List[Optional[np.ndarray]]) -> bool:
@@ -280,12 +289,13 @@ class Exchange:
 
         Bucket *j* holds the rows bound for consumer *j* in original order
         (``payload.cut``).  A pair combiner keyed on the routing key is applied
-        *before* the cut, in one pass over the producer: a vectorized pair
-        on integer keys reduces the whole block once (``group_plan``'s
-        single sort), an element pair reduces each row on insert into its
-        bucket's table (:func:`~repro.flink.iterators.fold_by_key`).  Either
-        way bucket contents equal route-then-combine's, which is what any
-        other combiner still gets.
+        *before* the cut, in one pass over the producer: a pair with a
+        block form on integer keys reduces the whole block once
+        (``group_plan``'s single sort), an element pair reduces each row on
+        insert into its bucket's table
+        (:func:`~repro.flink.iterators.fold_by_key`).  Either way bucket
+        contents equal route-then-combine's, which is what any other
+        combiner still gets.
         """
         q = self.n_consumers
         rows = part.elements
@@ -308,10 +318,10 @@ class Exchange:
             elif keys.dtype.kind not in "iu":
                 ids = [hash_bucket(key, q) for key in keys.tolist()]
             elif (on_routing_key and is_block(rows)
-                    and is_vectorized(self.combiner[1])):
+                    and takes_block(self.combiner[1])):
                 plan = group_plan(keys, q)
-                combined = self.combiner[1](take(rows, plan.order),
-                                            plan.starts)
+                combined = reduce_segments(
+                    self.combiner[1], take(rows, plan.order), plan.starts)
                 return [combined[plan.bounds[j]:plan.bounds[j + 1]]
                         for j in range(q)]
             else:
@@ -360,21 +370,26 @@ class Exchange:
             yield self.env.all_of(senders)
         unit = (8.0 if self.combiner is COUNT_COMBINER
                 else self._producer_element_nbytes())
-        return [self._consumer_input(j, self._merge(parts[j], zero_copy),
+        # A built-in pair folds the block it is handed: per-row
+        # deserialization is charged, the row objects are not built.
+        as_blocks = zero_copy or (isinstance(self.combiner, tuple)
+                                  and all(map(is_builtin, self.combiner)))
+        return [self._consumer_input(j, self._merge(parts[j], as_blocks),
                                      nominal[j], nominal_nbytes[j], unit)
                 if self._want(j) else None for j in range(q)]
 
     @staticmethod
-    def _merge(parts: List[Any], zero_copy: bool) -> Any:
+    def _merge(parts: List[Any], as_blocks: bool) -> Any:
         """What one consumer receives from all its producers, in order.
 
         Zero-copy regions arrive as the blocks they were sent as; per-row
         deserialization materializes row objects, so there the consumer
-        holds a row list whatever the producers held.  Empty parts never
-        reach a block merge: a producer that emitted nothing does not force
-        rows, and a consumer that received nothing sees ``[]``.
+        holds a row list whatever the producers held (``as_blocks`` false)
+        — unless it feeds a built-in pair.  Empty parts never reach a block
+        merge: a producer that emitted nothing does not force rows, and a
+        consumer that received nothing sees ``[]``.
         """
-        if zero_copy:
+        if as_blocks:
             return concat([p for p in parts if real_len(p)])
         return concat([to_rows(p) for p in parts])
 

@@ -114,12 +114,12 @@ class KernelSpec:
         sustained fraction of both FLOP and memory throughput.
         """
         occ = self.occupancy(launch, spec)
-        eff = self.efficiency * self.layout_multiplier(layout)
+        coalescing = self.layout_multiplier(layout)
+        eff = self.efficiency * coalescing
         flop_time = (n_elements * self.flops_per_element
                      / (spec.sp_gflops * 1e9 * eff * occ))
         mem_time = (n_elements * self.bytes_per_element
-                    / (spec.mem_bandwidth_bps
-                       * self.layout_multiplier(layout) * occ))
+                    / (spec.mem_bandwidth_bps * coalescing * occ))
         return spec.kernel_launch_s + max(flop_time, mem_time)
 
 

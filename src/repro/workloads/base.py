@@ -6,8 +6,6 @@ import gc
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-import numpy as np
-
 from repro.common.errors import ConfigError
 from repro.common.rng import DEFAULT_SEED, generator
 from repro.core.runtime import GFlinkSession
@@ -32,23 +30,6 @@ def even_chunk_sizes(total: int, n_chunks: int) -> List[int]:
     n = max(1, min(n_chunks, total))
     bounds = [round(i * total / n) for i in range(n + 1)]
     return [hi - lo for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
-def block_tuples(rows: Any, *casts: type) -> List[tuple]:
-    """The block → tuples lift at the API edge of an element-wise plan.
-
-    Column *i* of the 2-D block ``rows`` is cast to ``casts[i]`` (``int``
-    truncates toward zero, as ``int(x)`` does; ids and counts, so within
-    int64) and the rows come back as tuples of Python scalars —
-    ``[(int(r[0]), float(r[1])) for r in rows]`` for ``casts == (int,
-    float)``, built a column at a time instead of a row view and two scalar
-    boxes per record.
-    """
-    block = np.asarray(rows)
-    if not block.size:
-        return []
-    return list(zip(*(block[:, i].astype(cast, copy=False).tolist()
-                      for i, cast in enumerate(casts))))
 
 
 @dataclass

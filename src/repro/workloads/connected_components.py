@@ -21,8 +21,7 @@ import numpy as np
 from repro.core.gdst import ExtraInput
 from repro.flink.dataset import OpCost
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import (Workload, block_tuples, ensure_kernel,
-                                  even_chunk_sizes)
+from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
 from repro.workloads.pagerank import Edge, EDGES_PER_PAGE
 
 
@@ -116,20 +115,22 @@ class ConnectedComponentsWorkload(Workload):
                                 out_element_nbytes=12.0,
                                 element_overhead_s=self.CPU_OVERHEAD_S),
                     name="cc-minlabel")
+            # Element-priced: the int64 rows pass the per-record
+            # deserialisation step as the block they are.
             merged = partial_rows.map_partition(
-                lambda rows: block_tuples(rows, int, int),
+                lambda rows: rows,
                 cost=OpCost(flops_per_element=0.0), name="cc-tuples") \
-                .group_by(lambda kv: kv[0]) \
-                .reduce(lambda a, b: (a[0], min(a[1], b[1])),
-                        cost=OpCost(flops_per_element=1.0), name="cc-min")
+                .group_by(0).min(1, cost=OpCost(flops_per_element=1.0),
+                                 name="cc-min")
             result = yield from merged.collect_job(
                 job_name=f"cc-{'gpu' if gpu else 'cpu'}-iter{it}")
-            changed = 0
+            # One row per vertex (the keyed min), applied as one block.
+            vertex, label = np.asarray(result.value,
+                                       dtype=np.int64).reshape(-1, 2).T
+            better = label < state["labels"][vertex]
             new_labels = state["labels"].copy()
-            for vertex, label in result.value:
-                if label < new_labels[vertex]:
-                    new_labels[vertex] = label
-                    changed += 1
+            new_labels[vertex[better]] = label[better]
+            changed = int(better.sum())
             state["labels"] = new_labels
             if changed == 0 and self.converged_at is None:
                 self.converged_at = it

@@ -21,12 +21,10 @@ import numpy as np
 
 from repro.core.gdst import ExtraInput
 from repro.core.gstruct import GStruct4, Int32, StructField
-from repro.flink.payload import segment_sum
 from repro.flink.dataset import OpCost
-from repro.flink.iterators import vectorized
+from repro.flink.iterators import field, field_sum, vectorized
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import (Workload, block_tuples, ensure_kernel,
-                                  even_chunk_sizes)
+from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
 
 EDGES_PER_PAGE = 8
 DAMPING = 0.85
@@ -52,15 +50,14 @@ def pagerank_contrib_kernel(inputs, params):
                                      inputs["out_degree"])}
 
 
-def _sum_contrib(block: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Vectorized keyed reducer over ``[dst, partial]`` rows sorted by group.
+#: A ``[dst, partial]`` row deserialised into the typed record the
+#: element-priced plan's UDFs see: ``(int, float)``.
+CONTRIBUTION = np.dtype([("dst", np.int64), ("partial", np.float64)])
 
-    One output row per segment: the segment's first row with its partials
-    summed left to right, so the float result is bit-identical to the
-    element path's left fold over the same rows.
-    """
-    out = block[starts]
-    out[:, 1] = segment_sum(block[:, 1], starts)
+
+def _contributions(rows: np.ndarray) -> np.ndarray:
+    out = np.empty(len(rows), dtype=CONTRIBUTION)
+    out["dst"], out["partial"] = rows[:, 0], rows[:, 1]
     return out
 
 
@@ -148,37 +145,27 @@ class PageRankWorkload(Workload):
                                 element_overhead_s=self.CPU_OVERHEAD_S),
                     name="pagerank-contrib")
             # Shuffle the partials by destination and sum — the phase that
-            # caps PageRank's speedup.
+            # caps PageRank's speedup.  One spelling, either price list:
+            # marked, the float64 rows shuffle zero-copy; unmarked, the plan
+            # keeps the per-record deserialisation step it is priced with.
+            key, total = field(0), field_sum(1)
             if self.vectorized:
-                # Columnar end to end: no tuple materialization; the float64
-                # [dst, partial] rows shuffle zero-copy and are summed per
-                # segment (same fold order: results are bit-identical).
-                summed = partial_rows \
-                    .group_by(vectorized(
-                        lambda rows: rows[:, 0].astype(np.int64))) \
-                    .reduce(vectorized(_sum_contrib),
-                            cost=OpCost(flops_per_element=1.0),
-                            name="pagerank-sum")
+                key, total = vectorized(key), vectorized(total)
             else:
-                summed = partial_rows.map_partition(
-                    lambda rows: block_tuples(rows, int, float),
-                    cost=OpCost(flops_per_element=0.0),
-                    name="pagerank-tuples") \
-                    .group_by(lambda kv: kv[0]) \
-                    .reduce(lambda a, b: (a[0], a[1] + b[1]),
-                            cost=OpCost(flops_per_element=1.0),
-                            name="pagerank-sum")
+                partial_rows = partial_rows.map_partition(
+                    _contributions, cost=OpCost(flops_per_element=0.0),
+                    name="pagerank-tuples")
+            summed = partial_rows.group_by(key).reduce(
+                total, cost=OpCost(flops_per_element=1.0),
+                name="pagerank-sum")
             result = yield from summed.collect_job(
                 job_name=f"pagerank-{'gpu' if gpu else 'cpu'}-iter{it}")
             new_ranks = np.full(n, (1.0 - DAMPING) / n)
-            if self.vectorized:
-                # The block applied as a block; unbuffered and in row order,
-                # so the sums are the loop's bit for bit.
-                dst, total = np.asarray(result.value).T
-                np.add.at(new_ranks, dst.astype(np.intp), DAMPING * total)
-            else:
-                for dst, total in result.value:
-                    new_ranks[int(dst)] += DAMPING * float(total)
+            # The collected rows applied as one block; unbuffered and in row
+            # order, so the sums are a per-row loop's bit for bit.
+            dst, total = np.asarray(result.value,
+                                    dtype=np.float64).reshape(-1, 2).T
+            np.add.at(new_ranks, dst.astype(np.intp), DAMPING * total)
             state["ranks"] = new_ranks
             seconds = result.seconds
             if it == self.iterations - 1:

@@ -17,12 +17,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.flink.payload import segment_sum
 from repro.flink.dataset import OpCost
-from repro.flink.iterators import vectorized
+from repro.flink.iterators import field, field_sum, vectorized
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import (Workload, block_tuples, ensure_kernel,
-                                  even_chunk_sizes)
+from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
 
 VOCABULARY = 10_000
 ZIPF_A = 1.3
@@ -36,26 +34,8 @@ def _partial_rows(word_ids: np.ndarray) -> np.ndarray:
     return np.stack([nz, counts[nz]], axis=1).astype(np.int64)
 
 
-def _partial_counts(word_ids: np.ndarray) -> List[Tuple[int, int]]:
-    """:func:`_partial_rows` as (word, count) tuples, for the element path."""
-    return block_tuples(_partial_rows(word_ids), int, int)
-
-
-def _sum_rows(block: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Vectorized keyed reducer over ``(word, count)`` rows sorted by group.
-
-    One output row per segment: the segment's first row with its counts
-    summed (integer sums are exact whatever the order).
-    """
-    out = block[starts]
-    out[:, 1] = segment_sum(block[:, 1], starts)
-    return out
-
-
 def wordcount_kernel(inputs, params):
-    counts = np.bincount(inputs["in"], minlength=0)
-    nz = np.nonzero(counts)[0]
-    return {"out": np.stack([nz, counts[nz]], axis=1).astype(np.int64)}
+    return {"out": _partial_rows(inputs["in"])}
 
 
 class WordCountWorkload(Workload):
@@ -93,18 +73,11 @@ class WordCountWorkload(Workload):
 
     # -- drivers ------------------------------------------------------------------
     def _finish(self, partials_ds):
+        key, total = field(0), field_sum(1)
         if self.vectorized:
-            totals = partials_ds \
-                .group_by(vectorized(lambda rows: rows[:, 0])) \
-                .reduce(vectorized(_sum_rows),
-                        cost=OpCost(flops_per_element=1.0),
-                        name="wordcount-sum")
-        else:
-            totals = partials_ds \
-                .group_by(lambda wc: int(wc[0])) \
-                .reduce(lambda a, b: (a[0], a[1] + b[1]),
-                        cost=OpCost(flops_per_element=1.0),
-                        name="wordcount-sum")
+            key, total = vectorized(key), vectorized(total)
+        totals = partials_ds.group_by(key).reduce(
+            total, cost=OpCost(flops_per_element=1.0), name="wordcount-sum")
         write = yield from totals.write_hdfs_job(self.output_path)
         return write
 
@@ -121,12 +94,11 @@ class WordCountWorkload(Workload):
             name="wordcount-tokenize")
 
     def _run_cpu(self, session):
-        if self.vectorized:
-            count_fn = vectorized(_partial_rows)
-        else:
-            count_fn = lambda ids: _partial_counts(ids)
+        # The marker sticks to the function it is put on: the element
+        # price needs a callable of its own.
         partials = self._tokenize(session).map_partition(
-            count_fn,
+            vectorized(_partial_rows) if self.vectorized
+            else lambda ids: _partial_rows(ids),
             cost=OpCost(flops_per_element=self.CPU_FLOPS,
                         out_element_nbytes=12.0,
                         element_overhead_s=self.COUNT_OVERHEAD_S),
@@ -138,10 +110,10 @@ class WordCountWorkload(Workload):
         pairs = self._tokenize(session).gpu_map_partition(
             "wordcount_hist", out_element_nbytes=12.0)
         if not self.vectorized:
-            # Row boundary: vectorized mode keeps the kernel's int64 rows
-            # columnar instead of materializing Python tuples.
+            # Element-priced: the kernel's int64 rows pass the per-record
+            # deserialisation step as the block they are.
             pairs = pairs.map_partition(
-                lambda rows: block_tuples(rows, int, int),
+                lambda rows: rows,
                 cost=OpCost(flops_per_element=0.0),
                 name="wordcount-tuples")
         write = yield from self._finish(pairs)

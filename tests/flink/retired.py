@@ -15,8 +15,10 @@ serde charge, one ``all_of`` per transfer — which
 subtask bodies the one stage loop replaced, and the group-then-fold
 compositions of the element keyed reduce that
 :func:`repro.flink.iterators.fold_by_key` replaced
-(``test_keyed_fold_differential.py``).  Nothing under ``src/`` may import
-this module.
+(``test_keyed_fold_differential.py``), and the block → tuples lift the
+element-priced workloads ran before their keyed stage until PR 23
+(``tests/workloads/test_block_tuples.py``).  Nothing under ``src/`` may
+import this module.
 """
 
 from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
@@ -595,3 +597,17 @@ class RetiredDistinctOp(DistinctOp):
         return Partition(index=ctx.subtask_index, elements=out,
                          element_nbytes=self.out_element_nbytes(part),
                          scale=1.0, worker=ctx.worker.name)
+
+
+# -- the block → tuples lift of the element-priced workloads (until PR 23) -------
+
+def block_tuples(rows: Any, *casts: type) -> List[tuple]:
+    """``repro.workloads.base.block_tuples``: column *i* of the 2-D block
+    ``rows`` cast to ``casts[i]``, the rows as tuples of Python scalars —
+    what ``pagerank-tuples`` / ``cc-tuples`` / ``wordcount-tuples`` emitted
+    so that an element ``(key_fn, reduce_fn)`` pair could walk them."""
+    block = np.asarray(rows)
+    if not block.size:
+        return []
+    return list(zip(*(block[:, i].astype(cast, copy=False).tolist()
+                      for i, cast in enumerate(casts))))

@@ -22,6 +22,7 @@ The last class is the wall-clock-free guard in the style of
 PageRank job, pinned.
 """
 
+import contextlib
 import zlib
 from collections import Counter
 from unittest import mock
@@ -30,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.flink import FlinkSession
+from repro.flink import FlinkSession, iterators
 from repro.flink.dataset import DataSet
 from repro.flink.iterators import (apply_grouped_reduce, fold_by_key,
                                    vectorized)
@@ -376,18 +377,35 @@ class TestRowsPerKeyedPass:
 
     The 3 x 2-slot, 4-iteration PageRank-CPU job of ``TestEventBudget``:
     every iteration runs six producer-side passes (``Exchange._buckets``)
-    and six consumer-side ones (``apply_grouped_reduce``), all through
-    ``fold_by_key``.  ``key_fn`` runs once per row entering a pass,
-    ``reduce_fn`` rows - groups times, and ``apply_reduce`` — the per-group
-    fold of the retired composition — is never entered.  If a later change
-    brings back a pass that materialises groups, or a second key extraction
-    per row, this fails in tier-1 rather than in the benchmark.
+    and six consumer-side ones (``apply_grouped_reduce``).  Until PR 23 all
+    48 went through ``fold_by_key`` — ``key_fn`` once per row entering a
+    pass (7 568), ``reduce_fn`` rows - groups times (2 052).  The keyed
+    stage is now ``field(0)`` / ``field_sum(1)``, which answer for a whole
+    block: the same 48 passes take the same rows in and give the same
+    groups out, but each asks the key and the reducer **once**, and neither
+    is ever called with a row.  ``fold_by_key`` stays the one path for
+    opaque element pairs — and PageRank, WordCount and ConnectedComponents
+    never enter it, marked or not, on CPUs or GPUs.  If a later change
+    brings back a per-row walk of these stages, this fails in tier-1
+    rather than in the benchmark.
     """
 
     #: Over the whole job: keyed passes, rows in, groups out, and the two
-    #: UDFs' calls (== rows, and rows - groups).
+    #: built-ins' calls (one each per pass).
     PINNED = {"passes": 48, "rows": 7568, "groups": 5516,
-              "key_fn": 7568, "reduce_fn": 2052}
+              "key_fn": 48, "reduce_fn": 48}
+
+    @staticmethod
+    def _no_row_walk():
+        def entered(*args, **kw):
+            raise AssertionError("a built-in keyed stage walked rows")
+
+        return [mock.patch("repro.flink.shuffle.fold_by_key", entered),
+                mock.patch("repro.flink.iterators.fold_by_key", entered),
+                mock.patch("repro.flink.iterators.apply_reduce", entered),
+                mock.patch("repro.flink.plan.apply_reduce", entered),
+                mock.patch.object(iterators.field, "__call__", entered),
+                mock.patch.object(iterators._FieldFold, "__call__", entered)]
 
     def test_pagerank_cpu_job_udf_calls_per_row(self):
         from repro.core import GFlinkCluster, GFlinkSession
@@ -395,38 +413,52 @@ class TestRowsPerKeyedPass:
         from repro.workloads import PageRankWorkload
 
         seen = Counter()
+        column, reduce = iterators.field.column, iterators._FieldFold.reduce
 
-        def counting_fold(rows, key_fn, reduce_fn, q=1, bucket_of=None):
-            def counting_key(row):
-                seen["key_fn"] += 1
-                return key_fn(row)
+        def counting_column(self, block):
+            seen["key_fn"] += 1
+            return column(self, block)
 
-            def counting_reduce(a, b):
-                seen["reduce_fn"] += 1
-                return reduce_fn(a, b)
-
-            buckets = fold_by_key(rows, counting_key, counting_reduce, q,
-                                  bucket_of)
+        def counting_reduce(self, block, starts):
+            seen["reduce_fn"] += 1
             seen["passes"] += 1
-            seen["rows"] += real_len(rows)
-            seen["groups"] += sum(map(len, buckets))
-            return buckets
-
-        def no_per_group_fold(elements, udf):
-            raise AssertionError("apply_reduce entered by a keyed pass")
+            seen["rows"] += len(block)
+            seen["groups"] += len(starts)
+            return reduce(self, block, starts)
 
         cluster = GFlinkCluster(ClusterConfig(n_workers=3,
                                               cpu=CPUSpec(cores=2)))
         workload = PageRankWorkload(nominal_pages=1e5, real_pages=600,
                                     iterations=4, seed=20160816)
-        with mock.patch("repro.flink.shuffle.fold_by_key", counting_fold), \
-                mock.patch("repro.flink.iterators.fold_by_key",
-                           counting_fold), \
-                mock.patch("repro.flink.iterators.apply_reduce",
-                           no_per_group_fold), \
-                mock.patch("repro.flink.plan.apply_reduce",
-                           no_per_group_fold):
+        with contextlib.ExitStack() as stack:
+            for patch in self._no_row_walk():
+                stack.enter_context(patch)
+            stack.enter_context(mock.patch.object(
+                iterators.field, "column", counting_column))
+            stack.enter_context(mock.patch.object(
+                iterators._FieldFold, "reduce", counting_reduce))
             workload.run(GFlinkSession(cluster), "cpu")
         assert {k: seen[k] for k in self.PINNED} == self.PINNED
-        assert seen["key_fn"] == seen["rows"]
-        assert seen["reduce_fn"] == seen["rows"] - seen["groups"]
+
+    @pytest.mark.parametrize("vectorized", [False, True],
+                             ids=["unmarked", "marked"])
+    @pytest.mark.parametrize("mode", ["cpu", "gpu"])
+    def test_no_shuffle_workload_enters_fold_by_key(self, mode, vectorized):
+        from repro.core import GFlinkSession
+        from repro.workloads import (ConnectedComponentsWorkload,
+                                     PageRankWorkload, WordCountWorkload)
+        from tests.workloads.conftest import small_cluster
+
+        with contextlib.ExitStack() as stack:
+            for patch in self._no_row_walk():
+                stack.enter_context(patch)
+            for workload in (
+                    PageRankWorkload(nominal_pages=1e5, real_pages=300,
+                                     iterations=2, vectorized=vectorized),
+                    ConnectedComponentsWorkload(
+                        nominal_pages=1e5, real_pages=300, iterations=2,
+                        vectorized=vectorized),
+                    WordCountWorkload(nominal_elements=1e4,
+                                      real_elements=3000,
+                                      vectorized=vectorized)):
+                workload.run(GFlinkSession(small_cluster()), mode)

@@ -1,12 +1,17 @@
-"""The block → tuples lift at the API edge, held to the comprehension it
-replaced.
+"""The block → tuples lift, retired: an oracle held to the comprehension
+it replaced, and the oracle of the built-in keyed fold that replaced it.
 
 ``pagerank-tuples``, ``cc-tuples`` and ``wordcount-tuples`` each spelled
 ``[(int(r[0]), float(r[1])) for r in rows]`` (one row view, two scalar
-boxes and two casts per record); :func:`repro.workloads.base.block_tuples`
-builds the same tuples a column at a time.  Same values, same Python types
-— on hand-made edge cases and on every block the three workloads hand it
-at their test sizes.
+boxes and two casts per record), then ``block_tuples`` built the same tuples
+a column at a time, so that ``group_by(lambda kv: kv[0]).reduce(lambda a, b:
+(a[0], a[1] + b[1]))`` could walk them.  Since PR 23 the three steps hand
+their block on and ``group_by(0).sum(1)`` / ``.min(1)`` fold it whole;
+``block_tuples`` lives in ``tests/flink/retired.py``.  Same values, same
+Python types — on hand-made edge cases, and on every block the three
+workloads hand a ``*-tuples`` step at their test sizes: the engine's fold
+over the block must emit what ``fold_by_key`` emits over the lifted tuples
+with the retired lambdas.
 """
 
 from unittest import mock
@@ -15,9 +20,13 @@ import numpy as np
 import pytest
 
 from repro.core import GFlinkSession
+from repro.flink.iterators import (apply_grouped_reduce, field, field_min,
+                                   field_sum, fold_by_key)
+from repro.flink.payload import to_tuples
+from repro.flink.plan import MapPartitionOp
 from repro.workloads import (ConnectedComponentsWorkload, PageRankWorkload,
                              WordCountWorkload)
-from repro.workloads.base import block_tuples
+from tests.flink.retired import block_tuples
 from tests.workloads.conftest import small_cluster
 
 
@@ -65,31 +74,59 @@ class TestEdgeCases:
                            int, float)
 
 
+def _sum(a, b):
+    return (a[0], a[1] + b[1])
+
+
+#: factory, modes, the retired casts / key / reducer, the built-in reducer.
 WORKLOADS = {
     "pagerank": (lambda: PageRankWorkload(
-        nominal_pages=1e5, real_pages=500, iterations=3), ("cpu", "gpu")),
+        nominal_pages=1e5, real_pages=500, iterations=3), ("cpu", "gpu"),
+        (int, float), lambda kv: kv[0], _sum, field_sum(1)),
     "connected_components": (lambda: ConnectedComponentsWorkload(
-        nominal_pages=1e5, real_pages=300, iterations=4), ("cpu", "gpu")),
-    # WordCount lifts only the GPU kernel's histogram rows.
+        nominal_pages=1e5, real_pages=300, iterations=4), ("cpu", "gpu"),
+        (int, int), lambda kv: kv[0],
+        lambda a, b: (a[0], min(a[1], b[1])), field_min(1)),
+    # WordCount has a tuples step only behind the GPU kernel's histogram.
     "wordcount": (lambda: WordCountWorkload(
-        nominal_elements=1e4, real_elements=5000), ("gpu",)),
+        nominal_elements=1e4, real_elements=5000), ("gpu",),
+        (int, int), lambda wc: int(wc[0]), _sum, field_sum(1)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_equals_the_comprehension_on_every_block_the_workload_lifts(name):
-    factory, modes = WORKLOADS[name]
-    lifted = []
+    factory, modes, casts, key_fn, reduce_fn, builtin = WORKLOADS[name]
+    handed = []
+    transform = MapPartitionOp._transform
 
-    def recording(rows, *casts):
-        lifted.append((rows, casts))
-        return block_tuples(rows, *casts)
+    def recording(op, elements):
+        if op.name.endswith("-tuples"):
+            handed.append(elements)
+            steps.append(op.udf)
+        return transform(op, elements)
 
-    with mock.patch(f"repro.workloads.{name}.block_tuples", recording):
+    steps = []
+    with mock.patch.object(MapPartitionOp, "_transform", recording):
         for mode in modes:
             factory().run(GFlinkSession(small_cluster()), mode)
-    assert len(lifted) >= 2 * len(modes)
-    assert {casts for _, casts in lifted} == {
-        (int, float) if name == "pagerank" else (int, int)}
-    for rows, casts in lifted:
-        assert_same_tuples(rows, *casts)
+    assert len(handed) >= 2 * len(modes)
+    step = steps[0]  # every step of a workload does the same thing
+
+    def same_fold(blocks):
+        lifted = [row for block in blocks
+                  for row in block_tuples(block, *casts)]
+        want = fold_by_key(lifted, key_fn, reduce_fn)[0]
+        got = to_tuples(apply_grouped_reduce(
+            np.concatenate([step(block) for block in blocks]),
+            field(0), builtin))
+        # values, Python types (-0.0 is not 0.0, 2 is not 2.0), order
+        assert type(got) is list and repr(got) == repr(want)
+        return len(lifted) - len(want)
+
+    for block in handed:
+        assert_same_tuples(block, *casts)
+        same_fold([block])
+    # One producer's partials hold a key once; what a consumer folds is the
+    # partials of all of them, in arrival order.
+    assert same_fold(handed) > 0
