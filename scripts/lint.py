@@ -46,13 +46,14 @@ LINTS = (
          "PR 2", ("src/repro/core/gstream.py", "n = len(mem._regions)"),
          allowed=(r"repro/core/gmemory\.py", r"repro/obs/")),
     Lint("processed-at-birth events are built only by the sim kernel",
-         # `callbacks = None` (wrapped by Event._born) is how the kernel
-         # marks an event processed; doing that by hand anywhere else would
-         # fork the representation.
-         r"\.callbacks\s*=\s*None|\._born\(", ("src/repro",),
+         # `callbacks = None` is how the kernel marks an event processed
+         # (Environment.step, and the resource entry points for an event
+         # granted at birth); doing that by hand anywhere else would fork
+         # the representation.
+         r"\.callbacks\s*=\s*None", ("src/repro",),
          "processed event built outside common/simclock.py and "
          "common/resources.py",
-         "PR 14", ("src/repro/flink/pipeline.py", "evt._born(None)"),
+         "PR 14", ("src/repro/flink/pipeline.py", "evt.callbacks = None"),
          allowed=(r"repro/common/simclock\.py", r"repro/common/resources\.py")),
     Lint("port requests are awaited in turn, never joined through all_of",
          # all_of over raw resource requests costs a composite event (and a
@@ -187,6 +188,20 @@ LINTS = (
          "group_by(0), or field(i) / vectorized(field(i)))",
          "PR 23", ("src/repro/workloads/pagerank.py",
                    "                    .group_by(lambda kv: kv[0]) \\")),
+    Lint("one frame per hop — no grant tower, no nested driver generator",
+         # A resource event is built, marked and scheduled in the function
+         # that hands it out (Resource.request / release, Store.put / get),
+         # and a per-block driver call of CUDAWrapper yields its fused
+         # JNI + driver charge itself instead of delegating to a second
+         # generator of the runtime.
+         r"_grant_next\(|def _request\(|\._born\("
+         r"|yield from self\.runtime\.(malloc|free)\(",
+         ("src/repro/common", "src/repro/core/channels.py"),
+         "a call tower under a per-event hop (build the event where it is "
+         "handed out; yield the fused charge from the wrapper)",
+         "PR 24", ("src/repro/core/channels.py",
+                   "        buf = yield from self.runtime.malloc(device, "
+                   "nbytes,")),
 )
 
 

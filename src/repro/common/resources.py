@@ -18,27 +18,32 @@ item with no earlier getter come back already processed and cost no heap
 entry.  A request that had to queue, and a putter or getter that had to
 block, is granted later by ``succeed`` — one heap entry, delivered in request
 order.
+
+An event is born in the function that hands it out: ``Resource.request``,
+``Store.put`` and ``Store.get`` allocate it, write its slots (processed or
+pending) and return it in one frame, and ``Resource.release`` pushes the next
+waiter's grant on the heap itself.  :class:`Request`, :class:`StorePut` and
+:class:`StoreGet` therefore define no ``__init__``; this module and
+``simclock.py`` are the only writers of the event slots.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque
 
-from repro.common.errors import ResourceError
-from repro.common.simclock import Environment, Event
+from repro.common.errors import ResourceError, SimulationError
+from repro.common.simclock import NORMAL, Environment, Event, _new
+
+_PENDING = Event._PENDING
 
 
 class Request(Event):
-    """A pending or granted claim on a :class:`Resource` slot."""
+    """A pending or granted claim on a :class:`Resource` slot (built by
+    :meth:`Resource.request`)."""
 
     __slots__ = ("resource", "_order")
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._order = self._order = resource._order + 1
-        resource._request(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -70,16 +75,43 @@ class Resource:
     # -- public API -----------------------------------------------------------
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the slot is granted."""
-        return Request(self)
+        request = _new(Request)
+        request.env = self.env
+        request._ok = True
+        request._defused = False
+        request.resource = self
+        self._order = request._order = self._order + 1
+        users = self.users
+        if len(users) < self.capacity:
+            # Free slot: granted at birth, no heap entry.
+            users.append(request)
+            request.callbacks = None
+            request._value = request
+        else:
+            request.callbacks = []
+            request._value = _PENDING
+            self._queue.append(request)
+        return request
 
     def release(self, request: Request) -> None:
         """Return a granted slot (idempotent for convenience in finally blocks)."""
+        users = self.users
         try:
-            self.users.remove(request)
+            users.remove(request)
         except ValueError:
             request.cancel()
-        else:
-            self._grant_next()
+            return
+        queue = self._queue
+        if queue and len(users) < self.capacity:
+            # The oldest waiter takes the slot: one heap entry, at now.
+            granted = queue.popleft()
+            users.append(granted)
+            if granted._value is not _PENDING:
+                raise SimulationError(f"{granted!r} already triggered")
+            granted._value = granted
+            env = self.env
+            env._seq = seq = env._seq + 1
+            heappush(env._heap, (env._now, NORMAL, seq, granted))
 
     @property
     def count(self) -> int:
@@ -91,39 +123,17 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._queue)
 
-    # -- internals --------------------------------------------------------------
-    def _request(self, request: Request) -> None:
-        if len(self.users) < self.capacity:
-            # Free slot: granted at birth, no heap entry.
-            self.users.append(request)
-            request._born(request)
-        else:
-            self._queue.append(request)
-
-    def _grant_next(self) -> None:
-        if self._queue and len(self.users) < self.capacity:
-            request = self._queue.popleft()
-            self.users.append(request)
-            request.succeed(request)
-
 
 class StorePut(Event):
-    """Pending insertion into a :class:`Store`."""
+    """Pending insertion into a :class:`Store` (built by :meth:`Store.put`)."""
 
     __slots__ = ("item",)
 
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-
 
 class StoreGet(Event):
-    """Pending removal from a :class:`Store`."""
+    """Pending removal from a :class:`Store` (built by :meth:`Store.get`)."""
 
     __slots__ = ()
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
 
 
 class Store:
@@ -140,26 +150,39 @@ class Store:
 
     def put(self, item: Any) -> StorePut:
         """Insert ``item``; the event fires once there is room."""
-        event = StorePut(self, item)
+        event = _new(StorePut)
+        event.env = self.env
+        event._ok = True
+        event._defused = False
+        event.item = item
         if not self._putters and len(self.items) < self.capacity:
             # Room and nobody ahead: stored at birth, no heap entry.
             self.items.append(item)
-            event._born()
+            event.callbacks = None
+            event._value = None
             if self._getters:
                 self._dispatch()
         else:
+            event.callbacks = []
+            event._value = _PENDING
             self._putters.append(event)
         return event
 
     def get(self) -> StoreGet:
         """Remove the oldest item; the event fires with the item as value."""
-        event = StoreGet(self)
+        event = _new(StoreGet)
+        event.env = self.env
+        event._ok = True
+        event._defused = False
         if self.items and not self._getters:
             # An item and nobody ahead: handed over at birth, no heap entry.
-            event._born(self.items.popleft())
+            event.callbacks = None
+            event._value = self.items.popleft()
             if self._putters:
                 self._dispatch()
         else:
+            event.callbacks = []
+            event._value = _PENDING
             self._getters.append(event)
         return event
 
@@ -182,4 +205,3 @@ class Store:
             while self._getters and self.items:
                 self._getters.popleft().succeed(self.items.popleft())
                 progress = True
-

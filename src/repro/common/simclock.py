@@ -30,8 +30,21 @@ a blocked putter or getter — is still woken through the heap, in FIFO order.
 The consequence is an ordering statement: at one timestamp, a process whose
 request was granted at birth runs ahead of peers whose events were already
 scheduled for that timestamp.  The processed representation
-(``callbacks = None``, set at birth by ``Event._born``) is private to this
-module and ``resources.py``; ``scripts/lint.py`` lints for that.
+(``callbacks = None`` with the value in place) is private to this module and
+``resources.py``, which writes it where the event is built —
+``Resource.request``, ``Store.put``, ``Store.get``; ``scripts/lint.py`` lints
+for that.
+
+One frame per hop
+-----------------
+An event on a hot path is built, marked and — when it must wait — pushed on
+the heap inside the one function that hands it out: ``Environment.timeout``,
+``Event.succeed`` and the resource entry points write the slots and call
+``heappush`` themselves, and the event classes they build define no
+``__init__``.  ``Environment._schedule`` serves the cold paths only (``fail``,
+process start, interrupts).  ``Environment.step`` is the one function entered per event
+fired, and a :class:`Process` wakes through one bound ``_resume`` kept for
+its lifetime rather than a fresh bound method per sleep.
 
 Fused charges
 -------------
@@ -64,6 +77,9 @@ NORMAL = 1
 
 #: Type of the generators that implement simulation processes.
 ProcessGenerator = Generator["Event", Any, Any]
+
+#: Allocates an event whose builder fills the slots in the same frame.
+_new = object.__new__
 
 
 class Event:
@@ -113,11 +129,13 @@ class Event:
     # -- triggering -------------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not Event._PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, NORMAL, 0.0)
+        env = self.env
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, (env._now, NORMAL, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -135,13 +153,6 @@ class Event:
         self.env._schedule(self, NORMAL, 0.0)
         return self
 
-    def _born(self, value: Any = None) -> None:
-        """Mark the event processed at birth (the zero-wait rule): it has its
-        value, was never scheduled, and a process yielding it runs straight
-        on.  For the kernel's resource primitives only."""
-        self.callbacks = None
-        self._value = value
-
     def defused(self) -> None:
         """Mark a failed event as handled so it will not crash ``run()``."""
         self._defused = True
@@ -156,33 +167,10 @@ class Timeout(Event):
     """An event that fires ``delay`` seconds after creation — plus every
     charge of ``then`` (one number, or a tuple/list of them), left-folded:
     ``((now + delay) + then[0]) + then[1] …`` (see the module docstring).
+    Built, validated and scheduled by :meth:`Environment.timeout`.
     """
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None,
-                 then: float | Sequence[float] = 0.0):
-        # ``not (d >= 0)`` rather than ``d < 0``: NaN fails it as well.
-        if not delay >= 0:
-            raise ValueError(f"timeout part 0 is negative or NaN: {delay!r}")
-        at = env._now + delay
-        if then:  # 0.0, () and [] add nothing: the plain path stops here
-            parts = then if isinstance(then, (tuple, list)) else (then,)
-            for part in parts:
-                if not part >= 0:
-                    i = next(i for i, p in enumerate(parts, 1) if not p >= 0)
-                    raise ValueError(
-                        f"timeout part {i} is negative or NaN: {part!r}")
-                at += part
-        # Slots written directly and pushed inline: a timeout is the most
-        # common event and is exactly one heap entry.
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (at, NORMAL, seq, self))
 
 
 class Initialize(Event):
@@ -192,7 +180,7 @@ class Initialize(Event):
 
     def __init__(self, env: "Environment", process: "Process"):
         super().__init__(env)
-        self.callbacks = [process._resume]
+        self.callbacks = [process._wake]
         self._ok = True
         self._value = None
         env._schedule(self, URGENT, 0.0)
@@ -224,7 +212,7 @@ class Interruption(Event):
         target = self.process._target
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self.process._resume)
+                target.callbacks.remove(self.process._wake)
             except ValueError:
                 pass
         self.process._resume(self)
@@ -237,7 +225,7 @@ class Process(Event):
     or fails with the exception that escaped the generator.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "_wake", "name")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator,
                  name: Optional[str] = None):
@@ -246,6 +234,10 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        # The one callback every event this process sleeps on is given;
+        # dropped when the generator ends, so a finished process is not a
+        # reference cycle.
+        self._wake: Optional[Callable[[Event], None]] = self._resume
         self._target: Optional[Event] = Initialize(env, self)
 
     @property
@@ -271,11 +263,11 @@ class Process(Event):
                         event._defused = True
                         next_event = generator.throw(event._value)
                 except StopIteration as stop:
-                    self._target = None
+                    self._target = self._wake = None
                     self.succeed(stop.value)
                     break
                 except BaseException as exc:
-                    self._target = None
+                    self._target = self._wake = None
                     self.fail(exc)
                     break
 
@@ -283,7 +275,7 @@ class Process(Event):
                     err = SimulationError(
                         f"process {self.name!r} yielded a non-event: "
                         f"{next_event!r}")
-                    self._target = None
+                    self._target = self._wake = None
                     try:
                         generator.throw(err)
                     except (StopIteration, SimulationError):
@@ -294,7 +286,7 @@ class Process(Event):
                 callbacks = next_event.callbacks
                 if callbacks is not None:
                     # Not yet processed: subscribe and go to sleep.
-                    callbacks.append(self._resume)
+                    callbacks.append(self._wake)
                     self._target = next_event
                     break
                 # Already processed (or processed at birth): continue within
@@ -401,7 +393,28 @@ class Environment:
         ``then`` fuses further back-to-back charges (one, or a tuple/list)
         into the same event, firing at ``((now + delay) + then[0]) + …``.
         """
-        return Timeout(self, delay, value, then)
+        # ``not (d >= 0)`` rather than ``d < 0``: NaN fails it as well.
+        if not delay >= 0:
+            raise ValueError(f"timeout part 0 is negative or NaN: {delay!r}")
+        at = self._now + delay
+        if then:  # 0.0, () and [] add nothing: the plain path stops here
+            parts = then if isinstance(then, (tuple, list)) else (then,)
+            for part in parts:
+                if not part >= 0:
+                    i = next(i for i, p in enumerate(parts, 1) if not p >= 0)
+                    raise ValueError(
+                        f"timeout part {i} is negative or NaN: {part!r}")
+                at += part
+        # A timeout is the most common event and is exactly one heap entry.
+        event = _new(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event._defused = False
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (at, NORMAL, seq, event))
+        return event
 
     def process(self, generator: ProcessGenerator,
                 name: Optional[str] = None) -> Process:

@@ -33,7 +33,7 @@ from repro.core.hbuffer import Block, HBuffer
 from repro.gpu.device import GPUDevice
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import DeviceBuffer, HostBuffer
-from repro.gpu.runtime import CUDARuntime
+from repro.gpu.runtime import CUDARuntime, snapshot
 from repro.gpu.stream import CUDAStream
 
 
@@ -64,6 +64,11 @@ class CUDAWrapper:
     ("CUDAStub").  Where the stub's first act is a fixed driver charge
     (``cudaMalloc``, ``cudaFree``, ``cudaHostRegister``) the redirect rides
     in the same fused event — nothing can observe the instant between them.
+
+    The calls a pipeline stage makes once per block are one generator
+    frame each: ``cuda_malloc`` / ``cuda_free`` yield their fused charge
+    themselves, and the ``*_inline`` calls charge the redirect and go
+    straight to the runtime's stream-less ``kernel_op`` / ``transfer_op``.
     """
 
     def __init__(self, env: Environment, runtime: CUDARuntime,
@@ -83,15 +88,17 @@ class CUDAWrapper:
                     nbytes: int) -> Generator[Event, None, DeviceBuffer]:
         """``cudaMalloc`` via JNI."""
         self.jni_calls += 1
-        buf = yield from self.runtime.malloc(device, nbytes,
-                                             self.costs.jni_call_s)
-        return buf
+        yield self.env.timeout(self.costs.jni_call_s,
+                               then=self.runtime.alloc_overhead_s)
+        return device.memory.alloc(nbytes)
 
     def cuda_free(self, device: GPUDevice,
                   buf: DeviceBuffer) -> Generator[Event, None, None]:
         """``cudaFree`` via JNI."""
         self.jni_calls += 1
-        yield from self.runtime.free(device, buf, self.costs.jni_call_s)
+        yield self.env.timeout(self.costs.jni_call_s,
+                               then=self.runtime.alloc_overhead_s)
+        device.memory.free(buf)
 
     def cuda_stream_create(self, device: GPUDevice) -> CUDAStream:
         """``cudaStreamCreate`` via JNI (wrapper-side object, no wait)."""
@@ -141,12 +148,16 @@ class CUDAWrapper:
 
         Returns the copy engine's exact ``(start, end)`` occupancy window.
         """
-        premium = self._path_premium_s(block.nbytes, mode)
-        if premium:
-            yield self.env.timeout(premium)
-        yield self._jni()
-        host = self.host_view(block, hbuffer, mode)
-        window = yield from self.runtime.memcpy_h2d(device, dst, host)
+        gflink = mode is CommMode.GFLINK
+        if not gflink:
+            premium = self._path_premium_s(block.nbytes, mode)
+            if premium:
+                yield self.env.timeout(premium)
+        self.jni_calls += 1
+        yield self.env.timeout(self.costs.jni_call_s)
+        window = yield from self.runtime.transfer_op(
+            device, "h2d", block.nbytes, hbuffer.pinned and gflink)
+        dst.data = snapshot(block.elements)
         return window
 
     def transfer_d2h_inline(self, device: GPUDevice, dst_hbuffer: HBuffer,
@@ -158,17 +169,17 @@ class CUDAWrapper:
         Returns ``(payload, engine_window)`` — the payload plus the copy
         engine's exact occupancy interval.
         """
-        yield self._jni()
-        host = HostBuffer(
-            nbytes=nbytes,
-            pinned=dst_hbuffer.pinned and mode is CommMode.GFLINK,
-            dma_capable=dst_hbuffer.dma_capable)
-        window = yield from self.runtime.memcpy_d2h(device, host, src,
-                                                    nbytes=nbytes)
-        premium = self._path_premium_s(nbytes, mode)
-        if premium:
-            yield self.env.timeout(premium)
-        return host.data, window
+        gflink = mode is CommMode.GFLINK
+        self.jni_calls += 1
+        yield self.env.timeout(self.costs.jni_call_s)
+        window = yield from self.runtime.transfer_op(
+            device, "d2h", nbytes, dst_hbuffer.pinned and gflink)
+        data = snapshot(src.data)
+        if not gflink:
+            premium = self._path_premium_s(nbytes, mode)
+            if premium:
+                yield self.env.timeout(premium)
+        return data, window
 
     def launch_kernel_inline(self, device: GPUDevice, kernel_name: str,
                              n_elements: float, launch: LaunchConfig,
@@ -180,7 +191,8 @@ class CUDAWrapper:
         Returns ``(results, kernel_seconds)`` as
         :meth:`~repro.gpu.runtime.CUDARuntime.kernel_op` does.
         """
-        yield self._jni()
+        self.jni_calls += 1
+        yield self.env.timeout(self.costs.jni_call_s)
         launched = yield from self.runtime.kernel_op(
             device, kernel_name, n_elements, launch, inputs, outputs, params,
             layout=layout)

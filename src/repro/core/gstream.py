@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Generator, Hashable, List, Optional
 
-from repro.common.errors import ConfigError, DeviceFaultError, InterruptError
+from repro.common.errors import ConfigError, DeviceFaultError
 from repro.common.resources import Store
 from repro.common.simclock import Environment, Event
 from repro.core.channels import CUDAWrapper
@@ -201,31 +201,40 @@ class GStream:
         host_stream = work.host_stream
         host_total = float(sum(b.nbytes for b in blocks)) or 1.0
 
+        # Per-pipeline constants, read once: the stage processes below run
+        # their loop body once per block.
+        comm_mode = work.comm_mode
+        cache_key = work.cache_key
+        layout = primary.layout
+        cuda_malloc, cuda_free = wrapper.cuda_malloc, wrapper.cuda_free
+        # Stages whose cached output lets the chain resume, deepest first.
+        resumable = [(idx + 1, st.cache_key)
+                     for idx, st in reversed(list(enumerate(stages)))
+                     if st.cache_output and st.cache_key is not None
+                     ] if region is not None else []
+        probing = observed and (region is not None
+                                or primary_region is not None)
+
         def h2d_stage():
             host_cum = 0.0
+            transfer = wrapper.transfer_h2d_inline
+            put = to_kernel.put
             for blk in blocks:
                 host_cum += blk.nbytes
                 # A cached stage output lets the chain resume mid-way with
                 # no upload at all: prefer the deepest one available.
                 dev_buf, temp, resume = None, False, 0
-                if region is not None:
-                    for idx in range(len(stages) - 1, -1, -1):
-                        st = stages[idx]
-                        if not st.cache_output or st.cache_key is None:
-                            continue
-                        entry = region.lookup(
-                            (st.cache_key, STAGE_OUT, blk.index))
-                        if (entry is not None
-                                and entry.buffer.data is not None):
-                            dev_buf, resume = entry.buffer, idx + 1
-                            break
+                for after, stage_key in resumable:
+                    entry = region.lookup((stage_key, STAGE_OUT, blk.index))
+                    if entry is not None and entry.buffer.data is not None:
+                        dev_buf, resume = entry.buffer, after
+                        break
                 if dev_buf is None and primary_region is not None:
                     entry = primary_region.lookup(
-                        (work.cache_key, PRIMARY, blk.index))
+                        (cache_key, PRIMARY, blk.index))
                     if entry is not None and entry.buffer.data is not None:
                         dev_buf = entry.buffer
-                if observed and (region is not None
-                                 or primary_region is not None):
+                if probing:
                     outcome = ("stage-hit" if resume
                                else "primary-hit" if dev_buf is not None
                                else "miss")
@@ -244,17 +253,15 @@ class GStream:
                             else:
                                 yield evt
                     entry = (primary_region.try_insert(
-                                 (work.cache_key, PRIMARY, blk.index),
-                                 blk.nbytes)
+                                 (cache_key, PRIMARY, blk.index), blk.nbytes)
                              if primary_region is not None else None)
                     if entry is not None:
                         dev_buf = entry.buffer
                     else:
-                        dev_buf = yield from wrapper.cuda_malloc(
-                            device, blk.nbytes)
+                        dev_buf = yield from cuda_malloc(device, blk.nbytes)
                         temp = True
-                    window = yield from wrapper.transfer_h2d_inline(
-                        device, dev_buf, blk, primary, work.comm_mode)
+                    window = yield from transfer(device, dev_buf, blk,
+                                                 primary, comm_mode)
                     if observed:
                         obs.emit("h2d", device.name, "copy:h2d", window[0],
                                  window[1], nbytes=blk.nbytes,
@@ -263,59 +270,68 @@ class GStream:
                     host_stream.ack_nbytes(
                         work.host_stream_slot,
                         host_cum / host_total * host_stream.total_nbytes)
-                yield to_kernel.put((blk, dev_buf, temp, resume))
-            yield to_kernel.put(None)
+                yield put((blk, dev_buf, temp, resume))
+            yield put(None)
 
         def kernel_stage():
             default_out_per_elem = self._out_nbytes_per_element(work, primary)
+            # Per stage: what to launch, the bytes an output element takes,
+            # and the secondary operands by the kernel's own argument names.
+            plan = [(idx, st, st.execute_name,
+                     st.out_element_nbytes if st.out_element_nbytes is not None
+                     else default_out_per_elem,
+                     {arg: secondary[alias]
+                      for arg, alias in st.extra.items()})
+                    for idx, st in enumerate(stages)]
+            last = len(stages) - 1
+            env = self.env
+            launch_config = wrapper.runtime.launch_config
+            launch_inline = wrapper.launch_kernel_inline
+            out_room = self._stage_out_buffer
+            stage_seconds = work.stage_seconds
+            get, put = to_kernel.get, to_d2h.put
             while True:
-                item = yield to_kernel.get()
+                item = yield get()
                 if item is None:
-                    yield to_d2h.put(None)
+                    yield put(None)
                     return
                 blk, cur, cur_temp, resume = item
                 cur_spill = None
-                real = blk.real_count
+                real = block_real = blk.real_count
                 nominal = blk.nominal_count
                 if resume:
                     # Resuming from a cached intermediate: counts reflect
                     # that stage's output, not the raw block.
                     real = real_len(cur.data)
-                    nominal = (blk.nominal_count * real / blk.real_count
-                               if blk.real_count else float(real))
+                    nominal = (nominal * real / block_real
+                               if block_real else float(real))
                 d2h_nominal = nominal
                 out_per_elem = default_out_per_elem
-                for idx in range(resume, len(stages)):
-                    st = stages[idx]
-                    out_per_elem = (st.out_element_nbytes
-                                    if st.out_element_nbytes is not None
-                                    else default_out_per_elem)
+                for idx, st, name, out_per_elem, extras in plan[resume:]:
                     out_nbytes = int(max(nominal * out_per_elem, 8))
-                    out_dev, out_temp, out_spill = (
-                        yield from self._stage_out_buffer(
-                            work, device, region, spill_region, st, blk,
-                            idx, out_nbytes))
-                    launch = LaunchConfig.for_elements(
-                        max(nominal, 1), st.block_size)
-                    stage_inputs = {PRIMARY: cur}
-                    for arg, alias in st.extra.items():
-                        stage_inputs[arg] = secondary[alias]
-                    kernel_result, ksec = (
-                        yield from wrapper.launch_kernel_inline(
-                            device, st.execute_name, nominal, launch,
-                            inputs=stage_inputs,
-                            outputs={"out": out_dev}, params=st.params,
-                            layout=primary.layout))
-                    work.stage_seconds[st.execute_name] = (
-                        work.stage_seconds.get(st.execute_name, 0.0) + ksec)
+                    placed = out_room(work, device, region, spill_region,
+                                      st, blk, idx, out_nbytes)
+                    if placed is None:
+                        out_dev = yield from cuda_malloc(device, out_nbytes)
+                        out_temp, out_spill = True, None
+                    else:
+                        out_temp = False
+                        out_dev, out_spill = placed
+                    kernel_result, ksec = yield from launch_inline(
+                        device, name, nominal,
+                        launch_config(max(nominal, 1), st.block_size),
+                        inputs={PRIMARY: cur, **extras},
+                        outputs={"out": out_dev}, params=st.params,
+                        layout=layout)
+                    stage_seconds[name] = stage_seconds.get(name, 0.0) + ksec
                     if observed:
                         # The launch returns at kernel end while holding the
                         # exclusive compute engine, so [now - ksec, now] is
                         # the engine's occupancy window — kernel spans never
                         # overlap.
                         obs.emit("kernel", device.name, "kernel",
-                                 self.env.now - ksec, self.env.now,
-                                 kernel=st.execute_name, seconds=ksec,
+                                 env.now - ksec, env.now,
+                                 kernel=name, seconds=ksec,
                                  block=blk.index, stage=idx)
                     # Retire this stage's input: spilled intermediates give
                     # their region room back, temporaries are freed, cached
@@ -323,10 +339,10 @@ class GStream:
                     if cur_spill is not None and spill_region is not None:
                         spill_region.remove(cur_spill)
                     elif cur_temp:
-                        yield from wrapper.cuda_free(device, cur)
+                        yield from cuda_free(device, cur)
                     cur, cur_temp, cur_spill = out_dev, out_temp, out_spill
                     out_real = real_len(kernel_result.get("out"))
-                    if idx == len(stages) - 1:
+                    if idx == last:
                         if out_real == real:
                             d2h_nominal = nominal  # map-style kernel
                         else:
@@ -337,69 +353,65 @@ class GStream:
                         nominal = (nominal * out_real / real if real
                                    else float(out_real))
                     real = out_real
-                yield to_d2h.put((blk, cur, cur_temp, cur_spill,
-                                  d2h_nominal, out_per_elem))
+                yield put((blk, cur, cur_temp, cur_spill,
+                           d2h_nominal, out_per_elem))
 
         def d2h_stage():
+            transfer = wrapper.transfer_d2h_inline
+            out_buffer = work.out_buffer
+            get = to_d2h.get
             while True:
-                item = yield to_d2h.get()
+                item = yield get()
                 if item is None:
                     return
                 blk, out_dev, out_temp, out_spill, d2h_nominal, per_elem = item
                 nbytes = int(max(d2h_nominal * per_elem, 1))
-                data, window = yield from wrapper.transfer_d2h_inline(
-                    device, work.out_buffer, out_dev, nbytes,
-                    work.comm_mode)
+                data, window = yield from transfer(
+                    device, out_buffer, out_dev, nbytes, comm_mode)
                 if observed:
                     obs.emit("d2h", device.name, "copy:d2h", window[0],
                              window[1], nbytes=nbytes, block=blk.index)
                 if out_spill is not None and spill_region is not None:
                     spill_region.remove(out_spill)
                 elif out_temp:
-                    yield from wrapper.cuda_free(device, out_dev)
+                    yield from cuda_free(device, out_dev)
                 results[blk.index] = data
 
-        def guarded(stage_fn):
-            # A failing stage aborts the pipeline; its siblings are then
-            # interrupted and must exit quietly (no further allocations).
-            def runner():
-                try:
-                    yield from stage_fn()
-                except InterruptError:
-                    pass
-            return runner
-
-        procs = [self.env.process(guarded(h2d_stage)(), name="h2d-stage"),
-                 self.env.process(guarded(kernel_stage)(),
-                                  name="kernel-stage"),
-                 self.env.process(guarded(d2h_stage)(), name="d2h-stage")]
+        procs = [self.env.process(h2d_stage(), name="h2d-stage"),
+                 self.env.process(kernel_stage(), name="kernel-stage"),
+                 self.env.process(d2h_stage(), name="d2h-stage")]
         try:
             yield self.env.all_of(procs)
         except Exception:
+            # A failing stage aborts the pipeline.  Its siblings die of the
+            # interrupt wherever they wait (no further allocations); the
+            # join has already failed, so it defuses their failures.
             for proc in procs:
                 if proc.is_alive:
                     proc.interrupt("pipeline failed")
             raise
 
         for buf in self._temp_secondary:
-            yield from wrapper.cuda_free(device, buf)
+            yield from cuda_free(device, buf)
         self._temp_secondary = []
         return concat([results[i] for i in sorted(results)])
 
-    def _stage_out_buffer(self, work: GWork, device: GPUDevice,
+    @staticmethod
+    def _stage_out_buffer(work: GWork, device: GPUDevice,
                           region: Optional[CacheRegion],
                           spill_region: Optional[CacheRegion],
                           stage: KernelStage, blk: Block, stage_index: int,
                           nbytes: int):
-        """Device room for one stage's output block.
+        """Cache-region room for one stage's output block, if it gets any.
 
         Caching stages write straight into their cache-region entry (created
         on first use, reused across iterations).  Everything else is a
-        ``cudaMalloc`` temporary — unless the device is out of memory, in
-        which case the block borrows room in the cache region ("spill") and
-        returns it as soon as the next stage has consumed the data.
+        ``cudaMalloc`` temporary, which the caller allocates when this
+        returns None — unless the device is out of memory, in which case
+        the block borrows room in the cache region ("spill") and returns it
+        as soon as the next stage has consumed the data.
 
-        Returns ``(buffer, is_temp, spill_key)``.
+        Returns ``(buffer, spill_key)`` or None.
         """
         if (stage.cache_output and region is not None
                 and stage.cache_key is not None):
@@ -408,15 +420,14 @@ class GStream:
             if entry is None:
                 entry = region.try_insert(key, nbytes)
             if entry is not None:
-                return entry.buffer, False, None
-        if nbytes > device.memory.available and spill_region is not None:
+                return entry.buffer, None
+        if spill_region is not None and nbytes > device.memory.available:
             spill_key = ("spill", work.work_id, blk.index, stage_index)
             entry = spill_region.try_insert(spill_key, nbytes)
             if entry is not None:
                 spill_region.spills += 1
-                return entry.buffer, False, spill_key
-        buf = yield from self.manager.wrapper.cuda_malloc(device, nbytes)
-        return buf, True, None
+                return entry.buffer, spill_key
+        return None
 
     def _mapped_execute(self, work: GWork, device: GPUDevice,
                         secondary: Dict[str, DeviceBuffer]

@@ -26,7 +26,7 @@ from repro.gpu.memory import DeviceBuffer, HostBuffer
 from repro.gpu.stream import CUDAStream
 
 
-def _snapshot(data: Any) -> Any:
+def snapshot(data: Any) -> Any:
     """Copy array payloads on transfer so host/device don't alias."""
     if isinstance(data, np.ndarray):
         return data.copy()
@@ -43,6 +43,10 @@ class CUDARuntime:
     alloc_overhead_s = 10e-6
     #: Page-locking cost per byte (cudaHostRegister walks page tables).
     pin_bps = 20.0e9
+    #: Entries either priced-once table may hold.  A pipeline has a handful
+    #: of distinct block shapes; only a chain whose fan-out differs block by
+    #: block adds one per block, and then the table is dropped and refilled.
+    priced_max = 4096
 
     def __init__(self, env: Environment, devices: list[GPUDevice],
                  registry: KernelRegistry):
@@ -54,27 +58,32 @@ class CUDARuntime:
         # The default stream per device.
         self.default_streams = {d.index: self.stream_create(d)
                                 for d in devices}
+        # Priced once: launch geometry by (count, block size), roofline
+        # seconds by (kernel, count, grid, block size, device, layout).
+        self._launches: Dict[tuple, LaunchConfig] = {}
+        self._seconds: Dict[tuple, float] = {}
 
     # -- memory management --------------------------------------------------------
-    # ``redirect_s`` on the three calls below is the caller's control-channel
-    # latency (the JNI redirect), charged ahead of the driver time in the
-    # same fused event: ``(now + redirect_s) + driver_s``.
-    def malloc(self, device: GPUDevice, nbytes: int,
-               redirect_s: float = 0.0
+    def malloc(self, device: GPUDevice, nbytes: int
                ) -> Generator[Event, None, DeviceBuffer]:
         """``cudaMalloc``: allocate device memory (raises on OOM)."""
-        yield self.env.timeout(redirect_s, then=self.alloc_overhead_s)
+        yield self.env.timeout(self.alloc_overhead_s)
         return device.memory.alloc(nbytes)
 
-    def free(self, device: GPUDevice, buf: DeviceBuffer,
-             redirect_s: float = 0.0) -> Generator[Event, None, None]:
+    def free(self, device: GPUDevice, buf: DeviceBuffer
+             ) -> Generator[Event, None, None]:
         """``cudaFree``."""
-        yield self.env.timeout(redirect_s, then=self.alloc_overhead_s)
+        yield self.env.timeout(self.alloc_overhead_s)
         device.memory.free(buf)
 
     def host_register(self, hbuf: HostBuffer, redirect_s: float = 0.0
                       ) -> Generator[Event, None, HostBuffer]:
-        """``cudaHostRegister``: page-lock a host buffer for async DMA."""
+        """``cudaHostRegister``: page-lock a host buffer for async DMA.
+
+        ``redirect_s`` is the caller's control-channel latency (the JNI
+        redirect), charged ahead of the driver time in the same fused
+        event: ``(now + redirect_s) + driver_s``.
+        """
         if not hbuf.pinned:
             yield self.env.timeout(redirect_s, then=hbuf.nbytes / self.pin_bps)
             hbuf.pinned = True
@@ -99,10 +108,11 @@ class CUDARuntime:
                                 for s in self._streams[device.index]])
 
     # -- transfers -----------------------------------------------------------------
-    def _transfer_op(self, device: GPUDevice, direction: str, nbytes: int,
-                     pinned: bool
-                     ) -> Generator[Event, None, "tuple[float, float]"]:
-        """One DMA transfer; returns the copy engine's occupancy window.
+    def transfer_op(self, device: GPUDevice, direction: str, nbytes: int,
+                    pinned: bool
+                    ) -> Generator[Event, None, "tuple[float, float]"]:
+        """One inline (stream-less) DMA transfer of ``nbytes``, payload
+        aside; returns the copy engine's occupancy window.
 
         The ``(start, end)`` return value is the exact interval the engine
         was *held* (wire time, excluding queue wait and pageable staging) —
@@ -113,12 +123,15 @@ class CUDARuntime:
             # Pageable memory: staged through the driver's bounce buffer.
             yield self.env.timeout(nbytes / self.pageable_staging_bps)
         engine = device.copy_engine(direction)
-        with engine.request() as grant:
+        grant = engine.request()
+        try:
             yield grant
             held_at = self.env.now
             yield self.env.timeout(device.spec.pcie_latency_s
                                    + nbytes / device.spec.pcie_effective_bps)
             released_at = self.env.now
+        finally:
+            engine.release(grant)
         if direction == "h2d":
             device.h2d_bytes += nbytes
         else:
@@ -130,8 +143,8 @@ class CUDARuntime:
                    ) -> Generator[Event, None, "tuple[float, float]"]:
         """``cudaMemcpyH2D`` (synchronous); returns the engine window."""
         n = src.nbytes if nbytes is None else nbytes
-        window = yield from self._transfer_op(device, "h2d", n, src.pinned)
-        dst.data = _snapshot(src.data)
+        window = yield from self.transfer_op(device, "h2d", n, src.pinned)
+        dst.data = snapshot(src.data)
         return window
 
     def memcpy_d2h(self, device: GPUDevice, dst: HostBuffer,
@@ -139,8 +152,8 @@ class CUDARuntime:
                    ) -> Generator[Event, None, "tuple[float, float]"]:
         """``cudaMemcpyD2H`` (synchronous); returns the engine window."""
         n = src.nbytes if nbytes is None else nbytes
-        window = yield from self._transfer_op(device, "d2h", n, dst.pinned)
-        dst.data = _snapshot(src.data)
+        window = yield from self.transfer_op(device, "d2h", n, dst.pinned)
+        dst.data = snapshot(src.data)
         return window
 
     def memcpy_h2d_async(self, device: GPUDevice, stream: CUDAStream,
@@ -150,8 +163,8 @@ class CUDARuntime:
         n = src.nbytes if nbytes is None else nbytes
 
         def op():
-            yield from self._transfer_op(device, "h2d", n, src.pinned)
-            dst.data = _snapshot(src.data)
+            yield from self.transfer_op(device, "h2d", n, src.pinned)
+            dst.data = snapshot(src.data)
 
         return stream.enqueue(op, name="h2d-async")
 
@@ -162,8 +175,8 @@ class CUDARuntime:
         n = src.nbytes if nbytes is None else nbytes
 
         def op():
-            yield from self._transfer_op(device, "d2h", n, dst.pinned)
-            dst.data = _snapshot(src.data)
+            yield from self.transfer_op(device, "d2h", n, dst.pinned)
+            dst.data = snapshot(src.data)
 
         return stream.enqueue(op, name="d2h-async")
 
@@ -177,6 +190,19 @@ class CUDARuntime:
             buf.data = None if value == 0 else buf.data
 
     # -- kernels -----------------------------------------------------------------
+    def launch_config(self, n_elements: float,
+                      block_size: int = 256) -> LaunchConfig:
+        """:meth:`LaunchConfig.for_elements`, built once per distinct
+        ``(n_elements, block_size)``."""
+        key = (n_elements, block_size)
+        launch = self._launches.get(key)
+        if launch is None:
+            if len(self._launches) >= self.priced_max:
+                self._launches.clear()
+            launch = self._launches[key] = LaunchConfig.for_elements(
+                n_elements, block_size)
+        return launch
+
     def launch_kernel(self, device: GPUDevice, stream: CUDAStream,
                       kernel_name: str, n_elements: float,
                       launch: LaunchConfig,
@@ -211,15 +237,25 @@ class CUDARuntime:
         stream ordering should use :meth:`launch_kernel` instead.
 
         Returns ``(results, seconds)``: the kernel's outputs and the roofline
-        seconds the engine was held — the launch's one evaluation of the
-        cost model, so callers recording the span need not repeat it.
+        seconds the engine was held, so callers recording the span need not
+        evaluate the cost model.  The seconds are priced once per distinct
+        (kernel, count, launch geometry, device, layout): a pipeline's
+        blocks come in a handful of shapes.
         """
         spec = self.registry.get(kernel_name)
         params = dict(params or {})
-        with device.compute.request() as grant:
+        compute = device.compute
+        grant = compute.request()
+        try:
             yield grant
-            seconds = spec.execution_seconds(n_elements, launch,
-                                             device.spec, layout=layout)
+            key = (kernel_name, n_elements, launch.grid_size,
+                   launch.block_size, device, layout)
+            seconds = self._seconds.get(key)
+            if seconds is None:
+                if len(self._seconds) >= self.priced_max:
+                    self._seconds.clear()
+                seconds = self._seconds[key] = spec.execution_seconds(
+                    n_elements, launch, device.spec, layout=layout)
             yield self.env.timeout(seconds)
             device.kernel_seconds += seconds
             device.kernels_launched += 1
@@ -233,4 +269,6 @@ class CUDARuntime:
                         f"kernel {kernel_name!r} produced no output "
                         f"{name!r}; got {sorted(results)}")
                 buf.data = results[name]
+        finally:
+            compute.release(grant)
         return results, seconds

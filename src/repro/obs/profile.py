@@ -14,7 +14,7 @@ file (so it works offline on ``traces/*.json``) and produces:
 * **utilization timelines** — per device engine (kernel lane busy %, copy
   lanes busy %, copy-with-compute overlap %, PCIe bytes/s) and per-worker
   slot occupancy, all derived from exact span occupancy (copy spans record
-  the engine-held window only — see ``CUDARuntime._transfer_op``).
+  the engine-held window only — see ``CUDARuntime.transfer_op``).
 * **bottleneck classification** — each operator's wall time is partitioned
   into kernel / h2d / d2h / shuffle / hdfs / cpu / sched shares; the
   dominating share names the class (``kernel_bound``, ``pcie_bound``, …).

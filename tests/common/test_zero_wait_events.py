@@ -10,6 +10,7 @@ product has no such path and no switch for one.  Nothing here reads a wall
 clock.
 """
 
+import sys
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from unittest import mock
@@ -17,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import Environment, Resource, Store
+from repro.common import Environment, Event, Resource, Store
 from repro.common.errors import InterruptError, SimulationError
 from repro.common.resources import Request, StoreGet, StorePut
 from repro.common.simclock import ConditionValue
@@ -32,27 +33,40 @@ def heap_only():
     granted at once, but by ``succeed`` — one heap entry each, and the
     requesting process sleeps until the scheduler gets to it.
     """
-    def _request(self, request):
+    def pending(cls, env):
+        # The event classes of resources.py define no ``__init__`` (their
+        # builders write the slots); the reference starts from a plain
+        # pending event.
+        event = cls.__new__(cls)
+        Event.__init__(event, env)
+        return event
+
+    def request(self):
+        request = pending(Request, self.env)
+        request.resource = self
+        self._order = request._order = self._order + 1
         if len(self.users) < self.capacity:
             self.users.append(request)
             request.succeed(request)
         else:
             self._queue.append(request)
+        return request
 
     def put(self, item):
-        event = StorePut(self, item)
+        event = pending(StorePut, self.env)
+        event.item = item
         self._putters.append(event)
         self._dispatch()
         return event
 
     def get(self):
-        event = StoreGet(self)
+        event = pending(StoreGet, self.env)
         self._getters.append(event)
         self._dispatch()
         return event
 
     with ExitStack() as stack:
-        for owner, name, fn in ((Resource, "_request", _request),
+        for owner, name, fn in ((Resource, "request", request),
                                 (Store, "put", put), (Store, "get", get)):
             stack.enter_context(mock.patch.object(owner, name, fn))
         yield
@@ -77,6 +91,24 @@ def counting_steps():
 
     with mock.patch.object(Environment, "step", counting_step):
         yield fired
+
+
+@contextmanager
+def counting_frames():
+    """Count the Python frames entered — every function call and generator
+    resume is one ``sys.setprofile`` ``"call"`` event — as ``entered[0]``."""
+    entered = [0]
+
+    def profile(_frame, event, _arg):
+        if event == "call":
+            entered[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield entered
+    finally:
+        sys.setprofile(previous)
 
 
 # -- generated programs -------------------------------------------------------------
@@ -514,6 +546,52 @@ class TestBornProcessedEvents:
         assert steps == 1 and len(both.value) == 2
 
 
+def run_linear_regression(nominal, counting):
+    """One small LinearRegression GPU job under ``counting()``; returns
+    ``(device blocks, what was counted)``."""
+    from repro.core import GFlinkCluster, GFlinkSession
+    from repro.flink import ClusterConfig, CPUSpec
+    from repro.workloads import LinearRegressionWorkload
+
+    cluster = GFlinkCluster(ClusterConfig(
+        n_workers=2, cpu=CPUSpec(cores=2), gpus_per_worker=("c2050",)))
+    workload = LinearRegressionWorkload(
+        nominal_elements=nominal, real_elements=4000, iterations=4,
+        seed=20160816)
+    with counting() as counted:
+        workload.run(GFlinkSession(cluster), "gpu")
+    blocks = sum(d.kernels_launched
+                 for gm in cluster.gpu_managers() for d in gm.devices)
+    return blocks, counted
+
+
+def run_pagerank(vectorized, iterations, counting):
+    """One small PageRank CPU job (3 workers x 2 slots) under
+    ``counting()``; returns ``(is-cross-node flag per shipped bucket, what
+    was counted)``."""
+    from repro.core import GFlinkCluster, GFlinkSession
+    from repro.flink import ClusterConfig, CPUSpec
+    from repro.flink.shuffle import Exchange
+    from repro.workloads import PageRankWorkload
+
+    shipped = []
+    real_send = Exchange._send
+
+    def counting_send(exchange, src, shipments, zero_copy):
+        shipped.extend(dst != src for dst, *_ in shipments)
+        return real_send(exchange, src, shipments, zero_copy)
+
+    cluster = GFlinkCluster(ClusterConfig(n_workers=3,
+                                          cpu=CPUSpec(cores=2)))
+    workload = PageRankWorkload(
+        nominal_pages=1e5, real_pages=600, iterations=iterations,
+        seed=20160816, vectorized=vectorized)
+    with counting() as counted, \
+            mock.patch.object(Exchange, "_send", counting_send):
+        workload.run(GFlinkSession(cluster), "cpu")
+    return shipped, counted
+
+
 class TestEventBudget:
     """(e) Event counts of two small jobs are pinned.
 
@@ -559,54 +637,15 @@ class TestEventBudget:
         True: {"Timeout": 475, "Request": 200, "AllOf": 40,
                "AllOf[requests]": 0}}
 
-    def _run(self, nominal):
-        from repro.core import GFlinkCluster, GFlinkSession
-        from repro.flink import ClusterConfig, CPUSpec
-        from repro.workloads import LinearRegressionWorkload
-
-        cluster = GFlinkCluster(ClusterConfig(
-            n_workers=2, cpu=CPUSpec(cores=2), gpus_per_worker=("c2050",)))
-        workload = LinearRegressionWorkload(
-            nominal_elements=nominal, real_elements=4000, iterations=4,
-            seed=20160816)
-        with counting_steps() as fired:
-            workload.run(GFlinkSession(cluster), "gpu")
-        blocks = sum(d.kernels_launched
-                     for gm in cluster.gpu_managers() for d in gm.devices)
-        return blocks, fired
-
     def test_linear_regression_gpu_job_steps_and_events_per_block(self):
         measured = {}
         for nominal in self.PINNED:
-            blocks, fired = self._run(nominal)
+            blocks, fired = run_linear_regression(nominal, counting_steps)
             measured[nominal] = (blocks, sum(fired.values()))
         assert measured == self.PINNED
         assert {k: fired[k] for k in self.PINNED_KINDS} == self.PINNED_KINDS
         (b0, s0), (b1, s1) = measured.values()
         assert (s1 - s0) / (b1 - b0) == 10.2  # events per extra block
-
-    def _run_shuffle(self, vectorized, iterations):
-        from repro.core import GFlinkCluster, GFlinkSession
-        from repro.flink import ClusterConfig, CPUSpec
-        from repro.flink.shuffle import Exchange
-        from repro.workloads import PageRankWorkload
-
-        shipped = []
-        real_send = Exchange._send
-
-        def counting_send(exchange, src, shipments, zero_copy):
-            shipped.extend(dst != src for dst, *_ in shipments)
-            return real_send(exchange, src, shipments, zero_copy)
-
-        cluster = GFlinkCluster(ClusterConfig(n_workers=3,
-                                              cpu=CPUSpec(cores=2)))
-        workload = PageRankWorkload(
-            nominal_pages=1e5, real_pages=600, iterations=iterations,
-            seed=20160816, vectorized=vectorized)
-        with counting_steps() as fired, \
-                mock.patch.object(Exchange, "_send", counting_send):
-            workload.run(GFlinkSession(cluster), "cpu")
-        return shipped, fired
 
     @pytest.mark.parametrize("vectorized", [False, True],
                              ids=["rows", "vectorized"])
@@ -614,7 +653,8 @@ class TestEventBudget:
             self, vectorized):
         measured = {}
         for iterations in self.SHUFFLE_PINNED[vectorized]:
-            shipped, fired = self._run_shuffle(vectorized, iterations)
+            shipped, fired = run_pagerank(vectorized, iterations,
+                                          counting_steps)
             measured[iterations] = (len(shipped), sum(fired.values()))
         assert measured == self.SHUFFLE_PINNED[vectorized]
         pinned = self.SHUFFLE_PINNED_KINDS[vectorized]
@@ -626,3 +666,43 @@ class TestEventBudget:
         # per-charge shipping.
         assert round((s1 - s0) / (b1 - b0), 2) == (5.83 if vectorized
                                                    else 5.95)
+
+
+class TestFrameBudget:
+    """(f) Host work per event is pinned too: Python frames entered.
+
+    The jobs of :class:`TestEventBudget`, counted with
+    :func:`counting_frames`.  Events per block are at the model's floor;
+    what a tower of calls around each event costs is frames — a grant that
+    is ``request → __init__ → __init__ → _request → _born``, a ``cudaMalloc``
+    that is three nested generators around one timeout, a launch that
+    re-derives its ``LaunchConfig`` and roofline seconds for every block.
+    With those towers the LinearRegression jobs entered 60 054 and 103 939
+    frames, 182.9 per extra block, and PageRank 111.4 (rows) / 107.2
+    (vectorized) per extra shipped bucket; with one frame per hop and a
+    block priced once it is 38 869 and 65 138, 109.5 per extra block, and
+    94.9 / 90.8 per bucket (exact at any hash seed).  The bounds below leave
+    room for a few frames, not for a tower growing back.
+    """
+
+    #: Upper bounds: frames per extra device block, per extra shipped bucket.
+    PER_BLOCK = 130
+    PER_BUCKET = {False: 100, True: 96}
+
+    def test_linear_regression_gpu_job_frames_per_block(self):
+        (b0, f0), (b1, f1) = (
+            run_linear_regression(nominal, counting_frames)
+            for nominal in TestEventBudget.PINNED)
+        assert (b0, b1) == (260, 500)
+        per_block = (f1[0] - f0[0]) / (b1 - b0)
+        assert 80 < per_block <= self.PER_BLOCK
+
+    @pytest.mark.parametrize("vectorized", [False, True],
+                             ids=["rows", "vectorized"])
+    def test_pagerank_cpu_job_frames_per_shipped_bucket(self, vectorized):
+        (s0, f0), (s1, f1) = (
+            run_pagerank(vectorized, iterations, counting_frames)
+            for iterations in TestEventBudget.SHUFFLE_PINNED[vectorized])
+        assert (len(s0), len(s1)) == (84, 168)
+        per_bucket = (f1[0] - f0[0]) / (len(s1) - len(s0))
+        assert 60 < per_bucket <= self.PER_BUCKET[vectorized]
