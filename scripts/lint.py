@@ -202,6 +202,17 @@ LINTS = (
          "PR 24", ("src/repro/core/channels.py",
                    "        buf = yield from self.runtime.malloc(device, "
                    "nbytes,")),
+    Lint("emit once — the bus appends a fact to its log and nothing else",
+         # Observability.emit and a span's entry and exit append one row to
+         # the fact log; the tracer draws it when read and the registry and
+         # the monitor fold it (Observability._fold).  Building the trace
+         # event or feeding a sink as the fact is stated is the retired
+         # eager path.
+         r"TraceEvent\(|\.feed\(|registry\.apply\(", ("src/repro/obs/bus.py",),
+         "eager sink work on the bus's emit path (append the row; the sinks "
+         "fold the log)",
+         "PR 25", ("src/repro/obs/bus.py",
+                   "                monitor.feed(kind, name, value, labels)")),
 )
 
 

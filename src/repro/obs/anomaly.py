@@ -44,31 +44,8 @@ def ewma_zscores(points: Sequence[Point], alpha: float = 0.3,
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-    out: List[Tuple[int, float]] = []
-    mean = 0.0
-    var = 0.0
-    n = 0
-    for idx, value in points:
-        value = float(value)
-        if n < warmup:
-            z = 0.0
-        else:
-            std = math.sqrt(var)
-            if std < _MIN_STD:
-                z = 0.0 if abs(value - mean) < _MIN_STD else \
-                    math.copysign(_MAX_Z, value - mean)
-            else:
-                z = (value - mean) / std
-        out.append((idx, z))
-        if n == 0:
-            mean, var = value, 0.0
-        else:
-            diff = value - mean
-            # Standard EWMA recursions for mean and variance.
-            mean += alpha * diff
-            var = (1.0 - alpha) * (var + alpha * diff * diff)
-        n += 1
-    return out
+    return _replay(points, SlidingTrend(alpha=alpha, warmup=warmup),
+                   SlidingTrend.zscore)
 
 
 def slope_of(values: Sequence[float]) -> float:
@@ -87,13 +64,16 @@ def slope_of(values: Sequence[float]) -> float:
 def window_slopes(points: Sequence[Point], window: int = 8
                   ) -> List[Tuple[int, float]]:
     """Trailing-window least-squares slope at each point."""
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window!r}")
+    return _replay(points, SlidingTrend(window=window), SlidingTrend.slope)
+
+
+def _replay(points: Sequence[Point], trend: "SlidingTrend",
+            read) -> List[Tuple[int, float]]:
+    """``read(trend)`` after feeding each point's value, per point."""
     out: List[Tuple[int, float]] = []
-    values: Deque[float] = deque(maxlen=window)
     for idx, value in points:
-        values.append(float(value))
-        out.append((idx, slope_of(list(values)) if len(values) >= 2 else 0.0))
+        trend.update(value)
+        out.append((idx, read(trend)))
     return out
 
 

@@ -8,6 +8,18 @@ what the registry and the monitor derive.  With every sink off,
 ``active`` is False and both calls return on their first line: that one
 branch is the whole cost of disabled observability, and per-block loops
 may read it once (``core/gstream.py`` does, per pipeline).
+
+Emit once, derive after.  A fact — an emit, a span's entry, a span's exit —
+is one row appended to ``log``, the six fields ``step, process, thread, t0,
+t1, attrs`` in a flat list (no object per row), and nothing else; each sink
+is a fold over the log with a cursor of its own.  The tracer draws the rows
+when it is read.  The registry and the monitor share one cursor,
+:meth:`Observability._fold`: it runs before any of their reads and whenever
+a row's clock has crossed the monitor's next window boundary, the one float
+compare an emit makes.  Within a row derivations apply in order, and the
+window closes at the row's first applied monitor derivation — after the
+registry derivations listed before it, which thus land in the window being
+closed, exactly as when every fact ticked the monitor as it was stated.
 """
 
 from __future__ import annotations
@@ -15,56 +27,104 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.common.errors import ConfigError
-from repro.obs.facts import DUR, FACTS, Fact, resolve_labels
+from repro.obs.facts import DUR, FACTS, PROCESS, Derive, Fact, resolve_labels
 from repro.obs.flightrecorder import FlightRecorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import UPDATES, MetricsRegistry
 from repro.obs.monitor import GMonitor
-from repro.obs.trace import NULL_SPAN, TraceEvent, Tracer
+from repro.obs.trace import NULL_SPAN, ROW, Tracer
 
 __all__ = ["OFF", "Observability"]
 
 
-def _row(fact: str) -> Fact:
-    try:
-        return FACTS[fact]
-    except KeyError:
-        raise ConfigError(f"unknown fact {fact!r}: not a row of "
-                          f"repro.obs.facts.FACTS") from None
+class _Step:
+    """What one row of a fact does: the lanes it opens, the event it draws
+    (none when ``cat`` is None) and the derivations it folds."""
+
+    __slots__ = ("opens", "cat", "ph", "name", "templated", "hidden",
+                 "derive", "ticks")
+
+    def __init__(self, row: Fact, on_open: Optional[bool], monitoring: bool):
+        entry = on_open is True
+        self.opens = () if entry else row.opens
+        self.cat = None if entry else row.cat
+        self.ph, self.name, self.hidden = row.ph, row.name, row.hidden
+        self.templated = self.cat is not None and "{" in row.name
+        self.derive = tuple(
+            _compiled(d) for d in row.derive
+            if (on_open is None or d.on_open is on_open)
+            and (monitoring or d.sink == "registry"))
+        #: The row may close a monitor window.
+        self.ticks = any(d[0] for d in self.derive)
+
+
+def _compiled(d: Derive) -> tuple:
+    """``(to the monitor?, kind, name, value, unless, skip_zero, key,
+    labels)``: ``key`` is the metric key when the derivation has no labels;
+    ``labels`` is ``(spec, attr source, memo)`` otherwise, the memo mapping
+    a ``(process, str attr value)`` to the key it resolves to."""
+    attrs = [src for _label, src, _map in d.labels
+             if src != PROCESS and src[0] != "="]
+    if len(attrs) > 1:
+        raise ConfigError(f"derivation {d.name!r}: at most one label may "
+                          f"come from an attr")
+    labels = (d.labels, attrs[0] if attrs else None, {}) if d.labels \
+        else None
+    return (d.sink == "monitor", d.kind, d.name, d.value, d.unless,
+            d.skip_zero, (d.name, ()), labels)
+
+
+#: monitoring -> ({fact: emit step}, {fact: (entry step, exit step)})
+_STEPS = {monitoring: (
+    {fact: _Step(row, None, monitoring) for fact, row in FACTS.items()},
+    {fact: (_Step(row, True, monitoring), _Step(row, False, monitoring))
+     for fact, row in FACTS.items()})
+    for monitoring in (False, True)}
+
+
+_new_span = object.__new__
+
+
+def _unknown(fact: str) -> ConfigError:
+    return ConfigError(f"unknown fact {fact!r}: not a row of "
+                       f"repro.obs.facts.FACTS")
 
 
 class _FactSpan:
-    """An open span of one fact; emitted when the ``with`` block exits."""
+    """An open span of one fact: a row at entry, a row at exit.
 
-    __slots__ = ("_obs", "_row", "_process", "_thread", "_attrs", "_t0")
+    The entry row keeps the attrs dict it was logged with, unchanged:
+    :meth:`set` and an error at exit give the exit a new one, so the
+    entry's derivations read the attrs as they were at entry whenever they
+    are folded.
+    """
 
-    def __init__(self, obs: "Observability", fact: str, process: str,
-                 thread: str, attrs: Dict[str, Any]):
-        self._obs = obs
-        self._row = _row(fact)
-        self._process = process
-        self._thread = thread
-        self._attrs = attrs
-        self._t0 = 0.0
-        # The lane exists from here on, not from the exit: tids are handed
-        # out in first-use order.
-        obs.tracer.track(process, thread)
+    __slots__ = ("_obs", "_steps", "_process", "_thread", "_attrs", "_t0")
 
     def set(self, **attrs: Any) -> "_FactSpan":
         """Attach attrs known only mid-span (e.g. byte counts at the end)."""
-        self._attrs.update(attrs)
+        self._attrs = {**self._attrs, **attrs}
         return self
 
     def __enter__(self) -> "_FactSpan":
-        self._t0 = t0 = self._obs.env.now
-        self._obs._derive(self._row.derive, True, self._process, t0, t0,
-                          self._attrs)
+        obs = self._obs
+        self._t0 = t0 = obs.env.now
+        step = self._steps[0]
+        obs.log.extend((step, self._process, self._thread, t0, t0,
+                        self._attrs))
+        if step.ticks and t0 >= obs.monitor.boundary:
+            obs._fold(crossing=True)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            self._attrs.setdefault("error", exc_type.__name__)
-        self._obs._apply(self._row, self._process, self._thread, self._t0,
-                         self._obs.env.now, self._attrs, False)
+        if exc_type is not None and "error" not in self._attrs:
+            self.set(error=exc_type.__name__)
+        obs = self._obs
+        now = obs.env.now
+        step = self._steps[1]
+        obs.log.extend((step, self._process, self._thread, self._t0, now,
+                        self._attrs))
+        if step.ticks and now >= obs.monitor.boundary:
+            obs._fold(crossing=True)
         return False
 
 
@@ -84,6 +144,9 @@ class Observability:
                  flight_recorder_dir: Any = None):
         self.env = env
         self.tracer = Tracer(env, enabled=tracing)
+        #: The fact log: the tracer draws from it, ``_fold`` derives from it.
+        self.log = self.tracer.log
+        self._folded = 0
         self.registry = MetricsRegistry(enabled=tracing or monitoring)
         # The recorder is passive (bounded deques + dump-time file I/O):
         # it works with monitoring (alert-triggered bundles with metric
@@ -95,6 +158,10 @@ class Observability:
             env, tracer=self.tracer, registry=self.registry,
             window_s=monitor_window_s, recorder=self.recorder)
             if monitoring else None)
+        self._steps, self._span_steps = _STEPS[self.monitor is not None]
+        self.registry._fold = self._fold
+        if self.monitor is not None:
+            self.monitor._fold = self._fold
         #: True when any sink records anything; the one disabled-path test.
         self.active = bool(tracing or monitoring)
 
@@ -102,67 +169,107 @@ class Observability:
     def emit(self, fact: str, process: Optional[str] = None,
              thread: Optional[str] = None, t0: Optional[float] = None,
              t1: Optional[float] = None, **attrs: Any) -> None:
-        """State ``fact``: at ``[t0, t1]`` (now when omitted) on a lane.
+        """State ``fact``: at ``[t0, t1]`` on a lane — now when ``t0`` is
+        omitted, at the instant ``t0`` when ``t1`` is.
 
         A fact given no lane is not drawn; its derivations still apply.
         """
         if not self.active:
             return
+        try:
+            step = self._steps[fact]
+        except KeyError:
+            raise _unknown(fact) from None
+        now = self.env.now
         if t0 is None:
-            t0 = t1 = self.env.now
-        self._apply(_row(fact), process, thread, t0, t1, attrs)
+            t0 = t1 = now
+        else:
+            if t1 is None:
+                t1 = t0
+            if not t0 <= t1:
+                raise ValueError(
+                    f"fact {fact!r} at [{t0!r}, {t1!r}]: t1 must not precede "
+                    f"t0 and neither may be NaN")
+        self.log.extend((step, process, thread, t0, t1, attrs))
+        if step.ticks and now >= self.monitor.boundary:
+            self._fold(crossing=True)
 
     def span(self, fact: str, process: str, thread: str, **attrs: Any):
         """A context manager emitting ``fact`` over the enclosed simulated
         time — on an exception too, with ``error`` set to its type name."""
         if not self.active:
             return NULL_SPAN
-        return _FactSpan(self, fact, process, thread, attrs)
+        try:
+            steps = self._span_steps[fact]
+        except KeyError:
+            raise _unknown(fact) from None
+        # Built without an __init__ frame: the slots are written here.
+        span = _new_span(_FactSpan)
+        span._obs, span._steps, span._attrs = self, steps, attrs
+        span._process, span._thread = process, thread
+        return span
 
-    def _apply(self, row: Fact, process, thread, t0: float, t1: float,
-               attrs: Dict[str, Any], on_open: Optional[bool] = None) -> None:
-        """Draw the fact and derive from it.  ``on_open`` picks the
-        derivations: all of them, or (False) those a span's entry has not
-        already applied."""
-        tracer = self.tracer
-        if tracer.enabled and process is not None:
-            for opened in row.opens:
-                tracer.track(process, opened)
-            if thread is not None:
-                track = tracer.track(process, thread)
-                if row.cat is not None:
-                    name = row.name
-                    if "{" in name:
-                        name = name.format_map(attrs)
-                    args = attrs
-                    if row.hidden:
-                        args = dict(attrs)
-                        for key in row.hidden:
-                            del args[key]
-                    tracer._record(TraceEvent(
-                        name, row.cat, row.ph, t0, max(t1 - t0, 0.0),
-                        track.pid, track.tid, args or None))
-        if row.derive:
-            self._derive(row.derive, on_open, process, t0, t1, attrs)
+    # -- the registry and monitor fold ------------------------------------------------
+    def _fold(self, crossing: bool = False) -> None:
+        """Apply the derivations of every row not yet folded, in log order.
 
-    def _derive(self, derive, on_open: Optional[bool], process, t0: float,
-                t1: float, attrs: Dict[str, Any]) -> None:
+        ``crossing``: the last row's clock has crossed the monitor's next
+        window boundary, so its first applied monitor derivation closes the
+        elapsed windows before it records.
+        """
+        log = self.log
+        start, end = self._folded, len(log)
+        if start == end:
+            return
+        # Claimed up front: a read made while a window closes (a flight
+        # recorder dump) finds nothing left to fold.
+        self._folded = end
         registry, monitor = self.registry, self.monitor
-        for sink, kind, name, value, labels, unless, skip_zero, opens \
-                in derive:
-            if (on_open is not None and opens is not on_open) \
-                    or (monitor is None and sink == "monitor"):
+        metrics = registry._metrics
+        last = end - ROW
+        rows = iter(log[start:end])
+        for i, step, process, _, t0, t1, attrs in zip(
+                range(start, end, ROW), *(rows,) * ROW):
+            if step is None or not step.derive:
                 continue
-            if unless and any(attrs.get(u) for u in unless):
-                continue
-            if value.__class__ is str:
-                value = t1 - t0 if value == DUR else attrs[value]
-            if labels:
-                labels = resolve_labels(labels, process, attrs)
-            if sink == "monitor":
-                monitor.feed(kind, name, value, labels)
-            elif value or not skip_zero:
-                registry.apply(kind, name, value, labels)
+            closing = crossing and i == last
+            for to_monitor, kind, name, value, unless, skip_zero, key, \
+                    labels in step.derive:
+                if unless and any(map(attrs.get, unless)):
+                    continue
+                if value.__class__ is str:
+                    value = t1 - t0 if value == DUR else attrs[value]
+                if labels is not None:
+                    spec, src, memo = labels
+                    v = None if src is None else attrs[src]
+                    if v is None or v.__class__ is str:
+                        key = memo.get((process, v))
+                        if key is None:
+                            key = memo[process, v] = (name, resolve_labels(
+                                spec, process, attrs))
+                    else:
+                        key = (name, resolve_labels(spec, process, attrs))
+                if to_monitor:
+                    if closing:
+                        closing = False
+                        monitor._advance(int(self.env.now / monitor.window_s))
+                    monitor._record(kind, name, value, key[1])
+                elif value or not skip_zero:
+                    metric = metrics.get(key)
+                    if metric is None or metric.kind != kind:
+                        metric = registry._get_or_create(
+                            UPDATES[kind][0], name, key[1])
+                    if kind == "counter" and value >= 0:
+                        metric.value += value
+                    else:
+                        UPDATES[kind][1](metric, value)
+        tracer = self.tracer
+        if crossing or not tracer.enabled:
+            # A window closed: the tracer catches up too, and the rows every
+            # sink has taken in are dropped.
+            tracer._draw()
+            del log[:]
+            self._folded = tracer._drawn = 0
 
     # -- topology and queries (not facts) --------------------------------------------
     def register_worker(self, name: str) -> None:

@@ -111,9 +111,7 @@ class FlightRecorder:
         tracer = self._tracer
         if tracer is None or not tracer.enabled:
             return []
-        pid_names = dict(tracer._process_names)
-        tid_names = {(pid, tid): name
-                     for pid, tid, name in tracer._thread_names}
+        pid_names, tid_names = tracer.lane_names()
         out = []
         for e in tracer.events[-self.span_capacity:]:
             out.append({
@@ -129,6 +127,8 @@ class FlightRecorder:
                      detail: Optional[Dict[str, Any]] = None,
                      monitor=None) -> Dict[str, Any]:
         """The bundle document (no file write) for ``reason``."""
+        if monitor is not None:
+            monitor.sync()
         doc: Dict[str, Any] = {
             "schema": POSTMORTEM_SCHEMA,
             "reason": reason,

@@ -18,8 +18,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "label_items",
-           "metric_key", "parse_prometheus", "prometheus_name"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "UPDATES",
+           "label_items", "metric_key", "parse_prometheus", "prometheus_name"]
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -52,17 +52,23 @@ def render_key(name: str, labels: LabelItems) -> str:
     return f"{name}{{{inner}}}"
 
 
-class Counter:
-    """A monotonically increasing total."""
-
+class _Scalar:
     __slots__ = ("name", "labels", "value")
-
-    kind = "counter"
 
     def __init__(self, name: str, labels: LabelItems):
         self.name = name
         self.labels = labels
         self.value = 0.0
+
+    def snapshot_value(self) -> float:
+        return self.value
+
+
+class Counter(_Scalar):
+    """A monotonically increasing total."""
+
+    __slots__ = ()
+    kind = "counter"
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -70,27 +76,15 @@ class Counter:
                 f"counter {self.name} cannot decrease (inc {amount})")
         self.value += amount
 
-    def snapshot_value(self) -> float:
-        return self.value
 
-
-class Gauge:
+class Gauge(_Scalar):
     """A point-in-time value (set, not accumulated)."""
 
-    __slots__ = ("name", "labels", "value")
-
+    __slots__ = ()
     kind = "gauge"
-
-    def __init__(self, name: str, labels: LabelItems):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def snapshot_value(self) -> float:
-        return self.value
 
 
 class Histogram:
@@ -217,8 +211,8 @@ class _NullMetric:
 
 _NULL_METRIC = _NullMetric()
 
-#: kind -> (metric class, its update method), for :meth:`MetricsRegistry.apply`.
-_UPDATES = {"counter": (Counter, Counter.inc), "gauge": (Gauge, Gauge.set),
+#: kind -> (metric class, its update method): how the bus derives into it.
+UPDATES = {"counter": (Counter, Counter.inc), "gauge": (Gauge, Gauge.set),
             "histogram": (Histogram, Histogram.observe)}
 
 
@@ -232,16 +226,26 @@ class MetricsRegistry:
     A registry constructed with ``enabled=False`` hands out a shared no-op
     instrument and records nothing — the metrics half of the zero-cost
     guarantee for untraced runs.
+
+    A bus's registry is a fold over its fact log: ``_fold`` (the bus's) is
+    called before any read or direct update, so what was stated comes first.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._metrics: Dict[Tuple[str, LabelItems], Any] = {}
+        self._fold = None
+
+    def _sync(self) -> None:
+        if self._fold is not None:
+            self._fold()
 
     def _get_or_create(self, cls, name: str, labels, **kwargs: Any):
         """``labels`` is a keyword dict, or already-canonical label items."""
         if not self.enabled:
             return _NULL_METRIC
+        if self._fold is not None:
+            self._fold()
         if labels.__class__ is dict:
             labels = label_items(labels)
         key = (name, labels)
@@ -268,29 +272,25 @@ class MetricsRegistry:
             return self._get_or_create(Histogram, name, labels, bounds=bounds)
         return self._get_or_create(Histogram, name, labels)
 
-    def apply(self, kind: str, name: str, value: float,
-              labels: LabelItems = ()) -> None:
-        """Update the ``kind`` metric ``name`` at pre-sorted label items:
-        the spelling the bus derives with (see :mod:`repro.obs.facts`)."""
-        if self.enabled:
-            cls, update = _UPDATES[kind]
-            update(self._get_or_create(cls, name, labels), value)
-
     # -- introspection -----------------------------------------------------------
     def __len__(self) -> int:
+        self._sync()
         return len(self._metrics)
 
     def metrics(self) -> List[Any]:
         """All registered metric objects, sorted by (name, labels)."""
+        self._sync()
         return [self._metrics[k] for k in sorted(self._metrics)]
 
     def value(self, name: str, **labels: Any) -> Any:
         """Current value of one metric, or None if never registered."""
+        self._sync()
         metric = self._metrics.get(metric_key(name, labels))
         return None if metric is None else metric.snapshot_value()
 
     def sum_values(self, name: str) -> float:
         """Sum of a counter/gauge family's values across all label sets."""
+        self._sync()
         return sum(m.value for key, m in self._metrics.items()
                    if key[0] == name and not isinstance(m, Histogram))
 

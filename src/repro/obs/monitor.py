@@ -11,12 +11,15 @@ device / cluster health scores — the substrate for admission-control SLOs
 and a profiler-driven autoscaler (ROADMAP items 1 and 4).
 
 Clock discipline (the PR 2 contract, kept here): the monitor **never
-schedules simulation events**.  Windows are closed lazily — every feed
-first observes ``env.now`` and, when it has crossed a window boundary,
-closes the elapsed windows, samples the registry, evaluates alert rules
-and scores health, all synchronously inside whatever process was already
-running.  Enabled or disabled, the simulated clock is bit-identical
-(asserted by ``tests/obs/test_monitor.py``).
+schedules simulation events**.  Windows are closed lazily — when a fact
+with a monitor derivation is stated at or past :attr:`GMonitor.boundary`
+(or a direct feed ticks there), the elapsed windows are closed, the
+registry sampled, alert rules evaluated and health scored, all
+synchronously inside whatever process was already running.  A bus's
+monitor is a fold over its fact log: the derivations of the facts stated
+since the last close are applied to the open window at the close, or
+before any read.  Enabled or disabled, the simulated clock is
+bit-identical (asserted by ``tests/obs/test_monitor.py``).
 
 Window semantics:
 
@@ -43,6 +46,7 @@ validated by :func:`validate_monitor_summary` (wired into
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -68,6 +72,9 @@ __all__ = [
 #: Windows retained per series (older points are dropped).
 RETENTION_WINDOWS = 720
 
+#: The kinds a monitor derivation records into a series of its own.
+_SERIES_KINDS = ("counter", "gauge", "histogram")
+
 #: severity -> health penalty per active alert touching a worker/device
 _SEVERITY_PENALTY = {"critical": 40.0, "warning": 15.0}
 
@@ -75,6 +82,13 @@ _SEVERITY_PENALTY = {"critical": 40.0, "warning": 15.0}
 # ---------------------------------------------------------------------------
 # Time-series store
 # ---------------------------------------------------------------------------
+
+def _window_stats(h: Histogram) -> Dict[str, Any]:
+    """One window's point of a histogram series."""
+    return {"count": h.count, "sum": h.total, "min": h.vmin, "max": h.vmax,
+            "p50": h.percentile(0.50), "p95": h.percentile(0.95),
+            "p99": h.percentile(0.99)}
+
 
 class Series:
     """One labelled time series: sparse ``(window_index, value)`` points.
@@ -121,13 +135,8 @@ class Series:
             return None
         self._open_idx = None
         if self.kind == "histogram":
-            h, self._open_hist = self._open_hist, None
-            value = {
-                "count": h.count, "sum": h.total,
-                "min": h.vmin, "max": h.vmax,
-                "p50": h.percentile(0.50), "p95": h.percentile(0.95),
-                "p99": h.percentile(0.99),
-            }
+            value = _window_stats(self._open_hist)
+            self._open_hist = None
         else:
             value = self._open_val
         self.points.append((idx, value))
@@ -256,36 +265,26 @@ class SLOTracker:
         self._states[slo.name] = _SLOState(slo)
         return slo
 
-    def get(self, name: str) -> Optional[SLObjective]:
-        state = self._states.get(name)
-        return state.slo if state else None
-
-    def objectives(self) -> List[SLObjective]:
-        return [s.slo for s in self._states.values()]
-
     def observe_latency(self, idx: int, name: str, seconds: float) -> None:
         state = self._states.get(name)
-        if state is None or state.slo.kind != "latency":
-            return
-        state.events += 1
-        state.hist.observe(seconds)
-        bad = state.slo.target is not None and seconds > state.slo.target
-        if bad:
-            state.bad += 1
-        self._store.series("slo.events", "counter", slo=name).record(idx, 1)
-        if bad:
-            self._store.series("slo.bad", "counter", slo=name).record(idx, 1)
+        if state is not None and state.slo.kind == "latency":
+            state.hist.observe(seconds)
+            self._count(idx, state, state.slo.target is not None
+                        and seconds > state.slo.target)
 
     def observe_event(self, idx: int, name: str, ok: bool) -> None:
         state = self._states.get(name)
-        if state is None or state.slo.kind != "availability":
-            return
+        if state is not None and state.slo.kind == "availability":
+            self._count(idx, state, not ok)
+
+    def _count(self, idx: int, state: _SLOState, bad: bool) -> None:
         state.events += 1
-        if not ok:
+        self._store.series("slo.events", "counter",
+                           slo=state.slo.name).record(idx, 1)
+        if bad:
             state.bad += 1
-        self._store.series("slo.events", "counter", slo=name).record(idx, 1)
-        if not ok:
-            self._store.series("slo.bad", "counter", slo=name).record(idx, 1)
+            self._store.series("slo.bad", "counter",
+                               slo=state.slo.name).record(idx, 1)
 
     def burn_rate(self, name: str) -> float:
         state = self._states[name]
@@ -437,20 +436,22 @@ class AlertEngine:
     def __init__(self, tracer=None):
         self._tracer = tracer
         self.rules: List[AlertRule] = []
+        #: series name -> [(rule index, rule)]
+        self._by_series: Dict[str, List[Tuple[int, AlertRule]]] = {}
+        #: Series already matched against every rule (when first closed).
+        self._matched: set = set()
         self._states: Dict[Tuple[int, str], _RuleState] = {}
         self.history: List[Alert] = []
 
     def add_rule(self, rule: AlertRule) -> AlertRule:
+        self._by_series.setdefault(rule.series, []).append(
+            (len(self.rules), rule))
         self.rules.append(rule)
+        self._matched.clear()       # every series meets the new rule
         return rule
 
     def active_alerts(self) -> List[Alert]:
         return [a for a in self.history if a.active]
-
-    def _window_value(self, rule: AlertRule, value) -> float:
-        if isinstance(value, dict):
-            return float(value.get(rule.window_field, 0.0))
-        return float(value)
 
     def evaluate(self, idx: int, t_end: float,
                  closed: List[Tuple[Series, Any]]) -> List[Alert]:
@@ -461,13 +462,16 @@ class AlertEngine:
         """
         fired: List[Alert] = []
         closed_by_series = {id(s): v for s, v in closed}
-        # Discover series newly matching a rule.
-        for ri, rule in enumerate(self.rules):
-            for s, _v in closed:
-                if rule.matches(s):
-                    k = (ri, s.key)
-                    if k not in self._states:
-                        self._states[k] = _RuleState(s, rule)
+        # Match each series once, when it first closes; new states join in
+        # rule order, then closing order.
+        new = [s for s, _v in closed if s not in self._matched]
+        self._matched.update(new)
+        for ri, _pos, s in sorted(
+                (ri, pos, s) for pos, s in enumerate(new)
+                for ri, rule in self._by_series.get(s.name, ())
+                if rule.matches(s)):
+            if (ri, s.key) not in self._states:
+                self._states[ri, s.key] = _RuleState(s, self.rules[ri])
         for (ri, _skey), state in self._states.items():
             rule = self.rules[ri]
             raw = closed_by_series.get(id(state.series))
@@ -476,8 +480,10 @@ class AlertEngine:
                 # gauges carry their last value forward.
                 value = (state.last_value
                          if state.series.kind == "gauge" else 0.0)
+            elif isinstance(raw, dict):
+                value = float(raw.get(rule.window_field, 0.0))
             else:
-                value = self._window_value(rule, raw)
+                value = float(raw)
             if rule.predicate == "above":
                 breach = value > rule.threshold
             elif rule.predicate == "below":
@@ -623,9 +629,11 @@ class GMonitor:
 
     Driven entirely by feeds from instrumented call sites — it owns no
     simulation process and never schedules events.  Every feed starts
-    with a :meth:`tick`: when ``env.now`` has crossed into a new window,
+    with a :meth:`tick`: when ``env.now`` has reached :attr:`boundary`,
     all elapsed windows are closed (registry sampled, alerts evaluated,
-    health scored) before the new observation is recorded.
+    health scored) before the new observation is recorded.  On a bus the
+    feeds are the facts' monitor derivations, folded by the bus (see
+    :mod:`repro.obs.bus`); ``_fold`` is the bus's, called before any read.
     """
 
     DEFAULT_RULES = (
@@ -654,6 +662,8 @@ class GMonitor:
         self.alerts = AlertEngine(tracer=tracer)
         self.health = HealthScorer(self.store)
         self._cur = int(env.now / window_s) if env is not None else 0
+        self._set_boundary()
+        self._fold = None
         self._windows_closed = 0
         self._last_counters: Dict[Tuple[str, LabelItems], float] = {}
         self._last_hist: Dict[Tuple[str, LabelItems], Any] = {}
@@ -667,14 +677,30 @@ class GMonitor:
 
     # -- window machinery --------------------------------------------------------
 
-    def _widx(self, t: float) -> int:
-        return int(t / self.window_s)
+    def _set_boundary(self) -> None:
+        """:attr:`boundary`: the least float time whose window index
+        exceeds the open window's — ``now >= boundary`` is exactly
+        ``int(now / window_s) > _cur``, one compare instead of a divide."""
+        ws, cur = self.window_s, self._cur
+        t = (cur + 1) * ws
+        while int(t / ws) <= cur:
+            t = math.nextafter(t, math.inf)
+        while int(math.nextafter(t, -math.inf) / ws) > cur:
+            t = math.nextafter(t, -math.inf)
+        self.boundary = t
+
+    def sync(self) -> None:
+        """Fold the facts stated since the last read (a bus's monitor)."""
+        if self._fold is not None:
+            self._fold()
 
     def tick(self) -> None:
         """Close any windows the simulated clock has moved past."""
-        w = self._widx(self._env.now)
-        if w > self._cur:
-            self._advance(w)
+        if self._fold is not None:
+            self._fold()
+        now = self._env.now
+        if now >= self.boundary:
+            self._advance(int(now / self.window_s))
 
     def _advance(self, target: int) -> None:
         # Registry deltas accrued since the last boundary belong to the
@@ -693,6 +719,7 @@ class GMonitor:
                         self, alert, t_end)
             self._windows_closed += 1
             self._cur += 1
+        self._set_boundary()
 
     def _sample_registry(self, idx: int) -> None:
         if self._registry is None or not self._registry.enabled:
@@ -731,37 +758,38 @@ class GMonitor:
         h.total = m.total - last_total
         h.vmin, h.vmax = m.vmin, m.vmax
         h.bucket_counts = deltas
-        s = self.store.series_items(m.name, "histogram", m.labels)
-        s.set_closed(idx, {
-            "count": dcount, "sum": h.total, "min": h.vmin, "max": h.vmax,
-            "p50": h.percentile(0.50), "p95": h.percentile(0.95),
-            "p99": h.percentile(0.99),
-        })
+        self.store.series_items(m.name, "histogram", m.labels).set_closed(
+            idx, _window_stats(h))
 
     # -- feeds (all tick first) ---------------------------------------------------
 
-    def feed(self, kind: str, name: str, value: Any,
-             labels: LabelItems = ()) -> None:
-        """Fold one observation into the open window, ticking first.
+    def _record(self, kind: str, name: str, value: Any,
+                labels: LabelItems = ()) -> None:
+        """Fold one monitor derivation into the open window (ticked already).
 
         ``kind`` is a series kind (``counter`` / ``gauge`` / ``histogram``),
         ``slo.latency`` / ``slo.event`` (``name`` is the objective,
         ``value`` the seconds / the ok flag), ``health.down`` (the
-        ``worker`` label went down) or ``tick`` (only advance the window
-        clock, so what the registry accrued lands in the right window).
+        ``worker`` label went down) or ``tick`` (only the window clock, so
+        what the registry accrued lands in the right window).
         """
-        self.tick()
-        if kind == "tick":
-            return
-        if kind == "slo.latency":
+        if kind in _SERIES_KINDS:
+            series = self.store._series.get((name, labels))
+            if series is None or series.kind != kind:
+                series = self.store.series_items(name, kind, labels)
+            series.record(self._cur, value)
+        elif kind == "slo.latency":
             self.slo.observe_latency(self._cur, name, value)
         elif kind == "slo.event":
             self.slo.observe_event(self._cur, name, value)
         elif kind == "health.down":
             self.health.worker_down(dict(labels)["worker"])
-        else:
-            self.store.series_items(name, kind, labels).record(
-                self._cur, value)
+
+    def feed(self, kind: str, name: str, value: Any,
+             labels: LabelItems = ()) -> None:
+        """One observation of any :meth:`_record` kind, ticking first."""
+        self.tick()
+        self._record(kind, name, value, labels)
 
     def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         self.tick()
@@ -808,6 +836,7 @@ class GMonitor:
         its predictive policies.  Pure arithmetic over already-closed
         windows; never advances the clock.
         """
+        self.sync()
         out: Dict[str, Dict[str, Any]] = {}
         for s in self.store.all_series():
             if name is not None and s.name != name:
@@ -821,11 +850,13 @@ class GMonitor:
     def set_latency_target(self, target: float,
                            percentile: float = 0.99) -> None:
         """Point the built-in job_latency SLO at a concrete target."""
+        self.sync()
         state = self.slo._states["job_latency"]
         state.slo.target = target
         state.slo.percentile = percentile
 
     def set_availability_target(self, target: float) -> None:
+        self.sync()
         self.slo._states["task_availability"].slo.target = target
 
     # -- finalization / export ---------------------------------------------------
@@ -835,12 +866,15 @@ class GMonitor:
         if self._finalized:
             return
         self._finalized = True
-        self._advance(self._widx(self._env.now) + 1)
+        self.sync()
+        self._advance(int(self._env.now / self.window_s) + 1)
 
     def __len__(self) -> int:
+        self.sync()
         return len(self.store) + len(self.alerts.history)
 
     def summary(self) -> Dict[str, Any]:
+        self.sync()
         doc: Dict[str, Any] = {
             "schema": MONITOR_SCHEMA,
             "window_s": self.window_s,

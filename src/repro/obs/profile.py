@@ -278,9 +278,7 @@ class ProfileTrace:
     def from_tracer(cls, tracer: Any) -> "ProfileTrace":
         """From a live :class:`repro.obs.trace.Tracer` (timestamps already
         in seconds).  Spans share the tracer's ``args`` dicts."""
-        processes = {pid: name for pid, name in tracer._process_names}
-        threads = {(pid, tid): name
-                   for pid, tid, name in tracer._thread_names}
+        processes, threads = tracer.lane_names()
         spans = [PSpan(e.name, e.cat, e.ts, e.dur, e.pid, e.tid,
                        processes.get(e.pid, f"pid{e.pid}"),
                        threads.get((e.pid, e.tid), f"tid{e.tid}"),

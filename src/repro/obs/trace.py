@@ -12,6 +12,18 @@ related *threads* (e.g. process ``worker0-gpu0`` with threads ``kernel``,
 thread.  That is what makes transfer/compute overlap visible: kernel spans
 and copy spans live on separate lanes of the same device process.
 
+Events are drawn when read.  The tracer keeps ``log``, the one fact log of
+the :class:`~repro.obs.bus.Observability` that owns it: a flat list of
+:data:`ROW`-field rows.  A bus fact is ``step, process, thread, t0, t1,
+attrs``, its step saying which lanes it opens and what it draws; the direct
+API (:meth:`Tracer.span`, :meth:`~Tracer.instant`, :meth:`~Tracer.complete`)
+draws the rows logged before its event first, so the event keeps its place
+among the facts.
+Every read — ``events``, ``len``, :meth:`~Tracer.spans`, the Chrome export,
+:meth:`~Tracer.track` — first draws the rows logged since the last one, in
+log order: lanes are numbered in first-use order exactly as if each row had
+been drawn when it was logged.
+
 Disabled tracers are free: :meth:`Tracer.span` returns a shared no-op
 context manager and :meth:`Tracer.instant` returns immediately — no events,
 no allocations that grow with the run, and (because tracing never touches
@@ -22,10 +34,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-__all__ = ["Track", "TraceEvent", "Tracer", "NULL_SPAN", "NULL_TRACK"]
+__all__ = ["Track", "TraceEvent", "Tracer", "NULL_SPAN", "NULL_TRACK", "ROW"]
 
 #: Multiplier from simulated seconds to the microseconds Chrome traces use.
 _US = 1e6
+#: Fields per row of a fact log.
+ROW = 6
 
 
 class Track(NamedTuple):
@@ -102,15 +116,15 @@ class _Span:
         return self
 
     def __enter__(self) -> "_Span":
-        self._t0 = self._tracer.now()
+        self._t0 = self._tracer.env.now
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:
             self.args.setdefault("error", exc_type.__name__)
-        self._tracer._record(TraceEvent(
-            self.name, self.cat, "X", self._t0,
-            self._tracer.now() - self._t0,
+        tracer = self._tracer
+        tracer._record(TraceEvent(
+            self.name, self.cat, "X", self._t0, tracer.env.now - self._t0,
             self.track.pid, self.track.tid, self.args or None))
         return False
 
@@ -146,16 +160,14 @@ class Tracer:
     def __init__(self, env: Any, enabled: bool = False):
         self.env = env
         self.enabled = bool(enabled)
-        self.events: List[TraceEvent] = []
+        #: The rows events are drawn from (see the module docstring).
+        self.log: List[Any] = []
+        self._drawn = 0
+        self._events: List[TraceEvent] = []
         self._pids: Dict[str, int] = {}
         self._tracks: Dict[Tuple[str, str], Track] = {}
         self._process_names: List[Tuple[int, str]] = []
         self._thread_names: List[Tuple[int, int, str]] = []
-
-    # -- clock ----------------------------------------------------------------
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self.env.now
 
     # -- tracks ---------------------------------------------------------------
     def track(self, process: str, thread: str) -> Track:
@@ -166,6 +178,10 @@ class Tracer:
         """
         if not self.enabled:
             return NULL_TRACK
+        self._draw()
+        return self._lane(process, thread)
+
+    def _lane(self, process: str, thread: str) -> Track:
         track = self._tracks.get((process, thread))
         if track is None:
             pid = self._pids.get(process)
@@ -177,6 +193,32 @@ class Tracer:
             self._tracks[process, thread] = track
             self._thread_names.append((pid, track.tid, thread))
         return track
+
+    def _draw(self) -> None:
+        """Draw the rows logged since the last read, in log order."""
+        log = self.log
+        start, end = self._drawn, len(log)
+        if start == end or not self.enabled:
+            return
+        self._drawn = end
+        append, tracks, lane = self._events.append, self._tracks, self._lane
+        rows = iter(log[start:end])
+        for step, process, thread, t0, t1, attrs in zip(*(rows,) * ROW):
+            if process is None:
+                continue
+            for opened in step.opens:
+                lane(process, opened)
+            if thread is None:
+                continue
+            track = tracks.get((process, thread)) or lane(process, thread)
+            if step.cat is not None:
+                hidden = step.hidden
+                args = {k: v for k, v in attrs.items()
+                        if k not in hidden} if hidden else attrs
+                append(TraceEvent(
+                    step.name.format_map(attrs) if step.templated
+                    else step.name, step.cat, step.ph, t0, t1 - t0,
+                    track.pid, track.tid, args or None))
 
     # -- recording -------------------------------------------------------------
     def span(self, name: str, cat: str, track: Track, **args: Any):
@@ -202,9 +244,18 @@ class Tracer:
                                 track.pid, track.tid, args or None))
 
     def _record(self, event: TraceEvent) -> None:
-        self.events.append(event)
+        """Add an event of the direct API after the rows logged before it."""
+        if self._drawn != len(self.log):
+            self._draw()
+        self._events.append(event)
 
     # -- introspection ----------------------------------------------------------
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every event, in the order its row was logged."""
+        self._draw()
+        return self._events
+
     def __len__(self) -> int:
         return len(self.events)
 
@@ -222,8 +273,15 @@ class Tracer:
                 and (cat is None or e.cat == cat)
                 and (name is None or e.name == name)]
 
+    def lane_names(self) -> Tuple[Dict[int, str], Dict[Tuple[int, int], str]]:
+        """``({pid: process}, {(pid, tid): thread})`` of every lane drawn."""
+        self._draw()
+        return (dict(self._process_names),
+                {(pid, tid): name for pid, tid, name in self._thread_names})
+
     def track_names(self) -> Dict[str, List[str]]:
         """Registered lanes: process name -> list of its thread names."""
+        self._draw()
         out: Dict[str, List[str]] = {name: [] for _, name in
                                      self._process_names}
         by_pid = {pid: name for pid, name in self._process_names}
@@ -234,6 +292,7 @@ class Tracer:
     # -- export -----------------------------------------------------------------
     def chrome_events(self) -> List[Dict[str, Any]]:
         """All events as Chrome trace-event objects (metadata first)."""
+        events = self.events
         meta: List[Dict[str, Any]] = []
         for pid, name in self._process_names:
             meta.append({"name": "process_name", "ph": "M", "pid": pid,
@@ -241,7 +300,7 @@ class Tracer:
         for pid, tid, name in self._thread_names:
             meta.append({"name": "thread_name", "ph": "M", "pid": pid,
                          "tid": tid, "args": {"name": name}})
-        return meta + [e.to_chrome() for e in self.events]
+        return meta + [e.to_chrome() for e in events]
 
     def to_chrome(self) -> Dict[str, Any]:
         """The full Chrome JSON document (load in Perfetto / chrome://tracing)."""

@@ -88,6 +88,32 @@ class TestOneSwitch:
         # The read did not happen: its counter is derived `unless` error.
         assert obs.registry.value("hdfs.reads", locality="local") is None
 
+    def test_t0_without_t1_is_the_instant_t0(self):
+        obs = Observability(mock.Mock(now=5.0), tracing=True)
+        obs.emit("h2d", "gpu0", "copy:h2d", 1.0, nbytes=5)
+        obs.emit("cache.probe", "gpu0", "cache", 2.0, outcome="hit")
+        [span] = obs.tracer.spans(name="h2d")
+        [instant] = obs.tracer.instants(name="cache.probe")
+        assert (span.ts, span.dur, instant.ts, instant.dur) \
+            == (1.0, 0.0, 2.0, 0.0)
+        assert obs.registry.value("gpu.pcie.h2d.bytes", device="gpu0") == 5
+
+    def test_t1_before_t0_is_refused(self):
+        obs = Observability(mock.Mock(now=5.0), tracing=True,
+                            monitoring=True)
+        with pytest.raises(ValueError, match="t1 must not precede t0"):
+            obs.emit("backpressure", "w0", "pipeline", 2.0, 1.0, op="o")
+        assert len(obs.tracer) == 0 and len(obs.registry) == 0
+
+    @pytest.mark.parametrize("t0, t1", [(float("nan"), None),
+                                        (1.0, float("nan"))],
+                             ids=["t0", "t1"])
+    def test_nan_times_are_refused(self, t0, t1):
+        obs = Observability(mock.Mock(now=5.0), tracing=True)
+        with pytest.raises(ValueError, match="NaN"):
+            obs.emit("h2d", "gpu0", "copy:h2d", t0, t1, nbytes=5)
+        assert len(obs.tracer) == 0
+
 
 class TestSinksDoNotDependOnTheTracer:
     """(a) same job traced+monitored and monitoring-only."""
@@ -145,13 +171,18 @@ class TestTableCoverage:
     def test_every_row_is_emitted_by_some_job_of_the_suite(self):
         """A handful of small jobs (``run_the_fact_zoo``) reach every row."""
         seen = set()
-        real_apply = Observability._apply
+        real_emit, real_span = Observability.emit, Observability.span
 
-        def recording(self, row, *args, **kwargs):
-            seen.update(key for key, r in FACTS.items() if r is row)
-            return real_apply(self, row, *args, **kwargs)
+        def emit(self, fact, *args, **kwargs):
+            seen.add(fact)
+            return real_emit(self, fact, *args, **kwargs)
 
-        with mock.patch.object(Observability, "_apply", recording):
+        def span(self, fact, *args, **kwargs):
+            seen.add(fact)
+            return real_span(self, fact, *args, **kwargs)
+
+        with mock.patch.object(Observability, "emit", emit), \
+                mock.patch.object(Observability, "span", span):
             run_the_fact_zoo()
         assert set(FACTS) - seen == set()
 
@@ -259,7 +290,7 @@ def killed_mid_stall():
     """(cluster, result, kill time): a worker dies half way through its
     longest backpressure stall of the fault-free run."""
     quiet, _ = wordcount_gpu()
-    names = dict(quiet.obs.tracer._process_names)
+    names, _threads = quiet.obs.tracer.lane_names()
     stall = max(quiet.obs.tracer.spans(name="backpressure"),
                 key=lambda e: e.dur)
     kill_at = stall.ts + stall.dur / 2
