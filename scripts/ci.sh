@@ -6,7 +6,7 @@
 #   scripts/ci.sh --fast   # tier-1 tests + lint only
 #
 # The full run adds: the generated payload-format, exchange, shipping,
-# GWork, stage-loop, keyed-fold, built-in-aggregate and profiler differentials
+# NIC port, GWork, stage-loop, keyed-fold, built-in-aggregate and profiler differentials
 # at full Hypothesis depth,
 # traced wordcount smokes
 # (element-wise and vectorized) with schema validation and profile gates
@@ -39,7 +39,7 @@ echo "== code lines per package (scripts/sloc.py: non-blank, non-comment, non-do
 python scripts/sloc.py
 
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "== generated differentials at full depth: payload formats + exchange + shipping + GWork + stage loop + keyed fold + built-in aggregates + profiler + chaos draw =="
+    echo "== generated differentials at full depth: payload formats + exchange + shipping + NIC port + GWork + stage loop + keyed fold + built-in aggregates + profiler + chaos draw =="
     # Tier-1 caps their Hypothesis examples (tests/flink/conftest.py depth()).
     # The last entry is the property behind hash_bucket's guarantee: a keyed
     # reduce over mixed scalar key types collects the same multiset at
@@ -48,6 +48,7 @@ if [[ "${1:-}" != "--fast" ]]; then
         tests/flink/test_representation_differential.py \
         tests/flink/test_exchange_differential.py \
         tests/flink/test_shipping_differential.py \
+        tests/common/test_port_differential.py \
         tests/core/test_gwork_differential.py \
         tests/flink/test_stage_loop_differential.py \
         tests/flink/test_keyed_fold_differential.py \

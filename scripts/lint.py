@@ -30,7 +30,7 @@ class Lint:
     pattern: str                   #: what must not appear ...
     roots: Tuple[str, ...]         #: ... under these files / directories
     message: str                   #: what to do instead
-    retired_by: str                #: the PR whose parent this trips on
+    retired_by: str                #: the change whose parent this trips on
     seed: Tuple[str, str]          #: (path, line): a violation, for the test
     allowed: Tuple[str, ...] = ()  #: hits matching one of these may stay
     include: Tuple[str, ...] = ("*.py",)
@@ -58,8 +58,8 @@ LINTS = (
     Lint("port requests are awaited in turn, never joined through all_of",
          # all_of over raw resource requests costs a composite event (and a
          # ConditionValue) per wait even when every slot is free; issue the
-         # requests together and yield them one after the other
-         # (common/network.py transfer).
+         # requests together and yield them one after the other.  (A NIC
+         # port is not a Resource: see the port hand-on row.)
          r"all_of\([^)]*(\.request\(|_?req(uest)?s?[],) ])", ("src/repro",),
          "all_of(...) over resource requests in src/ (yield each request "
          "in turn)",
@@ -213,6 +213,17 @@ LINTS = (
          "fold the log)",
          "PR 25", ("src/repro/obs/bus.py",
                    "                monitor.feed(kind, name, value, labels)")),
+    Lint("a NIC port hands itself on — no Resource grant in common/network.py",
+         # A port's hold time is known when the transfer asks for it, so the
+         # release starts the next holder's service in its own step
+         # (common/resources.py Port / serve): one event per transfer.  A
+         # unit Resource woke each waiter through the heap with a grant; the
+         # Resource-based transfer is the oracle in tests/common/retired.py.
+         r"Resource\(|\.request\(\)", ("src/repro/common/network.py",),
+         "a Resource or a request() in common/network.py (claim both NIC "
+         "ports with resources.serve)",
+         "NIC port hand-on", ("src/repro/common/network.py",
+                              "        self.lock = Resource(env, capacity=1)")),
 )
 
 

@@ -4,18 +4,23 @@ The testbed in the paper is a commodity GbE/10GbE cluster; what matters to the
 evaluation is that shuffles and remote HDFS reads cost time proportional to
 bytes moved and queue behind other traffic on the same NIC.  We model each
 node with one full-duplex NIC: an egress port and an ingress port, each a
-unit-capacity :class:`~repro.common.resources.Resource` drained at the
-configured bandwidth.  A transfer holds the sender's egress port and the
-receiver's ingress port for ``bytes / bandwidth`` plus a fixed round-trip
-latency.  Loopback transfers are free except for a small in-memory copy cost.
+:class:`~repro.common.resources.Port` (network links modeled as unit
+servers) drained at the configured bandwidth.  A transfer holds the
+sender's egress port and the receiver's ingress port for a fixed round-trip
+latency plus ``bytes / bandwidth``.  Loopback transfers are free except for
+a small in-memory copy cost.
 
-The two port requests are *issued together, awaited in turn*: both enter
-their queues at the same instant, egress first, and the transfer then waits
-for each in order.  A free port is granted at birth (the zero-wait rule of
-:mod:`repro.common.simclock`) and costs no event; a queued one costs exactly
-its grant.  The ordering statement that goes with it: the transfer resumes
-inside the later grant's own step, not one heap hop later at the same
-timestamp as a composite ``all_of`` wait would.
+A port's hold time is known when the transfer asks for it, so a port hands
+itself on: the transfer joins both queues at the same instant, egress
+first, and its service — one completion event — starts the moment it holds
+both, at birth when both are free, otherwise in the step of the transfer
+that lets go of the last one it lacked.  A cross-node transfer costs
+exactly one event, queued or not.  The ordering statement that goes with
+it: the waiter's service starts in the releaser's step, not one heap hop
+later at the same timestamp as a grant woken through the heap would start
+it.  An interrupt — while queued, at the instant the ports come to it, or
+in service — lets go of both ports at the interrupt instant, and whoever is
+next starts then.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.resources import Resource
+from repro.common.resources import Port, serve
 from repro.common.simclock import Environment, Event
 
 
@@ -45,14 +50,6 @@ class NetworkConfig:
     loopback_bps: float = 8.0e9
 
 
-class _Port:
-    """One direction of a node's NIC."""
-
-    def __init__(self, env: Environment):
-        self.lock = Resource(env, capacity=1)
-        self.bytes_moved = 0
-
-
 class Network:
     """Point-to-point transfers among a fixed set of named nodes."""
 
@@ -62,8 +59,8 @@ class Network:
             raise ConfigError(f"duplicate node names: {node_names}")
         self.env = env
         self.config = config or NetworkConfig()
-        self._egress: Dict[str, _Port] = {n: _Port(env) for n in node_names}
-        self._ingress: Dict[str, _Port] = {n: _Port(env) for n in node_names}
+        self._egress: Dict[str, Port] = {n: Port() for n in node_names}
+        self._ingress: Dict[str, Port] = {n: Port() for n in node_names}
 
     @property
     def nodes(self) -> list[str]:
@@ -73,8 +70,8 @@ class Network:
         """Register a node added after construction (e.g. elastic workers)."""
         if name in self._egress:
             raise ConfigError(f"node {name!r} already registered")
-        self._egress[name] = _Port(self.env)
-        self._ingress[name] = _Port(self.env)
+        self._egress[name] = Port()
+        self._ingress[name] = Port()
 
     def _check(self, src: str, dst: str, nbytes: int) -> None:
         if nbytes < 0:
@@ -113,29 +110,23 @@ class Network:
         self._check(src, dst, nbytes)
         out_port = self._egress[src]
         in_port = self._ingress[dst]
-        # Issued together, egress first, at one instant — every port queue
-        # holds the same requests in the same order whatever is free — and
-        # awaited in turn: a free port costs no event, a queued one exactly
-        # its grant, and the process resumes inside the later grant's step.
-        out_req = out_port.lock.request()
-        in_req = in_port.lock.request()
+        wire_s = nbytes / self.config.bandwidth_bps
+        # Egress then ingress, at one instant — every port queue holds the
+        # same transfers in the same order whatever is free.  Nothing
+        # observes the instant between latency and wire time unless
+        # ``progress`` slices the wire time.
+        done = serve(self.env, out_port, in_port, self.config.latency_s,
+                     wire_s if progress is None else 0.0)
         try:
-            # The waits are inside the try: an interrupt while queued must
-            # release a port already granted and withdraw the other request.
-            yield out_req
-            yield in_req
-            wire_s = nbytes / self.config.bandwidth_bps
-            if progress is None:
-                # Nothing observes the instant between latency and wire time.
-                yield self.env.timeout(self.config.latency_s, then=wire_s)
-            else:
-                yield self.env.timeout(self.config.latency_s)
+            # The wait is inside the try: an interrupt while queued must hand
+            # on a port already held and withdraw the other claim.
+            yield done
+            if progress is not None:
                 yield from self._charge(wire_s, nbytes, progress)
             out_port.bytes_moved += nbytes
             in_port.bytes_moved += nbytes
         finally:
-            out_port.lock.release(out_req)
-            in_port.lock.release(in_req)
+            done.release()
 
     def _charge(self, seconds: float, nbytes: int,
                 progress: Optional[
@@ -145,7 +136,10 @@ class Network:
         byte ``marks`` with ``callback(cum)`` fired at each."""
         if progress is None or nbytes <= 0:
             yield self.env.timeout(seconds)
-            return
+            if progress is None:
+                return
+            # An empty transfer still reports every mark, clamped to 0.0 by
+            # the loop below, as a disk read of an empty block does.
         marks, callback = progress
         done = 0.0
         for cum in marks:

@@ -1,13 +1,17 @@
 """Shared-resource primitives for the simulation kernel.
 
-* :class:`Resource` — ``capacity`` interchangeable servers (CPU slots, DMA
-  copy engines, network links modeled as unit servers).
+* :class:`Resource` — ``capacity`` interchangeable servers whose holders do
+  not say how long they stay (CPU slots, disk spindles, GPU engines).
+* :class:`Port` — a FIFO unit server whose holder states its hold time when
+  it asks (one direction of a NIC: network links modeled as unit servers).
 * :class:`Store` — an unbounded-or-bounded FIFO buffer of Python objects
   (work queues, mailboxes).
 
-All follow the SimPy convention: ``request()`` / ``get()`` / ``put()`` return
-events to ``yield`` on, and requests act as context managers that release on
-exit.
+``Resource`` and ``Store`` follow the SimPy convention: ``request()`` /
+``get()`` / ``put()`` return events to ``yield`` on, and requests act as
+context managers that release on exit.  A port is claimed in pairs by
+:func:`serve`, which returns the service's completion; the claimant yields
+it and lets go with :meth:`Service.release`.
 
 Zero-wait rule (see :mod:`repro.common.simclock`): an event satisfiable when
 created is processed at birth; the creating process runs on within the same
@@ -19,10 +23,22 @@ entry.  A request that had to queue, and a putter or getter that had to
 block, is granted later by ``succeed`` — one heap entry, delivered in request
 order.
 
+A port has no grant to deliver: its holder's hold time is known when it
+asks, so the completion *is* the service.  :func:`serve` joins both ports
+at one instant, first then second; a claim that holds both at once pushes
+its completion at ``(now + delay) + then`` — the left fold of a fused
+timeout — and one that queued is started by :meth:`Service.release` of the
+claim ahead of it, in the releaser's step, at the releaser's instant.  A
+cross-node transfer therefore costs exactly one event, queued or not.  The
+ordering statement that goes with it: the waiter's service starts in the
+releaser's step, not one heap hop later at the same timestamp as a grant
+through the heap would start it.
+
 An event is born in the function that hands it out: ``Resource.request``,
-``Store.put`` and ``Store.get`` allocate it, write its slots (processed or
-pending) and return it in one frame, and ``Resource.release`` pushes the next
-waiter's grant on the heap itself.  :class:`Request`, :class:`StorePut` and
+``serve``, ``Store.put`` and ``Store.get`` allocate it, write its slots
+(processed or pending) and return it in one frame, and ``Resource.release``
+/ ``Service.release`` push the next waiter's grant or completion on the
+heap themselves.  :class:`Request`, :class:`Service`, :class:`StorePut` and
 :class:`StoreGet` therefore define no ``__init__``; this module and
 ``simclock.py`` are the only writers of the event slots.
 """
@@ -122,6 +138,94 @@ class Resource:
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
         return len(self._queue)
+
+
+class Port:
+    """A FIFO unit server whose holder states its hold time when it asks.
+
+    ``holder`` is the :class:`Service` being served (``None`` when free),
+    ``queue`` the claims waiting in arrival order, ``bytes_moved`` what its
+    owner has put through it.
+    """
+
+    __slots__ = ("holder", "queue", "bytes_moved")
+
+    def __init__(self) -> None:
+        self.holder: Service | None = None
+        self.queue: Deque[Service] = deque()
+        self.bytes_moved = 0
+
+
+class Service(Event):
+    """The completion of one service on a pair of :class:`Port` s (built by
+    :func:`serve`); pending until it holds both, then scheduled."""
+
+    __slots__ = ("first", "second", "_waits", "_delay", "_then")
+
+    def release(self) -> None:
+        """Let go of both ports (idempotent, for ``finally`` blocks).
+
+        A held port passes to the head of its queue; a claim that now holds
+        both starts its service here, at this instant.  A claim of ours
+        still queued is withdrawn.  A completion already scheduled fires
+        later with no waiter, like any orphaned timeout.
+        """
+        for port in (self.first, self.second):
+            if port.holder is not self:
+                try:
+                    port.queue.remove(self)
+                except ValueError:
+                    pass
+                continue
+            queue = port.queue
+            if not queue:
+                port.holder = None
+                continue
+            port.holder = successor = queue.popleft()
+            successor._waits = waits = successor._waits - 1
+            if not waits:
+                successor._value = None
+                env = successor.env
+                env._seq = seq = env._seq + 1
+                heappush(env._heap, ((env._now + successor._delay)
+                                     + successor._then, NORMAL, seq,
+                                     successor))
+
+
+def serve(env: Environment, first: Port, second: Port, delay: float,
+          then: float = 0.0) -> Service:
+    """Claim ``first`` then ``second`` at this instant for ``delay`` plus
+    ``then`` seconds; the returned event fires at ``(start + delay) +
+    then``, where ``start`` is the instant the claim holds both ports."""
+    # ``not (d >= 0)`` rather than ``d < 0``: NaN fails it as well.
+    if not (delay >= 0 and then >= 0):
+        raise ValueError(f"negative or NaN hold time: {delay!r}, {then!r}")
+    service = _new(Service)
+    service.env = env
+    service.callbacks = []
+    service._ok = True
+    service._defused = False
+    service.first = first
+    service.second = second
+    service._delay = delay
+    service._then = then
+    waits = 0
+    for port in (first, second):
+        if port.holder is None:
+            port.holder = service
+        else:
+            port.queue.append(service)
+            waits += 1
+    service._waits = waits
+    if waits:
+        service._value = _PENDING
+    else:
+        # Both free: the service starts now, one heap entry at its end.
+        service._value = None
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, ((env._now + delay) + then, NORMAL, seq,
+                             service))
+    return service
 
 
 class StorePut(Event):

@@ -44,11 +44,11 @@ them are collected and fired as one fused event
 (:mod:`repro.common.simclock` "Fused charges": the left fold, bit for bit
 the instant separate timeouts reach) only where the sender must wait for
 something else — the NIC ports of a cross-node transfer, a spill — and once
-at the end.  A shipped bucket thus costs the host two events (one flush,
-one wire time) plus the port grants it really queued for; those grants —
-about two per cross-node bucket at paper scale, since every sender walks
-the destinations in the same order and queues on the same ingress port —
-are the model and stay.  The ordering statement that goes with it: a
+at the end.  A cross-node bucket thus costs the host two events: one
+flush and its transfer's port service, queued or not — every sender walks
+the destinations in the same order and queues on the same ingress port,
+and a NIC port hands itself on to the next in line
+(:mod:`repro.common.network`).  The ordering statement that goes with it: a
 sender keeps the heap position of the moment its chain of charges began,
 not of the moment its last separate charge would have been created.  Every
 sender reaches every wait at the same instant as before; only when two

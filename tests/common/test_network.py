@@ -7,6 +7,7 @@ import pytest
 from repro.common import Environment
 from repro.common.errors import ConfigError
 from repro.common.network import Network, NetworkConfig
+from repro.common.resources import Port, serve
 from tests.common.test_zero_wait_events import counting_steps
 
 
@@ -94,9 +95,10 @@ class TestNetwork:
         with pytest.raises(ConfigError):
             net.loopback_s("zz", 10)
 
-    def test_free_ports_cost_no_event_and_a_queued_one_its_grant(self, env,
+    def test_a_transfer_costs_one_event_whether_it_queued_or_not(self, env,
                                                                  net):
-        """Requests issued together, awaited in turn: no composite event."""
+        """A port hands itself on: no grant through the heap, no composite
+        event — the completion of the transfer's service is its one event."""
         def steps(*routes):
             for src, dst in routes:
                 env.process(net.transfer(src, dst, 1000))
@@ -104,12 +106,11 @@ class TestNetwork:
                 env.run()
             return fired
 
-        alone = Counter(Initialize=1, Timeout=1, Process=1)
+        alone = Counter(Initialize=1, Service=1, Process=1)
         assert steps(("a", "b")) == alone
-        # The second queues on b's ingress port: one grant more, and it
-        # already holds its egress port while it waits.
-        assert steps(("a", "b"), ("c", "b")) == alone + alone + Counter(
-            Request=1)
+        # The second queues on b's ingress port, already holding its egress
+        # port while it waits: it costs what the first costs.
+        assert steps(("a", "b"), ("c", "b")) == alone + alone
 
     def test_add_node(self, env, net):
         net.add_node("d")
@@ -118,56 +119,75 @@ class TestNetwork:
         with pytest.raises(ConfigError):
             net.add_node("d")
 
-    @pytest.mark.parametrize("position", ["egress", "ingress", "instant"])
+    @pytest.mark.parametrize("position",
+                             ["egress", "ingress", "instant", "in-service"])
     def test_interrupt_while_waiting_for_ports_releases_them(self, env, net,
                                                              position):
-        """A transfer interrupted while queued for a port must hand back the
-        port it was already granted and withdraw the request still queued —
-        at either of its two waits: queued on egress with ingress already
-        granted, granted egress and queued on ingress, and at the very
-        instant of the second grant (issued, not yet delivered)."""
+        """An interrupted transfer lets go of both ports at the interrupt
+        instant: it hands on the port it holds and withdraws the claim still
+        queued — queued on egress holding ingress, holding egress and queued
+        on ingress, at the very instant the second port came to it (its
+        service started in the releaser's step), and in service.  Whatever
+        queued behind it and now holds both ports starts at that instant."""
         from repro.common.errors import InterruptError
         finished = []
-        out_a, in_b = net._egress["a"].lock, net._ingress["b"].lock
-        held = out_a if position == "egress" else in_b
+        out_a, in_b = net._egress["a"], net._ingress["b"]
+        held = {"egress": out_a, "ingress": in_b, "instant": in_b}.get(position)
         # The holder lets go at the instant of the interrupt, just ahead of
         # it, or long after it.
         hold_s = 0.1 if position == "instant" else 1.0
 
         def holder():
-            with held.request() as grant:
-                yield grant
-                yield env.timeout(hold_s)
+            # One port held alone: its partner is a port nobody else uses.
+            claim = serve(env, held, Port(), hold_s)
+            try:
+                yield claim
+            finally:
+                claim.release()
 
         def doomed():
             try:
-                yield from net.transfer("a", "b", 1000)
+                yield from net.transfer(
+                    "a", "b", 10**9 if position == "in-service" else 1000)
             except InterruptError:
                 finished.append(("doomed-interrupted", env.now))
 
-        def killer(victim):
+        def killer(victim, follower):
             yield env.timeout(0.1)
-            waiting_for = victim._target
-            assert (out_a.count, out_a.queue_length,
-                    in_b.count, in_b.queue_length) == {
-                "egress": (1, 1, 1, 0), "ingress": (1, 0, 1, 1),
-                "instant": (1, 0, 1, 0)}[position]
-            assert waiting_for.resource is held
-            assert waiting_for.triggered == (position == "instant")
-            assert not waiting_for.processed
+            claim, behind = victim._target, follower._target
+            assert (out_a.holder is claim, list(out_a.queue),
+                    in_b.holder is claim, list(in_b.queue)) == {
+                "egress": (False, [claim, behind], True, [behind]),
+                "ingress": (True, [behind], False, [claim, behind]),
+                "instant": (True, [behind], True, [behind]),
+                "in-service": (True, [behind], True, [behind]),
+            }[position]
+            assert claim.triggered == (position in ("instant", "in-service"))
+            assert not claim.processed
             victim.interrupt("worker died")
+
+        def successor():
+            yield env.timeout(0.05)
+            yield from net.transfer("a", "b", 1000)
+            finished.append(("successor", env.now))
 
         def later():
             yield env.timeout(1.5)
             yield from net.transfer("a", "b", 1000)
             finished.append(("later", env.now))
 
-        env.process(holder())
+        if held is not None:
+            env.process(holder())
         victim = env.process(doomed())
-        env.process(killer(victim))
+        follower = env.process(successor())
+        env.process(killer(victim, follower))
         env.process(later())
         env.run()
+        # The successor starts when it holds both ports: at the interrupt
+        # instant, or when the holder lets go of the one it lacks.
+        start = 1.0 if position in ("egress", "ingress") else 0.1
         assert finished == [("doomed-interrupted", 0.1),
-                            ("later", pytest.approx(1.5 + 1e-4 + 1e-6))]
+                            ("successor", (start + 1e-4) + 1e-6),
+                            ("later", (1.5 + 1e-4) + 1e-6)]
         for port in (*net._egress.values(), *net._ingress.values()):
-            assert port.lock.count == 0 and port.lock.queue_length == 0
+            assert port.holder is None and not port.queue

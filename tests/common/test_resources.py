@@ -1,9 +1,10 @@
-"""Unit tests for Resource / Store."""
+"""Unit tests for Resource / Port / Store."""
 
 import pytest
 
 from repro.common import Environment, Resource, Store
 from repro.common.errors import ResourceError
+from repro.common.resources import Port, serve
 
 
 @pytest.fixture
@@ -113,6 +114,53 @@ class TestResource:
         for r in reqs:
             res.release(r)
         assert res.count == 0
+
+
+class TestPort:
+    def test_free_pair_starts_at_birth_and_fires_at_the_left_fold(self):
+        env = Environment(initial_time=0.1)
+        a, b = Port(), Port()
+        done = serve(env, a, b, 0.2, 0.3)
+        assert (a.holder, b.holder) == (done, done)
+        assert done.triggered and not done.processed
+        assert env.peek() == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+    def test_release_hands_each_port_to_the_head_of_its_queue(self, env):
+        a, b, c = Port(), Port(), Port()
+        first = serve(env, a, b, 1.0)
+        waiter = serve(env, a, c, 1.0)   # holds c, queued on a
+        behind = serve(env, c, b, 1.0)   # queued on c and on b
+        assert not waiter.triggered and list(a.queue) == [waiter]
+        first.release()
+        # a goes to the waiter, which now holds both and starts at once;
+        # b goes to the claim behind it, which still lacks c.
+        assert (a.holder, b.holder, c.holder) == (waiter, behind, waiter)
+        assert waiter.triggered and not behind.triggered
+        assert env.peek() == 1.0
+        first.release()                  # idempotent
+        waiter.release()
+        assert behind.triggered and c.holder is behind and not a.queue
+        assert a.holder is None
+
+    def test_a_queued_claim_is_withdrawn(self, env):
+        a, b = Port(), Port()
+        first = serve(env, a, b, 1.0)
+        queued = serve(env, a, b, 1.0)
+        queued.release()
+        assert not a.queue and not b.queue and a.holder is first
+        first.release()
+        assert a.holder is None and b.holder is None
+        assert env.peek() == 1.0         # only the first service was started
+
+    @pytest.mark.parametrize("delay, then", [(-1.0, 0.0), (0.0, -1e-9),
+                                             (float("nan"), 0.0),
+                                             (1.0, float("nan"))])
+    def test_bad_hold_time_is_rejected_before_joining(self, env, delay, then):
+        a, b = Port(), Port()
+        with pytest.raises(ValueError):
+            serve(env, a, b, delay, then)
+        assert a.holder is None and b.holder is None
+        assert env.peek() == float("inf")
 
 
 class TestStore:

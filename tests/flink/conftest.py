@@ -48,11 +48,11 @@ def depth(tier1, full):
 
 def assert_ports_free(network):
     """Network conservation once the work is over, faults and membership
-    changes included: no NIC port still held, no request still queued."""
+    changes included: no NIC port still held, no claim still queued."""
     for ports in (network._egress, network._ingress):
         for node, port in ports.items():
-            assert port.lock.count == 0, f"{node}: port still held"
-            assert port.lock.queue_length == 0, f"{node}: request queued"
+            assert port.holder is None, f"{node}: port still held"
+            assert not port.queue, f"{node}: claim queued"
 
 
 @contextmanager

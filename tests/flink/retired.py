@@ -27,7 +27,6 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.common.network import Network
 from repro.common.simclock import Event
 from repro.flink.iterators import (apply_reduce, group_elements,
                                    is_vectorized)
@@ -37,6 +36,7 @@ from repro.flink.payload import (bucket_plan, group_plan, key_column,
 from repro.flink.plan import (DistinctOp, Operator, ShipStrategy,
                               _ElementWise)
 from repro.flink.shuffle import COUNT_COMBINER, Exchange, hash_bucket
+from tests.common.retired import TurnNetwork
 
 
 # -- three length functions ----------------------------------------------------
@@ -389,10 +389,11 @@ class PerChargeExchange(Exchange):
             self.bytes_zero_copy += nbytes
 
 
-class AllOfNetwork(Network):
+class AllOfNetwork(TurnNetwork):
     """A :class:`Network` whose ``transfer`` joins its two port requests
     through ``all_of``: one composite event (and one ``ConditionValue``) per
-    cross-node transfer, free ports or not."""
+    cross-node transfer, free ports or not.  Its ports are the unit
+    ``Resource`` s of :class:`tests.common.retired.TurnNetwork`."""
 
     def transfer(self, src: str, dst: str, nbytes: int,
                  progress: Optional[

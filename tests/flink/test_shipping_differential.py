@@ -1,11 +1,12 @@
-"""One sender loop and a sequential port wait against the shipping they replaced.
+"""One sender loop and a self-handing port against the shipping they replaced.
 
 ``Exchange._send`` carries every charge it has not fired into the next thing
-the sender must wait for, and ``Network.transfer`` awaits its two port
-requests in turn.  The code they replaced — ``_send_buckets`` /
-``_broadcast_one`` / ``_ship_payload`` (a timeout per serde charge, loopback
-included) and the ``all_of``-based ``transfer``, verbatim in
-``tests/flink/retired.py`` — is the oracle, over every strategy x price
+the sender must wait for, and ``Network.transfer`` claims two ports that
+hand themselves on (one event per transfer).  The code they replaced —
+``_send_buckets`` / ``_broadcast_one`` / ``_ship_payload`` (a timeout per
+serde charge, loopback included) and the ``all_of``-based ``transfer`` over
+unit ``Resource`` ports, verbatim in ``tests/flink/retired.py`` — is the
+oracle, over every strategy x price
 list x spill x ``only_consumers`` x worker layout x cost table, alone or
 beside other exchanges and HDFS traffic on the same network.  In the style
 of ``tests/common/test_zero_wait_events.py`` there are two regimes:
@@ -320,12 +321,14 @@ class TestOneSenderLoopEqualsTheShippingItReplaced:
                 run_case(classes, case)
         # 3 senders x 3 buckets, one of each sender's a loopback.  Retired:
         # serialize, wire or memcpy, deserialize — 3 timeouts a bucket.  The
-        # loop: a flush and a wire timeout per cross-node bucket and one
-        # flush at the end.  (+ 1: the driver's start delay.)
+        # loop: a flush per cross-node bucket and one at the end, and the
+        # port service of each cross-node bucket.  (+ 1: the driver's start
+        # delay.)
         assert (fired[RETIRED]["AllOf[requests]"],
                 fired[NEW]["AllOf[requests]"]) == (6, 0)
         assert fired[RETIRED]["Timeout"] == 3 * 3 * 3 + 1
-        assert fired[NEW]["Timeout"] == 3 * (2 * 2 + 1) + 1
+        assert (fired[NEW]["Timeout"], fired[NEW]["Service"]) \
+            == (3 * (2 + 1) + 1, 3 * 2)
 
 
 class TestExactTies:
@@ -337,7 +340,8 @@ class TestExactTies:
     created, so which of two *tied* senders is granted the port first can
     differ from the retired path's.  Their instants then trade places; what
     the exchange moved, and when an exchange running alone ends, do not
-    change.  (The sequential port wait alone moves nothing, ties or not.)
+    change.  (The port that hands itself on moves nothing by itself, ties
+    or not: ``test_sequential_port_wait_alone_preserves_every_tie``.)
     """
 
     def test_tied_senders_may_trade_places_but_the_exchange_ends_alike(self):

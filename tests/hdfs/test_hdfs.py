@@ -152,6 +152,26 @@ class TestHDFSFacade:
         # Remote pays disk (1s) + wire (0.1s at 1 GB/s for 100 MB).
         assert remote_time == pytest.approx(local_time + 0.1)
 
+    def test_empty_block_reports_progress_alike_local_or_remote(self, env,
+                                                                net):
+        """A zero-byte block fires every progress mark at 0.0 whether the
+        replica is on the reading node (disk) or not (disk, then wire)."""
+        fs = HDFS(env, NODES, net, replication=1,
+                  disk=DiskConfig(read_bps=100e6, write_bps=100e6, seek_s=0.0))
+        run(env, fs.write("/empty", [("", 0)], writer_node="node0"))
+        block = fs.locate("/empty")[0]
+        seen = {}
+        for at_node in ("node0", "node2"):
+            seen[at_node] = []
+            run(env, fs.read_block(block, at_node,
+                                   progress=([0, 5, 10], seen[at_node].append)))
+        assert seen["node0"] == seen["node2"] == [0.0, 0.0, 0.0]
+        # ... and so does a bare transfer, over the wire or on loopback.
+        for dst in ("node1", "node0"):
+            wire = []
+            run(env, net.transfer("node0", dst, 0, ([0.0, 3.0], wire.append)))
+            assert wire == [0.0, 0.0]
+
     def test_delete_removes_replicas(self, env, fs):
         run(env, fs.write("/d", [("x", 10)]))
         block = fs.locate("/d")[0]
