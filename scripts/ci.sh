@@ -5,9 +5,11 @@
 #   scripts/ci.sh          # everything below
 #   scripts/ci.sh --fast   # tier-1 tests + lint only
 #
-# The full run adds: the generated payload-format, exchange, shipping,
-# NIC port, GWork, stage-loop, keyed-fold, built-in-aggregate and profiler differentials
-# at full Hypothesis depth,
+# The full run adds, at full Hypothesis depth: the generated plans against
+# the reference interpreter (tests/reference: every plan on the whole
+# cpu/gpu/fallback x parallelism x payload x cache x faults matrix), and the
+# payload-format, exchange, shipping, NIC port, GWork, stage-loop,
+# keyed-fold, built-in-aggregate and profiler checks,
 # traced wordcount smokes
 # (element-wise and vectorized) with schema validation and profile gates
 # against the committed baselines in traces/ (cross-checked against their
@@ -39,12 +41,13 @@ echo "== code lines per package (scripts/sloc.py: non-blank, non-comment, non-do
 python scripts/sloc.py
 
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "== generated differentials at full depth: payload formats + exchange + shipping + NIC port + GWork + stage loop + keyed fold + built-in aggregates + profiler + chaos draw =="
+    echo "== generated checks at full depth: plans vs the reference + payload formats + exchange + shipping + NIC port + GWork + stage loop + keyed fold + built-in aggregates + profiler + chaos draw =="
     # Tier-1 caps their Hypothesis examples (tests/flink/conftest.py depth()).
     # The last entry is the property behind hash_bucket's guarantee: a keyed
     # reduce over mixed scalar key types collects the same multiset at
     # parallelism 1, 2 and 5.
     REPRO_FULL_DEPTH=1 python -m pytest -q \
+        tests/reference/ \
         tests/flink/test_representation_differential.py \
         tests/flink/test_exchange_differential.py \
         tests/flink/test_shipping_differential.py \

@@ -39,6 +39,12 @@ class Lint:
     exactly_once: Tuple[str, ...] = ()
 
 
+#: What the reference interpreter may import from ``repro``: the operator
+#: classes it dispatches on, the kernel registry and ``is_vectorized``.
+REFERENCE_IMPORTS = (r"from repro\.(flink\.plan|core\.gdst|flink\.optimizer"
+                     r"|gpu\.kernel) import |from repro\.flink\.iterators "
+                     r"import is_vectorized$")
+
 LINTS = (
     Lint("cache-region table is private to gmemory.py/repro.obs",
          r"(^|[^a-zA-Z0-9_])_regions\b", ("src/repro",),
@@ -107,7 +113,7 @@ LINTS = (
     Lint("one subtask body — a kernel chain of one, not a second copy",
          # core/gdst.py builds every GPU map-partition GWork in one
          # _build_gwork and scales every output in one _output_scale (the
-         # retired copies are test oracles in tests/core/retired.py).
+         # reference, tests/reference/interp.py, says what it must compute).
          r"^\s*def (_build_gwork|_output_scale)\(", ("src/repro/core/gdst.py",),
          "core/gdst.py must define _build_gwork and _output_scale exactly "
          "once each",
@@ -118,8 +124,9 @@ LINTS = (
          "src/repro/flink",
          # An element (key_fn, reduce_fn) pair is one fold_by_key pass
          # (flink/iterators.py); materialising every group and folding each
-         # with apply_reduce in a second pass is the retired composition and
-         # lives only in tests/flink/retired.py.
+         # with apply_reduce in a second pass is the retired composition;
+         # the reference's keyed reduce (tests/reference/interp.py) is the
+         # oracle.
          r"apply_reduce\(members|apply_reduce\([^)]*\)\s+for\s.*\.values\(\)",
          ("src/repro/flink",),
          "per-group apply_reduce under src/repro/flink (use "
@@ -173,8 +180,7 @@ LINTS = (
          "handed",
          # pagerank-tuples / cc-tuples / wordcount-tuples built one tuple
          # per partial row so an element pair could walk them; the built-in
-         # pair (flink/iterators.py field / field_sum) takes the block, and
-         # the lift is the oracle in tests/flink/retired.py.
+         # pair (flink/iterators.py field / field_sum) takes the block.
          r"block_tuples", ("src",),
          "block_tuples under src/ (hand the block to group_by(0).sum(1); "
          "payload.to_tuples lowers a keyed stage's output)",
@@ -224,6 +230,27 @@ LINTS = (
          "ports with resources.serve)",
          "NIC port hand-on", ("src/repro/common/network.py",
                               "        self.lock = Resource(env, capacity=1)")),
+    Lint("one oracle for answers — no frozen engine copy under tests/",
+         # The value halves of tests/flink/retired.py and tests/core/retired.py
+         # are gone: tests hold answers to tests/reference/interp.py.
+         r"^\s*(from|import)\s+tests\.(flink|core)"
+         r"(\.retired\b|\s+import\s.*\bretired\b)",
+         ("src", "tests", "benchmarks", "examples", "scripts"),
+         "an import of a retired engine copy (hold the answer to "
+         "tests/reference/interp.py)",
+         "reference interpreter",
+         ("tests/flink/test_payload.py", "from tests.flink import retired")),
+    Lint("the reference imports only what it dispatches on",
+         # No Environment, partition, price or clock: the operator classes,
+         # the kernel registry and is_vectorized, nothing else of repro.
+         r"^\s*(import\s+repro|from\s+repro\b)",
+         ("tests/reference/interp.py",),
+         "tests/reference/interp.py imports from repro beyond the operator "
+         "classes, the kernel registry and is_vectorized",
+         "reference interpreter",
+         ("tests/reference/interp.py",
+          "from repro.flink.payload import to_block"),
+         allowed=(r"^tests/reference/interp\.py:\d+:" + REFERENCE_IMPORTS,)),
 )
 
 

@@ -47,11 +47,6 @@ class FlinkConfig:
     All times in seconds, sizes in bytes, rates in bytes or FLOPs per second.
     """
 
-    # Flink manages memory in fixed-size pages; GFlink's block is one page
-    # (§5.1 of the paper) — the page is modelled as the block quantum, not as
-    # an allocator.
-    page_size: int = 32 * 1024
-
     # Iterator execution model: per-element virtual-call + iterator overhead.
     element_overhead_s: float = 120e-9
 
@@ -154,8 +149,6 @@ class FlinkConfig:
     pipeline_block_nbytes: float = 8 * 2**20
 
     def __post_init__(self) -> None:
-        if self.page_size <= 0:
-            raise ConfigError("page_size must be positive")
         if self.serde_bps <= 0 or self.heap_copy_bps <= 0:
             raise ConfigError("bandwidths must be positive")
         if self.pipeline_queue_blocks < 1:

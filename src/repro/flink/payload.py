@@ -180,6 +180,17 @@ def with_field(row: Any, index: int, value: Any) -> Any:
     return out
 
 
+def row_value(row: Any) -> Any:
+    """A row as the hashable value it holds — ``distinct()``'s default key:
+    a block row (a 1-D view of a 2-D block or a GStruct record) is the
+    tuple of its fields as Python scalars, so a row list, a 2-D block and a
+    GStruct block of the same rows deduplicate alike; any other row is
+    itself."""
+    if isinstance(row, (np.ndarray, np.void)):
+        return tuple(row.tolist())
+    return row
+
+
 def rows_like(payload: Any, rows: List[Any]) -> Any:
     """``rows`` in ``payload``'s format: stacked if ``payload`` is a block."""
     return np.array(rows) if is_block(payload) else rows

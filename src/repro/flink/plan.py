@@ -27,7 +27,8 @@ from repro.flink.iterators import (
     is_vectorized,
 )
 from repro.flink.partition import Partition
-from repro.flink.payload import concat, real_len, sort_rows, to_tuples
+from repro.flink.payload import (concat, real_len, row_value, sort_rows,
+                                 to_tuples)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flink.jobmanager import TaskContext
@@ -608,14 +609,15 @@ def _keep_first(first: Any, later: Any) -> Any:
 
 
 class DistinctOp(Operator):
-    """``distinct``: deduplicate by key (hash shuffle + per-key pick-first)."""
+    """``distinct``: deduplicate by key (hash shuffle + per-key pick-first);
+    without one, by the row's value (:func:`~repro.flink.payload.row_value`)."""
 
     def __init__(self, source: Operator, key_fn: Optional[Callable] = None,
                  cost: OpCost = OpCost(), parallelism: Optional[int] = None,
                  name: str = "distinct"):
         super().__init__(name, [source], parallelism,
                          [ShipStrategy.HASH], cost)
-        self.key_fn = key_fn or (lambda x: x)
+        self.key_fn = key_fn or row_value
 
     def key_fn_for_input(self, i):
         return self.key_fn

@@ -6,8 +6,9 @@ direction of a NIC was a ``Resource(capacity=1)`` and
 and awaited them in turn: a queued request was granted through the heap and
 the transfer then charged latency and wire time as one fused timeout.
 :class:`TurnNetwork` is that transfer, verbatim; ``test_port_differential.py``
-holds the port to it, and ``tests/flink/retired.py::AllOfNetwork`` (the
-``all_of`` join before it) builds on its ports.  Nothing under ``src/`` may
+holds the port to it, and ``AllOfNetwork`` in
+``tests/flink/test_shipping_differential.py`` (the ``all_of`` join before
+it) builds on its ports.  Nothing under ``src/`` may
 import this module.
 """
 

@@ -1,17 +1,15 @@
-"""One GPU subtask body, held to the two it replaced.
+"""One GPU subtask body, held to the reference.
 
 ``repro.core.gdst`` has a single ``execute_subtask`` / ``_build_gwork`` /
 ``_output_scale`` / ``out_element_nbytes`` for every GPU map-partition
-operator — a single kernel is the chain of one.  The retired single-kernel
-and chain bodies live on verbatim in ``tests/core/retired.py``; every case
-here runs the same plan node twice, once through each, on two identically
-built clusters, and compares
-
-* every GWork submitted, field by field (``as_read``),
-* every output partition (index, payload, element size, scale, home),
-* the job's value, its metrics, the device counters, the final clock and
-  the exported trace (``cache.probe`` operands, ``gwork:*`` names, every
-  copy and kernel window).
+operator — a single kernel is the chain of one.  Every case runs its plan
+node twice on a fresh cluster (the second submission meets what the first
+left in the cache region) and holds each subtask's output to the
+reference (:func:`tests.reference.interp.kernels`): the chain's kernel
+bodies over the subtask's input partition.  A reduce-style tail emits one
+partial per device block, so there the partials' sum is compared.  (The
+test names are kept from when the retired single-kernel and chain bodies
+were the oracle.)
 
 Axes: chain length 1-4, the four ``scale_semantics`` on every member, cache
 on/off with and without an explicit ``cache_key_base``, secondary operands
@@ -23,28 +21,26 @@ CPU degradation.  Tier-1 runs the sweep and a few generated cases;
 ``scripts/ci.sh`` runs the generator at full depth (``REPRO_FULL_DEPTH=1``).
 """
 
-import dataclasses
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.core.channels import CommMode
 from repro.core.gdst import (GDST, ExtraInput, FusedGpuOp,
                              GpuMapPartitionOp)
-from repro.core.gpumanager import GPUManager, GPUManagerConfig
-from repro.core.gstream import GStream
+from repro.core.gpumanager import GPUManagerConfig
 from repro.core.gstruct import DataLayout
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.flink.chaos import ChaosSchedule, values_equal
 from repro.flink.plan import CollectionSource, HdfsSource
 from repro.gpu import KernelSpec
-from tests.core.retired import retired_twin
 from tests.flink.conftest import depth
+from tests.reference.interp import Bag, kernels
 
 APP = "differential"
 
@@ -122,8 +118,9 @@ def build_op(case: Case):
 
 
 def run_case(case: Case, op):
-    """Two jobs over the plan node ``op`` on a fresh cluster; everything an
-    observer could tell the two bodies apart by."""
+    """Two jobs over the plan node ``op`` on a fresh cluster: every
+    subtask's input and output partition, the cluster's probes of the
+    cache, and the kernel registry."""
     cluster = GFlinkCluster(
         ClusterConfig(n_workers=1, cpu=CPUSpec(cores=2),
                       gpus_per_worker=("c2050",),
@@ -142,113 +139,48 @@ def run_case(case: Case, op):
         cluster.load_hdfs_file("/in", [
             (half, int(len(half) * case.scale * 8)) for half in
             np.array_split(np.arange(case.n, dtype=np.float64), 2)])
-
-    works, partitions = [], []
-    submit = GPUManager.submit
+    subtasks = []
     body = op.execute_subtask
-
-    def recording_submit(gpumanager, work):
-        works.append(work)
-        return submit(gpumanager, work)
 
     def recording_subtask(ctx, inputs):
         part = yield from body(ctx, inputs)
-        partitions.append(part)
+        subtasks.append((inputs[0], part))
         return part
 
-    with mock.patch.object(GPUManager, "submit", recording_submit), \
-            mock.patch.object(op, "execute_subtask", recording_subtask):
-        # The second job meets what the first left in the cache region.
-        results = [GDST(session, op).collect() for _ in range(2)]
-    device = cluster.workers["worker0"].gpumanager.devices[0]
-    observed = {
-        "values": [r.value for r in results],
-        "clock": cluster.env.now,
-        "metrics": [(m.makespan, m.compute_s, m.gpu_kernel_s, m.pcie_bytes,
-                     m.gpu_stage_seconds, m.fallback_tasks, m.retries)
-                    for m in (r.metrics for r in results)],
-        "device": (device.h2d_bytes, device.d2h_bytes,
-                   device.kernels_launched, device.kernel_seconds),
-        "partitions": sorted(
-            (p.index, payload(p.elements), p.element_nbytes, p.scale,
-             p.worker) for p in partitions),
-        "trace": trace_events(cluster),
-    }
-    return works, observed
+    with mock.patch.object(op, "execute_subtask", recording_subtask):
+        for _ in range(2):
+            GDST(session, op).collect()
+    probes = {e["args"]["outcome"]
+              for e in cluster.obs.tracer.to_chrome()["traceEvents"]
+              if e["name"] == "cache.probe"}
+    return subtasks, probes, cluster.registry
 
 
-def payload(elements):
-    array = np.asarray(elements)
-    return str(array.dtype), array.shape, array.tolist()
-
-
-def trace_events(cluster):
-    """The exported trace; GWork ids (a process-wide counter) by rank."""
-    events = cluster.obs.tracer.to_chrome()["traceEvents"]
-    rank = {}
-    for event in events:
-        args = event.get("args") or {}
-        if "work" in args:
-            args["work"] = rank.setdefault(args["work"], len(rank))
-    return events
-
-
-#: Set by the stream while a work runs; everything else is compared.
-RUNTIME_STATE = ("work_id", "completion", "assigned_device", "stage_seconds")
-
-
-def buffer_fields(hbuf):
-    fields = dict(vars(hbuf))
-    fields["elements"] = payload(fields["elements"])
-    return fields
-
-
-def as_read(work, lone: bool):
-    """Every field of a GWork — literally for a chain of one (the
-    Algorithm 3.1 fields must not move: cache keys and ``cache.probe``
-    operands are built from them), and for a longer chain as the stream
-    reads it, which is where the one body is allowed to differ from the
-    retired chain body: a cache key and ``primary_cached`` count only under
-    ``cache``, kernel parameters only through ``stages``, and an output size
-    of None means the out buffer's."""
-    default = GStream._out_nbytes_per_element(work, work.in_buffers["in"])
-    fields = {f.name: getattr(work, f.name)
-              for f in dataclasses.fields(work)
-              if f.name not in RUNTIME_STATE}
-    fields["in_buffers"] = {name: buffer_fields(hbuf)
-                            for name, hbuf in work.in_buffers.items()}
-    fields["out_buffer"] = buffer_fields(work.out_buffer)
-    fields["host_stream"] = work.host_stream is not None
-    # The stage list is new (normalised at construction): a stage's own
-    # None falls back to the work's default in the stream.
-    fields["stages"] = [
-        replace(stage, out_element_nbytes=default)
-        if stage.out_element_nbytes is None else stage
-        for stage in work.stages]
-    if not lone:
-        fields["params"] = None
-        fields["out_element_nbytes"] = default
-        if not work.cache:
-            fields["cache_key"] = fields["primary_cached"] = None
-    return fields
+def partial_of_nothing(op, registry):
+    """What the reduce-style tail adds to every partial it emits (its
+    operand and parameter): its kernel over an empty block."""
+    tail = op.stages[-1]
+    params = dict(tail.params, **(tail.params_fn() if tail.params_fn else {}))
+    inputs = {name: extra.supplier()
+              for name, extra in tail.extra_inputs.items()}
+    inputs["in"] = np.zeros(0)
+    return registry.get(tail.kernel_name).fn(inputs, params)["out"][0]
 
 
 def assert_same(case: Case):
     op = build_op(case)
-    works, observed = run_case(case, op)
-    retired_works, retired_observed = run_case(case, retired_twin(op))
-    lone = len(case.members) == 1
-    assert len(works) == len(retired_works)
-    if not case.degraded and case.n > 1:
-        assert works
-    for work, retired_work in zip(works, retired_works):
-        assert as_read(work, lone) == as_read(retired_work, lone)
-    for key, value in observed.items():
-        if key == "values":
-            assert all(values_equal(a, b) for a, b in
-                       zip(value, retired_observed[key])), key
+    subtasks, _, registry = run_case(case, op)
+    assert len(subtasks) == 4
+    for part_in, part_out in subtasks:
+        rows = list(part_in.elements)
+        want = kernels(op, Bag(rows, [part_in.scale] * len(rows)), registry)
+        got = list(part_out.elements)
+        if op.stages[-1].kernel_name == "block_sum" and rows:
+            # One partial per device block: their sum, less what each adds.
+            c = partial_of_nothing(op, registry)
+            assert sum(got) - len(got) * c == want.rows[0] - c
         else:
-            assert value == retired_observed[key], key
+            assert values_equal(got, want.rows)
 
 
 # -- the sweep: every axis around a base case, chain lengths 1-4 --------------------
@@ -325,19 +257,13 @@ def test_swept_case_matches_the_retired_bodies(case):
 
 
 def test_the_sweep_reaches_both_retired_bodies_and_the_cache():
-    """The oracle is not vacuous: chains of one go through the retired
-    single-kernel body, longer ones through the retired chain body, and the
-    second submission of a caching chain resumes mid-way."""
-    from tests.core import retired
-    assert type(retired_twin(build_op(Case(chain(1))))) \
-        is retired.RetiredGpuMapPartitionOp
+    """The sweep is not vacuous: chains of one and longer, and the second
+    submission of a caching chain resumes mid-way."""
+    lengths = {len(build_op(c).stages) for c in swept_cases()}
+    assert lengths == {1, 2, 3, 4}
     caching = Case(chain(3, cache=True))
-    twin = retired_twin(build_op(caching))
-    assert type(twin) is retired.RetiredFusedGpuOp
-    _works, observed = run_case(caching, twin)
-    outcomes = {e["args"]["outcome"] for e in observed["trace"]
-                if e["name"] == "cache.probe"}
-    assert {"miss", "stage-hit"} <= outcomes
+    _subtasks, probes, _ = run_case(caching, build_op(caching))
+    assert {"miss", "stage-hit"} <= probes
 
 
 # -- generated cases ---------------------------------------------------------------
@@ -374,4 +300,6 @@ def generated_cases(draw):
 @depth(tier1=20, full=2000)
 @given(generated_cases())
 def test_generated_case_matches_the_retired_bodies(case):
+    # Past a reduce-style member the values depend on the device blocks.
+    assume(all(m.kernel != "block_sum" for m in case.members[:-1]))
     assert_same(case)

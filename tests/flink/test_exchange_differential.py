@@ -1,12 +1,14 @@
-"""One routed path against the two it replaced.
+"""One routed path, held to what an exchange means.
 
 ``Exchange._buckets`` routes row lists and NumPy/GStruct blocks through one
-routine.  The two routines it replaced — ``_row_buckets`` and
-``_columnar_buckets``, verbatim in ``tests/flink/retired.py`` — are the
-oracle: on generated exchanges (strategy x producer formats x a key zoo x
-combiner kinds x ``only_consumers`` x spill) both must hand every consumer
-the same bytes in the same row types, at the same simulated instant, with
-the same traffic accounting.
+routine.  On generated exchanges (strategy x producer formats x a key zoo x
+combiner kinds x ``only_consumers`` x spill) the consumers together must
+hold the producers' rows: all of them (a broadcast: every consumer all of
+them, a gather: the one consumer), and under a keyed combiner rows that
+fold, by the reference's keyed reduce (:mod:`tests.reference.interp`), to
+what all the producers' rows fold to.  Consumers outside
+``only_consumers`` receive nothing.  (The class name is kept from when the
+two retired routines were the oracle.)
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, strategies as st
 from repro.common import Environment
 from repro.common.network import Network, NetworkConfig
 from repro.flink.config import FlinkConfig
-from repro.flink.iterators import vectorized
+from repro.flink.iterators import is_vectorized, vectorized
 from repro.flink.partition import Partition
 from repro.flink.payload import segment_sum
 from repro.flink.plan import ShipStrategy
@@ -24,7 +26,7 @@ from repro.flink.serialization import Serializer
 from repro.flink.shuffle import COUNT_COMBINER, Exchange
 from repro.hdfs import HDFS, DiskConfig
 from tests.flink.conftest import depth, make_payload
-from tests.flink.retired import TwoPathExchange
+from tests.reference.interp import fold, group, value
 
 WORKERS = ["w0", "w1", "w2"]
 
@@ -113,9 +115,9 @@ def make_combiner(name, key_name, key_fn):
     return (combiner_key, block_sum if reducer == "block" else element_sum)
 
 
-# -- one exchange, either bucketing ----------------------------------------------
+# -- one exchange against the rows it was handed -------------------------------
 
-def run_case(exchange_cls, case):
+def run_case(case):
     env = Environment()
     net = Network(env, WORKERS, NetworkConfig(latency_s=0.0))
     producers = [Partition(i, make_payload(kind, rows), 16.0, scale,
@@ -129,24 +131,64 @@ def run_case(exchange_cls, case):
                           disk=DiskConfig(read_bps=100e6, write_bps=100e6,
                                           seek_s=0.0))
         kw["flink"] = FlinkConfig(shuffle_spill_nbytes=64.0)
-    exchange = exchange_cls(
+    combiner = make_combiner(case["combiner"], case["key"], key_fn)
+    exchange = Exchange(
         env, net, Serializer(1e9), ShipStrategy(case["strategy"]), producers,
         q, [WORKERS[(j + 1) % len(WORKERS)] for j in range(q)],
-        key_fn=key_fn,
-        combiner=make_combiner(case["combiner"], case["key"], key_fn),
-        only_consumers=case["only"], **kw)
+        key_fn=key_fn, combiner=combiner, only_consumers=case["only"], **kw)
     result = env.run(until=env.process(exchange.run()))
-    return {
-        "now": env.now,
-        "shuffled": result.bytes_shuffled,
-        "zero_copy": result.bytes_zero_copy,
-        "spilled": result.bytes_spilled,
-        "serde": exchange.serializer.stats(),
-        "inputs": [None if part is None else
-                   (part.index, part.worker, part.element_nbytes, part.scale,
-                    part.nominal_count, fingerprint(part.elements))
-                   for part in result.inputs],
-    }
+    check_inputs(case, producers, combiner, result.inputs)
+    return result
+
+
+def canon(row):
+    fields = value(row)
+    return tuple(map(float, fields)) if isinstance(fields, tuple) else (
+        float(fields),)
+
+
+def rows(payload):
+    return sorted(map(canon, list(payload)))
+
+
+def folded(rows_, key_fn, reduce_fn):
+    """Per key, the reference's fold of ``rows_`` (as tuples of floats: a
+    row list and a GStruct block of one exchange do not stack)."""
+    return {key: canon(fold(members, reduce_fn, is_vectorized(key_fn)))
+            for key, members in group(list(map(canon, rows_)),
+                                      key_fn).items()}
+
+
+def check_inputs(case, producers, combiner, inputs):
+    """The consumers' rows against the producers'."""
+    q, only = case["q"], case["only"]
+    if only is not None:  # the chosen consumers get what they would anyway
+        everyone = run_case(dict(case, only=None)).inputs
+        for j in range(q):
+            assert (inputs[j] is None) is (j not in only)
+            if j in only:
+                assert fingerprint(inputs[j].elements) == fingerprint(
+                    everyone[j].elements)
+        return
+    sent = [r for p in producers for r in list(p.elements)]
+    got = [list(part.elements) for part in inputs]
+    if case["strategy"] == "broadcast":
+        assert all(rows(g) == rows(sent) for g in got)
+        return
+    received = [r for g in got for r in g]
+    if combiner is None:
+        assert rows(received) == rows(sent)
+    elif combiner is COUNT_COMBINER:
+        assert sum(map(float, received)) == sum(
+            len(p.elements) * p.scale for p in producers)
+    elif callable(combiner):  # free-form: some of the rows
+        assert set(rows(received)) <= set(rows(sent))
+    else:  # the partials fold to what all the rows fold to (to rounding)
+        want = folded(sent, *combiner)
+        have = folded(received, *combiner)
+        assert want.keys() == have.keys()
+        for key in want:  # the summed field; the first is any row's
+            assert np.isclose(have[key][1], want[key][1], rtol=1e-9)
 
 
 def fingerprint(payload):
@@ -227,9 +269,8 @@ class TestOneRoutedPathEqualsTheTwoItReplaced:
     def test_every_strategy_format_key_and_combiner(self):
         price_lists = set()
         for case in swept_cases():
-            out = run_case(Exchange, case)
-            assert out == run_case(TwoPathExchange, case), case
-            price_lists.add((case["strategy"], out["zero_copy"] > 0,
+            out = run_case(case)
+            price_lists.add((case["strategy"], out.bytes_zero_copy > 0,
                              case["combiner"]))
         # The sweep prices both ways under every strategy, and reaches the
         # combine-before-route branch of either format.
@@ -243,4 +284,4 @@ class TestOneRoutedPathEqualsTheTwoItReplaced:
     @given(case=generated_cases())
     @depth(tier1=100, full=2500)
     def test_generated_rows_only_consumers_and_spill(self, case):
-        assert run_case(Exchange, case) == run_case(TwoPathExchange, case)
+        run_case(case)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flink import FlinkSession
-from tests.flink.conftest import make_cluster
+from tests.flink.conftest import make_cluster, make_payload
 
 
 class TestUnion:
@@ -53,6 +53,20 @@ class TestDistinct:
             .distinct(key_fn=lambda kv: kv[0]).collect()
         keys = sorted(kv[0] for kv in result.value)
         assert keys == ["a", "b"]
+
+    @pytest.mark.parametrize("kind", ["list", "2d", "struct"])
+    @pytest.mark.parametrize("parallelism", [1, 2, 5])
+    def test_distinct_values_of_a_block(self, kind, parallelism):
+        """Without a key a block row is the tuple of its fields: a row list,
+        a 2-D block and a GStruct block of the same rows give the same rows,
+        through a map of the block too (a block row is not hashable)."""
+        rows = [(1, 2.0), (1, 2.0), (2, 3.0), (1, 2.0), (2, 5.0)]
+        data = FlinkSession(make_cluster()).from_collection(
+            make_payload(kind, rows), parallelism=parallelism)
+        for ds in (data, data.map(lambda r: r)):
+            assert sorted(tuple(np.asarray(r).tolist()) if kind == "2d"
+                          else tuple(r) for r in ds.distinct().collect().value) \
+                == [(1, 2.0), (2, 3.0), (2, 5.0)]
 
     @given(st.lists(st.integers(min_value=0, max_value=50), max_size=60))
     @settings(max_examples=15, deadline=None)

@@ -1,12 +1,12 @@
-"""Reduce on insert, held to the group-then-fold compositions it replaced.
+"""Reduce on insert, held to the reference's keyed reduce.
 
 An element ``(key_fn, reduce_fn)`` pair is aggregated in one pass by
 :func:`repro.flink.iterators.fold_by_key` — on the producer side of the
 exchange (``Exchange._buckets``), on the consumer side
-(``apply_grouped_reduce``) and in ``distinct``.  The compositions it
-replaced — a table of member lists per bucket and a fold per list;
-``group_elements`` and a fold per group; ``distinct``'s ``members[0]`` —
-live on verbatim in ``tests/flink/retired.py`` and are the oracle here.
+(``apply_grouped_reduce``) and in ``distinct``.  The oracle is what a keyed
+reduce *means* (:mod:`tests.reference.interp`): every key's rows, keys in
+first-seen order, folded left to right — here per bucket, a bucket being
+the rows its function routes there.
 
 Per bucket the fold must return the same rows in the same order, and the
 *same objects* for one-row groups; ``key_fn`` must run once per row and
@@ -32,15 +32,31 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.flink import FlinkSession, iterators
-from repro.flink.dataset import DataSet
 from repro.flink.iterators import (apply_grouped_reduce, fold_by_key,
-                                   vectorized)
+                                   is_vectorized, vectorized)
 from repro.flink.payload import real_len
+from repro.flink.plan import CollectSink
 from repro.flink.shuffle import hash_bucket
 from tests.flink.conftest import depth, make_cluster, make_payload
-from tests.flink.retired import (RetiredDistinctOp, grouped_reduce,
-                                 routing_key_buckets)
 from tests.flink.test_exchange_differential import block_sum, first_column
+from tests.reference.interp import evaluate, fold, group, value
+from tests.reference.test_plans import check
+
+
+def reference_buckets(rows, key_fn, reduce_fn, q, bucket_of):
+    """The reference's keyed reduce of each bucket's rows."""
+    buckets = [[] for _ in range(q)]
+    for x in rows:
+        buckets[bucket_of(key_fn(x), q)].append(x)
+    return [[fold(members, reduce_fn, False)
+             for members in group(bucket, key_fn).values()]
+            for bucket in buckets]
+
+
+def reference_reduce(payload, key_fn, reduce_fn):
+    """The reference's keyed reduce of one payload."""
+    return [fold(members, reduce_fn, is_vectorized(key_fn))
+            for members in group(list(payload), key_fn).values()]
 
 # -- the key zoo -----------------------------------------------------------------
 # Rows carry a small int in field 0; a family maps it to a key.
@@ -118,15 +134,15 @@ class Counting:
         return self._reduce_fn(a, b)
 
 
-def disagreement(fold, case):
-    """Why ``fold`` differs from the retired composition on ``case`` —
-    ``None`` when it does not."""
+def disagreement(fold_fn, case):
+    """Why ``fold_fn`` differs from the reference on ``case`` — ``None``
+    when it does not."""
     kind, pairs, key, reducer, q, bucket = case
     rows = make_payload(kind, pairs)
     new, old = (Counting(KEYS[key], REDUCERS[reducer]) for _ in range(2))
-    got = fold(rows, new.key_fn, new.reduce_fn, q, BUCKETS[bucket])
-    want = routing_key_buckets(rows, old.key_fn, old.reduce_fn, q,
-                               BUCKETS[bucket])
+    got = fold_fn(rows, new.key_fn, new.reduce_fn, q, BUCKETS[bucket])
+    want = reference_buckets(rows, old.key_fn, old.reduce_fn, q,
+                             BUCKETS[bucket])
     if len(got) != q:
         return f"{len(got)} buckets for q={q}"
     inputs = {id(row) for row in rows} if kind == "list" else set()
@@ -138,7 +154,7 @@ def disagreement(fold, case):
             # or what a pick-one reducer returned) is the very same object.
             if id(b) in inputs and a is not b:
                 return f"bucket {j}: {a!r} is a copy"
-    if new.key_calls != real_len(rows) or old.key_calls != real_len(rows):
+    if new.key_calls != real_len(rows):
         return f"key_fn ran {new.key_calls}x over {real_len(rows)} rows"
     if new.reduce_calls != old.reduce_calls:
         return "reduce_fn saw different calls"
@@ -237,10 +253,10 @@ def test_the_sweep_catches_each_mutant(mutant):
 
 class TestErrorsSurface:
     def test_unhashable_key_raises_type_error(self):
-        for fold in (fold_by_key, routing_key_buckets):
+        for fold_fn in (fold_by_key, reference_buckets):
             with pytest.raises(TypeError, match="unhashable"):
-                fold([(1, 2.0)], lambda row: [row[0]], REDUCERS["first"],
-                     3, hash_bucket)
+                fold_fn([(1, 2.0)], lambda row: [row[0]], REDUCERS["first"],
+                        3, lambda key, q: 0)
 
     def test_udf_exceptions_propagate(self):
         def bad_key(row):
@@ -262,7 +278,7 @@ class TestErrorsSurface:
             [(0, 9.0), (1, 12.0), (2, 15.0)]]
 
 
-# -- apply_grouped_reduce: every pair kind against group_elements + fold ---------
+# -- apply_grouped_reduce: every pair kind against the reference ------------------
 
 @vectorized
 def member_sum(members):
@@ -283,12 +299,10 @@ PAIRS = {
 }
 
 
-def assert_same_payload(got, want):
-    assert type(got) is type(want)
-    if isinstance(want, np.ndarray):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    else:
-        assert list(map(fingerprint, got)) == list(map(fingerprint, want))
+def assert_same_rows(got, want):
+    """The same rows in the same order, each as the values it holds (a
+    lifted row list comes back a block)."""
+    assert list(map(value, got)) == list(map(value, want))
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))
@@ -297,9 +311,9 @@ def assert_same_payload(got, want):
 def test_apply_grouped_reduce_matches_group_then_fold(pair, kind, n):
     key_fn, reduce_fn = PAIRS[pair]
     pairs = [((5 * i) % 11, VALUES[i % len(VALUES)]) for i in range(n)]
-    assert_same_payload(
+    assert_same_rows(
         apply_grouped_reduce(make_payload(kind, pairs), key_fn, reduce_fn),
-        grouped_reduce(make_payload(kind, pairs), key_fn, reduce_fn))
+        reference_reduce(make_payload(kind, pairs), key_fn, reduce_fn))
 
 
 def test_apply_grouped_reduce_normalises_a_missing_payload():
@@ -318,30 +332,14 @@ def test_generated_element_pair_matches_group_then_fold(kind, pairs, key,
                                                         reducer):
     to_key = KEYS[key]
     key_fn = lambda row: to_key(int(row[0]))
-    assert_same_payload(
+    assert_same_rows(
         apply_grouped_reduce(make_payload(kind, pairs), key_fn,
                              REDUCERS[reducer]),
-        grouped_reduce(make_payload(kind, pairs), key_fn, REDUCERS[reducer]))
+        reference_reduce(make_payload(kind, pairs), key_fn,
+                         REDUCERS[reducer]))
 
 
-# -- distinct: the same plan node through both consumer bodies -------------------
-
-def run_distinct(op):
-    cluster = make_cluster(n_workers=2, cores=2)
-    partitions = []
-    body = op.execute_subtask
-
-    def recording_subtask(ctx, inputs):
-        part = yield from body(ctx, inputs)
-        partitions.append((part.index, part.elements, part.element_nbytes,
-                           part.scale, part.worker))
-        return part
-
-    with mock.patch.object(op, "execute_subtask", recording_subtask):
-        result = DataSet(FlinkSession(cluster), op).collect()
-    return result.value, sorted(partitions, key=lambda p: p[0]), \
-        cluster.env.now
-
+# -- distinct against the reference ----------------------------------------------
 
 DISTINCT_KEYS = {
     "by_value": None,
@@ -354,20 +352,13 @@ DISTINCT_KEYS = {
 @pytest.mark.parametrize("key", sorted(DISTINCT_KEYS))
 @pytest.mark.parametrize("n", [0, 1, 40])
 def test_distinct_matches_group_then_first_member(key, n):
+    """One row per key (any one: three producers, four consumers)."""
     rows = [((7 * i) % 9, float(i % 4)) for i in range(n)]
     session = FlinkSession(make_cluster())
-    op = session.from_collection(rows, parallelism=3) \
-        .distinct(DISTINCT_KEYS[key], parallelism=4).op
-    twin = object.__new__(RetiredDistinctOp)
-    twin.__dict__.update(vars(op))
-    value, partitions, now = run_distinct(op)
-    retired_value, retired_partitions, retired_now = run_distinct(twin)
-    assert list(map(fingerprint, value)) == \
-        list(map(fingerprint, retired_value))
-    assert now == retired_now and len(partitions) == 4
-    for got, want in zip(partitions, retired_partitions):
-        assert got[0] == want[0] and got[2:] == want[2:]
-        assert_same_payload(got[1], want[1])
+    ds = session.from_collection(rows, parallelism=3) \
+        .distinct(DISTINCT_KEYS[key], parallelism=4)
+    answer = evaluate(CollectSink(ds.op))
+    check(ds.collect().value, answer)
 
 
 # -- rows per keyed pass ---------------------------------------------------------

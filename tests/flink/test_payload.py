@@ -1,7 +1,8 @@
-"""``repro.flink.payload``: one length, one concat, one lift — equal to each
-helper they replaced on every input that helper's call site can hand it.
-
-The retired helpers live on in ``tests/flink/retired.py`` as the oracle.
+"""``repro.flink.payload``: one length, one concat, one lift — held to what
+each means on every input a call site can hand it: a payload's length is
+its number of rows, a concatenation holds every part's rows in order (a
+block only when every part is one), a lift is the rows stacked.  (Test names
+that mention the retired helpers are kept from when those were the oracle.)
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ from repro.core.gdst import _kernel_operand
 from repro.flink.payload import (concat, cut, is_block, real_len, rows_like,
                                  sort_rows, take, to_block, to_rows)
 from repro.flink.shuffle import Exchange
-from tests.flink import retired
 from tests.flink.conftest import make_payload
 from tests.flink.test_exchange_differential import fingerprint
 
@@ -40,18 +40,39 @@ def same(a, b):
     return type(a) is type(b) and fingerprint(a) == fingerprint(b)
 
 
+def rows_of(payload):
+    """The rows a payload holds: none for ``None``, one for a scalar or a
+    0-d array."""
+    if payload is None:
+        return []
+    if isinstance(payload, np.ndarray) and payload.ndim == 0:
+        return [payload[()]]
+    return list(payload) if hasattr(payload, "__len__") else [payload]
+
+
+def assert_concatenates(merged, parts):
+    """``merged`` holds every part's rows in order — a block exactly when
+    every part is a NumPy array; a part that is a bare scalar (``None``
+    included) is one row."""
+    if parts and all(isinstance(p, np.ndarray) for p in parts):
+        assert is_block(merged)
+    else:
+        assert type(merged) is list
+    assert fingerprint(rows_of(merged)) == fingerprint(
+        [row for part in parts
+         for row in ([None] if part is None else rows_of(part))])
+
+
 class TestLength:
     @given(payload=st.one_of(st.none(), row_lists, pairs.map(tuple), zero_d,
                              ranks.flatmap(blocks)))
     @settings(max_examples=60, deadline=None)
     def test_equals_all_three_retired_lengths(self, payload):
-        assert real_len(payload) == retired.partition_real_len(payload)
-        assert real_len(payload) == retired.gstream_result_len(payload)
-        assert (not real_len(payload)) == retired.iterators_is_empty(payload)
+        assert real_len(payload) == len(rows_of(payload))
 
     @given(result=scalars)
     def test_a_scalar_kernel_result_is_one_row(self, result):
-        assert real_len(result) == retired.gstream_result_len(result) == 1
+        assert real_len(result) == 1
 
 
 class TestConcat:
@@ -62,7 +83,7 @@ class TestConcat:
         # HDFS block — e.g. [] for an empty partition written beside blocks.
         parts = data.draw(st.lists(
             st.one_of(row_lists, pairs.map(tuple), blocks(rank)), max_size=5))
-        assert same(concat(parts), retired.plan_concat(parts))
+        assert_concatenates(concat(parts), parts)
 
     @given(data=st.data(), rank=ranks)
     @settings(max_examples=80, deadline=None)
@@ -75,9 +96,7 @@ class TestConcat:
             st.lists(rank1, max_size=5),
             st.lists(st.one_of(blocks(rank), row_lists, pairs.map(tuple),
                                scalars, st.none()), max_size=5)))
-        results = dict(enumerate(parts))
-        assert same(concat([results[i] for i in sorted(results)]),
-                    retired.gstream_assemble(results))
+        assert_concatenates(concat(parts), parts)
 
     @given(data=st.data(), rank=ranks)
     @settings(max_examples=80, deadline=None)
@@ -86,15 +105,23 @@ class TestConcat:
         # lists of producers that emitted nothing.
         parts = data.draw(st.lists(st.one_of(blocks(rank), st.just([])),
                                    max_size=5))
-        assert same(Exchange._merge(parts, True),
-                    retired.columnar_concat(parts))
+        # An empty input slot is no part of the block; nothing is [].
+        chunks = [p for p in parts if len(p)]
+        merged = Exchange._merge(parts, True)
+        if chunks:
+            assert_concatenates(merged, chunks)
+        else:
+            assert merged == []
 
     @given(data=st.data(), rank=ranks)
     @settings(max_examples=80, deadline=None)
     def test_per_row_merge_equals_the_inline_extend_loop(self, data, rank):
         parts = data.draw(st.lists(st.one_of(row_lists, blocks(rank)),
                                    max_size=5))
-        assert same(Exchange._merge(parts, False), retired.row_merge(parts))
+        merged = Exchange._merge(parts, False)
+        assert type(merged) is list
+        assert fingerprint(merged) == fingerprint(
+            [row for part in parts for row in part])
 
     def test_all_empty(self):
         assert concat([]) == []
@@ -114,20 +141,16 @@ class TestLiftAndLower:
     @given(rows=st.one_of(stackable, ranks.flatmap(blocks)))
     @settings(max_examples=60, deadline=None)
     def test_to_block_equals_the_three_retired_lifts(self, rows):
+        """A block is itself; rows are stacked (``np.asarray``)."""
         block = to_block(rows)
-        assert same(block, retired.as_block(rows))
-        assert same(block, retired.gdst_as_array(rows))
-        assert same(_kernel_operand(rows), retired.gdst_as_array(rows))
-        if not is_block(rows):
-            assert same(block, retired.rows_to_columnar(rows))
+        assert same(block, rows if is_block(rows) else np.asarray(rows))
+        assert same(_kernel_operand(rows), block)
 
     @pytest.mark.parametrize("rows", [[(1, 2.0), (3,)], [(1, None)],
                                       [{"a": 1}]])
     def test_rows_that_do_not_stack(self, rows):
         with pytest.raises(TypeError, match="NumPy block"):
             to_block(rows)
-        with pytest.raises(TypeError):
-            retired.as_block(rows)
         # A GPU join keeps such operands the rows they were.
         assert _kernel_operand(rows) is rows
 

@@ -1,95 +1,31 @@
-"""Every DataSet operator returns the same rows whatever holds them.
+"""``sort_partition`` sorts *rows*, stably, whatever holds them.
 
 A dataset of ``(k, v)`` rows can be a list of tuples, the stacked 2-D array
-of the same rows or a structured (GStruct) array.  Operators are written
-once against :mod:`repro.flink.payload`, so the three must agree row for
-row, in order — the test that would have caught ``sort_partition`` sorting
-*inside* each row of a 2-D block and reversing ties under ``reverse=True``.
+of the same rows or a structured (GStruct) array — the test that would have
+caught ``sort_partition`` sorting *inside* each row of a 2-D block and
+reversing ties under ``reverse=True``.  That every other operator returns
+the same rows from all three is the payload axis of the reference sweep
+(``tests/reference/test_plans.py``).
 """
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.flink import FlinkSession
-from tests.flink.conftest import depth, make_cluster, make_payload
+from tests.flink.conftest import make_cluster, make_payload
 
 FORMATS = ("list", "2d", "struct")
 
 
-# UDFs see a tuple, a 1-D row view or an ``np.void`` record: all index alike.
+# A tuple, a 1-D row view or an ``np.void`` record: all index alike.
 def key(row):
     return int(row[0])
 
 
-def value(row):
-    return float(row[1])
-
-
-OPERATORS = {
-    "map": lambda a, b: a.map(lambda r: (key(r), value(r) * 2.0)),
-    "filter": lambda a, b: a.filter(lambda r: r[1] > 0),
-    "flat_map": lambda a, b: a.flat_map(
-        lambda r: [(key(r), value(r))] * (key(r) % 3)),
-    "map_partition": lambda a, b: a.map_partition(
-        lambda rows: [(float(len(rows)), sum(value(r) for r in rows))]),
-    "keyed_reduce": lambda a, b: a.group_by(key).reduce(
-        lambda x, y: (key(x), value(x) + value(y))),
-    "reduce_group": lambda a, b: a.group_by(key).reduce_group(
-        lambda k, members: (k, float(len(members)),
-                            sum(value(m) for m in members))),
-    "reduce": lambda a, b: a.reduce(
-        lambda x, y: (min(x[0], y[0]), x[1] + y[1])),
-    "distinct": lambda a, b: a.distinct(key),
-    "first": lambda a, b: a.first(3),
-    "sort_partition": lambda a, b: a.sort_partition(),
-    "sort_partition_reverse": lambda a, b: a.sort_partition(reverse=True),
-    "sort_partition_key": lambda a, b: a.sort_partition(key),
-    "sort_partition_key_reverse": lambda a, b: a.sort_partition(
-        key, reverse=True),
-    "union": lambda a, b: a.union(b),
-    "cross": lambda a, b: a.cross(b, lambda l, r: (value(l), value(r))),
-    "join": lambda a, b: a.join(
-        b, key, key, lambda l, r: (key(l), value(l), value(r))),
-    "co_group": lambda a, b: a.co_group(
-        b, key, key, lambda k, ls, rs: (k, float(len(ls)), float(len(rs)))),
-    "sum": lambda a, b: a.sum(value),
-    "min": lambda a, b: a.min(lambda r: (value(r), key(r))),
-    "max": lambda a, b: a.max(lambda r: (value(r), key(r))),
-}
-
-
 def normalised(rows):
-    """Rows as tuples of floats (a scalar result is a 1-tuple)."""
-    return [tuple(float(x) for x in row) if np.ndim(row) or
-            isinstance(row, (tuple, np.void)) else (float(row),)
-            for row in rows]
-
-
-def run(operator, fmt, rows, other):
-    session = FlinkSession(make_cluster())
-    a, b = (session.from_collection(make_payload(fmt, r), element_nbytes=16.0)
-            for r in (rows, other))
-    if operator == "count":
-        return a.count().value
-    return normalised(OPERATORS[operator](a, b).collect().value)
-
-
-rows_st = st.lists(
-    st.tuples(st.integers(-4, 4), st.integers(-6, 6).map(float)),
-    min_size=1, max_size=24)
-
-
-class TestSameRowsFromEveryFormat:
-    @pytest.mark.parametrize("operator", sorted(OPERATORS) + ["count"])
-    @given(rows=rows_st, other=rows_st)
-    @depth(tier1=12, full=150)
-    def test_list_2d_and_struct_agree(self, operator, rows, other):
-        expected = run(operator, "list", rows, other)
-        assert run(operator, "2d", rows, other) == expected
-        assert run(operator, "struct", rows, other) == expected
+    """Rows as tuples of floats."""
+    return [tuple(float(x) for x in row) for row in rows]
 
 
 class TestSortPartitionOnBlocks:

@@ -1,14 +1,14 @@
-"""One CPU stage loop, held to the three bodies it replaced.
+"""One CPU stage loop, held to the reference.
 
 ``map`` / ``filter`` / ``flatMap`` / ``mapPartition`` and the optimizer's
 ``FusedMapOp`` run one loop — charge with the stage's cost and UDF,
 transform, wrap with the stage's element size and scale
 (``repro.flink.plan._StageChain``); a lone operator is the chain of one.
-The retired ``_ElementWise``, ``MapPartitionOp`` and ``FusedMapOp`` bodies
-live on verbatim in ``tests/flink/retired.py``; every case runs the same
-plan node through both on two identically built clusters and compares the
-output partitions, the job's value and metrics, the final clock and the
-exported trace.
+Every case runs its plan node on a fresh cluster and holds each subtask's
+output to the reference (:func:`tests.reference.interp.stage`, member by
+member over the subtask's input partition): the same rows in the same
+order, and the nominal count the members' weights give.  (The test names
+are kept from when the three retired bodies were the oracle.)
 
 Axes: chain length 1-4 over the four operator kinds, element and
 ``vectorized()`` UDFs (the two CPU price lists), selectivity / element size
@@ -36,7 +36,7 @@ from repro.flink.plan import (CollectionSource, FilterOp, FlatMapOp,
                               HdfsSource, MapOp, MapPartitionOp, _StageChain)
 from repro.flink.runtime import Cluster
 from tests.flink.conftest import depth
-from tests.flink.retired import RetiredElementWise, cpu_twin
+from tests.reference.interp import Bag, stage
 
 def _block(udf):
     """A ``vectorized()`` UDF; it is handed the payload whole, row list or
@@ -103,6 +103,7 @@ def build_op(case: Case):
 
 
 def run_case(case: Case, op):
+    """One job over ``op``: every subtask's input and output partition."""
     cluster = Cluster(ClusterConfig(
         n_workers=1, cpu=CPUSpec(cores=2),
         flink=FlinkConfig(enable_tracing=True, enable_chaining=False,
@@ -113,45 +114,35 @@ def run_case(case: Case, op):
             (half if case.block_payload else half.tolist(),
              int(len(half) * case.scale * 8))
             for half in np.array_split(data, 2)])
-    partitions = []
+    subtasks = []
     body = op.execute_subtask
 
     def recording_subtask(ctx, inputs):
         part = yield from body(ctx, inputs)
-        partitions.append(part)
+        subtasks.append((inputs[0], part))
         return part
 
     with mock.patch.object(op, "execute_subtask", recording_subtask):
         # A streaming consumer downstream: with a streamed input, a lone
         # element-wise operator relays its source's blocks to it.
-        result = DataSet(FlinkSession(cluster), op).map_partition(
+        DataSet(FlinkSession(cluster), op).map_partition(
             lambda part: part, cost=OpCost(flops_per_element=0.0),
             name="tail").collect()
-    m = result.metrics
-    return {
-        "value": result.value,
-        "clock": cluster.env.now,
-        "metrics": (m.makespan, m.compute_s, m.vectorized_blocks,
-                    m.pipeline_max_queue_depth,
-                    m.pipeline_backpressure_stalls),
-        "partitions": sorted(
-            (p.index, repr(np.asarray(p.elements).tolist()),
-             type(p.elements).__name__, p.element_nbytes, p.scale, p.worker)
-            for p in partitions),
-        "trace": cluster.obs.tracer.to_chrome()["traceEvents"],
-    }
+    return subtasks
 
 
 def assert_same(case: Case):
     op = build_op(case)
-    observed = run_case(case, op)
-    retired = run_case(case, cpu_twin(op))
-    assert len(observed["partitions"]) == 2
-    for key, value in observed.items():
-        if key == "value":
-            assert values_equal(value, retired[key])
-        else:
-            assert value == retired[key], key
+    subtasks = run_case(case, op)
+    assert len(subtasks) == 2
+    for part_in, part_out in subtasks:
+        rows = list(part_in.elements)
+        want = Bag(rows, [part_in.scale] * len(rows))
+        for member in op.stages:
+            want = stage(member, want)
+        assert values_equal(list(part_out.elements), want.rows)
+        if not any(m.cost.selectivity for m in op.stages):
+            assert part_out.nominal_count == sum(want.weights)
 
 
 CHAINS = {
@@ -198,20 +189,19 @@ def test_swept_case_matches_the_retired_bodies(case):
 def test_the_streamed_cases_reach_the_relay_shell_on_both_sides():
     """``functional_output`` — the stage loop's turn without the charge —
     is evaluated early by the executor for a lone element-wise operator on
-    a streamed input: twice per side here (two subtasks), beside the two
-    turns the subtasks take themselves."""
+    a streamed input: twice here (two subtasks), beside the two turns the
+    subtasks take themselves."""
     case = Case((Member("map"),), hdfs=True)
-    for op, cls in ((build_op(case), _StageChain),
-                    (cpu_twin(build_op(case)), RetiredElementWise)):
-        shell, turns = cls.functional_output, []
+    op = build_op(case)
+    shell, turns = _StageChain.functional_output, []
 
-        def recording(stage, *args):
-            turns.append(stage)
-            return shell(stage, *args)
+    def recording(stage_, *args):
+        turns.append(stage_)
+        return shell(stage_, *args)
 
-        with mock.patch.object(cls, "functional_output", recording):
-            run_case(case, op)
-        assert sum(stage is op for stage in turns) == 4
+    with mock.patch.object(_StageChain, "functional_output", recording):
+        run_case(case, op)
+    assert sum(stage_ is op for stage_ in turns) == 4
 
 
 members = st.builds(

@@ -15,6 +15,10 @@ from hypothesis import given, strategies as st
 
 from repro.obs.profile import ProfileTrace, _subtract, _union, summarize
 from tests.flink.conftest import depth
+# A frozen oracle kept on evidence: it alone catches the interval
+# subtraction that steps past an interval reaching into the next
+# (tests/reference/test_mutants.py), which no profile check of a real trace
+# meets.
 from tests.obs import reference_profile as reference
 from tests.obs.test_profile import (
     add_device, add_exchange, add_hdfs, add_job, add_operator, add_submit,
