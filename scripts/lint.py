@@ -251,6 +251,16 @@ LINTS = (
          ("tests/reference/interp.py",
           "from repro.flink.payload import to_block"),
          allowed=(r"^tests/reference/interp\.py:\d+:" + REFERENCE_IMPORTS,)),
+    Lint("one way to run a GWork — no device-mapped execution",
+         # Every GWork runs through the H2D -> kernel -> D2H pipeline over
+         # the copy engines and every kernel launches in
+         # CUDARuntime.kernel_op.  The mapped_memory option selected a second
+         # runner with its own fact row, told apart by a Fact.marker arg.
+         r"mapped_memory|_mapped_execute|kernel\.mapped|\bmarker=", ("src",),
+         "device-mapped execution in src/ (run the GWork through the "
+         "pipeline; launch kernels in kernel_op)",
+         "device-mapped execution",
+         ("src/repro/core/gwork.py", "    mapped_memory: bool = False")),
 )
 
 

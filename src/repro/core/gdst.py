@@ -35,13 +35,10 @@ def _attach_host_stream(ctx, work: GWork) -> None:
     When the subtask's primary input is still being streamed onto the host
     (``ctx.in_stream``), the GPU pipeline's H2D stage must wait for each
     device block's bytes to arrive — the three-stage pipeline becomes
-    demand-driven by upstream availability.  Mapped-memory works read host
-    buffers from inside the kernel, block by block, with no staging queue
-    to gate — they run ungated and the JobManager's end-of-task barrier
-    keeps their timing honest.
+    demand-driven by upstream availability.
     """
     stream = getattr(ctx, "in_stream", None)
-    if stream is None or work.mapped_memory:
+    if stream is None:
         return
     work.host_stream = stream
     work.host_stream_slot = getattr(ctx, "in_slot", None)
@@ -112,10 +109,11 @@ def _cpu_fallback(op_name: str, ctx, gpumanager, part: Partition,
             spec = registry.get(kernel_name)
             in_arrays = {"in": cur}
             in_arrays.update(extras)
-            out = spec.fn(in_arrays, dict(params))
+            out = spec.fn(in_arrays, dict(params)) or {}
             if "out" not in out:
-                raise ConfigError(
-                    f"kernel {kernel_name!r} produced no 'out'")
+                raise KernelError(
+                    f"kernel {kernel_name!r} produced no output 'out'; "
+                    f"got {sorted(out)}")
             cur = out["out"]
         results.append(cur)
     for kernel_name, params, extras in stage_specs:
@@ -178,7 +176,6 @@ class GpuMapPartitionOp(Operator):
                  cuda_block_size: int = 256,
                  layout: DataLayout = DataLayout.AOS,
                  scale_semantics: str = "auto",
-                 mapped_memory: bool = False,
                  parallelism: Optional[int] = None,
                  name: Optional[str] = None):
         super().__init__(name or f"gpu-map-partition({kernel_name})",
@@ -201,7 +198,6 @@ class GpuMapPartitionOp(Operator):
         self.comm_mode = comm_mode
         self.cuda_block_size = cuda_block_size
         self.layout = layout
-        self.mapped_memory = mapped_memory
         self.stages: List[GpuMapPartitionOp] = [self]
 
     def execute_subtask(self, ctx, inputs):
@@ -307,7 +303,6 @@ class GpuMapPartitionOp(Operator):
             app_id=self.app_id,
             out_element_nbytes=declared,
             comm_mode=self.comm_mode,
-            mapped_memory=head.mapped_memory,
             stages=kernel_stages,
             # Stage outputs may be cached without the raw input being so.
             primary_cached=head.cache or not cache,
@@ -339,10 +334,6 @@ class FusedGpuOp(GpuMapPartitionOp):
     def __init__(self, source: Operator, stages: List[GpuMapPartitionOp]):
         if len(stages) < 2:
             raise ConfigError("a GPU chain needs at least two stages")
-        for op in stages:
-            if op.mapped_memory:
-                raise ConfigError(
-                    "mapped-memory GPU operators cannot be chained")
         head = stages[0]
         super().__init__(
             source, "+".join(op.kernel_name for op in stages), head.app_id,
@@ -472,7 +463,6 @@ class GDST(DataSet):
                           cuda_block_size: int = 256,
                           layout: DataLayout = DataLayout.AOS,
                           scale_semantics: str = "auto",
-                          mapped_memory: bool = False,
                           parallelism: Optional[int] = None,
                           name: Optional[str] = None) -> "GDST":
         """Run a registered kernel over each partition, block by block.
@@ -490,8 +480,8 @@ class GDST(DataSet):
             cache_key_base=cache_key_base,
             out_element_nbytes=out_element_nbytes, comm_mode=comm_mode,
             cuda_block_size=cuda_block_size, layout=layout,
-            scale_semantics=scale_semantics, mapped_memory=mapped_memory,
-            parallelism=parallelism, name=name))
+            scale_semantics=scale_semantics, parallelism=parallelism,
+            name=name))
 
     def gpu_map(self, kernel_name: str, **kwargs) -> "GDST":
         """Element-wise GPU map — same machinery, one output per input."""

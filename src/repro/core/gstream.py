@@ -30,7 +30,6 @@ from repro.core.hbuffer import Block, HBuffer
 from repro.core.scheduling import locality_keys, schedule_work, steal_work
 from repro.flink.payload import concat, real_len
 from repro.gpu.device import GPUDevice
-from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import DeviceBuffer
 from repro.obs import OFF, Observability
 
@@ -98,12 +97,8 @@ class GStream:
                     raise DeviceFaultError(injected, device.name)
                 secondary = yield from self._stage_secondary_inputs(
                     work, device, region)
-                if work.mapped_memory:
-                    output_elements = yield from self._mapped_execute(
-                        work, device, secondary)
-                else:
-                    output_elements = yield from self._pipeline(
-                        work, device, region, spill_region, secondary)
+                output_elements = yield from self._pipeline(
+                    work, device, region, spill_region, secondary)
             except Exception as exc:  # surface through the completion event
                 # Reclaim this work's in-flight allocations (cache-region
                 # buffers are unregistered views and survive): a retried work
@@ -428,72 +423,6 @@ class GStream:
                 spill_region.spills += 1
                 return entry.buffer, spill_key
         return None
-
-    def _mapped_execute(self, work: GWork, device: GPUDevice,
-                        secondary: Dict[str, DeviceBuffer]
-                        ) -> Generator[Event, None, object]:
-        """Zero-copy execution over device-mapped host memory (§4.1.2).
-
-        The kernel's loads and stores traverse PCIe directly: no explicit
-        copies, no copy-engine involvement — reads and writes overlap even
-        on a one-engine GPU (that is the whole point of mapped memory).
-        The cost is that every byte moves at PCIe speed *during* the kernel,
-        so the per-block time is ``max(kernel, max(in, out) wire time)``.
-        """
-        wrapper = self.manager.wrapper
-        (stage,) = work.stages  # GWork refuses a mapped chain
-        primary = work.in_buffers[PRIMARY]
-        if not primary.pinned:
-            raise ConfigError(
-                "device-mapped execution requires a pinned (page-locked) "
-                "host buffer")
-        results: Dict[int, object] = {}
-        out_per_elem = self._out_nbytes_per_element(work, primary)
-        obs = self.manager.obs
-        for blk in primary.split_blocks(self.manager.block_nbytes):
-            host_view = DeviceBuffer(blk.nbytes, device.name)
-            host_view.data = blk.elements
-            out_view = DeviceBuffer(int(max(blk.nominal_count
-                                            * out_per_elem, 8)), device.name)
-            launch = LaunchConfig.for_elements(max(blk.nominal_count, 1),
-                                               stage.block_size)
-            spec = wrapper.runtime.registry.get(stage.execute_name)
-            kernel_s = spec.execution_seconds(
-                blk.nominal_count, launch, device.spec,
-                layout=primary.layout)
-            out_real_guess = blk.nominal_count  # map-style upper bound
-            wire_in = blk.nbytes / device.spec.pcie_effective_bps
-            wire_out = (out_real_guess * out_per_elem
-                        / device.spec.pcie_effective_bps)
-            # Kernel and both wire directions fully overlap.
-            mapped_s = max(kernel_s, wire_in, wire_out)
-            with device.compute.request() as grant:
-                yield grant
-                yield wrapper._jni()
-                yield self.env.timeout(mapped_s)
-                device.kernel_seconds += kernel_s
-                device.kernels_launched += 1
-                device.h2d_bytes += blk.nbytes
-                in_arrays = {PRIMARY: host_view.data,
-                             **{arg: secondary[alias].data
-                                for arg, alias in stage.extra.items()}}
-                out = spec.fn(in_arrays, dict(stage.params))
-                if "out" not in out:
-                    raise ConfigError(
-                        f"kernel {stage.execute_name!r} produced no 'out'")
-                d2h_nbytes = int(
-                    real_len(out["out"]) * primary.scale * out_per_elem)
-                device.d2h_bytes += d2h_nbytes
-                obs.emit("kernel.mapped", device.name, "kernel",
-                         self.env.now - mapped_s, self.env.now,
-                         kernel=stage.execute_name, block=blk.index,
-                         mapped=True, kernel_s=kernel_s,
-                         h2d_bytes=blk.nbytes, d2h_bytes=d2h_nbytes)
-                results[blk.index] = out["out"]
-        for buf in self._temp_secondary:
-            yield from wrapper.cuda_free(device, buf)
-        self._temp_secondary = []
-        return concat([results[i] for i in sorted(results)])
 
     @staticmethod
     def _out_nbytes_per_element(work: GWork, primary: HBuffer) -> float:

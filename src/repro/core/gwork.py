@@ -72,7 +72,9 @@ class GWork:
 
     Field names mirror Algorithm 3.1 (``ptxPath``, ``executeName``,
     ``blockSize``/``gridSize``, ``inBuffer``/``outBuffer``, ``cache``,
-    ``cacheKey``), pythonized.
+    ``cacheKey``), pythonized.  Every GWork runs the same way: its blocks
+    go through the three-stage H2D → kernel → D2H pipeline over the copy
+    engines, each kernel launched by ``CUDARuntime.kernel_op``.
     """
 
     execute_name: str                       # registered kernel name
@@ -87,11 +89,6 @@ class GWork:
     params: Dict[str, Any] = field(default_factory=dict)
     app_id: str = "default"                 # owns the device cache region
     out_element_nbytes: Optional[float] = None
-    #: §4.1.2: "The only way for these [one-copy-engine] GPUs to use the
-    #: PCIe bus in full duplex is to use device-mapped host memory instead."
-    #: When set, the kernel reads/writes the pinned host buffers directly
-    #: over PCIe (zero copy): no explicit H2D/D2H, reads and writes overlap.
-    mapped_memory: bool = False
     #: The kernels to launch, in order, sharing device-resident
     #: intermediates.  Never empty once constructed: None (the Algorithm 3.1
     #: form) becomes the one stage that execute_name/params/block_size name.
@@ -132,9 +129,6 @@ class GWork:
                 block_size=self.block_size, extra=extra)]
         elif not self.stages:
             raise ConfigError("stages, when given, must be non-empty")
-        if self.chained and self.mapped_memory:
-            raise ConfigError(
-                "mapped-memory execution does not support kernel chaining")
 
     @property
     def chained(self) -> bool:

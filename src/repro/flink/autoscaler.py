@@ -82,13 +82,11 @@ class AutoscalerPolicy:
     #: Predictive scale-up: pressure slope (per tick) above which a worker
     #: is added *before* ``slot_pressure_high`` is crossed, provided the
     #: level is already past half the hard threshold.
-    predictive: bool = True
     pressure_slope_high: float = 0.05
     #: Scale-down: pressure below ``slot_pressure_low`` for
     #: ``low_pressure_windows`` consecutive ticks with a non-rising trend
     #: (slope <= ``drain_slope_max``) drains one worker, never below
     #: ``min_workers`` schedulable members.
-    scale_down: bool = True
     slot_pressure_low: float = 0.25
     low_pressure_windows: int = 5
     min_workers: int = 1
@@ -185,7 +183,7 @@ class Autoscaler:
         slope = self.pressure_slope()
         if pressure > policy.slot_pressure_high:
             self._maybe_add_worker(pressure, slope)
-        elif policy.predictive and slope > policy.pressure_slope_high \
+        elif slope > policy.pressure_slope_high \
                 and pressure > policy.slot_pressure_high / 2.0:
             self._maybe_add_worker(pressure, slope, signal="pressure_trend")
         remote_frac = self._remote_read_fraction()
@@ -197,7 +195,7 @@ class Autoscaler:
             self._busy_seen = True
         elif self._busy_seen:
             self._low_run += 1
-        if policy.scale_down and self._low_run >= policy.low_pressure_windows \
+        if self._low_run >= policy.low_pressure_windows \
                 and slope <= policy.drain_slope_max:
             self._maybe_drain_worker(pressure, slope)
 

@@ -52,8 +52,6 @@ class FlinkConfig:
 
     # Serialization between JVM objects and bytes (shuffle, heap-path GPU I/O).
     serde_bps: float = 0.8e9
-    # Copy between JVM heap and native memory (baseline GPU path only).
-    heap_copy_bps: float = 4.0e9
 
     # Columnar zero-copy exchange (docs/STREAMING_EXECUTOR.md §columnar):
     # a routed/broadcast exchange that carries columnar payloads (NumPy /
@@ -149,8 +147,8 @@ class FlinkConfig:
     pipeline_block_nbytes: float = 8 * 2**20
 
     def __post_init__(self) -> None:
-        if self.serde_bps <= 0 or self.heap_copy_bps <= 0:
-            raise ConfigError("bandwidths must be positive")
+        if self.serde_bps <= 0:
+            raise ConfigError("serde_bps must be positive")
         if self.pipeline_queue_blocks < 1:
             raise ConfigError("pipeline_queue_blocks must be >= 1")
         if self.monitor_window_s <= 0:

@@ -118,14 +118,12 @@ def _consumer_maps(order: List[Operator]
 
 def _gpu_chainable(op: Operator, consumers: Counter) -> bool:
     """GPU chain members: a plain GpuMapPartitionOp with default
-    parallelism, privately consumed, not persisted, not mapped-memory
-    (zero-copy execution has no device-resident intermediates to share)."""
+    parallelism, privately consumed, not persisted."""
     from repro.core.gdst import GpuMapPartitionOp
     return (type(op) is GpuMapPartitionOp
             and op.parallelism is None
             and consumers[op.uid] == 1
-            and not op.persisted
-            and not op.mapped_memory)
+            and not op.persisted)
 
 
 def _gpu_compatible(producer: Operator, consumer: Operator) -> bool:

@@ -56,7 +56,8 @@ def concat(parts: Sequence[Any]) -> Any:
 
     NumPy parts concatenate to one block (a single part is returned as is,
     a 0-d array counts as a one-row block); as soon as one part is anything
-    else the result is a row list.  No parts is ``[]``.
+    else, or record blocks meet plain ones, the result is a row list.  No
+    parts is ``[]``.
     """
     if parts and all(isinstance(p, np.ndarray) for p in parts):
         blocks = [p if p.ndim else p.reshape(1) for p in parts]
@@ -67,7 +68,9 @@ def concat(parts: Sequence[Any]) -> Any:
             # One record type: named, so NumPy does not promote the fields
             # pair by pair (a third of the time of the default call).
             return np.concatenate(blocks, dtype=dtype)
-        return np.concatenate(blocks)
+        named = dtype.names is not None
+        if all((b.dtype.names is not None) is named for b in blocks):
+            return np.concatenate(blocks)
     rows: List[Any] = []
     for p in parts:
         if hasattr(p, "__len__"):

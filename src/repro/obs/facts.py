@@ -24,8 +24,6 @@ A :class:`Fact` row:
 ``opens``
     threads of the emitting process whose lanes exist from this fact on,
     drawn on or not (tids are handed out in first-use order).
-``marker``
-    the arg that tells this row's events from a same-named sibling's.
 ``totals``
     ``(registry family, source)``: the family, summed over its labels,
     equals the source (an attr, or a constant per event) summed over the
@@ -80,7 +78,6 @@ class Fact(NamedTuple):
     hidden: Tuple[str, ...] = ()
     derive: Tuple[Derive, ...] = ()
     opens: Tuple[str, ...] = ()
-    marker: Optional[str] = None
     totals: Tuple[Tuple[str, str], ...] = ()
 
 
@@ -215,19 +212,6 @@ FACTS: Dict[str, Fact] = {
         mon("counter", "gstream.engine_busy_s", "seconds", device=PROCESS)),
         totals=(("gpu.device.kernel_seconds", "seconds"),
                 ("gpu.device.kernels_launched", 1))),
-    # Device-mapped memory: the engine is held for max(kernel, wire) but only
-    # the kernel's share counts as kernel seconds, and the bytes cross PCIe
-    # with no copy span of their own — so the span says all of it.
-    "kernel.mapped": Fact("gpu.device", "X", "{kernel}", ("kernel",),
-                          marker="mapped", derive=(
-        reg("counter", "gpu.kernel.seconds", "kernel_s", device=PROCESS,
-            kernel="kernel"),
-        mon("counter", "gstream.engine_busy_s", "kernel_s",
-            device=PROCESS)),
-        totals=(("gpu.device.kernel_seconds", "kernel_s"),
-                ("gpu.device.kernels_launched", 1),
-                ("gpu.device.h2d_bytes", "h2d_bytes"),
-                ("gpu.device.d2h_bytes", "d2h_bytes"))),
     "device.blacklisted": Fact("fault", derive=(
         reg("counter", "device.blacklisted", device="device"),)),
 

@@ -61,18 +61,15 @@ _DRAWN = [(row, *_name_pattern(row))
 
 def _row_of(event: Dict[str, Any]) -> Optional[Tuple[Fact, Dict]]:
     """The FACTS row an exported event was drawn from: same category and
-    phase, a matching name, its marker arg present; a marker, then the most
-    literal name, wins (``h2d`` over ``{kernel}``)."""
+    phase and a matching name; the most literal name wins (``h2d`` over
+    ``{kernel}``)."""
     best = None
     for row, pattern, literal in _DRAWN:
-        if row.cat != event.get("cat") or row.ph != event.get("ph") \
-                or (row.marker is not None
-                    and row.marker not in event["args"]):
+        if row.cat != event.get("cat") or row.ph != event.get("ph"):
             continue
         m = pattern.match(event["name"])
-        rank = (row.marker is not None, literal)
-        if m is not None and (best is None or rank > best[0]):
-            best = (rank, row, m.groupdict())
+        if m is not None and (best is None or literal > best[0]):
+            best = (literal, row, m.groupdict())
     return None if best is None else best[1:]
 
 

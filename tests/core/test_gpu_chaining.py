@@ -152,14 +152,6 @@ class TestStagedPipeline:
         assert np.allclose(out.elements, data * 2.0)
         assert devices[0].h2d_bytes + devices[0].d2h_bytes == 2 * data.nbytes
 
-    def test_staged_work_rejects_mapped_memory(self):
-        h = HBuffer(np.arange(4.0), element_nbytes=8, off_heap=True,
-                    pinned=True)
-        with pytest.raises(ConfigError, match="chaining"):
-            GWork(execute_name="double", in_buffers={"in": h},
-                  out_buffer=HBuffer([], 8), size=4, mapped_memory=True,
-                  stages=[KernelStage("double"), KernelStage("inc")])
-
 
 class TestCachedStageResume:
     def _cached_chain_work(self, data):
@@ -380,15 +372,6 @@ class TestGpuChainOptimizer:
         assert len(fused) == 2
         assert {f.comm_mode for f in fused} == \
             {CommMode.GFLINK, CommMode.JNI_HEAP}
-
-    def test_mapped_memory_not_fused(self):
-        _, session = make_session()
-        ds = session.from_collection(np.arange(16.0), element_nbytes=8)
-        chain = ds.gpu_map("double", mapped_memory=True) \
-            .gpu_map("inc", mapped_memory=True)
-        sink = CollectSink(chain.op)
-        apply_chaining([sink])
-        assert fused_ops_of(sink) == []
 
     def test_fused_gpu_op_requires_two_stages(self):
         _, session = make_session()

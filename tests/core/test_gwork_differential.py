@@ -15,7 +15,7 @@ Axes: chain length 1-4, the four ``scale_semantics`` on every member, cache
 on/off with and without an explicit ``cache_key_base``, secondary operands
 (fresh and constant, the same name on several members), ``params_fn``,
 declared and undeclared output sizes, the three transfer paths, both device
-layouts, mapped memory, a streamed (HDFS) and a resident (collection) input,
+layouts, a streamed (HDFS) and a resident (collection) input,
 an empty partition, a second submission (cache hits, resumed chains) and
 CPU degradation.  Tier-1 runs the sweep and a few generated cases;
 ``scripts/ci.sh`` runs the generator at full depth (``REPRO_FULL_DEPTH=1``).
@@ -81,7 +81,6 @@ class Case:
     members: Tuple[Member, ...] = (Member(),)
     comm_mode: CommMode = CommMode.GFLINK
     layout: DataLayout = DataLayout.AOS
-    mapped: bool = False                 # chain of one, GFLINK path only
     degraded: bool = False
     hdfs: bool = False                   # streamed input: host_stream wired
     n: int = 240                         # 1: one of the two partitions empty
@@ -112,7 +111,7 @@ def build_op(case: Case):
             out_element_nbytes=m.out_element_nbytes,
             comm_mode=case.comm_mode, cuda_block_size=m.cuda_block_size,
             layout=case.layout, scale_semantics=m.scale_semantics,
-            mapped_memory=case.mapped, name=f"m{j}({m.kernel})")
+            name=f"m{j}({m.kernel})")
         members.append(prev)
     return members[0] if len(members) == 1 else FusedGpuOp(source, members)
 
@@ -241,10 +240,6 @@ def swept_cases():
         ]
     cases.append(Case((Member("keep_even", "flatmap"), Member("inc")),
                       label="filter-upstream"))
-    cases.append(Case(chain(1), mapped=True, label="mapped"))
-    cases.append(Case(chain(1, operand="fresh", params_fn=True,
-                            out_element_nbytes=16.0),
-                      mapped=True, label="mapped-operand"))
     return cases
 
 
@@ -282,15 +277,10 @@ members = st.builds(
 
 @st.composite
 def generated_cases(draw):
-    mapped = draw(st.booleans()) and draw(st.booleans())
-    chain_ = draw(st.lists(members, min_size=1,
-                           max_size=1 if mapped else 4))
     return Case(
-        members=tuple(chain_),
-        comm_mode=(CommMode.GFLINK if mapped
-                   else draw(st.sampled_from(list(CommMode)))),
+        members=tuple(draw(st.lists(members, min_size=1, max_size=4))),
+        comm_mode=draw(st.sampled_from(list(CommMode))),
         layout=draw(st.sampled_from([DataLayout.AOS, DataLayout.SOA])),
-        mapped=mapped,
         degraded=draw(st.booleans()) and draw(st.booleans()),
         hdfs=draw(st.booleans()),
         n=draw(st.sampled_from([1, 7, 240])),

@@ -9,9 +9,11 @@ Covers the chaos subsystem's contracts:
   materialized);
 * a worker killed mid-job leaves the job result identical;
 * with every device blacklisted, GPU operators degrade to CPU execution
-  and still produce identical results.
+  and still produce identical results — and a kernel with no ``"out"``
+  fails with the same ``KernelError`` as on a healthy device.
 """
 
+import numpy as np
 import pytest
 
 from repro.common.errors import DeviceFaultError, KernelError
@@ -26,6 +28,7 @@ from repro.flink.chaos import (
     values_equal,
 )
 from repro.flink.jobmanager import JobManager
+from repro.gpu import KernelSpec
 from repro.gpu.kernel import KernelRegistry
 from repro.workloads import PageRankWorkload, PointAddWorkload
 from tests.flink.conftest import assert_ports_free, at_depth, make_cluster
@@ -292,3 +295,25 @@ class TestGpuDegradation:
         from repro.common.errors import JobExecutionError
         with pytest.raises(JobExecutionError):
             workload.run(GFlinkSession(cluster), "gpu")
+
+    def test_kernel_without_out_fails_the_same_degraded_or_not(self):
+        def run(blacklisted):
+            cluster = GFlinkCluster(ClusterConfig(
+                n_workers=1, cpu=CPUSpec(cores=2),
+                gpus_per_worker=("c2050",)))
+            if blacklisted:
+                cluster.install_chaos(
+                    ChaosSchedule().fail_gpu("worker0", 0, at=0.0))
+            session = GFlinkSession(cluster)
+            session.register_kernel(KernelSpec(
+                "no-out", lambda i, p: {"res": i["in"]},
+                flops_per_element=1.0))
+            ds = session.from_collection(np.arange(100, dtype=np.float64),
+                                         element_nbytes=8, parallelism=1)
+            with pytest.raises(KernelError) as info:
+                ds.gpu_map("no-out").collect()
+            assert all(gm.gpu_available() is not blacklisted
+                       for gm in cluster.gpu_managers())
+            return str(info.value)
+
+        assert run(blacklisted=True) == run(blacklisted=False)

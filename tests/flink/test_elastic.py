@@ -372,16 +372,6 @@ class TestAutoscaler:
         assert all(d.action != "drain_worker" for d in scaler.decisions)
         assert len(cluster.member_names()) == 2
 
-    def test_scale_down_disabled_never_drains(self):
-        cluster = make_cluster(n_workers=3)
-        policy = AutoscalerPolicy(low_pressure_windows=1, scale_down=False,
-                                  cooldown_s=0.0)
-        scaler = Autoscaler(cluster, policy)
-        scaler._busy_seen = True
-        for _ in range(5):
-            scaler._evaluate()
-        assert all(d.action != "drain_worker" for d in scaler.decisions)
-
     def test_predictive_scale_down_drains_idle_worker_bit_identically(self):
         from repro.core import GFlinkCluster, GFlinkSession
         from repro.flink import ClusterConfig, CPUSpec

@@ -227,14 +227,11 @@ def run_the_fact_zoo():
     scaler = Autoscaler(cluster, AutoscalerPolicy(cooldown_s=0.0))
     scaler._evaluate()
     scaler._maybe_add_worker(pressure=2.0)
-    # Every device blacklisted: GPU operators fall back to the CPU.  And
-    # device-mapped memory, on a healthy one.
-    double_on_one_gpu(mapped=False,
-                      faults=ChaosSchedule().fail_gpu("worker0", 0, at=0.0))
-    double_on_one_gpu(mapped=True)
+    # Every device blacklisted: GPU operators fall back to the CPU.
+    double_on_one_gpu(faults=ChaosSchedule().fail_gpu("worker0", 0, at=0.0))
 
 
-def double_on_one_gpu(mapped, faults=None):
+def double_on_one_gpu(faults=None):
     cluster = GFlinkCluster(ClusterConfig(
         n_workers=1, cpu=CPUSpec(cores=2), gpus_per_worker=("c2050",),
         flink=FlinkConfig(**OBSERVED)))
@@ -246,8 +243,7 @@ def double_on_one_gpu(mapped, faults=None):
         flops_per_element=2.0, efficiency=0.5))
     session.from_collection(
         np.arange(2000, dtype=np.float64), element_nbytes=8.0, scale=1e3,
-        parallelism=1).gpu_map_partition(
-            "double", mapped_memory=mapped).collect()
+        parallelism=1).gpu_map_partition("double").collect()
     return cluster
 
 
@@ -329,16 +325,6 @@ def exported(cluster):
 
 
 class TestCrossCheck:
-    def test_holds_over_device_mapped_memory(self):
-        """The engine is held for max(kernel, wire) but only the kernel's
-        share is kernel seconds, and the bytes cross PCIe with no copy span:
-        the mapped span says all of it, and is told from a plain one."""
-        trace, metrics = exported(double_on_one_gpu(mapped=True))
-        mapped = [e for e in trace["traceEvents"] if e["name"] == "double"]
-        assert mapped and all(
-            e["args"]["kernel_s"] < e["dur"] / 1e6 for e in mapped)
-        assert cross_check(trace, metrics) == []
-
     def test_holds_on_a_chaos_run_and_catches_a_drifted_counter(
             self, killed_mid_stall):
         trace, metrics = exported(killed_mid_stall[0])

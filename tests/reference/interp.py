@@ -70,9 +70,18 @@ def bag_of(pairs) -> Bag:
     return Bag([r for r, _ in pairs], [w for _, w in pairs])
 
 
+class NoBlock(Exception):
+    """Rows handed to a ``vectorized()`` UDF or a kernel do not stack into
+    one block (a GStruct record beside a plain row): the reference has no
+    block to hand it, so it has no answer either."""
+
+
 def block(rows: list) -> np.ndarray:
     """The rows stacked into one NumPy block (what a kernel is handed)."""
-    return np.asarray(rows)
+    try:
+        return np.asarray(rows)
+    except ValueError as exc:  # ragged rows
+        raise NoBlock(str(exc)) from None
 
 
 def value(row: Any) -> Any:

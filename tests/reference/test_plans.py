@@ -41,7 +41,7 @@ from repro.flink.iterators import vectorized
 from repro.flink.payload import segment_sum
 from repro.gpu import KernelSpec
 from tests.flink.conftest import at_depth, depth
-from tests.reference.interp import Bag, Pick, evaluate
+from tests.reference.interp import Bag, NoBlock, Pick, evaluate
 
 MODES = ("cpu", "gpu", "cpu-fallback")
 PARALLELISM = (1, 2, 5)
@@ -279,9 +279,7 @@ def apply_step(ds, step, other, point: Point):
         return ds.cross(other, lambda l, r: (
             float(l[0]), float(l[1]) * float(r[1])))
     assert name == "union", name
-    # Lowered to rows on both sides: a GStruct block and a 2-D block do not
-    # concatenate (test_a_gstruct_and_a_2d_block_union below).
-    return ds.map(row).union(other.map(row))
+    return ds.union(other)
 
 
 def _chain(ds, body, other, point):
@@ -443,7 +441,8 @@ def check(value, answer, ordered=False):
 #: one mechanism: a nominal count through element-wise operators; keys of
 #: one value routed as an int column on one side of a join and as floats on
 #: the other; distinct's pick-first on one partition; persisted partitions
-#: lost to a worker between two jobs.  With the last two, every operator
+#: lost to a worker between two jobs; a 2-D and a GStruct block meeting in
+#: one keyed consumer after a union.  With the last two, every operator
 #: class is reached whatever the depth.
 ROWS = tuple((i % 5, i % 7 - 2) for i in range(20))
 EXAMPLES = [
@@ -462,8 +461,8 @@ EXAMPLES = [
         ("reduce_group", False, None)), ("sort", True), "collect"),
      Point("cpu-fallback", 1, "2d", True, "drain")),
     (Plan(ROWS, ((1, 2), (4, 3)), 1.0, False, (
-        ("map_partition", True, None), ("union", False, None),
-        ("sum", True, None), ("gpu_map", False, None),
+        ("map_partition", True, None), ("gpu_map", False, None),
+        ("union", False, None), ("sum", False, None),
         ("co_group", False, None), ("reduce", False, None)),
         ("first", 3), "write"), Point("gpu", 2, "struct", False, "none")),
 ]
@@ -482,10 +481,15 @@ def sweep(seen=None, shrink=True):
     def one(plan_, point):
         todo = [p for p in at_depth([point], MATRIX)
                 if not known_defect(plan_, p)]
-        if not todo:
-            reject()
+        answered = 0
         for p in todo:
-            run(plan_, p, seen)
+            try:
+                run(plan_, p, seen)
+                answered += 1
+            except NoBlock:  # a union of records and plain rows fed a block
+                pass
+        if not answered:
+            reject()
 
     for plan_, point in EXAMPLES:
         one = example(plan_, point)(one)
@@ -520,8 +524,6 @@ def test_a_write_survives_a_kill():
              "write"), Point("cpu", 5, "rows", True, "kill"))
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason="payload.concat "
-                   "stacks a GStruct block and a 2-D block as NumPy arrays")
 def test_a_gstruct_and_a_2d_block_union():
     session = GFlinkSession(cluster_for(MATRIX[0]))
     ds = session.from_collection(make("struct", [(1, 2)])).union(
