@@ -230,6 +230,20 @@ LINTS = (
          "ports with resources.serve)",
          "NIC port hand-on", ("src/repro/common/network.py",
                               "        self.lock = Resource(env, capacity=1)")),
+    Lint("a GPU engine hands itself on — no engine grant, no stage sentinel",
+         # A kernel's priced seconds and a DMA's wire time are known when the
+         # caller asks, so the compute and copy engines are Ports claimed
+         # through resources.serve: a queued launch or copy starts in the
+         # releaser's step.  The stage loops end after their blocks; a None
+         # sentinel would pay the D2H stage's hand-off redirect once more.
+         r"Resource\(|\.request\(\)|put\(None\)",
+         ("src/repro/gpu/device.py", "src/repro/gpu/runtime.py",
+          "src/repro/core/gstream.py"),
+         "a Resource engine, an engine request() or a stage sentinel (claim "
+         "the engine Port with resources.serve; loop over the blocks)",
+         "GPU engine hand-on", ("src/repro/gpu/device.py",
+                                "        self.compute = Resource(env, "
+                                "capacity=1)")),
     Lint("one oracle for answers — no frozen engine copy under tests/",
          # The value halves of tests/flink/retired.py and tests/core/retired.py
          # are gone: tests hold answers to tests/reference/interp.py.

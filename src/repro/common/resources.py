@@ -1,17 +1,18 @@
 """Shared-resource primitives for the simulation kernel.
 
 * :class:`Resource` — ``capacity`` interchangeable servers whose holders do
-  not say how long they stay (CPU slots, disk spindles, GPU engines).
+  not say how long they stay (CPU slots, disk spindles, a CUDA stream's
+  in-order lock).
 * :class:`Port` — a FIFO unit server whose holder states its hold time when
-  it asks (one direction of a NIC: network links modeled as unit servers).
+  it asks (one direction of a NIC, a GPU's compute engine or copy engine).
 * :class:`Store` — an unbounded-or-bounded FIFO buffer of Python objects
   (work queues, mailboxes).
 
 ``Resource`` and ``Store`` follow the SimPy convention: ``request()`` /
 ``get()`` / ``put()`` return events to ``yield`` on, and requests act as
-context managers that release on exit.  A port is claimed in pairs by
-:func:`serve`, which returns the service's completion; the claimant yields
-it and lets go with :meth:`Service.release`.
+context managers that release on exit.  A port is claimed alone or in a
+pair by :func:`serve`, which returns the service's completion; the claimant
+yields it and lets go with :meth:`Service.release`.
 
 Zero-wait rule (see :mod:`repro.common.simclock`): an event satisfiable when
 created is processed at birth; the creating process runs on within the same
@@ -20,19 +21,26 @@ means a :class:`Request` on a resource with a free slot, a ``put`` into a
 store with room and no earlier putter, and a ``get`` from a store holding an
 item with no earlier getter come back already processed and cost no heap
 entry.  A request that had to queue, and a putter or getter that had to
-block, is granted later by ``succeed`` — one heap entry, delivered in request
-order.
+block, is granted later — one heap entry, delivered in request order.
+
+A getter may say what it does next: ``get(then=…)`` is a ``get()`` followed
+by ``timeout(then)`` in one event.  Its wake is pushed at ``hand-off +
+then`` — at birth when an item is there, otherwise in the putter's step —
+which is the instant the pair reaches (the D2H stage pays its JNI redirect
+this way).  ``then = 0`` is the plain hand-off above.
 
 A port has no grant to deliver: its holder's hold time is known when it
-asks, so the completion *is* the service.  :func:`serve` joins both ports
-at one instant, first then second; a claim that holds both at once pushes
-its completion at ``(now + delay) + then`` — the left fold of a fused
-timeout — and one that queued is started by :meth:`Service.release` of the
-claim ahead of it, in the releaser's step, at the releaser's instant.  A
-cross-node transfer therefore costs exactly one event, queued or not.  The
-ordering statement that goes with it: the waiter's service starts in the
-releaser's step, not one heap hop later at the same timestamp as a grant
-through the heap would start it.
+asks, so the completion *is* the service.  :func:`serve` joins its one or
+two ports at one instant, first then second; a claim that holds every port
+at once pushes its completion at ``(now + delay) + then`` — the left fold
+of a fused timeout — and one that queued is started by
+:meth:`Service.release` of the claim ahead of it, in the releaser's step,
+at the releaser's instant; ``Service.start`` records that instant.  A
+cross-node transfer, a kernel launch or a DMA copy therefore costs exactly
+one event, queued or not.  The ordering statement that goes with both
+hand-offs: the waiter's event is pushed in the releaser's (or putter's)
+step, not one heap hop later at the same timestamp as a grant or wake
+through the heap would push it.
 
 An event is born in the function that hands it out: ``Resource.request``,
 ``serve``, ``Store.put`` and ``Store.get`` allocate it, write its slots
@@ -157,20 +165,23 @@ class Port:
 
 
 class Service(Event):
-    """The completion of one service on a pair of :class:`Port` s (built by
-    :func:`serve`); pending until it holds both, then scheduled."""
+    """The completion of one service on one or two :class:`Port` s (built
+    by :func:`serve`); pending until it holds every port, then scheduled.
 
-    __slots__ = ("first", "second", "_waits", "_delay", "_then")
+    ``start`` is the instant it came to hold them (``None`` while queued).
+    """
+
+    __slots__ = ("ports", "start", "_waits", "_delay", "_then")
 
     def release(self) -> None:
-        """Let go of both ports (idempotent, for ``finally`` blocks).
+        """Let go of every port (idempotent, for ``finally`` blocks).
 
         A held port passes to the head of its queue; a claim that now holds
-        both starts its service here, at this instant.  A claim of ours
-        still queued is withdrawn.  A completion already scheduled fires
-        later with no waiter, like any orphaned timeout.
+        all it asked for starts its service here, at this instant.  A claim
+        of ours still queued is withdrawn.  A completion already scheduled
+        fires later with no waiter, like any orphaned timeout.
         """
-        for port in (self.first, self.second):
+        for port in self.ports:
             if port.holder is not self:
                 try:
                     port.queue.remove(self)
@@ -186,17 +197,19 @@ class Service(Event):
             if not waits:
                 successor._value = None
                 env = successor.env
+                successor.start = now = env._now
                 env._seq = seq = env._seq + 1
-                heappush(env._heap, ((env._now + successor._delay)
+                heappush(env._heap, ((now + successor._delay)
                                      + successor._then, NORMAL, seq,
                                      successor))
 
 
-def serve(env: Environment, first: Port, second: Port, delay: float,
+def serve(env: Environment, first: Port, second: Port | None, delay: float,
           then: float = 0.0) -> Service:
-    """Claim ``first`` then ``second`` at this instant for ``delay`` plus
-    ``then`` seconds; the returned event fires at ``(start + delay) +
-    then``, where ``start`` is the instant the claim holds both ports."""
+    """Claim ``first`` then ``second`` (when not ``None``) at this instant
+    for ``delay`` plus ``then`` seconds; the returned event fires at
+    ``(start + delay) + then``, where ``start`` is the instant the claim
+    holds every port it asked for."""
     # ``not (d >= 0)`` rather than ``d < 0``: NaN fails it as well.
     if not (delay >= 0 and then >= 0):
         raise ValueError(f"negative or NaN hold time: {delay!r}, {then!r}")
@@ -205,12 +218,11 @@ def serve(env: Environment, first: Port, second: Port, delay: float,
     service.callbacks = []
     service._ok = True
     service._defused = False
-    service.first = first
-    service.second = second
+    service.ports = ports = (first,) if second is None else (first, second)
     service._delay = delay
     service._then = then
     waits = 0
-    for port in (first, second):
+    for port in ports:
         if port.holder is None:
             port.holder = service
         else:
@@ -219,12 +231,13 @@ def serve(env: Environment, first: Port, second: Port, delay: float,
     service._waits = waits
     if waits:
         service._value = _PENDING
+        service.start = None
     else:
-        # Both free: the service starts now, one heap entry at its end.
+        # Every port free: the service starts now, one heap entry at its end.
         service._value = None
+        service.start = now = env._now
         env._seq = seq = env._seq + 1
-        heappush(env._heap, ((env._now + delay) + then, NORMAL, seq,
-                             service))
+        heappush(env._heap, ((now + delay) + then, NORMAL, seq, service))
     return service
 
 
@@ -235,9 +248,10 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
-    """Pending removal from a :class:`Store` (built by :meth:`Store.get`)."""
+    """Pending removal from a :class:`Store` (built by :meth:`Store.get`);
+    ``_then`` is the getter's charge after the hand-off."""
 
-    __slots__ = ()
+    __slots__ = ("_then",)
 
 
 class Store:
@@ -272,18 +286,30 @@ class Store:
             self._putters.append(event)
         return event
 
-    def get(self) -> StoreGet:
-        """Remove the oldest item; the event fires with the item as value."""
+    def get(self, then: float = 0.0) -> StoreGet:
+        """Remove the oldest item; the event fires with the item as value
+        ``then`` seconds after the hand-off — at ``hand-off + then``, the
+        instant a ``get()`` followed by ``timeout(then)`` reaches, in one
+        event."""
+        if not then >= 0:  # NaN fails it as well
+            raise ValueError(f"negative or NaN charge: {then!r}")
         event = _new(StoreGet)
-        event.env = self.env
+        event.env = env = self.env
         event._ok = True
         event._defused = False
+        event._then = then
         if self.items and not self._getters:
-            # An item and nobody ahead: handed over at birth, no heap entry.
-            event.callbacks = None
+            # An item and nobody ahead: handed over at birth.
             event._value = self.items.popleft()
             if self._putters:
                 self._dispatch()
+            if then:
+                # The charge still has to pass: one heap entry at its end.
+                event.callbacks = []
+                env._seq = seq = env._seq + 1
+                heappush(env._heap, (env._now + then, NORMAL, seq, event))
+            else:
+                event.callbacks = None
         else:
             event.callbacks = []
             event._value = _PENDING
@@ -305,7 +331,12 @@ class Store:
                 self.items.append(put.item)
                 put.succeed()
                 progress = True
-            # Serve waiting getters from the buffer.
+            # Serve waiting getters from the buffer: each wakes ``then``
+            # after the hand-off, pushed here in the putter's step.
             while self._getters and self.items:
-                self._getters.popleft().succeed(self.items.popleft())
+                get = self._getters.popleft()
+                get._value = self.items.popleft()
+                env = self.env
+                env._seq = seq = env._seq + 1
+                heappush(env._heap, (env._now + get._then, NORMAL, seq, get))
                 progress = True

@@ -29,7 +29,16 @@ it for uncontended grants and hand-offs.  Whoever *waits* — a queued request,
 a blocked putter or getter — is still woken through the heap, in FIFO order.
 The consequence is an ordering statement: at one timestamp, a process whose
 request was granted at birth runs ahead of peers whose events were already
-scheduled for that timestamp.  The processed representation
+scheduled for that timestamp.  Two waits carry the charge that follows them
+in the hand-off itself: a getter that asked ``Store.get(then=…)`` has its
+wake pushed in the putter's step at ``now + then``, and a queued claim on a
+``Port`` (``resources.serve``) has its completion pushed in the releaser's
+step at ``(now + delay) + then`` — the instants a wake followed by a
+timeout reaches, in one event instead of two.  Their ordering statement:
+such an event takes its place in the heap in the putter's or the
+releaser's step, ahead of same-instant events scheduled after that step,
+where the wake-then-timeout pair would have taken it one heap hop later.
+The processed representation
 (``callbacks = None`` with the value in place) is private to this module and
 ``resources.py``, which writes it where the event is built —
 ``Resource.request``, ``Store.put``, ``Store.get``; ``scripts/lint.py`` lints

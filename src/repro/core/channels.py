@@ -67,8 +67,10 @@ class CUDAWrapper:
 
     The calls a pipeline stage makes once per block are one generator
     frame each: ``cuda_malloc`` / ``cuda_free`` yield their fused charge
-    themselves, and the ``*_inline`` calls charge the redirect and go
-    straight to the runtime's stream-less ``kernel_op`` / ``transfer_op``.
+    themselves, ``launch_kernel_inline`` hands its redirect to the runtime's
+    stream-less ``kernel_op``, and the ``transfer_*_inline`` calls go
+    straight to ``transfer_op`` — the H2D one after its redirect, the D2H
+    one after the caller has waited its redirect out.
     """
 
     def __init__(self, env: Environment, runtime: CUDARuntime,
@@ -79,11 +81,6 @@ class CUDAWrapper:
         self.jni_calls = 0
 
     # -- control channel -----------------------------------------------------------
-    def _jni(self) -> Event:
-        """One redirect through the control channel."""
-        self.jni_calls += 1
-        return self.env.timeout(self.costs.jni_call_s)
-
     def cuda_malloc(self, device: GPUDevice,
                     nbytes: int) -> Generator[Event, None, DeviceBuffer]:
         """``cudaMalloc`` via JNI."""
@@ -164,14 +161,18 @@ class CUDAWrapper:
                             src: DeviceBuffer, nbytes: int,
                             mode: CommMode = CommMode.GFLINK
                             ) -> Generator[Event, None, "tuple[object, tuple[float, float]]"]:
-        """One result block device→host.
+        """One result block device→host, its JNI redirect already waited.
+
+        The redirect is counted here, but its latency (``costs.jni_call_s``)
+        is the caller's to pay before the call: the D2H stage, the one
+        caller, pays it in the hand-off that gives it the block
+        (``Store.get(then=…)``), so the wake and the redirect are one event.
 
         Returns ``(payload, engine_window)`` — the payload plus the copy
         engine's exact occupancy interval.
         """
         gflink = mode is CommMode.GFLINK
         self.jni_calls += 1
-        yield self.env.timeout(self.costs.jni_call_s)
         window = yield from self.runtime.transfer_op(
             device, "d2h", nbytes, dst_hbuffer.pinned and gflink)
         data = snapshot(src.data)
@@ -188,15 +189,14 @@ class CUDAWrapper:
                              ) -> Generator[Event, None, "tuple[dict, float]"]:
         """Kernel execution inside the calling process (pipeline stage).
 
-        Returns ``(results, kernel_seconds)`` as
-        :meth:`~repro.gpu.runtime.CUDARuntime.kernel_op` does.
+        Returns the runtime's ``kernel_op`` generator, which charges the
+        JNI redirect ahead of the launch — one generator, not a wrapper
+        around one — and yields ``(results, kernel_seconds)``.
         """
         self.jni_calls += 1
-        yield self.env.timeout(self.costs.jni_call_s)
-        launched = yield from self.runtime.kernel_op(
+        return self.runtime.kernel_op(
             device, kernel_name, n_elements, launch, inputs, outputs, params,
-            layout=layout)
-        return launched
+            layout=layout, redirect_s=self.costs.jni_call_s)
 
     def _path_premium_s(self, nbytes: float, mode: CommMode) -> float:
         """Extra per-byte cost the non-GFlink paths pay (one direction)."""

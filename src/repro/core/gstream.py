@@ -81,7 +81,9 @@ class GStream:
         if (spill_region is None and work.chained
                 and mgr.gmm.has_region(work.app_id, self.device_index)):
             spill_region = mgr.gmm.region(work.app_id, self.device_index)
-        live_before = {buf.buffer_id for buf in device.memory.live_buffers()}
+        # Every buffer this GWork allocates, so a failure frees its own and
+        # none of a sibling stream's on the same device.
+        owned: List[DeviceBuffer] = []
         with mgr.obs.span("gwork", device.name, f"stream{self.stream_index}",
                           kernel=work.execute_name, work=work.work_id,
                           cached=bool(work.cache)) as wsp:
@@ -96,16 +98,16 @@ class GStream:
                             mgr.faults.config.fault_timeout_s)
                     raise DeviceFaultError(injected, device.name)
                 secondary = yield from self._stage_secondary_inputs(
-                    work, device, region)
+                    work, device, region, owned)
                 output_elements = yield from self._pipeline(
-                    work, device, region, spill_region, secondary)
+                    work, device, region, spill_region, secondary, owned)
             except Exception as exc:  # surface through the completion event
                 # Reclaim this work's in-flight allocations (cache-region
                 # buffers are unregistered views and survive): a retried work
                 # must not leak the device dry.
                 wsp.set(error=type(exc).__name__)
-                for buf in device.memory.live_buffers():
-                    if buf.buffer_id not in live_before:
+                for buf in owned:
+                    if not buf.freed:
                         device.memory.free(buf)
                 if spill_region is not None:
                     spill_region.remove_spills(work.work_id)
@@ -128,7 +130,8 @@ class GStream:
             work.completion.succeed(out)
 
     def _stage_secondary_inputs(self, work: GWork, device: GPUDevice,
-                                region: Optional[CacheRegion]
+                                region: Optional[CacheRegion],
+                                owned: List[DeviceBuffer]
                                 ) -> Generator[Event, None, Dict[str, DeviceBuffer]]:
         """Upload non-primary operands whole (cache-aware)."""
         secondary: Dict[str, DeviceBuffer] = {}
@@ -155,6 +158,7 @@ class GStream:
                 dev_buf = yield from self.manager.wrapper.cuda_malloc(
                     device, int(hbuf.nbytes))
                 self._temp_secondary.append(dev_buf)
+                owned.append(dev_buf)
             whole = Block(index=0, elements=hbuf.elements,
                           nominal_count=hbuf.nominal_count,
                           nbytes=int(hbuf.nbytes))
@@ -170,12 +174,16 @@ class GStream:
     def _pipeline(self, work: GWork, device: GPUDevice,
                   region: Optional[CacheRegion],
                   spill_region: Optional[CacheRegion],
-                  secondary: Dict[str, DeviceBuffer]
+                  secondary: Dict[str, DeviceBuffer],
+                  owned: List[DeviceBuffer]
                   ) -> Generator[Event, None, object]:
         wrapper = self.manager.wrapper
         primary = work.in_buffers[PRIMARY]
         stages = work.stages
         blocks = primary.split_blocks(self.manager.block_nbytes)
+        # Each stage loop runs once per block and then ends: no sentinel
+        # item, so the D2H stage's hand-off charge is paid per block only.
+        n_blocks = len(blocks)
         to_kernel: Store = Store(self.env, capacity=PIPELINE_DEPTH)
         to_d2h: Store = Store(self.env, capacity=PIPELINE_DEPTH)
         results: Dict[int, object] = {}
@@ -254,6 +262,7 @@ class GStream:
                         dev_buf = entry.buffer
                     else:
                         dev_buf = yield from cuda_malloc(device, blk.nbytes)
+                        owned.append(dev_buf)
                         temp = True
                     window = yield from transfer(device, dev_buf, blk,
                                                  primary, comm_mode)
@@ -266,7 +275,6 @@ class GStream:
                         work.host_stream_slot,
                         host_cum / host_total * host_stream.total_nbytes)
                 yield put((blk, dev_buf, temp, resume))
-            yield put(None)
 
         def kernel_stage():
             default_out_per_elem = self._out_nbytes_per_element(work, primary)
@@ -285,12 +293,8 @@ class GStream:
             out_room = self._stage_out_buffer
             stage_seconds = work.stage_seconds
             get, put = to_kernel.get, to_d2h.put
-            while True:
-                item = yield get()
-                if item is None:
-                    yield put(None)
-                    return
-                blk, cur, cur_temp, resume = item
+            for _ in range(n_blocks):
+                blk, cur, cur_temp, resume = yield get()
                 cur_spill = None
                 real = block_real = blk.real_count
                 nominal = blk.nominal_count
@@ -308,6 +312,7 @@ class GStream:
                                       st, blk, idx, out_nbytes)
                     if placed is None:
                         out_dev = yield from cuda_malloc(device, out_nbytes)
+                        owned.append(out_dev)
                         out_temp, out_spill = True, None
                     else:
                         out_temp = False
@@ -355,11 +360,13 @@ class GStream:
             transfer = wrapper.transfer_d2h_inline
             out_buffer = work.out_buffer
             get = to_d2h.get
-            while True:
-                item = yield get()
-                if item is None:
-                    return
-                blk, out_dev, out_temp, out_spill, d2h_nominal, per_elem = item
+            # The transfer's JNI redirect rides in the hand-off: the stage
+            # wakes at hand-off + redirect, in one event
+            # (``transfer_d2h_inline`` charges none).
+            redirect_s = wrapper.costs.jni_call_s
+            for _ in range(n_blocks):
+                (blk, out_dev, out_temp, out_spill, d2h_nominal,
+                 per_elem) = yield get(redirect_s)
                 nbytes = int(max(d2h_nominal * per_elem, 1))
                 data, window = yield from transfer(
                     device, out_buffer, out_dev, nbytes, comm_mode)

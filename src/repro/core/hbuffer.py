@@ -118,6 +118,19 @@ class HBuffer:
                 f"({self.element_nbytes} B)")
         return per
 
+    def _real_per_block(self, block_nbytes: int) -> int:
+        # Nominal elements per block is bounded by the page; real elements
+        # per block shrink proportionally so every block is page-sized in
+        # nominal terms.
+        return max(1, int(self.elements_per_block(block_nbytes) / self.scale))
+
+    def n_blocks(self, block_nbytes: int) -> int:
+        """``len(self.split_blocks(block_nbytes))``, without building them."""
+        n = self.real_count
+        if n == 0:
+            return 0
+        return -(-n // self._real_per_block(block_nbytes))
+
     def split_blocks(self, block_nbytes: int) -> List[Block]:
         """Split into page-sized blocks of whole elements.
 
@@ -128,11 +141,7 @@ class HBuffer:
         n = self.real_count
         if n == 0:
             return []
-        # Nominal elements per block is bounded by the page; real elements
-        # per block shrink proportionally so every block is page-sized in
-        # nominal terms.
-        nominal_per_block = self.elements_per_block(block_nbytes)
-        real_per_block = max(1, int(nominal_per_block / self.scale))
+        real_per_block = self._real_per_block(block_nbytes)
         blocks: List[Block] = []
         for index, lo in enumerate(range(0, n, real_per_block)):
             hi = min(lo + real_per_block, n)

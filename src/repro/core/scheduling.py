@@ -103,11 +103,10 @@ def locality_keys(work: GWork, block_nbytes: int) -> List[Hashable]:
     n_primary_blocks = 0
     for name, hbuf in work.in_buffers.items():
         if name == PRIMARY:
-            blocks = hbuf.split_blocks(block_nbytes)
-            n_primary_blocks = len(blocks)
+            n_primary_blocks = hbuf.n_blocks(block_nbytes)
             if work.primary_cached:
-                keys.extend((work.cache_key, PRIMARY, b.index)
-                            for b in blocks)
+                keys.extend((work.cache_key, PRIMARY, i)
+                            for i in range(n_primary_blocks))
         else:
             keys.append((work.cache_key, name))
     for stage in work.stages:

@@ -83,10 +83,6 @@ class DeviceMemory:
         buf.data = None
         self.free_count += 1
 
-    def live_buffers(self) -> list[DeviceBuffer]:
-        """Currently allocated buffers (debug/metrics)."""
-        return list(self._live.values())
-
 
 class HostBuffer:
     """A host-side buffer ("HBuffer" in the paper) as seen by the DMA layer.

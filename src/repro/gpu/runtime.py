@@ -19,6 +19,7 @@ from typing import Any, Dict, Generator, Mapping, Optional
 import numpy as np
 
 from repro.common.errors import KernelError
+from repro.common.resources import serve
 from repro.common.simclock import Environment, Event
 from repro.gpu.device import GPUDevice
 from repro.gpu.kernel import KernelRegistry, LaunchConfig
@@ -117,26 +118,25 @@ class CUDARuntime:
         The ``(start, end)`` return value is the exact interval the engine
         was *held* (wire time, excluding queue wait and pageable staging) —
         the tracer records it verbatim, which is what guarantees copy spans
-        on an engine lane never overlap.
+        on an engine lane never overlap.  The engine's service is one event:
+        a copy that queued starts in the step of the one ahead of it.
         """
+        env = self.env
         if not pinned:
             # Pageable memory: staged through the driver's bounce buffer.
-            yield self.env.timeout(nbytes / self.pageable_staging_bps)
-        engine = device.copy_engine(direction)
-        grant = engine.request()
+            yield env.timeout(nbytes / self.pageable_staging_bps)
+        spec = device.spec
+        copy = serve(env, device.copy_engine(direction), None,
+                     spec.pcie_latency_s + nbytes / spec.pcie_effective_bps)
         try:
-            yield grant
-            held_at = self.env.now
-            yield self.env.timeout(device.spec.pcie_latency_s
-                                   + nbytes / device.spec.pcie_effective_bps)
-            released_at = self.env.now
+            yield copy
         finally:
-            engine.release(grant)
+            copy.release()
         if direction == "h2d":
             device.h2d_bytes += nbytes
         else:
             device.d2h_bytes += nbytes
-        return held_at, released_at
+        return copy.start, env.now
 
     def memcpy_h2d(self, device: GPUDevice, dst: DeviceBuffer,
                    src: HostBuffer, nbytes: Optional[int] = None
@@ -229,34 +229,38 @@ class CUDARuntime:
                   inputs: Mapping[str, DeviceBuffer],
                   outputs: Mapping[str, DeviceBuffer],
                   params: Optional[Mapping[str, Any]] = None,
-                  layout: Optional[Any] = None
+                  layout: Optional[Any] = None, redirect_s: float = 0.0
                   ) -> Generator[Event, None, "tuple[Dict[str, Any], float]"]:
         """Inline (stream-less) kernel execution for custom pipelines.
 
-        Acquires the device's compute engine directly; callers that need
+        Claims the device's compute engine directly; callers that need
         stream ordering should use :meth:`launch_kernel` instead.
+        ``redirect_s`` is the caller's control-channel latency (the JNI
+        redirect), charged before the launch joins the engine's queue.
 
         Returns ``(results, seconds)``: the kernel's outputs and the roofline
         seconds the engine was held, so callers recording the span need not
         evaluate the cost model.  The seconds are priced once per distinct
         (kernel, count, launch geometry, device, layout): a pipeline's
-        blocks come in a handful of shapes.
+        blocks come in a handful of shapes.  Being known before the launch
+        asks for the engine, they are its service: a launch that queued
+        starts in the step of the kernel ahead of it.
         """
         spec = self.registry.get(kernel_name)
         params = dict(params or {})
-        compute = device.compute
-        grant = compute.request()
+        if redirect_s:
+            yield self.env.timeout(redirect_s)
+        key = (kernel_name, n_elements, launch.grid_size,
+               launch.block_size, device, layout)
+        seconds = self._seconds.get(key)
+        if seconds is None:
+            if len(self._seconds) >= self.priced_max:
+                self._seconds.clear()
+            seconds = self._seconds[key] = spec.execution_seconds(
+                n_elements, launch, device.spec, layout=layout)
+        run = serve(self.env, device.compute, None, seconds)
         try:
-            yield grant
-            key = (kernel_name, n_elements, launch.grid_size,
-                   launch.block_size, device, layout)
-            seconds = self._seconds.get(key)
-            if seconds is None:
-                if len(self._seconds) >= self.priced_max:
-                    self._seconds.clear()
-                seconds = self._seconds[key] = spec.execution_seconds(
-                    n_elements, launch, device.spec, layout=layout)
-            yield self.env.timeout(seconds)
+            yield run
             device.kernel_seconds += seconds
             device.kernels_launched += 1
             in_arrays = {name: buf.data for name, buf in inputs.items()}
@@ -270,5 +274,5 @@ class CUDARuntime:
                         f"{name!r}; got {sorted(results)}")
                 buf.data = results[name]
         finally:
-            compute.release(grant)
+            run.release()
         return results, seconds

@@ -1,9 +1,10 @@
 """Unit tests for Resource / Port / Store."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import Environment, Resource, Store
-from repro.common.errors import ResourceError
+from repro.common.errors import InterruptError, ResourceError
 from repro.common.resources import Port, serve
 
 
@@ -163,6 +164,98 @@ class TestPort:
         assert env.peek() == float("inf")
 
 
+def _claims(claimants, one_port):
+    """Run ``claimants`` — ``(arrive, hold, interrupt_at or None)`` each —
+    on one unit server; return the wake log: ``(claimant, start, end)`` for
+    a finished claim, ``(claimant, where, instant)`` for an interrupted one.
+
+    ``one_port`` claims a :class:`Port` with ``serve``; otherwise a unit
+    :class:`Resource` is requested and held with a timeout, the reference.
+    """
+    env = Environment()
+    port, unit = Port(), Resource(env, capacity=1)
+    log = []
+
+    def claimant(i, arrive, hold):
+        try:
+            yield env.timeout(arrive)
+        except InterruptError:
+            log.append((i, "before arriving", env.now))
+            return
+        if one_port:
+            claim = serve(env, port, None, hold)
+            try:
+                yield claim
+                log.append((i, claim.start, env.now))
+            except InterruptError:
+                where = "queued" if claim.start is None else "holding"
+                log.append((i, where, env.now))
+            finally:
+                claim.release()
+            return
+        request = unit.request()
+        try:
+            yield request
+            start = env.now
+            yield env.timeout(hold)
+            log.append((i, start, env.now))
+        except InterruptError:
+            where = "holding" if request in unit.users else "queued"
+            log.append((i, where, env.now))
+        finally:
+            unit.release(request)
+
+    def interrupter(proc, at):
+        yield env.timeout(at)
+        if proc.is_alive:
+            proc.interrupt("stop")
+
+    for i, (arrive, hold, interrupt_at) in enumerate(claimants):
+        proc = env.process(claimant(i, arrive, hold))
+        if interrupt_at is not None:
+            env.process(interrupter(proc, interrupt_at))
+    env.run()
+    assert port.holder is None and not port.queue
+    assert unit.count == 0 and unit.queue_length == 0
+    return log
+
+
+class TestOnePortAgainstAUnitResource:
+    """A one-port ``serve`` is a unit ``Resource`` grant followed by a
+    timeout, in one event: every claimant gets the same ``(start, end)``,
+    in the same wake order, interrupted while queued or while holding."""
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=6),
+           st.permutations(range(18)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_windows_and_wake_order_with_interrupts(self, interrupted,
+                                                         exponents):
+        # Distinct powers of two: every sum of a subset is exact and unique,
+        # so two instants coincide only when one event causes the other.
+        times = [2.0 ** (e - 9) for e in exponents]
+        claimants = [(times[3 * i], times[3 * i + 1],
+                      times[3 * i + 2] if hit else None)
+                     for i, hit in enumerate(interrupted)]
+        assert _claims(claimants, True) == _claims(claimants, False)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_same_windows_with_ties(self, claims):
+        claimants = [(float(a), float(h), None) for a, h in claims]
+        assert _claims(claimants, True) == _claims(claimants, False)
+
+    def test_interrupt_while_queued_and_while_holding(self):
+        # 0 holds [0, 4); 1 is interrupted queued at 1; 2, interrupted while
+        # holding at 5, hands the port to 3 at that instant.
+        claimants = [(0.0, 4.0, None), (0.5, 1.0, 1.0), (0.75, 2.0, 5.0),
+                     (0.875, 1.0, None)]
+        log = _claims(claimants, True)
+        assert log == [(1, "queued", 1.0), (0, 0.0, 4.0),
+                       (2, "holding", 5.0), (3, 5.0, 6.0)]
+        assert log == _claims(claimants, False)
+
+
 class TestStore:
     def test_put_then_get(self, env):
         store = Store(env)
@@ -246,3 +339,33 @@ class TestStore:
         store.put(2)
         env.run()
         assert len(store) == 2
+
+    def test_get_then_wakes_at_the_hand_off_plus_then(self):
+        env = Environment(initial_time=0.1)
+        store = Store(env)
+        store.put("ready")
+        ready = store.get(then=0.2)      # an item: handed over at birth
+        assert not store.items and ready.triggered and not ready.processed
+        waiting = store.get(then=0.2)    # none yet: waits for the put
+        seen = []
+
+        def putter():
+            yield env.timeout(0.3)
+            store.put("late")
+
+        def getter(event):
+            seen.append(((yield event), env.now))
+
+        env.process(getter(ready))
+        env.process(getter(waiting))
+        env.process(putter())
+        env.run()
+        assert seen == [("ready", 0.1 + 0.2), ("late", (0.1 + 0.3) + 0.2)]
+
+    @pytest.mark.parametrize("then", [-1e-9, float("nan")])
+    def test_get_rejects_a_negative_or_nan_then(self, env, then):
+        store = Store(env)
+        store.put("x")
+        with pytest.raises(ValueError):
+            store.get(then=then)
+        assert list(store.items) == ["x"] and not store._getters

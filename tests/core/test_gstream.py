@@ -101,6 +101,33 @@ class TestPipelineExecution:
         with pytest.raises(Exception):
             env.run(until=done)
 
+    def test_failed_work_frees_only_its_own_buffers(self):
+        """A GWork that fails mid-pipeline reclaims what *it* allocated; the
+        sibling stream's in-flight buffers on the same device are not its
+        to free (that was a double free in the healthy GWork later)."""
+        env, manager, devices = make_stack(block_nbytes=160)  # 20 per block
+        calls = []
+
+        def flaky(inputs, params):
+            calls.append(len(calls))
+            if len(calls) == 4:
+                raise RuntimeError("kernel fault on the 4th block")
+            return {"out": inputs["in"] + 1.0}
+
+        manager.wrapper.runtime.registry.register(KernelSpec(
+            "flaky", flaky, flops_per_element=2.0, efficiency=0.5))
+        data = np.arange(400, dtype=np.float64)
+        failing = manager.submit(work_for(data, kernel="flaky"))
+        healthy = manager.submit(work_for(data))
+        env.run(until=env.all_of([healthy]))
+        assert np.allclose(healthy.value.elements, data * 2.0)
+        assert failing.triggered and not failing.ok
+        assert isinstance(failing.value, RuntimeError)
+        env.run()
+        memory = devices[0].memory
+        assert memory.allocated == 0
+        assert memory.alloc_count == memory.free_count
+
     def test_nominal_scale_drives_kernel_time(self):
         def kernel_secs(scale):
             env, manager, devices = make_stack()

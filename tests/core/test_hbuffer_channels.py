@@ -69,6 +69,21 @@ class TestHBuffer:
         # Block indices are consecutive from zero.
         assert [b.index for b in blocks] == list(range(len(blocks)))
 
+    @given(st.integers(min_value=0, max_value=3000),
+           st.sampled_from([0.0, 1.0, 4.0, 8.0, 12.5, 16.0, 40.0, 64.0]),
+           st.floats(min_value=0.01, max_value=1e4),
+           st.integers(min_value=1, max_value=1 << 16))
+    def test_property_n_blocks_counts_the_split(self, n, element_nbytes,
+                                                scale, block_b):
+        h = HBuffer(np.zeros(n), element_nbytes=element_nbytes, scale=scale)
+        try:
+            blocks = h.split_blocks(block_b)
+        except LayoutError:
+            with pytest.raises(LayoutError):
+                h.n_blocks(block_b)
+            return
+        assert h.n_blocks(block_b) == len(blocks)
+
 
 def make_stack():
     env = Environment()

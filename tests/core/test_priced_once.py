@@ -155,10 +155,10 @@ class TestInsideJobs:
         real_kernel_op = CUDARuntime.kernel_op
 
         def checked(runtime, device, name, n, launch, inputs, outputs,
-                    params=None, layout=None):
+                    params=None, layout=None, redirect_s=0.0):
             results, seconds = yield from real_kernel_op(
                 runtime, device, name, n, launch, inputs, outputs, params,
-                layout=layout)
+                layout=layout, redirect_s=redirect_s)
             assert seconds == runtime.registry.get(name).execution_seconds(
                 n, launch, device.spec, layout=layout)
             launches[device.spec.name, n] += 1
