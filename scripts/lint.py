@@ -275,6 +275,19 @@ LINTS = (
          "pipeline; launch kernels in kernel_op)",
          "device-mapped execution",
          ("src/repro/core/gwork.py", "    mapped_memory: bool = False")),
+    Lint("one driver per workload — mode picks each step's operator",
+         # A workload writes its algorithm once, in driver(session, mode):
+         # read, persist, iterate, write, with `if gpu:` choosing the
+         # kernel op or its CPU twin at each step.  A per-mode driver pair,
+         # a CPU-only helper set or a workload-private device count is the
+         # retired second copy (the device count is base.gpu_parallelism).
+         r"def _run_cpu\b|def _run_gpu\b|_total_gpus|_make_cpu_",
+         ("src/repro/workloads",),
+         "a per-mode driver or CPU-only helper under src/repro/workloads "
+         "(write one driver(session, mode) and pick the operator per step)",
+         "per-mode drivers",
+         ("src/repro/workloads/kmeans.py",
+          "    def _run_cpu(self, session):")),
 )
 
 

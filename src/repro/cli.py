@@ -244,7 +244,11 @@ def _make_workload(name: str, args) -> Workload:
         kwargs["real_pages"] = args.real
     else:
         kwargs["real_elements"] = args.real
-    if args.iterations is not None and name != "wordcount":
+    if args.iterations is not None:
+        if name == "wordcount" and args.iterations != 1:
+            raise _UsageError(f"argument --iterations: wordcount is a "
+                              f"single-pass batch job: {args.iterations} "
+                              f"(only 1 is accepted)")
         kwargs["iterations"] = args.iterations
     if args.seed is not None:
         kwargs["seed"] = args.seed

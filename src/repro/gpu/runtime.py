@@ -1,10 +1,12 @@
 """The ``cuda*`` host API — the "CUDAStub" side of the paper's stack.
 
 Exports the runtime calls GFlink's CUDAWrapper redirects to over JNI
-(§4.1.1): ``cudaMalloc``/``cudaFree``, ``cudaHostRegister``,
-``cudaMemcpyH2D``/``D2H`` and their ``Async`` variants on streams,
+(§4.1.1): ``cudaMalloc``, ``cudaHostRegister``, ``cudaMemcpyH2D``/``D2H``
+and their ``Async`` variants on streams,
 ``cudaStreamCreate``/``cudaStreamSynchronize``, kernel launch by registered
-name, and ``cudaDeviceSynchronize``.
+name, and ``cudaDeviceSynchronize``.  ``cudaFree`` is
+``repro.core.channels.CUDAWrapper.cuda_free``, which charges
+:attr:`CUDARuntime.alloc_overhead_s` itself.
 
 Synchronous calls are simulation generators (``yield from`` them inside a
 process); asynchronous calls enqueue onto a :class:`~repro.gpu.stream.CUDAStream`
@@ -70,12 +72,6 @@ class CUDARuntime:
         """``cudaMalloc``: allocate device memory (raises on OOM)."""
         yield self.env.timeout(self.alloc_overhead_s)
         return device.memory.alloc(nbytes)
-
-    def free(self, device: GPUDevice, buf: DeviceBuffer
-             ) -> Generator[Event, None, None]:
-        """``cudaFree``."""
-        yield self.env.timeout(self.alloc_overhead_s)
-        device.memory.free(buf)
 
     def host_register(self, hbuf: HostBuffer, redirect_s: float = 0.0
                       ) -> Generator[Event, None, HostBuffer]:

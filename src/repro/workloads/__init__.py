@@ -2,13 +2,17 @@
 
 Six benchmarks — KMeans, PageRank, WordCount, ConnectedComponents (from the
 in-memory HiBench suite), LinearRegression and SpMV (from Flink's examples) —
-plus PointAdd (the paper's running example, Algorithm 3.1), each with a CPU
-(Flink) and a GPU (GFlink) implementation over the same synthetic generators.
+plus PointAdd (the paper's running example, Algorithm 3.1), over synthetic
+generators.
 
-Every workload follows the paper's driver structure: read the input from
-HDFS (first iteration), iterate in memory with the GPU cache active, write
-the result back to HDFS (last iteration).  ``run(...)`` returns per-iteration
-simulated times, which is what Figs. 5–8 plot.
+Each workload writes its algorithm once, as one ``driver(session, mode)``
+following the paper's driver structure: read the input from HDFS (first
+iteration), iterate in memory with the GPU cache active, write the result
+back to HDFS (last iteration).  At each step ``mode`` picks the operator: the
+GPU kernel op (GFlink) or its CPU twin, a Flink UDF with its ``OpCost`` —
+moving an application to the GPU changes an operator, not the program.
+``run(...)`` returns per-iteration simulated times, which is what Figs. 5–8
+plot.
 """
 
 from repro.workloads.base import (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.rng import DEFAULT_SEED, generator
@@ -52,11 +52,37 @@ class WorkloadResult:
         return len(self.iteration_seconds)
 
 
-class Workload:
-    """Base class: input generation + the CPU/GPU driver programs.
+def _check_mode(mode: str) -> None:
+    """Refuse any mode but ``"cpu"`` / ``"gpu"`` before anything is
+    prepared: a driver reads ``mode == "gpu"``, so any other spelling would
+    silently run the CPU plan."""
+    if mode not in ("cpu", "gpu"):
+        raise ConfigError(f"mode must be 'cpu' or 'gpu': {mode!r}")
 
-    Subclasses implement :meth:`_generate_chunks`,
-    :meth:`register_kernels`, :meth:`_run_cpu` and :meth:`_run_gpu`.
+
+def gpu_parallelism(session) -> int:
+    """GPU-count parallelism for one-partition-per-device datasets.
+
+    Uses the cluster's pinned ``default_gpu_parallelism`` (configured
+    shape) when available so elastic joiners never change partition counts
+    mid-run — partials per partition decide bits, so this is what keeps
+    GPU workloads churn-identical.  Falls back to counting live devices
+    for bare clusters without the pinned property.
+    """
+    pinned = getattr(session.cluster, "default_gpu_parallelism", None)
+    if pinned is not None:
+        return int(pinned)
+    managers = session.cluster.gpu_managers()
+    return max(sum(len(gm.devices) for gm in managers), 1)
+
+
+class Workload:
+    """Base class: input generation + the driver program.
+
+    Subclasses implement :meth:`_block`, :meth:`register_kernels` and
+    :meth:`driver`.  One driver serves both modes: it reads, persists,
+    iterates and writes once, and at each step ``mode`` picks the GPU
+    kernel op or its CPU twin.
     """
 
     name = "workload"
@@ -107,8 +133,13 @@ class Workload:
         chunks = self._generate_chunks(n_chunks or cluster.default_parallelism)
         cluster.load_hdfs_file(self.path, chunks)
 
-    def _generate_chunks(self, n_chunks: int):
+    def _generate_chunks(self, n_chunks: int) -> List[Tuple[Any, int]]:
         """Return [(payload, nominal_nbytes)] — one entry per HDFS block."""
+        return [(self._block(n), int(n * self.scale * self.element_nbytes))
+                for n in even_chunk_sizes(self.real_elements, n_chunks)]
+
+    def _block(self, n: int) -> Any:
+        """The payload of one HDFS block of ``n`` real elements."""
         raise NotImplementedError
 
     # -- kernels ---------------------------------------------------------------
@@ -118,8 +149,7 @@ class Workload:
     # -- execution ------------------------------------------------------------
     def run(self, session: GFlinkSession, mode: str = "cpu") -> WorkloadResult:
         """Run the workload end to end; returns per-iteration times."""
-        if mode not in ("cpu", "gpu"):
-            raise ConfigError(f"mode must be 'cpu' or 'gpu': {mode!r}")
+        _check_mode(mode)
         # A finished run's cluster is one web of reference cycles (workers,
         # managers, self-valued resource requests), ~1 MB that refcounting
         # never frees; drivers running workloads back to back would carry
@@ -140,19 +170,12 @@ class Workload:
             job_metrics=list(session.history[history_start:]))
 
     def driver(self, session: GFlinkSession, mode: str):
-        """The driver program as a simulation process (generator).
+        """The driver program as a simulation process (generator) that
+        returns ``(value, iteration_seconds)``.
 
         Multiple drivers may run concurrently on one cluster (Fig. 8c/d):
         see :func:`repro.workloads.base.run_concurrent`.
         """
-        if mode == "cpu":
-            return self._run_cpu(session)
-        return self._run_gpu(session)
-
-    def _run_cpu(self, session: GFlinkSession):
-        raise NotImplementedError
-
-    def _run_gpu(self, session: GFlinkSession):
         raise NotImplementedError
 
 
@@ -166,7 +189,9 @@ def run_concurrent(cluster, apps) -> List["WorkloadResult"]:
     ``iteration_seconds`` reflect the contended execution.
     """
     env = cluster.env
-    sessions, procs, starts = [], [], []
+    for _, mode in apps:
+        _check_mode(mode)
+    sessions, procs = [], []
     for workload, mode in apps:
         workload.prepare(cluster)
         if mode == "gpu":
@@ -176,7 +201,6 @@ def run_concurrent(cluster, apps) -> List["WorkloadResult"]:
     for workload, mode in apps:
         session = GFlinkSession(cluster)
         sessions.append(session)
-        starts.append(env.now)
         procs.append(env.process(
             workload.driver(session, mode),
             name=f"{workload.name}-{mode}-driver"))

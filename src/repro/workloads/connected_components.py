@@ -14,15 +14,15 @@ labels shrink traffic) emerge from the same machinery.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from repro.core.gdst import ExtraInput
 from repro.flink.dataset import OpCost
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
+from repro.workloads.base import Workload, ensure_kernel, gpu_parallelism
 from repro.workloads.pagerank import Edge, EDGES_PER_PAGE
+
+N_COMMUNITIES = 8
 
 
 def _min_label_partials(edges: np.ndarray,
@@ -63,27 +63,28 @@ class ConnectedComponentsWorkload(Workload):
         self.converged_at: int | None = None
 
     # -- data: a few disconnected communities ------------------------------------
-    def _generate_chunks(self, n_chunks: int) -> List[Tuple[np.ndarray, int]]:
-        n_communities = 8
-        community = self.rng.integers(0, n_communities, size=self.real_pages)
-        chunks = []
-        for n in even_chunk_sizes(self.real_elements, n_chunks):
-            arr = Edge.empty(n)
-            src = self.rng.integers(0, self.real_pages, size=n)
-            # Keep edges within a community so components are non-trivial.
-            offsets = self.rng.integers(1, max(self.real_pages // 16, 2),
-                                        size=n)
-            dst = np.zeros(n, dtype=np.int64)
-            for c in range(n_communities):
-                members = np.nonzero(community == c)[0]
-                mine = np.nonzero(community[src] == c)[0]
-                if len(members) and len(mine):
-                    dst[mine] = members[
-                        (offsets[mine]) % len(members)]
-            arr["src"] = src.astype(np.int32)
-            arr["dst"] = dst.astype(np.int32)
-            chunks.append((arr, int(n * self.scale * self.element_nbytes)))
-        return chunks
+    def _generate_chunks(self, n_chunks: int):
+        # One community vector for the whole input, drawn before the first
+        # block.
+        self._community = self.rng.integers(0, N_COMMUNITIES,
+                                            size=self.real_pages)
+        return super()._generate_chunks(n_chunks)
+
+    def _block(self, n: int) -> np.ndarray:
+        community = self._community
+        arr = Edge.empty(n)
+        src = self.rng.integers(0, self.real_pages, size=n)
+        # Keep edges within a community so components are non-trivial.
+        offsets = self.rng.integers(1, max(self.real_pages // 16, 2), size=n)
+        dst = np.zeros(n, dtype=np.int64)
+        for c in range(N_COMMUNITIES):
+            members = np.nonzero(community == c)[0]
+            mine = np.nonzero(community[src] == c)[0]
+            if len(members) and len(mine):
+                dst[mine] = members[offsets[mine] % len(members)]
+        arr["src"] = src.astype(np.int32)
+        arr["dst"] = dst.astype(np.int32)
+        return arr
 
     def register_kernels(self, registry) -> None:
         ensure_kernel(registry, KernelSpec(
@@ -92,11 +93,16 @@ class ConnectedComponentsWorkload(Workload):
             bytes_per_element=Edge.itemsize() + 8.0,
             efficiency=self.GPU_EFFICIENCY))
 
-    # -- drivers ------------------------------------------------------------------
-    def _iterate(self, session, edges, gpu: bool):
+    # -- driver -------------------------------------------------------------------
+    def driver(self, session, mode):
+        gpu = mode == "gpu"
+        # On the GPU, one partition per device: the label vector uploads
+        # once per device.
+        edges = session.read_hdfs(
+            self.path, self.element_nbytes, scale=self.scale,
+            parallelism=gpu_parallelism(session) if gpu else None).persist()
         labels = np.arange(self.real_pages, dtype=np.int64)
-        state = {"labels": labels}
-        labels_input = ExtraInput(lambda: state["labels"], element_nbytes=8.0,
+        labels_input = ExtraInput(lambda: labels, element_nbytes=8.0,
                                   scale=self.nominal_pages / self.real_pages,
                                   cacheable=False)
         times = []
@@ -108,9 +114,8 @@ class ConnectedComponentsWorkload(Workload):
                     cache=True, cache_key_base=("cc", self.path),
                     out_element_nbytes=12.0)
             else:
-                snapshot = state["labels"].copy()
                 partial_rows = edges.map_partition(
-                    lambda e, l=snapshot: _min_label_partials(e, l),
+                    lambda e, l=labels: _min_label_partials(e, l),
                     cost=OpCost(flops_per_element=self.CPU_FLOPS,
                                 out_element_nbytes=12.0,
                                 element_overhead_s=self.CPU_OVERHEAD_S),
@@ -123,38 +128,21 @@ class ConnectedComponentsWorkload(Workload):
                 .group_by(0).min(1, cost=OpCost(flops_per_element=1.0),
                                  name="cc-min")
             result = yield from merged.collect_job(
-                job_name=f"cc-{'gpu' if gpu else 'cpu'}-iter{it}")
+                job_name=f"cc-{mode}-iter{it}")
             # One row per vertex (the keyed min), applied as one block.
             vertex, label = np.asarray(result.value,
                                        dtype=np.int64).reshape(-1, 2).T
-            better = label < state["labels"][vertex]
-            new_labels = state["labels"].copy()
-            new_labels[vertex[better]] = label[better]
-            changed = int(better.sum())
-            state["labels"] = new_labels
-            if changed == 0 and self.converged_at is None:
+            better = label < labels[vertex]
+            labels = labels.copy()
+            labels[vertex[better]] = label[better]
+            if not better.any() and self.converged_at is None:
                 self.converged_at = it
             seconds = result.seconds
             if it == self.iterations - 1:
                 write = yield from session.from_collection(
-                    state["labels"], element_nbytes=8.0,
+                    labels, element_nbytes=8.0,
                     scale=self.nominal_pages / self.real_pages
                 ).write_hdfs_job(self.output_path)
                 seconds += write.seconds
             times.append(seconds)
-        return state["labels"], times
-
-    def _run_cpu(self, session):
-        edges = session.read_hdfs(self.path, self.element_nbytes,
-                                  scale=self.scale).persist()
-        result = yield from self._iterate(session, edges, gpu=False)
-        return result
-
-    def _run_gpu(self, session):
-        from repro.workloads.spmv import _total_gpus
-        # One partition per GPU: the label vector uploads once per device.
-        edges = session.read_hdfs(self.path, self.element_nbytes,
-                                  scale=self.scale,
-                                  parallelism=_total_gpus(session)).persist()
-        result = yield from self._iterate(session, edges, gpu=True)
-        return result
+        return labels, times

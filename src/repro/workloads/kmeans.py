@@ -17,7 +17,7 @@ block — a reduce-style kernel, so only kilobytes come back over PCIe.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.core.gstruct import Float32, GStruct8, StructField
 from repro.flink.dataset import OpCost
 from repro.flink.iterators import vectorized
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
+from repro.workloads.base import Workload, ensure_kernel
 
 K = 16      # number of clusters (HiBench default scale)
 DIM = 2     # point dimensionality
@@ -93,17 +93,13 @@ class KMeansWorkload(Workload):
         self.true_centers = centers
 
     # -- data ------------------------------------------------------------------
-    def _generate_chunks(self, n_chunks: int) -> List[Tuple[np.ndarray, int]]:
-        chunks = []
-        for n in even_chunk_sizes(self.real_elements, n_chunks):
-            pts = KMeansPoint.empty(n)
-            which = self.rng.integers(0, self.k, size=n)
-            noise = self.rng.normal(0, 0.6, size=(n, DIM))
-            coords = self.true_centers[which] + noise
-            pts["x"], pts["y"] = coords[:, 0], coords[:, 1]
-            nominal = int(n * self.scale * self.element_nbytes)
-            chunks.append((pts, nominal))
-        return chunks
+    def _block(self, n: int) -> np.ndarray:
+        pts = KMeansPoint.empty(n)
+        which = self.rng.integers(0, self.k, size=n)
+        noise = self.rng.normal(0, 0.6, size=(n, DIM))
+        coords = self.true_centers[which] + noise
+        pts["x"], pts["y"] = coords[:, 0], coords[:, 1]
+        return pts
 
     # -- kernels ---------------------------------------------------------------
     def register_kernels(self, registry) -> None:
@@ -119,99 +115,65 @@ class KMeansWorkload(Workload):
             bytes_per_element=KMeansPoint.itemsize(),
             efficiency=self.GPU_EFFICIENCY))
 
-    # -- drivers -----------------------------------------------------------------
-    def _initial_centers(self) -> np.ndarray:
-        jitter = self.rng.normal(0, 2.0, size=(self.k, DIM))
-        return self.true_centers + jitter
-
-    def _run_cpu(self, session):
+    # -- driver -----------------------------------------------------------------
+    def driver(self, session, mode):
+        gpu = mode == "gpu"
         points = session.read_hdfs(self.path, self.element_nbytes,
                                    scale=self.scale).persist()
-        centers = self._initial_centers()
+        centers = self.true_centers + self.rng.normal(0, 2.0,
+                                                      size=(self.k, DIM))
+        if gpu:
+            # The GPU keeps float32 centers (the update below keeps the
+            # dtype it is handed).
+            centers = centers.astype(np.float32)
+        centers_input = ExtraInput(
+            lambda: centers, element_nbytes=4.0 * DIM,
+            cacheable=False)  # centers change every iteration
+        cpu_cost = dict(flops_per_element=self.CPU_FLOPS,
+                        element_overhead_s=self.CPU_OVERHEAD_S)
         times = []
         for it in range(self.iterations):
-            partial_fn = _make_cpu_partial(centers, self.vectorized)
-            partials = points.map_partition(
-                partial_fn,
-                cost=OpCost(flops_per_element=self.CPU_FLOPS,
-                            element_overhead_s=self.CPU_OVERHEAD_S),
-                name="kmeans-assign")
+            if gpu:
+                partials = points.gpu_map_partition(
+                    "kmeans_assign", extra_inputs={"centers": centers_input},
+                    cache=True, cache_key_base=("kmeans", self.path),
+                    out_element_nbytes=8.0 * (2 + DIM))
+            elif self.vectorized:
+                # The (k, 2+DIM) table stays one columnar block, and the
+                # marker selects the SIMD block charge model.
+                partials = points.map_partition(
+                    vectorized(lambda pts, c=centers:
+                               _assign_partials(pts, c)),
+                    cost=OpCost(**cpu_cost), name="kmeans-assign")
+            else:
+                # A row list, so collect prices the partials per row.
+                partials = points.map_partition(
+                    lambda pts, c=centers: list(_assign_partials(pts, c)),
+                    cost=OpCost(**cpu_cost), name="kmeans-assign")
             result = yield from partials.collect_job(
-                job_name=f"kmeans-cpu-iter{it}")
+                job_name=f"kmeans-{mode}-iter{it}")
             centers = _combine_partials(result.value, centers)
             seconds = result.seconds
             if it == self.iterations - 1:
-                extra = yield from self._write_labels_cpu(
-                    session, points, centers)
-                seconds += extra
-            times.append(seconds)
-        return centers, times
-
-    def _write_labels_cpu(self, session, points, centers):
-        label_fn = _make_cpu_label(centers, self.vectorized)
-        out = points.map_partition(
-            label_fn,
-            cost=OpCost(flops_per_element=self.CPU_FLOPS,
-                        out_element_nbytes=4.0,
-                        element_overhead_s=self.CPU_OVERHEAD_S),
-            name="kmeans-label")
-        result = yield from out.write_hdfs_job(self.output_path)
-        return result.seconds
-
-    def _run_gpu(self, session):
-        points = session.read_hdfs(self.path, self.element_nbytes,
-                                   scale=self.scale).persist()
-        state = {"centers": self._initial_centers().astype(np.float32)}
-        centers_input = ExtraInput(
-            lambda: state["centers"], element_nbytes=4.0 * DIM,
-            cacheable=False)  # centers change every iteration
-        times = []
-        for it in range(self.iterations):
-            partials = points.gpu_map_partition(
-                "kmeans_assign", extra_inputs={"centers": centers_input},
-                cache=True, cache_key_base=("kmeans", self.path),
-                out_element_nbytes=8.0 * (2 + DIM))
-            result = yield from partials.collect_job(
-                job_name=f"kmeans-gpu-iter{it}")
-            state["centers"] = _combine_partials(
-                result.value, state["centers"]).astype(np.float32)
-            seconds = result.seconds
-            if it == self.iterations - 1:
-                out = points.gpu_map_partition(
-                    "kmeans_label", extra_inputs={"centers": centers_input},
-                    cache=True, cache_key_base=("kmeans", self.path),
-                    out_element_nbytes=4.0)
-                write = yield from out.write_hdfs_job(self.output_path)
+                if gpu:
+                    labels = points.gpu_map_partition(
+                        "kmeans_label",
+                        extra_inputs={"centers": centers_input},
+                        cache=True, cache_key_base=("kmeans", self.path),
+                        out_element_nbytes=4.0)
+                else:
+                    label_fn = lambda pts, c=centers: _label(pts, c)
+                    labels = points.map_partition(
+                        vectorized(label_fn) if self.vectorized else label_fn,
+                        cost=OpCost(out_element_nbytes=4.0, **cpu_cost),
+                        name="kmeans-label")
+                write = yield from labels.write_hdfs_job(self.output_path)
                 seconds += write.seconds
             times.append(seconds)
-        return state["centers"], times
+        return centers, times
 
 
 def _label(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     xy = np.stack([points["x"], points["y"]], axis=1).astype(np.float64)
     d2 = ((xy[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(d2, axis=1).astype(np.int32)
-
-
-def _make_cpu_partial(centers: np.ndarray, vec: bool = False):
-    snapshot = np.array(centers, dtype=np.float64)
-
-    if vec:
-        # Same arithmetic; the (k, 2+DIM) table stays one columnar block,
-        # and the vectorized marker selects the SIMD block charge model.
-        return vectorized(
-            lambda elements: _assign_partials(elements, snapshot))
-
-    def partial(elements: np.ndarray) -> List[np.ndarray]:
-        return list(_assign_partials(elements, snapshot))
-
-    return partial
-
-
-def _make_cpu_label(centers: np.ndarray, vec: bool = False):
-    snapshot = np.array(centers, dtype=np.float64)
-
-    def label(elements: np.ndarray) -> np.ndarray:
-        return _label(elements, snapshot)
-
-    return vectorized(label) if vec else label

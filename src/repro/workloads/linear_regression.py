@@ -9,7 +9,7 @@ matrix is GPU-cached, the weight vector is re-uploaded each iteration.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from repro.core.gdst import ExtraInput
 from repro.core.gstruct import Float32, GStruct8, StructField
 from repro.flink.dataset import OpCost
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
+from repro.workloads.base import Workload, ensure_kernel
 
 DIM = 8  # feature dimensionality (HiBench-like)
 
@@ -43,6 +43,11 @@ def linreg_grad_kernel(inputs, params):
     return {"out": _partial_gradient(inputs["in"], inputs["weights"])}
 
 
+def _predict(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return (samples["features"].astype(np.float64) @ weights).astype(
+        np.float32)
+
+
 class LinearRegressionWorkload(Workload):
     """Full-batch gradient descent on GStruct samples."""
 
@@ -65,16 +70,13 @@ class LinearRegressionWorkload(Workload):
         self.learning_rate = learning_rate
         self.true_weights = self.rng.normal(0, 1, size=DIM)
 
-    def _generate_chunks(self, n_chunks: int) -> List[Tuple[np.ndarray, int]]:
-        chunks = []
-        for n in even_chunk_sizes(self.real_elements, n_chunks):
-            arr = Sample.empty(n)
-            x = self.rng.normal(0, 1, size=(n, DIM))
-            noise = self.rng.normal(0, 0.05, size=n)
-            arr["features"] = x.astype(np.float32)
-            arr["target"] = (x @ self.true_weights + noise).astype(np.float32)
-            chunks.append((arr, int(n * self.scale * self.element_nbytes)))
-        return chunks
+    def _block(self, n: int) -> np.ndarray:
+        arr = Sample.empty(n)
+        x = self.rng.normal(0, 1, size=(n, DIM))
+        noise = self.rng.normal(0, 0.05, size=n)
+        arr["features"] = x.astype(np.float32)
+        arr["target"] = (x @ self.true_weights + noise).astype(np.float32)
+        return arr
 
     def register_kernels(self, registry) -> None:
         ensure_kernel(registry, KernelSpec(
@@ -82,86 +84,63 @@ class LinearRegressionWorkload(Workload):
             flops_per_element=self.GPU_FLOPS,
             bytes_per_element=Sample.itemsize(),
             efficiency=self.GPU_EFFICIENCY))
+        ensure_kernel(registry, KernelSpec(
+            "linreg_predict",
+            lambda i, p: {"out": _predict(i["in"], i["weights"])},
+            flops_per_element=2 * DIM,
+            bytes_per_element=Sample.itemsize(),
+            efficiency=self.GPU_EFFICIENCY))
 
-    # -- drivers ------------------------------------------------------------------
+    # -- driver -------------------------------------------------------------------
     def _update(self, weights: np.ndarray,
-                rows: List[np.ndarray]) -> Tuple[np.ndarray, float]:
+                rows: List[np.ndarray]) -> np.ndarray:
         table = np.vstack([np.asarray(r, dtype=np.float64).reshape(1, -1)
                            for r in rows])
         n = table[:, 0].sum()
         grad = table[:, 1:1 + DIM].sum(axis=0) / max(n, 1.0)
-        loss = table[:, -1].sum() / max(n, 1.0)
-        return weights - self.learning_rate * grad, loss
+        return weights - self.learning_rate * grad
 
-    def _run_cpu(self, session):
+    def driver(self, session, mode):
+        gpu = mode == "gpu"
         samples = session.read_hdfs(self.path, self.element_nbytes,
                                     scale=self.scale).persist()
         weights = np.zeros(DIM)
+        weights_input = ExtraInput(lambda: weights, element_nbytes=8.0,
+                                   cacheable=False)
         times = []
         for it in range(self.iterations):
-            w = weights.copy()
-            partials = samples.map_partition(
-                lambda elems, w=w: list(_partial_gradient(elems, w)),
-                cost=OpCost(flops_per_element=self.CPU_FLOPS,
-                            element_overhead_s=self.CPU_OVERHEAD_S),
-                name="linreg-grad")
+            if gpu:
+                partials = samples.gpu_map_partition(
+                    "linreg_grad", extra_inputs={"weights": weights_input},
+                    cache=True, cache_key_base=("linreg", self.path),
+                    out_element_nbytes=8.0 * (DIM + 2))
+            else:
+                # A row list, so collect prices the partials per row.
+                partials = samples.map_partition(
+                    lambda elems, w=weights: list(_partial_gradient(elems, w)),
+                    cost=OpCost(flops_per_element=self.CPU_FLOPS,
+                                element_overhead_s=self.CPU_OVERHEAD_S),
+                    name="linreg-grad")
             result = yield from partials.collect_job(
-                job_name=f"linreg-cpu-iter{it}")
-            weights, loss = self._update(weights, result.value)
+                job_name=f"linreg-{mode}-iter{it}")
+            weights = self._update(weights, result.value)
             seconds = result.seconds
             if it == self.iterations - 1:
-                extra = yield from self._write_predictions(
-                    session, samples, weights, gpu=False)
-                seconds += extra
+                if gpu:
+                    predictions = samples.gpu_map_partition(
+                        "linreg_predict",
+                        extra_inputs={"weights": ExtraInput.constant(
+                            weights, element_nbytes=8.0, cacheable=False)},
+                        cache=True, cache_key_base=("linreg", self.path),
+                        out_element_nbytes=4.0)
+                else:
+                    predictions = samples.map_partition(
+                        lambda elems, w=weights: _predict(elems, w),
+                        cost=OpCost(flops_per_element=2 * DIM,
+                                    out_element_nbytes=4.0,
+                                    element_overhead_s=self.CPU_OVERHEAD_S),
+                        name="linreg-predict")
+                write = yield from predictions.write_hdfs_job(self.output_path)
+                seconds += write.seconds
             times.append(seconds)
         return weights, times
-
-    def _run_gpu(self, session):
-        samples = session.read_hdfs(self.path, self.element_nbytes,
-                                    scale=self.scale).persist()
-        state = {"weights": np.zeros(DIM)}
-        weights_input = ExtraInput(lambda: state["weights"],
-                                   element_nbytes=8.0, cacheable=False)
-        times = []
-        for it in range(self.iterations):
-            partials = samples.gpu_map_partition(
-                "linreg_grad", extra_inputs={"weights": weights_input},
-                cache=True, cache_key_base=("linreg", self.path),
-                out_element_nbytes=8.0 * (DIM + 2))
-            result = yield from partials.collect_job(
-                job_name=f"linreg-gpu-iter{it}")
-            state["weights"], _ = self._update(state["weights"], result.value)
-            seconds = result.seconds
-            if it == self.iterations - 1:
-                extra = yield from self._write_predictions(
-                    session, samples, state["weights"], gpu=True)
-                seconds += extra
-            times.append(seconds)
-        return state["weights"], times
-
-    def _write_predictions(self, session, samples, weights, gpu: bool):
-        if gpu:
-            ensure_kernel(session.cluster.registry, KernelSpec(
-                "linreg_predict",
-                lambda i, p: {"out": (i["in"]["features"].astype(np.float64)
-                                      @ i["weights"]).astype(np.float32)},
-                flops_per_element=2 * DIM,
-                bytes_per_element=Sample.itemsize(),
-                efficiency=self.GPU_EFFICIENCY))
-            out = samples.gpu_map_partition(
-                "linreg_predict",
-                extra_inputs={"weights": ExtraInput.constant(
-                    weights, element_nbytes=8.0, cacheable=False)},
-                cache=True, cache_key_base=("linreg", self.path),
-                out_element_nbytes=4.0)
-        else:
-            w = weights.copy()
-            out = samples.map_partition(
-                lambda elems, w=w: (elems["features"].astype(np.float64)
-                                    @ w).astype(np.float32),
-                cost=OpCost(flops_per_element=2 * DIM,
-                            out_element_nbytes=4.0,
-                            element_overhead_s=self.CPU_OVERHEAD_S),
-                name="linreg-predict")
-        result = yield from out.write_hdfs_job(self.output_path)
-        return result.seconds

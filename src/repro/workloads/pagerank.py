@@ -15,8 +15,6 @@ job would.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from repro.core.gdst import ExtraInput
@@ -24,7 +22,7 @@ from repro.core.gstruct import GStruct4, Int32, StructField
 from repro.flink.dataset import OpCost
 from repro.flink.iterators import field, field_sum, vectorized
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
+from repro.workloads.base import Workload, ensure_kernel, gpu_parallelism
 
 EDGES_PER_PAGE = 8
 DAMPING = 0.85
@@ -80,7 +78,7 @@ class PageRankWorkload(Workload):
         self.real_pages = int(real_pages)
 
     # -- data ---------------------------------------------------------------
-    def _make_edges(self, n: int) -> np.ndarray:
+    def _block(self, n: int) -> np.ndarray:
         arr = Edge.empty(n)
         arr["src"] = self.rng.integers(0, self.real_pages,
                                        size=n).astype(np.int32)
@@ -89,13 +87,6 @@ class PageRankWorkload(Workload):
         arr["dst"] = dst.astype(np.int32)
         return arr
 
-    def _generate_chunks(self, n_chunks: int) -> List[Tuple[np.ndarray, int]]:
-        chunks = []
-        for n in even_chunk_sizes(self.real_elements, n_chunks):
-            chunks.append((self._make_edges(n),
-                           int(n * self.scale * self.element_nbytes)))
-        return chunks
-
     def register_kernels(self, registry) -> None:
         ensure_kernel(registry, KernelSpec(
             "pagerank_contrib", pagerank_contrib_kernel,
@@ -103,27 +94,27 @@ class PageRankWorkload(Workload):
             bytes_per_element=Edge.itemsize() + 8.0,
             efficiency=self.GPU_EFFICIENCY))
 
-    # -- drivers -----------------------------------------------------------------
-    def _out_degrees(self, session) -> np.ndarray:
-        # Degree table computed once (driver-side metadata job in real
-        # deployments; here from the generator for determinism).
-        degrees = np.zeros(self.real_pages, dtype=np.float64)
-        for block in session.cluster.hdfs.locate(self.path):
-            np.add.at(degrees, block.payload["src"], 1.0)
-        degrees[degrees == 0] = 1.0
-        return degrees
-
-    def _iterate(self, session, edges, gpu: bool):
+    # -- driver -----------------------------------------------------------------
+    def driver(self, session, mode):
+        gpu = mode == "gpu"
+        # On the GPU, one partition per device: ranks/degrees upload once
+        # per device.
+        edges = session.read_hdfs(
+            self.path, self.element_nbytes, scale=self.scale,
+            parallelism=gpu_parallelism(session) if gpu else None).persist()
         n = self.real_pages
         ranks = np.full(n, 1.0 / n)
-        out_degree = self._out_degrees(session)
-        state = {"ranks": ranks}
-        ranks_input = ExtraInput(lambda: state["ranks"], element_nbytes=8.0,
-                                 scale=self.nominal_pages / self.real_pages,
-                                 cacheable=False)
+        # Degree table computed once (driver-side metadata job in real
+        # deployments; here from the generator for determinism).
+        out_degree = np.zeros(n, dtype=np.float64)
+        for block in session.cluster.hdfs.locate(self.path):
+            np.add.at(out_degree, block.payload["src"], 1.0)
+        out_degree[out_degree == 0] = 1.0
+        page_scale = self.nominal_pages / self.real_pages
+        ranks_input = ExtraInput(lambda: ranks, element_nbytes=8.0,
+                                 scale=page_scale, cacheable=False)
         degree_input = ExtraInput.constant(
-            out_degree, element_nbytes=8.0,
-            scale=self.nominal_pages / self.real_pages, cacheable=True)
+            out_degree, element_nbytes=8.0, scale=page_scale, cacheable=True)
         times = []
         for it in range(self.iterations):
             if gpu:
@@ -134,8 +125,8 @@ class PageRankWorkload(Workload):
                     cache=True, cache_key_base=("pagerank", self.path),
                     out_element_nbytes=16.0)
             else:
-                r, d = state["ranks"].copy(), out_degree
-                contrib_fn = lambda e, r=r, d=d: _contrib_partials(e, r, d)
+                contrib_fn = lambda e, r=ranks: _contrib_partials(
+                    e, r, out_degree)
                 if self.vectorized:
                     contrib_fn = vectorized(contrib_fn)
                 partial_rows = edges.map_partition(
@@ -159,35 +150,18 @@ class PageRankWorkload(Workload):
                 total, cost=OpCost(flops_per_element=1.0),
                 name="pagerank-sum")
             result = yield from summed.collect_job(
-                job_name=f"pagerank-{'gpu' if gpu else 'cpu'}-iter{it}")
-            new_ranks = np.full(n, (1.0 - DAMPING) / n)
+                job_name=f"pagerank-{mode}-iter{it}")
+            ranks = np.full(n, (1.0 - DAMPING) / n)
             # The collected rows applied as one block; unbuffered and in row
             # order, so the sums are a per-row loop's bit for bit.
-            dst, total = np.asarray(result.value,
-                                    dtype=np.float64).reshape(-1, 2).T
-            np.add.at(new_ranks, dst.astype(np.intp), DAMPING * total)
-            state["ranks"] = new_ranks
+            dst, contrib = np.asarray(result.value,
+                                      dtype=np.float64).reshape(-1, 2).T
+            np.add.at(ranks, dst.astype(np.intp), DAMPING * contrib)
             seconds = result.seconds
             if it == self.iterations - 1:
                 write = yield from session.from_collection(
-                    state["ranks"], element_nbytes=8.0,
-                    scale=self.nominal_pages / self.real_pages
+                    ranks, element_nbytes=8.0, scale=page_scale
                 ).write_hdfs_job(self.output_path)
                 seconds += write.seconds
             times.append(seconds)
-        return state["ranks"], times
-
-    def _run_cpu(self, session):
-        edges = session.read_hdfs(self.path, self.element_nbytes,
-                                  scale=self.scale).persist()
-        result = yield from self._iterate(session, edges, gpu=False)
-        return result
-
-    def _run_gpu(self, session):
-        from repro.workloads.spmv import _total_gpus
-        # One partition per GPU: ranks/degrees upload once per device.
-        edges = session.read_hdfs(self.path, self.element_nbytes,
-                                  scale=self.scale,
-                                  parallelism=_total_gpus(session)).persist()
-        result = yield from self._iterate(session, edges, gpu=True)
-        return result
+        return ranks, times

@@ -10,14 +10,12 @@ smaller than that of KMeans and SpMV").
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from repro.core.gstruct import Float32, GStruct8, StructField
 from repro.flink.dataset import OpCost
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
+from repro.workloads.base import Workload, ensure_kernel
 
 
 class PointPair(GStruct8):
@@ -58,14 +56,11 @@ class PointAddWorkload(Workload):
                          element_nbytes=PointPair.itemsize(),
                          iterations=iterations, **kw)
 
-    def _generate_chunks(self, n_chunks: int) -> List[Tuple[np.ndarray, int]]:
-        chunks = []
-        for n in even_chunk_sizes(self.real_elements, n_chunks):
-            arr = PointPair.empty(n)
-            for f in ("ax", "ay", "bx", "by"):
-                arr[f] = self.rng.uniform(-1, 1, size=n).astype(np.float32)
-            chunks.append((arr, int(n * self.scale * self.element_nbytes)))
-        return chunks
+    def _block(self, n: int) -> np.ndarray:
+        arr = PointPair.empty(n)
+        for f in ("ax", "ay", "bx", "by"):
+            arr[f] = self.rng.uniform(-1, 1, size=n).astype(np.float32)
+        return arr
 
     def register_kernels(self, registry) -> None:
         ensure_kernel(registry, KernelSpec(
@@ -74,36 +69,26 @@ class PointAddWorkload(Workload):
             bytes_per_element=2 * PointPair.itemsize(),
             efficiency=self.GPU_EFFICIENCY))
 
-    # -- drivers (Algorithm 3.1's Driver(A)) ----------------------------------------
-    def _run_cpu(self, session):
+    # -- driver (Algorithm 3.1's Driver(A)) -----------------------------------------
+    def driver(self, session, mode):
         current = session.read_hdfs(self.path, self.element_nbytes,
                                     scale=self.scale).persist()
         times = []
         for it in range(self.iterations):
-            current = current.map_partition(
-                _add_points,
-                cost=OpCost(flops_per_element=self.CPU_FLOPS,
-                            element_overhead_s=self.CPU_OVERHEAD_S),
-                name="pointadd").persist()
+            if mode == "gpu":
+                # cache=False: the input changes every iteration
+                # (V = M.map(...)).
+                current = current.gpu_map_partition(
+                    "cudaAddPoint", name="pointadd-gpu")
+            else:
+                current = current.map_partition(
+                    _add_points,
+                    cost=OpCost(flops_per_element=self.CPU_FLOPS,
+                                element_overhead_s=self.CPU_OVERHEAD_S),
+                    name="pointadd")
+            current = current.persist()
             result = yield from current.materialize_job(
-                job_name=f"pointadd-cpu-iter{it}")
-            seconds = result.seconds
-            if it == self.iterations - 1:
-                write = yield from current.write_hdfs_job(self.output_path)
-                seconds += write.seconds
-            times.append(seconds)
-        return result.value, times
-
-    def _run_gpu(self, session):
-        current = session.read_hdfs(self.path, self.element_nbytes,
-                                    scale=self.scale).persist()
-        times = []
-        for it in range(self.iterations):
-            # cache=False: the input changes every iteration (V = M.map(...)).
-            current = current.gpu_map_partition(
-                "cudaAddPoint", name="pointadd-gpu").persist()
-            result = yield from current.materialize_job(
-                job_name=f"pointadd-gpu-iter{it}")
+                job_name=f"pointadd-{mode}-iter{it}")
             seconds = result.seconds
             if it == self.iterations - 1:
                 write = yield from current.write_hdfs_job(self.output_path)

@@ -13,15 +13,13 @@ the block-splitting rule (no struct straddles a page) applies unchanged.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from repro.core.gdst import ExtraInput
 from repro.core.gstruct import Float32, GStruct4, Int32, StructField
 from repro.flink.dataset import OpCost
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
+from repro.workloads.base import Workload, ensure_kernel, gpu_parallelism
 
 NNZ = 16  # non-zeros per row (ELL width)
 
@@ -73,16 +71,13 @@ class SpMVWorkload(Workload):
         self.gpu_cache = gpu_cache
 
     # -- data ---------------------------------------------------------------------
-    def _generate_chunks(self, n_chunks: int) -> List[Tuple[np.ndarray, int]]:
-        chunks = []
-        for n in even_chunk_sizes(self.real_elements, n_chunks):
-            arr = EllRow.empty(n)
-            arr["cols"] = self.rng.integers(0, self.n_rows,
-                                            size=(n, NNZ)).astype(np.int32)
-            arr["vals"] = self.rng.uniform(
-                0, 1, size=(n, NNZ)).astype(np.float32) / NNZ
-            chunks.append((arr, int(n * self.scale * self.element_nbytes)))
-        return chunks
+    def _block(self, n: int) -> np.ndarray:
+        arr = EllRow.empty(n)
+        arr["cols"] = self.rng.integers(0, self.n_rows,
+                                        size=(n, NNZ)).astype(np.int32)
+        arr["vals"] = self.rng.uniform(
+            0, 1, size=(n, NNZ)).astype(np.float32) / NNZ
+        return arr
 
     def register_kernels(self, registry) -> None:
         ensure_kernel(registry, KernelSpec(
@@ -91,17 +86,20 @@ class SpMVWorkload(Workload):
             bytes_per_element=self.GPU_BYTES_PER_ELEMENT,
             efficiency=self.GPU_EFFICIENCY))
 
-    # -- drivers ------------------------------------------------------------------
-    #: Nominal bytes of the dense vector ("the vector is 123 MB" for the
-    #: 1 GB matrix): nominal rows x 4 bytes.
-    def _vector_nbytes_scale(self) -> float:
-        return self.scale  # one float per nominal row
-
-    def _iterate(self, session, matrix, gpu: bool):
+    # -- driver -------------------------------------------------------------------
+    def driver(self, session, mode):
+        gpu = mode == "gpu"
+        # On the GPU, one partition per device: the dense vector is a
+        # whole-buffer operand uploaded per GWork, so fewer/larger
+        # partitions upload it once per device per iteration (the paper
+        # shards work per GPU the same way).
+        matrix = session.read_hdfs(
+            self.path, self.element_nbytes, scale=self.scale,
+            parallelism=gpu_parallelism(session) if gpu else None).persist()
         x = np.full(self.n_rows, 1.0 / self.n_rows, dtype=np.float32)
-        state = {"x": x}
-        x_input = ExtraInput(lambda: state["x"], element_nbytes=4.0,
-                             scale=self._vector_nbytes_scale(),
+        # The dense vector's nominal bytes ("the vector is 123 MB" for the
+        # 1 GB matrix): one float per nominal row.
+        x_input = ExtraInput(lambda: x, element_nbytes=4.0, scale=self.scale,
                              cacheable=False)
         times = []
         for it in range(self.iterations):
@@ -112,57 +110,21 @@ class SpMVWorkload(Workload):
                     cache_key_base=("spmv", self.path),
                     out_element_nbytes=4.0)
             else:
-                xs = state["x"].copy()
                 y_ds = matrix.map_partition(
-                    lambda rows, xs=xs: _spmv_block(rows, xs),
+                    lambda rows, x=x: _spmv_block(rows, x),
                     cost=OpCost(flops_per_element=self.CPU_FLOPS,
                                 out_element_nbytes=4.0,
                                 element_overhead_s=self.CPU_OVERHEAD_S),
                     name="spmv-mult")
             result = yield from y_ds.collect_job(
-                job_name=f"spmv-{'gpu' if gpu else 'cpu'}-iter{it}")
+                job_name=f"spmv-{mode}-iter{it}")
             y = np.asarray(result.value, dtype=np.float64)
-            norm = np.linalg.norm(y)
-            state["x"] = (y / max(norm, 1e-30)).astype(np.float32)
+            x = (y / max(np.linalg.norm(y), 1e-30)).astype(np.float32)
             seconds = result.seconds
             if it == self.iterations - 1:
                 write = yield from session.from_collection(
-                    state["x"], element_nbytes=4.0,
-                    scale=self._vector_nbytes_scale()
+                    x, element_nbytes=4.0, scale=self.scale
                 ).write_hdfs_job(self.output_path)
                 seconds += write.seconds
             times.append(seconds)
-        return state["x"], times
-
-    def _run_cpu(self, session):
-        matrix = session.read_hdfs(self.path, self.element_nbytes,
-                                   scale=self.scale).persist()
-        result = yield from self._iterate(session, matrix, gpu=False)
-        return result
-
-    def _run_gpu(self, session):
-        # One partition per GPU: the dense vector is a whole-buffer operand
-        # uploaded per GWork, so fewer/larger partitions upload it once per
-        # device per iteration (the paper shards work per GPU the same way).
-        n_gpus = _total_gpus(session)
-        matrix = session.read_hdfs(self.path, self.element_nbytes,
-                                   scale=self.scale,
-                                   parallelism=n_gpus).persist()
-        result = yield from self._iterate(session, matrix, gpu=True)
-        return result
-
-
-def _total_gpus(session) -> int:
-    """GPU-count parallelism for one-partition-per-device datasets.
-
-    Uses the cluster's pinned ``default_gpu_parallelism`` (configured
-    shape) when available so elastic joiners never change partition counts
-    mid-run — partials per partition decide bits, so this is what keeps
-    GPU workloads churn-identical.  Falls back to counting live devices
-    for bare clusters without the pinned property.
-    """
-    pinned = getattr(session.cluster, "default_gpu_parallelism", None)
-    if pinned is not None:
-        return int(pinned)
-    managers = session.cluster.gpu_managers()
-    return max(sum(len(gm.devices) for gm in managers), 1)
+        return x, times

@@ -13,14 +13,13 @@ out (one ``Unsigned32`` per word).
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
+from repro.common.errors import ConfigError
 from repro.flink.dataset import OpCost
 from repro.flink.iterators import field, field_sum, vectorized
 from repro.gpu.kernel import KernelSpec
-from repro.workloads.base import Workload, ensure_kernel, even_chunk_sizes
+from repro.workloads.base import Workload, ensure_kernel
 
 VOCABULARY = 10_000
 ZIPF_A = 1.3
@@ -53,17 +52,16 @@ class WordCountWorkload(Workload):
 
     def __init__(self, nominal_elements: float = 2.4e9,
                  real_elements: int = 60_000, **kw):
-        kw.setdefault("iterations", 1)  # batch: single pass
+        if kw.setdefault("iterations", 1) != 1:
+            raise ConfigError(f"wordcount is a single-pass batch job: "
+                              f"iterations must be 1, not "
+                              f"{kw['iterations']!r}")
         super().__init__(nominal_elements, real_elements,
                          element_nbytes=4.0, **kw)
 
-    def _generate_chunks(self, n_chunks: int) -> List[Tuple[np.ndarray, int]]:
-        chunks = []
-        for n in even_chunk_sizes(self.real_elements, n_chunks):
-            ids = self.rng.zipf(ZIPF_A, size=n) % VOCABULARY
-            chunks.append((ids.astype(np.int32),
-                           int(n * self.scale * self.element_nbytes)))
-        return chunks
+    def _block(self, n: int) -> np.ndarray:
+        ids = self.rng.zipf(ZIPF_A, size=n) % VOCABULARY
+        return ids.astype(np.int32)
 
     def register_kernels(self, registry) -> None:
         ensure_kernel(registry, KernelSpec(
@@ -71,50 +69,41 @@ class WordCountWorkload(Workload):
             flops_per_element=self.GPU_FLOPS, bytes_per_element=4.0,
             efficiency=self.GPU_EFFICIENCY))
 
-    # -- drivers ------------------------------------------------------------------
-    def _finish(self, partials_ds):
-        key, total = field(0), field_sum(1)
-        if self.vectorized:
-            key, total = vectorized(key), vectorized(total)
-        totals = partials_ds.group_by(key).reduce(
-            total, cost=OpCost(flops_per_element=1.0), name="wordcount-sum")
-        write = yield from totals.write_hdfs_job(self.output_path)
-        return write
-
-    def _tokenize(self, session):
-        words = session.read_hdfs(self.path, self.element_nbytes,
-                                  scale=self.scale)
+    # -- driver -------------------------------------------------------------------
+    def driver(self, session, mode):
         tokenize = lambda ids: ids  # text -> word ids; identity on sample
         if self.vectorized:
             tokenize = vectorized(tokenize)
-        return words.map_partition(
+        words = session.read_hdfs(self.path, self.element_nbytes,
+                                  scale=self.scale).map_partition(
             tokenize,
             cost=OpCost(flops_per_element=2.0,
                         element_overhead_s=self.TOKENIZE_OVERHEAD_S),
             name="wordcount-tokenize")
-
-    def _run_cpu(self, session):
-        # The marker sticks to the function it is put on: the element
-        # price needs a callable of its own.
-        partials = self._tokenize(session).map_partition(
-            vectorized(_partial_rows) if self.vectorized
-            else lambda ids: _partial_rows(ids),
-            cost=OpCost(flops_per_element=self.CPU_FLOPS,
-                        out_element_nbytes=12.0,
-                        element_overhead_s=self.COUNT_OVERHEAD_S),
-            name="wordcount-map")
-        write = yield from self._finish(partials)
-        return write.value, [write.seconds]
-
-    def _run_gpu(self, session):
-        pairs = self._tokenize(session).gpu_map_partition(
-            "wordcount_hist", out_element_nbytes=12.0)
-        if not self.vectorized:
-            # Element-priced: the kernel's int64 rows pass the per-record
-            # deserialisation step as the block they are.
-            pairs = pairs.map_partition(
-                lambda rows: rows,
-                cost=OpCost(flops_per_element=0.0),
-                name="wordcount-tuples")
-        write = yield from self._finish(pairs)
+        if mode == "gpu":
+            partials = words.gpu_map_partition(
+                "wordcount_hist", out_element_nbytes=12.0)
+            if not self.vectorized:
+                # Element-priced: the kernel's int64 rows pass the
+                # per-record deserialisation step as the block they are.
+                partials = partials.map_partition(
+                    lambda rows: rows,
+                    cost=OpCost(flops_per_element=0.0),
+                    name="wordcount-tuples")
+        else:
+            # The marker sticks to the function it is put on: the element
+            # price needs a callable of its own.
+            partials = words.map_partition(
+                vectorized(_partial_rows) if self.vectorized
+                else lambda ids: _partial_rows(ids),
+                cost=OpCost(flops_per_element=self.CPU_FLOPS,
+                            out_element_nbytes=12.0,
+                            element_overhead_s=self.COUNT_OVERHEAD_S),
+                name="wordcount-map")
+        key, total = field(0), field_sum(1)
+        if self.vectorized:
+            key, total = vectorized(key), vectorized(total)
+        totals = partials.group_by(key).reduce(
+            total, cost=OpCost(flops_per_element=1.0), name="wordcount-sum")
+        write = yield from totals.write_hdfs_job(self.output_path)
         return write.value, [write.seconds]

@@ -97,6 +97,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             run_cli(["run", "sorting"])
 
+    @pytest.mark.parametrize("command", ["run", "trace", "metrics"])
+    def test_wordcount_iterations_is_a_usage_error(self, command, capsys):
+        """WordCount is one pass: more is refused, not silently dropped."""
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, "wordcount", "--workers", "2", "--real", "1000",
+                     "--iterations", "3"])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "argument --iterations: wordcount is a single-pass" in message
+
     def test_custom_gpu_spec(self):
         code, text = run_cli(["run", "pointadd", "--mode", "gpu",
                               "--workers", "1", "--gpus", "p100",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec
 from repro.workloads import (
@@ -93,3 +94,18 @@ class TestRunConcurrent:
             assert len(apps_with_regions) >= 1
             for app in apps_with_regions:
                 assert app.startswith("app-")
+
+    @pytest.mark.parametrize("bad", ["GPU", "tpu", None])
+    def test_mode_checked_before_anything_is_prepared(self, bad):
+        """The check ``Workload.run`` makes, made for every app before any
+        input is generated: a driver reads ``mode == "gpu"``, so any other
+        spelling would run the CPU plan under a "GPU" label."""
+        cluster = GFlinkCluster(small_config())
+        good = SpMVWorkload(nominal_elements=1000, real_elements=1000,
+                            iterations=1)
+        bad_app = KMeansWorkload(nominal_elements=1000, real_elements=1000,
+                                 iterations=1)
+        with pytest.raises(ConfigError, match="mode must be 'cpu' or 'gpu'"):
+            run_concurrent(cluster, [(good, "gpu"), (bad_app, bad)])
+        assert not cluster.hdfs.exists(good.path)
+        assert not cluster.hdfs.exists(bad_app.path)

@@ -209,6 +209,16 @@ class TestWordCount:
         assert counts["cpu"] == truth
         assert counts["gpu"] == truth
 
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_more_than_one_pass_is_refused(self, iterations):
+        from repro.common.errors import ConfigError
+        with pytest.raises(ConfigError, match="iterations must be 1"):
+            WordCountWorkload(real_elements=1000, iterations=iterations)
+
+    def test_one_pass_may_be_named(self):
+        assert WordCountWorkload(real_elements=1000,
+                                 iterations=1).iterations == 1
+
 
 class TestPointAdd:
     def test_iterated_addition(self):
