@@ -75,7 +75,7 @@ LINTS = (
          # Engine code states facts through Observability.emit / .span and
          # the FACTS table derives every sink from them.  Outside repro/obs:
          # no metric handles (np.histogram is NumPy's), no tracer recording,
-         # no monitor call except the named queries and configuration
+         # no monitor call except the named exports and configuration
          # (add_argument is argparse's `monitor` subparser), and none of the
          # old guard spellings — disabled is the bus's own `active` test.
          r"\.(counter|gauge|histogram)\(|tracer\.(span|instant|complete|track)\("
@@ -86,7 +86,7 @@ LINTS = (
          "PR 16", ("src/repro/flink/jobmanager.py",
                    'registry.counter("task.retries").inc()'),
          allowed=(r"repro/obs/", r"np\.histogram\(",
-                  r"monitor\.(trends|set_latency_target"
+                  r"monitor\.(set_latency_target"
                   r"|set_availability_target|finalize|summary"
                   r"|add_argument)\(")),
     Lint("one payload module — no format test outside flink/payload.py",
@@ -288,6 +288,20 @@ LINTS = (
          "per-mode drivers",
          ("src/repro/workloads/kmeans.py",
           "    def _run_cpu(self, session):")),
+    Lint("telemetry is write-only — the model reads the cluster, not a sink",
+         # The model emits facts and never reads them back, so a decision
+         # cannot depend on whether tracing or monitoring is on: the
+         # autoscaler's slope is its own per-tick trend and its read
+         # locality HDFS's own count.  flink/report.py is the export layer.
+         r"(?<!repro\.)\bobs\.(registry|monitor|tracer)\b|\.trends\(",
+         tuple(f"src/repro/{pkg}" for pkg in ("flink", "core", "gpu", "hdfs",
+                                               "common", "workloads")),
+         "a sink read in a model package (read the cluster's own state; "
+         "the sinks are for repro/obs and flink/report.py)",
+         "sink reads in the model",
+         ("src/repro/flink/autoscaler.py",
+          "        registry = self.cluster.obs.registry"),
+         allowed=(r"repro/flink/report\.py",)),
 )
 
 

@@ -53,22 +53,35 @@ WORKLOADS: Dict[str, tuple] = {
 }
 
 
+def _positive(cast):
+    """An option's ``type=``: ``cast`` the text and refuse anything but a
+    positive, finite number (argparse prints the flag, exits 2)."""
+    def parse(text: str):
+        value = cast(text)
+        if not 0 < value < float("inf"):
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"positive {cast.__name__}"   # argparse's message
+    return parse
+
+
 def _add_run_options(p: argparse.ArgumentParser, single_mode: bool) -> None:
-    """Workload-run options shared by ``run``, ``trace`` and ``metrics``."""
+    """Workload-run options shared by ``run``, ``trace``, ``metrics``,
+    ``chaos`` and ``monitor``."""
     p.add_argument("workload", choices=sorted(WORKLOADS))
     if single_mode:
         p.add_argument("--mode", choices=("cpu", "gpu"), default="gpu")
     else:
         p.add_argument("--mode", choices=("cpu", "gpu", "both"),
                        default="both")
-    p.add_argument("--workers", type=int, default=10,
+    p.add_argument("--workers", type=_positive(int), default=10,
                    help="slave nodes (default: the paper's 10)")
     p.add_argument("--gpus", default="c2050,c2050",
                    help="comma-separated GPU specs per worker")
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--nominal", type=float, default=None,
+    p.add_argument("--iterations", type=_positive(int), default=None)
+    p.add_argument("--nominal", type=_positive(float), default=None,
                    help="nominal input size (elements or pages)")
-    p.add_argument("--real", type=int, default=12_000,
+    p.add_argument("--real", type=_positive(int), default=12_000,
                    help="in-memory sample size")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--vectorized", action="store_true",
@@ -134,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--autoscale", action="store_true",
                      help="run the profiler-driven autoscaler: add workers "
                           "under slot pressure, retune the pipeline online")
-    run.add_argument("--max-workers", type=int, default=None,
+    run.add_argument("--max-workers", type=_positive(int), default=None,
                      help="autoscaler ceiling on cluster size (default: "
                           "2x the starting worker count)")
 
@@ -258,6 +271,8 @@ def _make_workload(name: str, args) -> Workload:
 
 
 def _cmd_run(args, out) -> int:
+    if args.max_workers is not None and not args.autoscale:
+        raise _UsageError("argument --max-workers: requires --autoscale")
     gpus = tuple(g for g in args.gpus.split(",") if g)
     modes = ("cpu", "gpu") if args.mode == "both" else (args.mode,)
     results = {}
@@ -266,7 +281,7 @@ def _cmd_run(args, out) -> int:
         config = ClusterConfig(n_workers=args.workers, cpu=CPUSpec(),
                                gpus_per_worker=gpus)
         cluster = GFlinkCluster(config)
-        if getattr(args, "autoscale", False):
+        if args.autoscale:
             from repro.flink.autoscaler import Autoscaler, AutoscalerPolicy
             policy = AutoscalerPolicy(
                 max_workers=args.max_workers or 2 * args.workers)

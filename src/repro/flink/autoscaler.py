@@ -1,9 +1,9 @@
 """Profiler-driven autoscaler: elastic capacity + online tuning.
 
 The :class:`Autoscaler` is a master-side control loop (a simulation process
-ticking every ``policy.interval_s``) that reads the signals the
-observability plane already produces and maps each bottleneck class onto
-one concrete actuation:
+ticking every ``policy.interval_s``) that reads the cluster model — the
+TaskManagers' active subtasks and HDFS's own block-read counts — and maps
+each bottleneck class onto one concrete actuation:
 
 =================  ============================================  =========================
 signal             meaning                                       action
@@ -11,7 +11,7 @@ signal             meaning                                       action
 ``sched_bound``    slot pressure: queued+running subtasks per    ``Cluster.add_worker()``
                    member slot exceeds ``slot_pressure_high``    (more slots, up to
                    (task waves queue behind slots)               ``max_workers``)
-``hdfs_bound``     remote-read fraction of ``hdfs.reads``        deepen the pipelined
+``hdfs_bound``     remote fraction of ``HDFS.block_reads``       deepen the pipelined
                    exceeds ``remote_read_fraction_high``         read queue
                    (source parallelism starves on the network)   (``pipeline_queue_blocks``)
 ``pcie_bound``     a profile summary classifies an operator as   prefer cache/block-local
@@ -22,23 +22,24 @@ signal             meaning                                       action
 Live counters (slot pressure, read locality) are polled every tick;
 ``pcie_bound`` comes from offline profile summaries fed in through
 :meth:`Autoscaler.observe_profile` (e.g. the previous run's summary, or a
-mid-run flush).  Actuations write the cluster's mutable
-:class:`~repro.flink.config.RuntimeTuning` overlay — never the frozen
-config — so logical partitioning, and with it the job's result, is
-untouched: the autoscaler changes *when and where* work runs, not *what*
-runs.
+mid-run flush) and is applied when observed.  Actuations write the
+cluster's mutable :class:`~repro.flink.config.RuntimeTuning` overlay —
+never the frozen config — so logical partitioning, and with it the job's
+result, is untouched: the autoscaler changes *when and where* work runs,
+not *what* runs.
 
-Two *predictive* policies ride on the trend detectors
-(:mod:`repro.obs.anomaly`): each tick feeds the measured slot pressure to
-the monitor as a ``scheduler.slot_pressure`` gauge and reads its slope
-back through ``GMonitor.trends()`` (falling back to a local
-:class:`~repro.obs.anomaly.SlidingTrend` when monitoring is off).  A
-*rising* pressure trend adds a worker before the hard
-``slot_pressure_high`` threshold is crossed; a pressure that stays below
-``slot_pressure_low`` for ``low_pressure_windows`` consecutive ticks with
-a non-rising trend **drains** the most recently joined schedulable worker
-(never below ``min_workers``).  Draining migrates cached partitions and
-keeps logical parallelism pinned, so results stay bit-identical.
+Two *predictive* policies ride on a per-tick
+:class:`~repro.obs.anomaly.SlidingTrend` of the measured slot pressure
+(each tick also emits the sample as a ``slot_pressure`` fact, so the
+monitor's ``scheduler.slot_pressure`` gauge and its trends show it, but
+nothing here reads a sink back: the decisions are the same with
+observability on or off).  A *rising* pressure trend adds a worker before
+the hard ``slot_pressure_high`` threshold is crossed; a pressure that
+stays below ``slot_pressure_low`` for ``low_pressure_windows`` consecutive
+ticks with a non-rising trend **drains** the most recently joined
+schedulable worker (never below ``min_workers``).  Draining migrates
+cached partitions and keeps logical parallelism pinned, so results stay
+bit-identical.
 
 Every decision is appended to :attr:`Autoscaler.decisions`, traced as an
 alert-style instant on the master's ``autoscaler`` lane, and counted under
@@ -117,15 +118,11 @@ class Autoscaler:
         self._stop = False
         self._process = None
         self._last_scale_at = -float("inf")
-        # hdfs.reads counter levels at the previous tick, so each window
+        # HDFS block-read counts at the previous tick, so each window
         # evaluates the *delta* (recent behavior), not the lifetime mix.
-        self._reads_seen = {"local": 0.0, "remote": 0.0}
-        # pcie_bound is level-triggered by profile summaries but should
-        # actuate once per observation, not every tick.
-        self._pcie_pending = False
-        # Local trend state over per-tick pressure samples: the fallback
-        # slope source when monitoring (and with it GMonitor.trends())
-        # is off.  Ticks of low pressure accumulate in _low_run.
+        self._reads_seen = {"local": 0, "remote": 0}
+        # Trend state over per-tick pressure samples; ticks of low
+        # pressure accumulate in _low_run.
         self._pressure_trend = SlidingTrend(window=self.policy.trend_window)
         self._low_run = 0
         # Scale-down only arms after the cluster has been under load at
@@ -156,28 +153,21 @@ class Autoscaler:
     def observe_profile(self, summary: Dict[str, Any]) -> None:
         """Feed a :mod:`repro.obs.profile` summary into the controller.
 
-        Any operator classified ``pcie_bound`` arms the prefer-cache /
-        wider-blocks actuation, applied on the next tick (or immediately if
-        the loop is not running).
+        Any operator classified ``pcie_bound`` applies the prefer-cache /
+        wider-blocks actuation at once, naming those operators.
         """
         ops = (summary or {}).get("operators", {})
         bound = sorted(op for op, entry in ops.items()
                        if entry.get("class") == "pcie_bound")
-        if not bound:
-            return
-        self._pcie_pending = True
-        if self._process is None:
+        if bound:
             self._apply_pcie(bound)
 
     # -- one evaluation ------------------------------------------------------------
     def _evaluate(self) -> None:
         policy = self.policy
-        if self._pcie_pending:
-            self._pcie_pending = False
-            self._apply_pcie([])
         pressure = self.slot_pressure()
         # Publish the sample (a gauge the dashboard can plot and trend
-        # rules can watch) and update the local fallback detector.
+        # rules can watch) and update the trend detector.
         self.cluster.obs.emit("slot_pressure", pressure=pressure)
         self._pressure_trend.update(pressure)
         slope = self.pressure_slope()
@@ -212,31 +202,17 @@ class Autoscaler:
         return active / capacity if capacity else 0.0
 
     def pressure_slope(self) -> float:
-        """Slot-pressure trend, in pressure units per tick.
-
-        Prefers the monitor's ``trends()`` over the published
-        ``scheduler.slot_pressure`` gauge (the ROADMAP's "predictive
-        policies from GMonitor time-series trends"); falls back to the
-        local per-tick detector when monitoring is off.
-        """
-        trends = self.cluster.obs.trends(
-            "scheduler.slot_pressure", window=self.policy.trend_window)
-        for snap in trends.values():
-            return float(snap.get("slope") or 0.0)
+        """Slot-pressure trend, in pressure units per tick."""
         return self._pressure_trend.slope()
 
     def _remote_read_fraction(self) -> Optional[float]:
         """Remote share of HDFS block reads since the previous tick."""
-        registry = self.cluster.obs.registry
-        deltas = {}
-        for locality in ("local", "remote"):
-            level = registry.value("hdfs.reads", locality=locality) or 0.0
-            deltas[locality] = level - self._reads_seen[locality]
-            self._reads_seen[locality] = level
-        total = deltas["local"] + deltas["remote"]
-        if total <= 0:
+        reads, seen = self.cluster.hdfs.block_reads, self._reads_seen
+        local, remote = (reads[k] - seen[k] for k in ("local", "remote"))
+        self._reads_seen = dict(reads)
+        if local + remote <= 0:
             return None
-        return deltas["remote"] / total
+        return remote / (local + remote)
 
     # -- actuations ------------------------------------------------------------
     def _maybe_add_worker(self, pressure: float, slope: float = 0.0,

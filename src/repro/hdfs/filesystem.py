@@ -34,6 +34,9 @@ class HDFS:
         # Block reads/writes are spans on the acting node's "hdfs" lane; the
         # read/write counters derive from them.
         self.obs = obs
+        #: Completed block reads by locality: model state (the autoscaler's
+        #: remote-read fraction), the same count ``hdfs.reads`` derives.
+        self.block_reads = {"local": 0, "remote": 0}
 
     # -- elastic membership -------------------------------------------------------
     def add_datanode(self, name: str) -> DataNode:
@@ -153,6 +156,7 @@ class HDFS:
                     block.block_id)
                 yield from self.network.transfer(source, at_node,
                                                  block.nbytes, progress)
+        self.block_reads["local" if local else "remote"] += 1
         return stored.payload
 
     def read_file(self, path: str,

@@ -23,8 +23,9 @@ that story per run instead of per aggregate:
 Wiring: every :class:`~repro.flink.runtime.Cluster` owns an
 :class:`Observability`, switched by ``FlinkConfig.enable_tracing`` /
 ``enable_monitoring`` — off by default (tests), on in benchmarks.  No sink
-schedules simulation events, so the simulated clock is bit-identical with
-observability on or off.  See ``docs/OBSERVABILITY.md``.
+schedules simulation events and no model component reads a sink, so the
+simulated clock is bit-identical with observability on or off.  See
+``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ closed, exactly as when every fact ticked the monitor as it was stated.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.common.errors import ConfigError
 from repro.obs.facts import DUR, FACTS, PROCESS, Derive, Fact, resolve_labels
@@ -135,7 +135,7 @@ class Observability:
     :class:`~repro.obs.monitor.GMonitor` (``monitor`` is None otherwise);
     either one enables the registry.  The sinks stay readable —
     ``obs.tracer``, ``obs.registry``, ``obs.monitor`` — for exporters and
-    reports; only this class writes to them.
+    reports, never for the model; only this class writes to them.
     """
 
     def __init__(self, env: Any, tracing: bool = False,
@@ -271,7 +271,7 @@ class Observability:
             del log[:]
             self._folded = tracer._drawn = 0
 
-    # -- topology and queries (not facts) --------------------------------------------
+    # -- topology (not facts) --------------------------------------------------------
     def register_worker(self, name: str) -> None:
         if self.monitor is not None:
             self.monitor.register_worker(name)
@@ -279,12 +279,6 @@ class Observability:
     def register_device(self, name: str, pcie_bps: float) -> None:
         if self.monitor is not None:
             self.monitor.register_device(name, pcie_bps=pcie_bps)
-
-    def trends(self, name: str, window: int) -> Dict[str, Dict[str, Any]]:
-        """The monitor's trend snapshots for one series family ({} if off)."""
-        if self.monitor is None:
-            return {}
-        return self.monitor.trends(name, window=window)
 
 
 #: The shared all-off bus: the default of components built standalone.

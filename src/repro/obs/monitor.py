@@ -831,10 +831,9 @@ class GMonitor:
         Keyed by the series key; each snapshot carries ``slope`` (value
         per window, least-squares over the last ``window`` points),
         ``zscore`` (EWMA drift of the latest point), ``mean``, ``last``
-        and ``direction``.  ``name`` restricts to one series family —
-        the autoscaler reads ``trends("scheduler.slot_pressure")`` for
-        its predictive policies.  Pure arithmetic over already-closed
-        windows; never advances the clock.
+        and ``direction``.  ``name`` restricts to one series family.
+        Pure arithmetic over already-closed windows; never advances the
+        clock.
         """
         self.sync()
         out: Dict[str, Dict[str, Any]] = {}

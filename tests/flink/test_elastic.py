@@ -11,15 +11,19 @@ Covers the elasticity contracts:
 * ``Scheduler.reschedule`` has a deterministic fallback when every healthy
   worker is in the avoid set (the satellite regression);
 * the autoscaler actuates on slot pressure, remote-read fraction and
-  pcie_bound profiles, respecting cooldown and the worker ceiling;
+  pcie_bound profiles, respecting cooldown and the worker ceiling, and
+  decides the same with tracing and monitoring on or off;
 * empty chaos/churn schedules perturb nothing, even with monitoring and
   tracing enabled.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.flink import FlinkSession
+from repro.core import GFlinkCluster, GFlinkSession
+from repro.flink import ClusterConfig, CPUSpec, FlinkConfig, FlinkSession
 from repro.flink.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.flink.chaos import (
     ChaosSchedule,
@@ -32,6 +36,7 @@ from repro.flink.iterators import vectorized
 from repro.flink.payload import segment_sum
 from repro.flink.rebalance import Rebalancer
 from repro.flink.scheduler import Scheduler
+from repro.workloads import KMeansWorkload, PageRankWorkload, SpMVWorkload
 from tests.flink.conftest import assert_ports_free, make_cluster
 
 
@@ -249,6 +254,28 @@ class TestAutoscaler:
         assert cluster.tuning.pipeline_block_nbytes == 2 * before
         assert [d.action for d in scaler.decisions] == ["prefer_cache"]
 
+    def test_pcie_bound_profile_actuates_once_naming_its_operators(self):
+        """A profile is applied when observed, once: the ticks after it do
+        not widen the blocks again, and a decision taken while the loop
+        runs names its operators too."""
+        cluster = make_cluster(n_workers=2)
+        scaler = Autoscaler(cluster, AutoscalerPolicy(interval_s=1.0))
+        before = cluster.tuning.pipeline_block_nbytes
+        scaler.observe_profile(
+            {"operators": {"gpu-map": {"class": "pcie_bound"}}})
+        scaler.start()
+        cluster.env.run(until=3.5)
+        assert cluster.tuning.pipeline_block_nbytes == 2 * before
+        scaler.observe_profile(
+            {"operators": {"gpu-reduce": {"class": "pcie_bound"}}})
+        cluster.env.run(until=5.5)
+        scaler.stop()
+        assert cluster.tuning.pipeline_block_nbytes == 4 * before
+        assert [(d.time, d.action, d.detail["operators"])
+                for d in scaler.decisions] == [
+            (0.0, "prefer_cache", ["gpu-map"]),
+            (3.5, "prefer_cache", ["gpu-reduce"])]
+
     def test_widened_blocks_reach_the_exchange(self):
         """``cluster.tuning`` is the one block width: a cluster widened to
         2W mid-life prices a zero-copy keyed reduce — source sub-blocks,
@@ -302,17 +329,33 @@ class TestAutoscaler:
         assert [d.signal for d in scaler.decisions] == ["sched_bound"]
 
     def test_remote_reads_deepen_queue(self):
-        cluster = make_cluster(n_workers=2, enable_tracing=True)
+        """hdfs_bound decides from HDFS's own read counts, so it fires with
+        observability off."""
+        cluster = make_cluster(n_workers=3)
+        assert not cluster.obs.active
+        env, hdfs = cluster.env, cluster.hdfs
+        env.run(until=env.process(hdfs.write(
+            "/in", [(i, 4096) for i in range(10)], writer_node="worker0")))
+
+        def read_all():
+            for i, block in enumerate(hdfs.locate("/in")):
+                # One local read, nine streamed from a replica elsewhere.
+                at = block.replicas[0] if i == 0 else next(
+                    n for n in cluster.member_names()
+                    if n not in block.replicas)
+                yield from hdfs.read_block(block, at)
+
+        env.run(until=env.process(read_all()))
+        assert hdfs.block_reads == {"local": 1, "remote": 9}
         scaler = Autoscaler(cluster)
-        registry = cluster.obs.registry
-        registry.counter("hdfs.reads", locality="remote").inc(9)
-        registry.counter("hdfs.reads", locality="local").inc(1)
         before = cluster.tuning.pipeline_queue_blocks
         scaler._evaluate()
         assert cluster.tuning.pipeline_queue_blocks == 2 * before
         # The next window sees only the *delta*: no new reads, no action.
         scaler._evaluate()
         assert cluster.tuning.pipeline_queue_blocks == 2 * before
+        assert [(d.signal, d.detail["remote_read_fraction"])
+                for d in scaler.decisions] == [("hdfs_bound", 0.9)]
 
     def test_pressure_slope_falls_back_to_local_trend(self):
         cluster = make_cluster(n_workers=2)
@@ -320,17 +363,6 @@ class TestAutoscaler:
         for p in (0.1, 0.2, 0.3, 0.4):
             scaler._pressure_trend.update(p)
         assert scaler.pressure_slope() == pytest.approx(0.1)
-
-    def test_pressure_slope_prefers_monitor_trends(self):
-        cluster = make_cluster(n_workers=2, enable_monitoring=True)
-        scaler = Autoscaler(cluster)
-        s = cluster.obs.monitor.store.series("scheduler.slot_pressure",
-                                             "gauge")
-        for i in range(6):
-            s.record(i, 0.2 * i)
-            s.close(i)
-        # The published gauge's trend wins over the local per-tick state.
-        assert scaler.pressure_slope() == pytest.approx(0.2)
 
     def test_sustained_low_pressure_drains_a_worker(self):
         cluster = make_cluster(n_workers=3)
@@ -373,10 +405,6 @@ class TestAutoscaler:
         assert len(cluster.member_names()) == 2
 
     def test_predictive_scale_down_drains_idle_worker_bit_identically(self):
-        from repro.core import GFlinkCluster, GFlinkSession
-        from repro.flink import ClusterConfig, CPUSpec
-        from repro.workloads import KMeansWorkload
-
         def run(scaled):
             cluster = GFlinkCluster(ClusterConfig(
                 n_workers=4, cpu=CPUSpec(cores=2),
@@ -428,6 +456,48 @@ class TestAutoscaler:
         scaler.stop()
         assert values_equal(sorted(fixed.value), sorted(result.value))
         assert result.seconds <= fixed.seconds + 1e-9
+
+
+class TestAutoscalerObsIdentity:
+    """The autoscaler reads the cluster, never a sink: its decisions, and
+    with them the clock, are the same with tracing and monitoring on or
+    off.  PageRank-CPU scales out on the pressure trend (which the monitor
+    also trends), SpMV-GPU deepens the read queue on remote block reads
+    (which the tracer also counts)."""
+
+    CELLS = {
+        "pagerank-cpu-4x2": (partial(PageRankWorkload, real_pages=2000,
+                                     iterations=2), "cpu", 4, 2),
+        "spmv-gpu-10x4": (partial(SpMVWorkload, real_elements=2000,
+                                  iterations=2), "gpu", 10, 4),
+        "kmeans-gpu-4x2": (partial(KMeansWorkload, real_elements=1000,
+                                   iterations=2), "gpu", 4, 2),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_decisions_and_clock_ignore_observability(self, cell):
+        make_workload, mode, n_workers, cores = self.CELLS[cell]
+
+        def run(tracing, monitoring):
+            cluster = GFlinkCluster(ClusterConfig(
+                n_workers=n_workers, cpu=CPUSpec(cores=cores),
+                gpus_per_worker=("c2050",), flink=FlinkConfig(
+                    enable_tracing=tracing, enable_monitoring=monitoring)))
+            scaler = Autoscaler(cluster,
+                                AutoscalerPolicy(max_workers=2 * n_workers))
+            scaler.start()
+            result = make_workload().run(GFlinkSession(cluster), mode)
+            scaler.stop()
+            return scaler.decisions, repr(result.iteration_seconds), \
+                result.value
+
+        decisions, seconds, value = run(False, False)
+        assert decisions
+        for tracing, monitoring in ((True, False), (False, True),
+                                    (True, True)):
+            other = run(tracing, monitoring)
+            assert other[:2] == (decisions, seconds)
+            assert values_equal(other[2], value)
 
 
 class TestEmptySchedules:

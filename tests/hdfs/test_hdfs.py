@@ -6,6 +6,7 @@ from repro.common import Environment
 from repro.common.errors import ConfigError
 from repro.common.network import Network, NetworkConfig
 from repro.hdfs import HDFS, DataNode, DiskConfig, NameNode
+from repro.obs import Observability
 
 NODES = ["node0", "node1", "node2"]
 
@@ -171,6 +172,28 @@ class TestHDFSFacade:
             wire = []
             run(env, net.transfer("node0", dst, 0, ([0.0, 3.0], wire.append)))
             assert wire == [0.0, 0.0]
+
+    def test_block_reads_count_what_the_traced_counter_counts(self, env,
+                                                              net):
+        """HDFS's own per-locality read count is the model state the
+        ``hdfs.reads`` counter derives from the trace: a completed read
+        counts once, a read that raises in its span does not."""
+        obs = Observability(env, tracing=True)
+        fs = HDFS(env, NODES, net, replication=1,
+                  disk=DiskConfig(read_bps=100e6, write_bps=100e6, seek_s=0.0),
+                  obs=obs)
+        run(env, fs.write("/d", [("a", 100), ("b", 100)],
+                          writer_node="node0"))
+        first, second = fs.locate("/d")
+        run(env, fs.read_block(first, at_node="node0"))
+        run(env, fs.read_block(first, at_node="node1"))
+        run(env, fs.read_block(second, at_node="node2"))
+        fs.datanodes["node0"].drop_block(second.block_id)
+        with pytest.raises(ConfigError):
+            run(env, fs.read_block(second, at_node="node0"))
+        assert fs.block_reads == {"local": 1, "remote": 2}
+        assert {loc: obs.registry.value("hdfs.reads", locality=loc)
+                for loc in fs.block_reads} == fs.block_reads
 
     def test_delete_removes_replicas(self, env, fs):
         run(env, fs.write("/d", [("x", 10)]))

@@ -16,7 +16,6 @@ from repro.common.errors import ConfigError
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.flink.chaos import ChaosSchedule
-from repro.obs import OFF
 from repro.obs.dashboard import render_dashboard
 from repro.obs.monitor import (
     AlertEngine,
@@ -309,11 +308,6 @@ class TestTrendsAPI:
         mon.finalize()
         assert {s["name"] for s in mon.trends().values()} >= {"a", "b"}
         assert all(s["name"] == "a" for s in mon.trends("a").values())
-
-    def test_null_monitor_trends_empty(self):
-        # Monitoring off is `obs.monitor is None`; the bus answers for it.
-        assert OFF.monitor is None
-        assert OFF.trends("scheduler.slot_pressure", window=8) == {}
 
 
 # ---------------------------------------------------------------------------

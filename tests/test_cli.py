@@ -107,6 +107,29 @@ class TestCli:
         message = capsys.readouterr().err.strip().splitlines()[-1]
         assert "argument --iterations: wordcount is a single-pass" in message
 
+    @pytest.mark.parametrize("command, flags", [
+        ("run", "--iterations 0"),
+        ("run", "--iterations -2"),
+        ("run", "--workers 0"),
+        ("run", "--real 0"),
+        ("run", "--nominal -5"),
+        ("run", "--nominal nan"),
+        ("run", "--autoscale --max-workers 0"),
+        ("run", "--max-workers 4"),            # without --autoscale
+        ("trace", "--iterations 0"),
+        ("metrics", "--workers 0"),
+        ("chaos", "--real -1"),
+        ("monitor", "--nominal 0"),
+    ])
+    def test_bad_numeric_flag_is_a_usage_error(self, command, flags, capsys):
+        """A count or size that is not positive exits 2 with one line
+        naming the flag: no traceback, no silent default, no run."""
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, "pointadd", "--real", "1000", *flags.split()])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"argument {flags.split()[-2]}: " in message
+
     def test_custom_gpu_spec(self):
         code, text = run_cli(["run", "pointadd", "--mode", "gpu",
                               "--workers", "1", "--gpus", "p100",
