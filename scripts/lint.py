@@ -268,11 +268,11 @@ LINTS = (
     Lint("one way to run a GWork — no device-mapped execution",
          # Every GWork runs through the H2D -> kernel -> D2H pipeline over
          # the copy engines and every kernel launches in
-         # CUDARuntime.kernel_op.  The mapped_memory option selected a second
+         # CUDARuntime.execute.  The mapped_memory option selected a second
          # runner with its own fact row, told apart by a Fact.marker arg.
          r"mapped_memory|_mapped_execute|kernel\.mapped|\bmarker=", ("src",),
          "device-mapped execution in src/ (run the GWork through the "
-         "pipeline; launch kernels in kernel_op)",
+         "pipeline; launch kernels through CUDARuntime.execute)",
          "device-mapped execution",
          ("src/repro/core/gwork.py", "    mapped_memory: bool = False")),
     Lint("one driver per workload — mode picks each step's operator",
@@ -302,6 +302,21 @@ LINTS = (
          ("src/repro/flink/autoscaler.py",
           "        registry = self.cluster.obs.registry"),
          allowed=(r"repro/flink/report\.py",)),
+    Lint("a stage loop claims its engine itself",
+         # The kernel and D2H stages of core/gstream.py claim device.compute
+         # and the D2H copy engine with resources.serve, price a block once
+         # per pipeline (CUDARuntime.price) and launch through
+         # CUDARuntime.execute; a per-block generator around kernel_op or
+         # transfer_op is the retired tower.  kernel_op stays for the async
+         # launch_kernel path under src/repro/gpu.
+         r"launch_kernel_inline|transfer_d2h_inline|yield from .*kernel_op\(",
+         ("src/repro",),
+         "a generator tower in the GPU block path (claim the engine with "
+         "resources.serve in the stage loop; CUDARuntime.price / execute)",
+         "generator towers in the block path",
+         ("src/repro/core/gstream.py",
+          "            launch_inline = wrapper.launch_kernel_inline"),
+         allowed=(r"^src/repro/(?!core/)[^:]*:\d+:.*yield from .*kernel_op\(",)),
 )
 
 

@@ -31,7 +31,6 @@ from typing import Generator, Optional
 from repro.common.simclock import Environment, Event
 from repro.core.hbuffer import Block, HBuffer
 from repro.gpu.device import GPUDevice
-from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import DeviceBuffer, HostBuffer
 from repro.gpu.runtime import CUDARuntime, snapshot
 from repro.gpu.stream import CUDAStream
@@ -65,12 +64,14 @@ class CUDAWrapper:
     (``cudaMalloc``, ``cudaFree``, ``cudaHostRegister``) the redirect rides
     in the same fused event — nothing can observe the instant between them.
 
-    The calls a pipeline stage makes once per block are one generator
-    frame each: ``cuda_malloc`` / ``cuda_free`` yield their fused charge
-    themselves, ``launch_kernel_inline`` hands its redirect to the runtime's
-    stream-less ``kernel_op``, and the ``transfer_*_inline`` calls go
-    straight to ``transfer_op`` — the H2D one after its redirect, the D2H
-    one after the caller has waited its redirect out.
+    A pipeline stage's per-block calls are one generator frame each —
+    ``cuda_malloc`` / ``cuda_free`` yield their fused charge themselves,
+    ``transfer_h2d_inline`` goes straight to ``transfer_op`` after its
+    redirect — or none: the kernel and D2H stages claim the compute and
+    copy engines themselves (:mod:`repro.core.gstream`), counting their
+    redirects here in ``jni_calls`` and paying them in a fused charge (a
+    launch's in its output buffer's ``cudaMalloc``, a copy's in the
+    hand-off that wakes the stage).
     """
 
     def __init__(self, env: Environment, runtime: CUDARuntime,
@@ -147,7 +148,7 @@ class CUDAWrapper:
         """
         gflink = mode is CommMode.GFLINK
         if not gflink:
-            premium = self._path_premium_s(block.nbytes, mode)
+            premium = self.path_premium_s(block.nbytes, mode)
             if premium:
                 yield self.env.timeout(premium)
         self.jni_calls += 1
@@ -157,48 +158,7 @@ class CUDAWrapper:
         dst.data = snapshot(block.elements)
         return window
 
-    def transfer_d2h_inline(self, device: GPUDevice, dst_hbuffer: HBuffer,
-                            src: DeviceBuffer, nbytes: int,
-                            mode: CommMode = CommMode.GFLINK
-                            ) -> Generator[Event, None, "tuple[object, tuple[float, float]]"]:
-        """One result block device→host, its JNI redirect already waited.
-
-        The redirect is counted here, but its latency (``costs.jni_call_s``)
-        is the caller's to pay before the call: the D2H stage, the one
-        caller, pays it in the hand-off that gives it the block
-        (``Store.get(then=…)``), so the wake and the redirect are one event.
-
-        Returns ``(payload, engine_window)`` — the payload plus the copy
-        engine's exact occupancy interval.
-        """
-        gflink = mode is CommMode.GFLINK
-        self.jni_calls += 1
-        window = yield from self.runtime.transfer_op(
-            device, "d2h", nbytes, dst_hbuffer.pinned and gflink)
-        data = snapshot(src.data)
-        if not gflink:
-            premium = self._path_premium_s(nbytes, mode)
-            if premium:
-                yield self.env.timeout(premium)
-        return data, window
-
-    def launch_kernel_inline(self, device: GPUDevice, kernel_name: str,
-                             n_elements: float, launch: LaunchConfig,
-                             inputs, outputs, params=None,
-                             layout=None
-                             ) -> Generator[Event, None, "tuple[dict, float]"]:
-        """Kernel execution inside the calling process (pipeline stage).
-
-        Returns the runtime's ``kernel_op`` generator, which charges the
-        JNI redirect ahead of the launch — one generator, not a wrapper
-        around one — and yields ``(results, kernel_seconds)``.
-        """
-        self.jni_calls += 1
-        return self.runtime.kernel_op(
-            device, kernel_name, n_elements, launch, inputs, outputs, params,
-            layout=layout, redirect_s=self.costs.jni_call_s)
-
-    def _path_premium_s(self, nbytes: float, mode: CommMode) -> float:
+    def path_premium_s(self, nbytes: float, mode: CommMode) -> float:
         """Extra per-byte cost the non-GFlink paths pay (one direction)."""
         c = self.costs
         if mode is CommMode.GFLINK:

@@ -32,7 +32,7 @@ stage has consumed it) instead of failing the work.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -52,12 +52,19 @@ class EvictionPolicy(Enum):
 
 @dataclass
 class CacheEntry:
-    """One cached block inside a region."""
+    """One cached block inside a region.
+
+    ``owner`` is the GWork that inserted it.  ``pinned_by`` lists the
+    GWorks that hold it in flight — from the stage that takes it until the
+    one that consumes it — and eviction passes a pinned entry by.
+    """
 
     key: Hashable
     offset: int
     nbytes: int
     buffer: DeviceBuffer  # unregistered view into the region's reservation
+    owner: Optional[int] = None
+    pinned_by: List[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -150,29 +157,42 @@ class CacheRegion:
                    for k in keys if k in self._entries)
 
     # -- insertion -----------------------------------------------------------------
-    def try_insert(self, key: Hashable, nbytes: int) -> Optional[CacheEntry]:
+    def try_insert(self, key: Hashable, nbytes: int,
+                   owner: Optional[int] = None) -> Optional[CacheEntry]:
         """Reserve room for a new block; returns its entry or None.
 
         FIFO: evict oldest entries until the block fits (paper: "the first
         objects in the FIFO list will be selected one by one ... until the
-        sizes are bigger than the size of the new partition").
+        sizes are bigger than the size of the new partition").  Pinned
+        entries are passed by; when the unpinned ones cannot make room,
+        nothing is evicted and the block gets no entry.
         NO_EVICT: fail when the region is full.
         """
         if nbytes > self.capacity:
             return None
         if key in self._entries:
             raise ConfigError(f"cache key {key!r} already present")
-        if nbytes > self.capacity - self.used:
+        room = self.capacity - self.used
+        if nbytes > room:
             if self.policy is EvictionPolicy.NO_EVICT:
                 return None
-            while nbytes > self.capacity - self.used and self._entries:
-                _, victim = self._entries.popitem(last=False)
+            victims = []
+            for victim in self._entries.values():
+                if nbytes <= room:
+                    break
+                if not victim.pinned_by:
+                    victims.append(victim)
+                    room += victim.nbytes
+            if nbytes > room:
+                return None
+            for victim in victims:
+                del self._entries[victim.key]
                 self.used -= victim.nbytes
                 victim.buffer.data = None
                 self.evictions += 1
         buffer = DeviceBuffer(nbytes, self.device.name)
         entry = CacheEntry(key=key, offset=self._cursor, nbytes=nbytes,
-                           buffer=buffer)
+                           buffer=buffer, owner=owner)
         self._cursor = (self._cursor + nbytes) % max(self.capacity, 1)
         self._entries[key] = entry
         self.used += nbytes
@@ -187,11 +207,18 @@ class CacheRegion:
         self.used -= entry.nbytes
         entry.buffer.data = None
 
-    def remove_spills(self, work_id: int) -> None:
-        """Sweep any spill entries a failed GWork left behind."""
-        stale = [k for k in self._entries
-                 if isinstance(k, tuple) and len(k) >= 2
-                 and k[0] == "spill" and k[1] == work_id]
+    def release_work(self, work_id: int) -> None:
+        """Sweep what a failed GWork left behind: its pins, its spill
+        entries, and the entries it inserted whose data never landed (a
+        retry would find them present but empty)."""
+        stale = []
+        for key, entry in self._entries.items():
+            while work_id in entry.pinned_by:
+                entry.pinned_by.remove(work_id)
+            if entry.owner == work_id and (
+                    entry.buffer.data is None
+                    or (isinstance(key, tuple) and key[:1] == ("spill",))):
+                stale.append(key)
         for key in stale:
             self.remove(key)
 

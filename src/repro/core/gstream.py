@@ -21,16 +21,17 @@ from collections import deque
 from typing import Deque, Dict, Generator, Hashable, List, Optional
 
 from repro.common.errors import ConfigError, DeviceFaultError
-from repro.common.resources import Store
+from repro.common.resources import Store, serve
 from repro.common.simclock import Environment, Event
-from repro.core.channels import CUDAWrapper
-from repro.core.gmemory import CacheRegion, GMemoryManager
+from repro.core.channels import CommMode, CUDAWrapper
+from repro.core.gmemory import CacheEntry, CacheRegion, GMemoryManager
 from repro.core.gwork import GWork, KernelStage, PRIMARY, STAGE_OUT
 from repro.core.hbuffer import Block, HBuffer
 from repro.core.scheduling import locality_keys, schedule_work, steal_work
 from repro.flink.payload import concat, real_len
 from repro.gpu.device import GPUDevice
 from repro.gpu.memory import DeviceBuffer
+from repro.gpu.runtime import snapshot
 from repro.obs import OFF, Observability
 
 #: Depth of the inter-stage queues: how many blocks may be in flight between
@@ -84,6 +85,8 @@ class GStream:
         # Every buffer this GWork allocates, so a failure frees its own and
         # none of a sibling stream's on the same device.
         owned: List[DeviceBuffer] = []
+        # Cache entries pinned for the whole pipeline (secondary operands).
+        held: List[CacheEntry] = []
         with mgr.obs.span("gwork", device.name, f"stream{self.stream_index}",
                           kernel=work.execute_name, work=work.work_id,
                           cached=bool(work.cache)) as wsp:
@@ -98,9 +101,11 @@ class GStream:
                             mgr.faults.config.fault_timeout_s)
                     raise DeviceFaultError(injected, device.name)
                 secondary = yield from self._stage_secondary_inputs(
-                    work, device, region, owned)
+                    work, device, region, owned, held)
                 output_elements = yield from self._pipeline(
                     work, device, region, spill_region, secondary, owned)
+                for entry in held:
+                    entry.pinned_by.remove(work.work_id)
             except Exception as exc:  # surface through the completion event
                 # Reclaim this work's in-flight allocations (cache-region
                 # buffers are unregistered views and survive): a retried work
@@ -110,7 +115,7 @@ class GStream:
                     if not buf.freed:
                         device.memory.free(buf)
                 if spill_region is not None:
-                    spill_region.remove_spills(work.work_id)
+                    spill_region.release_work(work.work_id)
                 self._temp_secondary = []
                 if mgr.faults is not None:
                     mgr.faults.record_device_failure(self.device_index, exc)
@@ -131,9 +136,11 @@ class GStream:
 
     def _stage_secondary_inputs(self, work: GWork, device: GPUDevice,
                                 region: Optional[CacheRegion],
-                                owned: List[DeviceBuffer]
+                                owned: List[DeviceBuffer],
+                                held: List[CacheEntry]
                                 ) -> Generator[Event, None, Dict[str, DeviceBuffer]]:
-        """Upload non-primary operands whole (cache-aware)."""
+        """Upload non-primary operands whole (cache-aware); the cache
+        entries they use are pinned, into ``held``."""
         secondary: Dict[str, DeviceBuffer] = {}
         self._temp_secondary: List[DeviceBuffer] = []
         obs = self.manager.obs
@@ -144,15 +151,23 @@ class GStream:
             use_cache = region is not None and hbuf.cacheable
             if use_cache:
                 entry = region.lookup(key)
+                # A hit needs landed data; an entry still being uploaded
+                # by another work is left to it.
+                landed = entry is not None and entry.buffer.data is not None
                 obs.emit("cache.probe", device.name, "cache", operand=name,
-                         outcome="hit" if entry is not None else "miss")
-                if entry is not None:
-                    secondary[name] = entry.buffer
-                    continue
-                entry = region.try_insert(key, int(hbuf.nbytes))
+                         outcome="hit" if landed else "miss")
+                if not landed:
+                    entry = (region.try_insert(key, int(hbuf.nbytes),
+                                               work.work_id)
+                             if entry is None else None)
             else:
                 entry = None
             if entry is not None:
+                entry.pinned_by.append(work.work_id)
+                held.append(entry)
+                if landed:
+                    secondary[name] = entry.buffer
+                    continue
                 dev_buf = entry.buffer
             else:
                 dev_buf = yield from self.manager.wrapper.cuda_malloc(
@@ -202,14 +217,16 @@ class GStream:
         # device block's byte prefix before uploading (cache hits skip the
         # wait) and acknowledges consumption so backpressure credits return.
         host_stream = work.host_stream
-        host_total = float(sum(b.nbytes for b in blocks)) or 1.0
+        host_total = float(sum([b.nbytes for b in blocks])) or 1.0
 
         # Per-pipeline constants, read once: the stage processes below run
         # their loop body once per block.
         comm_mode = work.comm_mode
-        cache_key = work.cache_key
+        cache_key, work_id = work.cache_key, work.work_id
         layout = primary.layout
         cuda_malloc, cuda_free = wrapper.cuda_malloc, wrapper.cuda_free
+        env, runtime = self.env, wrapper.runtime
+        redirect_s = wrapper.costs.jni_call_s
         # Stages whose cached output lets the chain resume, deepest first.
         resumable = [(idx + 1, st.cache_key)
                      for idx, st in reversed(list(enumerate(stages)))
@@ -226,24 +243,25 @@ class GStream:
                 host_cum += blk.nbytes
                 # A cached stage output lets the chain resume mid-way with
                 # no upload at all: prefer the deepest one available.
-                dev_buf, temp, resume = None, False, 0
+                pin, temp, resume = None, False, 0
                 for after, stage_key in resumable:
                     entry = region.lookup((stage_key, STAGE_OUT, blk.index))
                     if entry is not None and entry.buffer.data is not None:
-                        dev_buf, resume = entry.buffer, after
+                        pin, resume = entry, after
                         break
-                if dev_buf is None and primary_region is not None:
+                if pin is None and primary_region is not None:
                     entry = primary_region.lookup(
                         (cache_key, PRIMARY, blk.index))
                     if entry is not None and entry.buffer.data is not None:
-                        dev_buf = entry.buffer
+                        pin = entry
                 if probing:
                     outcome = ("stage-hit" if resume
-                               else "primary-hit" if dev_buf is not None
+                               else "primary-hit" if pin is not None
                                else "miss")
                     obs.emit("cache.probe", device.name, "cache",
                              block=blk.index, outcome=outcome)
-                if dev_buf is None:
+                upload = pin is None
+                if upload:
                     if host_stream is not None:
                         evt = host_stream.when_fraction(host_cum / host_total)
                         if not evt.triggered:
@@ -255,15 +273,19 @@ class GStream:
                                     yield evt
                             else:
                                 yield evt
-                    entry = (primary_region.try_insert(
-                                 (cache_key, PRIMARY, blk.index), blk.nbytes)
-                             if primary_region is not None else None)
-                    if entry is not None:
-                        dev_buf = entry.buffer
-                    else:
-                        dev_buf = yield from cuda_malloc(device, blk.nbytes)
-                        owned.append(dev_buf)
-                        temp = True
+                    pin = (primary_region.try_insert(
+                               (cache_key, PRIMARY, blk.index), blk.nbytes,
+                               work_id)
+                           if primary_region is not None else None)
+                # Its entry stays pinned until the next stage has read it.
+                if pin is not None:
+                    pin.pinned_by.append(work_id)
+                    dev_buf = pin.buffer
+                else:
+                    dev_buf = yield from cuda_malloc(device, blk.nbytes)
+                    owned.append(dev_buf)
+                    temp = True
+                if upload:
                     window = yield from transfer(device, dev_buf, blk,
                                                  primary, comm_mode)
                     if observed:
@@ -274,27 +296,32 @@ class GStream:
                     host_stream.ack_nbytes(
                         work.host_stream_slot,
                         host_cum / host_total * host_stream.total_nbytes)
-                yield put((blk, dev_buf, temp, resume))
+                yield put((blk, dev_buf, temp, resume, pin))
 
         def kernel_stage():
             default_out_per_elem = self._out_nbytes_per_element(work, primary)
             # Per stage: what to launch, the bytes an output element takes,
             # and the secondary operands by the kernel's own argument names.
-            plan = [(idx, st, st.execute_name,
+            plan = [(idx, st, runtime.registry.get(st.execute_name),
                      st.out_element_nbytes if st.out_element_nbytes is not None
                      else default_out_per_elem,
                      {arg: secondary[alias]
                       for arg, alias in st.extra.items()})
                     for idx, st in enumerate(stages)]
             last = len(stages) - 1
-            env = self.env
-            launch_config = wrapper.runtime.launch_config
-            launch_inline = wrapper.launch_kernel_inline
+            launch_config, price = runtime.launch_config, runtime.price
+            execute, compute = runtime.execute, device.compute
+            alloc = device.memory.alloc
+            # A temporary output's cudaMalloc and the launch's JNI redirect
+            # are one fused charge: (now + redirect) + driver, + redirect.
+            malloc_then = (runtime.alloc_overhead_s, redirect_s)
             out_room = self._stage_out_buffer
             stage_seconds = work.stage_seconds
+            # Priced once per pipeline: seconds by (stage, nominal count).
+            prices: Dict[tuple, float] = {}
             get, put = to_kernel.get, to_d2h.put
             for _ in range(n_blocks):
-                blk, cur, cur_temp, resume = yield get()
+                blk, cur, cur_temp, resume, cur_entry = yield get()
                 cur_spill = None
                 real = block_real = blk.real_count
                 nominal = blk.nominal_count
@@ -306,41 +333,58 @@ class GStream:
                                if block_real else float(real))
                 d2h_nominal = nominal
                 out_per_elem = default_out_per_elem
-                for idx, st, name, out_per_elem, extras in plan[resume:]:
+                for idx, st, spec, out_per_elem, extras in plan[resume:]:
                     out_nbytes = int(max(nominal * out_per_elem, 8))
                     placed = out_room(work, device, region, spill_region,
                                       st, blk, idx, out_nbytes)
-                    if placed is None:
-                        out_dev = yield from cuda_malloc(device, out_nbytes)
+                    out_temp = placed is None
+                    if not out_temp:  # pinned until the data is consumed
+                        placed[0].pinned_by.append(work_id)
+                    wrapper.jni_calls += 2 if out_temp else 1
+                    yield env.timeout(redirect_s,
+                                      then=malloc_then if out_temp else 0.0)
+                    if out_temp:
+                        out_dev, out_entry, out_spill = (alloc(out_nbytes),
+                                                         None, None)
                         owned.append(out_dev)
-                        out_temp, out_spill = True, None
                     else:
-                        out_temp = False
-                        out_dev, out_spill = placed
-                    kernel_result, ksec = yield from launch_inline(
-                        device, name, nominal,
-                        launch_config(max(nominal, 1), st.block_size),
-                        inputs={PRIMARY: cur, **extras},
-                        outputs={"out": out_dev}, params=st.params,
-                        layout=layout)
+                        out_entry, out_spill = placed
+                        out_dev = out_entry.buffer
+                    ksec = prices.get((idx, nominal))
+                    if ksec is None:
+                        ksec = prices[idx, nominal] = price(
+                            device, spec.name, nominal,
+                            launch_config(max(nominal, 1), st.block_size),
+                            layout)
+                    run = serve(env, compute, None, ksec)
+                    try:
+                        yield run
+                        kernel_result = execute(
+                            device, spec, ksec, {PRIMARY: cur, **extras},
+                            {"out": out_dev}, st.params)
+                    finally:
+                        run.release()
+                    name = spec.name
                     stage_seconds[name] = stage_seconds.get(name, 0.0) + ksec
                     if observed:
-                        # The launch returns at kernel end while holding the
-                        # exclusive compute engine, so [now - ksec, now] is
-                        # the engine's occupancy window — kernel spans never
-                        # overlap.
+                        # The launch holds the exclusive compute engine
+                        # until now, so [now - ksec, now] is the engine's
+                        # occupancy window — kernel spans never overlap.
                         obs.emit("kernel", device.name, "kernel",
                                  env.now - ksec, env.now,
                                  kernel=name, seconds=ksec,
                                  block=blk.index, stage=idx)
-                    # Retire this stage's input: spilled intermediates give
-                    # their region room back, temporaries are freed, cached
-                    # buffers stay resident.
+                    # Retire this stage's input: its entry is unpinned,
+                    # spilled intermediates give their region room back,
+                    # temporaries are freed, cached buffers stay resident.
+                    if cur_entry is not None:
+                        cur_entry.pinned_by.remove(work_id)
                     if cur_spill is not None and spill_region is not None:
                         spill_region.remove(cur_spill)
                     elif cur_temp:
                         yield from cuda_free(device, cur)
-                    cur, cur_temp, cur_spill = out_dev, out_temp, out_spill
+                    cur, cur_temp, cur_spill, cur_entry = (
+                        out_dev, out_temp, out_spill, out_entry)
                     out_real = real_len(kernel_result.get("out"))
                     if idx == last:
                         if out_real == real:
@@ -353,30 +397,52 @@ class GStream:
                         nominal = (nominal * out_real / real if real
                                    else float(out_real))
                     real = out_real
-                yield put((blk, cur, cur_temp, cur_spill,
+                yield put((blk, cur, cur_temp, cur_spill, cur_entry,
                            d2h_nominal, out_per_elem))
 
         def d2h_stage():
-            transfer = wrapper.transfer_d2h_inline
             out_buffer = work.out_buffer
             get = to_d2h.get
-            # The transfer's JNI redirect rides in the hand-off: the stage
-            # wakes at hand-off + redirect, in one event
-            # (``transfer_d2h_inline`` charges none).
-            redirect_s = wrapper.costs.jni_call_s
+            engine, spec = device.copy_engine("d2h"), device.spec
+            gflink = comm_mode is CommMode.GFLINK
+            # Pageable memory is staged through the driver's bounce buffer.
+            staging_bps = (None if out_buffer.pinned and gflink
+                           else runtime.pageable_staging_bps)
+            # The copy's JNI redirect rides in the hand-off: the stage
+            # wakes at hand-off + redirect, in one event.
+            free_s, free = runtime.alloc_overhead_s, device.memory.free
             for _ in range(n_blocks):
-                (blk, out_dev, out_temp, out_spill, d2h_nominal,
+                (blk, out_dev, out_temp, out_spill, out_entry, d2h_nominal,
                  per_elem) = yield get(redirect_s)
                 nbytes = int(max(d2h_nominal * per_elem, 1))
-                data, window = yield from transfer(
-                    device, out_buffer, out_dev, nbytes, comm_mode)
+                wrapper.jni_calls += 1
+                if staging_bps is not None:
+                    yield env.timeout(nbytes / staging_bps)
+                copy = serve(env, engine, None, spec.pcie_latency_s
+                             + nbytes / spec.pcie_effective_bps)
+                try:
+                    yield copy
+                finally:
+                    copy.release()
+                device.d2h_bytes += nbytes
+                end = env.now
+                data = snapshot(out_dev.data)
+                if out_entry is not None:
+                    out_entry.pinned_by.remove(work_id)
+                if not gflink:
+                    premium = wrapper.path_premium_s(nbytes, comm_mode)
+                    if premium:
+                        yield env.timeout(premium)
                 if observed:
-                    obs.emit("d2h", device.name, "copy:d2h", window[0],
-                             window[1], nbytes=nbytes, block=blk.index)
+                    obs.emit("d2h", device.name, "copy:d2h", copy.start,
+                             end, nbytes=nbytes, block=blk.index)
                 if out_spill is not None and spill_region is not None:
                     spill_region.remove(out_spill)
                 elif out_temp:
-                    yield from cuda_free(device, out_dev)
+                    # cudaFree: JNI redirect + driver time, one fused charge.
+                    wrapper.jni_calls += 1
+                    yield env.timeout(redirect_s, then=free_s)
+                    free(out_dev)
                 results[blk.index] = data
 
         procs = [self.env.process(h2d_stage(), name="h2d-stage"),
@@ -413,22 +479,22 @@ class GStream:
         the block borrows room in the cache region ("spill") and returns it
         as soon as the next stage has consumed the data.
 
-        Returns ``(buffer, spill_key)`` or None.
+        Returns ``(entry, spill_key)`` or None.
         """
         if (stage.cache_output and region is not None
                 and stage.cache_key is not None):
             key = (stage.cache_key, STAGE_OUT, blk.index)
             entry = region.entry(key)
             if entry is None:
-                entry = region.try_insert(key, nbytes)
+                entry = region.try_insert(key, nbytes, work.work_id)
             if entry is not None:
-                return entry.buffer, None
+                return entry, None
         if spill_region is not None and nbytes > device.memory.available:
             spill_key = ("spill", work.work_id, blk.index, stage_index)
-            entry = spill_region.try_insert(spill_key, nbytes)
+            entry = spill_region.try_insert(spill_key, nbytes, work.work_id)
             if entry is not None:
                 spill_region.spills += 1
-                return entry.buffer, spill_key
+                return entry, spill_key
         return None
 
     @staticmethod

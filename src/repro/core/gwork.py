@@ -74,7 +74,8 @@ class GWork:
     ``blockSize``/``gridSize``, ``inBuffer``/``outBuffer``, ``cache``,
     ``cacheKey``), pythonized.  Every GWork runs the same way: its blocks
     go through the three-stage H2D → kernel → D2H pipeline over the copy
-    engines, each kernel launched by ``CUDARuntime.kernel_op``.
+    engines, each kernel priced by ``CUDARuntime.price`` and launched by
+    ``CUDARuntime.execute`` on the compute engine its stage loop claims.
     """
 
     execute_name: str                       # registered kernel name

@@ -10,8 +10,16 @@ name, and ``cudaDeviceSynchronize``.  ``cudaFree`` is
 
 Synchronous calls are simulation generators (``yield from`` them inside a
 process); asynchronous calls enqueue onto a :class:`~repro.gpu.stream.CUDAStream`
-and return the completion event immediately — which is what lets the
-three-stage pipeline overlap H2D, kernel and D2H across streams.
+and return the completion event immediately.
+
+A launch is two plain calls around the caller's claim on the device's
+compute engine: :meth:`CUDARuntime.price` (the roofline seconds, priced
+once per distinct shape) and :meth:`CUDARuntime.execute` (count the launch,
+run the kernel, bind its outputs).  :meth:`CUDARuntime.kernel_op` is that
+claim as a generator, for the stream path; the three-stage pipeline of
+:mod:`repro.core.gstream` makes the claim in its kernel stage loop, and
+claims the D2H copy engine there too, so no generator sits between a
+block and an engine.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from repro.common.errors import KernelError
 from repro.common.resources import serve
 from repro.common.simclock import Environment, Event
 from repro.gpu.device import GPUDevice
-from repro.gpu.kernel import KernelRegistry, LaunchConfig
+from repro.gpu.kernel import KernelRegistry, KernelSpec, LaunchConfig
 from repro.gpu.memory import DeviceBuffer, HostBuffer
 from repro.gpu.stream import CUDAStream
 
@@ -220,55 +228,69 @@ class CUDARuntime:
 
         return stream.enqueue(op, name=f"kernel-{kernel_name}")
 
-    def kernel_op(self, device: GPUDevice, kernel_name: str,
-                  n_elements: float, launch: LaunchConfig,
-                  inputs: Mapping[str, DeviceBuffer],
-                  outputs: Mapping[str, DeviceBuffer],
-                  params: Optional[Mapping[str, Any]] = None,
-                  layout: Optional[Any] = None, redirect_s: float = 0.0
-                  ) -> Generator[Event, None, "tuple[Dict[str, Any], float]"]:
-        """Inline (stream-less) kernel execution for custom pipelines.
-
-        Claims the device's compute engine directly; callers that need
-        stream ordering should use :meth:`launch_kernel` instead.
-        ``redirect_s`` is the caller's control-channel latency (the JNI
-        redirect), charged before the launch joins the engine's queue.
-
-        Returns ``(results, seconds)``: the kernel's outputs and the roofline
-        seconds the engine was held, so callers recording the span need not
-        evaluate the cost model.  The seconds are priced once per distinct
+    def price(self, device: GPUDevice, kernel_name: str, n_elements: float,
+              launch: LaunchConfig, layout: Optional[Any] = None) -> float:
+        """The roofline seconds of one launch, priced once per distinct
         (kernel, count, launch geometry, device, layout): a pipeline's
-        blocks come in a handful of shapes.  Being known before the launch
-        asks for the engine, they are its service: a launch that queued
-        starts in the step of the kernel ahead of it.
-        """
-        spec = self.registry.get(kernel_name)
-        params = dict(params or {})
-        if redirect_s:
-            yield self.env.timeout(redirect_s)
+        blocks come in a handful of shapes."""
         key = (kernel_name, n_elements, launch.grid_size,
                launch.block_size, device, layout)
         seconds = self._seconds.get(key)
         if seconds is None:
             if len(self._seconds) >= self.priced_max:
                 self._seconds.clear()
-            seconds = self._seconds[key] = spec.execution_seconds(
-                n_elements, launch, device.spec, layout=layout)
+            seconds = self._seconds[key] = self.registry.get(
+                kernel_name).execution_seconds(n_elements, launch,
+                                               device.spec, layout=layout)
+        return seconds
+
+    def execute(self, device: GPUDevice, spec: KernelSpec, seconds: float,
+                inputs: Mapping[str, DeviceBuffer],
+                outputs: Mapping[str, DeviceBuffer],
+                params: Optional[Mapping[str, Any]] = None
+                ) -> Dict[str, Any]:
+        """The launch body, run by a caller that holds ``device.compute``
+        for ``seconds``: count the launch, run the kernel on the input
+        buffers' arrays and bind its outputs.  Returns the kernel's
+        results."""
+        device.kernel_seconds += seconds
+        device.kernels_launched += 1
+        arrays = {}  # a loop, not a comprehension: no frame per launch
+        for name, buf in inputs.items():
+            arrays[name] = buf.data
+        results = spec.fn(arrays, dict(params or {}))
+        if results is None:
+            results = {}
+        for name, buf in outputs.items():
+            if name not in results:
+                raise KernelError(
+                    f"kernel {spec.name!r} produced no output "
+                    f"{name!r}; got {sorted(results)}")
+            buf.data = results[name]
+        return results
+
+    def kernel_op(self, device: GPUDevice, kernel_name: str,
+                  n_elements: float, launch: LaunchConfig,
+                  inputs: Mapping[str, DeviceBuffer],
+                  outputs: Mapping[str, DeviceBuffer],
+                  params: Optional[Mapping[str, Any]] = None,
+                  layout: Optional[Any] = None
+                  ) -> Generator[Event, None, "tuple[Dict[str, Any], float]"]:
+        """Inline (stream-less) kernel execution: :meth:`price`, then
+        :meth:`execute` while holding the device's compute engine.
+
+        Returns ``(results, seconds)``: the kernel's outputs and the roofline
+        seconds the engine was held.  Being known before the launch asks
+        for the engine, they are its service: a launch that queued starts
+        in the step of the kernel ahead of it.
+        """
+        spec = self.registry.get(kernel_name)
+        seconds = self.price(device, kernel_name, n_elements, launch, layout)
         run = serve(self.env, device.compute, None, seconds)
         try:
             yield run
-            device.kernel_seconds += seconds
-            device.kernels_launched += 1
-            in_arrays = {name: buf.data for name, buf in inputs.items()}
-            results = spec.fn(in_arrays, params)
-            if results is None:
-                results = {}
-            for name, buf in outputs.items():
-                if name not in results:
-                    raise KernelError(
-                        f"kernel {kernel_name!r} produced no output "
-                        f"{name!r}; got {sorted(results)}")
-                buf.data = results[name]
+            results = self.execute(device, spec, seconds, inputs, outputs,
+                                   params)
         finally:
             run.release()
         return results, seconds

@@ -34,9 +34,11 @@ def _partial_gradient(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     x = samples["features"].astype(np.float64)
     y = samples["target"].astype(np.float64)
     err = x @ weights - y
-    grad = x.T @ err
-    loss = float(err @ err)
-    return np.concatenate([[len(samples)], grad, [loss]]).reshape(1, -1)
+    row = np.empty((1, DIM + 2))
+    row[0, 0] = len(samples)
+    row[0, 1:-1] = x.T @ err
+    row[0, -1] = err @ err
+    return row
 
 
 def linreg_grad_kernel(inputs, params):
@@ -94,8 +96,7 @@ class LinearRegressionWorkload(Workload):
     # -- driver -------------------------------------------------------------------
     def _update(self, weights: np.ndarray,
                 rows: List[np.ndarray]) -> np.ndarray:
-        table = np.vstack([np.asarray(r, dtype=np.float64).reshape(1, -1)
-                           for r in rows])
+        table = np.asarray(rows, dtype=np.float64).reshape(len(rows), -1)
         n = table[:, 0].sum()
         grad = table[:, 1:1 + DIM].sum(axis=0) / max(n, 1.0)
         return weights - self.learning_rate * grad

@@ -67,6 +67,55 @@ class TestCacheRegion:
         region = make_region(devices[0], capacity=1000)
         assert region.try_insert("huge", 2000) is None
 
+    @pytest.mark.parametrize("policy", [EvictionPolicy.FIFO,
+                                        EvictionPolicy.LRU])
+    def test_eviction_passes_pinned_entries_by(self, devices, policy):
+        region = make_region(devices[0], capacity=1000, policy=policy)
+        a = region.try_insert("a", 400)
+        region.try_insert("b", 400)
+        a.pinned_by.append(7)              # block "a" is still in flight
+        assert region.try_insert("c", 400) is not None   # evicts "b"
+        assert region.contains("a") and not region.contains("b")
+        assert region.evictions == 1 and region.used == 800
+
+    @pytest.mark.parametrize("policy", [EvictionPolicy.FIFO,
+                                        EvictionPolicy.LRU])
+    def test_no_room_among_unpinned_entries_evicts_nothing(self, devices,
+                                                            policy):
+        region = make_region(devices[0], capacity=1000, policy=policy)
+        a = region.try_insert("a", 400)
+        b = region.try_insert("b", 400)
+        a.buffer.data = b.buffer.data = "landed"
+        b.pinned_by.append(7)
+        assert region.try_insert("c", 700) is None
+        assert region.contains("a") and region.contains("b")
+        assert a.buffer.data == "landed" and region.evictions == 0
+        b.pinned_by.remove(7)              # consumed: evictable again
+        assert region.try_insert("c", 700) is not None
+        assert not region.contains("a") and not region.contains("b")
+
+    def test_release_work_sweeps_what_a_failed_work_left(self, devices):
+        region = make_region(devices[0], capacity=1000)
+        empty = region.try_insert("empty", 100, owner=1)
+        landed = region.try_insert("landed", 100, owner=1)
+        landed.buffer.data = "data"
+        spill = region.try_insert(("spill", 1, 0, 0), 100, owner=1)
+        spill.buffer.data = "data"
+        other = region.try_insert("other", 100, owner=2)
+        hit = region.try_insert("hit", 100, owner=2)
+        hit.buffer.data = "data"
+        hit.pinned_by.extend([1, 2])
+        region.release_work(1)
+        # Its empty entry and its spill are gone; its landed entry stays,
+        # and so do the other work's entries (empty or not) and its pins.
+        assert not region.contains("empty")
+        assert not region.contains(("spill", 1, 0, 0))
+        assert region.contains("landed") and region.contains("other")
+        assert hit.pinned_by == [2]
+        assert region.used == 300
+        assert empty.buffer.data is None and other.buffer.data is None
+        assert region.try_insert("empty", 100) is not None
+
     def test_duplicate_key_rejected(self, devices):
         region = make_region(devices[0])
         region.try_insert("k", 10)

@@ -1,14 +1,20 @@
 """Tests of the GStreamManager: pipeline execution, caching, stealing."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import Environment
+from repro.core import GFlinkCluster, GFlinkSession, gstream
 from repro.core.channels import CommCosts, CommMode, CUDAWrapper
 from repro.core.gmemory import EvictionPolicy, GMemoryManager
+from repro.core.gpumanager import GPUManagerConfig
 from repro.core.gstream import GStreamManager
 from repro.core.gwork import GWork
 from repro.core.hbuffer import HBuffer
+from repro.flink import ClusterConfig, CPUSpec
 from repro.gpu import CUDARuntime, GPUDevice, KernelRegistry, KernelSpec, TESLA_C2050
 
 
@@ -267,3 +273,116 @@ class TestWorkStealingIntegration:
         env.run(until=env.all_of(events))
         env.run()
         assert manager.idle_stream_count() == 4
+
+
+class TestFusedLaunchCharge:
+    """A temporary output's ``cudaMalloc`` and the launch's JNI redirect are
+    one fused charge, ``timeout(jni, then=(driver, jni))``."""
+
+    @given(st.floats(1e-9, 1e-3), st.floats(1e-9, 1e-3), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_launch_starts_where_malloc_then_redirect_ended(
+            self, jni, driver, n_blocks):
+        env, manager, devices = make_stack(block_nbytes=160)  # 20 per block
+        wrapper = manager.wrapper
+        wrapper.costs = CommCosts(jni_call_s=jni)
+        wrapper.runtime.alloc_overhead_s = driver
+        charged, launched = [], []
+        real_timeout, real_serve = Environment.timeout, gstream.serve
+
+        def timeout(env, delay, value=None, then=0.0):
+            if isinstance(then, tuple):      # the fused malloc + redirect
+                charged.append(env.now)
+            return real_timeout(env, delay, value, then)
+
+        def serve(env, first, second, delay, then=0.0):
+            if first is devices[0].compute:
+                launched.append(env.now)
+            return real_serve(env, first, second, delay, then)
+
+        with mock.patch.object(Environment, "timeout", timeout), \
+                mock.patch.object(gstream, "serve", serve):
+            submit_and_wait(env, manager,
+                            work_for(np.arange(20.0 * n_blocks)))
+        assert len(charged) == len(launched) == n_blocks
+        for start, launch in zip(charged, launched):
+            # The separate charges: cuda_malloc's fused JNI + driver, then
+            # the launch's redirect as a timeout of its own.
+            ref = Environment(initial_time=start)
+            separate = CUDAWrapper(ref, wrapper.runtime, wrapper.costs)
+
+            def malloc_then_redirect():
+                yield from separate.cuda_malloc(GPUDevice(ref, TESLA_C2050),
+                                                8)
+                yield ref.timeout(jni)
+
+            ref.run(until=ref.process(malloc_then_redirect()))
+            assert ref.now == launch
+        # Per block, as with the separate charges: H2D's malloc and copy,
+        # the output's malloc and the launch, the input's free, the D2H
+        # copy and the output's free.
+        assert wrapper.jni_calls == 7 * n_blocks
+
+
+class TestCacheEntriesInFlight:
+    """A cache entry is pinned while its block is in flight, and a failed
+    GWork leaves no entry that never received its data."""
+
+    @pytest.mark.parametrize("policy", ["fifo", "lru"])
+    def test_region_with_room_for_one_block_evicts_none_in_flight(
+            self, policy):
+        cluster = GFlinkCluster(
+            ClusterConfig(n_workers=1, cpu=CPUSpec(cores=2),
+                          gpus_per_worker=("c2050",)),
+            gpu_config=GPUManagerConfig(cache_bytes_per_device=8 << 20,
+                                        cache_policy=policy))
+        session = GFlinkSession(cluster)
+        seen = []
+
+        def double(inputs, params):
+            seen.append(inputs["in"] is None)
+            return {"out": inputs["in"] * 2.0}
+
+        session.register_kernel(KernelSpec(
+            "double", double, flops_per_element=1.0, efficiency=0.5))
+        data = np.arange(8000.0)
+        result = session.from_collection(
+            data, element_nbytes=8, scale=2e4, parallelism=1) \
+            .gpu_map_partition("double", cache=True).collect()
+        assert np.array_equal(np.asarray(result.value), data * 2.0)
+        assert len(seen) > 100 and not any(seen)
+        assert result.metrics.retries == 0
+        (manager,) = cluster.gpu_managers()
+        # Room was made only from consumed blocks, and some had to wait
+        # for none: those took a temporary.
+        (stats,) = manager.gmm.cache_stats().values()
+        assert 0 < stats.evictions < len(seen)
+
+    def test_a_secondary_entry_still_uploading_is_not_a_hit(self):
+        env, manager, _ = make_stack()
+        region = manager.gmm.region("app", 0)
+        region.try_insert((("d", 0), "bias"), 8)     # data not landed yet
+        data = np.arange(100, dtype=np.float64)
+        out = submit_and_wait(env, manager, work_for(
+            data, kernel="axpy", cache=True, extra={"bias": np.array([5.0])},
+            params={"a": 3.0}))
+        assert np.array_equal(out.elements, data * 3.0 + 5.0)
+
+    def test_cached_retry_after_a_failed_upload_succeeds(self):
+        from tests.core.test_gpu_fault_tolerance import (FlakyKernel,
+                                                         make_session)
+        session = make_session(max_retries=3)
+        session.register_kernel(KernelSpec(
+            "flaky", FlakyKernel(1), flops_per_element=1.0, efficiency=0.5))
+        data = np.arange(4000.0)
+        result = session.from_collection(
+            data, element_nbytes=8, scale=1e4, parallelism=1) \
+            .gpu_map_partition("flaky", cache=True).collect()
+        assert np.array_equal(np.asarray(result.value), data * 2.0)
+        assert result.metrics.retries == 1
+        (manager,) = session.cluster.gpu_managers()
+        # Nothing the failed attempt inserted is left empty or pinned.
+        for region in manager.gmm._regions.values():
+            for entry in region._entries.values():
+                assert entry.buffer.data is not None
+                assert not entry.pinned_by

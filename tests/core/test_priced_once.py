@@ -1,9 +1,11 @@
 """A block is priced once: the runtime's memoised launch geometry and
 roofline seconds are the values a fresh evaluation gives, bit for bit.
 
-``CUDARuntime.launch_config`` and ``CUDARuntime.kernel_op`` keep what
+``CUDARuntime.launch_config`` and ``CUDARuntime.price`` keep what
 ``LaunchConfig.for_elements`` and ``KernelSpec.execution_seconds`` return per
-distinct shape instead of re-deriving them for every block of a pipeline.
+distinct shape instead of re-deriving them for every block of a pipeline,
+and a pipeline's kernel stage asks ``price`` once per (stage, nominal
+count).
 Nothing simulated may depend on whether an entry was found.
 """
 
@@ -149,35 +151,49 @@ def _small(values):
 
 class TestInsideJobs:
     def test_heterogeneous_worker_reads_its_own_device_entries(self):
-        """Every launch of a job on a C2050 + P100 worker — first of its
-        shape or found in the table — is charged its own device's price."""
-        launches = Counter()
-        real_kernel_op = CUDARuntime.kernel_op
+        """Every launch of a job on a C2050 + P100 worker is charged from its
+        pipeline's price table — one entry per (stage, nominal count), first
+        of its shape in the runtime's table or found there — and that entry
+        is its own device's price."""
+        priced = []            # (device, nominal count, seconds) per entry
+        charged = Counter()    # (device, seconds) -> launches
+        real_price, real_execute = CUDARuntime.price, CUDARuntime.execute
 
-        def checked(runtime, device, name, n, launch, inputs, outputs,
-                    params=None, layout=None, redirect_s=0.0):
-            results, seconds = yield from real_kernel_op(
-                runtime, device, name, n, launch, inputs, outputs, params,
-                layout=layout, redirect_s=redirect_s)
+        def price(runtime, device, name, n, launch, layout=None):
+            seconds = real_price(runtime, device, name, n, launch, layout)
             assert seconds == runtime.registry.get(name).execution_seconds(
                 n, launch, device.spec, layout=layout)
-            launches[device.spec.name, n] += 1
-            return results, seconds
+            priced.append((device.spec.name, n, seconds))
+            return seconds
+
+        def executed(runtime, device, spec, seconds, *args):
+            charged[device.spec.name, seconds] += 1
+            return real_execute(runtime, device, spec, seconds, *args)
 
         cluster = GFlinkCluster(ClusterConfig(
             n_workers=1, cpu=CPUSpec(cores=2),
             gpus_per_worker=("c2050", "p100")))
-        with mock.patch.object(CUDARuntime, "kernel_op", checked):
+        with mock.patch.object(CUDARuntime, "price", price), \
+                mock.patch.object(CUDARuntime, "execute", executed):
             LinearRegressionWorkload(
                 nominal_elements=10e6, real_elements=4000, iterations=2,
                 seed=20160816).run(GFlinkSession(cluster), "gpu")
         (manager,) = cluster.gpu_managers()
         assert manager.runtime._seconds == fresh_entries(manager.runtime)
-        # Both devices launched the same shapes, most of them repeatedly.
-        shapes = {gpu: {n for g, n in launches if g == gpu}
+        # Each launch was charged a price its own device's table holds ...
+        assert set(charged) <= {(gpu, seconds) for gpu, _, seconds in priced}
+        # ... the devices price the same shapes differently ...
+        shapes = {gpu: {n for g, n, _ in priced if g == gpu}
                   for gpu in ("Tesla C2050", "Tesla P100")}
-        assert shapes["Tesla C2050"] & shapes["Tesla P100"]
-        assert max(launches.values()) > 10
+        common = shapes["Tesla C2050"] & shapes["Tesla P100"]
+        assert common
+        for n in common:
+            c2050, p100 = ({s for g, m, s in priced if g == gpu and m == n}
+                           for gpu in ("Tesla C2050", "Tesla P100"))
+            assert c2050.isdisjoint(p100)
+        # ... and a shape is priced once per pipeline, not per launch.
+        assert sum(charged.values()) > 2 * len(priced)
+        assert max(charged.values()) > 10
 
     def test_mid_chain_fan_out_gets_an_entry_per_nominal_count(self):
         """A chain whose first stage keeps a data-dependent share of each

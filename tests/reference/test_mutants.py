@@ -156,10 +156,10 @@ CLOCK_MUTANTS = {
     "a cached GWork block pays H2D again": (
         lambda: patched(
             "repro.core.gstream:GStream._pipeline",
-            ("                    dev_buf = entry.buffer\n"
+            ("                    pin = entry\n"
              "            if probing:",
-             "                    dev_buf = entry.buffer\n"
-             "                    yield from transfer(device, dev_buf, blk,"
+             "                    pin = entry\n"
+             "                    yield from transfer(device, pin.buffer, blk,"
              " primary, comm_mode)\n"
              "            if probing:")),
         cached_blocks_skip_h2d),
