@@ -3,7 +3,7 @@
 A WordCount GPU run executes under the online telemetry plane
 (:mod:`repro.obs.monitor`) while a chaos schedule kills a worker mid-job:
 
-* registry metrics are sampled into fixed windows of simulated time,
+* every fact lands in the fixed window of simulated time it happened in,
 * the chaos heartbeat misses feed the ``worker_unhealthy`` alert, which
   fires when the worker dies and resolves once the master declares the
   death and the cluster moves on,

@@ -8,7 +8,7 @@
 # The full run adds, at full Hypothesis depth: the generated plans against
 # the reference interpreter (tests/reference: every plan on the whole
 # cpu/gpu/fallback x parallelism x payload x cache x faults matrix), and the
-# payload-format, exchange, shipping, NIC port, GWork, stage-loop,
+# payload-format, exchange, shipping, GWork, stage-loop,
 # keyed-fold, built-in-aggregate and profiler checks,
 # traced wordcount smokes
 # (element-wise and vectorized) with schema validation and profile gates
@@ -41,7 +41,7 @@ echo "== code lines per package (scripts/sloc.py: non-blank, non-comment, non-do
 python scripts/sloc.py
 
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "== generated checks at full depth: plans vs the reference + payload formats + exchange + shipping + NIC port + GWork + stage loop + keyed fold + built-in aggregates + profiler + chaos draw =="
+    echo "== generated checks at full depth: plans vs the reference + payload formats + exchange + shipping + GWork + stage loop + keyed fold + built-in aggregates + profiler + chaos draw =="
     # Tier-1 caps their Hypothesis examples (tests/flink/conftest.py depth()).
     # The last entry is the property behind hash_bucket's guarantee: a keyed
     # reduce over mixed scalar key types collects the same multiset at
@@ -51,7 +51,6 @@ if [[ "${1:-}" != "--fast" ]]; then
         tests/flink/test_representation_differential.py \
         tests/flink/test_exchange_differential.py \
         tests/flink/test_shipping_differential.py \
-        tests/common/test_port_differential.py \
         tests/core/test_gwork_differential.py \
         tests/flink/test_stage_loop_differential.py \
         tests/flink/test_keyed_fold_differential.py \

@@ -223,8 +223,7 @@ LINTS = (
          # A port's hold time is known when the transfer asks for it, so the
          # release starts the next holder's service in its own step
          # (common/resources.py Port / serve): one event per transfer.  A
-         # unit Resource woke each waiter through the heap with a grant; the
-         # Resource-based transfer is the oracle in tests/common/retired.py.
+         # unit Resource woke each waiter through the heap with a grant.
          r"Resource\(|\.request\(\)", ("src/repro/common/network.py",),
          "a Resource or a request() in common/network.py (claim both NIC "
          "ports with resources.serve)",
@@ -317,6 +316,17 @@ LINTS = (
          ("src/repro/core/gstream.py",
           "            launch_inline = wrapper.launch_kernel_inline"),
          allowed=(r"^src/repro/(?!core/)[^:]*:\d+:.*yield from .*kernel_op\(",)),
+    Lint("the monitor reads facts, not samples",
+         # Every derivation lands in the monitor window of its fact's own
+         # instant, registry derivations included: no engine loop drives the
+         # window clock, and the monitor keeps no copy of registry totals to
+         # difference at window close.
+         r'emit\("tick"\)|mon\("tick"\)|_sample_registry|_last_counters',
+         ("src/repro",),
+         "a window-clock tick or a registry sample (state the fact; the bus "
+         "folds it into the window of its instant)",
+         "registry sampling and engine ticks",
+         ("src/repro/flink/jobmanager.py", '        obs.emit("tick")')),
 )
 
 

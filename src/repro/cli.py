@@ -561,7 +561,15 @@ def _cmd_chaos(args, out) -> int:
 
 
 def _parse_slo(spec: str):
-    """``pNN=SECONDS`` / ``availability=FRAC`` → (kind, q, target)."""
+    """``pNN=SECONDS`` / ``availability=FRAC`` → (kind, q, target), held to
+    :class:`~repro.obs.monitor.SLObjective`'s rules.
+
+    ``pNN`` is the NN-th percentile, digits after the second its decimals
+    (``p5`` = 0.05, ``p50`` = 0.5, ``p999`` = 0.999; ``p100`` the 100th).
+    """
+    from repro.common.errors import ConfigError
+    from repro.obs.monitor import SLObjective
+
     kind, sep, value = spec.partition("=")
     if not sep or not kind:
         raise _bad_spec(spec, "expected pNN=SECONDS or availability=FRAC")
@@ -569,13 +577,20 @@ def _parse_slo(spec: str):
         target = float(value)
     except ValueError:
         raise _bad_spec(spec, f"{value!r} is not a number") from None
+    digits = kind[1:]
     if kind == "availability":
-        if not 0.0 < target < 1.0:
-            raise _bad_spec(spec, "availability target must be in (0, 1)")
-        return "availability", None, target
-    if kind.startswith("p") and kind[1:].isdigit():
-        return "latency", float(f"0.{kind[1:]}"), target
-    raise _bad_spec(spec, f"unknown kind {kind!r}")
+        q = None
+    elif kind.startswith("p") and digits.isdigit():
+        kind, q = "latency", int(digits) / (
+            100 if len(digits) <= 2 or digits == "100"
+            else 10 ** len(digits))
+    else:
+        raise _bad_spec(spec, f"unknown kind {kind!r}")
+    try:
+        SLObjective(spec, kind, target, 0.99 if q is None else q)
+    except ConfigError as err:
+        raise _bad_spec(spec, str(err)) from None
+    return kind, q, target
 
 
 def _render_monitor_report(summary, out) -> None:

@@ -429,13 +429,14 @@ class GStream:
                 data = snapshot(out_dev.data)
                 if out_entry is not None:
                     out_entry.pinned_by.remove(work_id)
+                # Stated at its own instant, before any premium is waited.
+                if observed:
+                    obs.emit("d2h", device.name, "copy:d2h", copy.start,
+                             end, nbytes=nbytes, block=blk.index)
                 if not gflink:
                     premium = wrapper.path_premium_s(nbytes, comm_mode)
                     if premium:
                         yield env.timeout(premium)
-                if observed:
-                    obs.emit("d2h", device.name, "copy:d2h", copy.start,
-                             end, nbytes=nbytes, block=blk.index)
                 if out_spill is not None and spill_region is not None:
                     spill_region.remove(out_spill)
                 elif out_temp:

@@ -433,8 +433,6 @@ class ChaosEngine:
                 return  # schedule fully applied, every death declared
             yield self.env.timeout(interval)
             now = self.env.now
-            obs = self.cluster.obs
-            obs.emit("tick")
             for name in self._undetected():
                 worker = self.cluster.workers[name]
                 # ``or now`` would misread a kill at exactly t=0.0 (falsy)
@@ -443,7 +441,7 @@ class ChaosEngine:
                     if worker.failed_at is not None else now
                 # Every tick a dead worker stays undeclared is one missed
                 # heartbeat — the worker_unhealthy alert's feed.
-                obs.emit("heartbeat.missed", worker=name)
+                self.cluster.obs.emit("heartbeat.missed", worker=name)
                 if now - failed_at >= timeout:
                     self.declared[name] = now
                     self.cluster.declare_worker_dead(name)

@@ -244,8 +244,6 @@ class TaskContext:
                 and stream.n_blocks > 0 and stream.total_nbytes > 0):
             self._stream_consumed = True
             out = self.out_stream
-            obs = self.cluster.obs
-            observed = obs.active
             charged = 0.0
             for k in range(stream.n_blocks):
                 if out is not None:
@@ -260,10 +258,6 @@ class TaskContext:
                 stream.ack(self.in_slot, k + 1)
                 if out is not None:
                     out.publish(k)
-                if observed:
-                    # Drive the monitor's lazy window clock from the hottest
-                    # streaming loop.
-                    obs.emit("tick")
             if out is not None:
                 out.close()
             return
@@ -298,7 +292,6 @@ class JobManager:
         hdfs_write0 = self.cluster.hdfs.total_bytes_written()
         obs = self.cluster.obs
         master = self.cluster.master_name
-        obs.emit("tick")
 
         with obs.span("job", master, "jobmanager", job=job_name):
             with obs.span("job.submit", master, "jobmanager", job=job_name):

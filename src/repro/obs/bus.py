@@ -15,11 +15,14 @@ t1, attrs`` in a flat list (no object per row), and nothing else; each sink
 is a fold over the log with a cursor of its own.  The tracer draws the rows
 when it is read.  The registry and the monitor share one cursor,
 :meth:`Observability._fold`: it runs before any of their reads and whenever
-a row's clock has crossed the monitor's next window boundary, the one float
-compare an emit makes.  Within a row derivations apply in order, and the
-window closes at the row's first applied monitor derivation — after the
-registry derivations listed before it, which thus land in the window being
-closed, exactly as when every fact ticked the monitor as it was stated.
+a row with a monitor derivation is stated at or past the monitor's next
+window boundary, the one float compare an emit makes.  Every derivation of
+a row lands in the monitor window of the row's own instant ``t1`` — a
+registry derivation records into the monitor series of its key as well —
+and the windows before that instant close first.  So no fact needs to
+drive the window clock, and where a fact lands does not depend on when it
+is folded.  A fact is stated at its own instant: with monitoring on, an
+emit whose ``t1`` is before now raises there.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.common.errors import ConfigError
-from repro.obs.facts import DUR, FACTS, PROCESS, Derive, Fact, resolve_labels
+from repro.obs.facts import DUR, FACTS, PROCESS, Derive, resolve_labels
 from repro.obs.flightrecorder import FlightRecorder
 from repro.obs.metrics import UPDATES, MetricsRegistry
-from repro.obs.monitor import GMonitor
+from repro.obs.monitor import SERIES_KINDS, GMonitor
 from repro.obs.trace import NULL_SPAN, ROW, Tracer
 
 __all__ = ["OFF", "Observability"]
@@ -40,10 +43,12 @@ class _Step:
     """What one row of a fact does: the lanes it opens, the event it draws
     (none when ``cat`` is None) and the derivations it folds."""
 
-    __slots__ = ("opens", "cat", "ph", "name", "templated", "hidden",
-                 "derive", "ticks")
+    __slots__ = ("fact", "opens", "cat", "ph", "name", "templated",
+                 "hidden", "derive", "eager")
 
-    def __init__(self, row: Fact, on_open: Optional[bool], monitoring: bool):
+    def __init__(self, fact: str, on_open: Optional[bool], monitoring: bool):
+        self.fact = fact
+        row = FACTS[fact]
         entry = on_open is True
         self.opens = () if entry else row.opens
         self.cat = None if entry else row.cat
@@ -53,8 +58,9 @@ class _Step:
             _compiled(d) for d in row.derive
             if (on_open is None or d.on_open is on_open)
             and (monitoring or d.sink == "registry"))
-        #: The row may close a monitor window.
-        self.ticks = any(d[0] for d in self.derive)
+        #: A monitor derivation: stated past the window boundary, the row
+        #: folds at once (a registry-only row waits for the next fold).
+        self.eager = any(d[0] for d in self.derive)
 
 
 def _compiled(d: Derive) -> tuple:
@@ -75,9 +81,9 @@ def _compiled(d: Derive) -> tuple:
 
 #: monitoring -> ({fact: emit step}, {fact: (entry step, exit step)})
 _STEPS = {monitoring: (
-    {fact: _Step(row, None, monitoring) for fact, row in FACTS.items()},
-    {fact: (_Step(row, True, monitoring), _Step(row, False, monitoring))
-     for fact, row in FACTS.items()})
+    {fact: _Step(fact, None, monitoring) for fact in FACTS},
+    {fact: (_Step(fact, True, monitoring), _Step(fact, False, monitoring))
+     for fact in FACTS})
     for monitoring in (False, True)}
 
 
@@ -111,8 +117,8 @@ class _FactSpan:
         step = self._steps[0]
         obs.log.extend((step, self._process, self._thread, t0, t0,
                         self._attrs))
-        if step.ticks and t0 >= obs.monitor.boundary:
-            obs._fold(crossing=True)
+        if step.eager and t0 >= obs.monitor.boundary:
+            obs._fold()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -123,8 +129,8 @@ class _FactSpan:
         step = self._steps[1]
         obs.log.extend((step, self._process, self._thread, self._t0, now,
                         self._attrs))
-        if step.ticks and now >= obs.monitor.boundary:
-            obs._fold(crossing=True)
+        if step.eager and now >= obs.monitor.boundary:
+            obs._fold()
         return False
 
 
@@ -190,9 +196,14 @@ class Observability:
                 raise ValueError(
                     f"fact {fact!r} at [{t0!r}, {t1!r}]: t1 must not precede "
                     f"t0 and neither may be NaN")
+            if t1 < now and step.derive and self.monitor is not None:
+                # Its window may have closed before the fold reaches it.
+                raise ConfigError(
+                    f"fact {fact!r} at t={t1!r} is stated late, at t={now!r}: "
+                    f"with monitoring on a fact is stated at its own instant")
         self.log.extend((step, process, thread, t0, t1, attrs))
-        if step.ticks and now >= self.monitor.boundary:
-            self._fold(crossing=True)
+        if step.eager and t1 >= self.monitor.boundary:
+            self._fold()
 
     def span(self, fact: str, process: str, thread: str, **attrs: Any):
         """A context manager emitting ``fact`` over the enclosed simulated
@@ -210,13 +221,12 @@ class Observability:
         return span
 
     # -- the registry and monitor fold ------------------------------------------------
-    def _fold(self, crossing: bool = False) -> None:
-        """Apply the derivations of every row not yet folded, in log order.
-
-        ``crossing``: the last row's clock has crossed the monitor's next
-        window boundary, so its first applied monitor derivation closes the
-        elapsed windows before it records.
-        """
+    def _fold(self) -> None:
+        """Apply the derivations of every row not yet folded, in log order,
+        each in the monitor window of the row's instant ``t1``: the windows
+        before it close first, and a row for a closed window is an error.
+        Then the tracer catches up, and the rows every sink has taken in
+        are dropped."""
         log = self.log
         start, end = self._folded, len(log)
         if start == end:
@@ -226,13 +236,21 @@ class Observability:
         self._folded = end
         registry, monitor = self.registry, self.monitor
         metrics = registry._metrics
-        last = end - ROW
         rows = iter(log[start:end])
         for i, step, process, _, t0, t1, attrs in zip(
                 range(start, end, ROW), *(rows,) * ROW):
             if step is None or not step.derive:
                 continue
-            closing = crossing and i == last
+            if monitor is not None:
+                idx = int(t1 / monitor.window_s)
+                if idx != monitor._cur:
+                    if idx < monitor._cur:
+                        # The row is dropped; the rows after it fold next.
+                        self._folded = i + ROW
+                        raise ConfigError(
+                            f"fact {step.fact!r} at t={t1!r} is for closed "
+                            f"window {idx} (window {monitor._cur} is open)")
+                    monitor._advance(idx)
             for to_monitor, kind, name, value, unless, skip_zero, key, \
                     labels in step.derive:
                 if unless and any(map(attrs.get, unless)):
@@ -249,12 +267,9 @@ class Observability:
                                 spec, process, attrs))
                     else:
                         key = (name, resolve_labels(spec, process, attrs))
-                if to_monitor:
-                    if closing:
-                        closing = False
-                        monitor._advance(int(self.env.now / monitor.window_s))
-                    monitor._record(kind, name, value, key[1])
-                elif value or not skip_zero:
+                if not to_monitor:
+                    if not value and skip_zero:
+                        continue
                     metric = metrics.get(key)
                     if metric is None or metric.kind != kind:
                         metric = registry._get_or_create(
@@ -263,13 +278,20 @@ class Observability:
                         metric.value += value
                     else:
                         UPDATES[kind][1](metric, value)
-        tracer = self.tracer
-        if crossing or not tracer.enabled:
-            # A window closed: the tracer catches up too, and the rows every
-            # sink has taken in are dropped.
-            tracer._draw()
-            del log[:]
-            self._folded = tracer._drawn = 0
+                    # The monitor series of the same key counts it too (a
+                    # counter's zero is no point).
+                    if monitor is None or not value and kind == "counter":
+                        continue
+                elif kind not in SERIES_KINDS:
+                    monitor._record(kind, name, value, key[1])
+                    continue
+                series = monitor.store._series.get(key)
+                if series is None or series.kind != kind:
+                    series = monitor.store.series_items(name, kind, key[1])
+                series.record(monitor._cur, value)
+        self.tracer._draw()
+        del log[:]
+        self._folded = self.tracer._drawn = 0
 
     # -- topology (not facts) --------------------------------------------------------
     def register_worker(self, name: str) -> None:

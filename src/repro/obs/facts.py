@@ -13,7 +13,7 @@ A :class:`Fact` row:
 
 ``cat``/``ph``
     trace category and phase (``X`` span, ``i`` instant); ``cat=None`` is a
-    fact that is never drawn (job totals, gauge samples, clock ticks).
+    fact that is never drawn (job totals, gauge samples).
 ``name``
     the displayed name, a template over the attrs (``job:{job}``); the
     fact key when omitted.  Names are dynamic, which is why facts are not
@@ -40,11 +40,10 @@ A :class:`Fact` row:
     otherwise create the metric at 0; ``on_open`` applies when a
     :meth:`~repro.obs.bus.Observability.span` is entered rather than when
     it exits (a stall is counted when it begins, timed when it ends).
-    Every monitor derivation first ticks the window clock —
-    ``mon("tick")`` does only that.  The monitor also samples every
-    registry counter into its store at window close, under the same
-    ``(name, labels)`` series key: a fact never derives one key into both
-    sinks, or its window would count it twice.
+    Every derivation lands in the monitor window of its fact's own instant
+    ``t1``; a registry derivation also records into the monitor series of
+    the same ``(name, labels)`` key, so a fact never derives one key into
+    both sinks, or its window would count it twice.
 """
 
 from __future__ import annotations
@@ -115,9 +114,6 @@ _ERR = ("error",)
 _LOCALITY = ("local", {True: "local", False: "remote"})
 
 FACTS: Dict[str, Fact] = {
-    # -- clock ----------------------------------------------------------------
-    "tick": Fact(derive=(mon("tick"),)),
-
     # -- jobs (flink/jobmanager.py, flink/pipeline.py) --------------------------
     "job": Fact("job", "X", "job:{job}", derive=(
         reg("counter", "jobs.completed", unless=_ERR),
@@ -140,8 +136,9 @@ FACTS: Dict[str, Fact] = {
     "recover.done": Fact(derive=(
         reg("counter", "recovery.recomputed_partitions", "partitions",
             op="op"),)),
-    # The gauge is named apart from the counter: the counter is sampled into
-    # the monitor's store as a counter series, the gauge is the live value.
+    # The gauge is named apart from the counter: the counter is also recorded
+    # into the monitor's store as a counter series, the gauge is the live
+    # value.
     "pipeline.queue": Fact(derive=(
         reg("counter", "pipeline.queue.max_depth", "max_depth", op="op"),
         reg("counter", "pipeline.backpressure.blocks", "stalls",
@@ -200,9 +197,8 @@ FACTS: Dict[str, Fact] = {
         reg("counter", "gpu.pcie.d2h.bytes", "nbytes", device=PROCESS),
         mon("counter", "gpu.pcie.bytes", "nbytes", device=PROCESS)),
         totals=(("gpu.device.d2h_bytes", "nbytes"),)),
-    "h2d.starved": Fact("pipeline", "X", derive=(
-        reg("counter", "pipeline.h2d.starved", on_open=True, device=PROCESS),
-        mon("tick"))),
+    "h2d.starved": Fact("pipeline", "X", derive=(reg(
+        "counter", "pipeline.h2d.starved", on_open=True, device=PROCESS),)),
     # ``seconds`` is the launch's own figure; the drawn duration is the same
     # window measured off the clock and differs from it in the last bits.
     "kernel": Fact("gpu.device", "X", "{kernel}", ("kernel", "seconds"),
@@ -221,8 +217,7 @@ FACTS: Dict[str, Fact] = {
         mon("health.down", worker="worker"),
         mon("counter", "worker.down", worker="worker"))),
     "worker.declared_dead": Fact("fault", derive=(
-        reg("counter", "worker.declared_dead", worker="worker"),
-        mon("tick"))),
+        reg("counter", "worker.declared_dead", worker="worker"),)),
     "heartbeat.missed": Fact(derive=(
         mon("counter", "worker.heartbeat.missed", worker="worker"),)),
     "chaos": Fact("chaos", name="chaos.{kind}", hidden=("kind",), derive=(

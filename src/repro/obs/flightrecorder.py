@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
+from itertools import islice
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -92,9 +93,9 @@ class FlightRecorder:
     # -- dump triggers -----------------------------------------------------------
 
     def dump_for_alert(self, monitor, alert, t_end: float) -> Optional[str]:
-        """Bundle for one fired alert; returns the bundle filename."""
-        return self.dump(f"alert:{alert.rule}",
-                         detail=alert.to_dict(), monitor=monitor)
+        """Bundle for one fired alert, stamped at the end of its window."""
+        return self._dump(f"alert:{alert.rule}", alert.to_dict(), monitor,
+                          t_end)
 
     def record_fault(self, cluster, event) -> Optional[str]:
         """Bundle for one applied chaos event (ChaosEngine hook)."""
@@ -107,13 +108,16 @@ class FlightRecorder:
 
     # -- the bundle --------------------------------------------------------------
 
-    def _trace_slice(self) -> List[Dict[str, Any]]:
+    def _trace_slice(self, at: float) -> List[Dict[str, Any]]:
+        """The last :attr:`span_capacity` events that ended by ``at``."""
         tracer = self._tracer
         if tracer is None or not tracer.enabled:
             return []
         pid_names, tid_names = tracer.lane_names()
+        # Backwards from the end: an event ending after ``at`` is recent.
+        ended = (e for e in reversed(tracer.events) if e.ts + e.dur <= at)
         out = []
-        for e in tracer.events[-self.span_capacity:]:
+        for e in reversed(list(islice(ended, self.span_capacity))):
             out.append({
                 "name": e.name, "cat": e.cat, "ph": e.ph,
                 "ts": e.ts, "dur": e.dur,
@@ -123,19 +127,19 @@ class FlightRecorder:
             })
         return out
 
-    def build_bundle(self, reason: str,
-                     detail: Optional[Dict[str, Any]] = None,
-                     monitor=None) -> Dict[str, Any]:
-        """The bundle document (no file write) for ``reason``."""
+    def _bundle(self, reason: str, detail: Optional[Dict[str, Any]],
+                monitor, at: float) -> Dict[str, Any]:
+        """The bundle document (no file write) for ``reason``, stamped at
+        ``at``."""
         if monitor is not None:
             monitor.sync()
         doc: Dict[str, Any] = {
             "schema": POSTMORTEM_SCHEMA,
             "reason": reason,
             "detail": detail or {},
-            "triggered_at_s": float(self._env.now),
+            "triggered_at_s": at,
             "seq": self._seq,
-            "trace_slice": self._trace_slice(),
+            "trace_slice": self._trace_slice(at),
             "metric_windows": list(self.windows),
             "health": {}, "alerts": [], "slos": [], "trends": {},
             "explain": self._explain,
@@ -149,11 +153,16 @@ class FlightRecorder:
 
     def dump(self, reason: str, detail: Optional[Dict[str, Any]] = None,
              monitor=None) -> Optional[str]:
-        """Write one bundle; returns its filename (None once capped)."""
+        """Write one bundle, stamped now; returns its filename (None once
+        capped)."""
+        return self._dump(reason, detail, monitor, float(self._env.now))
+
+    def _dump(self, reason: str, detail: Optional[Dict[str, Any]], monitor,
+              at: float) -> Optional[str]:
         if len(self.bundles) >= self.max_bundles:
             self.skipped += 1
             return None
-        doc = self.build_bundle(reason, detail=detail, monitor=monitor)
+        doc = self._bundle(reason, detail, monitor, at)
         filename = f"postmortem-{self._seq:03d}-{_slug(reason)}.json"
         self._seq += 1
         if self.dirpath is not None:

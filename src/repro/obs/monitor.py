@@ -2,24 +2,24 @@
 
 GTrace (spans) and GProfiler (post-mortem analysis) answer *where did the
 time go* after the run ends.  This module watches the system **while the
-simulated clock advances**: it samples the live
-:class:`~repro.obs.metrics.MetricsRegistry` into fixed-width windows of
-simulated time, tracks latency/availability SLOs with error budgets and
-burn rates, evaluates alert rules (threshold / rate-of-change /
+simulated clock advances**: it folds the facts of the bus into fixed-width
+windows of simulated time, tracks latency/availability SLOs with error
+budgets and burn rates, evaluates alert rules (threshold / rate-of-change /
 sustained-window) with a firing→resolved lifecycle, and rolls worker /
 device / cluster health scores — the substrate for admission-control SLOs
 and a profiler-driven autoscaler (ROADMAP items 1 and 4).
 
 Clock discipline (the PR 2 contract, kept here): the monitor **never
 schedules simulation events**.  Windows are closed lazily — when a fact
-with a monitor derivation is stated at or past :attr:`GMonitor.boundary`
-(or a direct feed ticks there), the elapsed windows are closed, the
-registry sampled, alert rules evaluated and health scored, all
-synchronously inside whatever process was already running.  A bus's
-monitor is a fold over its fact log: the derivations of the facts stated
-since the last close are applied to the open window at the close, or
-before any read.  Enabled or disabled, the simulated clock is
-bit-identical (asserted by ``tests/obs/test_monitor.py``).
+with a monitor derivation is stated at or past :attr:`GMonitor.boundary`,
+at a read (or when a direct feed ticks there), the elapsed windows are
+closed, alert rules evaluated and health scored, all synchronously inside
+whatever process was already running.  A bus's monitor is a fold over its
+fact log: each fact lands in the window of its own instant, registry
+derivations included (a registry counter's window value is what the facts
+of that window added to it), and the windows before that instant close
+first.  Enabled or disabled, the simulated clock is bit-identical
+(asserted by ``tests/obs/test_monitor.py``).
 
 Window semantics:
 
@@ -31,12 +31,9 @@ Window semantics:
   estimated from the same bucket interpolation the registry histograms
   use.
 
-Registry metrics are sampled at window close: counter deltas, gauge
-last-values, and histogram bucket deltas (windowed percentiles).  The
-sample is attributed to the window being closed — attribution granularity
-is therefore bounded by how often instrumented call sites tick the
-monitor, which on the hot paths (pipeline publishes, GPU stages,
-heartbeats) is every few simulated milliseconds.
+An alert fires or resolves at the end of the window that decides it: its
+instant on the trace and its post-mortem bundle are stamped there, not at
+whichever later fact happened to close the window.
 
 The machine-readable summary (``repro.monitor.summary/v1``) feeds the
 dependency-free HTML dashboard (:mod:`repro.obs.dashboard`) and is
@@ -72,8 +69,8 @@ __all__ = [
 #: Windows retained per series (older points are dropped).
 RETENTION_WINDOWS = 720
 
-#: The kinds a monitor derivation records into a series of its own.
-_SERIES_KINDS = ("counter", "gauge", "histogram")
+#: The kinds a derivation records into a series of its own.
+SERIES_KINDS = ("counter", "gauge", "histogram")
 
 #: severity -> health penalty per active alert touching a worker/device
 _SEVERITY_PENALTY = {"critical": 40.0, "warning": 15.0}
@@ -162,7 +159,7 @@ class TimeSeriesStore:
     def series_items(self, name: str, kind: str,
                      labels: LabelItems) -> Series:
         """Like :meth:`series` but with pre-sorted label items — the
-        spelling registry sampling uses (label keys like ``kind`` would
+        spelling the bus's fold uses (label keys like ``kind`` would
         collide with the keyword signature)."""
         key = (name, labels)
         s = self._series.get(key)
@@ -205,8 +202,8 @@ class SLObjective:
     """One service-level objective.
 
     ``kind="latency"``: events are durations; an event is *bad* when it
-    exceeds ``target`` seconds, and the objective promises the
-    ``percentile`` quantile stays under the target — the allowed bad
+    exceeds ``target`` seconds (finite, > 0), and the objective promises
+    the ``percentile`` quantile stays under the target — the allowed bad
     fraction is ``1 - percentile``.  ``target=None`` tracks the
     distribution without gating.
 
@@ -228,6 +225,9 @@ class SLObjective:
         if (self.kind == "availability"
                 and (self.target is None or not 0.0 < self.target < 1.0)):
             raise ConfigError("availability target must be in (0, 1)")
+        if (self.kind == "latency" and self.target is not None
+                and not 0.0 < self.target < math.inf):
+            raise ConfigError("latency target must be finite and > 0")
 
     @property
     def allowed_bad_frac(self) -> float:
@@ -519,21 +519,21 @@ class AlertEngine:
                 state.alert = alert
                 self.history.append(alert)
                 fired.append(alert)
-                self._instant("alert.fired", alert)
+                self._instant("alert.fired", alert, t_end)
             elif alert is not None:
                 if breach:
                     alert.peak = max(alert.peak, value)
                 if state.ok_run >= rule.resolve_after:
                     alert.resolved_at_s = t_end
                     state.alert = None
-                    self._instant("alert.resolved", alert)
+                    self._instant("alert.resolved", alert, t_end)
         return fired
 
-    def _instant(self, what: str, alert: Alert) -> None:
+    def _instant(self, what: str, alert: Alert, at: float) -> None:
         if self._tracer is None:
             return
         track = self._tracer.track("monitor", "alerts")
-        self._tracer.instant(f"{what}:{alert.rule}", "monitor", track,
+        self._tracer.instant(f"{what}:{alert.rule}", "monitor", track, at,
                              series=alert.series, severity=alert.severity,
                              peak=alert.peak)
 
@@ -627,13 +627,18 @@ class HealthScorer:
 class GMonitor:
     """The online telemetry plane: store + SLOs + alerts + health.
 
-    Driven entirely by feeds from instrumented call sites — it owns no
-    simulation process and never schedules events.  Every feed starts
-    with a :meth:`tick`: when ``env.now`` has reached :attr:`boundary`,
-    all elapsed windows are closed (registry sampled, alerts evaluated,
-    health scored) before the new observation is recorded.  On a bus the
-    feeds are the facts' monitor derivations, folded by the bus (see
-    :mod:`repro.obs.bus`); ``_fold`` is the bus's, called before any read.
+    Driven entirely by feeds — it owns no simulation process and never
+    schedules events.  On a bus the feeds are the facts' derivations,
+    folded by the bus (see :mod:`repro.obs.bus`) into the window of each
+    fact's instant; ``_fold`` is the bus's, called before any read.  The
+    direct API (:meth:`count`, :meth:`gauge`, :meth:`observe`,
+    :meth:`feed`) starts with a :meth:`tick`: when ``env.now`` has reached
+    :attr:`boundary`, the elapsed windows are closed (alerts evaluated,
+    health scored) before the observation is recorded.
+
+    ``registry`` is accepted and ignored (``benchmarks/perf/probes.py``
+    still passes one): the bus feeds the registry's derivations in with
+    the rest.
     """
 
     DEFAULT_RULES = (
@@ -652,7 +657,6 @@ class GMonitor:
         if window_s <= 0:
             raise ConfigError(f"window_s must be positive, got {window_s}")
         self._env = env
-        self._registry = registry
         #: Optional FlightRecorder: fed every closed window, dumps a
         #: post-mortem bundle per fired alert.  Never schedules events.
         self.recorder = recorder
@@ -665,8 +669,6 @@ class GMonitor:
         self._set_boundary()
         self._fold = None
         self._windows_closed = 0
-        self._last_counters: Dict[Tuple[str, LabelItems], float] = {}
-        self._last_hist: Dict[Tuple[str, LabelItems], Any] = {}
         self._finalized = False
         for rule in self.DEFAULT_RULES:
             self.alerts.add_rule(rule)
@@ -696,16 +698,12 @@ class GMonitor:
 
     def tick(self) -> None:
         """Close any windows the simulated clock has moved past."""
-        if self._fold is not None:
-            self._fold()
+        self.sync()
         now = self._env.now
         if now >= self.boundary:
             self._advance(int(now / self.window_s))
 
     def _advance(self, target: int) -> None:
-        # Registry deltas accrued since the last boundary belong to the
-        # window being closed first (sampled-at-close attribution).
-        self._sample_registry(self._cur)
         while self._cur < target:
             idx = self._cur
             t_end = (idx + 1) * self.window_s
@@ -721,62 +719,19 @@ class GMonitor:
             self._cur += 1
         self._set_boundary()
 
-    def _sample_registry(self, idx: int) -> None:
-        if self._registry is None or not self._registry.enabled:
-            return
-        for m in list(self._registry._metrics.values()):
-            key = (m.name, m.labels)
-            kind = m.kind
-            if kind == "counter":
-                last = self._last_counters.get(key, 0.0)
-                delta = m.value - last
-                if delta:
-                    self._last_counters[key] = m.value
-                    self.store.series_items(
-                        m.name, "counter", m.labels).record(idx, delta)
-            elif kind == "gauge":
-                self.store.series_items(
-                    m.name, "gauge", m.labels).record(idx, m.value)
-            elif kind == "histogram":
-                self._sample_histogram(idx, key, m)
-
-    def _sample_histogram(self, idx: int, key, m) -> None:
-        last_count, last_total, last_buckets = self._last_hist.get(
-            key, (0, 0.0, None))
-        dcount = m.count - last_count
-        if not dcount:
-            return
-        deltas = ([c - lc for c, lc in zip(m.bucket_counts, last_buckets)]
-                  if last_buckets else list(m.bucket_counts))
-        self._last_hist[key] = (m.count, m.total, list(m.bucket_counts))
-        # Windowed percentiles via the registry's own bucket estimator:
-        # rebuild a histogram from the bucket deltas.  min/max are the
-        # lifetime extremes (best effort — the buckets don't retain them
-        # per window), which only loosens the clamp.
-        h = Histogram(m.name, m.labels, bounds=m.bounds)
-        h.count = dcount
-        h.total = m.total - last_total
-        h.vmin, h.vmax = m.vmin, m.vmax
-        h.bucket_counts = deltas
-        self.store.series_items(m.name, "histogram", m.labels).set_closed(
-            idx, _window_stats(h))
-
     # -- feeds (all tick first) ---------------------------------------------------
 
     def _record(self, kind: str, name: str, value: Any,
                 labels: LabelItems = ()) -> None:
-        """Fold one monitor derivation into the open window (ticked already).
+        """Fold one monitor derivation into the open window (the fact's own).
 
         ``kind`` is a series kind (``counter`` / ``gauge`` / ``histogram``),
         ``slo.latency`` / ``slo.event`` (``name`` is the objective,
-        ``value`` the seconds / the ok flag), ``health.down`` (the
-        ``worker`` label went down) or ``tick`` (only the window clock, so
-        what the registry accrued lands in the right window).
+        ``value`` the seconds / the ok flag) or ``health.down`` (the
+        ``worker`` label went down).
         """
-        if kind in _SERIES_KINDS:
-            series = self.store._series.get((name, labels))
-            if series is None or series.kind != kind:
-                series = self.store.series_items(name, kind, labels)
+        if kind in SERIES_KINDS:
+            series = self.store.series_items(name, kind, labels)
             series.record(self._cur, value)
         elif kind == "slo.latency":
             self.slo.observe_latency(self._cur, name, value)
@@ -850,13 +805,13 @@ class GMonitor:
                            percentile: float = 0.99) -> None:
         """Point the built-in job_latency SLO at a concrete target."""
         self.sync()
-        state = self.slo._states["job_latency"]
-        state.slo.target = target
-        state.slo.percentile = percentile
+        self.slo._states["job_latency"].slo = SLObjective(
+            "job_latency", "latency", target, percentile)
 
     def set_availability_target(self, target: float) -> None:
         self.sync()
-        self.slo._states["task_availability"].slo.target = target
+        self.slo._states["task_availability"].slo = SLObjective(
+            "task_availability", "availability", target)
 
     # -- finalization / export ---------------------------------------------------
 

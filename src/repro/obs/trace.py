@@ -236,11 +236,14 @@ class Tracer:
         self._record(TraceEvent(name, cat, "X", start, max(end - start, 0.0),
                                 track.pid, track.tid, args or None))
 
-    def instant(self, name: str, cat: str, track: Track, **args: Any) -> None:
-        """Record a point marker at the current simulated time."""
+    def instant(self, name: str, cat: str, track: Track,
+                at: Optional[float] = None, **args: Any) -> None:
+        """Record a point marker at ``at`` (the current simulated time when
+        omitted)."""
         if not self.enabled:
             return
-        self._record(TraceEvent(name, cat, "i", self.env.now, 0.0,
+        self._record(TraceEvent(name, cat, "i",
+                                self.env.now if at is None else at, 0.0,
                                 track.pid, track.tid, args or None))
 
     def _record(self, event: TraceEvent) -> None:

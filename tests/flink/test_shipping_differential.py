@@ -1,11 +1,9 @@
-"""One sender loop and a self-handing port against the shipping they replaced.
+"""One sender loop against the shipping it replaced.
 
 ``Exchange._send`` carries every charge it has not fired into the next thing
-the sender must wait for, and ``Network.transfer`` claims two ports that
-hand themselves on (one event per transfer).  The code they replaced —
-``_send_buckets`` / ``_broadcast_one`` / ``_ship_payload`` (a timeout per
-serde charge, loopback included) and the ``all_of``-based ``transfer`` over
-unit ``Resource`` ports, verbatim below — is the
+the sender must wait for.  The code it replaced — ``_send_buckets`` /
+``_broadcast_one`` / ``_ship_payload`` (a timeout per serde charge,
+loopback included), verbatim below, over the engine's ``Network`` — is the
 oracle, over every strategy x price
 list x spill x ``only_consumers`` x worker layout x cost table, alone or
 beside other exchanges and HDFS traffic on the same network.  In the style
@@ -27,13 +25,12 @@ the last bit) and ``free`` charges zero seconds for serde and latency
 """
 
 import itertools
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Generator, List, Optional
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from repro.common import Environment
-from repro.common.errors import ConfigError
 from repro.common.network import Network, NetworkConfig
 from repro.common.simclock import Event
 from repro.flink.config import FlinkConfig
@@ -44,7 +41,6 @@ from repro.flink.plan import ShipStrategy
 from repro.flink.serialization import Serializer
 from repro.flink.shuffle import COUNT_COMBINER, Exchange
 from repro.hdfs import HDFS, DiskConfig
-from tests.common.retired import TurnNetwork
 from tests.common.test_zero_wait_events import counting_steps
 from tests.flink.conftest import assert_ports_free, depth, make_payload
 
@@ -53,7 +49,7 @@ from tests.flink.conftest import assert_ports_free, depth, make_payload
 # on one side only (tests/reference/test_mutants.py): no job-level check
 # moves when a framed block's receive-side parse is dropped.
 
-# -- the shipping path: a timeout per charge, an all_of per transfer --------------
+# -- the shipping path: a timeout per charge ---------------------------------------
 
 class PerChargeExchange(Exchange):
     """An :class:`Exchange` that ships the way ``shuffle.py`` did before the
@@ -221,62 +217,8 @@ class PerChargeExchange(Exchange):
             self.bytes_zero_copy += nbytes
 
 
-class AllOfNetwork(TurnNetwork):
-    """A :class:`Network` whose ``transfer`` joins its two port requests
-    through ``all_of``: one composite event (and one ``ConditionValue``) per
-    cross-node transfer, free ports or not.  Its ports are the unit
-    ``Resource`` s of :class:`tests.common.retired.TurnNetwork`."""
-
-    def transfer(self, src: str, dst: str, nbytes: int,
-                 progress: Optional[
-                     Tuple[Sequence[float], Callable[[float], None]]
-                 ] = None) -> Generator[Event, None, None]:
-        """Simulation process: move ``nbytes`` from ``src`` to ``dst``.
-
-        Charges wire time on both endpoints' ports; a loopback transfer is
-        charged at memcpy speed without touching the NIC.
-
-        ``progress``, when given, is ``(marks, callback)``: cumulative byte
-        offsets at which ``callback(cum)`` fires as the wire time elapses.
-        The wire charge is sliced per mark with an identical sum, so total
-        network time is unchanged; the pipelined executor uses the callback
-        to publish a remote read's byte prefix as it lands.
-        """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        if src not in self._egress:
-            raise ConfigError(f"unknown source node {src!r}")
-        if dst not in self._ingress:
-            raise ConfigError(f"unknown destination node {dst!r}")
-        if src == dst:
-            yield from self._charge(nbytes / self.config.loopback_bps,
-                                    nbytes, progress)
-            return
-        out_port = self._egress[src]
-        in_port = self._ingress[dst]
-        out_req = out_port.lock.request()
-        in_req = in_port.lock.request()
-        try:
-            # The wait is inside the try: an interrupt while queued must
-            # release a port already granted and withdraw the other request.
-            yield self.env.all_of([out_req, in_req])
-            wire_s = nbytes / self.config.bandwidth_bps
-            if progress is None:
-                # Nothing observes the instant between latency and wire time.
-                yield self.env.timeout(self.config.latency_s, then=wire_s)
-            else:
-                yield self.env.timeout(self.config.latency_s)
-                yield from self._charge(wire_s, nbytes, progress)
-            out_port.bytes_moved += nbytes
-            in_port.bytes_moved += nbytes
-        finally:
-            out_port.lock.release(out_req)
-            in_port.lock.release(in_req)
-
-
-
 NEW = (Exchange, Network)
-RETIRED = (PerChargeExchange, AllOfNetwork)
+RETIRED = (PerChargeExchange, Network)
 
 #: name -> (nodes, producer workers, consumer workers); both cycled.
 LAYOUTS = {
@@ -542,7 +484,7 @@ class TestOneSenderLoopEqualsTheShippingItReplaced:
 
     def test_the_oracle_really_ships_the_old_way(self):
         """Same clock, more events: the retired path fires a timeout per
-        charge and an ``all_of`` per cross-node transfer."""
+        serde charge and per loopback copy."""
         case = untied({"layout": "aligned", "costs": "calibrated",
                        "spill": None, "traffic": False,
                        "exchanges": [exchange_spec("hash", "list", EQUAL, 3)]})
@@ -551,13 +493,12 @@ class TestOneSenderLoopEqualsTheShippingItReplaced:
             with counting_steps() as fired[classes]:
                 run_case(classes, case)
         # 3 senders x 3 buckets, one of each sender's a loopback.  Retired:
-        # serialize, wire or memcpy, deserialize — 3 timeouts a bucket.  The
-        # loop: a flush per cross-node bucket and one at the end, and the
-        # port service of each cross-node bucket.  (+ 1: the driver's start
-        # delay.)
-        assert (fired[RETIRED]["AllOf[requests]"],
-                fired[NEW]["AllOf[requests]"]) == (6, 0)
-        assert fired[RETIRED]["Timeout"] == 3 * 3 * 3 + 1
+        # serialize, deserialize and the loopback memcpy are timeouts, the
+        # wire of a cross-node bucket a port service.  The loop: a flush per
+        # cross-node bucket and one at the end, and the port service of each
+        # cross-node bucket.  (+ 1: the driver's start delay.)
+        assert (fired[RETIRED]["Timeout"], fired[RETIRED]["Service"]) \
+            == (3 * (2 * 3 + 1) + 1, 3 * 2)
         assert (fired[NEW]["Timeout"], fired[NEW]["Service"]) \
             == (3 * (2 + 1) + 1, 3 * 2)
 
@@ -571,8 +512,8 @@ class TestExactTies:
     created, so which of two *tied* senders is granted the port first can
     differ from the retired path's.  Their instants then trade places; what
     the exchange moved, and when an exchange running alone ends, do not
-    change.  (The port that hands itself on moves nothing by itself, ties
-    or not: ``test_sequential_port_wait_alone_preserves_every_tie``.)
+    change.  Both paths ship over the engine's ``Network``, so the sender
+    loop is all that differs.
     """
 
     def test_tied_senders_may_trade_places_but_the_exchange_ends_alike(self):
@@ -589,12 +530,6 @@ class TestExactTies:
         # buckets is the loopback one — and only there.
         assert traded == {("aligned", "hash"), ("aligned", "rebalance"),
                           ("aligned", "broadcast")}
-
-    def test_sequential_port_wait_alone_preserves_every_tie(self):
-        for case in itertools.chain(single_exchanges([EQUAL]),
-                                    concurrent_exchanges()):
-            assert run_case((PerChargeExchange, Network), case) \
-                == run_case(RETIRED, case), case
 
     def test_concurrent_exchanges_move_the_same_bytes_whoever_wins(self):
         for case in concurrent_exchanges():

@@ -6,8 +6,9 @@
 * an unobserved job's calls into ``repro.obs`` do not grow with its blocks;
 * a stall interrupted by a worker kill is timed by its span, and every
   total agrees with it;
-* one fact, one count: no series key is derived into both sinks (the
-  monitor samples the registry into its store under the same keys).
+* one fact, one count: no series key is derived into both sinks (a
+  registry derivation also records into the monitor series of its key),
+  and the windows of every registry counter a fact derives sum to it.
 """
 
 import ast
@@ -23,6 +24,7 @@ import repro
 from repro.common.errors import ConfigError
 from repro.common.simclock import Environment
 from repro.core import GFlinkCluster, GFlinkSession
+from repro.core.channels import CommMode
 from repro.flink import (ClusterConfig, CPUSpec, FailureInjector, FlinkConfig,
                          FlinkSession)
 from repro.flink.autoscaler import Autoscaler, AutoscalerPolicy
@@ -247,6 +249,35 @@ def double_on_one_gpu(faults=None):
     return cluster
 
 
+class TestLateCopyPaths:
+    """Under JNI_HEAP and RPC a D2H copy waits a premium after its engine
+    window; windows close during that wait.  The copy is stated at its
+    own end, so a monitored job over many windows completes."""
+
+    @pytest.mark.parametrize("mode", [CommMode.JNI_HEAP, CommMode.RPC])
+    def test_a_monitored_job_over_many_windows_completes(self, mode):
+        cluster = GFlinkCluster(ClusterConfig(
+            n_workers=1, cpu=CPUSpec(cores=2), gpus_per_worker=("c2050",),
+            flink=FlinkConfig(enable_monitoring=True,
+                              monitor_window_s=0.002)))
+        session = GFlinkSession(cluster)
+        session.register_kernel(KernelSpec(
+            "double", lambda i, p: {"out": i["in"] * 2.0},
+            flops_per_element=2.0, efficiency=0.5))
+        out = session.from_collection(
+            np.arange(2000, dtype=np.float64), element_nbytes=8.0,
+            scale=1e4, parallelism=1).gpu_map_partition(
+                "double", comm_mode=mode).collect()
+        np.testing.assert_array_equal(np.sort(out.value),
+                                      np.arange(2000) * 2.0)
+        monitor = cluster.obs.monitor
+        monitor.finalize()
+        assert monitor.summary()["windows_closed"] > 20
+        assert window_total(monitor, "gpu.pcie.bytes") == \
+            cluster.obs.registry.sum_values("gpu.pcie.h2d.bytes") + \
+            cluster.obs.registry.sum_values("gpu.pcie.d2h.bytes")
+
+
 class TestDisabledCostDoesNotGrowWithBlocks:
     """(c) wall-clock-free: calls into repro.obs on an unobserved job."""
 
@@ -340,10 +371,30 @@ def window_total(monitor, family):
                for _idx, value in series.points)
 
 
+@pytest.fixture(scope="module")
+def monitored_chaos():
+    """The ci.sh monitored chaos run: WordCount-GPU on 4 workers, a GPU
+    fault at 10 s and a worker kill at 150 s."""
+    schedule = ChaosSchedule()
+    schedule.fail_gpu("worker0", 0, at=10.0)
+    schedule.kill_worker("worker1", at=150.0)
+    cluster = GFlinkCluster(ClusterConfig(
+        n_workers=4, cpu=CPUSpec(), gpus_per_worker=("c2050", "c2050"),
+        flink=FlinkConfig(enable_tracing=True, enable_monitoring=True,
+                          retry_backoff_base_s=0.05)))
+    cluster.install_chaos(schedule)
+    WordCountWorkload(nominal_elements=4e9, real_elements=4000).run(
+        GFlinkSession(cluster), "gpu")
+    collect_cluster(cluster.obs.registry, cluster)
+    cluster.obs.monitor.finalize()
+    return cluster
+
+
 class TestOneFactOneCount:
-    """The monitor samples every registry metric into its store at window
-    close, under the metric's own ``(name, labels)`` key.  A monitor
-    derivation under that key would count the fact a second time."""
+    """A registry derivation also records into the monitor's store, in the
+    window of its fact's instant, under the metric's own ``(name, labels)``
+    key.  A monitor derivation under that key would count the fact a second
+    time."""
 
     def test_no_series_key_is_derived_into_both_sinks(self):
         keys = {sink: {(d.name, tuple(label for label, _src, _map in d.labels))
@@ -384,3 +435,31 @@ class TestOneFactOneCount:
             counted = cluster.obs.registry.sum_values(family)
             assert counted > 0
             assert window_total(cluster.obs.monitor, family) == counted
+
+    def test_every_derived_counter_is_its_windows_summed(
+            self, monitored_chaos):
+        registry, store = monitored_chaos.obs.registry, \
+            monitored_chaos.obs.monitor.store
+        derived = {d.name for row in FACTS.values() for d in row.derive
+                   if d.sink == "registry"}
+        # The monitor holds what facts derive, never a sample of the
+        # registry: the export-time gauges have no series.
+        assert {s.name for s in store.all_series()
+                if (s.name, s.labels) in registry._metrics} <= derived
+        counters = [m for m in registry._metrics.values()
+                    if m.kind == "counter" and m.name in derived]
+        assert len({m.name for m in counters}) >= 18
+        for metric in counters:
+            series = store._series.get((metric.name, metric.labels))
+            points = [v for _i, v in series.points] if series else []
+            if all(float(v).is_integer() for v in points + [metric.value]):
+                assert sum(points) == metric.value, metric.name
+            else:
+                assert sum(points) == pytest.approx(metric.value,
+                                                    rel=1e-12), metric.name
+
+    def test_a_fault_lands_in_the_window_of_its_instant(self,
+                                                        monitored_chaos):
+        chaos = {dict(s.labels)["kind"]: list(s.points) for s in
+                 monitored_chaos.obs.monitor.store.family("chaos.events")}
+        assert chaos == {"gpu-ecc": [(10, 1.0)], "worker-kill": [(150, 1.0)]}

@@ -2,25 +2,26 @@
 
 ``Observability.emit`` and a span's entry and exit append a row to the fact
 log and do nothing else; the tracer draws the rows when read, the registry
-and the monitor fold their derivations before any read and when a row's
-clock crosses the monitor's next window boundary.  So *when* a sink is read
+and the monitor fold their derivations before any read and when a row is
+stated past the monitor's next window boundary.  So *when* a sink is read
 must not matter: a random fact program — valid attrs, non-decreasing times
 across window boundaries, nested and erroring spans, values that fire and
 resolve the default alert rules — read at random points in between ends in
-the same Chrome trace, metrics JSON, Prometheus text and monitor summary as
-the same program read only at the end.
+the same Chrome trace, metrics JSON, Prometheus text, monitor summary and
+post-mortem bundles as the same program read only at the end.
 
-The trap: within one row derivations apply in order, and a window-crossing
-row closes the window at its first monitor derivation — so the registry
-derivations listed before it (``job`` → ``jobs.completed``) land in the
-window being closed.
+Where a fact lands does not depend on when it is folded either: every
+derivation of a row, registry and monitor alike, lands in the window of the
+row's own instant (``TestWindowOfTheInstant``).
 """
 
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.common.errors import ConfigError
 from repro.obs import Observability
 
 WORKERS = ("worker0", "worker1")
@@ -62,7 +63,6 @@ EMITS = st.one_of(
     _fact("job.totals", st.none(), None, job=st.just("j0"),
           subtasks=st.integers(1, 8), shuffle_bytes=_bytes,
           zero_copy_bytes=st.integers(0, 3), spill_bytes=st.just(0)),
-    _fact("tick", st.none(), None),
 )
 
 #: span fact -> (process, thread, attrs at entry, attrs ``set`` mid-span)
@@ -84,8 +84,8 @@ READS = {
     "len": lambda obs: len(obs.tracer),
     "snapshot": lambda obs: obs.registry.snapshot(),
     "trends": lambda obs: obs.monitor.trends(),
-    "dump": lambda obs: obs.recorder.build_bundle("probe",
-                                                   monitor=obs.monitor),
+    "dump": lambda obs: obs.recorder._bundle("probe", None, obs.monitor,
+                                             obs.env.now),
 }
 
 _leaves = st.one_of(
@@ -113,10 +113,20 @@ class _Boom(Exception):
 
 
 def run(program, reads=True, tracing=True):
-    """Play ``program`` on a fresh bus; the artefacts it ends with."""
+    """Play ``program`` on a fresh bus; the artefacts it ends with, and
+    every post-mortem bundle it dumped."""
     env = mock.Mock(now=0.0)
     obs = Observability(env, tracing=tracing, monitoring=True,
                         flight_recorder=True)
+    bundles = []
+    dump = obs.recorder._dump
+
+    def keep(*args):
+        name = dump(*args)
+        bundles.append(json.dumps(obs.recorder.last_bundle, sort_keys=True))
+        return name
+
+    obs.recorder._dump = keep
     for worker in WORKERS:
         obs.register_worker(worker)
     for device in DEVICES:
@@ -153,7 +163,7 @@ def run(program, reads=True, tracing=True):
     obs.monitor.finalize()
     return (json.dumps(obs.tracer.to_chrome(), sort_keys=True),
             obs.registry.to_json(), obs.registry.render_prometheus(),
-            json.dumps(obs.monitor.summary(), sort_keys=True))
+            json.dumps(obs.monitor.summary(), sort_keys=True), bundles)
 
 
 def _stall(seconds):
@@ -168,22 +178,24 @@ ALERTING = [_stall(0.5), ("wait", 0.6), ("read", "dump"), _stall(0.5),
             ("emit", "heartbeat.missed", None, None, None,
              {"worker": "worker1"}),
             ("wait", 1.0), ("read", "snapshot"), ("wait", 4.0),
-            ("emit", "tick", None, None, None, {}), ("read", "len")]
+            ("read", "len")]
 
-#: The trap: the job's exit row crosses into window 1; ``jobs.completed``
-#: is listed before the row's first monitor derivation.
-TRAP = [("wait", 0.2),
-        ("span", "job", "master", {"job": "j0"}, {}, False,
-         [("wait", 1.0)]),
-        ("read", "snapshot"), ("wait", 1.0),
-        ("emit", "tick", None, None, None, {})]
+#: A job ending at 1.2 s, read before and after its window closes.
+JOB = [("wait", 0.2),
+       ("span", "job", "master", {"job": "j0"}, {}, False, [("wait", 1.0)]),
+       ("read", "snapshot"), ("wait", 1.0)]
+
+
+def points(summary):
+    return {(s["name"], tuple(s["labels"].items())): s["points"]
+            for s in json.loads(summary)["series"]}
 
 
 class TestReadPointIndependence:
     @given(PROGRAMS, st.booleans())
     @example(ALERTING, True)
-    @example(TRAP, True)
-    @example(TRAP, False)
+    @example(JOB, True)
+    @example(JOB, False)
     @settings(max_examples=60, deadline=None)
     def test_reads_in_between_change_nothing(self, program, tracing):
         assert run(program, reads=True, tracing=tracing) \
@@ -196,14 +208,68 @@ class TestReadPointIndependence:
             == [("backpressure_stall", 3.0, 6.0),
                 ("worker_unhealthy", 3.0, 6.0)]
 
-    def test_registry_derivations_before_the_crossing_land_in_the_closed_window(
-            self):
-        summary = json.loads(run(TRAP)[3])
-        points = {(s["name"], tuple(s["labels"].items())): s["points"]
-                  for s in summary["series"]}
-        # The job ended at 1.2 s: counted in window 0 (the registry sample
-        # taken as the row closes it) ...
-        assert points["jobs.completed", ()] == [[0, 1.0]]
-        # ... its makespan, a monitor derivation, recorded in window 1.
-        assert [i for i, _ in points["job.makespan_s", (("job", "j0"),)]] \
+    def test_alert_bundles_and_instants_are_stamped_at_the_window_end(self):
+        trace, _, _, summary, bundles = run(ALERTING)
+        fired = [(a["rule"], a["fired_at_s"])
+                 for a in json.loads(summary)["alerts"]]
+        docs = [json.loads(b) for b in bundles]
+        assert [(d["reason"], d["triggered_at_s"]) for d in docs] \
+            == [(f"alert:{rule}", at) for rule, at in fired]
+        for doc in docs:
+            assert doc["trace_slice"]
+            assert all(e["ts"] + e["dur"] <= doc["triggered_at_s"]
+                       for e in doc["trace_slice"])
+        instants = sorted((e["name"], e["ts"] / 1e6)
+                          for e in json.loads(trace)["traceEvents"]
+                          if e.get("cat") == "monitor")
+        assert instants == sorted(
+            [(f"alert.fired:{rule}", 3.0) for rule, _ in fired]
+            + [(f"alert.resolved:{rule}", 6.0) for rule, _ in fired])
+
+
+class TestWindowOfTheInstant:
+    def test_a_job_lands_whole_in_the_window_of_its_end(self):
+        series = points(run(JOB)[3])
+        # The job ended at 1.2 s: counted and timed in window 1, whichever
+        # read folded it.
+        assert series["jobs.completed", ()] == [[1, 1.0]]
+        assert [i for i, _ in series["job.makespan_s", ()]] == [1]
+        assert [i for i, _ in series["job.makespan_s", (("job", "j0"),)]] \
             == [1]
+
+    def test_a_fact_at_a_window_boundary_lands_in_the_window_it_opens(self):
+        program = [("wait", 0.5),
+                   ("emit", "chaos", "master", "chaos", None,
+                    {"kind": "worker-kill"}),
+                   ("wait", 1.5),
+                   ("emit", "chaos", "master", "chaos", None,
+                    {"kind": "worker-kill"})]
+        assert points(run(program)[3])[
+            "chaos.events", (("kind", "worker-kill"),)] == [[0, 1.0],
+                                                            [2, 1.0]]
+
+    def test_a_fact_stated_late_is_refused_where_stated(self):
+        env = mock.Mock(now=2.5)
+        obs = Observability(env, monitoring=True)
+        with pytest.raises(ConfigError, match=r"fact 'h2d' at t=0\.75 is "
+                           r"stated late, at t=2\.5"):
+            obs.emit("h2d", "worker0-gpu0", "copy:h2d", 0.5, 0.75, nbytes=8)
+        obs.emit("h2d", "worker0-gpu0", "copy:h2d", 2.25, 2.5, nbytes=8)
+        assert obs.registry.sum_values("gpu.pcie.h2d.bytes") == 8
+
+    def test_a_fact_for_a_closed_window_is_an_error(self):
+        env = mock.Mock(now=2.5)
+        obs = Observability(env, monitoring=True)
+        obs.monitor.finalize()                      # closes window 2
+        obs.emit("chaos", kind="worker-kill")
+        env.now = 3.5
+        obs.emit("chaos", kind="worker-kill")
+        with pytest.raises(ConfigError, match=r"fact 'chaos' at t=2\.5 is "
+                           r"for closed window 2 \(window 3 is open\)"):
+            obs.registry.snapshot()
+        # The row is dropped; the one after it still folds.
+        assert obs.registry.sum_values("chaos.events") == 1
+        env.now = 4.5
+        obs.monitor.tick()
+        assert [list(s.points) for s in
+                obs.monitor.store.family("chaos.events")] == [[(3, 1.0)]]

@@ -13,8 +13,6 @@ DOC = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 
 
 def _derived(d: Derive) -> str:
-    if d.kind == "tick":
-        return "tick"
     labels = ",".join(label for label, _src, _mapping in d.labels)
     what = f"{d.kind} `{d.name}{{{labels}}}`" if labels \
         else f"{d.kind} `{d.name}`"

@@ -131,6 +131,21 @@ class TestSLOTracker:
         with pytest.raises(ConfigError):
             SLObjective(name="a", kind="availability", target=None)
 
+    @pytest.mark.parametrize("set_target", [
+        lambda mon: mon.set_latency_target(-3.0),
+        lambda mon: mon.set_latency_target(float("nan")),
+        lambda mon: mon.set_latency_target(5.0, percentile=0.0),
+        lambda mon: mon.set_latency_target(5.0, percentile=1.0),
+        lambda mon: mon.set_availability_target(1.5),
+        lambda mon: mon.set_availability_target(0.0),
+    ])
+    def test_the_target_setters_keep_the_objective_rules(self, set_target):
+        mon = GMonitor(FakeEnv())
+        before = mon.slo.summary()
+        with pytest.raises(ConfigError):
+            set_target(mon)
+        assert mon.slo.summary() == before
+
 
 # ---------------------------------------------------------------------------
 # Alerts

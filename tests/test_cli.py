@@ -184,6 +184,12 @@ class TestChaosCli:
         ("monitor", "--slo", "p99=fast"),
         ("monitor", "--slo", "availability=2"),
         ("monitor", "--slo", "uptime=0.9"),    # unknown kind
+        ("monitor", "--slo", "p0=5"),          # the 0th percentile
+        ("monitor", "--slo", "p100=5"),        # the 100th
+        ("monitor", "--slo", "p50=-3"),        # a target must be > 0 ...
+        ("monitor", "--slo", "p99=0"),
+        ("monitor", "--slo", "p99=nan"),       # ... and finite
+        ("monitor", "--slo", "p99=inf"),
         ("chaos", "--gpu-fail", "worker0:0"),  # no @T
         ("chaos", "--gpu-fail", "worker0:gpu1@3"),     # DEV not an index
         ("chaos", "--gpu-fail", "worker0@soon"),
@@ -224,6 +230,8 @@ class TestMonitorCli:
     @pytest.mark.parametrize("spec, percentile, code", [
         ("p99=1e-6", 0.99, 1),     # no job is that fast: the gate trips
         ("p50=1e6", 0.5, 0),       # every job is: it holds
+        ("p5=1e6", 0.05, 0),       # the 5th percentile, not the 50th
+        ("p999=1e6", 0.999, 0),
     ])
     def test_latency_slo_is_set_and_gates_the_exit_code(
             self, spec, percentile, code, tmp_path):
