@@ -327,6 +327,33 @@ LINTS = (
          "folds it into the window of its instant)",
          "registry sampling and engine ticks",
          ("src/repro/flink/jobmanager.py", '        obs.emit("tick")')),
+    Lint("obs is a leaf — the model imports only Observability / OFF",
+         # The model states facts through the bus and keeps its own
+         # statistics (the autoscaler's pressure history, the chaos
+         # engine's latencies); it borrows no class from repro/obs.
+         # flink/report.py is the export layer.
+         r"^\s*(import\s+repro\.obs\b|from\s+repro\.obs\.|from\s+repro\s+"
+         r"import\s+.*\bobs\b|from\s+repro\.obs\s+import\s+(?!(OFF|"
+         r"Observability)(\s*,\s*(OFF|Observability))*\s*(#.*)?$))",
+         tuple(f"src/repro/{pkg}" for pkg in ("flink", "core", "gpu", "hdfs",
+                                               "common", "workloads")),
+         "a repro.obs import in a model package other than Observability / "
+         "OFF (keep the statistic beside its one model user)",
+         "obs imports in the model",
+         ("src/repro/flink/chaos.py",
+          "        from repro.obs.metrics import Histogram"),
+         allowed=(r"^src/repro/flink/report\.py:",)),
+    Lint("obs is a leaf — no anomaly module",
+         # Its slope and changepoint test live in obs/dashboard.py, their
+         # one reader; the autoscaler keeps its own pressure slope.
+         r"repro\.obs\.anomaly|obs/anomaly\.py",
+         ("src", "tests", "scripts", "benchmarks", "examples"),
+         "the retired anomaly module (the dashboard's overlays are in "
+         "repro/obs/dashboard.py)",
+         "obs/anomaly.py",
+         ("src/repro/flink/autoscaler.py",
+          "from repro.obs.anomaly import SlidingTrend"),
+         allowed=(r"^scripts/lint\.py:",), include=("*.py", "*.sh")),
 )
 
 

@@ -28,12 +28,12 @@ never the frozen config — so logical partitioning, and with it the job's
 result, is untouched: the autoscaler changes *when and where* work runs,
 not *what* runs.
 
-Two *predictive* policies ride on a per-tick
-:class:`~repro.obs.anomaly.SlidingTrend` of the measured slot pressure
-(each tick also emits the sample as a ``slot_pressure`` fact, so the
-monitor's ``scheduler.slot_pressure`` gauge and its trends show it, but
-nothing here reads a sink back: the decisions are the same with
-observability on or off).  A *rising* pressure trend adds a worker before
+Two *predictive* policies ride on the least-squares slope of the last
+``policy.trend_window`` per-tick slot-pressure samples, which the
+autoscaler keeps itself (each tick also emits the sample as a
+``slot_pressure`` fact, so the monitor's ``scheduler.slot_pressure`` gauge
+shows it, but nothing here reads a sink back: the decisions are the same
+with observability on or off).  A *rising* pressure trend adds a worker before
 the hard ``slot_pressure_high`` threshold is crossed; a pressure that
 stays below ``slot_pressure_low`` for ``low_pressure_windows`` consecutive
 ticks with a non-rising trend **drains** the most recently joined
@@ -49,11 +49,11 @@ what the loop did and why.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from repro.common.simclock import Event
-from repro.obs.anomaly import SlidingTrend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flink.runtime import Cluster
@@ -121,9 +121,12 @@ class Autoscaler:
         # HDFS block-read counts at the previous tick, so each window
         # evaluates the *delta* (recent behavior), not the lifetime mix.
         self._reads_seen = {"local": 0, "remote": 0}
-        # Trend state over per-tick pressure samples; ticks of low
+        # The last trend_window per-tick pressure samples; ticks of low
         # pressure accumulate in _low_run.
-        self._pressure_trend = SlidingTrend(window=self.policy.trend_window)
+        if self.policy.trend_window < 2:
+            raise ValueError(f"trend_window must be >= 2, got "
+                             f"{self.policy.trend_window!r}")
+        self._pressures: deque = deque(maxlen=self.policy.trend_window)
         self._low_run = 0
         # Scale-down only arms after the cluster has been under load at
         # least once: draining during the initial HDFS load phase (when
@@ -166,10 +169,10 @@ class Autoscaler:
     def _evaluate(self) -> None:
         policy = self.policy
         pressure = self.slot_pressure()
-        # Publish the sample (a gauge the dashboard can plot and trend
-        # rules can watch) and update the trend detector.
+        # Publish the sample (a gauge the dashboard can plot) and keep it
+        # for the trend.
         self.cluster.obs.emit("slot_pressure", pressure=pressure)
-        self._pressure_trend.update(pressure)
+        self._pressures.append(float(pressure))
         slope = self.pressure_slope()
         if pressure > policy.slot_pressure_high:
             self._maybe_add_worker(pressure, slope)
@@ -202,8 +205,16 @@ class Autoscaler:
         return active / capacity if capacity else 0.0
 
     def pressure_slope(self) -> float:
-        """Slot-pressure trend, in pressure units per tick."""
-        return self._pressure_trend.slope()
+        """Least-squares slope of the kept pressure samples, in pressure
+        units per tick (0 under two samples)."""
+        n = len(self._pressures)
+        if n < 2:
+            return 0.0
+        mean_x = (n - 1) / 2.0
+        mean_y = sum(self._pressures) / n
+        num = sum((i - mean_x) * (p - mean_y)
+                  for i, p in enumerate(self._pressures))
+        return num / sum((i - mean_x) ** 2 for i in range(n))
 
     def _remote_read_fraction(self) -> Optional[float]:
         """Remote share of HDFS block reads since the previous tick."""

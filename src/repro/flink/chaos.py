@@ -484,22 +484,17 @@ class ChaosEngine:
     def summary(self) -> Dict[str, Any]:
         """Applied faults + detection/recovery latencies, for resilience
         reports."""
-        from repro.obs.metrics import Histogram
         kills = {e.worker: e.at for e in self.applied
                  if e.kind is FaultKind.WORKER_KILL}
         per_event = self.recovery_latencies()
-        hist = Histogram("chaos.recovery_s", ())
-        for entry in per_event:
-            hist.observe(entry["recovery_latency_s"])
+        latencies = sorted(e["recovery_latency_s"] for e in per_event)
         recovery: Dict[str, Any] = {}
-        if per_event:
-            recovery = {
-                "count": float(hist.count),
-                "max": hist.vmax,
-                "p50": hist.percentile(0.50),
-                "p95": hist.percentile(0.95),
-                "p99": hist.percentile(0.99),
-            }
+        if latencies:
+            # Nearest rank: every percentile is a latency that occurred.
+            n = len(latencies)
+            recovery = {"count": float(n), "max": latencies[-1]}
+            for pct in (50, 95, 99):
+                recovery[f"p{pct}"] = latencies[-(-pct * n // 100) - 1]
         return {
             "events_applied": len(self.applied),
             "events_skipped": len(self.skipped),

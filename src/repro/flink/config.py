@@ -123,11 +123,11 @@ class FlinkConfig:
     # Width of one sampling window, in simulated seconds.
     monitor_window_s: float = 1.0
 
-    # Flight recorder (repro.obs.flightrecorder): retain a bounded ring of
-    # recent spans + closed metric windows and dump a post-mortem bundle
-    # (JSON) when an alert fires or the chaos engine injects a fault.
-    # Purely passive — bounded deques plus dump-time host file I/O — so
-    # the simulated clock stays bit-identical either way.
+    # Flight recorder (repro.obs.flightrecorder): dump a post-mortem bundle
+    # (JSON: the tail of the recent spans and closed metric windows) when an
+    # alert fires or the chaos engine injects a fault.  Purely passive —
+    # dump-time slicing and host file I/O — so the simulated clock stays
+    # bit-identical either way.
     enable_flight_recorder: bool = False
     # Directory bundles are written to (None keeps them in memory only).
     flight_recorder_dir: Optional[str] = None

@@ -11,9 +11,9 @@ retained series.
 from __future__ import annotations
 
 import html
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.obs.anomaly import changepoints, slope_of
+import math
+from collections import deque
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["render_dashboard", "write_dashboard"]
 
@@ -46,30 +46,93 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
+def window_value(v: Any) -> float:
+    """One window's value as a number: a histogram window reads its p99."""
+    if isinstance(v, dict):
+        v = v.get("p99", v.get("count", 0.0))
+    return float(v)
+
+
 def _series_values(points: List[List[Any]]) -> List[Tuple[int, float]]:
-    out = []
-    for idx, v in points:
-        if isinstance(v, dict):
-            v = v.get("p99", v.get("count", 0.0))
-        out.append((idx, float(v)))
+    return [(idx, window_value(v)) for idx, v in points]
+
+
+def slope_of(values: Sequence[float]) -> float:
+    """Least-squares slope of equally spaced values (per-step units)."""
+    n = len(values)
+    if n < 2:
+        return 0.0
+    mean_x = (n - 1) / 2.0
+    mean_y = sum(values) / n
+    num = sum((i - mean_x) * (float(v) - mean_y)
+              for i, v in enumerate(values))
+    den = sum((i - mean_x) ** 2 for i in range(n))
+    return num / den if den else 0.0
+
+
+def trend_of(values: Sequence[float]) -> Optional[Tuple[float, str, float]]:
+    """``(slope per window, "up" | "down" | "flat", |slope| / scale)`` of
+    the last 8 values, None under 3.  A slope under 1 % of the tail's
+    largest magnitude is flat.  The dashboard's arrow and the post-mortem's
+    trending series read this one rule."""
+    tail = list(values[-8:])
+    if len(tail) < 3:
+        return None
+    s = slope_of(tail)
+    scale = max(1e-9, max(abs(v) for v in tail))
+    if abs(s) < 0.01 * scale:
+        return s, "flat", abs(s) / scale
+    return s, ("up" if s > 0 else "down"), abs(s) / scale
+
+
+def changepoints(points: Sequence[Tuple[int, float]], window: int = 8,
+                 z_threshold: float = 3.0) -> List[int]:
+    """Indices where the trailing window's two halves differ in mean.
+
+    A simple two-sample mean-shift test: the trailing ``window`` values
+    are split in half; flag the point when |mean2 - mean1| exceeds
+    ``z_threshold`` pooled standard deviations (with a flat-series guard).
+    Consecutive detections are collapsed to the first.
+    """
+    if window < 4:
+        raise ValueError(f"window must be >= 4, got {window!r}")
+    values: deque = deque(maxlen=window)
+    out: List[int] = []
+    in_shift = False
+    for idx, value in points:
+        values.append((idx, float(value)))
+        if len(values) < window:
+            in_shift = False
+            continue
+        half = window // 2
+        first = [v for _, v in list(values)[:half]]
+        second = [v for _, v in list(values)[half:]]
+        m1 = sum(first) / len(first)
+        m2 = sum(second) / len(second)
+        var1 = sum((v - m1) ** 2 for v in first) / len(first)
+        var2 = sum((v - m2) ** 2 for v in second) / len(second)
+        pooled = math.sqrt((var1 + var2) / 2.0)
+        scale = max(pooled, 1e-9, 1e-3 * max(abs(m1), abs(m2)))
+        shifted = abs(m2 - m1) > z_threshold * scale
+        if shifted and not in_shift:
+            out.append(idx)
+        in_shift = shifted
     return out
+
+
+_ARROWS = {"flat": ("&#8594;", "#888"),        # →
+           "up": ("&#8599;", "#d03030"),       # ↗ rising
+           "down": ("&#8600;", "#2a9d3e")}     # ↘ falling
 
 
 def _trend_glyph(points: List[Tuple[int, float]]) -> str:
     """Direction arrow for the trailing-window slope of a series."""
-    tail = [v for _, v in points[-8:]]
-    if len(tail) < 3:
+    trend = trend_of([v for _, v in points])
+    if trend is None:
         return ""
-    s = slope_of(tail)
-    scale = max(1e-9, max(abs(v) for v in tail))
-    if abs(s) < 0.01 * scale:
-        arrow, color = "&#8594;", "#888"       # → flat
-    elif s > 0:
-        arrow, color = "&#8599;", "#d03030"    # ↗ rising
-    else:
-        arrow, color = "&#8600;", "#2a9d3e"    # ↘ falling
+    arrow, color = _ARROWS[trend[1]]
     return (f'<text x="2" y="10" font-size="10" fill="{color}">'
-            f'{arrow}<title>trailing slope {s:.3g}/window</title>'
+            f'{arrow}<title>trailing slope {trend[0]:.3g}/window</title>'
             f'</text>')
 
 
@@ -77,9 +140,8 @@ def _sparkline(points: List[Tuple[int, float]], lo_idx: int,
                hi_idx: int) -> str:
     """One polyline SVG over the window range [lo_idx, hi_idx].
 
-    Overlays the anomaly detectors from :mod:`repro.obs.anomaly`:
-    mean-shift changepoints as red dots, the trailing-window slope as a
-    direction arrow in the top-left corner.
+    Overlays two anomaly marks: mean-shift changepoints as red dots, the
+    trailing-window slope as a direction arrow in the top-left corner.
     """
     if not points:
         return ""

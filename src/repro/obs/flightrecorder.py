@@ -1,34 +1,34 @@
 """Flight recorder: bounded post-mortem capture for faults and alerts.
 
-Black-box style: the recorder passively retains a bounded ring of the
-most recent *closed metric windows* (fed by :class:`~repro.obs.monitor.
-GMonitor` at window close) and, at dump time, snapshots the tail of the
-tracer's span list.  When an alert fires or the chaos engine injects a
-fault, it writes a **post-mortem bundle** — one JSON document with the
-trace slice, metric windows, health scores, alert timeline, trend
-snapshots, and any attached explain deltas — to a directory, rendered
-later by ``repro postmortem``.
+Black-box style: the recorder keeps nothing while the run goes on.  When
+an alert fires or the chaos engine injects a fault, it slices what the
+sinks already hold — the tail of the tracer's spans and of the monitor's
+closed metric windows — and writes a **post-mortem bundle** (one JSON
+document with the trace slice, metric windows, health scores, alert
+timeline and SLOs) to a directory, rendered later by ``repro
+postmortem``, which derives the trending series from the bundle's own
+windows.
 
-Capture is append-only arithmetic on bounded deques; the dump itself is
-host-side file I/O.  Neither ever touches the simulation event heap, so
-enabling the recorder keeps the simulated clock bit-identical (asserted
-in ``tests/obs/test_monitor.py``).
+The dump is host-side slicing and file I/O.  It never touches the
+simulation event heap, so enabling the recorder keeps the simulated clock
+bit-identical (asserted in ``tests/obs/test_monitor.py``).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from itertools import islice
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.dashboard import trend_of, window_value
 from repro.obs.schema import (  # noqa: F401  (validator re-exported)
     POSTMORTEM_SCHEMA, validate_postmortem_bundle)
 
-#: Ring capacities and the bundle cap of a cluster's recorder (a runaway
-#: alert storm must not fill the disk).
+#: Spans and metric window values a bundle carries (the newest), and the
+#: bundle cap of a cluster's recorder (a runaway alert storm must not fill
+#: the disk).
 SPAN_CAPACITY = 512
 WINDOW_CAPACITY = 512
 MAX_BUNDLES = 16
@@ -41,54 +41,24 @@ def _slug(text: str) -> str:
 
 
 class FlightRecorder:
-    """Bounded capture + bundle dumps; one per cluster, always passive.
+    """Bundle dumps; one per cluster, always passive.
 
     ``dirpath`` may be None (bundles are then only kept in memory via
-    :attr:`last_bundle`, still bounded by ``max_bundles``).
+    :attr:`last_bundle`, still bounded by :data:`MAX_BUNDLES`).
     """
 
     def __init__(self, env: Any, tracer=None,
-                 dirpath: Optional[str] = None,
-                 span_capacity: int = SPAN_CAPACITY,
-                 window_capacity: int = WINDOW_CAPACITY,
-                 max_bundles: int = MAX_BUNDLES):
-        if span_capacity < 1 or window_capacity < 1 or max_bundles < 1:
-            raise ValueError("flight recorder capacities must be >= 1")
+                 dirpath: Optional[str] = None):
         self._env = env
         self._tracer = tracer
         self.dirpath = Path(dirpath) if dirpath else None
-        self.span_capacity = span_capacity
-        self.max_bundles = max_bundles
-        #: Ring of recently closed metric windows (newest last).
-        self.windows: Deque[Dict[str, Any]] = deque(maxlen=window_capacity)
         #: Filenames of bundles written, in dump order.
         self.bundles: List[str] = []
-        #: Bundles skipped after :attr:`max_bundles` was reached.
+        #: Bundles skipped after :data:`MAX_BUNDLES` was reached.
         self.skipped = 0
         #: The most recent bundle document (for tests / in-memory use).
         self.last_bundle: Optional[Dict[str, Any]] = None
         self._seq = 0
-        self._explain: Optional[Dict[str, Any]] = None
-
-    # -- capture -----------------------------------------------------------------
-
-    def record_windows(self, idx: int, t_end: float,
-                       closed: List[Tuple[Any, Any]]) -> None:
-        """Retain one batch of closed windows (called by GMonitor)."""
-        for series, value in closed:
-            self.windows.append({
-                "idx": idx, "t_end_s": t_end, "series": series.key,
-                "kind": series.kind, "value": value,
-            })
-
-    def attach_explanation(self, doc: Dict[str, Any]) -> None:
-        """Carry the active explain deltas into subsequent bundles.
-
-        Typically the explanation of the current run against a committed
-        baseline — bundles then show the regression context a fault or
-        alert happened under.
-        """
-        self._explain = doc
 
     # -- dump triggers -----------------------------------------------------------
 
@@ -109,7 +79,7 @@ class FlightRecorder:
     # -- the bundle --------------------------------------------------------------
 
     def _trace_slice(self, at: float) -> List[Dict[str, Any]]:
-        """The last :attr:`span_capacity` events that ended by ``at``."""
+        """The last :data:`SPAN_CAPACITY` events that ended by ``at``."""
         tracer = self._tracer
         if tracer is None or not tracer.enabled:
             return []
@@ -117,7 +87,7 @@ class FlightRecorder:
         # Backwards from the end: an event ending after ``at`` is recent.
         ended = (e for e in reversed(tracer.events) if e.ts + e.dur <= at)
         out = []
-        for e in reversed(list(islice(ended, self.span_capacity))):
+        for e in reversed(list(islice(ended, SPAN_CAPACITY))):
             out.append({
                 "name": e.name, "cat": e.cat, "ph": e.ph,
                 "ts": e.ts, "dur": e.dur,
@@ -140,15 +110,14 @@ class FlightRecorder:
             "triggered_at_s": at,
             "seq": self._seq,
             "trace_slice": self._trace_slice(at),
-            "metric_windows": list(self.windows),
-            "health": {}, "alerts": [], "slos": [], "trends": {},
-            "explain": self._explain,
+            "metric_windows": [],
+            "health": {}, "alerts": [], "slos": [],
         }
         if monitor is not None:
+            doc["metric_windows"] = _metric_windows(monitor)
             doc["health"] = monitor.health.summary()
             doc["alerts"] = monitor.alerts.summary()
             doc["slos"] = monitor.slo.summary()
-            doc["trends"] = monitor.trends()
         return doc
 
     def dump(self, reason: str, detail: Optional[Dict[str, Any]] = None,
@@ -159,7 +128,7 @@ class FlightRecorder:
 
     def _dump(self, reason: str, detail: Optional[Dict[str, Any]], monitor,
               at: float) -> Optional[str]:
-        if len(self.bundles) >= self.max_bundles:
+        if len(self.bundles) >= MAX_BUNDLES:
             self.skipped += 1
             return None
         doc = self._bundle(reason, detail, monitor, at)
@@ -172,6 +141,31 @@ class FlightRecorder:
         self.bundles.append(filename)
         self.last_bundle = doc
         return filename
+
+
+def _metric_windows(monitor) -> List[Dict[str, Any]]:
+    """The last :data:`WINDOW_CAPACITY` closed values of the monitor's
+    store, in window order and then closing order.  The ``health.*``
+    series are scored after the close, not closed, and are left out."""
+    rows = sorted(
+        (idx, pos, s, value)
+        for pos, s in enumerate(monitor.store.in_closing_order())
+        if not s.name.startswith("health.")
+        for idx, value in islice(reversed(s.points), WINDOW_CAPACITY))
+    return [{"idx": idx, "t_end_s": (idx + 1) * monitor.window_s,
+             "series": s.key, "kind": s.kind, "value": value}
+            for idx, _pos, s, value in rows[-WINDOW_CAPACITY:]]
+
+
+def _trending(windows: List[Dict[str, Any]]) -> List[Tuple[str, tuple]]:
+    """``(series key, trend)`` of the bundle's series that rise or fall
+    over their last windows, steepest first (at most five)."""
+    values: Dict[str, List[float]] = {}
+    for w in windows:
+        values.setdefault(w["series"], []).append(window_value(w["value"]))
+    trends = [(key, trend_of(vs)) for key, vs in values.items()]
+    moving = [(key, t) for key, t in trends if t and t[1] != "flat"]
+    return sorted(moving, key=lambda kt: (-kt[1][2], kt[0]))[:5]
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +197,13 @@ def render_bundle(doc: Dict[str, Any], spans: int = 12) -> str:
             lines.append(f"    [{a.get('severity', '?'):<8}] "
                          f"{a.get('rule')} on {a.get('series')} "
                          f"fired@{a.get('fired_at_s', 0.0):.1f}s {state}")
-    trends = doc.get("trends") or {}
-    moving = sorted((t for t in trends.values()
-                     if abs(t.get("slope") or 0.0) > 0.0),
-                    key=lambda t: -abs(t.get("zscore") or 0.0))[:5]
+    windows = doc.get("metric_windows") or []
+    moving = _trending(windows)
     if moving:
         lines.append("  trending series:")
-        for t in moving:
-            lines.append(f"    {t.get('name'):<36} slope "
-                         f"{t.get('slope', 0.0):+.4g}/win "
-                         f"z {t.get('zscore', 0.0):+.2f} "
-                         f"({t.get('direction')})")
-    windows = doc.get("metric_windows") or []
+        for key, (slope, direction, _steep) in moving:
+            lines.append(f"    {key:<36} slope {slope:+.4g}/win "
+                         f"({direction})")
     if windows:
         lines.append(f"  metric windows retained: {len(windows)} "
                      f"(last idx {windows[-1].get('idx')})")
@@ -227,12 +216,6 @@ def render_bundle(doc: Dict[str, Any], spans: int = 12) -> str:
                          f"{e.get('dur', 0.0):8.3f}s  "
                          f"{e.get('process', '?')}/{e.get('thread', '?')}  "
                          f"{e.get('name')}")
-    explain = doc.get("explain")
-    if explain:
-        from repro.obs.explain import render_explanation
-        lines.append("  active explain deltas:")
-        for ln in render_explanation(explain, top_k=3).splitlines():
-            lines.append(f"    {ln}")
     return "\n".join(lines)
 
 

@@ -4,8 +4,8 @@ GTrace (spans) and GProfiler (post-mortem analysis) answer *where did the
 time go* after the run ends.  This module watches the system **while the
 simulated clock advances**: it folds the facts of the bus into fixed-width
 windows of simulated time, tracks latency/availability SLOs with error
-budgets and burn rates, evaluates alert rules (threshold / rate-of-change /
-sustained-window) with a firing→resolved lifecycle, and rolls worker /
+budgets and burn rates, evaluates threshold alert rules over sustained
+windows with a firing→resolved lifecycle, and rolls worker /
 device / cluster health scores — the substrate for admission-control SLOs
 and a profiler-driven autoscaler (ROADMAP items 1 and 4).
 
@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.obs.anomaly import SlidingTrend, trend_snapshot
 from repro.obs.metrics import Histogram, LabelItems, label_items, render_key
 from repro.obs.schema import MONITOR_SCHEMA, validate_monitor_summary
 
@@ -97,12 +96,11 @@ class Series:
     __slots__ = ("name", "labels", "kind", "points",
                  "_open_idx", "_open_val", "_open_hist")
 
-    def __init__(self, name: str, labels: LabelItems, kind: str,
-                 retention: int):
+    def __init__(self, name: str, labels: LabelItems, kind: str):
         self.name = name
         self.labels = labels
         self.kind = kind
-        self.points: deque = deque(maxlen=retention)
+        self.points: deque = deque(maxlen=RETENTION_WINDOWS)
         self._open_idx: Optional[int] = None
         self._open_val = 0.0
         self._open_hist: Optional[Histogram] = None
@@ -147,10 +145,7 @@ class Series:
 class TimeSeriesStore:
     """Get-or-create registry of :class:`Series` with bounded retention."""
 
-    def __init__(self, retention: int = RETENTION_WINDOWS):
-        if retention < 1:
-            raise ConfigError(f"retention must be >= 1, got {retention}")
-        self.retention = retention
+    def __init__(self):
         self._series: Dict[Tuple[str, LabelItems], Series] = {}
 
     def series(self, name: str, kind: str, **labels: Any) -> Series:
@@ -164,7 +159,7 @@ class TimeSeriesStore:
         key = (name, labels)
         s = self._series.get(key)
         if s is None:
-            s = Series(name, labels, kind, self.retention)
+            s = Series(name, labels, kind)
             self._series[key] = s
         elif s.kind != kind:
             raise ConfigError(
@@ -179,6 +174,10 @@ class TimeSeriesStore:
 
     def all_series(self) -> List[Series]:
         return [self._series[k] for k in sorted(self._series)]
+
+    def in_closing_order(self) -> List[Series]:
+        """Every series in the order :meth:`close_window` closes them."""
+        return list(self._series.values())
 
     def __len__(self) -> int:
         return len(self._series)
@@ -343,15 +342,11 @@ class SLOTracker:
 class AlertRule:
     """One alert rule over a series family.
 
-    ``predicate`` is one of ``above`` / ``below`` (threshold on the window
-    value), ``rate_above`` (window-over-window increase exceeds the
-    threshold), or ``trend_above`` / ``trend_below`` (least-squares slope
-    of the last ``trend_window`` window values, in value-per-window units,
-    crosses the threshold).  The rule fires after ``sustained`` consecutive
-    breaching windows and resolves after ``resolve_after`` consecutive
-    quiet ones.  ``labels`` restricts matching to series whose labels are
-    a superset; for histogram series ``window_field`` picks the per-window
-    statistic.
+    ``predicate`` is ``above`` or ``below``: a threshold on the window
+    value.  The rule fires after ``sustained`` consecutive breaching
+    windows and resolves after ``resolve_after`` consecutive quiet ones.
+    ``labels`` restricts matching to series whose labels are a superset;
+    for histogram series ``window_field`` picks the per-window statistic.
     """
 
     name: str
@@ -363,18 +358,14 @@ class AlertRule:
     severity: str = "warning"
     labels: Tuple[Tuple[str, str], ...] = ()
     window_field: str = "count"
-    trend_window: int = 8
 
     def __post_init__(self) -> None:
-        if self.predicate not in ("above", "below", "rate_above",
-                                  "trend_above", "trend_below"):
+        if self.predicate not in ("above", "below"):
             raise ConfigError(f"unknown predicate {self.predicate!r}")
         if self.severity not in ("warning", "critical"):
             raise ConfigError(f"unknown severity {self.severity!r}")
         if self.sustained < 1 or self.resolve_after < 1:
             raise ConfigError("sustained/resolve_after must be >= 1")
-        if self.trend_window < 2:
-            raise ConfigError("trend_window must be >= 2")
 
     def matches(self, series: Series) -> bool:
         if series.name != self.series:
@@ -410,19 +401,14 @@ class Alert:
 
 
 class _RuleState:
-    __slots__ = ("series", "breach_run", "ok_run", "last_value", "alert",
-                 "trend")
+    __slots__ = ("series", "breach_run", "ok_run", "last_value", "alert")
 
-    def __init__(self, series: Series, rule: "AlertRule"):
+    def __init__(self, series: Series):
         self.series = series
         self.breach_run = 0
         self.ok_run = 0
         self.last_value = 0.0
         self.alert: Optional[Alert] = None
-        # Online slope state, only materialized for trend predicates.
-        self.trend: Optional[SlidingTrend] = (
-            SlidingTrend(window=rule.trend_window)
-            if rule.predicate in ("trend_above", "trend_below") else None)
 
 
 class AlertEngine:
@@ -471,7 +457,7 @@ class AlertEngine:
                 for ri, rule in self._by_series.get(s.name, ())
                 if rule.matches(s)):
             if (ri, s.key) not in self._states:
-                self._states[ri, s.key] = _RuleState(s, self.rules[ri])
+                self._states[ri, s.key] = _RuleState(s)
         for (ri, _skey), state in self._states.items():
             rule = self.rules[ri]
             raw = closed_by_series.get(id(state.series))
@@ -486,24 +472,9 @@ class AlertEngine:
                 value = float(raw)
             if rule.predicate == "above":
                 breach = value > rule.threshold
-            elif rule.predicate == "below":
+            else:
                 breach = value < rule.threshold
-            elif rule.predicate in ("trend_above", "trend_below"):
-                state.trend.update(value)
-                slope = state.trend.slope()
-                # Half-full window before a slope is trusted: a single
-                # early point must not fire a trend rule.
-                ready = len(state.trend) >= max(2, rule.trend_window // 2)
-                if rule.predicate == "trend_above":
-                    breach = ready and slope > rule.threshold
-                else:
-                    breach = ready and slope < rule.threshold
-                state.last_value = value   # raw, for gauge carry-forward
-                value = slope              # reported as the alert's peak
-            else:  # rate_above
-                breach = (value - state.last_value) > rule.threshold
-            if rule.predicate not in ("trend_above", "trend_below"):
-                state.last_value = value
+            state.last_value = value
             if breach:
                 state.breach_run += 1
                 state.ok_run = 0
@@ -652,16 +623,15 @@ class GMonitor:
     )
 
     def __init__(self, env: Any, tracer=None, registry=None,
-                 window_s: float = 1.0, retention: int = RETENTION_WINDOWS,
-                 recorder=None):
+                 window_s: float = 1.0, recorder=None):
         if window_s <= 0:
             raise ConfigError(f"window_s must be positive, got {window_s}")
         self._env = env
-        #: Optional FlightRecorder: fed every closed window, dumps a
-        #: post-mortem bundle per fired alert.  Never schedules events.
+        #: Optional FlightRecorder: dumps a post-mortem bundle per fired
+        #: alert.  Never schedules events.
         self.recorder = recorder
         self.window_s = window_s
-        self.store = TimeSeriesStore(retention=retention)
+        self.store = TimeSeriesStore()
         self.slo = SLOTracker(self.store)
         self.alerts = AlertEngine(tracer=tracer)
         self.health = HealthScorer(self.store)
@@ -711,7 +681,6 @@ class GMonitor:
             fired = self.alerts.evaluate(idx, t_end, closed)
             self.health.score_window(idx, self.alerts)
             if self.recorder is not None:
-                self.recorder.record_windows(idx, t_end, closed)
                 for alert in fired:
                     alert.bundle = self.recorder.dump_for_alert(
                         self, alert, t_end)
@@ -777,29 +746,7 @@ class GMonitor:
                 threshold=0.9 * pcie_bps * self.window_s,
                 sustained=2, resolve_after=2, severity="warning"))
 
-    # -- trends ------------------------------------------------------------------
-
-    def trends(self, name: Optional[str] = None, window: int = 8,
-               alpha: float = 0.3) -> Dict[str, Dict[str, Any]]:
-        """Per-series trend snapshots over the stored (closed) windows.
-
-        Keyed by the series key; each snapshot carries ``slope`` (value
-        per window, least-squares over the last ``window`` points),
-        ``zscore`` (EWMA drift of the latest point), ``mean``, ``last``
-        and ``direction``.  ``name`` restricts to one series family.
-        Pure arithmetic over already-closed windows; never advances the
-        clock.
-        """
-        self.sync()
-        out: Dict[str, Dict[str, Any]] = {}
-        for s in self.store.all_series():
-            if name is not None and s.name != name:
-                continue
-            snap = trend_snapshot(s.points, window=window, alpha=alpha)
-            snap["name"] = s.name
-            snap["labels"] = dict(s.labels)
-            out[s.key] = snap
-        return out
+    # -- objectives ---------------------------------------------------------------
 
     def set_latency_target(self, target: float,
                            percentile: float = 0.99) -> None:
@@ -843,8 +790,7 @@ class GMonitor:
                 {"name": r.name, "series": r.series,
                  "predicate": r.predicate, "threshold": r.threshold,
                  "sustained": r.sustained, "resolve_after": r.resolve_after,
-                 "severity": r.severity, "labels": dict(r.labels),
-                 "trend_window": r.trend_window}
+                 "severity": r.severity, "labels": dict(r.labels)}
                 for r in self.alerts.rules
             ],
             "alerts": self.alerts.summary(),

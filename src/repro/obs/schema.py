@@ -282,11 +282,15 @@ def _points_in_window_order(doc: dict) -> List[str]:
 
 
 def _resolved_not_before_fired(doc: dict) -> List[str]:
-    return [f"{where}: resolved before fired"
-            for where, a in _items(doc, "alerts")
-            if isinstance(a.get("fired_at_s"), _NUMBER)
-            and isinstance(a.get("resolved_at_s"), _NUMBER)
-            and a["resolved_at_s"] < a["fired_at_s"]]
+    errors: List[str] = []
+    for where, a in _items(doc, "alerts"):
+        resolved = a.get("resolved_at_s")
+        if resolved is not None and not isinstance(resolved, _NUMBER):
+            errors.append(f"{where}.resolved_at_s must be a number or null")
+        elif resolved is not None and isinstance(
+                a.get("fired_at_s"), _NUMBER) and resolved < a["fired_at_s"]:
+            errors.append(f"{where}: resolved before fired")
+    return errors
 
 
 def _bad_within_events(doc: dict) -> List[str]:
@@ -340,20 +344,21 @@ def _deltas_add_up(doc: dict) -> List[str]:
 
 # -- post-mortem bundle -----------------------------------------------------------
 def _windows_in_order(doc: dict) -> List[str]:
+    errors = [f"{where}.value must be a number or an object"
+              for where, w in _items(doc, "metric_windows")
+              if not isinstance(w.get("value", 0), (*_NUMBER, dict))]
     last = None
     for where, w in _items(doc, "metric_windows"):
         if isinstance(w.get("idx"), int):
             if last is not None and w["idx"] < last:
-                return [f"{where} out of window order"]
+                return errors + [f"{where} out of window order"]
             last = w["idx"]
-    return []
+    return errors
 
 
-def _attached_explanation(doc: dict) -> List[str]:
-    if doc.get("explain") is None:
-        return []
-    return [f"explain: {e}" for e in validate_explanation(doc["explain"])]
-
+#: An alert row, in a monitor summary and in a post-mortem bundle.
+_ALERT_ROWS = {"present": "rule series", "number": "fired_at_s",
+               ("warning", "critical"): "severity"}
 
 SCHEMAS: Dict[Optional[str], Schema] = {
     None: Schema(
@@ -375,8 +380,7 @@ SCHEMAS: Dict[Optional[str], Schema] = {
          "object": "health", "object?": "health.workers health.devices",
          "series[]": {"text": "name", "list": "points",
                       ("counter", "gauge", "histogram"): "kind"},
-         "alerts[]": {"present": "rule series fired_at_s",
-                      ("warning", "critical"): "severity"},
+         "alerts[]": _ALERT_ROWS,
          "slos[]": {("latency", "availability"): "kind",
                     "non-negative": "burn_rate"}}),
         (_points_in_window_order, _resolved_not_before_fired,
@@ -393,10 +397,14 @@ SCHEMAS: Dict[Optional[str], Schema] = {
         "post-mortem bundle", "bundle must be a JSON object",
         _rows({"text": "reason", "number": "triggered_at_s",
          "list": "trace_slice metric_windows alerts slos",
-         "object": "detail health trends",
+         "object": "detail health",
+         "object?": "health.workers health.devices",
          "trace_slice[]": {"number": "ts dur"},
-         "metric_windows[]": {"int": "idx"}}),
-        (_windows_in_order, _attached_explanation)),
+         "metric_windows[]": {"int": "idx", "text": "series",
+                              "present": "value"},
+         "alerts[]": _ALERT_ROWS}),
+        (_windows_in_order, _resolved_not_before_fired,
+         _health_scores_in_range), gate=True),
 }
 
 

@@ -148,6 +148,36 @@ class TestHeartbeat:
         assert cluster.worker_is_declared_dead("worker1")
 
 
+class TestRecoveryReport:
+    @pytest.mark.parametrize("latencies", [
+        (0.2, 0.4),
+        (0.12, 0.13, 0.9),
+        (0.0, 78.25),
+        (3.0,),
+        tuple(0.5 * k for k in range(20)),
+    ])
+    def test_every_percentile_is_an_observed_latency(self, latencies):
+        """Nearest rank over the sorted latencies: the report names a
+        recovery that happened, never a bucket estimate between two."""
+        cluster = make_cluster(n_workers=2)
+        schedule = ChaosSchedule()
+        for k, latency in enumerate(latencies):
+            schedule.join_worker(at=100.0 * k)
+            cluster.recovery_log.append((100.0 * k + latency, "rebalance"))
+        engine = cluster.install_chaos(schedule)
+        engine.applied = list(schedule.events)
+        observed = sorted(e["recovery_latency_s"]
+                          for e in engine.recovery_latencies())
+        assert observed == pytest.approx(sorted(latencies))
+        report = engine.summary()["recovery_latency_s"]
+        n = len(observed)
+        for pct in (50, 95, 99):
+            rank = -(-pct * n // 100)            # ceil(pct * n / 100)
+            assert report[f"p{pct}"] == observed[rank - 1]
+        assert report["max"] == observed[-1]
+        assert report["count"] == n
+
+
 class TestLineageRecovery:
     def test_recomputes_exactly_the_lost_partitions(self):
         cluster = make_cluster(n_workers=3)

@@ -360,9 +360,17 @@ class TestAutoscaler:
     def test_pressure_slope_falls_back_to_local_trend(self):
         cluster = make_cluster(n_workers=2)
         scaler = Autoscaler(cluster)
-        for p in (0.1, 0.2, 0.3, 0.4):
-            scaler._pressure_trend.update(p)
+        assert scaler.pressure_slope() == 0.0
+        scaler._pressures.extend((0.1, 0.2, 0.3, 0.4))
         assert scaler.pressure_slope() == pytest.approx(0.1)
+        # Only the last trend_window samples count.
+        scaler._pressures.extend([0.4] * scaler.policy.trend_window)
+        assert scaler.pressure_slope() == 0.0
+
+    def test_a_trend_needs_a_window_of_two(self):
+        with pytest.raises(ValueError):
+            Autoscaler(make_cluster(n_workers=2),
+                       AutoscalerPolicy(trend_window=1))
 
     def test_sustained_low_pressure_drains_a_worker(self):
         cluster = make_cluster(n_workers=3)

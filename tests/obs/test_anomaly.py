@@ -1,20 +1,13 @@
-"""Unit tests for the deterministic anomaly/trend detectors.
+"""Unit tests for the dashboard's anomaly overlays.
 
-Pure-arithmetic contracts: exact slopes on linear series, EWMA drift
-scores spiking on a step, changepoint detection on mean shifts, input
-validation, and bit-identical output on identical input.
+Pure-arithmetic contracts of :mod:`repro.obs.dashboard`: exact slopes on
+linear series, the trend rule the sparkline arrow and ``repro postmortem``
+share, changepoint detection on mean shifts, and input validation.
 """
 
 import pytest
 
-from repro.obs.anomaly import (
-    SlidingTrend,
-    changepoints,
-    ewma_zscores,
-    slope_of,
-    trend_snapshot,
-    window_slopes,
-)
+from repro.obs.dashboard import changepoints, slope_of, trend_of
 
 
 class TestSlope:
@@ -28,40 +21,16 @@ class TestSlope:
         assert slope_of([5.0]) == 0.0
         assert slope_of([]) == 0.0
 
-    def test_window_slopes_trailing(self):
-        pts = [(i, float(i)) for i in range(6)]
-        out = window_slopes(pts, window=3)
-        assert out[0] == (0, 0.0)          # single value: no slope yet
-        assert all(s == pytest.approx(1.0) for _, s in out[1:])
-
-    def test_window_slopes_validates_window(self):
-        with pytest.raises(ValueError):
-            window_slopes([(0, 1.0)], window=1)
-
-
-class TestEwmaZscores:
-    def test_warmup_points_score_zero(self):
-        pts = [(i, 100.0 * i) for i in range(3)]
-        assert [z for _, z in ewma_zscores(pts, warmup=3)] == [0.0, 0.0, 0.0]
-
-    def test_spike_scores_high_steady_scores_low(self):
-        pts = [(i, 10.0 + (0.1 if i % 2 else -0.1)) for i in range(20)]
-        pts.append((20, 50.0))
-        scores = dict(ewma_zscores(pts))
-        assert abs(scores[19]) < 3.0
-        assert scores[20] > 10.0
-
-    def test_flat_series_saturates_not_explodes(self):
-        pts = [(i, 5.0) for i in range(10)] + [(10, 6.0)]
-        scores = dict(ewma_zscores(pts))
-        assert scores[9] == 0.0
-        assert scores[10] == pytest.approx(1e6)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            ewma_zscores([(0, 1.0)], alpha=0.0)
-        with pytest.raises(ValueError):
-            ewma_zscores([(0, 1.0)], alpha=1.5)
+    def test_trend_reads_the_last_eight_values(self):
+        assert trend_of([1.0, 2.0]) is None            # under three
+        assert trend_of([1.0, 2.0, 3.0])[:2] == (1.0, "up")
+        assert trend_of([9.0, 6.0, 3.0])[:2] == (-3.0, "down")
+        # A slope under 1 % of the largest magnitude is flat ...
+        assert trend_of([100.0, 100.5, 100.9])[1] == "flat"
+        # ... and only the last eight values count.
+        assert trend_of([50.0, 0.0] + [1.0] * 8) == (0.0, "flat", 0.0)
+        slope, direction, steep = trend_of([0.0, 0.0, 4.0])
+        assert (slope, direction, steep) == (2.0, "up", 0.5)
 
 
 class TestChangepoints:
@@ -88,54 +57,3 @@ class TestChangepoints:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             changepoints([], window=3)
-
-
-class TestSlidingTrend:
-    def test_online_matches_batch(self):
-        values = [1.0, 4.0, 2.0, 8.0, 3.0, 9.0, 5.0, 7.0, 6.0]
-        trend = SlidingTrend(window=4)
-        for v in values:
-            trend.update(v)
-        assert trend.slope() == pytest.approx(slope_of(values[-4:]))
-        assert trend.mean() == pytest.approx(sum(values[-4:]) / 4)
-        assert trend.last() == 6.0
-        assert len(trend) == 4
-        assert trend.count == len(values)
-
-    def test_snapshot_direction(self):
-        up = SlidingTrend(window=4)
-        for v in (1.0, 2.0, 3.0):
-            up.update(v)
-        assert up.snapshot()["direction"] == "up"
-        flat = SlidingTrend(window=4)
-        for _ in range(4):
-            flat.update(2.0)
-        assert flat.snapshot()["direction"] == "flat"
-
-    def test_empty_trend_is_inert(self):
-        trend = SlidingTrend()
-        assert trend.slope() == 0.0
-        assert trend.last() is None
-        assert trend.snapshot()["n"] == 0
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            SlidingTrend(window=1)
-
-    def test_determinism_bitwise(self):
-        values = [0.3 * i ** 1.5 - (i % 3) for i in range(40)]
-
-        def run():
-            t = SlidingTrend(window=8)
-            out = []
-            for v in values:
-                t.update(v)
-                out.append((t.slope(), t.zscore(), t.mean()))
-            return out
-        assert run() == run()
-
-    def test_trend_snapshot_unwraps_histogram_windows(self):
-        pts = [(i, {"count": float(i), "p99": 99.0}) for i in range(5)]
-        snap = trend_snapshot(pts, window=4)
-        assert snap["last"] == 4.0
-        assert snap["slope"] == pytest.approx(1.0)

@@ -83,7 +83,6 @@ SPANS = {
 READS = {
     "len": lambda obs: len(obs.tracer),
     "snapshot": lambda obs: obs.registry.snapshot(),
-    "trends": lambda obs: obs.monitor.trends(),
     "dump": lambda obs: obs.recorder._bundle("probe", None, obs.monitor,
                                              obs.env.now),
 }
@@ -174,7 +173,7 @@ def _stall(seconds):
 #: Fires and resolves both default rules: a stall in three windows running,
 #: a missed heartbeat, then quiet windows; reads fall in between.
 ALERTING = [_stall(0.5), ("wait", 0.6), ("read", "dump"), _stall(0.5),
-            ("wait", 0.6), _stall(0.5), ("read", "trends"),
+            ("wait", 0.6), _stall(0.5), ("read", "dump"),
             ("emit", "heartbeat.missed", None, None, None,
              {"worker": "worker1"}),
             ("wait", 1.0), ("read", "snapshot"), ("wait", 4.0),

@@ -1,9 +1,11 @@
-"""Flight recorder tests: capture, dumps, validation, CLI rendering.
+"""Flight recorder tests: dumps, validation, CLI rendering.
 
-Unit layer on a fake clock (ring-buffer bounds, bundle cap, schema
+Unit layer on a fake clock (window-slice bounds, bundle cap, schema
 checks) plus end-to-end: a chaos fault produces a validated on-disk
 bundle, a fired alert carries its bundle filename into the monitor
-summary, and ``repro postmortem`` renders the directory.
+summary, every bundle's metric windows are the summary's own points, and
+``repro postmortem`` renders the directory or refuses a bundle it cannot
+render.
 """
 
 import io
@@ -15,12 +17,15 @@ from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.flink.chaos import ChaosSchedule
 from repro.obs.flightrecorder import (
+    MAX_BUNDLES,
     POSTMORTEM_SCHEMA,
+    WINDOW_CAPACITY,
     FlightRecorder,
     load_bundles,
     render_bundle,
     validate_postmortem_bundle,
 )
+from repro.obs.metrics import label_items, render_key
 from repro.obs.monitor import GMonitor
 from repro.workloads import WordCountWorkload
 
@@ -30,23 +35,38 @@ class FakeEnv:
         self.now = now
 
 
-class FakeSeries:
-    def __init__(self, key, kind="counter"):
-        self.key = key
-        self.kind = kind
-
-
 class TestRecorderUnit:
     def test_window_ring_is_bounded(self):
-        rec = FlightRecorder(FakeEnv(), window_capacity=3)
-        for i in range(6):
-            rec.record_windows(i, float(i), [(FakeSeries("x"), i)])
-        assert [w["idx"] for w in rec.windows] == [3, 4, 5]
+        """A bundle carries the newest WINDOW_CAPACITY closed values, in
+        window order and then closing order."""
+        env = FakeEnv()
+        mon = GMonitor(env)
+        n = WINDOW_CAPACITY // 2 + 10
+        for i in range(n):
+            env.now = i + 0.5
+            mon.count("b", i)
+            mon.gauge("a", -i)
+        env.now = float(n)
+        mon.tick()
+        rec = FlightRecorder(env)
+        rec.dump("x", monitor=mon)
+        windows = rec.last_bundle["metric_windows"]
+        assert len(windows) == WINDOW_CAPACITY
+        assert [(w["idx"], w["series"], w["value"]) for w in windows] \
+            == [(i, key, v) for i in range(n)
+                for key, v in (("b", float(i)), ("a", float(-i)))
+                ][-WINDOW_CAPACITY:]
+        assert windows[-1]["t_end_s"] == float(n)
 
     def test_dump_writes_validated_bundle(self, tmp_path):
-        rec = FlightRecorder(FakeEnv(now=42.5), dirpath=tmp_path)
-        rec.record_windows(0, 1.0, [(FakeSeries("tasks"), 7)])
-        name = rec.dump("fault:worker-kill", detail={"worker": "w1"})
+        env = FakeEnv(now=0.5)
+        mon = GMonitor(env)
+        mon.count("tasks", 7)
+        env.now = 42.5
+        mon.tick()
+        rec = FlightRecorder(env, dirpath=tmp_path)
+        name = rec.dump("fault:worker-kill", detail={"worker": "w1"},
+                        monitor=mon)
         assert name == "postmortem-000-fault-worker-kill.json"
         doc = json.loads((tmp_path / name).read_text())
         assert validate_postmortem_bundle(doc) == []
@@ -56,12 +76,12 @@ class TestRecorderUnit:
         assert doc["metric_windows"][0]["series"] == "tasks"
 
     def test_max_bundles_cap_counts_skips(self, tmp_path):
-        rec = FlightRecorder(FakeEnv(), dirpath=tmp_path, max_bundles=2)
-        assert rec.dump("a") is not None
-        assert rec.dump("b") is not None
-        assert rec.dump("c") is None
+        rec = FlightRecorder(FakeEnv(), dirpath=tmp_path)
+        for i in range(MAX_BUNDLES):
+            assert rec.dump(f"r{i}") is not None
+        assert rec.dump("one-too-many") is None
         assert rec.skipped == 1
-        assert len(list(tmp_path.glob("postmortem-*.json"))) == 2
+        assert len(list(tmp_path.glob("postmortem-*.json"))) == MAX_BUNDLES
 
     def test_no_dirpath_keeps_bundle_in_memory(self):
         rec = FlightRecorder(FakeEnv())
@@ -69,23 +89,6 @@ class TestRecorderUnit:
         assert rec.last_bundle is not None
         assert rec.last_bundle["reason"] == "alert:hot"
         assert validate_postmortem_bundle(rec.last_bundle) == []
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(FakeEnv(), span_capacity=0)
-        with pytest.raises(ValueError):
-            FlightRecorder(FakeEnv(), max_bundles=0)
-
-    def test_attached_explanation_rides_bundles(self):
-        from repro.obs.explain import explain_summaries
-        rec = FlightRecorder(FakeEnv())
-        s = {"makespan_s": 5.0, "critical_path": {"segments": []},
-             "operators": {}, "devices": {}}
-        rec.attach_explanation(explain_summaries(s, s))
-        rec.dump("fault:gpu-ecc")
-        assert rec.last_bundle["explain"] is not None
-        assert validate_postmortem_bundle(rec.last_bundle) == []
-        assert "explain" in render_bundle(rec.last_bundle)
 
     def test_validator_rejects_broken_documents(self):
         assert validate_postmortem_bundle([]) != []
@@ -170,7 +173,6 @@ class TestEndToEnd:
         doc = json.loads((pm_dir / unhealthy[0]).read_text())
         assert doc["health"].get("workers")
         assert doc["alerts"]
-        assert doc["trends"]
         assert doc["metric_windows"]
 
     def test_postmortem_cli_renders_directory(self, run):
@@ -198,3 +200,91 @@ class TestEndToEnd:
         loaded = load_bundles(str(first))
         assert len(loaded) == 1
         assert loaded[0][0] == first.name
+
+
+#: A valid bundle; each row of the table below breaks one field of it.
+GOOD_BUNDLE = {
+    "schema": POSTMORTEM_SCHEMA, "reason": "fault:worker-kill",
+    "triggered_at_s": 1.0, "detail": {}, "trace_slice": [], "slos": [],
+    "metric_windows": [{"idx": 0, "series": "x", "value": 1.0}],
+    "alerts": [], "health": {"cluster": 100.0, "workers": {"w": 100.0}},
+}
+
+
+class TestPostmortemRefusals:
+    @pytest.mark.parametrize("field, value, error", [
+        ("schema", "nope", "schema must be"),
+        ("alerts", [1], "alerts[0] must be an object"),
+        ("alerts", [{"rule": "r", "series": "s", "fired_at_s": 1.0}],
+         "alerts[0].severity missing"),
+        ("alerts", [{"rule": "r", "series": "s", "fired_at_s": "soon",
+                     "severity": "warning"}],
+         "alerts[0].fired_at_s must be a number"),
+        ("alerts", [{"rule": "r", "series": "s", "fired_at_s": 1.0,
+                     "resolved_at_s": "later", "severity": "warning"}],
+         "alerts[0].resolved_at_s must be a number or null"),
+        ("health", {"cluster": "bad"}, "health score out of range: 'bad'"),
+        ("health", {"workers": {"w": "bad"}},
+         "health score out of range: 'bad'"),
+        ("health", {"workers": [["w", 50.0]]},
+         "health.workers must be an object"),
+        ("metric_windows", [{"idx": 0, "value": 1.0}],
+         "metric_windows[0].series missing"),
+        ("metric_windows", [{"idx": 0, "series": "x", "value": "big"}],
+         "metric_windows[0].value must be a number or an object"),
+    ])
+    def test_postmortem_cli_refuses_a_bundle_out_of_schema(
+            self, field, value, error, tmp_path):
+        """A bundle out of schema exits 2 with INVALID lines, never a
+        traceback: every field the renderer reads is in the schema."""
+        from repro.cli import main
+        assert validate_postmortem_bundle(GOOD_BUNDLE) == []
+        render_bundle(GOOD_BUNDLE)
+        bad = tmp_path / "postmortem-000-x.json"
+        bad.write_text(json.dumps(dict(GOOD_BUNDLE, **{field: value})))
+        out = io.StringIO()
+        assert main(["postmortem", str(bad)], out=out) == 2
+        assert f"INVALID: {error}" in out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def monitored_chaos(tmp_path_factory):
+    """scripts/ci.sh's monitored chaos smoke: (summary, bundles)."""
+    from repro.cli import main
+    out_dir = tmp_path_factory.mktemp("monitored_chaos")
+    summary_path = out_dir / "summary.json"
+    assert main(["monitor", "wordcount", "--mode", "gpu", "--workers", "4",
+                 "--real", "4000", "--kill", "worker1@150",
+                 "--gpu-fail", "worker0:0@10", "--backoff", "0.05",
+                 "--expect-alert", "worker_unhealthy",
+                 "--slo", "availability=0.5",
+                 "--postmortem-dir", str(out_dir / "pm"),
+                 "--summary-out", str(summary_path)],
+                out=io.StringIO()) == 0
+    return (json.loads(summary_path.read_text()),
+            [doc for _name, doc in load_bundles(str(out_dir / "pm"))])
+
+
+class TestBundleWindowsAreTheStore:
+    def test_every_window_is_the_summarys_point(self, monitored_chaos):
+        summary, bundles = monitored_chaos
+        points = {render_key(s["name"], label_items(s["labels"])):
+                  dict(map(tuple, s["points"])) for s in summary["series"]}
+        assert len(bundles) == 5
+        for doc in bundles:
+            windows = doc["metric_windows"]
+            assert 0 < len(windows) <= WINDOW_CAPACITY
+            assert [w["idx"] for w in windows] \
+                == sorted(w["idx"] for w in windows)
+            for w in windows:
+                assert not w["series"].startswith("health.")
+                assert w["value"] == points[w["series"]][w["idx"]]
+                assert w["t_end_s"] == (w["idx"] + 1) * summary["window_s"]
+
+    def test_postmortem_derives_trending_series(self, monitored_chaos):
+        _summary, bundles = monitored_chaos
+        text = "\n".join(render_bundle(doc) for doc in bundles)
+        assert "trending series:" in text
+        assert ("    pipeline.backpressure.stall_s{op=hdfs-source("
+                "/wordcount/input-4000000000)} slope +0.9049/win (up)"
+                in text)

@@ -15,6 +15,7 @@ from repro.obs.profile import (
     CATEGORIES,
     ProfileTrace,
     SUMMARY_SCHEMA,
+    TICK_S,
     _intersect,
     _subtract,
     _union,
@@ -87,9 +88,18 @@ class TestIntervalMath:
     def test_union_drops_empty(self):
         assert _union([(1.0, 1.0), (2.0, 1.5)]) == []
 
+    def test_union_merges_within_one_tick_only(self):
+        # Spans abutting within a clock tick are one run; more is a gap.
+        assert _union([(0.0, 1.0), (1.0 + TICK_S, 2.0)]) == [(0.0, 2.0)]
+        late = 1.0 + 1.5 * TICK_S
+        assert _union([(0.0, 1.0), (late, 2.0)]) == [(0.0, 1.0), (late, 2.0)]
+
     def test_subtract(self):
         assert _subtract([(0.0, 10.0)], [(2.0, 3.0), (5.0, 12.0)]) == \
             [(0.0, 2.0), (3.0, 5.0)]
+        # One interval of ``minus`` reaching into the next one of ``base``.
+        assert _subtract([(0.0, 1.0), (2.0, 3.0)], [(0.5, 2.5)]) == \
+            [(0.0, 0.5), (2.5, 3.0)]
 
     def test_intersect(self):
         assert _intersect([(0.0, 5.0), (7.0, 9.0)], [(4.0, 8.0)]) == \
@@ -233,6 +243,17 @@ class TestUtilization:
         assert dev["copy_busy_s"] == 5.0
         assert dev["copy_compute_overlap_s"] == 2.0   # kernel ∩ h2d
         assert dev["copy_compute_overlap_pct"] == pytest.approx(0.4)
+        assert dev["pcie_bytes_per_s"] == pytest.approx(1e9)
+
+    def test_overlapping_copies_count_once(self):
+        # A full-duplex device copies both ways at once: busy is the union.
+        t = tracer()
+        add_job(t, 0.0, 10.0)
+        add_device(t, "h2d", "copy:h2d", 0.0, 4.0, nbytes=3_000_000_000)
+        add_device(t, "d2h", "copy:d2h", 2.0, 6.0, nbytes=3_000_000_000)
+        dev = summarize(pt(t))["devices"]["worker0-gpu0"]
+        assert dev["copy_busy_s"] == 6.0
+        assert dev["copy_busy_pct"] == pytest.approx(0.6)
         assert dev["pcie_bytes_per_s"] == pytest.approx(1e9)
 
     def test_worker_slot_occupancy(self):

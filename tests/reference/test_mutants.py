@@ -6,8 +6,8 @@ into every module that imported it by name).  **Value mutants** change an
 answer; the tier-1 sweep of ``test_plans.py`` (the very settings tier-1
 runs, derandomized, so what it reaches is fixed) must fail under each.
 **Clock mutants** leave every answer alone and move the simulated clock
-(one, the profiler's, moves what a trace is said to show); each must trip
-the check named beside it, which is what decides whether a frozen copy of
+(the profiler's move what a trace is said to show); each must trip the
+check named beside it, which is what decides whether a frozen copy of
 retired code is still needed to pin it.
 """
 
@@ -123,14 +123,20 @@ def paper_table_fig5a():
         claim)
 
 
-def scanning_profiler():
-    """An interval of ``minus`` reaching into the next one of ``base``,
-    against the scanning profiler's subtraction."""
+def profile_subtraction():
+    """An interval of ``minus`` reaching into the next one of ``base``."""
     from repro.obs import profile
-    from tests.obs import reference_profile
     base, minus = [(0.0, 1.0), (2.0, 3.0)], [(0.5, 2.5)]
-    assert profile._subtract(base, minus) \
-        == reference_profile._subtract(base, minus)
+    assert profile._subtract(base, minus) == [(0.0, 0.5), (2.5, 3.0)]
+
+
+def profile_check(qualname):
+    """The ``Class.method`` check of tests/obs/test_profile.py."""
+    def check():
+        from tests.obs import test_profile
+        cls, method = qualname.split(".")
+        getattr(getattr(test_profile, cls)(), method)()
+    return check
 
 
 #: name -> (the mutant, the check that catches it).
@@ -182,7 +188,45 @@ CLOCK_MUTANTS = {
             ("            if cursor >= hi:\n                break\n",
              "            if cursor >= hi:\n                j += 1\n"
              "                break\n")),
-        scanning_profiler),
+        profile_subtraction),
+    "the profiler's union merges across a gap wider than one tick": (
+        lambda: patched(
+            "repro.obs.profile:_union",
+            ("out[-1][1] + TICK_S", "out[-1][1] + 2 * TICK_S"),
+            also=["tests.obs.test_profile"]),
+        profile_check(
+            "TestIntervalMath.test_union_merges_within_one_tick_only")),
+    "the profiler's intersection drops a pair starting at one instant": (
+        lambda: patched(
+            "repro.obs.profile:_intersect",
+            ("        if hi > lo:",
+             "        if hi > lo and a[i][0] != b[j][0]:")),
+        profile_check("TestCriticalPath.test_kernel_wins_overlap_priority")),
+    "the critical path claims sched before kernel": (
+        lambda: patched(
+            "repro.obs.profile:_attribute_window",
+            ("        t0, t1, ((cat, trace.worker_cover(worker, cat, t0, "
+             "t1))\n"
+             "                 for cat in _ENGINES + (\"hdfs\",)))",
+             "        t0, t1, [(\"sched\", [(t0, t1)])] + [\n"
+             "            (cat, trace.worker_cover(worker, cat, t0, t1))\n"
+             "            for cat in _ENGINES + (\"hdfs\",)])")),
+        profile_check(
+            "TestCriticalPath.test_fine_spans_refine_task_segments")),
+    "device_utilization counts H2D / D2H overlap twice": (
+        lambda: patched(
+            "repro.obs.profile:device_utilization",
+            ("        copy_busy = _length(copies)",
+             "        copy_busy = (_length(_union(device[\"h2d\"]))\n"
+             "                     + _length(_union(device[\"d2h\"])))")),
+        profile_check("TestUtilization.test_overlapping_copies_count_once")),
+    "operator shares are divided by the makespan, not the operator's wall": (
+        lambda: patched(
+            "repro.obs.profile:classify_operators",
+            ("{k: v / wall for k, v in sorted(shares.items())}",
+             "{k: v / (trace.window()[1] - trace.window()[0])\n"
+             "                       for k, v in sorted(shares.items())}")),
+        profile_check("TestOperatorClassification.test_cpu_bound")),
 }
 
 
