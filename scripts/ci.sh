@@ -131,10 +131,19 @@ if [[ "${1:-}" != "--fast" ]]; then
     python -m repro.obs.validate traces/ci_pagerank_profile_summary.json
     python - <<'PY'
 import json
-entry = json.load(open("traces/ci_pagerank_profile_summary.json"))[
-    "operators"]["pagerank-sum"]
+summary = json.load(open("traces/ci_pagerank_profile_summary.json"))
+entry = summary["operators"]["pagerank-sum"]
 assert entry["occurrences"] == 3, entry
 assert entry["task_latency_s"]["count"] == 3 * entry["parallelism"], entry
+# Every task-latency percentile is the duration of one of the operator's
+# task spans: nearest rank reports what was observed.
+durations = {}
+for ev in json.load(open("traces/ci_pagerank.json"))["traceEvents"]:
+    if ev.get("ph") == "X" and ev.get("cat") == "task":
+        durations.setdefault(ev["args"]["op"], set()).add(ev["dur"] / 1e6)
+for op, entry in summary["operators"].items():
+    for p in ("p50", "p95", "p99") if entry["task_latency_s"] else ():
+        assert entry["task_latency_s"][p] in durations[op], (op, p)
 PY
 
     echo "== chaos smoke: wordcount survives worker kill + GPU fault =="

@@ -354,6 +354,31 @@ LINTS = (
          ("src/repro/flink/autoscaler.py",
           "from repro.obs.anomaly import SlidingTrend"),
          allowed=(r"^scripts/lint\.py:",), include=("*.py", "*.sh")),
+    Lint("one percentile rule — nearest rank, in repro/common/stats.py",
+         # Every percentile is a value that was observed:
+         # common/stats.nearest_rank over the sorted observations.  A
+         # histogram keeps its observations and counts its buckets at
+         # export; an estimate interpolated inside a bucket, or a second
+         # spelling of the rank, is the retired path.
+         r"bucket_counts|histogram_quantile|-\(-pct\b", ("src/repro",),
+         "a second percentile rule under src/repro (call "
+         "repro.common.stats.nearest_rank on the sorted observations)",
+         "bucket interpolation",
+         ("src/repro/obs/metrics.py",
+          "        self.bucket_counts = [0] * (len(self.bounds) + 1)")),
+    Lint("the trace is drawn from facts",
+         # Every trace event is drawn from a row of the fact log, the
+         # monitor's alert instants too (alert.fired / alert.resolved are
+         # FACTS rows, stated through Observability.emit).  A tracer call
+         # that records a ready-made instant or interval is a second way
+         # onto the trace.
+         r"\.(instant|complete)\(", ("src/repro",),
+         "a direct tracer instant / complete under src/repro (state a fact "
+         "through Observability.emit; FACTS decides what is drawn)",
+         "tracer instants and completes",
+         ("src/repro/obs/monitor.py",
+          '        self._tracer.instant(f"{what}:{alert.rule}", "monitor", '
+          'track, at,')),
 )
 
 

@@ -53,16 +53,28 @@ WORKLOADS: Dict[str, tuple] = {
 }
 
 
-def _positive(cast):
-    """An option's ``type=``: ``cast`` the text and refuse anything but a
-    positive, finite number (argparse prints the flag, exits 2)."""
+def _checked(cast, what: str, test):
+    """An option's ``type=``: ``cast`` the text and refuse a value ``test``
+    rejects (argparse prints the flag, exits 2)."""
     def parse(text: str):
         value = cast(text)
-        if not 0 < value < float("inf"):
+        if not test(value):
             raise ValueError(text)
         return value
-    parse.__name__ = f"positive {cast.__name__}"   # argparse's message
+    parse.__name__ = f"{what} {cast.__name__}"   # argparse's message
     return parse
+
+
+def _positive(cast):
+    """A positive, finite number."""
+    return _checked(cast, "positive", lambda v: 0 < v < float("inf"))
+
+
+#: A finite number >= 0 (rates, back-off); a probability; a count.
+_non_negative = _checked(float, "non-negative",
+                         lambda v: 0 <= v < float("inf"))
+_fraction = _checked(float, "[0, 1]", lambda v: 0 <= v <= 1)
+_count = _checked(int, "non-negative", lambda v: v >= 0)
 
 
 def _add_run_options(p: argparse.ArgumentParser, single_mode: bool) -> None:
@@ -106,25 +118,25 @@ def _add_fault_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chaos-seed", type=int, default=None,
                    help="seed for the random fault schedule "
                         "(default: the run seed)")
-    p.add_argument("--duration", type=float, default=120.0,
+    p.add_argument("--duration", type=_positive(float), default=120.0,
                    help="random-fault window in simulated seconds")
-    p.add_argument("--worker-kill-rate", type=float, default=0.0,
+    p.add_argument("--worker-kill-rate", type=_non_negative, default=0.0,
                    help="random worker kills per simulated second")
-    p.add_argument("--gpu-fault-rate", type=float, default=0.0,
+    p.add_argument("--gpu-fault-rate", type=_non_negative, default=0.0,
                    help="random GPU faults per simulated second")
-    p.add_argument("--pcie-fault-rate", type=float, default=0.0,
+    p.add_argument("--pcie-fault-rate", type=_non_negative, default=0.0,
                    help="random PCIe faults per simulated second")
-    p.add_argument("--backoff", type=float, default=0.05,
+    p.add_argument("--backoff", type=_non_negative, default=0.05,
                    help="retry back-off base seconds (0 disables)")
     p.add_argument("--churn", action="append", default=[],
                    type=_parse_churn, metavar="EVENT",
                    help="membership event: join@T (auto-named), "
                         "join:NAME@T, drain:WORKER@T or leave:WORKER@T")
-    p.add_argument("--join-rate", type=float, default=0.0,
+    p.add_argument("--join-rate", type=_non_negative, default=0.0,
                    help="random worker joins per simulated second")
-    p.add_argument("--leave-rate", type=float, default=0.0,
+    p.add_argument("--leave-rate", type=_non_negative, default=0.0,
                    help="random worker departures per simulated second")
-    p.add_argument("--drain-fraction", type=float, default=0.5,
+    p.add_argument("--drain-fraction", type=_fraction, default=0.5,
                    help="probability a random departure is a graceful "
                         "drain rather than an abrupt leave")
     p.add_argument("--min-workers", type=int, default=1,
@@ -191,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
              "a fault schedule): SLOs, alerts, health, HTML dashboard")
     _add_run_options(monitor, single_mode=True)
     _add_fault_options(monitor)
-    monitor.add_argument("--window", type=float, default=1.0,
+    monitor.add_argument("--window", type=_positive(float), default=1.0,
                          help="monitor window width in simulated seconds")
     monitor.add_argument("--slo", action="append", default=[],
                          type=_parse_slo, metavar="KIND=TARGET",
@@ -241,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     postmortem.add_argument("path",
                             help="a postmortem-*.json file or a directory "
                                  "containing them")
-    postmortem.add_argument("--spans", type=int, default=12,
+    postmortem.add_argument("--spans", type=_count, default=12,
                             help="trace-slice tail length to show per "
-                                 "bundle")
+                                 "bundle (0 shows none)")
 
     sub.add_parser("list", help="list available workloads")
     sub.add_parser("specs", help="show the GPU spec catalog")
@@ -721,14 +733,15 @@ def _cmd_monitor(args, out) -> int:
 
 
 def _parse_threshold(spec: str):
-    """``METRIC=REL`` → (metric, relative threshold)."""
+    """``METRIC=REL`` → (metric, relative threshold, finite and >= 0)."""
     metric, sep, value = spec.partition("=")
     if not sep or not metric:
         raise _bad_spec(spec, "expected METRIC=REL")
     try:
-        return metric, float(value)
+        return metric, _non_negative(value)
     except ValueError:
-        raise _bad_spec(spec, f"{value!r} is not a number") from None
+        raise _bad_spec(spec, f"{value!r} is not a finite number >= 0") \
+            from None
 
 
 def _cmd_profile(args, out) -> int:

@@ -3,8 +3,9 @@
 This package provides the discrete-event simulation kernel
 (:mod:`repro.common.simclock`), resource primitives
 (:mod:`repro.common.resources`), unit helpers (:mod:`repro.common.units`),
-deterministic RNG utilities (:mod:`repro.common.rng`), and the exception
-hierarchy (:mod:`repro.common.errors`) used by every other subsystem.
+the one percentile rule (:mod:`repro.common.stats`), deterministic RNG
+utilities (:mod:`repro.common.rng`), and the exception hierarchy
+(:mod:`repro.common.errors`) used by every other subsystem.
 
 The simulation kernel follows the classic process-interaction style: model
 components are Python generators that ``yield`` events (timeouts, resource

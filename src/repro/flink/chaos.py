@@ -33,6 +33,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.common.rng import generator
 from repro.common.simclock import Event
+from repro.common.stats import nearest_rank
 from repro.flink.config import FlinkConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -490,11 +491,9 @@ class ChaosEngine:
         latencies = sorted(e["recovery_latency_s"] for e in per_event)
         recovery: Dict[str, Any] = {}
         if latencies:
-            # Nearest rank: every percentile is a latency that occurred.
-            n = len(latencies)
-            recovery = {"count": float(n), "max": latencies[-1]}
+            recovery = {"count": float(len(latencies)), "max": latencies[-1]}
             for pct in (50, 95, 99):
-                recovery[f"p{pct}"] = latencies[-(-pct * n // 100) - 1]
+                recovery[f"p{pct}"] = nearest_rank(latencies, pct / 100)
         return {
             "events_applied": len(self.applied),
             "events_skipped": len(self.skipped),

@@ -161,13 +161,13 @@ class Observability:
             env, tracer=self.tracer, dirpath=flight_recorder_dir)
             if flight_recorder else None)
         self.monitor: Optional[GMonitor] = (GMonitor(
-            env, tracer=self.tracer, registry=self.registry,
-            window_s=monitor_window_s, recorder=self.recorder)
+            env, window_s=monitor_window_s, recorder=self.recorder)
             if monitoring else None)
         self._steps, self._span_steps = _STEPS[self.monitor is not None]
         self.registry._fold = self._fold
         if self.monitor is not None:
             self.monitor._fold = self._fold
+            self.monitor.alerts.emit = self.emit
         #: True when any sink records anything; the one disabled-path test.
         self.active = bool(tracing or monitoring)
 

@@ -245,6 +245,12 @@ FACTS: Dict[str, Fact] = {
     "autoscale": Fact("alert", name="autoscale.{action}", hidden=("action",),
                       derive=(
         reg("counter", "autoscale.decisions", action="action"),)),
+
+    # -- the monitor's alert lifecycle (obs/monitor.py) ---------------------------
+    "alert.fired": Fact("monitor", name="alert.fired:{rule}",
+                        hidden=("rule",)),
+    "alert.resolved": Fact("monitor", name="alert.resolved:{rule}",
+                           hidden=("rule",)),
 }
 
 # A drawn fact with no name template of its own is displayed under its key.

@@ -4,8 +4,8 @@ Black-box style: the recorder keeps nothing while the run goes on.  When
 an alert fires or the chaos engine injects a fault, it slices what the
 sinks already hold — the tail of the tracer's spans and of the monitor's
 closed metric windows — and writes a **post-mortem bundle** (one JSON
-document with the trace slice, metric windows, health scores, alert
-timeline and SLOs) to a directory, rendered later by ``repro
+document with the trace slice, metric windows, health scores and alert
+timeline) to a directory, rendered later by ``repro
 postmortem``, which derives the trending series from the bundle's own
 windows.
 
@@ -58,7 +58,6 @@ class FlightRecorder:
         self.skipped = 0
         #: The most recent bundle document (for tests / in-memory use).
         self.last_bundle: Optional[Dict[str, Any]] = None
-        self._seq = 0
 
     # -- dump triggers -----------------------------------------------------------
 
@@ -108,16 +107,14 @@ class FlightRecorder:
             "reason": reason,
             "detail": detail or {},
             "triggered_at_s": at,
-            "seq": self._seq,
             "trace_slice": self._trace_slice(at),
             "metric_windows": [],
-            "health": {}, "alerts": [], "slos": [],
+            "health": {}, "alerts": [],
         }
         if monitor is not None:
             doc["metric_windows"] = _metric_windows(monitor)
             doc["health"] = monitor.health.summary()
             doc["alerts"] = monitor.alerts.summary()
-            doc["slos"] = monitor.slo.summary()
         return doc
 
     def dump(self, reason: str, detail: Optional[Dict[str, Any]] = None,
@@ -132,8 +129,7 @@ class FlightRecorder:
             self.skipped += 1
             return None
         doc = self._bundle(reason, detail, monitor, at)
-        filename = f"postmortem-{self._seq:03d}-{_slug(reason)}.json"
-        self._seq += 1
+        filename = f"postmortem-{len(self.bundles):03d}-{_slug(reason)}.json"
         if self.dirpath is not None:
             self.dirpath.mkdir(parents=True, exist_ok=True)
             (self.dirpath / filename).write_text(
@@ -211,7 +207,7 @@ def render_bundle(doc: Dict[str, Any], spans: int = 12) -> str:
     if slice_:
         lines.append(f"  trace slice: {len(slice_)} recent events, "
                      f"tail:")
-        for e in slice_[-spans:]:
+        for e in slice_[len(slice_) - spans:]:
             lines.append(f"    {e.get('ts', 0.0):9.3f}s "
                          f"{e.get('dur', 0.0):8.3f}s  "
                          f"{e.get('process', '?')}/{e.get('thread', '?')}  "

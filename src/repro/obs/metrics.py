@@ -14,14 +14,19 @@ Metric identity is ``(name, sorted labels)``; the flat rendering is
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
+from repro.common.stats import nearest_rank
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "UPDATES",
            "label_items", "metric_key", "parse_prometheus", "prometheus_name"]
 
 LabelItems = Tuple[Tuple[str, str], ...]
+
+#: The quantiles a histogram reports, by key.
+QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
 
 
 def label_items(labels: Dict[str, Any]) -> LabelItems:
@@ -88,104 +93,71 @@ class Gauge(_Scalar):
 
 
 class Histogram:
-    """Summary statistics of observed values (count/sum/min/max/buckets).
+    """Observed values, kept as observed; every statistic is derived from
+    them when read.
 
-    Buckets are cumulative upper bounds, Prometheus-style; the defaults span
-    the microsecond-to-kilosecond range the simulation produces.
+    ``count`` / ``sum`` / ``min`` / ``max`` / ``mean`` / ``stddev`` are folds
+    in observation order; percentiles are nearest rank
+    (:func:`repro.common.stats.nearest_rank`), values that occurred.
+    Buckets are cumulative upper bounds, Prometheus-style, counted at
+    export; :data:`BOUNDS` span the microsecond-to-kilosecond range the
+    simulation produces.
     """
 
-    __slots__ = ("name", "labels", "count", "total", "sumsq", "vmin",
-                 "vmax", "bounds", "bucket_counts")
+    __slots__ = ("name", "labels", "values")
 
     kind = "histogram"
 
-    DEFAULT_BOUNDS = (1e-6, 1e-4, 1e-2, 1.0, 10.0, 100.0, 1000.0)
+    BOUNDS = (1e-6, 1e-4, 1e-2, 1.0, 10.0, 100.0, 1000.0)
 
-    def __init__(self, name: str, labels: LabelItems,
-                 bounds: Optional[Tuple[float, ...]] = None):
+    def __init__(self, name: str, labels: LabelItems):
         self.name = name
         self.labels = labels
-        self.count = 0
-        self.total = 0.0
-        self.sumsq = 0.0
-        self.vmin = float("inf")
-        self.vmax = float("-inf")
-        self.bounds = tuple(bounds) if bounds else self.DEFAULT_BOUNDS
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
+        self.values: List[float] = []
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.sumsq += value * value
-        if value < self.vmin:
-            self.vmin = value
-        if value > self.vmax:
-            self.vmax = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation of the observed values."""
-        if not self.count:
-            return 0.0
-        var = self.sumsq / self.count - self.mean ** 2
-        return var ** 0.5 if var > 0 else 0.0
+        self.values.append(value)
 
     def percentile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (``0 <= q <= 1``) from the buckets.
+        """The nearest-rank ``q``-quantile (``0 <= q <= 1``); 0.0 when
+        empty."""
+        return nearest_rank(sorted(self.values), q)
 
-        Linear interpolation inside the bucket that holds the target rank
-        (the ``histogram_quantile`` estimator), clamped to the observed
-        ``[min, max]`` so one-bucket histograms don't report bucket edges
-        the data never reached.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"percentile q must be in [0, 1], got {q}")
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        lower = self.vmin
-        for bound, in_bucket in zip(self.bounds, self.bucket_counts):
-            upper = bound
-            if in_bucket and cumulative + in_bucket >= rank:
-                frac = (rank - cumulative) / in_bucket
-                value = lower + (upper - lower) * max(frac, 0.0)
-                return min(max(value, self.vmin), self.vmax)
-            cumulative += in_bucket
-            lower = bound
-        # Target rank lives in the overflow bucket: its only known upper
-        # edge is the observed maximum.
-        return self.vmax
+    def stats(self) -> Dict[str, Any]:
+        """Count, sum, min, max, mean, population stddev and the
+        :data:`QUANTILES` of the observations."""
+        values = self.values
+        if not values:
+            return {"count": 0, "sum": 0.0}
+        total = sumsq = 0.0
+        for value in values:
+            total += value
+            sumsq += value * value
+        n = len(values)
+        mean = total / n
+        var = sumsq / n - mean ** 2
+        ordered = sorted(values)
+        return {"count": n, "sum": total, "min": min(values),
+                "max": max(values), "mean": mean,
+                "stddev": var ** 0.5 if var > 0 else 0.0,
+                **{key: nearest_rank(ordered, q) for key, q in QUANTILES}}
+
+    def at_or_below(self) -> List[int]:
+        """How many observations are at or below each of :data:`BOUNDS`."""
+        ordered = sorted(self.values)
+        return [bisect_right(ordered, bound) for bound in self.BOUNDS]
 
     def snapshot_value(self) -> Dict[str, Any]:
-        if not self.count:
-            return {"count": 0, "sum": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.vmin,
-            "max": self.vmax,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "p99": self.percentile(0.99),
-            "p999": self.percentile(0.999),
-            "buckets": {
-                **{f"le_{b:g}": c
-                   for b, c in zip(self.bounds, self.bucket_counts)},
-                "le_inf": self.bucket_counts[-1],
-            },
+        stats = self.stats()
+        if not self.values:
+            return stats
+        below = self.at_or_below()
+        stats["buckets"] = {
+            **{f"le_{b:g}": hi - lo for b, lo, hi
+               in zip(self.BOUNDS, [0] + below, below)},
+            "le_inf": len(self.values) - below[-1],
         }
+        return stats
 
 
 class _NullMetric:
@@ -240,7 +212,7 @@ class MetricsRegistry:
         if self._fold is not None:
             self._fold()
 
-    def _get_or_create(self, cls, name: str, labels, **kwargs: Any):
+    def _get_or_create(self, cls, name: str, labels):
         """``labels`` is a keyword dict, or already-canonical label items."""
         if not self.enabled:
             return _NULL_METRIC
@@ -251,7 +223,7 @@ class MetricsRegistry:
         key = (name, labels)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(name, labels, **kwargs)
+            metric = cls(name, labels)
             self._metrics[key] = metric
         elif not isinstance(metric, cls):
             raise ConfigError(
@@ -265,11 +237,7 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._get_or_create(Gauge, name, labels)
 
-    def histogram(self, name: str,
-                  bounds: Optional[Tuple[float, ...]] = None,
-                  **labels: Any) -> Histogram:
-        if bounds is not None:
-            return self._get_or_create(Histogram, name, labels, bounds=bounds)
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get_or_create(Histogram, name, labels)
 
     # -- introspection -----------------------------------------------------------
@@ -322,19 +290,18 @@ class MetricsRegistry:
             lines.append(f"# TYPE {pname} {kind}")
             for m in family:
                 if isinstance(m, Histogram):
-                    cumulative = 0
-                    for bound, in_bucket in zip(m.bounds, m.bucket_counts):
-                        cumulative += in_bucket
+                    stats = m.stats()
+                    for bound, below in zip(m.BOUNDS, m.at_or_below()):
                         lines.append(_prom_sample(
-                            f"{pname}_bucket", m.labels, cumulative,
+                            f"{pname}_bucket", m.labels, below,
                             extra=("le", f"{bound:g}")))
                     lines.append(_prom_sample(
-                        f"{pname}_bucket", m.labels, m.count,
+                        f"{pname}_bucket", m.labels, stats["count"],
                         extra=("le", "+Inf")))
                     lines.append(_prom_sample(f"{pname}_sum", m.labels,
-                                              m.total))
+                                              stats["sum"]))
                     lines.append(_prom_sample(f"{pname}_count", m.labels,
-                                              m.count))
+                                              stats["count"]))
                 else:
                     lines.append(_prom_sample(pname, m.labels, m.value))
         return "\n".join(lines) + ("\n" if lines else "")

@@ -27,13 +27,13 @@ Window semantics:
   window (missing window = 0).
 * **gauge** series: last value set in the window (carried forward for
   alert evaluation).
-* **histogram** series: per-window count/sum/min/max/p50/p95/p99
-  estimated from the same bucket interpolation the registry histograms
-  use.
+* **histogram** series: per-window count/sum/min/max/p50/p95/p99, the
+  percentiles nearest rank over the window's observations (as in the
+  registry).
 
 An alert fires or resolves at the end of the window that decides it: its
-instant on the trace and its post-mortem bundle are stamped there, not at
-whichever later fact happened to close the window.
+``alert.fired`` / ``alert.resolved`` fact and its post-mortem bundle are
+stamped there, not at whichever later fact happened to close the window.
 
 The machine-readable summary (``repro.monitor.summary/v1``) feeds the
 dependency-free HTML dashboard (:mod:`repro.obs.dashboard`) and is
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.obs.metrics import Histogram, LabelItems, label_items, render_key
@@ -79,11 +79,9 @@ _SEVERITY_PENALTY = {"critical": 40.0, "warning": 15.0}
 # Time-series store
 # ---------------------------------------------------------------------------
 
-def _window_stats(h: Histogram) -> Dict[str, Any]:
-    """One window's point of a histogram series."""
-    return {"count": h.count, "sum": h.total, "min": h.vmin, "max": h.vmax,
-            "p50": h.percentile(0.50), "p95": h.percentile(0.95),
-            "p99": h.percentile(0.99)}
+def _pick(h: Histogram, *keys: str) -> Dict[str, Any]:
+    stats = h.stats()
+    return {key: stats[key] for key in keys}
 
 
 class Series:
@@ -130,7 +128,8 @@ class Series:
             return None
         self._open_idx = None
         if self.kind == "histogram":
-            value = _window_stats(self._open_hist)
+            value = _pick(self._open_hist, "count", "sum", "min", "max",
+                          "p50", "p95", "p99")
             self._open_hist = None
         else:
             value = self._open_val
@@ -324,12 +323,9 @@ class SLOTracker:
             }
             if slo.kind == "latency":
                 row["percentile"] = slo.percentile
-                row["observed"] = {
-                    "count": state.hist.count,
-                    "p50": state.hist.percentile(0.50),
-                    "p95": state.hist.percentile(0.95),
-                    "p99": state.hist.percentile(0.99),
-                } if state.hist.count else {"count": 0}
+                row["observed"] = _pick(
+                    state.hist, "count", "p50", "p95", "p99"
+                ) if state.hist.values else {"count": 0}
             rows.append(row)
         return rows
 
@@ -342,26 +338,22 @@ class SLOTracker:
 class AlertRule:
     """One alert rule over a series family.
 
-    ``predicate`` is ``above`` or ``below``: a threshold on the window
-    value.  The rule fires after ``sustained`` consecutive breaching
-    windows and resolves after ``resolve_after`` consecutive quiet ones.
-    ``labels`` restricts matching to series whose labels are a superset;
-    for histogram series ``window_field`` picks the per-window statistic.
+    A window breaches when its value is above ``threshold`` (a histogram
+    window's value is its count).  The rule fires after ``sustained``
+    consecutive breaching windows and resolves after ``resolve_after``
+    consecutive quiet ones.  ``labels`` restricts matching to series whose
+    labels are a superset.
     """
 
     name: str
     series: str
-    predicate: str = "above"
     threshold: float = 0.0
     sustained: int = 1
     resolve_after: int = 2
     severity: str = "warning"
     labels: Tuple[Tuple[str, str], ...] = ()
-    window_field: str = "count"
 
     def __post_init__(self) -> None:
-        if self.predicate not in ("above", "below"):
-            raise ConfigError(f"unknown predicate {self.predicate!r}")
         if self.severity not in ("warning", "critical"):
             raise ConfigError(f"unknown severity {self.severity!r}")
         if self.sustained < 1 or self.resolve_after < 1:
@@ -400,6 +392,11 @@ class Alert:
         }
 
 
+def _attrs(alert: Alert) -> Dict[str, Any]:
+    return {"rule": alert.rule, "series": alert.series,
+            "severity": alert.severity, "peak": alert.peak}
+
+
 class _RuleState:
     __slots__ = ("series", "breach_run", "ok_run", "last_value", "alert")
 
@@ -414,13 +411,14 @@ class _RuleState:
 class AlertEngine:
     """Evaluates alert rules once per closed window, in window order.
 
-    Firing/resolution are emitted as instants on a dedicated
-    ``monitor/alerts`` trace lane so alert history lines up with the spans
-    in the Chrome trace.
+    Each firing and resolution is stated through :attr:`emit`, a bus's
+    emit on a bus's monitor (a standalone engine states nothing), as an
+    ``alert.fired`` / ``alert.resolved`` fact on the ``monitor/alerts``
+    lane, so alert history lines up with the spans in the Chrome trace.
     """
 
-    def __init__(self, tracer=None):
-        self._tracer = tracer
+    def __init__(self):
+        self.emit: Callable[..., None] = lambda *args, **attrs: None
         self.rules: List[AlertRule] = []
         #: series name -> [(rule index, rule)]
         self._by_series: Dict[str, List[Tuple[int, AlertRule]]] = {}
@@ -444,7 +442,7 @@ class AlertEngine:
         """Evaluate every rule against window ``idx`` (ending at t_end).
 
         Returns the alerts that *fired* this window (for flight-recorder
-        dumps); lifecycle state lives in :attr:`history` as before.
+        dumps); lifecycle state lives in :attr:`history`.
         """
         fired: List[Alert] = []
         closed_by_series = {id(s): v for s, v in closed}
@@ -467,13 +465,10 @@ class AlertEngine:
                 value = (state.last_value
                          if state.series.kind == "gauge" else 0.0)
             elif isinstance(raw, dict):
-                value = float(raw.get(rule.window_field, 0.0))
+                value = float(raw.get("count", 0.0))
             else:
                 value = float(raw)
-            if rule.predicate == "above":
-                breach = value > rule.threshold
-            else:
-                breach = value < rule.threshold
+            breach = value > rule.threshold
             state.last_value = value
             if breach:
                 state.breach_run += 1
@@ -490,23 +485,17 @@ class AlertEngine:
                 state.alert = alert
                 self.history.append(alert)
                 fired.append(alert)
-                self._instant("alert.fired", alert, t_end)
+                self.emit("alert.fired", "monitor", "alerts", t_end,
+                          **_attrs(alert))
             elif alert is not None:
                 if breach:
                     alert.peak = max(alert.peak, value)
                 if state.ok_run >= rule.resolve_after:
                     alert.resolved_at_s = t_end
                     state.alert = None
-                    self._instant("alert.resolved", alert, t_end)
+                    self.emit("alert.resolved", "monitor", "alerts", t_end,
+                              **_attrs(alert))
         return fired
-
-    def _instant(self, what: str, alert: Alert, at: float) -> None:
-        if self._tracer is None:
-            return
-        track = self._tracer.track("monitor", "alerts")
-        self._tracer.instant(f"{what}:{alert.rule}", "monitor", track, at,
-                             series=alert.series, severity=alert.severity,
-                             peak=alert.peak)
 
     def summary(self) -> List[Dict[str, Any]]:
         return [a.to_dict() for a in self.history]
@@ -614,16 +603,16 @@ class GMonitor:
 
     DEFAULT_RULES = (
         AlertRule(name="worker_unhealthy", series="worker.heartbeat.missed",
-                  predicate="above", threshold=0.0, sustained=1,
-                  resolve_after=3, severity="critical"),
+                  threshold=0.0, sustained=1, resolve_after=3,
+                  severity="critical"),
         AlertRule(name="backpressure_stall",
                   series="pipeline.backpressure.stall_s",
-                  predicate="above", threshold=0.0, sustained=3,
-                  resolve_after=3, severity="warning"),
+                  threshold=0.0, sustained=3, resolve_after=3,
+                  severity="warning"),
     )
 
-    def __init__(self, env: Any, tracer=None, registry=None,
-                 window_s: float = 1.0, recorder=None):
+    def __init__(self, env: Any, registry=None, window_s: float = 1.0,
+                 recorder=None):
         if window_s <= 0:
             raise ConfigError(f"window_s must be positive, got {window_s}")
         self._env = env
@@ -633,7 +622,7 @@ class GMonitor:
         self.window_s = window_s
         self.store = TimeSeriesStore()
         self.slo = SLOTracker(self.store)
-        self.alerts = AlertEngine(tracer=tracer)
+        self.alerts = AlertEngine()
         self.health = HealthScorer(self.store)
         self._cur = int(env.now / window_s) if env is not None else 0
         self._set_boundary()
@@ -742,7 +731,7 @@ class GMonitor:
             # an online signal.
             self.alerts.add_rule(AlertRule(
                 name="pcie_saturated", series="gpu.pcie.bytes",
-                labels=(("device", name),), predicate="above",
+                labels=(("device", name),),
                 threshold=0.9 * pcie_bps * self.window_s,
                 sustained=2, resolve_after=2, severity="warning"))
 
@@ -785,13 +774,6 @@ class GMonitor:
                 {"name": s.name, "labels": dict(s.labels), "kind": s.kind,
                  "points": [[i, v] for i, v in s.points]}
                 for s in self.store.all_series()
-            ],
-            "rules": [
-                {"name": r.name, "series": r.series,
-                 "predicate": r.predicate, "threshold": r.threshold,
-                 "sustained": r.sustained, "resolve_after": r.resolve_after,
-                 "severity": r.severity, "labels": dict(r.labels)}
-                for r in self.alerts.rules
             ],
             "alerts": self.alerts.summary(),
             "slos": self.slo.summary(),

@@ -534,22 +534,17 @@ def classify_operators(trace: ProfileTrace) -> Dict[str, Dict[str, Any]]:
             "hdfs": shares.get("hdfs", 0.0),
         }
         dominant = max(sorted(grouped), key=lambda k: grouped[k])
-        # Per-subtask latency distribution: the task spans of this operator
-        # fed through a Histogram so the text report can print percentiles.
+        # Per-subtask latency distribution: this operator's task spans,
+        # summarised like any histogram so the text report can print
+        # percentiles.
         hist = Histogram("op.task_s", ())
-        for seconds in trace.op_task_durations.get(op, ()):
-            hist.observe(seconds)
+        hist.values.extend(trace.op_task_durations.get(op, ()))
+        stats = hist.stats()
         latency: Dict[str, float] = {}
-        if hist.count:
-            latency = {
-                "count": float(hist.count),
-                "min": hist.vmin,
-                "max": hist.vmax,
-                "stddev": hist.stddev,
-                "p50": hist.percentile(0.50),
-                "p95": hist.percentile(0.95),
-                "p99": hist.percentile(0.99),
-            }
+        if hist.values:
+            latency = {"count": float(stats["count"]), **{
+                key: stats[key] for key in
+                ("min", "max", "stddev", "p50", "p95", "p99")}}
         out[op] = {
             "wall_s": wall,
             "parallelism": parallelism,
@@ -654,7 +649,6 @@ def summarize(trace: ProfileTrace,
         "source": source,
         "jobs": list(trace.jobs),
         "makespan_s": makespan,
-        "clock_tick_s": TICK_S,
         "span_count": len(trace.spans),
         "critical_path": {
             "length_s": sum(seg.dur for seg in segments),

@@ -376,7 +376,7 @@ SCHEMAS: Dict[Optional[str], Schema] = {
         (_categories_sum_to_makespan, _operator_shares_sum_to_one)),
     MONITOR_SCHEMA: Schema(
         "monitor summary", "summary must be a JSON object",
-        _rows({"positive": "window_s", "list": "series rules alerts slos",
+        _rows({"positive": "window_s", "list": "series alerts slos",
          "object": "health", "object?": "health.workers health.devices",
          "series[]": {"text": "name", "list": "points",
                       ("counter", "gauge", "histogram"): "kind"},
@@ -396,7 +396,7 @@ SCHEMAS: Dict[Optional[str], Schema] = {
     POSTMORTEM_SCHEMA: Schema(
         "post-mortem bundle", "bundle must be a JSON object",
         _rows({"text": "reason", "number": "triggered_at_s",
-         "list": "trace_slice metric_windows alerts slos",
+         "list": "trace_slice metric_windows alerts",
          "object": "detail health",
          "object?": "health.workers health.devices",
          "trace_slice[]": {"number": "ts dur"},

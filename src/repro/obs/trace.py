@@ -1,6 +1,6 @@
 """GTrace: structured tracing on the simulation clock.
 
-A :class:`Tracer` records *spans* (an interval of simulated time on a named
+A :class:`Tracer` holds *spans* (an interval of simulated time on a named
 track) and *instants* (a point marker) with string categories and free-form
 ``args``.  Timestamps come straight off the simulation clock, so two runs of
 the same deterministic job produce byte-identical traces — traces are
@@ -15,19 +15,19 @@ and copy spans live on separate lanes of the same device process.
 Events are drawn when read.  The tracer keeps ``log``, the one fact log of
 the :class:`~repro.obs.bus.Observability` that owns it: a flat list of
 :data:`ROW`-field rows.  A bus fact is ``step, process, thread, t0, t1,
-attrs``, its step saying which lanes it opens and what it draws; the direct
-API (:meth:`Tracer.span`, :meth:`~Tracer.instant`, :meth:`~Tracer.complete`)
-draws the rows logged before its event first, so the event keeps its place
-among the facts.
+attrs``, its step saying which lanes it opens and what it draws.  Every
+event comes from a row, with one exception: :meth:`Tracer.span`, kept for
+the benchmark probes that time it, draws the rows logged before its span
+first, so the span keeps its place among the facts.
 Every read — ``events``, ``len``, :meth:`~Tracer.spans`, the Chrome export,
 :meth:`~Tracer.track` — first draws the rows logged since the last one, in
 log order: lanes are numbered in first-use order exactly as if each row had
 been drawn when it was logged.
 
 Disabled tracers are free: :meth:`Tracer.span` returns a shared no-op
-context manager and :meth:`Tracer.instant` returns immediately — no events,
-no allocations that grow with the run, and (because tracing never touches
-the event heap) zero simulated-clock divergence either way.
+context manager — no events, no allocations that grow with the run, and
+(because tracing never touches the event heap) zero simulated-clock
+divergence either way.
 """
 
 from __future__ import annotations
@@ -227,27 +227,8 @@ class Tracer:
             return NULL_SPAN
         return _Span(self, name, cat, track, args)
 
-    def complete(self, name: str, cat: str, track: Track, start: float,
-                 end: float, **args: Any) -> None:
-        """Record a span with explicit bounds (for intervals measured by the
-        model itself, e.g. a kernel's exclusive compute-engine occupancy)."""
-        if not self.enabled:
-            return
-        self._record(TraceEvent(name, cat, "X", start, max(end - start, 0.0),
-                                track.pid, track.tid, args or None))
-
-    def instant(self, name: str, cat: str, track: Track,
-                at: Optional[float] = None, **args: Any) -> None:
-        """Record a point marker at ``at`` (the current simulated time when
-        omitted)."""
-        if not self.enabled:
-            return
-        self._record(TraceEvent(name, cat, "i",
-                                self.env.now if at is None else at, 0.0,
-                                track.pid, track.tid, args or None))
-
     def _record(self, event: TraceEvent) -> None:
-        """Add an event of the direct API after the rows logged before it."""
+        """Add a span's event after the rows logged before it."""
         if self._drawn != len(self.log):
             self._draw()
         self._events.append(event)

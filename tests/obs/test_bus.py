@@ -135,11 +135,10 @@ class TestSinksDoNotDependOnTheTracer:
 
 
 def emitted_facts():
-    """{fact: [file:line, ...]} for every obs.emit / obs.span in src/."""
+    """{fact: [file:line, ...]} for every obs.emit / obs.span in src/ (the
+    alert facts are stated by obs/monitor.py)."""
     found = {}
     for path in SRC.rglob("*.py"):
-        if SRC / "obs" in path.parents:
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)

@@ -7,6 +7,7 @@ import numpy as np
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.gpu import KernelSpec
+from repro.obs import Observability
 from repro.obs.export import (
     collect_cluster,
     validate_chrome_trace,
@@ -24,11 +25,11 @@ class Clock:
 
 
 def small_trace() -> Tracer:
-    tracer = Tracer(Clock(), enabled=True)
-    with tracer.span("s", "task", tracer.track("worker0", "slot0")):
+    obs = Observability(Clock(), tracing=True)
+    with obs.span("job", "worker0", "slot0", job="j"):
         pass
-    tracer.instant("i", "fault", tracer.track("worker0", "slot0"))
-    return tracer
+    obs.emit("fault.injected", "worker0", "slot0", op="m")
+    return obs.tracer
 
 
 class TestSchemaValidation:
@@ -73,11 +74,11 @@ class TestSchemaValidation:
 
 def engine_trace(ts_pairs, lane="kernel") -> Tracer:
     """A one-device trace with explicit spans on one engine lane."""
-    tracer = Tracer(Clock(), enabled=True)
-    track = tracer.track("worker0-gpu0", lane)
+    obs = Observability(Clock(), tracing=True)
     for start, end in ts_pairs:
-        tracer.complete("k", "gpu.device", track, start=start, end=end)
-    return tracer
+        obs.emit("kernel", "worker0-gpu0", lane, start, end, kernel="k",
+                 seconds=end - start)
+    return obs.tracer
 
 
 class TestExclusiveLaneOverlap:

@@ -205,7 +205,7 @@ class TestEndToEnd:
 #: A valid bundle; each row of the table below breaks one field of it.
 GOOD_BUNDLE = {
     "schema": POSTMORTEM_SCHEMA, "reason": "fault:worker-kill",
-    "triggered_at_s": 1.0, "detail": {}, "trace_slice": [], "slos": [],
+    "triggered_at_s": 1.0, "detail": {}, "trace_slice": [],
     "metric_windows": [{"idx": 0, "series": "x", "value": 1.0}],
     "alerts": [], "health": {"cluster": 100.0, "workers": {"w": 100.0}},
 }
@@ -245,6 +245,22 @@ class TestPostmortemRefusals:
         out = io.StringIO()
         assert main(["postmortem", str(bad)], out=out) == 2
         assert f"INVALID: {error}" in out.getvalue()
+
+
+class TestRenderedTail:
+    @pytest.mark.parametrize("spans, shown", [
+        (0, []), (2, ["b", "c"]), (3, ["a", "b", "c"]),
+        (12, ["a", "b", "c"])])
+    def test_spans_is_the_tail_length(self, spans, shown):
+        """``repro postmortem --spans N`` prints the last N events of the
+        slice: 0 prints none."""
+        events = [{"ts": float(i), "dur": 0.0, "process": "p",
+                   "thread": "t", "name": name}
+                  for i, name in enumerate("abc")]
+        text = render_bundle(dict(GOOD_BUNDLE, trace_slice=events),
+                             spans=spans)
+        assert [line.split()[-1] for line in text.splitlines()
+                if " p/t " in line] == shown
 
 
 @pytest.fixture(scope="module")

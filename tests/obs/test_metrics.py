@@ -84,51 +84,133 @@ class TestHistogram:
 
     def test_cumulative_buckets(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", bounds=(1.0, 10.0))
-        for v in (0.5, 5.0, 100.0):
+        h = reg.histogram("lat")
+        for v in (0.5, 5.0, 100.0, 5000.0):
             h.observe(v)
         buckets = h.snapshot_value()["buckets"]
-        assert buckets == {"le_1": 1, "le_10": 1, "le_inf": 1}
+        assert buckets == {"le_1e-06": 0, "le_0.0001": 0, "le_0.01": 0,
+                           "le_1": 1, "le_10": 1, "le_100": 1,
+                           "le_1000": 0, "le_inf": 1}
 
     def test_empty_histogram_snapshot(self):
         assert Histogram("t", ()).snapshot_value() == {"count": 0,
                                                        "sum": 0.0}
 
     def test_percentiles_in_snapshot(self):
-        h = Histogram("t", (), bounds=(1.0, 2.0, 4.0, 8.0))
+        h = Histogram("t", ())
         for v in (0.5, 1.5, 2.0):
             h.observe(v)
         snap = h.snapshot_value()
-        for key in ("p50", "p95", "p99"):
-            assert key in snap
-            assert snap["min"] <= snap[key] <= snap["max"]
-        assert snap["p50"] <= snap["p95"] <= snap["p99"]
+        # Nearest rank: the ceil(q * 3)-th smallest observation.
+        assert (snap["p50"], snap["p95"], snap["p99"], snap["p999"]) \
+            == (1.5, 2.0, 2.0, 2.0)
 
     def test_percentile_interpolates_within_bucket(self):
-        h = Histogram("t", (), bounds=(0.0, 10.0))
-        for v in (1.0, 9.0):  # both land in the (0, 10] bucket
+        h = Histogram("t", ())
+        for v in (1.0, 9.0):  # one bucket holds both samples
             h.observe(v)
-        # rank 1.0 of 2 → halfway into the bucket holding both samples.
-        assert h.percentile(0.5) == pytest.approx(5.0)
+        # The median of two is the lower one, not a point between them.
+        assert h.percentile(0.5) == 1.0
+        assert h.percentile(0.51) == 9.0
 
     def test_percentile_clamped_to_observed_range(self):
-        h = Histogram("t", (), bounds=(100.0,))
+        h = Histogram("t", ())
         h.observe(3.0)
         h.observe(4.0)
-        assert h.percentile(0.99) <= 4.0
-        assert h.percentile(0.01) >= 3.0
+        assert h.percentile(0.99) == 4.0
+        assert h.percentile(0.01) == 3.0
+        assert h.percentile(0.0) == 3.0
 
     def test_percentile_overflow_bucket_uses_max(self):
-        h = Histogram("t", (), bounds=(1.0,))
-        for v in (5.0, 7.0, 9.0):
+        h = Histogram("t", ())
+        for v in (5000.0, 7000.0, 9000.0):  # all past the last bound
             h.observe(v)
-        assert h.percentile(0.99) == 9.0
+        assert h.percentile(0.5) == 7000.0
+        assert h.percentile(0.99) == 9000.0
 
     def test_percentile_empty_and_bad_q(self):
         h = Histogram("t", ())
         assert h.percentile(0.5) == 0.0
         with pytest.raises(ConfigError, match="must be in"):
             h.percentile(1.5)
+
+
+#: Recorded from the bucket-counting histogram this one replaced: the
+#: snapshot fields and the Prometheus text that do not depend on the
+#: percentile estimator stay what they were, bit for bit.
+RECORDED_OBSERVATIONS = {
+    "one": [0.5],
+    "spread": [3e-7, 0.004, 0.0042, 0.5, 2.0, 12.5, 12.5, 250.0, 4000.0],
+    "ties": [1.0, 1.0, 1.0, 10.0, 100.0, 1000.0, 1e-6, 1e-4, 1e-2],
+}
+RECORDED_SNAPSHOTS = {
+    "one": {"count": 1, "sum": 0.5, "min": 0.5, "max": 0.5, "mean": 0.5,
+            "stddev": 0.0, "buckets": {
+                "le_1e-06": 0, "le_0.0001": 0, "le_0.01": 0, "le_1": 1,
+                "le_10": 0, "le_100": 0, "le_1000": 0, "le_inf": 0}},
+    "spread": {"count": 9, "sum": 4277.5082003, "min": 3e-07,
+               "max": 4000.0, "mean": 475.2786889222222,
+               "stddev": 1248.5461883834246, "buckets": {
+                   "le_1e-06": 1, "le_0.0001": 0, "le_0.01": 2, "le_1": 1,
+                   "le_10": 1, "le_100": 2, "le_1000": 1, "le_inf": 1}},
+    "ties": {"count": 9, "sum": 1113.010101, "min": 1e-06, "max": 1000.0,
+             "mean": 123.66778900000001, "stddev": 311.3518020529677,
+             "buckets": {
+                 "le_1e-06": 1, "le_0.0001": 1, "le_0.01": 1, "le_1": 3,
+                 "le_10": 1, "le_100": 1, "le_1000": 1, "le_inf": 0}},
+}
+RECORDED_PROMETHEUS = """\
+# TYPE job_makespan_s histogram
+job_makespan_s_bucket{case="one",le="1e-06"} 0
+job_makespan_s_bucket{case="one",le="0.0001"} 0
+job_makespan_s_bucket{case="one",le="0.01"} 0
+job_makespan_s_bucket{case="one",le="1"} 1
+job_makespan_s_bucket{case="one",le="10"} 1
+job_makespan_s_bucket{case="one",le="100"} 1
+job_makespan_s_bucket{case="one",le="1000"} 1
+job_makespan_s_bucket{case="one",le="+Inf"} 1
+job_makespan_s_sum{case="one"} 0.5
+job_makespan_s_count{case="one"} 1
+job_makespan_s_bucket{case="spread",le="1e-06"} 1
+job_makespan_s_bucket{case="spread",le="0.0001"} 1
+job_makespan_s_bucket{case="spread",le="0.01"} 3
+job_makespan_s_bucket{case="spread",le="1"} 4
+job_makespan_s_bucket{case="spread",le="10"} 5
+job_makespan_s_bucket{case="spread",le="100"} 7
+job_makespan_s_bucket{case="spread",le="1000"} 8
+job_makespan_s_bucket{case="spread",le="+Inf"} 9
+job_makespan_s_sum{case="spread"} 4277.51
+job_makespan_s_count{case="spread"} 9
+job_makespan_s_bucket{case="ties",le="1e-06"} 1
+job_makespan_s_bucket{case="ties",le="0.0001"} 2
+job_makespan_s_bucket{case="ties",le="0.01"} 3
+job_makespan_s_bucket{case="ties",le="1"} 6
+job_makespan_s_bucket{case="ties",le="10"} 7
+job_makespan_s_bucket{case="ties",le="100"} 8
+job_makespan_s_bucket{case="ties",le="1000"} 9
+job_makespan_s_bucket{case="ties",le="+Inf"} 9
+job_makespan_s_sum{case="ties"} 1113.01
+job_makespan_s_count{case="ties"} 9
+"""
+
+
+class TestRecordedStatistics:
+    def registry(self):
+        reg = MetricsRegistry()
+        for case, values in RECORDED_OBSERVATIONS.items():
+            h = reg.histogram("job.makespan_s", case=case)
+            for v in values:
+                h.observe(v)
+        return reg
+
+    def test_snapshot_fields_are_the_recorded_ones(self):
+        snapshot = self.registry().snapshot()
+        for case, expected in RECORDED_SNAPSHOTS.items():
+            got = snapshot[f"job.makespan_s{{case={case}}}"]
+            assert {key: got[key] for key in expected} == expected
+
+    def test_prometheus_text_is_the_recorded_one(self):
+        assert self.registry().render_prometheus() == RECORDED_PROMETHEUS
 
 
 class TestExportSurface:
@@ -163,17 +245,17 @@ class TestSpreadStatistics:
         h = Histogram("t", ())
         for v in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
             h.observe(v)
-        assert h.stddev == pytest.approx(2.0)   # classic textbook set
+        assert h.stats()["stddev"] == pytest.approx(2.0)   # textbook set
         snap = h.snapshot_value()
         assert snap["stddev"] == pytest.approx(2.0)
 
     def test_stddev_single_observation_is_zero(self):
         h = Histogram("t", ())
         h.observe(3.0)
-        assert h.stddev == 0.0
+        assert h.stats()["stddev"] == 0.0
 
     def test_p999_in_snapshot(self):
-        h = Histogram("t", (), bounds=(1.0, 10.0))
+        h = Histogram("t", ())
         for v in (0.5, 2.0, 8.0):
             h.observe(v)
         snap = h.snapshot_value()
@@ -186,7 +268,7 @@ class TestPrometheusExposition:
         reg.counter("gpu.pcie.h2d.bytes", device="w0-gpu0").inc(1024)
         reg.counter("gpu.pcie.h2d.bytes", device="w0-gpu1").inc(2048)
         reg.gauge("sched.queue_depth", worker="w0").set(3)
-        h = reg.histogram("job.makespan_s", bounds=(1.0, 10.0))
+        h = reg.histogram("job.makespan_s")
         for v in (0.5, 5.0, 100.0):
             h.observe(v)
         return reg

@@ -129,6 +129,20 @@ class TestSLOTracker:
             tracker.observe_latency(0, "lat", 2.0)
         assert tracker.violated("lat")
 
+    def test_latency_percentile_is_an_observed_value(self):
+        """Jobs of 12, 13 and 90 s meet a p50 <= 50 s objective: the median
+        is the 13 s job, not a point inside a decade-wide bucket."""
+        tracker = SLOTracker(TimeSeriesStore())
+        tracker.add(SLObjective(name="lat", kind="latency", target=50.0,
+                                percentile=0.5))
+        for seconds in (12.0, 13.0, 90.0):
+            tracker.observe_latency(0, "lat", seconds)
+        assert not tracker.violated("lat")
+        [row] = tracker.summary()
+        assert row["violated"] is False
+        assert row["observed"] == {"count": 3, "p50": 13.0, "p95": 90.0,
+                                   "p99": 90.0}
+
     def test_availability_requires_target(self):
         with pytest.raises(ConfigError):
             SLObjective(name="a", kind="availability", target=None)
@@ -162,7 +176,7 @@ class TestAlertEngine:
         store = TimeSeriesStore()
         engine = AlertEngine()
         engine.add_rule(AlertRule(
-            name="hot", series="temp", predicate="above", threshold=10.0,
+            name="hot", series="temp", threshold=10.0,
             sustained=sustained, resolve_after=resolve_after,
             severity="critical"))
         return engine, store
@@ -199,8 +213,8 @@ class TestAlertEngine:
         store = TimeSeriesStore()
         engine = AlertEngine()
         engine.add_rule(AlertRule(name="deep", series="depth",
-                                  predicate="above", threshold=5.0,
-                                  sustained=2, resolve_after=2))
+                                  threshold=5.0, sustained=2,
+                                  resolve_after=2))
         s = store.series("depth", "gauge")
         s.record(0, 8)
         _evaluate(engine, store, 0)
@@ -212,8 +226,7 @@ class TestAlertEngine:
         engine = AlertEngine()
         engine.add_rule(AlertRule(name="g0", series="x",
                                   labels=(("device", "gpu0"),),
-                                  predicate="above", threshold=0.0,
-                                  sustained=1))
+                                  threshold=0.0, sustained=1))
         store.series("x", "counter", device="gpu1").record(0, 5)
         _evaluate(engine, store, 0)
         assert engine.history == []
@@ -234,8 +247,8 @@ class TestHealthScorer:
         scorer.register_worker("worker1")
         engine = AlertEngine()
         engine.add_rule(AlertRule(name="bad", series="m",
-                                  predicate="above", threshold=0.0,
-                                  sustained=1, severity="critical"))
+                                  threshold=0.0, sustained=1,
+                                  severity="critical"))
         store.series("m", "counter", worker="worker0").record(0, 1)
         _evaluate(engine, store, 0)
         scorer.worker_down("worker1")

@@ -1,8 +1,8 @@
 """GProfiler tests: hand-built span DAGs with known answers.
 
-Every trace here is synthetic — spans recorded with explicit start/end via
-``tracer.complete`` — so the expected critical path, attribution and
-utilization numbers are computable by hand.
+Every trace here is synthetic — ``PSpan`` rows with explicit start/end — so
+the expected critical path, attribution and utilization numbers are
+computable by hand.
 """
 
 import json
@@ -14,6 +14,7 @@ import pytest
 from repro.obs.profile import (
     CATEGORIES,
     ProfileTrace,
+    PSpan,
     SUMMARY_SCHEMA,
     TICK_S,
     _intersect,
@@ -37,47 +38,75 @@ class Clock:
     now = 0.0
 
 
-def tracer() -> Tracer:
-    return Tracer(Clock(), enabled=True)
+class Spans:
+    """Spans with explicit bounds, on lanes numbered in first-use order."""
+
+    def __init__(self):
+        self.rows = []
+        self.pids = {}
+        self.tids = {}
+
+    def add(self, name, cat, process, thread, start, end, **args):
+        pid = self.pids.setdefault(process, len(self.pids) + 1)
+        tid = self.tids.setdefault((process, thread), len(self.tids) + 1)
+        self.rows.append(PSpan(name, cat, start, end - start, pid, tid,
+                               process, thread, args))
+
+    def trace(self) -> ProfileTrace:
+        return ProfileTrace(
+            self.rows, {pid: p for p, pid in self.pids.items()},
+            {(self.pids[p], tid): t for (p, t), tid in self.tids.items()})
+
+    def to_chrome(self) -> dict:
+        """The Chrome trace-event document of these spans."""
+        meta = [{"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                 "args": {"name": p}} for p, pid in self.pids.items()]
+        meta += [{"name": "thread_name", "ph": "M", "pid": self.pids[p],
+                  "tid": tid, "args": {"name": t}}
+                 for (p, t), tid in self.tids.items()]
+        return {"traceEvents": meta + [
+            {"name": r.name, "cat": r.cat, "ph": "X", "ts": r.ts * 1e6,
+             "dur": r.dur * 1e6, "pid": r.pid, "tid": r.tid, "args": r.args}
+            for r in self.rows]}
+
+
+def tracer() -> Spans:
+    return Spans()
 
 
 def add_job(t, start, end, name="j"):
-    track = t.track("master", "jobmanager")
-    t.complete(f"job:{name}", "job", track, start=start, end=end)
+    t.add(f"job:{name}", "job", "master", "jobmanager", start, end)
 
 
 def add_submit(t, start, end):
-    t.complete("job.submit", "job", t.track("master", "jobmanager"),
-               start=start, end=end)
+    t.add("job.submit", "job", "master", "jobmanager", start, end)
 
 
 def add_task(t, op, start, end, worker="worker0", slot="slot0", subtask=0):
-    t.complete(f"{op}[{subtask}]", "task", t.track(worker, slot),
-               start=start, end=end, op=op, subtask=subtask)
+    t.add(f"{op}[{subtask}]", "task", worker, slot, start, end, op=op,
+          subtask=subtask)
 
 
 def add_operator(t, op, start, end, parallelism=1):
-    t.complete(f"op:{op}", "operator", t.track("master", "jobmanager"),
-               start=start, end=end, op=op, parallelism=parallelism)
+    t.add(f"op:{op}", "operator", "master", "jobmanager", start, end, op=op,
+          parallelism=parallelism)
 
 
 def add_exchange(t, op, start, end, nbytes=0):
-    t.complete(f"exchange:{op}", "shuffle", t.track("master", "exchange"),
-               start=start, end=end, op=op, bytes=nbytes)
+    t.add(f"exchange:{op}", "shuffle", "master", "exchange", start, end,
+          op=op, bytes=nbytes)
 
 
 def add_device(t, name, lane, start, end, device="worker0-gpu0", **args):
-    t.complete(name, "gpu.device", t.track(device, lane),
-               start=start, end=end, **args)
+    t.add(name, "gpu.device", device, lane, start, end, **args)
 
 
 def add_hdfs(t, start, end, worker="worker0", nbytes=0):
-    t.complete("hdfs.read", "hdfs", t.track(worker, "hdfs"),
-               start=start, end=end, nbytes=nbytes)
+    t.add("hdfs.read", "hdfs", worker, "hdfs", start, end, nbytes=nbytes)
 
 
-def pt(t: Tracer) -> ProfileTrace:
-    return ProfileTrace.from_tracer(t)
+def pt(t: Spans) -> ProfileTrace:
+    return t.trace()
 
 
 class TestIntervalMath:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Observability
 from repro.obs.trace import NULL_SPAN, NULL_TRACK, TraceEvent, Tracer
 
 
@@ -17,8 +18,6 @@ class TestDisabledTracer:
         tracer = Tracer(Clock(), enabled=False)
         with tracer.span("a", "cat", tracer.track("p", "t"), x=1) as sp:
             sp.set(y=2)
-        tracer.instant("b", "cat", tracer.track("p", "t"))
-        tracer.complete("c", "cat", tracer.track("p", "t"), 0.0, 1.0)
         assert len(tracer) == 0
         assert tracer.to_chrome()["traceEvents"] == []
 
@@ -70,16 +69,17 @@ class TestSpans:
         assert tracer.spans()[0].args["error"] == "ValueError"
 
     def test_complete_with_explicit_bounds(self):
-        tracer = Tracer(Clock(5.0), enabled=True)
-        tracer.complete("k", "gpu.device", tracer.track("d", "kernel"),
-                        start=3.0, end=5.0, block=1)
-        (ev,) = tracer.spans()
+        # A fact stated over an interval the model measured draws a span
+        # with exactly those bounds.
+        obs = Observability(Clock(5.0), tracing=True)
+        obs.emit("h2d", "d", "copy:h2d", 3.0, 5.0, nbytes=1)
+        (ev,) = obs.tracer.spans()
         assert (ev.ts, ev.dur) == (3.0, 2.0)
 
     def test_instant_at_current_time(self):
-        tracer = Tracer(Clock(7.0), enabled=True)
-        tracer.instant("mark", "fault", tracer.track("p", "t"), op="m")
-        (ev,) = tracer.instants()
+        obs = Observability(Clock(7.0), tracing=True)
+        obs.emit("fault.injected", "p", "t", op="m")
+        (ev,) = obs.tracer.instants()
         assert ev.ts == 7.0
         assert ev.dur == 0.0
 
@@ -119,11 +119,11 @@ class TestTracks:
 class TestChromeExport:
     def test_metadata_first_then_events_in_microseconds(self):
         clock = Clock(0.0)
-        tracer = Tracer(clock, enabled=True)
-        with tracer.span("s", "task", tracer.track("worker0", "slot0")):
+        obs = Observability(clock, tracing=True)
+        with obs.span("job", "worker0", "slot0", job="j"):
             clock.now = 0.5
-        tracer.instant("i", "fault", tracer.track("worker0", "slot0"))
-        events = tracer.to_chrome()["traceEvents"]
+        obs.emit("fault.injected", "worker0", "slot0", op="m")
+        events = obs.tracer.to_chrome()["traceEvents"]
         phases = [e["ph"] for e in events]
         assert phases == ["M", "M", "X", "i"]
         span = events[2]

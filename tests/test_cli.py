@@ -120,10 +120,24 @@ class TestCli:
         ("metrics", "--workers 0"),
         ("chaos", "--real -1"),
         ("monitor", "--nominal 0"),
+        ("monitor", "--window 0"),
+        ("monitor", "--window nan"),
+        ("chaos", "--join-rate 0.1 --duration -5"),
+        ("chaos", "--duration inf"),
+        ("chaos", "--worker-kill-rate -1"),
+        ("chaos", "--gpu-fault-rate nan"),
+        ("monitor", "--pcie-fault-rate inf"),
+        ("chaos", "--join-rate -0.1"),
+        ("chaos", "--leave-rate -2"),
+        ("chaos", "--backoff -0.05"),
+        ("chaos", "--drain-fraction 2"),
+        ("chaos", "--drain-fraction -0.5"),
+        ("postmortem", "--spans -2"),
     ])
     def test_bad_numeric_flag_is_a_usage_error(self, command, flags, capsys):
-        """A count or size that is not positive exits 2 with one line
-        naming the flag: no traceback, no silent default, no run."""
+        """A count, size, window, rate or fraction out of its range exits 2
+        with one line naming the flag: no traceback, no silent default, no
+        run."""
         with pytest.raises(SystemExit) as exit_info:
             run_cli([command, "pointadd", "--real", "1000", *flags.split()])
         assert exit_info.value.code == 2
@@ -198,6 +212,9 @@ class TestChaosCli:
         ("monitor", "--pcie-fault", "@3"),
         ("profile", "--threshold", "makespan_s"),      # no =REL
         ("profile", "--threshold", "makespan_s=lots"),
+        ("profile", "--threshold", "makespan_s=nan"),  # would gate nothing
+        ("profile", "--threshold", "makespan_s=-0.1"),
+        ("profile", "--threshold", "makespan_s=inf"),
         # A well-formed spec naming a worker the cluster will not have.
         ("chaos", "--kill", "worker9@1"),
         ("chaos", "--gpu-fail", "worker9:0@1"),
