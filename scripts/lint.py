@@ -379,6 +379,17 @@ LINTS = (
          ("src/repro/obs/monitor.py",
           '        self._tracer.instant(f"{what}:{alert.rule}", "monitor", '
           'track, at,')),
+    Lint("the Chrome trace is written a chunk at a time",
+         # obs/export.write_chrome_trace encodes Tracer.chrome_chunks one
+         # CHROME_CHUNK of events at a time into a file that replaces the
+         # target when whole.  Dumping Tracer.to_chrome() holds every event
+         # dict and the whole document's string at once.
+         r"json\.dumps?\([^)]*to_chrome\(", ("src/repro",),
+         "a whole-document Chrome dump under src/repro (write the trace "
+         "with repro.obs.export.write_chrome_trace)",
+         "whole-document trace dumps",
+         ("src/repro/obs/export.py",
+          '    path.write_text(json.dumps(tracer.to_chrome()) + "\\n")')),
 )
 
 

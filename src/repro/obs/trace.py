@@ -32,14 +32,33 @@ divergence either way.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from itertools import chain, islice
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-__all__ = ["Track", "TraceEvent", "Tracer", "NULL_SPAN", "NULL_TRACK", "ROW"]
+__all__ = ["Track", "TraceEvent", "Tracer", "NULL_SPAN", "NULL_TRACK", "ROW",
+           "CHROME_CHUNK", "chrome_document"]
 
 #: Multiplier from simulated seconds to the microseconds Chrome traces use.
 _US = 1e6
 #: Fields per row of a fact log.
 ROW = 6
+#: Chrome trace-event objects encoded at a time: what an export holds at
+#: once is one chunk, whatever the length of the run.
+CHROME_CHUNK = 256
+
+
+def chrome_document(events: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The Chrome JSON document around ``events`` (its ``traceEvents``)."""
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"clock": "simulated", "time_unit": "us"},
+    }
+
+
+def _chunks(objects: Iterator[Any]) -> Iterator[List[Any]]:
+    while chunk := list(islice(objects, CHROME_CHUNK)):
+        yield chunk
 
 
 class Track(NamedTuple):
@@ -274,22 +293,20 @@ class Tracer:
         return out
 
     # -- export -----------------------------------------------------------------
-    def chrome_events(self) -> List[Dict[str, Any]]:
-        """All events as Chrome trace-event objects (metadata first)."""
-        events = self.events
-        meta: List[Dict[str, Any]] = []
-        for pid, name in self._process_names:
-            meta.append({"name": "process_name", "ph": "M", "pid": pid,
-                         "tid": 0, "args": {"name": name}})
-        for pid, tid, name in self._thread_names:
-            meta.append({"name": "thread_name", "ph": "M", "pid": pid,
-                         "tid": tid, "args": {"name": name}})
-        return meta + [e.to_chrome() for e in events]
+    def chrome_chunks(self) -> Iterator[List[Dict[str, Any]]]:
+        """The Chrome trace-event objects in lists of at most
+        :data:`CHROME_CHUNK`: the metadata records naming every lane, then
+        the events, each built only when its chunk is reached."""
+        self._draw()
+        yield from _chunks(chain(
+            ({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+              "args": {"name": name}} for pid, name in self._process_names),
+            ({"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+              "args": {"name": name}}
+             for pid, tid, name in self._thread_names)))
+        yield from _chunks(e.to_chrome() for e in self._events)
 
     def to_chrome(self) -> Dict[str, Any]:
         """The full Chrome JSON document (load in Perfetto / chrome://tracing)."""
-        return {
-            "traceEvents": self.chrome_events(),
-            "displayTimeUnit": "ms",
-            "otherData": {"clock": "simulated", "time_unit": "us"},
-        }
+        return chrome_document([obj for chunk in self.chrome_chunks()
+                                for obj in chunk])

@@ -1,8 +1,10 @@
 """Exporter tests: Chrome-JSON schema validation, file writers, collector."""
 
 import json
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
@@ -16,7 +18,7 @@ from repro.obs.export import (
     write_metrics,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import CHROME_CHUNK, Tracer
 from repro.obs.validate import main as validate_main
 
 
@@ -137,6 +139,69 @@ class TestWriters:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"traceEvents": [{"ph": "Z"}]}))
         assert validate_main([str(bad)]) == 1
+
+
+def lane_trace(n: int) -> Tracer:
+    """``n`` kernel spans on one lane (two metadata records name it)."""
+    obs = Observability(Clock(), tracing=True)
+    for i in range(n):
+        obs.emit("kernel", "worker0-gpu0", "kernel", float(i), i + 0.5,
+                 kernel="k", seconds=0.5)
+    return obs.tracer
+
+
+def metadata_only() -> Tracer:
+    tracer = Tracer(Clock(), enabled=True)
+    tracer.track("worker0", "slot0")
+    tracer.track("worker0", "slot1")
+    return tracer
+
+
+class TestStreamedTrace:
+    """The file is written a chunk at a time and replaced only when whole."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Tracer(Clock(), enabled=False),
+        lambda: Tracer(Clock(), enabled=True),
+        metadata_only,
+        *(lambda n=n: lane_trace(n) for n in (
+            1, CHROME_CHUNK - 1, CHROME_CHUNK, CHROME_CHUNK + 1,
+            2 * CHROME_CHUNK + 1)),
+    ], ids=["disabled", "empty", "metadata-only", "1", "chunk-1", "chunk",
+            "chunk+1", "2chunk+1"])
+    def test_bytes_are_the_whole_document_dumped(self, make, tmp_path):
+        tracer = make()
+        path = write_chrome_trace(tracer, tmp_path / "trace.json")
+        assert path.read_text() == json.dumps(tracer.to_chrome()) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+
+    def test_unencodable_event_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "trace.json"
+        write_chrome_trace(small_trace(), path)
+        before = path.read_bytes()
+        tracer = lane_trace(CHROME_CHUNK + 1)
+        with tracer.span("bad", "task", tracer.track("worker0", "slot0"),
+                         blob=object()):
+            pass
+        with pytest.raises(TypeError):
+            write_chrome_trace(tracer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+
+    def test_peak_memory_does_not_grow_with_the_trace(self, tmp_path):
+        def export_peak(n: int) -> int:
+            tracer = lane_trace(n)
+            len(tracer)  # draw the events before measuring the export
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write_chrome_trace(tracer, tmp_path / "trace.json")
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        n = 2 * CHROME_CHUNK
+        assert export_peak(4 * n) <= 1.5 * export_peak(n)
 
 
 class TestCollectCluster:
