@@ -228,6 +228,16 @@ PY
     # A change that breaks the benchmark's imports or its fixed-seed
     # determinism check should fail here, not in the next perf run.
     python -m pytest -q benchmarks/perf/test_quick.py
+
+    echo "== no partial artefact left: every file went through write_replacing whole =="
+    # repro.common.files.write_replacing writes .<name>.<pid>.tmp beside
+    # its target and removes it whether the write succeeds or fails.
+    partials=$(find traces benchmarks/perf/out -name '.*.tmp' 2>/dev/null || true)
+    if [[ -n "$partials" ]]; then
+        echo "FAIL: temporary files left behind:" >&2
+        echo "$partials" >&2
+        exit 1
+    fi
 fi
 
 echo "CI OK"

@@ -390,6 +390,18 @@ LINTS = (
          "whole-document trace dumps",
          ("src/repro/obs/export.py",
           '    path.write_text(json.dumps(tracer.to_chrome()) + "\\n")')),
+    Lint("artefacts are written through the one writer",
+         # common/files.write_replacing writes a temporary file and renames
+         # it into a name it has just unlinked.  Rewriting an existing file
+         # in place (O_TRUNC) or renaming onto it makes ext4's auto_da_alloc
+         # force the new blocks to disk: tens of ms per artefact.
+         r"\.write_text\(|open\([^)]*[\"']w|os\.replace\(", ("src/repro",),
+         "a file written by hand under src/repro (write it with "
+         "repro.common.files.write_replacing)",
+         "hand-written artefact writes",
+         ("src/repro/obs/dashboard.py",
+          "    p.write_text(render_dashboard(doc, title=title))"),
+         allowed=(r"^src/repro/common/files\.py:",)),
 )
 
 

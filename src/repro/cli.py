@@ -25,6 +25,7 @@ import argparse
 import sys
 from typing import Dict, Optional
 
+from repro.common.files import write_replacing
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.gpu.specs import SPECS
@@ -365,10 +366,7 @@ def _cmd_metrics(args, out) -> int:
         # Prometheus scrapes carry no banner line: the exposition must
         # stand alone (the round-trip test parses CLI output verbatim).
         if args.out:
-            from pathlib import Path
-            path = Path(args.out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(registry.render_prometheus())
+            path = write_replacing(args.out, (registry.render_prometheus(),))
             print(f"metrics: {path}", file=out)
         else:
             print(registry.render_prometheus(), file=out, end="")
@@ -638,7 +636,6 @@ def _render_monitor_report(summary, out) -> None:
 
 def _cmd_monitor(args, out) -> int:
     import json as _json
-    from pathlib import Path
 
     from repro.flink.report import resilience_report
     from repro.obs.dashboard import write_dashboard
@@ -684,9 +681,8 @@ def _cmd_monitor(args, out) -> int:
             print(f"invalid monitor summary: {error}", file=out)
         return 2
     if args.summary_out:
-        path = Path(args.summary_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_json.dumps(summary, indent=2) + "\n")
+        path = write_replacing(args.summary_out,
+                               (_json.dumps(summary, indent=2), "\n"))
         print(f"summary: {path}", file=out)
     if args.dashboard_out:
         write_dashboard(
@@ -764,10 +760,8 @@ def _cmd_profile(args, out) -> int:
     if not args.quiet:
         print(render_text(summary), file=out)
     if args.json_out:
-        from pathlib import Path
-        path = Path(args.json_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_json.dumps(summary, indent=2) + "\n")
+        path = write_replacing(args.json_out,
+                               (_json.dumps(summary, indent=2), "\n"))
         print(f"summary: {path}", file=out)
     if args.baseline is None:
         return 0
@@ -791,10 +785,8 @@ def _cmd_profile(args, out) -> int:
             return 2
         print(render_explanation(explanation), file=out)
         if args.explain_out:
-            from pathlib import Path
-            path = Path(args.explain_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(_json.dumps(explanation, indent=2) + "\n")
+            path = write_replacing(args.explain_out,
+                                   (_json.dumps(explanation, indent=2), "\n"))
             print(f"explanation: {path}", file=out)
     return 1 if any(d.regressed for d in deltas) else 0
 

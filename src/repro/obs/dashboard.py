@@ -15,6 +15,8 @@ import math
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.files import write_replacing
+
 __all__ = ["render_dashboard", "write_dashboard"]
 
 _MAX_SPARKLINES = 60
@@ -407,8 +409,4 @@ sim t={_fmt(float(doc.get("generated_at_s", 0.0)))}s ·
 def write_dashboard(doc: Dict[str, Any], path: str,
                     title: str = "GMonitor dashboard") -> str:
     """Write the rendered dashboard to ``path``; returns the path."""
-    from pathlib import Path
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(render_dashboard(doc, title=title))
-    return str(p)
+    return str(write_replacing(path, (render_dashboard(doc, title=title),)))

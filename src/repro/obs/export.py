@@ -15,10 +15,10 @@ CI runs it over the traced bench smoke via ``python -m repro.obs.validate``.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Iterator, Union
 
+from repro.common.files import write_replacing
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_chrome_trace, validate_chrome_trace_file
 from repro.obs.trace import Tracer, chrome_document
@@ -38,35 +38,26 @@ def write_chrome_trace(tracer: Tracer, path: Union[str, Path]) -> Path:
     The bytes are those of :meth:`Tracer.to_chrome`'s document encoded by
     ``json.dumps``, plus a newline, but encoded and written one
     :data:`~repro.obs.trace.CHROME_CHUNK` of events at a time: neither the
-    document's event list nor its whole string is ever held.  They go to a
-    temporary file beside ``path`` that replaces it only once complete, so
-    an event ``json`` cannot encode raises and leaves ``path`` as it was.
+    document's event list nor its whole string is ever held.  They go
+    through :func:`~repro.common.files.write_replacing`, so an event
+    ``json`` cannot encode raises and leaves ``path`` as it was.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    return write_replacing(path, _chrome_pieces(tracer))
+
+
+def _chrome_pieces(tracer: Tracer) -> Iterator[str]:
     head, tail = json.dumps(chrome_document([])).split("[]", 1)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with partial.open("w") as out:
-            out.write(head + "[")
-            sep = ""
-            for chunk in tracer.chrome_chunks():
-                out.write(sep + json.dumps(chunk)[1:-1])
-                sep = ", "
-            out.write("]" + tail + "\n")
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    return path
+    yield head + "["
+    sep = ""
+    for chunk in tracer.chrome_chunks():
+        yield sep + json.dumps(chunk)[1:-1]
+        sep = ", "
+    yield "]" + tail + "\n"
 
 
 def write_metrics(registry: MetricsRegistry, path: Union[str, Path]) -> Path:
     """Write the registry snapshot as flat JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(registry.to_json() + "\n")
-    return path
+    return write_replacing(path, (registry.to_json(), "\n"))
 
 
 # -- snapshot-time collection ------------------------------------------------------

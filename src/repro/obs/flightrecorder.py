@@ -22,6 +22,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.common.files import write_replacing
 from repro.obs.dashboard import trend_of, window_value
 from repro.obs.schema import (  # noqa: F401  (validator re-exported)
     POSTMORTEM_SCHEMA, validate_postmortem_bundle)
@@ -131,9 +132,8 @@ class FlightRecorder:
         doc = self._bundle(reason, detail, monitor, at)
         filename = f"postmortem-{len(self.bundles):03d}-{_slug(reason)}.json"
         if self.dirpath is not None:
-            self.dirpath.mkdir(parents=True, exist_ok=True)
-            (self.dirpath / filename).write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            write_replacing(self.dirpath / filename,
+                            (json.dumps(doc, indent=2, sort_keys=True), "\n"))
         self.bundles.append(filename)
         self.last_bundle = doc
         return filename
