@@ -2,8 +2,9 @@
 # CI entry point: tier-1 tests, then traced smokes, profile gates and
 # benchmark smokes.
 #
-#   scripts/ci.sh          # everything below
-#   scripts/ci.sh --fast   # tier-1 tests + lint only
+#   scripts/ci.sh           # everything below
+#   scripts/ci.sh --fast    # tier-1 tests + lint only
+#   scripts/ci.sh --smokes  # the CLI smokes only (what scripts/reach.py runs)
 #
 # The full run adds, at full Hypothesis depth: the generated plans against
 # the reference interpreter (tests/reference: every plan on the whole
@@ -18,37 +19,47 @@
 # paper-figure bench smokes
 # (`python -m pytest benchmarks/` is the whole suite; results go to the
 # untracked benchmarks/out/results.json and the run must change no tracked
-# file), and the quick test of the repo's benchmark
-# (benchmarks/perf — imports, determinism check, output shape).
+# file), the quick test of the repo's benchmark
+# (benchmarks/perf — imports, determinism check, output shape), and the
+# reach census (scripts/reach.py: every function under src/repro that no
+# entry point calls is on scripts/reach_allow.txt with its reason).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
+mode="${1:-}"
+case "$mode" in
+    ""|--fast|--smokes) ;;
+    *) echo "usage: scripts/ci.sh [--fast | --smokes]" >&2; exit 2 ;;
+esac
 
-echo "== tier-1: unit + integration tests =="
-# The duration is printed for the record (ROADMAP re-anchor: 24.5 s on the
-# reference box); there is no wall-clock gate.
-tier1_start=$SECONDS
-python -m pytest -q --durations=10
-echo "tier-1 wall time: $((SECONDS - tier1_start)) s"
+if [[ "$mode" != "--smokes" ]]; then
+    echo "== tier-1: unit + integration tests =="
+    # The duration is printed for the record (ROADMAP re-anchor: 24.5 s on
+    # the reference box); there is no wall-clock gate.  pyproject.toml's
+    # addopts already says -q: one more would hide the pass/skip/xfail line.
+    tier1_start=$SECONDS
+    python -m pytest --durations=10
+    echo "tier-1 wall time: $((SECONDS - tier1_start)) s"
 
-# Every grep-lint is a row of scripts/lint.py: the retired spelling, where it
-# may still appear, the message, and the PR whose parent it trips on.
-python scripts/lint.py
+    # Every grep-lint is a row of scripts/lint.py: the retired spelling,
+    # where it may still appear, the message, and the PR whose parent it
+    # trips on.
+    python scripts/lint.py
 
-echo "== code lines per package (scripts/sloc.py: non-blank, non-comment, non-docstring) =="
-python scripts/sloc.py
+    echo "== code lines per package (scripts/sloc.py: non-blank, non-comment, non-docstring) =="
+    python scripts/sloc.py
+fi
 
-if [[ "${1:-}" != "--fast" ]]; then
+if [[ -z "$mode" ]]; then
     echo "== generated checks at full depth: plans vs the reference + payload formats + exchange + shipping + GWork + stage loop + keyed fold + built-in aggregates + chaos draw =="
     # Tier-1 caps their Hypothesis examples (tests/flink/conftest.py depth()).
     # The last entry is the property behind hash_bucket's guarantee: a keyed
     # reduce over mixed scalar key types collects the same multiset at
     # parallelism 1, 2 and 5.
-    REPRO_FULL_DEPTH=1 python -m pytest -q \
+    REPRO_FULL_DEPTH=1 python -m pytest \
         tests/reference/ \
-        tests/flink/test_representation_differential.py \
         tests/flink/test_exchange_differential.py \
         tests/flink/test_shipping_differential.py \
         tests/core/test_gwork_differential.py \
@@ -57,7 +68,9 @@ if [[ "${1:-}" != "--fast" ]]; then
         tests/flink/test_builtin_aggregates.py \
         tests/flink/test_shuffle.py::TestEqualKeysReachOneConsumer \
         tests/flink/test_chaos.py::TestChaosSchedule::test_random_spares_one_worker
+fi
 
+if [[ "$mode" != "--fast" ]]; then
     echo "== traced bench smoke: wordcount + schema validation + cross-check =="
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \
         --out traces/ci_wordcount.json \
@@ -206,7 +219,9 @@ PY
         --threshold makespan_s=0.25 --threshold critical_path=0.60 \
         --threshold operator_wall=0.60 --threshold overlap_pct=0.50 \
         --explain
+fi
 
+if [[ -z "$mode" ]]; then
     echo "== bench smoke: GPU chaining ablation + cache policies + zero-copy shuffle + elasticity + explainer =="
     # Results land in the untracked benchmarks/out/results.json; the tracked
     # record (BENCH.jsonl) is appended to only by `python benchmarks/paper.py
@@ -238,6 +253,13 @@ PY
         echo "$partials" >&2
         exit 1
     fi
+
+    echo "== reach census: every unreached function under src/repro is explained =="
+    # Runs the smokes above, the whole bench suite, the perf quick run and
+    # every example under a call recorder (scripts/reach_hook), then lists
+    # each def under src/repro that none of them called; one missing from
+    # scripts/reach_allow.txt fails the run.
+    python scripts/reach.py
 fi
 
 echo "CI OK"

@@ -92,9 +92,7 @@ LINTS = (
     Lint("one payload module — no format test outside flink/payload.py",
          # What a partition payload *is* (row list | NumPy block | None) is
          # asked in repro/flink/payload.py and nowhere else under flink/ and
-         # core/.  The exceptions: flink/iterators.py apply_filter tests what
-         # a *UDF returned* (a boolean mask or the filtered payload), not
-         # what the payload is; flink/shuffle.py asks is_block() to pick the
+         # core/.  The exception: flink/shuffle.py asks is_block() to pick the
          # serde price list (_block_payloads, behind _zero_copy), to hand a
          # vectorized key extractor an empty block but not an empty row list
          # (_key_columns), and to take group_plan's single-sort fast path on
@@ -108,7 +106,6 @@ LINTS = (
          "PR 17", ("src/repro/flink/plan.py",
                    "if isinstance(rows, np.ndarray):"),
          allowed=(r"repro/flink/payload\.py",
-                  r"repro/flink/iterators\.py:.*isinstance\(mask, np\.ndarray\)",
                   r"repro/flink/shuffle\.py:.*is_block\(")),
     Lint("one subtask body — a kernel chain of one, not a second copy",
          # core/gdst.py builds every GPU map-partition GWork in one
@@ -402,6 +399,31 @@ LINTS = (
          ("src/repro/obs/dashboard.py",
           "    p.write_text(render_dashboard(doc, title=title))"),
          allowed=(r"^src/repro/common/files\.py:",)),
+    Lint("one operator surface — what a workload, example or bench runs",
+         # An operator stays only if a workload, an example, a bench or the
+         # Spark migration demonstration uses it: map, map_partition, keyed
+         # and global reduce, iterate, the sinks and the GPU map-partition
+         # family.  The extended DataSet / GDST / RDD operators, their plan
+         # classes, the broadcast and union ship strategies and the helpers
+         # only they called were deleted with their tests.  (str.join and
+         # payload.take keep their spellings: only a method definition of
+         # those names is retired.)
+         r"\b(Filter|FlatMap|GroupReduce|Join|Union|Distinct|FirstN"
+         r"|SortPartition|Cross|CoGroup|GpuJoin)Op\b|\b(_ElementWise"
+         r"|_keep_first|_run_broadcast|apply_filter|apply_flat_map"
+         r"|sort_rows)\b|ShipStrategy\.(BROADCAST|UNION_LEFT|UNION_RIGHT)\b"
+         r"|[\"']flatmap[\"']|\.(filter|flat_map|union|distinct|first"
+         r"|sort_partition|cross|co_group|reduce_group|gpu_join|gpu_filter"
+         r"|gpu_flat_map|cartesian|sort_by|group_by_key)\(|^\s+def (filter"
+         r"|flat_map|join|union|distinct|first|sort_partition|cross"
+         r"|co_group|reduce_group|gpu_join|gpu_filter|gpu_flat_map"
+         r"|cartesian|sort_by|group_by_key|take)\(",
+         ("src/repro", "examples"),
+         "a retired operator spelling (build the plan from map, "
+         "map_partition, group_by(...).reduce, reduce, iterate and the "
+         "gpu_map family)",
+         "extended operators",
+         ("src/repro/flink/plan.py", "class FilterOp(_ElementWise):")),
 )
 
 

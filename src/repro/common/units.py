@@ -27,28 +27,3 @@ MINUTE = 60.0
 GFLOPS = 1e9
 TFLOPS = 1e12
 
-
-def bytes_h(n: float) -> str:
-    """Format a byte count for humans (binary units, 2 decimals)."""
-    n = float(n)
-    for unit, div in (("GiB", GiB), ("MiB", MiB), ("KiB", KiB)):
-        if abs(n) >= div:
-            return f"{n / div:.2f} {unit}"
-    return f"{n:.0f} B"
-
-
-def seconds_h(t: float) -> str:
-    """Format a duration for humans."""
-    if t >= 60.0:
-        m, s = divmod(t, 60.0)
-        return f"{int(m)}m{s:05.2f}s"
-    if t >= 1.0:
-        return f"{t:.3f} s"
-    if t >= 1e-3:
-        return f"{t * 1e3:.3f} ms"
-    return f"{t * 1e6:.1f} us"
-
-
-def rate_h(bytes_per_sec: float) -> str:
-    """Format a bandwidth for humans, matching Table 2's ``MB/s`` style."""
-    return f"{bytes_per_sec / MB:.3f} MB/s"

@@ -72,12 +72,6 @@ class RDD:
     def map(self, f: Callable, cost: OpCost = OpCost()) -> "RDD":
         return self._wrap(self._ds.map(f, cost=cost))
 
-    def filter(self, f: Callable, cost: OpCost = OpCost()) -> "RDD":
-        return self._wrap(self._ds.filter(f, cost=cost))
-
-    def flat_map(self, f: Callable, cost: OpCost = OpCost()) -> "RDD":
-        return self._wrap(self._ds.flat_map(f, cost=cost))
-
     def map_partitions(self, f: Callable, cost: OpCost = OpCost()) -> "RDD":
         return self._wrap(self._ds.map_partition(f, cost=cost))
 
@@ -87,32 +81,6 @@ class RDD:
         return self._wrap(
             self._ds.group_by(lambda kv: kv[0])
             .reduce(lambda a, b: (a[0], f(a[1], b[1])), cost=cost))
-
-    def group_by_key(self) -> "RDD":
-        """``groupByKey``: (key, [values])."""
-        return self._wrap(
-            self._ds.group_by(lambda kv: kv[0])
-            .reduce_group(lambda key, members: (key,
-                                                [m[1] for m in members])))
-
-    def distinct(self) -> "RDD":
-        return self._wrap(self._ds.distinct())
-
-    def union(self, other: "RDD") -> "RDD":
-        return self._wrap(self._ds.union(other._ds))
-
-    def cartesian(self, other: "RDD") -> "RDD":
-        return self._wrap(self._ds.cross(other._ds))
-
-    def join(self, other: "RDD") -> "RDD":
-        """Pair-RDD equi-join: (k, (v_left, v_right))."""
-        return self._wrap(self._ds.join(
-            other._ds, lambda kv: kv[0], lambda kv: kv[0],
-            join_fn=lambda l, r: (l[0], (l[1], r[1]))))
-
-    def sort_by(self, key_fn: Callable, ascending: bool = True) -> "RDD":
-        return self._wrap(self._ds.sort_partition(key_fn=key_fn,
-                                                  reverse=not ascending))
 
     def cache(self) -> "RDD":
         """Mark for in-memory reuse across jobs (``rdd.cache()``)."""
@@ -125,9 +93,6 @@ class RDD:
     def gpu_map_partitions(self, kernel_name: str, **kwargs) -> "RDD":
         return self._wrap(self._ds.gpu_map_partition(kernel_name, **kwargs))
 
-    def gpu_filter(self, kernel_name: str, **kwargs) -> "RDD":
-        return self._wrap(self._ds.gpu_filter(kernel_name, **kwargs))
-
     # -- actions (eager, return plain values) -------------------------------------
     def collect(self) -> list:
         return self.sc._run(self._ds.collect())
@@ -138,13 +103,6 @@ class RDD:
     def reduce(self, f: Callable) -> Any:
         values = self.sc._run(self._ds.reduce(f).collect())
         return values[0] if values else None
-
-    def first(self) -> Any:
-        values = self.sc._run(self._ds.first(1).collect())
-        return values[0] if values else None
-
-    def take(self, n: int) -> list:
-        return self.sc._run(self._ds.first(n).collect())
 
     def save_as_hdfs_file(self, path: str) -> str:
         return self.sc._run(self._ds.write_hdfs(path))

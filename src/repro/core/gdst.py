@@ -25,7 +25,7 @@ from repro.core.gwork import GWork, KernelStage
 from repro.core.hbuffer import HBuffer
 from repro.flink.dataset import DataSet, OpCost
 from repro.flink.partition import Partition
-from repro.flink.payload import concat, real_len, to_block
+from repro.flink.payload import concat, real_len
 from repro.flink.plan import Operator, ShipStrategy
 
 
@@ -128,27 +128,6 @@ def _cpu_fallback(op_name: str, ctx, gpumanager, part: Partition,
     return concat(results)
 
 
-def _run_kernels(op_name: str, ctx, part: Partition,
-                 stage_specs: Callable[[], List[tuple]],
-                 build_gwork: Callable[[], GWork]):
-    """The part of a GPU subtask every operator shares; returns the output
-    elements.
-
-    All of the worker's devices blacklisted: the kernels run on the CPU over
-    ``part`` (:func:`_cpu_fallback`); otherwise one GWork is built and
-    submitted.  Both arguments are thunks — only the path taken evaluates
-    its own (a degraded subtask builds no HBuffers, a healthy one calls no
-    operand supplier twice).
-    """
-    gpumanager = ctx.worker.gpumanager
-    if _check_degraded(op_name, ctx, gpumanager):
-        return (yield from _cpu_fallback(op_name, ctx, gpumanager, part,
-                                         stage_specs()))
-    out_hbuf = yield from _submit_gwork(op_name, ctx, gpumanager,
-                                        build_gwork())
-    return out_hbuf.elements
-
-
 def _require_gpumanager(ctx) -> None:
     if ctx.worker.gpumanager is None:
         raise ConfigError(
@@ -181,9 +160,9 @@ class GpuMapPartitionOp(Operator):
         super().__init__(name or f"gpu-map-partition({kernel_name})",
                          [source], parallelism, [ShipStrategy.FORWARD],
                          OpCost())
-        if scale_semantics not in ("auto", "map", "flatmap", "reduce"):
+        if scale_semantics not in ("auto", "map", "reduce"):
             raise ConfigError(
-                f"scale_semantics must be auto/map/flatmap/reduce: "
+                f"scale_semantics must be auto/map/reduce: "
                 f"{scale_semantics!r}")
         self.scale_semantics = scale_semantics
         self.kernel_name = kernel_name
@@ -207,13 +186,20 @@ class GpuMapPartitionOp(Operator):
             return Partition(index=ctx.subtask_index, elements=[],
                              element_nbytes=self.out_element_nbytes(part),
                              scale=part.scale, worker=ctx.worker.name)
-        out_elements = yield from _run_kernels(
-            self.name, ctx, part,
-            lambda: [(op.kernel_name, op._launch_params(),
-                      {name: extra.supplier()
-                       for name, extra in op.extra_inputs.items()})
-                     for op in self.stages],
-            lambda: self._build_gwork(ctx, part))
+        # All of the worker's devices blacklisted: the kernels run on the
+        # CPU over ``part``; otherwise one GWork is built and submitted.
+        gpumanager = ctx.worker.gpumanager
+        if _check_degraded(self.name, ctx, gpumanager):
+            out_elements = yield from _cpu_fallback(
+                self.name, ctx, gpumanager, part,
+                [(op.kernel_name, op._launch_params(),
+                  {name: extra.supplier()
+                   for name, extra in op.extra_inputs.items()})
+                 for op in self.stages])
+        else:
+            out_hbuf = yield from _submit_gwork(
+                self.name, ctx, gpumanager, self._build_gwork(ctx, part))
+            out_elements = out_hbuf.elements
         scale = self._output_scale(part, real_len(out_elements))
         return Partition(index=ctx.subtask_index, elements=out_elements,
                          element_nbytes=self.out_element_nbytes(part),
@@ -231,21 +217,15 @@ class GpuMapPartitionOp(Operator):
         The last stage's semantics decide:
 
         * ``map`` — one out per in: keep the input's scale.
-        * ``flatmap`` — variable fan-out realized on the sample: the sample
-          selectivity stands for the nominal one, so the scale carries over.
         * ``reduce`` — the kernel emits *real* partials (per block): scale 1.
         * ``auto`` — map when counts match, reduce otherwise (the two common
-          kernel shapes) — except downstream of a flatmap-style stage, where
-          the input's scale is kept (the count change is explained upstream,
-          not by a reduce-style contraction).
+          kernel shapes).
         """
         semantics = self.stages[-1].scale_semantics
-        if semantics in ("map", "flatmap"):
+        if semantics == "map":
             return part.scale
         if semantics == "reduce":
             return 1.0
-        if any(s.scale_semantics == "flatmap" for s in self.stages[:-1]):
-            return part.scale
         return part.scale if out_real == part.real_count else 1.0
 
     def _build_gwork(self, ctx, part: Partition) -> GWork:
@@ -342,83 +322,6 @@ class FusedGpuOp(GpuMapPartitionOp):
         self.stages = list(stages)
 
 
-class GpuJoinOp(Operator):
-    """GPU hash equi-join (§3.5.2's deferred "Join ... can also be
-    implemented in GPUs").
-
-    Both inputs are hash-shuffled by key (the CPU-side exchange, exactly as
-    for a CPU join); each subtask then runs the registered join kernel on
-    its bucket pair: the left bucket streams through the block pipeline as
-    the primary input, the right bucket uploads whole as a secondary
-    operand (the build side of a GPU hash join).
-    """
-
-    def __init__(self, left: Operator, right: Operator,
-                 left_key: Callable, right_key: Callable,
-                 kernel_name: str, app_id: str,
-                 params: Optional[Dict[str, Any]] = None,
-                 out_element_nbytes: Optional[float] = None,
-                 comm_mode: CommMode = CommMode.GFLINK,
-                 parallelism: Optional[int] = None,
-                 name: Optional[str] = None):
-        super().__init__(name or f"gpu-join({kernel_name})",
-                         [left, right], parallelism,
-                         [ShipStrategy.HASH, ShipStrategy.HASH],
-                         OpCost(out_element_nbytes=out_element_nbytes))
-        self.left_key = left_key
-        self.right_key = right_key
-        self.kernel_name = kernel_name
-        self.app_id = app_id
-        self.params = dict(params or {})
-        self.comm_mode = comm_mode
-
-    def key_fn_for_input(self, i):
-        return self.left_key if i == 0 else self.right_key
-
-    def execute_subtask(self, ctx, inputs):
-        left, right = inputs
-        _require_gpumanager(ctx)
-        if left.real_count == 0 or right.real_count == 0:
-            return Partition(index=ctx.subtask_index, elements=[],
-                             element_nbytes=self.out_element_nbytes(left),
-                             scale=1.0, worker=ctx.worker.name)
-        left_rows, right_rows = (_kernel_operand(side.elements)
-                                 for side in inputs)
-        out_elements = yield from _run_kernels(
-            self.name, ctx, left.derive(left_rows),
-            lambda: [(self.kernel_name, dict(self.params),
-                      {"right": right_rows})],
-            lambda: GWork(
-                execute_name=self.kernel_name,
-                in_buffers={
-                    "in": HBuffer(left_rows, left.element_nbytes,
-                                  scale=left.scale, off_heap=True,
-                                  pinned=True),
-                    # The build side: uploaded whole, never cached.
-                    "right": HBuffer(right_rows, right.element_nbytes,
-                                     scale=right.scale, off_heap=True,
-                                     pinned=True, cacheable=False)},
-                out_buffer=HBuffer([], self.out_element_nbytes(left),
-                                   pinned=True),
-                size=left.nominal_count + right.nominal_count,
-                params=dict(self.params), app_id=self.app_id,
-                out_element_nbytes=self.cost.out_element_nbytes,
-                comm_mode=self.comm_mode))
-        # Join fan-out realized on the sample stands for the nominal one.
-        return Partition(index=ctx.subtask_index, elements=out_elements,
-                         element_nbytes=self.out_element_nbytes(left),
-                         scale=max(left.scale, right.scale),
-                         worker=ctx.worker.name)
-
-
-def _kernel_operand(elements: Any) -> Any:
-    """Hash-exchange buckets arrive as row lists; kernels want blocks."""
-    try:
-        return to_block(elements)
-    except TypeError:  # heterogeneous rows stay the rows they were
-        return elements
-
-
 class ExtraInput:
     """A broadcast-style secondary kernel operand (e.g. KMeans centers).
 
@@ -488,41 +391,6 @@ class GDST(DataSet):
         kwargs.setdefault("name", f"gpu-map({kernel_name})")
         kwargs.setdefault("scale_semantics", "map")
         return self.gpu_map_partition(kernel_name, **kwargs)
-
-    def gpu_flat_map(self, kernel_name: str, **kwargs) -> "GDST":
-        """``gpuFlatMap`` (§3.5.2): zero-or-more outputs per input element.
-
-        The kernel returns the flattened output block; the sample's fan-out
-        stands in for the nominal one (nominal scaling carries over).
-        """
-        kwargs.setdefault("name", f"gpu-flat-map({kernel_name})")
-        kwargs.setdefault("scale_semantics", "flatmap")
-        return self.gpu_map_partition(kernel_name, **kwargs)
-
-    def gpu_filter(self, kernel_name: str, **kwargs) -> "GDST":
-        """GPU-side filter: the kernel returns the surviving elements."""
-        kwargs.setdefault("name", f"gpu-filter({kernel_name})")
-        kwargs.setdefault("scale_semantics", "flatmap")
-        return self.gpu_map_partition(kernel_name, **kwargs)
-
-    def gpu_join(self, other: "GDST", left_key: Callable,
-                 right_key: Callable, kernel_name: str,
-                 params: Optional[Dict[str, Any]] = None,
-                 out_element_nbytes: Optional[float] = None,
-                 parallelism: Optional[int] = None,
-                 name: Optional[str] = None) -> "GDST":
-        """GPU hash equi-join with ``other`` (§3.5.2's deferred Join).
-
-        The registered kernel receives ``{"in": left_block, "right":
-        right_bucket}`` and returns the joined block as ``{"out": ...}``.
-        """
-        if other.session is not self.session:
-            raise ValueError("cannot join datasets from different sessions")
-        app_id = getattr(self.session, "app_id", "default")
-        return self._derive(GpuJoinOp(
-            self.op, other.op, left_key, right_key, kernel_name, app_id,
-            params=params, out_element_nbytes=out_element_nbytes,
-            parallelism=parallelism, name=name))
 
     def gpu_reduce(self, kernel_name: str, final_fn: Callable,
                    cost: OpCost = OpCost(),

@@ -71,9 +71,8 @@ class CacheEntry:
 class CacheStats:
     """Aggregated cache statistics — the public observability view.
 
-    Reports (:func:`repro.flink.report.gpu_report`) and metrics collection
-    (:func:`repro.obs.export.collect_cluster`) read this instead of poking
-    at the manager's private region table.
+    Metrics collection (:func:`repro.obs.export.collect_cluster`) reads
+    this instead of poking at the manager's private region table.
     """
 
     hits: int = 0

@@ -266,7 +266,6 @@ class GStream:
                         evt = host_stream.when_fraction(host_cum / host_total)
                         if not evt.triggered:
                             host_stream.stall_count += 1
-                            host_stream.starved_count += 1
                             if observed:
                                 with obs.span("h2d.starved", device.name,
                                               "pipeline", block=blk.index):
@@ -393,7 +392,7 @@ class GStream:
                             d2h_nominal = out_real  # reduce-style partials
                     elif out_real != real:
                         # Mid-chain fan-out/-in realized on the sample
-                        # stands for the nominal one (flatmap semantics).
+                        # stands for the nominal one.
                         nominal = (nominal * out_real / real if real
                                    else float(out_real))
                     real = out_real

@@ -5,11 +5,11 @@ JVM-style in-memory cluster computing engine exposing the DataSet (DST)
 abstraction.  It reproduces the architectural features GFlink's design hooks
 into:
 
-* **DataSet API** (:mod:`repro.flink.dataset`) — ``map``, ``flat_map``,
-  ``filter``, ``map_partition``, ``group_by(...).reduce(...)`` and Flink's
-  positional ``group_by(0).sum(1)`` / ``.min(1)`` / ``.max(1)``, ``reduce``,
-  ``join``, ``count``, ``collect``, HDFS sources/sinks, and ``persist`` for
-  iterative jobs.
+* **DataSet API** (:mod:`repro.flink.dataset`) — ``map``,
+  ``map_partition``, ``group_by(...).reduce(...)`` and Flink's positional
+  ``group_by(0).sum(1)`` / ``.min(1)`` / ``.max(1)``, ``reduce``,
+  ``iterate``, ``count``, ``collect``, HDFS sources/sinks, and ``persist``
+  for iterative jobs.
 * **Logical plan → ExecutionGraph** (:mod:`repro.flink.plan`,
   :mod:`repro.flink.graph`) compiled per job.
 * **JobManager / TaskManager / task slots**

@@ -54,7 +54,7 @@ class FlinkConfig:
     serde_bps: float = 0.8e9
 
     # Columnar zero-copy exchange (docs/STREAMING_EXECUTOR.md §columnar):
-    # a routed/broadcast exchange that carries columnar payloads (NumPy /
+    # a routed exchange that carries columnar payloads (NumPy /
     # GStruct SoA regions) under a vectorized key extractor ships raw block
     # regions — no per-row serde; each framed block pays this fixed
     # descriptor cost (length/dtype/key) on each side of the wire.  Row

@@ -12,30 +12,20 @@ workloads skip HDFS after the first pass.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.flink.iterators import (field, field_max, field_min, field_sum,
                                    vectorized as vectorized_udf)
 from repro.flink.plan import (
-    CoGroupOp,
     CollectSink,
     CountSink,
-    CrossOp,
-    DistinctOp,
-    FilterOp,
-    FirstNOp,
-    FlatMapOp,
-    GroupReduceOp,
     HdfsSink,
-    JoinOp,
     KeyedReduceOp,
     MapOp,
     MapPartitionOp,
     OpCost,
     Operator,
     ReduceOp,
-    SortPartitionOp,
-    UnionOp,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,20 +56,6 @@ class DataSet:
         return self._derive(
                        MapOp(self.op, udf, cost, parallelism, name=name))
 
-    def filter(self, udf: Callable, cost: OpCost = OpCost(),
-               parallelism: Optional[int] = None,
-               name: str = "filter") -> "DataSet":
-        """Keep elements for which ``udf`` is truthy."""
-        return self._derive(
-                       FilterOp(self.op, udf, cost, parallelism, name=name))
-
-    def flat_map(self, udf: Callable, cost: OpCost = OpCost(),
-                 parallelism: Optional[int] = None,
-                 name: str = "flat-map") -> "DataSet":
-        """Element-wise transform producing zero or more outputs per input."""
-        return self._derive(
-                       FlatMapOp(self.op, udf, cost, parallelism, name=name))
-
     def map_partition(self, udf: Callable, cost: OpCost = OpCost(),
                       parallelism: Optional[int] = None,
                       name: str = "map-partition") -> "DataSet":
@@ -91,7 +67,7 @@ class DataSet:
     def group_by(self, key: "Callable | int") -> "GroupedDataSet":
         """Group by a key extractor, or — Flink's ``groupBy(0)`` — by a
         field position (``group_by(0)`` is ``group_by(field(0))``); follow
-        with ``reduce`` / ``reduce_group`` / ``sum`` / ``min`` / ``max``.
+        with ``reduce`` / ``sum`` / ``min`` / ``max``.
         The built-in contract is stated at :class:`GroupedDataSet`."""
         return GroupedDataSet(self, key if callable(key) else field(key))
 
@@ -100,66 +76,6 @@ class DataSet:
         """Global pairwise fold into a single element."""
         return self._derive(
                        ReduceOp(self.op, reduce_fn, cost, name=name))
-
-    def join(self, other: "DataSet", left_key: Callable, right_key: Callable,
-             join_fn: Callable = lambda l, r: (l, r),
-             cost: OpCost = OpCost(), parallelism: Optional[int] = None,
-             name: str = "join") -> "DataSet":
-        """Hash equi-join with ``other``."""
-        if other.session is not self.session:
-            raise ValueError("cannot join datasets from different sessions")
-        return self._derive(
-                       JoinOp(self.op, other.op, left_key, right_key,
-                              join_fn, cost, parallelism, name=name))
-
-    def union(self, other: "DataSet", name: str = "union") -> "DataSet":
-        """Concatenate with ``other`` (no shuffle: partitions are adopted)."""
-        if other.session is not self.session:
-            raise ValueError("cannot union datasets from different sessions")
-        return self._derive(UnionOp(self.op, other.op, name=name))
-
-    def distinct(self, key_fn: Optional[Callable] = None,
-                 cost: OpCost = OpCost(),
-                 parallelism: Optional[int] = None,
-                 name: str = "distinct") -> "DataSet":
-        """Deduplicate elements (by ``key_fn``, or by value)."""
-        return self._derive(DistinctOp(self.op, key_fn, cost, parallelism,
-                                       name=name))
-
-    def first(self, n: int) -> "DataSet":
-        """Any ``n`` elements of the dataset (one output partition)."""
-        return self._derive(FirstNOp(self.op, n))
-
-    def sort_partition(self, key_fn: Optional[Callable] = None,
-                       reverse: bool = False, cost: OpCost = OpCost(),
-                       name: str = "sort-partition") -> "DataSet":
-        """Sort every partition locally (no global order, as in Flink)."""
-        return self._derive(SortPartitionOp(self.op, key_fn, reverse, cost,
-                                            name=name))
-
-    def cross(self, other: "DataSet",
-              cross_fn: Callable = lambda l, r: (l, r),
-              cost: OpCost = OpCost(), parallelism: Optional[int] = None,
-              name: str = "cross") -> "DataSet":
-        """Cartesian product with ``other`` (right side broadcast)."""
-        if other.session is not self.session:
-            raise ValueError("cannot cross datasets from different sessions")
-        return self._derive(CrossOp(self.op, other.op, cross_fn, cost,
-                                    parallelism, name=name))
-
-    def co_group(self, other: "DataSet", left_key: Callable,
-                 right_key: Callable,
-                 cogroup_fn: Callable, cost: OpCost = OpCost(),
-                 parallelism: Optional[int] = None,
-                 name: str = "co-group") -> "DataSet":
-        """Group both datasets by key and apply
-        ``cogroup_fn(key, left_members, right_members)`` per key."""
-        if other.session is not self.session:
-            raise ValueError(
-                "cannot co-group datasets from different sessions")
-        return self._derive(CoGroupOp(self.op, other.op, left_key,
-                                      right_key, cogroup_fn, cost,
-                                      parallelism, name=name))
 
     # -- aggregate shorthands ----------------------------------------------------
     def sum(self, value_fn: Callable = lambda x: x,
@@ -267,7 +183,7 @@ class GroupedDataSet:
     ``field_max``).  *Row call*: they are ordinary element UDFs —
     ``field(0)(row) == row[0]``, ``field_sum(1)(a, b)`` is ``a`` with field
     1 replaced by ``a[1] + b[1]`` — so any path that does not know them
-    (join keys, ``reduce_group``, a row list) just calls them.  *Block
+    (a row list, a plain ``map``) just calls them.  *Block
     call*: handed a 2-D or GStruct block, the engine asks the pair once per
     keyed pass instead — one key column (field position = column, or field
     in declaration order; an all-integral float column counts as the ints it
@@ -324,12 +240,3 @@ class GroupedDataSet:
         """Per key, the first row with the group's largest field
         ``index``."""
         return self.reduce(field_max(index), **reduce_kw)
-
-    def reduce_group(self, group_fn: Callable[[Any, list], Any],
-                     cost: OpCost = OpCost(),
-                     parallelism: Optional[int] = None,
-                     name: str = "group-reduce") -> DataSet:
-        """Full-group function ``group_fn(key, members)`` per key."""
-        return self.dataset._derive(
-                       GroupReduceOp(self.dataset.op, self.key_fn, group_fn,
-                                     cost, parallelism, name=name))

@@ -58,10 +58,6 @@ class ExecutionGraph:
     def _resolve_parallelism(self, op: Operator, default: int) -> int:
         if op.parallelism is not None:
             return op.parallelism
-        if ShipStrategy.UNION_LEFT in op.strategies:
-            # A union runs one subtask per input partition of either side.
-            return sum(self.vertices[inp.uid].parallelism
-                       for inp in op.inputs)
         forward_inputs = [
             inp for inp, strat in zip(op.inputs, op.strategies)
             if strat is ShipStrategy.FORWARD

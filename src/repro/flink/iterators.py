@@ -19,17 +19,16 @@ import numpy as np
 
 from repro.flink.payload import (block_of, field_column, group_columnar,
                                  group_plan, integral_as_int, key_column,
-                                 real_len, rows_like, segment_fold, take,
-                                 to_block, with_field)
+                                 real_len, rows_like, segment_fold, to_block,
+                                 with_field)
 
 
 def vectorized(udf: Callable) -> Callable:
     """Mark ``udf`` as operating on a whole partition payload at once.
 
     A vectorized map receives the partition's elements (list or ndarray) and
-    returns the transformed elements; a vectorized filter returns a boolean
-    mask or a filtered payload; a vectorized plain ``reduce`` receives the
-    whole payload and returns the reduced value.
+    returns the transformed elements; a vectorized plain ``reduce`` receives
+    the whole payload and returns the reduced value.
 
     A vectorized *key extractor* maps a block of n rows to a 1-D key column
     of length n (any sortable dtype; HASH routing also needs integers).  A
@@ -153,43 +152,6 @@ def apply_map(elements: Any, udf: Callable) -> Any:
     if is_vectorized(udf):
         return udf(elements)
     return rows_like(elements, [udf(x) for x in elements])
-
-
-def apply_filter(elements: Any, udf: Callable) -> Any:
-    """``filter``: keep elements where the predicate holds."""
-    if not real_len(elements):
-        return [] if elements is None else elements
-    if is_vectorized(udf):
-        mask = udf(elements)
-        # This asks what the *UDF returned*, not what the payload is: a
-        # vectorized predicate hands back a boolean mask (which selects
-        # from a row list too) or the filtered payload itself.
-        if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
-            return mask
-    else:
-        mask = np.fromiter((bool(udf(x)) for x in elements),
-                           dtype=bool, count=len(elements))
-    return take(elements, np.flatnonzero(mask))
-
-
-def apply_flat_map(elements: Any, udf: Callable) -> List[Any]:
-    """``flatMap``: zero or more output elements per input element.
-
-    Always returns a list: a vectorized UDF may hand back an ndarray (or
-    None), but flatMap callers ``.extend`` the result and chain stages
-    expect list semantics.
-    """
-    if not real_len(elements):
-        return []
-    if is_vectorized(udf):
-        out = udf(elements)
-        if out is None:
-            return []
-        return out if isinstance(out, list) else list(out)
-    out: List[Any] = []
-    for x in elements:
-        out.extend(udf(x))
-    return out
 
 
 def apply_reduce(elements: Any, udf: Callable) -> Any:

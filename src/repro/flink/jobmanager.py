@@ -73,7 +73,7 @@ class JobMetrics:
     compute_s: float = 0.0          # summed across subtasks (CPU-seconds)
     gpu_kernel_s: float = 0.0       # summed kernel time (GFlink operators)
     #: Kernel seconds per kernel name — fused chains report every stage
-    #: separately here (repro.flink.report.breakdown prints them).
+    #: separately here.
     gpu_stage_seconds: Dict[str, float] = field(default_factory=dict)
     pcie_bytes: float = 0.0         # H2D+D2H traffic (GFlink operators)
     shuffle_bytes: float = 0.0
@@ -92,14 +92,10 @@ class JobMetrics:
     recovered_partitions: int = 0
     #: GPU subtasks that degraded to CPU execution (all devices blacklisted).
     fallback_tasks: int = 0
-    #: Block-pipeline counters (zero for a job with no streaming edge): the
-    #: deepest block-queue occupancy seen, producer stalls on full queues
-    #: (count and stalled seconds), and H2D copies that waited for host
-    #: bytes to stream in.  Surfaced by repro.flink.report.breakdown.
-    pipeline_max_queue_depth: int = 0
+    #: Producer stalls on full block queues, count and stalled seconds
+    #: (zero for a job with no streaming edge).
     pipeline_backpressure_stalls: int = 0
     pipeline_backpressure_s: float = 0.0
-    pipeline_h2d_starved: int = 0
     operator_spans: Dict[int, OperatorSpan] = field(default_factory=dict)
     #: Operators materialized by THIS job (cleanup is per-job so concurrent
     #: applications on one cluster do not evict each other's intermediates).

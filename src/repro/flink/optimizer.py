@@ -1,12 +1,12 @@
 """Plan optimizer: operator chaining.
 
 Flink fuses consecutive element-wise operators into one task ("operator
-chaining"), so a ``map → filter → flatMap`` pipeline deploys once per slot
+chaining"), so a ``map → mapPartition`` pipeline deploys once per slot
 and passes records function-to-function instead of materializing between
 operators.  This optimizer performs the same rewrite on the logical plan:
 
-* chainable operators: ``MapOp``, ``FilterOp``, ``FlatMapOp``,
-  ``MapPartitionOp`` — single FORWARD input, default parallelism;
+* chainable operators: ``MapOp``, ``MapPartitionOp`` — single FORWARD
+  input, default parallelism;
 * a chain is broken by: a persisted operator (its materialization is
   user-visible), an operator consumed by more than one downstream, an
   explicit parallelism, or a non-chainable operator (shuffles, GPU ops,
@@ -34,8 +34,6 @@ from collections import Counter
 from typing import Dict, List, Tuple
 
 from repro.flink.plan import (
-    FilterOp,
-    FlatMapOp,
     MapOp,
     MapPartitionOp,
     OpCost,
@@ -44,7 +42,7 @@ from repro.flink.plan import (
     topological_order,
 )
 
-CHAINABLE = (MapOp, FilterOp, FlatMapOp, MapPartitionOp)
+CHAINABLE = (MapOp, MapPartitionOp)
 
 
 class FusedMapOp(_StageChain):
@@ -62,9 +60,9 @@ def pipeline_regions(order: List[Operator]) -> List[List[Operator]]:
     """Group a topological operator order into pipeline regions.
 
     A pipeline region is a maximal set of operators connected by streaming
-    edges (forward/union — :attr:`ShipStrategy.is_streaming`): within one
+    edges (forward — :attr:`ShipStrategy.is_streaming`): within one
     region the pipelined executor can flow individual blocks end to end.
-    Barrier edges (hash, gather, broadcast, rebalance) cut regions: they
+    Barrier edges (hash, gather, rebalance) cut regions: they
     need every producer partition before any consumer record is routable —
     the hash-shuffle build sides and iteration-superstep boundaries.
 

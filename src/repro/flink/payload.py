@@ -10,11 +10,10 @@ array, which is one row.
 Every other module in ``repro.flink`` and ``repro.core`` is written once
 against the accessors below — :func:`real_len`, :func:`is_block`,
 :func:`concat`, :func:`take`, :func:`cut`, :func:`to_block` /
-:func:`block_of` / :func:`to_rows` / :func:`to_tuples` / :func:`rows_like`,
-:func:`sort_rows` and the positional ones (:func:`field_column`,
-:func:`with_field`) — and never tests the representation itself
-(``scripts/lint.py`` lints that).  What the
-two formats *cost* is not decided here: the exchange picks a serde price list
+:func:`block_of` / :func:`to_rows` / :func:`to_tuples` / :func:`rows_like`
+and the positional ones (:func:`field_column`, :func:`with_field`) — and
+never tests the representation itself (``scripts/lint.py`` lints that).
+What the two formats *cost* is not decided here: the exchange picks a serde price list
 (:meth:`repro.flink.shuffle.Exchange._zero_copy`) and
 :meth:`repro.flink.jobmanager.TaskContext.charge` a CPU one.
 
@@ -29,7 +28,7 @@ that one pass per producer — :func:`bucket_plan`, :func:`group_plan`,
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence
+from typing import Any, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -183,37 +182,9 @@ def with_field(row: Any, index: int, value: Any) -> Any:
     return out
 
 
-def row_value(row: Any) -> Any:
-    """A row as the hashable value it holds — ``distinct()``'s default key:
-    a block row (a 1-D view of a 2-D block or a GStruct record) is the
-    tuple of its fields as Python scalars, so a row list, a 2-D block and a
-    GStruct block of the same rows deduplicate alike; any other row is
-    itself."""
-    if isinstance(row, (np.ndarray, np.void)):
-        return tuple(row.tolist())
-    return row
-
-
 def rows_like(payload: Any, rows: List[Any]) -> Any:
     """``rows`` in ``payload``'s format: stacked if ``payload`` is a block."""
     return np.array(rows) if is_block(payload) else rows
-
-
-def sort_rows(payload: Any, key_fn: Optional[Callable] = None,
-              reverse: bool = False) -> Any:
-    """Stable sort, in the row order of ``sorted(rows, key=key_fn,
-    reverse=reverse)`` whatever the format.
-
-    A block's rows compare as the Python values they hold (a 2-D row as
-    the sequence of its fields, a GStruct record as its tuple), and
-    ``reverse`` keeps ties in their original order, as ``sorted`` does.
-    """
-    if not is_block(payload):
-        return sorted(payload, key=key_fn, reverse=reverse)
-    keys = (payload.tolist() if key_fn is None
-            else [key_fn(row) for row in payload])
-    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=reverse)
-    return payload[np.asarray(order, dtype=np.intp)]
 
 
 def n_wire_blocks(payload: Any, nbytes: float, block_nbytes: float) -> int:

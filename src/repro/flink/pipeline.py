@@ -18,9 +18,9 @@ Two planes, one result
     clock, never its results.
 
 Pipeline regions
-    Streaming applies along forward/union edges only
+    Streaming applies along forward edges only
     (:attr:`~repro.flink.plan.ShipStrategy.is_streaming`).  An operator
-    with any hash/gather/broadcast/rebalance input is a *barrier* consumer:
+    with any hash/gather/rebalance input is a *barrier* consumer:
     it waits for all its producers' final partitions, then runs one
     :class:`~repro.flink.shuffle.Exchange` per input edge — the exchange
     boundary of a pipeline region
@@ -51,9 +51,8 @@ from repro.flink.plan import (
     CollectionSource,
     HdfsSink,
     HdfsSource,
+    MapOp,
     Operator,
-    ShipStrategy,
-    _ElementWise,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -96,9 +95,6 @@ class BlockStream:
         # Stats surfaced via trace spans and the metrics registry.
         self.max_depth = 0
         self.stall_count = 0
-        # H2D starvation (consumer ready before host bytes): incremented by
-        # the GPU pipeline (repro.core.gstream) on its host stream.
-        self.starved_count = 0
 
     # -- state ----------------------------------------------------------------
     @property
@@ -289,23 +285,9 @@ class PipelinedExecutor:
         if not all(s.is_streaming for s in op.strategies):
             return False
         jv = self.graph.job_vertex(op)
-        for inp, strat in zip(op.inputs, op.strategies):
-            p = len(self._shells[inp.uid])
-            if strat is ShipStrategy.FORWARD and p != jv.parallelism:
-                return False  # the FORWARD exchange rejects this shape
-        return True
-
-    def _source_index(self, op: Operator, input_idx: int, subtask: int
-                      ) -> Optional[int]:
-        """Producer partition feeding input ``input_idx`` of subtask ``i``."""
-        strat = op.strategies[input_idx]
-        if strat is ShipStrategy.FORWARD:
-            return subtask
-        p = len(self._shells[op.inputs[input_idx].uid])
-        if strat is ShipStrategy.UNION_LEFT:
-            return subtask if subtask < p else None
-        offset = self.graph.job_vertex(op).parallelism - p
-        return subtask - offset if subtask >= offset else None
+        # The FORWARD exchange rejects unequal parallelism.
+        return all(len(self._shells[inp.uid]) == jv.parallelism
+                   for inp in op.inputs)
 
     def _wire(self, fresh: List[Operator]) -> None:
         for op in fresh:
@@ -324,14 +306,14 @@ class PipelinedExecutor:
                     self._consumer_slot[(op.uid, k)] = slot
                     self._n_subs[uid] = slot + 1
         # An operator emits a block stream when it can publish progressively
-        # (sources generate blocks; element-wise ops relay their input's
-        # stream) and someone downstream streams from it.
+        # (sources generate blocks; maps relay their input's stream) and
+        # someone downstream streams from it.
         for op in fresh:
             emits = False
             if self._n_subs.get(op.uid, 0) > 0:
                 if isinstance(op, HdfsSource):
                     emits = True
-                elif (isinstance(op, _ElementWise)
+                elif (isinstance(op, MapOp)
                         and self._streaming_mode(op)
                         and self._emits.get(op.inputs[0].uid, False)):
                     emits = True
@@ -407,10 +389,6 @@ class PipelinedExecutor:
         if not streams:
             return
         max_depth = max(s.max_depth for s in streams)
-        self.metrics.pipeline_max_queue_depth = max(
-            self.metrics.pipeline_max_queue_depth, max_depth)
-        self.metrics.pipeline_h2d_starved += sum(
-            s.starved_count for s in streams)
         self.obs.emit("pipeline.queue", op=op.name, max_depth=max_depth,
                       stalls=sum(s.stall_count for s in streams))
 
@@ -502,18 +480,14 @@ class PipelinedExecutor:
                          i: int) -> Generator[Event, None, Partition]:
         """One streaming consumer subtask: wait shells, colocate, run."""
         uid = op.uid
-        collected: List[Optional[Partition]] = []
+        collected: List[Partition] = []
         in_stream: Optional[BlockStream] = None
         in_slot: Optional[int] = None
         colocate: Optional[str] = None
         for k in range(len(op.inputs)):
-            src = self._source_index(op, k, i)
-            if src is None:
-                collected.append(None)  # the other side of a union
-                continue
             inp_uid = op.inputs[k].uid
-            part = yield self._shells[inp_uid][src]
-            stream = self._streams[inp_uid][src]
+            part = yield self._shells[inp_uid][i]
+            stream = self._streams[inp_uid][i]
             if stream is not None:
                 if in_stream is None:
                     in_stream = stream
@@ -521,22 +495,19 @@ class PipelinedExecutor:
             else:
                 # No stream: the producer's timing completes all at once —
                 # this consumer may only proceed from its final.
-                part = yield self._finals[inp_uid][src]
+                part = yield self._finals[inp_uid][i]
             collected.append(part)
             if colocate is None:
                 colocate = part.worker
         vertex = jv.subtasks[i]
         self.scheduler.schedule_subtask(vertex, colocate)
 
-        # Mirror the forward/union Exchange's reindexing.  Placement
+        # Mirror the forward Exchange's reindexing.  Placement
         # differs from the producer's home only when that worker died
         # (health fallback), in which case the producer's own retry is
         # already re-shipping the data — no extra transfer is charged here.
-        inputs: List[Optional[Partition]] = []
+        inputs: List[Partition] = []
         for part in collected:
-            if part is None:
-                inputs.append(None)
-                continue
             moved = part.derive(part.elements)
             moved.index = i
             moved.worker = vertex.worker
@@ -544,8 +515,7 @@ class PipelinedExecutor:
 
         out_stream: Optional[BlockStream] = None
         if self._emits[uid] and in_stream is not None:
-            primary = next(p for p in inputs if p is not None)
-            shell = op.functional_output(primary, i, vertex.worker)
+            shell = op.functional_output(inputs[0], i, vertex.worker)
             ratio = (shell.nominal_nbytes / in_stream.total_nbytes
                      if in_stream.total_nbytes > 0 else 0.0)
             out_stream = BlockStream(

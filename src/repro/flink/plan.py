@@ -11,24 +11,19 @@ whole integration surface — exactly the paper's claim that GFlink is
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Generator, List, Optional, TYPE_CHECKING
 
 from repro.common.errors import ConfigError
 from repro.flink.iterators import (
-    apply_filter,
-    apply_flat_map,
     apply_grouped_reduce,
     apply_map,
     apply_reduce,
-    group_elements,
     is_vectorized,
 )
 from repro.flink.partition import Partition
-from repro.flink.payload import (concat, real_len, row_value, sort_rows,
-                                 to_tuples)
+from repro.flink.payload import concat, real_len, to_tuples
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flink.jobmanager import TaskContext
@@ -39,25 +34,20 @@ class ShipStrategy(Enum):
 
     FORWARD = "forward"      # partition i -> subtask i, locality preserved
     HASH = "hash"            # repartition by key hash (shuffle)
-    BROADCAST = "broadcast"  # full copy to every subtask
     GATHER = "gather"        # everything to a single subtask
     REBALANCE = "rebalance"  # round-robin even redistribution
-    UNION_LEFT = "union-left"    # partition i -> subtask i (union, no move)
-    UNION_RIGHT = "union-right"  # partition i -> subtask p_left + i
 
     @property
     def is_streaming(self) -> bool:
         """True for edges the pipelined executor streams block-by-block.
 
-        Point-to-point edges (forward, union) preserve partitioning, so a
-        consumer subtask can start as soon as its one producer starts
-        emitting.  Hash/gather/broadcast/rebalance edges need *every*
-        producer partition before any consumer record is routable — they
-        are the true pipeline-region barriers (hash-shuffle build sides,
-        iteration supersteps).
+        A forward edge preserves partitioning, so a consumer subtask can
+        start as soon as its one producer starts emitting.
+        Hash/gather/rebalance edges need *every* producer partition before
+        any consumer record is routable — they are the true pipeline-region
+        barriers (hash-shuffle build sides, iteration supersteps).
         """
-        return self in (ShipStrategy.FORWARD, ShipStrategy.UNION_LEFT,
-                        ShipStrategy.UNION_RIGHT)
+        return self is ShipStrategy.FORWARD
 
 
 @dataclass(frozen=True)
@@ -68,9 +58,9 @@ class OpCost:
         Arithmetic work per (nominal) element — drives CPU/GPU compute time.
     selectivity
         Expected output/input element ratio.  Used to keep nominal scaling
-        consistent for filters and flatMaps whose real selectivity on the
-        sample may differ from the nominal workload.  ``None`` means "use the
-        observed real ratio".
+        consistent for maps and partition functions whose real selectivity
+        on the sample may differ from the nominal workload.  ``None`` means
+        "use the observed real ratio".
     out_element_nbytes
         Nominal serialized size of an output element (None = same as input).
     element_overhead_s
@@ -328,7 +318,7 @@ class HdfsSource(Operator):
 class _StageChain(Operator):
     """An ordered list of single-UDF stages run by one task.
 
-    ``map`` / ``filter`` / ``flatMap`` / ``mapPartition`` are each the chain
+    ``map`` / ``mapPartition`` are each the chain
     of one (``stages == [self]``, set here); the optimizer's
     :class:`~repro.flink.optimizer.FusedMapOp` is the constructor of longer
     ones.  A stage is priced by its ``cost`` and ``udf``, computed by
@@ -375,9 +365,13 @@ class _StageChain(Operator):
                          scale=out_scale, worker=worker)
 
 
-class _ElementWise(_StageChain):
-    """map/filter/flatMap: iterator-model CPU execution, one element at a
-    time — the operators whose block stream the executor relays."""
+class MapOp(_StageChain):
+    """``map``: one-in one-out element transform, iterator-model CPU
+    execution one element at a time — the operator whose block stream the
+    executor relays."""
+
+    def _transform(self, elements):
+        return apply_map(elements, self.udf)
 
     def _output_scale(self, part: Partition, out_elements: Any) -> float:
         real_out = real_len(out_elements)
@@ -387,27 +381,6 @@ class _ElementWise(_StageChain):
         # real selectivity differs.
         nominal_out = part.nominal_count * self.cost.selectivity
         return nominal_out / real_out
-
-
-class MapOp(_ElementWise):
-    """``map``: one-in one-out element transform."""
-
-    def _transform(self, elements):
-        return apply_map(elements, self.udf)
-
-
-class FilterOp(_ElementWise):
-    """``filter``: keep elements satisfying the predicate."""
-
-    def _transform(self, elements):
-        return apply_filter(elements, self.udf)
-
-
-class FlatMapOp(_ElementWise):
-    """``flatMap``: zero-or-more-out element transform."""
-
-    def _transform(self, elements):
-        return apply_flat_map(elements, self.udf)
 
 
 class MapPartitionOp(_StageChain):
@@ -484,39 +457,6 @@ class KeyedReduceOp(Operator):
                          scale=1.0, worker=ctx.worker.name)
 
 
-class GroupReduceOp(Operator):
-    """``groupBy(key).reduce_group(fn)`` — full-group function, not combinable."""
-
-    def __init__(self, source: Operator, key_fn: Callable,
-                 group_fn: Callable, cost: OpCost,
-                 parallelism: Optional[int] = None,
-                 name: str = "group-reduce"):
-        super().__init__(name, [source], parallelism,
-                         [ShipStrategy.HASH], cost)
-        self.key_fn = key_fn
-        self.group_fn = group_fn
-
-    def key_fn_for_input(self, i):
-        return self.key_fn
-
-    def execute_subtask(self, ctx, inputs):
-        (part,) = inputs
-        yield from ctx.charge(self.cost, part.nominal_count,
-                              part.nominal_nbytes,
-                              self.key_fn, self.group_fn)
-        groups = group_elements(part.elements, self.key_fn)
-        out = []
-        for key, members in groups.items():
-            result = self.group_fn(key, members)
-            if isinstance(result, list):
-                out.extend(result)
-            else:
-                out.append(result)
-        return Partition(index=ctx.subtask_index, elements=out,
-                         element_nbytes=self.out_element_nbytes(part),
-                         scale=1.0, worker=ctx.worker.name)
-
-
 class ReduceOp(Operator):
     """Global ``reduce``: local partial fold, then final fold on one subtask."""
 
@@ -537,216 +477,6 @@ class ReduceOp(Operator):
         out = [] if result is None else [result]
         return Partition(index=0, elements=out,
                          element_nbytes=self.out_element_nbytes(part),
-                         scale=1.0, worker=ctx.worker.name)
-
-
-class JoinOp(Operator):
-    """Hash equi-join of two datasets.
-
-    Both sides are hash-shuffled on their keys; each subtask builds a hash
-    table on the (smaller) left side and probes with the right side.
-    """
-
-    def __init__(self, left: Operator, right: Operator,
-                 left_key: Callable, right_key: Callable,
-                 join_fn: Callable, cost: OpCost,
-                 parallelism: Optional[int] = None, name: str = "join"):
-        super().__init__(name, [left, right], parallelism,
-                         [ShipStrategy.HASH, ShipStrategy.HASH], cost)
-        self.left_key = left_key
-        self.right_key = right_key
-        self.join_fn = join_fn
-
-    def key_fn_for_input(self, i):
-        return self.left_key if i == 0 else self.right_key
-
-    def execute_subtask(self, ctx, inputs):
-        left, right = inputs
-        yield from ctx.charge(self.cost,
-                              left.nominal_count + right.nominal_count,
-                              left.nominal_nbytes + right.nominal_nbytes)
-        table = group_elements(left.elements, self.left_key)
-        out = []
-        for r in right.elements:
-            for l in table.get(self.right_key(r), ()):
-                out.append(self.join_fn(l, r))
-        scale = max(left.scale, right.scale)
-        return Partition(index=ctx.subtask_index, elements=out,
-                         element_nbytes=self.out_element_nbytes(left),
-                         scale=scale, worker=ctx.worker.name)
-
-
-class UnionOp(Operator):
-    """``union``: concatenate two datasets of the same type.
-
-    Flink unions are free at run time (no shuffle): each subtask forwards
-    one partition of either input.  We model the same: the left input maps
-    onto the first ``p_left`` subtasks, the right onto the rest.
-    """
-
-    def __init__(self, left: Operator, right: Operator,
-                 name: str = "union"):
-        super().__init__(name, [left, right], None,
-                         [ShipStrategy.UNION_LEFT, ShipStrategy.UNION_RIGHT])
-
-    def execute_subtask(self, ctx, inputs):
-        parts = [p for p in inputs if p is not None]
-        if not parts:
-            return Partition(index=ctx.subtask_index, elements=[],
-                             element_nbytes=8.0, scale=1.0,
-                             worker=ctx.worker.name)
-        (part,) = parts
-        yield from ctx.charge(self.cost, 0.0, 0.0)
-        moved = part.derive(part.elements)
-        moved.index = ctx.subtask_index
-        moved.worker = ctx.worker.name
-        return moved
-
-
-def _keep_first(first: Any, later: Any) -> Any:
-    """``distinct`` as a keyed reduce: a key's first row wins."""
-    return first
-
-
-class DistinctOp(Operator):
-    """``distinct``: deduplicate by key (hash shuffle + per-key pick-first);
-    without one, by the row's value (:func:`~repro.flink.payload.row_value`)."""
-
-    def __init__(self, source: Operator, key_fn: Optional[Callable] = None,
-                 cost: OpCost = OpCost(), parallelism: Optional[int] = None,
-                 name: str = "distinct"):
-        super().__init__(name, [source], parallelism,
-                         [ShipStrategy.HASH], cost)
-        self.key_fn = key_fn or row_value
-
-    def key_fn_for_input(self, i):
-        return self.key_fn
-
-    def combiner_for_input(self, i):
-        # Pre-deduplicate on the producer side: keep the first of each key.
-        return (self.key_fn, _keep_first)
-
-    def execute_subtask(self, ctx, inputs):
-        (part,) = inputs
-        yield from ctx.charge(self.cost, part.nominal_count,
-                              part.nominal_nbytes, self.key_fn)
-        out = apply_grouped_reduce(part.elements, self.key_fn, _keep_first)
-        return Partition(index=ctx.subtask_index, elements=out,
-                         element_nbytes=self.out_element_nbytes(part),
-                         scale=1.0, worker=ctx.worker.name)
-
-
-class FirstNOp(Operator):
-    """``first(n)``: any ``n`` elements (gathered to one subtask)."""
-
-    def __init__(self, source: Operator, n: int, name: Optional[str] = None):
-        super().__init__(name or f"first({n})", [source], 1,
-                         [ShipStrategy.GATHER],
-                         OpCost(flops_per_element=0.0))
-        if n < 1:
-            raise ConfigError(f"first(n) needs n >= 1, got {n}")
-        self.n = n
-
-    def combiner_for_input(self, i):
-        # Each producer only ships its first n elements.
-        n = self.n
-        return lambda bucket: list(bucket[:n])
-
-    def execute_subtask(self, ctx, inputs):
-        (part,) = inputs
-        yield from ctx.charge(self.cost, min(part.real_count, self.n), 0.0)
-        out = list(part.elements)[:self.n]
-        return Partition(index=0, elements=out,
-                         element_nbytes=self.out_element_nbytes(part),
-                         scale=1.0, worker=ctx.worker.name)
-
-
-class SortPartitionOp(Operator):
-    """``sortPartition``: sort each partition locally (no shuffle).
-
-    Charged at ``n log2 n`` comparisons per partition under the iterator
-    model — Flink's in-memory sort over managed pages.
-    """
-
-    def __init__(self, source: Operator, key_fn: Optional[Callable] = None,
-                 reverse: bool = False, cost: OpCost = OpCost(),
-                 parallelism: Optional[int] = None,
-                 name: str = "sort-partition"):
-        super().__init__(name, [source], parallelism,
-                         [ShipStrategy.FORWARD], cost)
-        self.key_fn = key_fn
-        self.reverse = reverse
-
-    def execute_subtask(self, ctx, inputs):
-        (part,) = inputs
-        n = max(part.nominal_count, 1.0)
-        comparisons = n * math.log2(n) if n > 1 else 0.0
-        yield from ctx.charge(self.cost, comparisons, part.nominal_nbytes)
-        out = sort_rows(part.elements, self.key_fn, self.reverse)
-        return Partition(index=ctx.subtask_index, elements=out,
-                         element_nbytes=part.element_nbytes,
-                         scale=part.scale, worker=ctx.worker.name)
-
-
-class CrossOp(Operator):
-    """``cross``: Cartesian product — the right side is broadcast."""
-
-    def __init__(self, left: Operator, right: Operator,
-                 cross_fn: Callable = lambda l, r: (l, r),
-                 cost: OpCost = OpCost(), parallelism: Optional[int] = None,
-                 name: str = "cross"):
-        super().__init__(name, [left, right], parallelism,
-                         [ShipStrategy.FORWARD, ShipStrategy.BROADCAST],
-                         cost)
-        self.cross_fn = cross_fn
-
-    def execute_subtask(self, ctx, inputs):
-        left, right = inputs
-        pairs = left.nominal_count * max(right.nominal_count, 1.0)
-        yield from ctx.charge(self.cost, pairs, left.nominal_nbytes)
-        out = [self.cross_fn(l, r)
-               for l in left.elements for r in right.elements]
-        real_pairs = max(len(out), 1)
-        return Partition(index=ctx.subtask_index, elements=out,
-                         element_nbytes=self.out_element_nbytes(left),
-                         scale=pairs / real_pairs if out else 1.0,
-                         worker=ctx.worker.name)
-
-
-class CoGroupOp(Operator):
-    """``coGroup``: both sides hash-shuffled by key; the UDF sees the two
-    groups of each key together."""
-
-    def __init__(self, left: Operator, right: Operator,
-                 left_key: Callable, right_key: Callable,
-                 cogroup_fn: Callable, cost: OpCost = OpCost(),
-                 parallelism: Optional[int] = None, name: str = "co-group"):
-        super().__init__(name, [left, right], parallelism,
-                         [ShipStrategy.HASH, ShipStrategy.HASH], cost)
-        self.left_key = left_key
-        self.right_key = right_key
-        self.cogroup_fn = cogroup_fn
-
-    def key_fn_for_input(self, i):
-        return self.left_key if i == 0 else self.right_key
-
-    def execute_subtask(self, ctx, inputs):
-        left, right = inputs
-        yield from ctx.charge(self.cost,
-                              left.nominal_count + right.nominal_count,
-                              left.nominal_nbytes + right.nominal_nbytes)
-        lgroups = group_elements(left.elements, self.left_key)
-        rgroups = group_elements(right.elements, self.right_key)
-        out = []
-        for key in dict.fromkeys(list(lgroups) + list(rgroups)):
-            result = self.cogroup_fn(key, lgroups.get(key, []),
-                                     rgroups.get(key, []))
-            if isinstance(result, list):
-                out.extend(result)
-            else:
-                out.append(result)
-        return Partition(index=ctx.subtask_index, elements=out,
-                         element_nbytes=self.out_element_nbytes(left),
                          scale=1.0, worker=ctx.worker.name)
 
 

@@ -8,7 +8,7 @@ experiments):
   locality), otherwise on the least-loaded worker.
 * FORWARD consumers — co-located with their input partition (chaining
   locality: no network on the forward edge).
-* Shuffle/gather/broadcast consumers — spread round-robin by load.
+* Shuffle/gather/rebalance consumers — spread round-robin by load.
 
 Fault tolerance: every placement decision consults the cluster's worker
 ``health`` predicate, so nothing is ever scheduled onto a dead node, and
@@ -173,21 +173,9 @@ class Scheduler:
             if strat is ShipStrategy.FORWARD:
                 forward_idx = k
                 break
-        union = ShipStrategy.UNION_LEFT in op.strategies
         for vertex in jv.subtasks:
             home = None
-            if union:
-                # Subtask j consumes left partition j, or right partition
-                # j - p_left: co-locate with whichever feeds it.
-                left = input_partitions[0]
-                right = input_partitions[1] if len(input_partitions) > 1 \
-                    else []
-                j = vertex.subtask_index
-                if j < len(left):
-                    home = left[j].worker
-                elif j - len(left) < len(right):
-                    home = right[j - len(left)].worker
-            elif forward_idx is not None:
+            if forward_idx is not None:
                 parts = input_partitions[forward_idx]
                 if vertex.subtask_index < len(parts):
                     home = parts[vertex.subtask_index].worker
@@ -205,7 +193,7 @@ class Scheduler:
                          colocate: Optional[str] = None) -> str:
         """Lazily place one subtask (pipelined executor).
 
-        Streamed edges (forward/union) preserve partitioning, so a consumer
+        Streamed (forward) edges preserve partitioning, so a consumer
         subtask is placed the moment its producer partition's home is known:
         co-located with it when that worker is healthy, otherwise on the
         least-loaded healthy worker.  This is the per-subtask counterpart of

@@ -1,4 +1,4 @@
-"""Data exchange between operators: forward, hash shuffle, broadcast, gather.
+"""Data exchange between operators: forward, hash shuffle, rebalance, gather.
 
 An :class:`Exchange` moves the materialized output partitions of a producer
 operator to the consumer's subtasks according to a
@@ -32,12 +32,12 @@ routine (``_buckets``) through :mod:`repro.flink.payload`'s accessors:
   both at ``serde_bps`` plus a per-record overhead, and the consumer
   receives the row objects deserialization materializes — or, when it folds
   with a built-in pair (``group_by(0).sum(1)``), the block itself: the
-  price is the marker's, the host path the pair's.  Forward and union edges
-  always price ``per_row``.
+  price is the marker's, the host path the pair's.  Forward edges always
+  price ``per_row``.
 
 Shipping is **one sender loop** (``_send``) whatever the strategy: a routed
-producer's buckets, a broadcast producer's copies and a moved forward/union
-partition are all a list of shipments walked in order.  Its rule is *carry
+producer's buckets and a moved forward partition are both a list of
+shipments walked in order.  Its rule is *carry
 the unfired charge, flush before a wait*: serialize, memcpy and deserialize
 charges that follow one another with nothing observing the instants between
 them are collected and fired as one fused event
@@ -57,7 +57,7 @@ buckets on a symmetric layout) can the FIFO order between them differ from
 per-charge shipping (``tests/flink/test_shipping_differential.py`` states
 both regimes against the retired loops).
 
-A routed or broadcast destination payload above
+A routed destination payload above
 ``FlinkConfig.shuffle_spill_nbytes`` is spilled through the simulated HDFS
 (disk + replication) instead of held in exchange buffers.
 ``only_consumers`` (lineage recovery) restricts every strategy identically:
@@ -68,8 +68,7 @@ input slot.
 from __future__ import annotations
 
 import itertools
-from typing import (Any, Callable, Dict, Generator, List, Optional, Set,
-                    Tuple)
+from typing import Any, Callable, Generator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -180,36 +179,27 @@ class Exchange:
     # -- entry point -------------------------------------------------------------
     def run(self) -> Generator[Event, None, ExchangeResult]:
         """Simulation process performing the whole exchange."""
-        if self.strategy.is_streaming:  # forward / union
-            inputs = yield from self._run_point_to_point()
-        elif self.strategy is ShipStrategy.BROADCAST:
-            inputs = yield from self._run_broadcast()
+        if self.strategy.is_streaming:  # forward
+            inputs = yield from self._run_forward()
         else:  # hash / rebalance / gather
             inputs = yield from self._run_routed()
         return ExchangeResult(inputs, self.bytes_shuffled,
                               self.bytes_zero_copy, self.bytes_spilled)
 
-    # -- forward / union ---------------------------------------------------------
-    def _run_point_to_point(self) -> Generator[Event, None, List[Partition]]:
-        """Partition *i* feeds subtask ``offset + i`` whole.
+    # -- forward -------------------------------------------------------------
+    def _run_forward(self) -> Generator[Event, None, List[Partition]]:
+        """Partition *i* feeds subtask *i* whole.
 
-        FORWARD and UNION_LEFT map partition *i* onto subtask *i*,
-        UNION_RIGHT onto the last ``len(producers)`` subtasks; every other
-        subtask receives ``None`` for this input (a union subtask reads
-        exactly one side).  A partition already on its consumer's worker
-        does not move.
+        A partition already on its consumer's worker does not move.
         """
         q = self.n_consumers
-        if self.strategy is ShipStrategy.FORWARD and len(self.producers) != q:
+        if len(self.producers) != q:
             raise ValueError(
                 f"FORWARD needs equal parallelism: {len(self.producers)} "
                 f"producers vs {q} consumers")
-        offset = (q - len(self.producers)
-                  if self.strategy is ShipStrategy.UNION_RIGHT else 0)
         inputs: List[Optional[Partition]] = [None] * q
         moves = []
-        for i, part in enumerate(self.producers):
-            j = offset + i
+        for j, part in enumerate(self.producers):
             if not self._want(j):
                 continue
             moved = part.derive(part.elements)
@@ -222,7 +212,7 @@ class Exchange:
                                [(moved.worker, part.nominal_nbytes,
                                  part.nominal_count, part.elements, None)],
                                zero_copy=False),
-                    name=f"{self.strategy.value}-{i}"))
+                    name=f"{self.strategy.value}-{j}"))
         if moves:
             yield self.env.all_of(moves)
         return inputs
@@ -264,13 +254,11 @@ class Exchange:
         Zero-copy requires block payloads, a block-compatible combiner
         (none, or a vectorized ``(key_fn, reduce_fn)`` pair) and — for
         HASH — a vectorized key extractor yielding integer keys on every
-        producer.  ``COUNT_COMBINER`` and free-form combiners price per
-        row.  (A broadcast has no keys and no combiner: block payloads
-        alone decide.)
+        producer.  ``COUNT_COMBINER`` prices per row.
         """
         if not self._block_payloads():
             return False
-        if self.combiner is COUNT_COMBINER or callable(self.combiner):
+        if self.combiner is COUNT_COMBINER:
             return False
         if self.combiner is not None:
             key_fn, reduce_fn = self.combiner
@@ -294,8 +282,8 @@ class Exchange:
         (``group_plan``'s single sort), an element pair reduces each row on
         insert into its bucket's table
         (:func:`~repro.flink.iterators.fold_by_key`).  Either way bucket
-        contents equal route-then-combine's, which is what any other
-        combiner still gets.
+        contents equal route-then-combine's, which is what a pair keyed
+        otherwise still gets.
         """
         q = self.n_consumers
         rows = part.elements
@@ -308,8 +296,7 @@ class Exchange:
         elif self.strategy is ShipStrategy.REBALANCE:
             buckets = cut(rows, np.arange(real_len(rows)) % q, q)
         else:
-            on_routing_key = (combines and not callable(self.combiner)
-                              and self.combiner[0] is self.key_fn)
+            on_routing_key = combines and self.combiner[0] is self.key_fn
             if keys is None:  # element extractor: one call per row
                 if on_routing_key and not is_vectorized(self.combiner[1]):
                     return fold_by_key(rows, self.key_fn, self.combiner[1],
@@ -402,8 +389,7 @@ class Exchange:
         """Consumer *j*'s merged partition, standing for ``nominal`` elements.
 
         Its per-element size is count-weighted: producers may carry
-        heterogeneous ``element_nbytes`` (e.g. after a union of
-        differently-shaped sides), and weighting by shipped counts
+        heterogeneous ``element_nbytes``, and weighting by shipped counts
         conserves total nominal bytes instead of picking ``producers[0]``
         — whose ``element_nbytes`` only sizes a partition nothing reached.
         """
@@ -418,42 +404,8 @@ class Exchange:
     def _combine(self, bucket: Any) -> Any:
         if real_len(bucket) == 0:
             return bucket
-        if callable(self.combiner):
-            # Free-form producer-side combiner (e.g. first(n)'s truncation):
-            # an element-contract UDF, so it sees rows.
-            return list(self.combiner(to_rows(bucket)))
         key_fn, reduce_fn = self.combiner
         return apply_grouped_reduce(bucket, key_fn, reduce_fn)
-
-    # -- broadcast ----------------------------------------------------------------
-    def _run_broadcast(self) -> Generator[Event, None, List[Partition]]:
-        zero_copy = self._block_payloads()
-        senders = []
-        total_nbytes = sum(p.nominal_nbytes for p in self.producers)
-        total_count = sum(p.nominal_count for p in self.producers)
-        # One copy per distinct wanted worker, in consumer order.
-        first: Dict[str, int] = {}
-        for j, dst in enumerate(self.consumer_workers):
-            if self._want(j):
-                first.setdefault(dst, j)
-        for part in self.producers:
-            senders.append(self.env.process(
-                self._send(part.worker,
-                           [(dst, part.nominal_nbytes, part.nominal_count,
-                             part.elements, f"b{part.index}-{j}")
-                            for dst, j in first.items()],
-                           zero_copy),
-                name=f"bcast-{part.index}"))
-        if senders:
-            yield self.env.all_of(senders)
-        merged = self._merge([p.elements for p in self.producers], zero_copy)
-        # Every consumer deserializes its own copy of the rows; a zero-copy
-        # block is one region they all read.
-        return [self._consumer_input(
-                    j, merged if zero_copy else list(merged), total_count,
-                    total_nbytes, self._producer_element_nbytes())
-                if self._want(j) else None
-                for j in range(self.n_consumers)]
 
     # -- common ------------------------------------------------------------------
     def _send(self, src: str, shipments: List[Shipment],
@@ -475,9 +427,9 @@ class Exchange:
         ``Serializer`` calls and byte counters keep their program order;
         they are read only when the exchange ends.
 
-        A payload that carries a ``spill_tag`` (routed and broadcast
-        edges) goes through HDFS instead of direct exchange buffers when
-        oversized; point-to-point edges carry none and never spill.
+        A payload that carries a ``spill_tag`` (routed edges) goes through
+        HDFS instead of direct exchange buffers when oversized; forward
+        edges carry none and never spill.
         """
         env, serializer = self.env, self.serializer
         owed: List[float] = []

@@ -1,4 +1,4 @@
-"""Tests for unit formatting helpers and deterministic RNG derivation."""
+"""Tests for the unit constants and deterministic RNG derivation."""
 
 import numpy as np
 import pytest
@@ -14,21 +14,6 @@ class TestUnits:
         assert units.MiB == 1024 ** 2
         assert units.GiB == 1024 ** 3
         assert units.GB == 10 ** 9
-
-    def test_bytes_h(self):
-        assert units.bytes_h(512) == "512 B"
-        assert units.bytes_h(2048) == "2.00 KiB"
-        assert units.bytes_h(3 * units.MiB) == "3.00 MiB"
-        assert units.bytes_h(1.5 * units.GiB) == "1.50 GiB"
-
-    def test_seconds_h(self):
-        assert units.seconds_h(90.0) == "1m30.00s"
-        assert units.seconds_h(2.5) == "2.500 s"
-        assert units.seconds_h(0.0042) == "4.200 ms"
-        assert units.seconds_h(3e-6) == "3.0 us"
-
-    def test_rate_h_matches_paper_style(self):
-        assert units.rate_h(776.398 * units.MB) == "776.398 MB/s"
 
 
 class TestRng:

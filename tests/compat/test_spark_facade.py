@@ -20,33 +20,11 @@ class TestRDDBasics:
     def test_parallelize_collect(self, sc):
         assert sorted(sc.parallelize([3, 1, 2]).collect()) == [1, 2, 3]
 
-    def test_map_filter_chain(self, sc):
-        out = sc.parallelize(range(10)) \
-            .map(lambda x: x * 2) \
-            .filter(lambda x: x > 10) \
-            .collect()
-        assert sorted(out) == [12, 14, 16, 18]
-
-    def test_flat_map(self, sc):
-        out = sc.parallelize(["a b", "c"]) \
-            .flat_map(lambda s: s.split()).collect()
-        assert sorted(out) == ["a", "b", "c"]
-
     def test_count(self, sc):
         assert sc.parallelize(range(37)).count() == 37
 
     def test_reduce(self, sc):
         assert sc.parallelize(range(1, 11)).reduce(lambda a, b: a + b) == 55
-
-    def test_first_and_take(self, sc):
-        rdd = sc.parallelize(range(100))
-        assert rdd.first() in range(100)
-        assert len(rdd.take(5)) == 5
-
-    def test_distinct_union(self, sc):
-        a = sc.parallelize([1, 1, 2])
-        b = sc.parallelize([2, 3])
-        assert sorted(a.union(b).distinct().collect()) == [1, 2, 3]
 
     def test_metrics_exposed(self, sc):
         sc.parallelize([1]).count()
@@ -61,23 +39,12 @@ class TestPairRDD:
                    .reduce_by_key(lambda x, y: x + y).collect())
         assert out == {"a": 4, "b": 2}
 
-    def test_group_by_key(self, sc):
-        data = [("k", 1), ("k", 2), ("j", 9)]
-        out = dict(sc.parallelize(data).group_by_key().collect())
-        assert sorted(out["k"]) == [1, 2]
-        assert out["j"] == [9]
-
-    def test_join(self, sc):
-        left = sc.parallelize([("a", 1), ("b", 2)])
-        right = sc.parallelize([("a", 10)])
-        out = left.join(right).collect()
-        assert out == [("a", (1, 10))]
-
     def test_wordcount_in_spark_style(self, sc):
         lines = ["to be or not", "to be"]
         counts = dict(
             sc.parallelize(lines)
-            .flat_map(lambda line: line.split())
+            .map_partitions(lambda part: [w for line in part
+                                          for w in line.split()])
             .map(lambda w: (w, 1))
             .reduce_by_key(lambda a, b: a + b)
             .collect())
@@ -133,24 +100,14 @@ DELEGATIONS = {
         .map_partitions(lambda rows: [sum(rows)]),
         lambda s: s.from_collection(range(40), parallelism=4)
         .map_partition(lambda rows: [sum(rows)])),
-    "cartesian": (
-        lambda sc: sc.parallelize([1, 2, 3], 2)
-        .cartesian(sc.parallelize("ab", 2)),
-        lambda s: s.from_collection([1, 2, 3], parallelism=2)
-        .cross(s.from_collection("ab", parallelism=2))),
-    "sort_by": (
-        lambda sc: sc.parallelize([5, 3, 9, 1, 7, 2], 2)
-        .sort_by(lambda x: -x, ascending=False),
-        lambda s: s.from_collection([5, 3, 9, 1, 7, 2], parallelism=2)
-        .sort_partition(key_fn=lambda x: -x, reverse=True)),
-    "gpu_filter": (
+    "gpu_map_partitions": (
         lambda sc: sc.parallelize(np.arange(64, dtype=np.int64), 2,
                                   element_nbytes=8.0, scale=100.0)
-        .gpu_filter("keep_even"),
+        .gpu_map_partitions("keep_even"),
         lambda s: s.from_collection(np.arange(64, dtype=np.int64),
                                     element_nbytes=8.0, scale=100.0,
                                     parallelism=2)
-        .gpu_filter("keep_even")),
+        .gpu_map_partition("keep_even")),
 }
 
 

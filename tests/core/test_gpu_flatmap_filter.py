@@ -1,4 +1,5 @@
-"""Tests for gpuFlatMap / gpuFilter and output-scale semantics."""
+"""Tests for a GPU partition function that drops rows, and for the
+output-scale semantics."""
 
 import numpy as np
 import pytest
@@ -23,45 +24,19 @@ def make_session():
     return session
 
 
-class TestGpuFlatMap:
-    def test_fan_out_result(self):
-        session = make_session()
-        data = np.arange(10, dtype=np.int64)
-        result = session.from_collection(data, element_nbytes=8) \
-            .gpu_flat_map("expand2").collect()
-        assert sorted(result.value) == sorted(np.repeat(data, 2).tolist())
-
-    def test_flatmap_scale_carries_over(self):
-        session = make_session()
-        data = np.arange(100, dtype=np.int64)
-        result = session.from_collection(data, element_nbytes=8,
-                                         scale=1000.0) \
-            .gpu_flat_map("expand2").count()
-        # 100 real -> 200 real; nominal 100k -> 200k.
-        assert result.value == pytest.approx(200_000)
-
-
 class TestGpuFilter:
     def test_filter_result(self):
         session = make_session()
         data = np.arange(20, dtype=np.int64)
         result = session.from_collection(data, element_nbytes=8) \
-            .gpu_filter("keep_even").collect()
+            .gpu_map_partition("keep_even").collect()
         assert sorted(result.value) == list(range(0, 20, 2))
-
-    def test_filter_scale_proportional(self):
-        session = make_session()
-        data = np.arange(100, dtype=np.int64)
-        result = session.from_collection(data, element_nbytes=8,
-                                         scale=100.0) \
-            .gpu_filter("keep_even").count()
-        assert result.value == pytest.approx(5_000)  # half survive
 
     def test_filter_composes_with_cpu_ops(self):
         session = make_session()
         data = np.arange(12, dtype=np.int64)
         result = session.from_collection(data, element_nbytes=8) \
-            .gpu_filter("keep_even") \
+            .gpu_map_partition("keep_even") \
             .map(lambda x: int(x) + 1) \
             .collect()
         assert sorted(result.value) == [1, 3, 5, 7, 9, 11]

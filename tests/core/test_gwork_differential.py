@@ -11,7 +11,7 @@ partial per device block, so there the partials' sum is compared.  (The
 test names are kept from when the retired single-kernel and chain bodies
 were the oracle.)
 
-Axes: chain length 1-4, the four ``scale_semantics`` on every member, cache
+Axes: chain length 1-4, the three ``scale_semantics`` on every member, cache
 on/off with and without an explicit ``cache_key_base``, secondary operands
 (fresh and constant, the same name on several members), ``params_fn``,
 declared and undeclared output sizes, the three transfer paths, both device
@@ -56,7 +56,7 @@ KERNELS = {
         "out": i["in"] * 2.0 + _operand(i) + p.get("a", 0.0)},
     "inc": lambda i, p: {
         "out": i["in"] + 1.0 + _operand(i) * p.get("a", 1.0)},
-    # flatmap-style: fewer out than in.
+    # count-changing: fewer out than in.
     "keep_even": lambda i, p: {"out": (i["in"] + _operand(i))[::2]},
     # reduce-style: one partial per block.
     "block_sum": lambda i, p: {
@@ -184,7 +184,7 @@ def assert_same(case: Case):
 
 # -- the sweep: every axis around a base case, chain lengths 1-4 --------------------
 
-SEMANTICS = ("auto", "map", "flatmap", "reduce")
+SEMANTICS = ("auto", "map", "reduce")
 CHAINS = {
     1: ("double",),
     2: ("double", "inc"),
@@ -207,11 +207,6 @@ def swept_cases():
                 tail, scale_semantics=semantics),), label="tail"))
             cases.append(Case(tuple(replace(
                 m, scale_semantics=semantics) for m in base), label="all"))
-        if length > 1:
-            # An ``auto`` tail downstream of a flatmap-style member.
-            cases.append(Case(tuple(replace(
-                m, scale_semantics="flatmap") for m in base[:-1]) + (tail,),
-                label="flatmap-upstream"))
         cases += [
             Case(chain(length, cache=True), label="cache"),
             Case(chain(length, cache=True, cache_key_base=("base", length)),
@@ -238,8 +233,6 @@ def swept_cases():
             Case(chain(length, operand="fresh", params_fn=True),
                  degraded=True, label="cpu-degraded"),
         ]
-    cases.append(Case((Member("keep_even", "flatmap"), Member("inc")),
-                      label="filter-upstream"))
     return cases
 
 

@@ -2,20 +2,26 @@
 
 The plan-level detection rules live in ``tests/flink/test_optimizer.py``;
 these tests run the fused chains and check the tricky inputs: empty
-partitions, persisted boundaries, fan-out, explicit parallelism, and
-vectorized UDFs handing ndarrays (or nothing) to a downstream stage.
+partitions, persisted boundaries, explicit parallelism, and vectorized UDFs
+handing ndarrays (or nothing) to a downstream stage.  A stage that changes
+the element count is a ``map_partition`` that drops or repeats rows.
 """
 
 import numpy as np
 
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig, FlinkSession
-from repro.flink.iterators import (
-    apply_filter,
-    apply_flat_map,
-    apply_map,
-    vectorized,
-)
+from repro.flink.iterators import apply_map, vectorized
 from repro.flink.runtime import Cluster
+
+
+def keep(pred):
+    """A partition function that drops the rows failing ``pred``."""
+    return lambda rows: [x for x in rows if pred(x)]
+
+
+def twice(rows):
+    """A partition function that repeats every row."""
+    return [y for x in rows for y in (x, x)]
 
 
 def chained_session(enable=True, cores=2):
@@ -39,8 +45,8 @@ class TestEmptyPartitions:
             return sorted(
                 session.from_collection([1, 2], parallelism=4)
                 .map(lambda x: x + 1)
-                .filter(lambda x: x % 2 == 0)
-                .flat_map(lambda x: [x, x])
+                .map_partition(keep(lambda x: x % 2 == 0))
+                .map_partition(twice)
                 .collect().value)
 
         chained, unchained = both_ways(run)
@@ -50,7 +56,7 @@ class TestEmptyPartitions:
         def run(session):
             return session.from_collection([], parallelism=2) \
                 .map(lambda x: x) \
-                .flat_map(lambda x: [x]) \
+                .map_partition(list) \
                 .collect().value
 
         chained, unchained = both_ways(run)
@@ -60,7 +66,7 @@ class TestEmptyPartitions:
         def run(session):
             return session.from_collection(list(range(8)), parallelism=2) \
                 .map(lambda x: x + 1) \
-                .filter(lambda x: x > 100) \
+                .map_partition(keep(lambda x: x > 100)) \
                 .map(lambda x: x * 2) \
                 .collect().value
 
@@ -74,7 +80,7 @@ class TestPersistBoundary:
         mid = session.from_collection(list(range(20))) \
             .map(lambda x: x + 1).map(lambda x: x * 2)
         mid.persist()
-        first = sorted(mid.flat_map(lambda x: [x]).collect().value)
+        first = sorted(mid.map_partition(list).collect().value)
         second = sorted(mid.map(lambda x: x + 1).collect().value)
         assert first == sorted((np.arange(20) + 1) * 2)
         assert second == sorted((np.arange(20) + 1) * 2 + 1)
@@ -88,32 +94,6 @@ class TestPersistBoundary:
         names = [s.name for s in result.metrics.operator_spans.values()]
         assert "pre" in names                       # not absorbed
         assert any(n.startswith("chain(") for n in names)  # a->b fused
-
-
-class TestFanOut:
-    def test_shared_producer_consumed_by_two_branches(self):
-        def run(session):
-            shared = session.from_collection(list(range(10))) \
-                .map(lambda x: x + 1)
-            left = shared.map(lambda x: x * 2).map(lambda x: x + 3)
-            right = shared.filter(lambda x: x % 2 == 0)
-            return sorted(left.union(right).collect().value)
-
-        chained, unchained = both_ways(run)
-        assert chained == unchained
-        expected = sorted([(x + 1) * 2 + 3 for x in range(10)]
-                          + [x + 1 for x in range(10) if (x + 1) % 2 == 0])
-        assert chained == expected
-
-    def test_branches_fuse_but_shared_survives(self):
-        session = chained_session(True)
-        shared = session.from_collection([1, 2, 3]) \
-            .map(lambda x: x, name="shared")
-        left = shared.map(lambda x: x, name="l1").map(lambda x: x, name="l2")
-        result = left.union(shared.map(lambda x: x, name="r1")).collect()
-        names = [s.name for s in result.metrics.operator_spans.values()]
-        assert "shared" in names
-        assert any("l1" in n and n.startswith("chain(") for n in names)
 
 
 class TestExplicitParallelism:
@@ -153,7 +133,7 @@ class TestVectorizedUdfsInChains:
                 session.from_collection(np.arange(10.0), element_nbytes=8,
                                         parallelism=2)
                 .map(lambda x: x + 1)
-                .flat_map(doubler)
+                .map_partition(doubler)
                 .map(lambda x: x * 10)
                 .collect().value)
 
@@ -166,7 +146,7 @@ class TestVectorizedUdfsInChains:
 
         def run(session):
             return session.from_collection(list(range(10)), parallelism=2) \
-                .flat_map(drop_all) \
+                .map_partition(drop_all) \
                 .map(lambda x: x) \
                 .collect().value
 
@@ -179,20 +159,8 @@ class TestIteratorNormalization:
 
     def test_none_payload_becomes_empty_list(self):
         assert apply_map(None, lambda x: x) == []
-        assert apply_filter(None, lambda x: True) == []
-        assert apply_flat_map(None, lambda x: [x]) == []
 
     def test_empty_ndarray_keeps_dtype(self):
         empty = np.array([], dtype=np.float64)
         out = apply_map(empty, lambda x: x)
         assert isinstance(out, np.ndarray) and out.dtype == np.float64
-        out = apply_filter(empty, lambda x: True)
-        assert isinstance(out, np.ndarray)
-        assert apply_flat_map(empty, lambda x: [x]) == []
-
-    def test_flat_map_coerces_ndarray_and_generator(self):
-        arr_udf = vectorized(lambda xs: np.asarray(xs) * 2)
-        out = apply_flat_map(np.arange(3.0), arr_udf)
-        assert isinstance(out, list) and out == [0.0, 2.0, 4.0]
-        gen_udf = vectorized(lambda xs: (x for x in xs))
-        assert apply_flat_map([1, 2], gen_udf) == [1, 2]

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.flink import OpCost, vectorized_udf
-from tests.flink.conftest import make_cluster
-from repro.flink import FlinkSession
+from repro.flink import vectorized_udf
 
 
 class TestMapFilterFlatMap:
@@ -19,16 +17,6 @@ class TestMapFilterFlatMap:
         result = session.from_collection([1, 2, 3]) \
             .map(lambda x: x + 1).map(lambda x: x * 10).collect()
         assert sorted(result.value) == [20, 30, 40]
-
-    def test_filter(self, session):
-        result = session.from_collection(list(range(20))) \
-            .filter(lambda x: x % 3 == 0).collect()
-        assert sorted(result.value) == [0, 3, 6, 9, 12, 15, 18]
-
-    def test_flat_map(self, session):
-        result = session.from_collection(["a b", "c d e"]) \
-            .flat_map(lambda line: line.split()).collect()
-        assert sorted(result.value) == ["a", "b", "c", "d", "e"]
 
     def test_vectorized_map_on_ndarray(self, session):
         data = np.arange(16, dtype=np.float64)
@@ -53,14 +41,6 @@ class TestAggregations:
             .collect()
         assert sorted(result.value) == [("a", 4), ("b", 6), ("c", 5)]
 
-    def test_group_by_reduce_group(self, session):
-        data = [("x", 1), ("y", 10), ("x", 2)]
-        result = session.from_collection(data) \
-            .group_by(lambda kv: kv[0]) \
-            .reduce_group(lambda key, members: (key, len(members))) \
-            .collect()
-        assert sorted(result.value) == [("x", 2), ("y", 1)]
-
     def test_global_reduce(self, session):
         result = session.from_collection(list(range(1, 101))) \
             .reduce(lambda a, b: a + b).collect()
@@ -76,20 +56,11 @@ class TestAggregations:
                                          scale=1000.0).count()
         assert result.value == pytest.approx(100_000)
 
-    def test_join(self, session):
-        left = session.from_collection([(1, "l1"), (2, "l2"), (3, "l3")])
-        right = session.from_collection([(1, "r1"), (3, "r3"), (3, "r3b")])
-        result = left.join(right,
-                           left_key=lambda kv: kv[0],
-                           right_key=lambda kv: kv[0],
-                           join_fn=lambda l, r: (l[0], l[1], r[1])).collect()
-        assert sorted(result.value) == [(1, "l1", "r1"), (3, "l3", "r3"),
-                                        (3, "l3", "r3b")]
-
     def test_wordcount_end_to_end(self, session):
         lines = ["the quick brown fox", "the lazy dog", "the fox"]
         result = session.from_collection(lines) \
-            .flat_map(lambda line: [(w, 1) for w in line.split()]) \
+            .map_partition(lambda part: [(w, 1) for line in part
+                                         for w in line.split()]) \
             .group_by(lambda kv: kv[0]) \
             .reduce(lambda a, b: (a[0], a[1] + b[1])) \
             .collect()
@@ -159,14 +130,6 @@ class TestParallelismAndErrors:
         result = ds.map_partition(lambda e: [len(e)]).collect()
         assert len(result.value) == 3
         assert sum(result.value) == 12
-
-    def test_cross_session_join_rejected(self, cluster):
-        s1 = FlinkSession(cluster)
-        s2 = FlinkSession(make_cluster())
-        a = s1.from_collection([1])
-        b = s2.from_collection([2])
-        with pytest.raises(ValueError):
-            a.join(b, lambda x: x, lambda x: x)
 
     def test_empty_collection(self, session):
         result = session.from_collection([]).map(lambda x: x).collect()

@@ -3,8 +3,8 @@
 ``Exchange._buckets`` routes row lists and NumPy/GStruct blocks through one
 routine.  On generated exchanges (strategy x producer formats x a key zoo x
 combiner kinds x ``only_consumers`` x spill) the consumers together must
-hold the producers' rows: all of them (a broadcast: every consumer all of
-them, a gather: the one consumer), and under a keyed combiner rows that
+hold the producers' rows: all of them (a gather: the one consumer), and
+under a keyed combiner rows that
 fold, by the reference's keyed reduce (:mod:`tests.reference.interp`), to
 what all the producers' rows fold to.  Consumers outside
 ``only_consumers`` receive nothing.  (The class name is kept from when the
@@ -100,14 +100,12 @@ def block_sum(block, starts):
 
 def make_combiner(name, key_name, key_fn):
     """``None``, a pair keyed on the routing key *object*, a pair keyed on
-    an equal but distinct extractor, ReduceOp's keyless pre-fold, a
-    free-form callable, or the count."""
+    an equal but distinct extractor, ReduceOp's keyless pre-fold, or the
+    count."""
     if name is None:
         return None
     if name == "count":
         return COUNT_COMBINER
-    if name == "free_form":
-        return lambda bucket: bucket[1:3]
     if name == "fold":
         return (lambda row: 0, element_sum)
     keyed, reducer = name.split("+")
@@ -172,17 +170,12 @@ def check_inputs(case, producers, combiner, inputs):
         return
     sent = [r for p in producers for r in list(p.elements)]
     got = [list(part.elements) for part in inputs]
-    if case["strategy"] == "broadcast":
-        assert all(rows(g) == rows(sent) for g in got)
-        return
     received = [r for g in got for r in g]
     if combiner is None:
         assert rows(received) == rows(sent)
     elif combiner is COUNT_COMBINER:
         assert sum(map(float, received)) == sum(
             len(p.elements) * p.scale for p in producers)
-    elif callable(combiner):  # free-form: some of the rows
-        assert set(rows(received)) <= set(rows(sent))
     else:  # the partials fold to what all the rows fold to (to rounding)
         want = folded(sent, *combiner)
         have = folded(received, *combiner)
@@ -204,7 +197,7 @@ def fingerprint(payload):
 
 # -- cases -----------------------------------------------------------------------
 
-STRATEGIES = ["hash", "rebalance", "gather", "broadcast"]
+STRATEGIES = ["hash", "rebalance", "gather"]
 # One format for every producer, or row lists beside blocks.
 FORMATS = [["list"], ["2d"], ["struct"], ["list", "2d"], ["list", "struct"]]
 KEYS = ([f"element:{name}" for name in ELEMENT_KEYS]
@@ -212,7 +205,7 @@ KEYS = ([f"element:{name}" for name in ELEMENT_KEYS]
 
 
 def combiners_for(key):
-    names = [None, "count", "free_form", "fold"]
+    names = [None, "count", "fold"]
     if key is not None:
         names += ["same+element", "twin+element"]
         if key.startswith("column:"):

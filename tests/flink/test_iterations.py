@@ -27,7 +27,8 @@ class TestIterate:
         def step(ds):
             return ds.group_by(lambda kv: kv[0]) \
                 .reduce(lambda a, b: (a[0], a[1] + b[1])) \
-                .flat_map(lambda kv: [(kv[0], kv[1] / 2), (kv[0], kv[1] / 2)])
+                .map_partition(lambda part: [(k, v / 2) for k, v in part
+                                             for _ in range(2)])
 
         data = [("a", 2.0), ("a", 2.0), ("b", 4.0)]
         result = session.from_collection(data).iterate(2, step) \

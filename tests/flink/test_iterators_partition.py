@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.flink.iterators import (
-    apply_filter,
-    apply_flat_map,
     apply_map,
     apply_reduce,
     group_elements,
@@ -31,15 +29,6 @@ class TestAppliers:
         assert not is_vectorized(lambda x: x)
         assert np.array_equal(apply_map(np.array([3.0]), f),
                               np.array([6.0]))
-
-    def test_apply_filter_boolean_mask(self):
-        f = vectorized(lambda arr: arr > 1)
-        out = apply_filter(np.array([0.0, 2.0, 3.0]), f)
-        assert out.tolist() == [2.0, 3.0]
-
-    def test_apply_flat_map(self):
-        assert apply_flat_map([1, 2], lambda x: [x] * x) == [1, 2, 2]
-        assert apply_flat_map([], lambda x: [x]) == []
 
     def test_apply_reduce(self):
         assert apply_reduce([1, 2, 3], lambda a, b: a + b) == 6

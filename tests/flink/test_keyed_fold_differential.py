@@ -2,8 +2,8 @@
 
 An element ``(key_fn, reduce_fn)`` pair is aggregated in one pass by
 :func:`repro.flink.iterators.fold_by_key` — on the producer side of the
-exchange (``Exchange._buckets``), on the consumer side
-(``apply_grouped_reduce``) and in ``distinct``.  The oracle is what a keyed
+exchange (``Exchange._buckets``) and on the consumer side
+(``apply_grouped_reduce``).  The oracle is what a keyed
 reduce *means* (:mod:`tests.reference.interp`): every key's rows, keys in
 first-seen order, folded left to right — here per bucket, a bucket being
 the rows its function routes there.
@@ -31,16 +31,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.flink import FlinkSession, iterators
+from repro.flink import iterators
 from repro.flink.iterators import (apply_grouped_reduce, fold_by_key,
                                    is_vectorized, vectorized)
 from repro.flink.payload import real_len
-from repro.flink.plan import CollectSink
 from repro.flink.shuffle import hash_bucket
-from tests.flink.conftest import depth, make_cluster, make_payload
+from tests.flink.conftest import depth, make_payload
 from tests.flink.test_exchange_differential import block_sum, first_column
-from tests.reference.interp import evaluate, fold, group, value
-from tests.reference.test_plans import check
+from tests.reference.interp import fold, group, value
 
 
 def reference_buckets(rows, key_fn, reduce_fn, q, bucket_of):
@@ -337,28 +335,6 @@ def test_generated_element_pair_matches_group_then_fold(kind, pairs, key,
                              REDUCERS[reducer]),
         reference_reduce(make_payload(kind, pairs), key_fn,
                          REDUCERS[reducer]))
-
-
-# -- distinct against the reference ----------------------------------------------
-
-DISTINCT_KEYS = {
-    "by_value": None,
-    "int_or_float": lambda row: KEYS["int_or_float"](row[0]),
-    "tuple": lambda row: KEYS["tuple"](row[0]),
-    "vectorized": vectorized(lambda block: block[:, 0].astype(np.int64) // 2),
-}
-
-
-@pytest.mark.parametrize("key", sorted(DISTINCT_KEYS))
-@pytest.mark.parametrize("n", [0, 1, 40])
-def test_distinct_matches_group_then_first_member(key, n):
-    """One row per key (any one: three producers, four consumers)."""
-    rows = [((7 * i) % 9, float(i % 4)) for i in range(n)]
-    session = FlinkSession(make_cluster())
-    ds = session.from_collection(rows, parallelism=3) \
-        .distinct(DISTINCT_KEYS[key], parallelism=4)
-    answer = evaluate(CollectSink(ds.op))
-    check(ds.collect().value, answer)
 
 
 # -- rows per keyed pass ---------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.flink.optimizer import FusedMapOp, apply_chaining
 from repro.flink.plan import (
     CollectSink,
     CollectionSource,
-    FilterOp,
     MapOp,
     topological_order,
 )
@@ -87,8 +86,8 @@ class TestChainedExecution:
             return sorted(
                 session.from_collection(data)
                 .map(lambda x: x + 1)
-                .filter(lambda x: x % 2 == 0)
-                .flat_map(lambda x: [x, x])
+                .map_partition(lambda p: [x for x in p if x % 2 == 0])
+                .map_partition(lambda p: [y for x in p for y in (x, x)])
                 .collect().value)
 
         assert run(True) == run(False)
@@ -111,10 +110,13 @@ class TestChainedExecution:
         assert chained.seconds < unchained.seconds
 
     def test_nominal_scaling_through_fused_filter(self):
+        # A partition function that drops rows, with its selectivity
+        # declared, keeps the nominal count in the chain.
         session = chained_session(True)
         result = session.from_collection(list(range(100)), scale=1000.0) \
             .map(lambda x: x) \
-            .filter(lambda x: x < 50) \
+            .map_partition(lambda p: [x for x in p if x % 2 == 0],
+                           cost=OpCost(selectivity=0.5)) \
             .count()
         assert result.value == pytest.approx(50_000)
 

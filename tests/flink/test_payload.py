@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.gdst import _kernel_operand
 from repro.flink.payload import (concat, cut, is_block, real_len, rows_like,
-                                 sort_rows, take, to_block, to_rows)
+                                 take, to_block, to_rows)
 from repro.flink.shuffle import Exchange
 from tests.flink.conftest import make_payload
 from tests.flink.test_exchange_differential import fingerprint
@@ -144,15 +143,12 @@ class TestLiftAndLower:
         """A block is itself; rows are stacked (``np.asarray``)."""
         block = to_block(rows)
         assert same(block, rows if is_block(rows) else np.asarray(rows))
-        assert same(_kernel_operand(rows), block)
 
     @pytest.mark.parametrize("rows", [[(1, 2.0), (3,)], [(1, None)],
                                       [{"a": 1}]])
     def test_rows_that_do_not_stack(self, rows):
         with pytest.raises(TypeError, match="NumPy block"):
             to_block(rows)
-        # A GPU join keeps such operands the rows they were.
-        assert _kernel_operand(rows) is rows
 
     @given(data=st.data(), rank=ranks)
     @settings(max_examples=40, deadline=None)
@@ -195,17 +191,3 @@ class TestTakeAndSort:
                        for b in from_block)
             assert [fingerprint(to_rows(b)) for b in from_block] == [
                 fingerprint(b) for b in expected]
-
-    @given(rows=pairs, rank=st.sampled_from([2, "struct"]),
-           keyed=st.booleans(), reverse=st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_sort_rows_is_sorted_whatever_the_format(self, rows, rank, keyed,
-                                                     reverse):
-        key_fn = (lambda row: int(row[0]) % 3) if keyed else None
-        expected = sorted(rows, key=key_fn, reverse=reverse)
-        assert sort_rows(rows, key_fn, reverse) == expected
-        block = make_payload("2d" if rank == 2 else "struct", rows)
-        out = sort_rows(block, key_fn, reverse)
-        assert out.dtype == block.dtype
-        assert [tuple(map(float, r)) for r in out] == [
-            tuple(map(float, r)) for r in expected]

@@ -36,9 +36,10 @@ from repro.flink.pipeline import BlockStream, PipelinedExecutor, _split_chunks
 from repro.flink.plan import (
     CollectionSource,
     CollectSink,
-    DistinctOp,
+    KeyedReduceOp,
     MapOp,
-    UnionOp,
+    Operator,
+    ShipStrategy,
     topological_order,
 )
 from repro.gpu import KernelSpec
@@ -179,17 +180,20 @@ class TestPipelineRegions:
     def test_hash_edge_cuts_the_region(self):
         src = CollectionSource([1, 2], 8.0)
         m = MapOp(src, lambda x: x, OpCost(), name="m")
-        d = DistinctOp(m, name="d")  # hash shuffle: barrier edge
+        d = KeyedReduceOp(m, lambda x: x, lambda a, b: a, OpCost(),
+                          name="d")  # hash shuffle: barrier edge
         sink = CollectSink(d)  # gather: another barrier
         regions = pipeline_regions(topological_order([sink]))
         assert [{op.name for op in r} for r in regions] == \
             [{src.name, "m"}, {"d"}, {sink.name}]
 
     def test_union_merges_its_branches(self):
+        # An operator with two streaming inputs joins both inputs' regions.
         left = CollectionSource([1], 8.0, name="left")
         right = CollectionSource([2], 8.0, name="right")
-        u = UnionOp(MapOp(left, lambda x: x, OpCost(), name="ml"),
-                    MapOp(right, lambda x: x, OpCost(), name="mr"))
+        u = Operator("u", [MapOp(left, lambda x: x, OpCost(), name="ml"),
+                           MapOp(right, lambda x: x, OpCost(), name="mr")],
+                     None, [ShipStrategy.FORWARD, ShipStrategy.FORWARD])
         sink = CollectSink(u)
         regions = pipeline_regions(topological_order([sink]))
         merged = [r for r in regions if any(op is u for op in r)]

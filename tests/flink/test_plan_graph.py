@@ -14,7 +14,6 @@ from repro.flink.plan import (
     Operator,
     ReduceOp,
     ShipStrategy,
-    UnionOp,
     topological_order,
 )
 from repro.flink.serialization import Serializer
@@ -33,12 +32,13 @@ class TestTopologicalOrder:
         src = CollectionSource([1], 8.0)
         left = MapOp(src, lambda x: x, OpCost())
         right = MapOp(src, lambda x: x, OpCost())
-        union = UnionOp(left, right)
-        order = topological_order([CollectSink(union)])
+        merge = Operator("merge", [left, right], None,
+                         [ShipStrategy.FORWARD, ShipStrategy.FORWARD])
+        order = topological_order([CollectSink(merge)])
         assert order.index(src) < order.index(left)
         assert order.index(src) < order.index(right)
-        assert order.index(left) < order.index(union)
-        assert order.index(right) < order.index(union)
+        assert order.index(left) < order.index(merge)
+        assert order.index(right) < order.index(merge)
 
     def test_shared_subplan_visited_once(self):
         src = CollectionSource([1], 8.0)
@@ -68,13 +68,6 @@ class TestExecutionGraph:
         m = MapOp(src, lambda x: x, OpCost())
         graph = ExecutionGraph([CollectSink(m)], default_parallelism=8)
         assert graph.job_vertex(m).parallelism == 3
-
-    def test_union_sums_parallelism(self):
-        a = CollectionSource([1], 8.0, parallelism=2)
-        b = CollectionSource([2], 8.0, parallelism=3)
-        union = UnionOp(a, b)
-        graph = ExecutionGraph([CollectSink(union)], default_parallelism=8)
-        assert graph.job_vertex(union).parallelism == 5
 
     def test_reduce_is_singleton(self):
         src = CollectionSource([1], 8.0, parallelism=4)

@@ -1,8 +1,8 @@
-"""Tests for the reporting helpers (timeline / breakdown / summary)."""
+"""Tests for the run reports: the metrics text and the profile summary."""
 
 from repro.flink import FlinkSession, OpCost
-from repro.flink.report import breakdown, metrics_summary, profile_report, \
-    profile_summary, session_summary, timeline
+from repro.flink.report import profile_summary
+from repro.obs.profile import render_text
 from tests.flink.conftest import make_cluster
 
 
@@ -16,72 +16,19 @@ def run_job(session):
         .collect(job_name="report-demo")
 
 
-class TestTimeline:
-    def test_contains_all_operators(self, session):
-        result = run_job(session)
-        text = timeline(result.metrics)
-        assert "report-demo" in text
-        assert "plus-one" in text
-        assert "mod-sum" in text
-        assert "collect" in text
-
-    def test_bars_ordered_and_bounded(self, session):
-        result = run_job(session)
-        text = timeline(result.metrics, width=40)
-        bar_lines = [l for l in text.splitlines() if "|" in l]
-        assert bar_lines
-        for line in bar_lines:
-            bar = line.split("|")[1]
-            assert len(bar) == 40
-            assert "#" in bar
-
-    def test_empty_metrics(self):
-        from repro.flink.jobmanager import JobMetrics
-        text = timeline(JobMetrics(job_name="empty"))
-        assert "no operator spans" in text
-
-
-class TestBreakdown:
-    def test_contains_eq1_terms(self, session):
-        result = run_job(session)
-        text = breakdown(result.metrics)
-        for term in ("T_submit", "T_schedule", "compute", "shuffle",
-                     "Observation 3"):
-            assert term in text
-
-    def test_overhead_fraction_sensible(self, session):
-        result = run_job(session)
-        text = breakdown(result.metrics)
-        line = next(l for l in text.splitlines() if "Observation 3" in l)
-        pct = float(line.split("%")[0].split()[-1])
-        assert 0.0 <= pct <= 100.0
-
-
-class TestSessionSummary:
-    def test_lists_jobs_and_total(self, session):
-        run_job(session)
-        run_job(session)
-        text = session_summary(session.history)
-        assert text.count("report-demo") == 2
-        assert "TOTAL (2 jobs)" in text
-
-    def test_empty_history(self):
-        assert session_summary([]) == "no jobs run"
-
-
 class TestMetricsSummary:
     def test_renders_job_counters(self):
         cluster = make_cluster(enable_tracing=True)
         session = FlinkSession(cluster)
         run_job(session)
-        text = metrics_summary(cluster.obs.registry)
+        text = cluster.obs.registry.render()
         assert "jobs.completed" in text
         assert "job.subtasks{job=report-demo}" in text
         assert "job.makespan_s" in text
 
     def test_untraced_cluster_records_nothing(self, cluster, session):
         run_job(session)
-        assert metrics_summary(cluster.obs.registry) == "no metrics recorded"
+        assert cluster.obs.registry.render() == "no metrics recorded"
 
 
 class TestProfileSummary:
@@ -97,7 +44,7 @@ class TestProfileSummary:
         assert math.isclose(sum(cats.values()), summary["makespan_s"],
                             rel_tol=1e-9, abs_tol=1e-9)
         assert "plus-one" in summary["operators"]
-        text = profile_report(cluster)
+        text = render_text(summary)
         assert "critical path" in text
 
     def test_untraced_cluster_profiles_empty(self, cluster, session):

@@ -235,7 +235,8 @@ class TestKeyDtypes:
     def test_block_only_key_extractor_routes_on_the_row_path(self):
         # ``rows[:, 0]`` cannot index one row: the row fallback must hand a
         # vectorized extractor the producer's block, as every other caller
-        # does — in an exchange, and under distinct (no vectorized combiner).
+        # does — in an exchange, and under an element reducer (no
+        # vectorized combiner).
         block = np.array([[0.5, 1.0], [2.5, 2.0], [0.5, 3.0], [2.5, 4.0]])
         producers = [Partition(0, block, 16.0, 1.0, "w0")]
         result = run_exchange(Environment(), producers, 2, self.first_column,
@@ -243,9 +244,10 @@ class TestKeyDtypes:
         assert result.bytes_zero_copy == 0.0
         merged = [tuple(r) for p in result.inputs for r in p.elements]
         assert sorted(merged) == [(0.5, 4.0), (2.5, 6.0)]
-        distinct = FlinkSession(make_cluster()).from_collection(
-            block, element_nbytes=16.0).distinct(self.first_column).collect()
-        assert sorted(r[0] for r in distinct.value) == [0.5, 2.5]
+        firsts = FlinkSession(make_cluster()).from_collection(
+            block, element_nbytes=16.0).group_by(self.first_column) \
+            .reduce(lambda a, b: a).collect()
+        assert sorted(r[0] for r in firsts.value) == [0.5, 2.5]
 
     def test_equal_keys_of_mixed_scalar_type_share_a_bucket(self):
         for q in range(1, 33):

@@ -2,8 +2,9 @@
 
 ``Exchange._send`` carries every charge it has not fired into the next thing
 the sender must wait for.  The code it replaced — ``_send_buckets`` /
-``_broadcast_one`` / ``_ship_payload`` (a timeout per serde charge,
-loopback included), verbatim below, over the engine's ``Network`` — is the
+``_ship_payload`` (a timeout per serde charge, loopback included),
+verbatim below for the strategies that remain, over the engine's
+``Network`` — is the
 oracle, over every strategy x price
 list x spill x ``only_consumers`` x worker layout x cost table, alone or
 beside other exchanges and HDFS traffic on the same network.  In the style
@@ -53,32 +54,25 @@ from tests.flink.conftest import assert_ports_free, depth, make_payload
 
 class PerChargeExchange(Exchange):
     """An :class:`Exchange` that ships the way ``shuffle.py`` did before the
-    one sender loop: ``_send_buckets`` / ``_broadcast_one`` / a process per
-    moved partition, each through ``_ship_payload`` — serialize, move and
-    deserialize as three separate events per destination payload, loopback
-    included.  The three ``_run_*`` drivers are here because they are what
-    called them; bucketing, pricing, merging and spilling are the engine's."""
+    one sender loop: ``_send_buckets`` / a process per moved partition, each
+    through ``_ship_payload`` — serialize, move and deserialize as three
+    separate events per destination payload, loopback included.  The two
+    ``_run_*`` drivers are here because they are what called them;
+    bucketing, pricing, merging and spilling are the engine's."""
 
-    def _run_point_to_point(self) -> Generator[Event, None, List[Partition]]:
-        """Partition *i* feeds subtask ``offset + i`` whole.
+    def _run_forward(self) -> Generator[Event, None, List[Partition]]:
+        """Partition *i* feeds subtask *i* whole.
 
-        FORWARD and UNION_LEFT map partition *i* onto subtask *i*,
-        UNION_RIGHT onto the last ``len(producers)`` subtasks; every other
-        subtask receives ``None`` for this input (a union subtask reads
-        exactly one side).  A partition already on its consumer's worker
-        does not move.
+        A partition already on its consumer's worker does not move.
         """
         q = self.n_consumers
-        if self.strategy is ShipStrategy.FORWARD and len(self.producers) != q:
+        if len(self.producers) != q:
             raise ValueError(
                 f"FORWARD needs equal parallelism: {len(self.producers)} "
                 f"producers vs {q} consumers")
-        offset = (q - len(self.producers)
-                  if self.strategy is ShipStrategy.UNION_RIGHT else 0)
         inputs: List[Optional[Partition]] = [None] * q
         moves = []
-        for i, part in enumerate(self.producers):
-            j = offset + i
+        for j, part in enumerate(self.producers):
             if not self._want(j):
                 continue
             moved = part.derive(part.elements)
@@ -91,7 +85,7 @@ class PerChargeExchange(Exchange):
                                        part.nominal_nbytes,
                                        part.nominal_count, part.elements,
                                        zero_copy=False),
-                    name=f"{self.strategy.value}-{i}"))
+                    name=f"{self.strategy.value}-{j}"))
         if moves:
             yield self.env.all_of(moves)
         return inputs
@@ -147,48 +141,15 @@ class PerChargeExchange(Exchange):
                 part.worker, dst, nbytes, count, bucket, zero_copy,
                 spill_tag=f"{part.index}-{j}")
 
-    def _run_broadcast(self) -> Generator[Event, None, List[Partition]]:
-        zero_copy = self._block_payloads()
-        senders = []
-        total_nbytes = sum(p.nominal_nbytes for p in self.producers)
-        total_count = sum(p.nominal_count for p in self.producers)
-        for part in self.producers:
-            senders.append(self.env.process(
-                self._broadcast_one(part, zero_copy),
-                name=f"bcast-{part.index}"))
-        if senders:
-            yield self.env.all_of(senders)
-        merged = self._merge([p.elements for p in self.producers], zero_copy)
-        # Every consumer deserializes its own copy of the rows; a zero-copy
-        # block is one region they all read.
-        return [self._consumer_input(
-                    j, merged if zero_copy else list(merged), total_count,
-                    total_nbytes, self._producer_element_nbytes())
-                if self._want(j) else None
-                for j in range(self.n_consumers)]
-
-    def _broadcast_one(self, part: Partition, zero_copy: bool
-                       ) -> Generator[Event, None, None]:
-        wanted = [(j, dst) for j, dst in enumerate(self.consumer_workers)
-                  if self._want(j)]
-        seen = set()
-        for j, dst in wanted:
-            if dst in seen:
-                continue
-            seen.add(dst)
-            yield from self._ship_payload(
-                part.worker, dst, part.nominal_nbytes, part.nominal_count,
-                part.elements, zero_copy, spill_tag=f"b{part.index}-{j}")
-
     def _ship_payload(self, src: str, dst: str, nbytes: float, count: float,
                       payload: Any, zero_copy: bool,
                       spill_tag: Optional[str] = None
                       ) -> Generator[Event, None, None]:
         """Move one destination payload under its price list.
 
-        A payload that carries a ``spill_tag`` (routed and broadcast
-        edges) goes through HDFS instead of direct exchange buffers when
-        oversized; point-to-point edges carry none and never spill.
+        A payload that carries a ``spill_tag`` (routed edges) goes through
+        HDFS instead of direct exchange buffers when oversized; forward
+        edges carry none and never spill.
         """
         blocks = 0
         if zero_copy:
@@ -345,15 +306,12 @@ PRIMES = [101.0, 103.0, 107.0, 109.0, 113.0, 127.0, 131.0, 137.0, 139.0,
 
 
 def exchange_spec(strategy, kind, keys, q, only=None, delay=0.0):
-    """Keys per producer; point-to-point edges fix ``q`` from the producers
-    (FORWARD: equal parallelism; a union's right side lands after a left
-    side of two)."""
+    """Keys per producer; a forward edge fixes ``q`` from the producers
+    (equal parallelism)."""
     if strategy == "gather":
         q = 1
-    elif strategy in ("forward", "union-left"):
+    elif strategy == "forward":
         q = len(keys)
-    elif strategy == "union-right":
-        q = len(keys) + 2
     if only is not None:
         only = {j for j in only if j < q}
     return {"strategy": strategy, "kind": kind, "keys": keys, "q": q,
@@ -370,7 +328,7 @@ def untied(case):
 
 #: Producers' keys: equal-sized buckets under HASH and REBALANCE for q = 3,
 #: and a skewed set with an empty producer (a zero-byte shipment on
-#: broadcast and point-to-point edges).
+#: forward edges).
 EQUAL = [list(range(6))] * 3
 SKEWED = [[0, 0, 0, 1, 5, 7, 7, 9], [], [2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4]]
 
@@ -389,8 +347,8 @@ def concurrent_exchanges():
     mid-way through the first) beside HDFS traffic, on one network."""
     for layout, costs, (first, second), delay in itertools.product(
             ["aligned", "shared_nic"], COSTS,
-            [("hash", "hash"), ("hash", "broadcast"), ("rebalance", "forward"),
-             ("gather", "union-right")],
+            [("hash", "hash"), ("hash", "rebalance"), ("rebalance", "forward"),
+             ("gather", "forward")],
             [0.0, 2.0 ** -14]):
         yield {"layout": layout, "costs": costs,
                "spill": 8000.0 if delay else None, "traffic": True,
@@ -466,14 +424,13 @@ class TestOneSenderLoopEqualsTheShippingItReplaced:
             seen.add((spec["strategy"], out["ends"][0][2] > 0,
                       out["ends"][0][3] > 0, out["nic"] == [(0, 0)]))
         # Both price lists, with and without a spill, under every strategy
-        # that has them; point-to-point edges price per row and never spill.
-        for strategy in ("hash", "rebalance", "gather", "broadcast"):
+        # that has them; forward edges price per row and never spill.
+        for strategy in ("hash", "rebalance", "gather"):
             for zero_copy, spilled in itertools.product([False, True],
                                                         repeat=2):
                 assert (strategy, zero_copy, spilled, False) in seen
-        for strategy in ("forward", "union-left", "union-right"):
-            assert {s[1:3] for s in seen if s[0] == strategy} \
-                == {(False, False)}
+        assert {s[1:3] for s in seen if s[0] == "forward"} \
+            == {(False, False)}
         assert any(all_loopback for *_, all_loopback in seen)
 
     @given(case=st.builds(untied_case, one_empty=st.booleans(),
@@ -528,8 +485,7 @@ class TestExactTies:
                 traded.add((case["layout"], case["exchanges"][0]["strategy"]))
         # It does happen — where senders differ only in *which* of their
         # buckets is the loopback one — and only there.
-        assert traded == {("aligned", "hash"), ("aligned", "rebalance"),
-                          ("aligned", "broadcast")}
+        assert traded == {("aligned", "hash"), ("aligned", "rebalance")}
 
     def test_concurrent_exchanges_move_the_same_bytes_whoever_wins(self):
         for case in concurrent_exchanges():

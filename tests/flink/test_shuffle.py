@@ -145,14 +145,6 @@ class TestExchangeStrategies:
         assert sum(sizes) == 100
         assert max(sizes) - min(sizes) <= 2
 
-    def test_broadcast_full_copy_everywhere(self):
-        env = Environment()
-        producers = parts(list(range(10)), 2)
-        ex = make_exchange(env, ShipStrategy.BROADCAST, producers, 3)
-        result = run(env, ex)
-        for part in result.inputs:
-            assert sorted(part.elements) == list(range(10))
-
     def test_forward_parallelism_mismatch_rejected(self):
         env = Environment()
         producers = parts(list(range(10)), 2)

@@ -132,33 +132,6 @@ class TestCombinerAccounting:
         assert sum(merged.elements) == pytest.approx(90 * 7.0)
 
 
-class TestBroadcastAccounting:
-    def test_element_nbytes_is_count_weighted(self):
-        env = Environment()
-        producers = [part(0, list(range(10)), "w0", element_nbytes=8.0),
-                     part(1, list(range(30)), "w1", element_nbytes=100.0)]
-        ex = make_exchange(env, ShipStrategy.BROADCAST, producers, 3)
-        result = run(env, ex)
-        total_nbytes = 10 * 8.0 + 30 * 100.0
-        for p in result.inputs:
-            assert p.nominal_count == pytest.approx(40.0)
-            assert p.element_nbytes == pytest.approx(total_nbytes / 40.0)
-            assert p.nominal_nbytes == pytest.approx(total_nbytes)
-
-    def test_one_copy_per_worker_not_per_consumer(self):
-        # Three consumers on two workers: each producer ships one remote
-        # copy, not one per consumer subtask.
-        env = Environment()
-        producers = [part(0, list(range(10)), "w0"),
-                     part(1, list(range(10)), "w1")]
-        ex = make_exchange(env, ShipStrategy.BROADCAST, producers, 3)
-        result = run(env, ex)
-        # consumer workers cycle w0,w1,w0; each producer is local to one of
-        # them and remote to the other exactly once.
-        assert result.bytes_shuffled == pytest.approx(2 * 10 * 8.0)
-        assert len(result.inputs) == 3
-
-
 class TestOnlyConsumers:
     def test_restricts_shipping_and_blanks_other_slots(self):
         def run_with(only):

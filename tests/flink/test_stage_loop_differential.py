@@ -1,6 +1,6 @@
 """One CPU stage loop, held to the reference.
 
-``map`` / ``filter`` / ``flatMap`` / ``mapPartition`` and the optimizer's
+``map`` / ``mapPartition`` and the optimizer's
 ``FusedMapOp`` run one loop — charge with the stage's cost and UDF,
 transform, wrap with the stage's element size and scale
 (``repro.flink.plan._StageChain``); a lone operator is the chain of one.
@@ -10,12 +10,12 @@ member over the subtask's input partition): the same rows in the same
 order, and the nominal count the members' weights give.  (The test names
 are kept from when the three retired bodies were the oracle.)
 
-Axes: chain length 1-4 over the four operator kinds, element and
+Axes: chain length 1-4 over the operator kinds (a map, a partition
+function that drops rows and one that aggregates them), element and
 ``vectorized()`` UDFs (the two CPU price lists), selectivity / element size
 / per-element overhead declared or not, a row-list and a block payload, an
-empty partition, and a streamed (HDFS) input — where a lone element-wise
-operator relays its source's block stream (``functional_output``) and a
-chain does not.
+empty partition, and a streamed (HDFS) input — where a lone map relays its
+source's block stream (``functional_output``) and a chain does not.
 """
 
 from dataclasses import dataclass, field
@@ -32,25 +32,22 @@ from repro.flink.chaos import values_equal
 from repro.flink.dataset import DataSet
 from repro.flink.iterators import vectorized
 from repro.flink.optimizer import FusedMapOp
-from repro.flink.plan import (CollectionSource, FilterOp, FlatMapOp,
-                              HdfsSource, MapOp, MapPartitionOp, _StageChain)
+from repro.flink.plan import (CollectionSource, HdfsSource, MapOp,
+                              MapPartitionOp, _StageChain)
 from repro.flink.runtime import Cluster
 from tests.flink.conftest import depth
 from tests.reference.interp import Bag, stage
 
 def _block(udf):
     """A ``vectorized()`` UDF; it is handed the payload whole, row list or
-    block (a flatMap upstream leaves rows)."""
+    block (a partition function upstream may leave rows)."""
     return vectorized(lambda payload: udf(np.asarray(payload)))
 
 
-#: kind -> (operator class, element UDF, block UDF or None)
+#: kind -> (operator class, element UDF, block UDF)
 KINDS = {
     "map": (MapOp, lambda x: x * 2.0 + 1.0,
             _block(lambda block: block * 2.0 + 1.0)),
-    "filter": (FilterOp, lambda x: x % 3.0 != 0.0,
-               _block(lambda block: block % 3.0 != 0.0)),
-    "flat_map": (FlatMapOp, lambda x: [x, x + 0.5], None),
     "map_partition": (MapPartitionOp, lambda part: part[::2],
                       _block(lambda block: block[::2])),
     # An aggregating partition function: real records, scale 1.
@@ -91,7 +88,7 @@ def build_op(case: Case):
     members, prev = [], source
     for j, m in enumerate(case.members):
         cls, element_udf, block_udf = KINDS[m.kind]
-        udf = block_udf if m.block_udf and block_udf else element_udf
+        udf = block_udf if m.block_udf else element_udf
         prev = cls(prev, udf,
                    OpCost(flops_per_element=3.0 + j,
                           selectivity=m.selectivity,
@@ -147,9 +144,9 @@ def assert_same(case: Case):
 
 CHAINS = {
     1: ("map",),
-    2: ("map", "filter"),
-    3: ("flat_map", "map", "map_partition"),
-    4: ("map", "filter", "flat_map", "partial_sum"),
+    2: ("map", "map_partition"),
+    3: ("map_partition", "map", "map"),
+    4: ("map", "map_partition", "map", "partial_sum"),
 }
 
 

@@ -63,17 +63,8 @@ VALUE_MUTANTS = {
         "repro.flink.iterators:fold_by_key",
         ("table[key] = reduce_fn(table[key], x)", "table[key] = x"),
         also=["repro.flink.shuffle"]),
-    "_keep_first keeps the later row": lambda: patched(
-        "repro.flink.plan:_keep_first", ("return first", "return later")),
-    "JoinOp emits one match per key": lambda: patched(
-        "repro.flink.plan:JoinOp.execute_subtask",
-        ("table.get(self.right_key(r), ())",
-         "table.get(self.right_key(r), ())[:1]")),
-    "FirstNOp returns n - 1 rows": lambda: patched(
-        "repro.flink.plan:FirstNOp.execute_subtask",
-        ("[:self.n]", "[:self.n - 1]")),
     "_output_scale is off by the producer's scale": lambda: patched(
-        "repro.flink.plan:_ElementWise._output_scale",
+        "repro.flink.plan:MapOp._output_scale",
         ("return part.scale\n", "return part.scale * part.scale\n")),
     "the GPU fallback runs a different kernel": lambda: patched(
         "repro.core.gdst:_cpu_fallback",

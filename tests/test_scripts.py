@@ -1,4 +1,5 @@
-"""The instruments under scripts/: the code-line counter and the lint table."""
+"""The instruments under scripts/: the code-line counter, the lint table and
+the reach census."""
 
 import importlib.util
 import subprocess
@@ -20,6 +21,7 @@ def _script(name):
 
 
 lint = _script("lint")
+reach = _script("reach")
 
 
 class TestSloc:
@@ -97,3 +99,27 @@ class TestLintTable:
         assert row.message in captured.err
         assert f"[retired by {row.retired_by}]" in captured.err
         assert lint.main([]) == 0
+
+
+class TestReachCensus:
+    def test_every_def_with_the_first_line_its_code_object_reports(
+            self, tmp_path):
+        module = tmp_path / "src" / "repro" / "m.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("import functools\n\n\ndef plain():\n    pass\n\n\n"
+                          "@functools.lru_cache\ndef cached():\n    pass\n\n\n"
+                          "class C:\n    def method(self):\n"
+                          "        def inner():\n            pass\n")
+        namespace = {}
+        exec(compile(module.read_text(), str(module), "exec"), namespace)
+        found = {d.qualname: d for d in reach.defs(tmp_path)}
+        assert sorted(found) == ["C.method", "C.method.inner", "cached",
+                                 "plain"]
+        assert found["cached"].first \
+            == namespace["cached"].__wrapped__.__code__.co_firstlineno == 8
+        assert found["plain"].first \
+            == namespace["plain"].__code__.co_firstlineno
+        assert all(d.path == "src/repro/m.py" for d in found.values())
+
+    def test_the_allow_list_gives_a_reason_for_every_entry(self):
+        assert all(reason for reason in reach.allowed().values())
