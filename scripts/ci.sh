@@ -15,7 +15,8 @@
 # (element-wise and vectorized) with schema validation and profile gates
 # against the committed baselines in traces/ (cross-checked against their
 # exported metrics), a traced iterative (PageRank-GPU) profile smoke gated
-# the same way, chaos / monitor / flight-recorder / churn smokes, the
+# the same way, chaos / monitor / flight-recorder / churn smokes, smokes of
+# `repro run`, `list`, `specs` and `metrics --format prom`, the
 # paper-figure bench smokes
 # (`python -m pytest benchmarks/` is the whole suite; results go to the
 # untracked benchmarks/out/results.json and the run must change no tracked
@@ -219,6 +220,47 @@ PY
         --threshold makespan_s=0.25 --threshold critical_path=0.60 \
         --threshold operator_wall=0.60 --threshold overlap_pct=0.50 \
         --explain
+
+    echo "== CLI smokes: run --mode both, list, specs, metrics as Prometheus text =="
+    # The subcommands no step above runs; each output is checked, not only
+    # the exit status.
+    run_out=$(python -m repro run wordcount --mode both --workers 2 \
+        --real 4000 --nominal 1e6)
+    grep -q '^  cpu total ' <<< "$run_out"
+    grep -q '^  gpu total ' <<< "$run_out"
+    grep -Eq '^  speedup: [0-9.]+x$' <<< "$run_out"
+    list_out=$(python -m repro list)
+    specs_out=$(python -m repro specs)
+    python - "$list_out" "$specs_out" <<'PY'
+import sys
+from repro.cli import WORKLOADS
+from repro.gpu import SPECS
+listed = [line.split()[0] for line in sys.argv[1].splitlines()[1:]]
+assert listed == sorted(WORKLOADS), listed
+specs = [line.split()[0] for line in sys.argv[2].splitlines()[1:]]
+assert specs == sorted(SPECS), specs
+PY
+    # The same run as the traced wordcount smoke: its Prometheus text,
+    # read back, carries every counter and gauge of that smoke's metrics
+    # snapshot, value for value to the six significant digits the
+    # exposition prints.
+    python -m repro metrics wordcount --workers 2 --real 4000 --nominal 1e6 \
+        --format prom --out traces/ci_wordcount_metrics.prom
+    python - <<'PY'
+import json
+import math
+from repro.obs.metrics import parse_prometheus, prometheus_name
+samples = parse_prometheus(open("traces/ci_wordcount_metrics.prom").read())
+snapshot = json.load(open("traces/ci_wordcount_metrics.json"))
+scalars = {k: v for k, v in snapshot.items() if not isinstance(v, dict)}
+assert scalars and len(scalars) < len(snapshot), "no counters, or no histograms"
+for key, value in scalars.items():
+    name, _, labels = key.rstrip("}").partition("{")
+    items = tuple(sorted(tuple(pair.split("=", 1))
+                         for pair in labels.split(",") if pair))
+    assert math.isclose(samples[prometheus_name(name), items], value,
+                        rel_tol=1e-5), key
+PY
 fi
 
 if [[ -z "$mode" ]]; then

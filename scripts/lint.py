@@ -109,14 +109,16 @@ LINTS = (
                   r"repro/flink/shuffle\.py:.*is_block\(")),
     Lint("one subtask body — a kernel chain of one, not a second copy",
          # core/gdst.py builds every GPU map-partition GWork in one
-         # _build_gwork and scales every output in one _output_scale (the
+         # _build_gwork, and every partition function's output, CPU or GPU,
+         # is scaled by the one partition_output_scale of flink/plan.py (the
          # reference, tests/reference/interp.py, says what it must compute).
-         r"^\s*def (_build_gwork|_output_scale)\(", ("src/repro/core/gdst.py",),
-         "core/gdst.py must define _build_gwork and _output_scale exactly "
-         "once each",
+         r"^\s*def (_build_gwork|partition_output_scale)\(",
+         ("src/repro/core/gdst.py", "src/repro/flink/plan.py"),
+         "core/gdst.py must define _build_gwork, and flink/plan.py "
+         "partition_output_scale, exactly once each",
          "PR 19", ("src/repro/core/gdst.py",
                    "    def _build_gwork(self, ctx, block):"),
-         exactly_once=("_build_gwork", "_output_scale")),
+         exactly_once=("_build_gwork", "partition_output_scale")),
     Lint("reduce on insert — no group-then-fold keyed reduce under "
          "src/repro/flink",
          # An element (key_fn, reduce_fn) pair is one fold_by_key pass
@@ -424,6 +426,26 @@ LINTS = (
          "gpu_map family)",
          "extended operators",
          ("src/repro/flink/plan.py", "class FilterOp(_ElementWise):")),
+    Lint("one of each below the surface — no retired knob, helper or call",
+         # Below the operators one mechanism does each job: one output-scale
+         # rule (no selectivity, no scale_semantics), per-job kernel values
+         # through params= on the operator a job builds (no params_fn), a
+         # source's payload is its elements (no parser), one way to register
+         # a kernel (no decorator, no stock library), one keyed-pair rule
+         # (no mixed-pair grouping helpers, segment_fold for a hand-written
+         # sum), and the CUDA calls the engine or the frozen probes make.
+         r"scale_semantics|\bselectivity=|\bparams_fn\b|\bparser="
+         r"|\bregister_fn\b|\bregister_standard_kernels\b"
+         r"|\bgroup_elements\b|\bgroup_columnar\b|\bsegment_sum\b"
+         r"|\bCUDAEvent\b|\brecord_event\b|host_register"
+         r"|device_synchronize|\.memset\(",
+         ("src/repro", "examples"),
+         "a retired spelling below the operator surface (one output-scale "
+         "rule, params= per job, KernelRegistry.register, a keyed pair of "
+         "two row forms or two block forms, payload.segment_fold)",
+         "below-surface cut",
+         ("src/repro/core/gdst.py",
+          '        kwargs.setdefault("scale_semantics", "map")')),
 )
 
 
@@ -455,7 +477,7 @@ def hits(lint: Lint, root: Path = REPO) -> List[str]:
                 found.append((match, hit))
     if lint.exactly_once:
         seen = Counter(match.group(1) for match, _ in found)
-        missing = [f"{lint.roots[0]}: no definition of {name}"
+        missing = [f"{', '.join(lint.roots)}: no definition of {name}"
                    for name in lint.exactly_once if not seen[name]]
         return missing + [hit for match, hit in found
                           if seen[match.group(1)] > 1]

@@ -4,9 +4,10 @@
 GFlink design carries over to Spark: both are JVM master-slave MapReduce
 engines, CUDAWrapper/CUDAStub are engine-agnostic, and the producer-consumer
 scheme decouples the engine from the GPUs.  :mod:`repro.compat.spark`
-demonstrates the claim in code: an RDD-style API (``parallelize``, ``map``,
-``reduceByKey``, ``cache`` ... plus the GFlink GPU extensions) running on
-the very same cluster runtime, GPUManagers included.
+demonstrates the claim in code: an RDD-style API (``parallelize``,
+``cache``, ``count``, ``collect`` plus the GFlink GPU extension
+``gpu_map_partitions``) running on the very same cluster runtime,
+GPUManagers included.
 """
 
 from repro.compat.spark import RDD, SparkContext

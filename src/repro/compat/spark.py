@@ -7,18 +7,19 @@ engine-agnostic.  This module proves it: the familiar RDD API, including the
 GPU extensions, is a thin adapter over :class:`repro.core.gdst.GDST`.
 
 Semantics follow PySpark conventions: transformations are lazy and return
-RDDs; actions (``collect``, ``count``, ``reduce``...) return plain values;
-``cache()`` marks the lineage for in-memory reuse.  Timing for the last
+RDDs; actions (``collect``, ``count``) return plain values; ``cache()``
+marks the lineage for in-memory reuse.  The facade carries what
+``examples/spark_migration.py`` runs: ``parallelize``, ``cache``,
+``count``, ``gpu_map_partitions`` and ``collect``.  Timing for the last
 action is available as ``sc.last_job_metrics``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.core.gdst import GDST
 from repro.core.runtime import GFlinkCluster, GFlinkSession
-from repro.flink.dataset import OpCost
 
 
 class SparkContext:
@@ -38,14 +39,6 @@ class SparkContext:
         ds = self._session.from_collection(
             data, element_nbytes=element_nbytes, scale=scale,
             parallelism=num_slices)
-        return RDD(self, ds)
-
-    def hdfs_file(self, path: str, element_nbytes: float,
-                  scale: float = 1.0,
-                  min_partitions: Optional[int] = None) -> "RDD":
-        """An RDD backed by an HDFS file (``sc.textFile`` analogue)."""
-        ds = self._session.read_hdfs(path, element_nbytes, scale=scale,
-                                     parallelism=min_partitions)
         return RDD(self, ds)
 
     def register_kernel(self, spec) -> None:
@@ -69,19 +62,6 @@ class RDD:
         return RDD(self.sc, ds)
 
     # -- transformations (lazy) -------------------------------------------------
-    def map(self, f: Callable, cost: OpCost = OpCost()) -> "RDD":
-        return self._wrap(self._ds.map(f, cost=cost))
-
-    def map_partitions(self, f: Callable, cost: OpCost = OpCost()) -> "RDD":
-        return self._wrap(self._ds.map_partition(f, cost=cost))
-
-    def reduce_by_key(self, f: Callable,
-                      cost: OpCost = OpCost()) -> "RDD":
-        """``reduceByKey`` over (key, value) pairs."""
-        return self._wrap(
-            self._ds.group_by(lambda kv: kv[0])
-            .reduce(lambda a, b: (a[0], f(a[1], b[1])), cost=cost))
-
     def cache(self) -> "RDD":
         """Mark for in-memory reuse across jobs (``rdd.cache()``)."""
         self._ds.persist()
@@ -99,10 +79,3 @@ class RDD:
 
     def count(self) -> float:
         return self.sc._run(self._ds.count())
-
-    def reduce(self, f: Callable) -> Any:
-        values = self.sc._run(self._ds.reduce(f).collect())
-        return values[0] if values else None
-
-    def save_as_hdfs_file(self, path: str) -> str:
-        return self.sc._run(self._ds.write_hdfs(path))

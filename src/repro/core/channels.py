@@ -33,7 +33,6 @@ from repro.core.hbuffer import Block, HBuffer
 from repro.gpu.device import GPUDevice
 from repro.gpu.memory import DeviceBuffer, HostBuffer
 from repro.gpu.runtime import CUDARuntime, snapshot
-from repro.gpu.stream import CUDAStream
 
 
 class CommMode(Enum):
@@ -61,8 +60,8 @@ class CUDAWrapper:
     Every method charges one JNI redirect (the control channel) before
     delegating to the native :class:`~repro.gpu.runtime.CUDARuntime`
     ("CUDAStub").  Where the stub's first act is a fixed driver charge
-    (``cudaMalloc``, ``cudaFree``, ``cudaHostRegister``) the redirect rides
-    in the same fused event — nothing can observe the instant between them.
+    (``cudaMalloc``, ``cudaFree``) the redirect rides in the same fused
+    event — nothing can observe the instant between them.
 
     A pipeline stage's per-block calls are one generator frame each —
     ``cuda_malloc`` / ``cuda_free`` yield their fused charge themselves,
@@ -97,36 +96,6 @@ class CUDAWrapper:
         yield self.env.timeout(self.costs.jni_call_s,
                                then=self.runtime.alloc_overhead_s)
         device.memory.free(buf)
-
-    def cuda_stream_create(self, device: GPUDevice) -> CUDAStream:
-        """``cudaStreamCreate`` via JNI (wrapper-side object, no wait)."""
-        self.jni_calls += 1
-        return self.runtime.stream_create(device)
-
-    def cuda_host_register(self, host: HostBuffer
-                           ) -> Generator[Event, None, HostBuffer]:
-        """``cudaHostRegister``: page-lock a host buffer."""
-        self.jni_calls += 1
-        result = yield from self.runtime.host_register(
-            host, self.costs.jni_call_s)
-        return result
-
-    def cuda_device_synchronize(self, device: GPUDevice) -> Event:
-        """``cudaDeviceSynchronize`` via JNI."""
-        self.jni_calls += 1
-        return self.runtime.device_synchronize(device)
-
-    def cuda_event_record(self, stream: CUDAStream):
-        """``cudaEventRecord``: a Java-side virtualized CUDA event (§3.4:
-        "many objects in CUDA (e.g., Streams, cudaEvent) are also
-        virtualized in CUDAWrapper in the form of Java")."""
-        self.jni_calls += 1
-        return stream.record_event()
-
-    def cuda_event_synchronize(self, event) -> Event:
-        """``cudaEventSynchronize``: wait for a recorded event."""
-        self.jni_calls += 1
-        return event.wait()
 
     # -- transfer channel ----------------------------------------------------------
     def host_view(self, block: Block, hbuffer: HBuffer,

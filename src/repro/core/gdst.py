@@ -26,7 +26,7 @@ from repro.core.hbuffer import HBuffer
 from repro.flink.dataset import DataSet, OpCost
 from repro.flink.partition import Partition
 from repro.flink.payload import concat, real_len
-from repro.flink.plan import Operator, ShipStrategy
+from repro.flink.plan import Operator, ShipStrategy, partition_output_scale
 
 
 def _attach_host_stream(ctx, work: GWork) -> None:
@@ -147,29 +147,21 @@ class GpuMapPartitionOp(Operator):
     def __init__(self, source: Operator, kernel_name: str, app_id: str,
                  extra_inputs: Optional[Dict[str, "ExtraInput"]] = None,
                  params: Optional[Dict[str, Any]] = None,
-                 params_fn: Optional[Callable[[], Dict[str, Any]]] = None,
                  cache: bool = False,
                  cache_key_base: Optional[Any] = None,
                  out_element_nbytes: Optional[float] = None,
                  comm_mode: CommMode = CommMode.GFLINK,
                  cuda_block_size: int = 256,
                  layout: DataLayout = DataLayout.AOS,
-                 scale_semantics: str = "auto",
                  parallelism: Optional[int] = None,
                  name: Optional[str] = None):
         super().__init__(name or f"gpu-map-partition({kernel_name})",
                          [source], parallelism, [ShipStrategy.FORWARD],
                          OpCost())
-        if scale_semantics not in ("auto", "map", "reduce"):
-            raise ConfigError(
-                f"scale_semantics must be auto/map/reduce: "
-                f"{scale_semantics!r}")
-        self.scale_semantics = scale_semantics
         self.kernel_name = kernel_name
         self.app_id = app_id
         self.extra_inputs = dict(extra_inputs or {})
         self.params = dict(params or {})
-        self.params_fn = params_fn
         self.cache = cache
         self.cache_key_base = (cache_key_base if cache_key_base is not None
                                else source.uid)
@@ -192,7 +184,7 @@ class GpuMapPartitionOp(Operator):
         if _check_degraded(self.name, ctx, gpumanager):
             out_elements = yield from _cpu_fallback(
                 self.name, ctx, gpumanager, part,
-                [(op.kernel_name, op._launch_params(),
+                [(op.kernel_name, op.params,
                   {name: extra.supplier()
                    for name, extra in op.extra_inputs.items()})
                  for op in self.stages])
@@ -200,33 +192,10 @@ class GpuMapPartitionOp(Operator):
             out_hbuf = yield from _submit_gwork(
                 self.name, ctx, gpumanager, self._build_gwork(ctx, part))
             out_elements = out_hbuf.elements
-        scale = self._output_scale(part, real_len(out_elements))
+        scale = partition_output_scale(part, real_len(out_elements))
         return Partition(index=ctx.subtask_index, elements=out_elements,
                          element_nbytes=self.out_element_nbytes(part),
                          scale=scale, worker=ctx.worker.name)
-
-    def _launch_params(self) -> Dict[str, Any]:
-        params = dict(self.params)
-        if self.params_fn is not None:
-            params.update(self.params_fn())
-        return params
-
-    def _output_scale(self, part: Partition, out_real: int) -> float:
-        """Nominal scaling of the chain's final output.
-
-        The last stage's semantics decide:
-
-        * ``map`` — one out per in: keep the input's scale.
-        * ``reduce`` — the kernel emits *real* partials (per block): scale 1.
-        * ``auto`` — map when counts match, reduce otherwise (the two common
-          kernel shapes).
-        """
-        semantics = self.stages[-1].scale_semantics
-        if semantics == "map":
-            return part.scale
-        if semantics == "reduce":
-            return 1.0
-        return part.scale if out_real == part.real_count else 1.0
 
     def _build_gwork(self, ctx, part: Partition) -> GWork:
         stages = self.stages
@@ -254,7 +223,7 @@ class GpuMapPartitionOp(Operator):
             nxt = stages[i + 1] if i + 1 < len(stages) else None
             kernel_stages.append(KernelStage(
                 execute_name=op.kernel_name,
-                params=op._launch_params(),
+                params=dict(op.params),
                 out_element_nbytes=per_elem,
                 block_size=op.cuda_block_size,
                 extra=extra,
@@ -358,14 +327,12 @@ class GDST(DataSet):
     def gpu_map_partition(self, kernel_name: str,
                           extra_inputs: Optional[Dict[str, ExtraInput]] = None,
                           params: Optional[Dict[str, Any]] = None,
-                          params_fn: Optional[Callable[[], Dict]] = None,
                           cache: bool = False,
                           cache_key_base: Optional[Any] = None,
                           out_element_nbytes: Optional[float] = None,
                           comm_mode: CommMode = CommMode.GFLINK,
                           cuda_block_size: int = 256,
                           layout: DataLayout = DataLayout.AOS,
-                          scale_semantics: str = "auto",
                           parallelism: Optional[int] = None,
                           name: Optional[str] = None) -> "GDST":
         """Run a registered kernel over each partition, block by block.
@@ -379,17 +346,16 @@ class GDST(DataSet):
         app_id = getattr(self.session, "app_id", "default")
         return self._derive(GpuMapPartitionOp(
             self.op, kernel_name, app_id, extra_inputs=extra_inputs,
-            params=params, params_fn=params_fn, cache=cache,
+            params=params, cache=cache,
             cache_key_base=cache_key_base,
             out_element_nbytes=out_element_nbytes, comm_mode=comm_mode,
             cuda_block_size=cuda_block_size, layout=layout,
-            scale_semantics=scale_semantics, parallelism=parallelism,
-            name=name))
+            parallelism=parallelism, name=name))
 
     def gpu_map(self, kernel_name: str, **kwargs) -> "GDST":
-        """Element-wise GPU map — same machinery, one output per input."""
+        """Element-wise GPU map — same machinery, one output per input (so
+        the output keeps the input's scale: :func:`partition_output_scale`)."""
         kwargs.setdefault("name", f"gpu-map({kernel_name})")
-        kwargs.setdefault("scale_semantics", "map")
         return self.gpu_map_partition(kernel_name, **kwargs)
 
     def gpu_reduce(self, kernel_name: str, final_fn: Callable,

@@ -15,7 +15,7 @@ job metrics with GPU counters.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.common.simclock import Environment
 from repro.core.gdst import GDST
@@ -119,13 +119,11 @@ class GFlinkSession(FlinkSession):
             elements, element_nbytes, scale=scale, parallelism=parallelism))
 
     def read_hdfs(self, path: str, element_nbytes: float,
-                  parser: Optional[Callable[[Any], Any]] = None,
                   scale: float = 1.0,
                   parallelism: Optional[int] = None) -> GDST:
         """A GDST backed by an HDFS file."""
         return self._as_gdst(super().read_hdfs(
-            path, element_nbytes, parser=parser, scale=scale,
-            parallelism=parallelism))
+            path, element_nbytes, scale=scale, parallelism=parallelism))
 
     # -- kernels -----------------------------------------------------------------
     def register_kernel(self, spec: KernelSpec) -> KernelSpec:

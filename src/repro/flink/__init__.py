@@ -6,8 +6,8 @@ abstraction.  It reproduces the architectural features GFlink's design hooks
 into:
 
 * **DataSet API** (:mod:`repro.flink.dataset`) — ``map``,
-  ``map_partition``, ``group_by(...).reduce(...)`` and Flink's positional
-  ``group_by(0).sum(1)`` / ``.min(1)`` / ``.max(1)``, ``reduce``,
+  ``map_partition``, ``group_by(...).reduce(...)`` (Flink's positional
+  ``groupBy(0).sum(1)`` is ``group_by(0).reduce(field_sum(1))``), ``reduce``,
   ``iterate``, ``count``, ``collect``, HDFS sources/sinks, and ``persist``
   for iterative jobs.
 * **Logical plan → ExecutionGraph** (:mod:`repro.flink.plan`,

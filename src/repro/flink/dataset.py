@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.flink.iterators import (field, field_max, field_min, field_sum,
+from repro.common.errors import ConfigError
+from repro.flink.iterators import (field, takes_block, takes_rows,
                                    vectorized as vectorized_udf)
 from repro.flink.plan import (
     CollectSink,
@@ -67,7 +68,7 @@ class DataSet:
     def group_by(self, key: "Callable | int") -> "GroupedDataSet":
         """Group by a key extractor, or — Flink's ``groupBy(0)`` — by a
         field position (``group_by(0)`` is ``group_by(field(0))``); follow
-        with ``reduce`` / ``sum`` / ``min`` / ``max``.
+        with ``reduce`` (``reduce(field_sum(1))`` is Flink's ``sum(1)``).
         The built-in contract is stated at :class:`GroupedDataSet`."""
         return GroupedDataSet(self, key if callable(key) else field(key))
 
@@ -76,25 +77,6 @@ class DataSet:
         """Global pairwise fold into a single element."""
         return self._derive(
                        ReduceOp(self.op, reduce_fn, cost, name=name))
-
-    # -- aggregate shorthands ----------------------------------------------------
-    def sum(self, value_fn: Callable = lambda x: x,
-            name: str = "sum") -> "DataSet":
-        """Global sum of ``value_fn(element)``."""
-        return self.map(value_fn, name=f"{name}-extract") \
-            .reduce(lambda a, b: a + b, name=name)
-
-    def min(self, key_fn: Callable = lambda x: x,
-            name: str = "min") -> "DataSet":
-        """Global minimum by ``key_fn``."""
-        return self.reduce(lambda a, b: a if key_fn(a) <= key_fn(b) else b,
-                           name=name)
-
-    def max(self, key_fn: Callable = lambda x: x,
-            name: str = "max") -> "DataSet":
-        """Global maximum by ``key_fn``."""
-        return self.reduce(lambda a, b: a if key_fn(a) >= key_fn(b) else b,
-                           name=name)
 
     def iterate(self, n_iterations: int,
                 step_fn: Callable[["DataSet"], "DataSet"]) -> "DataSet":
@@ -177,8 +159,8 @@ class DataSet:
 class GroupedDataSet:
     """A dataset grouped by key — an intermediate builder, as in Flink.
 
-    **Built-in keys and aggregates** (``group_by(0).sum(1)``, i.e.
-    :class:`~repro.flink.iterators.field` and
+    **Built-in keys and aggregates** (``group_by(0).reduce(field_sum(1))``,
+    i.e. :class:`~repro.flink.iterators.field` and
     :func:`~repro.flink.iterators.field_sum` / ``field_min`` /
     ``field_max``).  *Row call*: they are ordinary element UDFs —
     ``field(0)(row) == row[0]``, ``field_sum(1)(a, b)`` is ``a`` with field
@@ -219,24 +201,21 @@ class GroupedDataSet:
         calls for different keys interleave in row order.  A
         ``vectorized()`` pair honours the same fold per segment
         (:func:`repro.flink.iterators.vectorized`).
+
+        **The pair is one of two kinds**: both UDFs have a block form
+        (built in, or marked ``vectorized()``), or both have a row form
+        (element UDFs and the built-ins).  A ``vectorized()`` UDF has no
+        row form and an element UDF no block form, so a pair of one of
+        each is rejected here, when the plan is built.
         """
+        pair = (self.key_fn, reduce_fn)
+        if not (all(map(takes_rows, pair)) or all(map(takes_block, pair))):
+            raise ConfigError(
+                "a keyed pair is two UDFs with a block form (built in or "
+                "vectorized()) or two with a row form (element UDFs and "
+                "the built-ins); got a vectorized() UDF paired with an "
+                "element one")
         return self.dataset._derive(
                        KeyedReduceOp(self.dataset.op, self.key_fn, reduce_fn,
                                      cost, parallelism, combinable=combinable,
                                      name=name))
-
-    def sum(self, index: int, **reduce_kw) -> DataSet:
-        """Per key, the first row with field ``index`` summed over the
-        group (Flink's ``aggregate(SUM, index)``); keywords as for
-        :meth:`reduce`."""
-        return self.reduce(field_sum(index), **reduce_kw)
-
-    def min(self, index: int, **reduce_kw) -> DataSet:
-        """Per key, the first row with the group's smallest field
-        ``index``."""
-        return self.reduce(field_min(index), **reduce_kw)
-
-    def max(self, index: int, **reduce_kw) -> DataSet:
-        """Per key, the first row with the group's largest field
-        ``index``."""
-        return self.reduce(field_max(index), **reduce_kw)

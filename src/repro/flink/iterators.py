@@ -11,16 +11,14 @@ the payload *is* (row list or NumPy block) is never asked here: that is
 
 from __future__ import annotations
 
-import functools
 import operator
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.flink.payload import (block_of, field_column, group_columnar,
-                                 group_plan, integral_as_int, key_column,
-                                 real_len, rows_like, segment_fold, to_block,
-                                 with_field)
+from repro.flink.payload import (block_of, field_column, group_plan,
+                                 integral_as_int, key_column, real_len,
+                                 rows_like, segment_fold, with_field)
 
 
 def vectorized(udf: Callable) -> Callable:
@@ -40,10 +38,10 @@ def vectorized(udf: Callable) -> Callable:
     block.  The reducer contract of
     :meth:`repro.flink.dataset.GroupedDataSet.reduce` holds per segment: to
     stay bit-identical to the element path a float reducer must fold each
-    segment left to right (:func:`repro.flink.payload.segment_sum`);
-    ``np.add.reduceat`` sums long segments pairwise and does not.  An
-    *element* key paired with a vectorized reducer is handed each group's
-    member list whole instead.
+    segment left to right (:func:`repro.flink.payload.segment_fold`);
+    ``np.add.reduceat`` sums long segments pairwise and does not.  A marked
+    keyed UDF pairs only with one that also has a block form
+    (:meth:`repro.flink.dataset.GroupedDataSet.reduce`).
 
     On a built-in (:class:`field`, :func:`field_sum`) the marker changes
     the *price* only — it has a block form either way.
@@ -137,6 +135,12 @@ def takes_block(udf: Callable) -> bool:
     return is_vectorized(udf) or is_builtin(udf)
 
 
+def takes_rows(udf: Callable) -> bool:
+    """True if a keyed ``udf`` has a row form: it is an element UDF or
+    built in (marked or not)."""
+    return is_builtin(udf) or not is_vectorized(udf)
+
+
 def reduce_segments(reduce_fn: Callable, block: np.ndarray,
                     starts: np.ndarray) -> np.ndarray:
     """One call of a keyed reducer's block form over a segment-sorted
@@ -174,55 +178,27 @@ def apply_reduce(elements: Any, udf: Callable) -> Any:
     return acc
 
 
-def group_elements(elements: Iterable[Any], key_fn: Callable) -> dict:
-    """Group elements by ``key_fn`` preserving first-seen key order.
-
-    A vectorized ``key_fn`` runs once over the payload as a block (row
-    lists are lifted, see :func:`repro.flink.payload.to_block`) and groups
-    in bulk — keys still come out in first-seen order and members in
-    original order, so results are bit-identical to the element path; group
-    values are ndarray blocks instead of lists.
-    """
-    if not real_len(elements):
-        return {}
-    if is_vectorized(key_fn):
-        block = to_block(elements)
-        return group_columnar(block, key_column(key_fn, block))
-    groups: dict = {}
-    for x in elements:
-        groups.setdefault(key_fn(x), []).append(x)
-    return groups
-
-
-def fold_by_key(rows: Iterable[Any], key_fn: Callable, reduce_fn: Callable,
-                q: int = 1, bucket_of: Optional[Callable] = None) -> list:
+def fold_by_key(rows: Iterable[Any], key_fn: Callable,
+                reduce_fn: Callable) -> list:
     """Hash aggregate of an element ``(key_fn, reduce_fn)`` pair: one pass
     over ``rows``, reduce on insert (Thrill's ``ReduceByKey`` table).
 
-    Returns ``q`` buckets of reduced rows.  ``bucket_of(key, q)`` names the
-    bucket of every row — asked **per row**, never remembered per key: keys
-    that are one dict key may still route apart (``(1, "a")`` and
-    ``(1.0, "a")`` under :func:`repro.flink.shuffle.hash_bucket`) and then
-    stay apart; without it everything is bucket 0.  Inside a bucket keys
-    come out in first-seen order, each folded left to right in row order; a
-    one-row group is its row, the same object, and never reaches
+    Keys come out in first-seen order, each folded left to right in row
+    order; a one-row group is its row, the same object, and never reaches
     ``reduce_fn``.  That is exactly what grouping the rows and then folding
     each group returns (``tests/flink/retired.py`` keeps that composition
     as the oracle) with one difference a pure reducer cannot observe: calls
     of ``reduce_fn`` for different keys interleave in row order instead of
     running key by key.
     """
-    tables: List[dict] = [{} for _ in range(q)]
-    table = tables[0]
+    table: dict = {}
     for x in rows:
         key = key_fn(x)
-        if bucket_of is not None:
-            table = tables[bucket_of(key, q)]
         if key in table:
             table[key] = reduce_fn(table[key], x)
         else:
             table[key] = x
-    return [list(table.values()) for table in tables]
+    return list(table.values())
 
 
 def apply_grouped_reduce(elements: Any, key_fn: Callable,
@@ -234,22 +210,15 @@ def apply_grouped_reduce(elements: Any, key_fn: Callable,
     stays a block.  A ``vectorized()`` member has no row form, so a row
     list is lifted for it; an unmarked built-in pair takes a block when
     handed one and is otherwise an element pair like any other — one
-    :func:`fold_by_key` pass returning a row list.  A mixed pair needs its
-    groups whole (:func:`group_elements`): a vectorized reducer is handed
-    each member list, a vectorized key extractor groups the block in bulk
-    and the element reducer folds each group's rows.
+    :func:`fold_by_key` pass returning a row list.  No other pair reaches
+    here (:meth:`repro.flink.dataset.GroupedDataSet.reduce`).
     """
     if not real_len(elements):
         return [] if elements is None else elements
-    marked = is_vectorized(key_fn), is_vectorized(reduce_fn)
     if takes_block(key_fn) and takes_block(reduce_fn):
-        block = block_of(elements, lift=any(marked))
+        block = block_of(elements, lift=is_vectorized(key_fn)
+                         or is_vectorized(reduce_fn))
         if block is not None:
             plan = group_plan(key_column(key_fn, block))
             return reduce_segments(reduce_fn, block[plan.order], plan.starts)
-    if not any(marked):
-        return fold_by_key(elements, key_fn, reduce_fn)[0]
-    groups = group_elements(elements, key_fn).values()
-    if marked[1] and not is_builtin(reduce_fn):
-        return [reduce_fn(members) for members in groups]
-    return [functools.reduce(reduce_fn, members) for members in groups]
+    return fold_by_key(elements, key_fn, reduce_fn)

@@ -251,9 +251,9 @@ def group_plan(keys: np.ndarray, q: int = 1) -> GroupPlan:
     """Group rows by key — one stable sort, no per-group work.
 
     ``block[order]`` is sorted by *(bucket = key % q, first-seen key,
-    original position)*: inside bucket *j* the segments come out exactly as
-    :func:`repro.flink.iterators.group_elements` would produce them from
-    that bucket's rows (keys first-seen, members in original order).  Any
+    original position)*: inside bucket *j* the segments come out in the
+    order a dict grouping of that bucket's rows would give (keys
+    first-seen, members in original order).  Any
     sortable 1-D key dtype groups; ``q > 1`` needs integer keys.  ``-0.0``
     and ``0.0`` are one key, as in a dict; NaN keys equal nothing, not even
     themselves, and are rejected.
@@ -298,24 +298,3 @@ def segment_fold(ufunc: np.ufunc, column: np.ndarray,
     segment_of_row = np.cumsum(~rest) - 1
     ufunc.at(out, segment_of_row[rest], column[rest])
     return out
-
-
-def segment_sum(column: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """:func:`segment_fold` of ``+`` — what a hand-written ``vectorized()``
-    keyed sum calls to stay the left fold."""
-    return segment_fold(np.add, column, starts)
-
-
-def group_columnar(elements: np.ndarray, keys: np.ndarray) -> dict:
-    """Group a columnar payload by a key column.
-
-    Matches :func:`repro.flink.iterators.group_elements` exactly: keys in
-    first-seen order, members in original order.  Group values are slices
-    of the one segment-sorted block.
-    """
-    plan = group_plan(keys)
-    block = elements[plan.order]
-    ends = np.append(plan.starts[1:], len(block))
-    return {key: block[start:end] for key, start, end in zip(
-        keys[plan.order[plan.starts]].tolist(),
-        plan.starts.tolist(), ends.tolist())}

@@ -56,11 +56,6 @@ class OpCost:
 
     flops_per_element
         Arithmetic work per (nominal) element — drives CPU/GPU compute time.
-    selectivity
-        Expected output/input element ratio.  Used to keep nominal scaling
-        consistent for maps and partition functions whose real selectivity
-        on the sample may differ from the nominal workload.  ``None`` means
-        "use the observed real ratio".
     out_element_nbytes
         Nominal serialized size of an output element (None = same as input).
     element_overhead_s
@@ -72,7 +67,6 @@ class OpCost:
     """
 
     flops_per_element: float = 1.0
-    selectivity: Optional[float] = None
     out_element_nbytes: Optional[float] = None
     element_overhead_s: Optional[float] = None
 
@@ -103,7 +97,8 @@ class Operator:
         return None
 
     def combiner_for_input(self, i: int):
-        """Optional ``(key_fn, reduce_fn)`` pre-combiner for HASH input ``i``."""
+        """Optional ``(key_fn, reduce_fn)`` pre-combiner for input ``i``
+        (``key_fn`` None: fold each producer's payload to one partial)."""
         return None
 
     # -- runtime ------------------------------------------------------------------
@@ -164,18 +159,15 @@ class CollectionSource(Operator):
 class HdfsSource(Operator):
     """A dataset read from HDFS, block by block, locality-aware.
 
-    ``parser`` maps one block payload to the element payload (defaults to
-    identity).  Subtask *i* reads the blocks assigned to it by the scheduler
-    (stored in ``ctx.assigned_blocks``).
+    A block's payload is its elements.  Subtask *i* reads the blocks
+    assigned to it by the scheduler (stored in ``ctx.assigned_blocks``).
     """
 
     def __init__(self, path: str, element_nbytes: float,
-                 parser: Optional[Callable[[Any], Any]] = None,
                  scale: float = 1.0, parallelism: Optional[int] = None,
                  name: Optional[str] = None):
         super().__init__(name or f"hdfs-source({path})", [], parallelism, [])
         self.path = path
-        self.parser = parser or (lambda payload: payload)
         self.element_nbytes = element_nbytes
         self.scale = scale
 
@@ -183,7 +175,7 @@ class HdfsSource(Operator):
         payload_parts = []
         for block in ctx.assigned_blocks:
             payload = yield from ctx.hdfs.read_block(block, ctx.worker.name)
-            payload_parts.append(self.parser(payload))
+            payload_parts.append(payload)
         elements = concat(payload_parts)
         # Deserialization from HDFS bytes into objects.
         n = real_len(elements) * self.scale
@@ -205,7 +197,7 @@ class HdfsSource(Operator):
         :meth:`execute_subtask` and :meth:`execute_streaming` return a
         bit-identical partition.
         """
-        elements = concat([self.parser(b.payload) for b in blocks])
+        elements = concat([b.payload for b in blocks])
         return Partition(index=subtask_index, elements=elements,
                          element_nbytes=self.element_nbytes,
                          scale=self.scale, worker=worker)
@@ -248,9 +240,9 @@ class HdfsSource(Operator):
         # Data plane is eager (replica payloads are held by reference on
         # block metadata), so every block's deserialize charge is known
         # before its read even starts — required to publish mid-read.
-        parsed = [self.parser(b.payload) for b in blocks]
+        payloads = [b.payload for b in blocks]
         deser = []
-        for p in parsed:
+        for p in payloads:
             n = real_len(p) * self.scale
             deser.append(ctx.serializer.deserialize_time(
                 n * self.element_nbytes, n))
@@ -305,7 +297,7 @@ class HdfsSource(Operator):
                 yield from ctx.stream_reserve(stream, first + j)
                 stream.publish(first + j)
         stream.close()
-        elements = concat(parsed)
+        elements = concat(payloads)
         return Partition(index=ctx.subtask_index, elements=elements,
                          element_nbytes=self.element_nbytes,
                          scale=self.scale, worker=ctx.worker.name)
@@ -374,13 +366,7 @@ class MapOp(_StageChain):
         return apply_map(elements, self.udf)
 
     def _output_scale(self, part: Partition, out_elements: Any) -> float:
-        real_out = real_len(out_elements)
-        if self.cost.selectivity is None or real_out == 0:
-            return part.scale
-        # Keep nominal_out = nominal_in * selectivity even when the sample's
-        # real selectivity differs.
-        nominal_out = part.nominal_count * self.cost.selectivity
-        return nominal_out / real_out
+        return part.scale
 
 
 class MapPartitionOp(_StageChain):
@@ -394,14 +380,22 @@ class MapPartitionOp(_StageChain):
         return self.udf(elements)
 
     def _output_scale(self, part: Partition, out_elements: Any) -> float:
-        # Map-style partition functions (one out per in) keep the input's
-        # nominal scaling; aggregating ones (partial sums, histograms) emit
-        # *real* records that must not be scaled up.  cost.selectivity
-        # overrides the heuristic when set.
-        out_real = real_len(out_elements)
-        if self.cost.selectivity is not None and out_real:
-            return part.nominal_count * self.cost.selectivity / out_real
-        return part.scale if out_real == part.real_count else 1.0
+        return partition_output_scale(part, real_len(out_elements))
+
+
+def partition_output_scale(part: Partition, out_real: int) -> float:
+    """The nominal scale of a partition function's output, CPU
+    (``map_partition``) or GPU (``gpu_map_partition``) alike.
+
+    An output with the input's real row count is map-style (one out per
+    in) and keeps the input's scale; any other is aggregating (partial
+    sums, histograms): its rows are *real* records and carry scale 1.
+    The rule is applied per partition, so a function that changes the row
+    count in some partitions only gives a nominal count that depends on
+    the parallelism (``tests/reference/test_plans.py`` pins it as a strict
+    xfail).
+    """
+    return part.scale if out_real == part.real_count else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +460,9 @@ class ReduceOp(Operator):
         self.reduce_fn = reduce_fn
 
     def combiner_for_input(self, i):
-        # Gather with pre-fold: each producer sends a single partial.
-        return ((lambda x: 0), self.reduce_fn)
+        # Gather with pre-fold: each producer sends a single partial, its
+        # payload folded as this subtask folds (``apply_reduce``).
+        return None, self.reduce_fn
 
     def execute_subtask(self, ctx, inputs):
         (part,) = inputs

@@ -10,7 +10,7 @@ the functional value and the simulated timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.common.network import Network
 from repro.common.simclock import Environment
@@ -340,13 +340,11 @@ class FlinkSession:
             elements, element_nbytes, scale=scale, parallelism=parallelism))
 
     def read_hdfs(self, path: str, element_nbytes: float,
-                  parser: Optional[Callable[[Any], Any]] = None,
                   scale: float = 1.0,
                   parallelism: Optional[int] = None) -> DataSet:
         """A DataSet backed by an HDFS file (locality-aware block reads)."""
         return DataSet(self, HdfsSource(
-            path, element_nbytes, parser=parser, scale=scale,
-            parallelism=parallelism))
+            path, element_nbytes, scale=scale, parallelism=parallelism))
 
     # -- job execution ----------------------------------------------------------
     def execute_job(self, sink: Operator, job_name: str = "job"):

@@ -19,9 +19,9 @@ routine (``_buckets``) through :mod:`repro.flink.payload`'s accessors:
   float, bool, mixed and beyond-64-bit keys), ``arange(n) % q`` for
   REBALANCE.  ``payload.cut``
   then deals the rows out by id in original order (a block with one
-  stable sort).  A ``(key_fn, reduce_fn)`` pre-combiner keyed on the
-  routing key runs once over the producer *before* the rows are cut into
-  buckets; one keyed otherwise runs per bucket after routing.
+  stable sort).  A block-form ``(key_fn, reduce_fn)`` pre-combiner keyed
+  on an integer routing key runs once over the producer block *before* it
+  is cut into buckets; any other runs per bucket after routing.
 * **Price list** (``_zero_copy``) — ``zero_copy`` when every producer
   payload is a block (or empty), the combiner is block-compatible (none, or
   a vectorized pair) and, for HASH, every key column has integer dtype:
@@ -30,10 +30,10 @@ routine (``_buckets``) through :mod:`repro.flink.payload`'s accessors:
   the consumer receives a block.  ``per_row`` otherwise — the classic
   per-record model: serialize on the sender, deserialize on the receiver,
   both at ``serde_bps`` plus a per-record overhead, and the consumer
-  receives the row objects deserialization materializes — or, when it folds
-  with a built-in pair (``group_by(0).sum(1)``), the block itself: the
-  price is the marker's, the host path the pair's.  Forward edges always
-  price ``per_row``.
+  receives the row objects deserialization materializes — or, when it
+  folds with a built-in pair (``group_by(0).reduce(field_sum(1))``), the
+  block itself: the price is the marker's, the host path the pair's.
+  Forward edges always price ``per_row``.
 
 Shipping is **one sender loop** (``_send``) whatever the strategy: a routed
 producer's buckets and a moved forward partition are both a list of
@@ -75,7 +75,7 @@ import numpy as np
 from repro.common.network import Network
 from repro.common.simclock import Environment, Event
 from repro.flink.config import FlinkConfig
-from repro.flink.iterators import (apply_grouped_reduce, fold_by_key,
+from repro.flink.iterators import (apply_grouped_reduce, apply_reduce,
                                    is_builtin, is_vectorized,
                                    reduce_segments, takes_block)
 from repro.flink.partition import Partition
@@ -276,14 +276,11 @@ class Exchange:
         """Route (and pre-combine) one producer's payload, rows or block.
 
         Bucket *j* holds the rows bound for consumer *j* in original order
-        (``payload.cut``).  A pair combiner keyed on the routing key is applied
-        *before* the cut, in one pass over the producer: a pair with a
-        block form on integer keys reduces the whole block once
-        (``group_plan``'s single sort), an element pair reduces each row on
-        insert into its bucket's table
-        (:func:`~repro.flink.iterators.fold_by_key`).  Either way bucket
-        contents equal route-then-combine's, which is what a pair keyed
-        otherwise still gets.
+        (``payload.cut``).  A block-form pair combiner keyed on the routing
+        key, over a block on integer keys, is applied *before* the cut: the
+        whole block is reduced once (``group_plan``'s single sort), and the
+        buckets equal route-then-combine's.  Every other combiner routes,
+        then combines each bucket (:meth:`_combine`).
         """
         q = self.n_consumers
         rows = part.elements
@@ -296,16 +293,12 @@ class Exchange:
         elif self.strategy is ShipStrategy.REBALANCE:
             buckets = cut(rows, np.arange(real_len(rows)) % q, q)
         else:
-            on_routing_key = combines and self.combiner[0] is self.key_fn
             if keys is None:  # element extractor: one call per row
-                if on_routing_key and not is_vectorized(self.combiner[1]):
-                    return fold_by_key(rows, self.key_fn, self.combiner[1],
-                                       q, hash_bucket)
                 ids = [hash_bucket(self.key_fn(x), q) for x in rows]
             elif keys.dtype.kind not in "iu":
                 ids = [hash_bucket(key, q) for key in keys.tolist()]
-            elif (on_routing_key and is_block(rows)
-                    and takes_block(self.combiner[1])):
+            elif (combines and self.combiner[0] is self.key_fn
+                    and is_block(rows) and takes_block(self.combiner[1])):
                 plan = group_plan(keys, q)
                 combined = reduce_segments(
                     self.combiner[1], take(rows, plan.order), plan.starts)
@@ -405,6 +398,8 @@ class Exchange:
         if real_len(bucket) == 0:
             return bucket
         key_fn, reduce_fn = self.combiner
+        if key_fn is None:  # a global reduce's pre-fold: one partial
+            return [apply_reduce(bucket, reduce_fn)]
         return apply_grouped_reduce(bucket, key_fn, reduce_fn)
 
     # -- common ------------------------------------------------------------------

@@ -11,13 +11,14 @@ A calibrated discrete-event model of the GPUs in the paper's testbed
   copy engines (half- vs full-duplex PCIe, paper §4.1.2);
 * :mod:`repro.gpu.memory` — device-memory allocator with OOM semantics;
 * :mod:`repro.gpu.stream` — CUDA streams (in-order command queues that
-  overlap across streams) and events;
+  overlap across streams);
 * :mod:`repro.gpu.kernel` — a kernel registry: each kernel carries a real
   NumPy implementation (functional result) plus a roofline-style cost model
   (FLOPs- or memory-bandwidth-bound, occupancy-degraded for small launches);
 * :mod:`repro.gpu.runtime` — the ``cuda*`` host API ("CUDAStub"):
-  malloc/free, synchronous and asynchronous memcpy, host registration
-  (pinning), stream create/sync, kernel launch.
+  malloc, the inline transfer and kernel calls the GPU pipeline makes, and
+  the stream calls (create, async copies and launch, synchronize) that
+  ``benchmarks/perf/probes.py`` times.
 
 The *control-channel* (JNI) overhead of calling into this API from the JVM
 side is charged by :mod:`repro.core.channels`, not here — this package is the
@@ -27,7 +28,7 @@ side is charged by :mod:`repro.core.channels`, not here — this package is the
 from repro.gpu.specs import GPUSpec, GTX750, TESLA_C2050, TESLA_K20, TESLA_P100, get_spec, SPECS
 from repro.gpu.device import GPUDevice
 from repro.gpu.memory import DeviceBuffer, DeviceMemory
-from repro.gpu.stream import CUDAStream, CUDAEvent
+from repro.gpu.stream import CUDAStream
 from repro.gpu.kernel import KernelRegistry, KernelSpec, LaunchConfig
 from repro.gpu.runtime import CUDARuntime
 
@@ -43,7 +44,6 @@ __all__ = [
     "DeviceBuffer",
     "DeviceMemory",
     "CUDAStream",
-    "CUDAEvent",
     "KernelRegistry",
     "KernelSpec",
     "LaunchConfig",

@@ -141,18 +141,6 @@ class KernelRegistry:
         self._kernels[spec.name] = spec
         return spec
 
-    def register_fn(self, name: str, flops_per_element: float,
-                    bytes_per_element: float = 0.0,
-                    efficiency: float = 0.5) -> Callable:
-        """Decorator form of :meth:`register`."""
-        def deco(fn):
-            self.register(KernelSpec(name=name, fn=fn,
-                                     flops_per_element=flops_per_element,
-                                     bytes_per_element=bytes_per_element,
-                                     efficiency=efficiency))
-            return fn
-        return deco
-
     def get(self, name: str) -> KernelSpec:
         """Look up a kernel by name; unknown names raise :class:`KernelError`."""
         try:

@@ -1,12 +1,12 @@
 """The ``cuda*`` host API — the "CUDAStub" side of the paper's stack.
 
 Exports the runtime calls GFlink's CUDAWrapper redirects to over JNI
-(§4.1.1): ``cudaMalloc``, ``cudaHostRegister``, ``cudaMemcpyH2D``/``D2H``
-and their ``Async`` variants on streams,
-``cudaStreamCreate``/``cudaStreamSynchronize``, kernel launch by registered
-name, and ``cudaDeviceSynchronize``.  ``cudaFree`` is
+(§4.1.1): ``cudaMalloc``, ``cudaMemcpyH2D`` and the ``Async`` copies on
+streams, ``cudaStreamCreate``/``cudaStreamSynchronize`` and kernel launch
+by registered name.  ``cudaFree`` is
 ``repro.core.channels.CUDAWrapper.cuda_free``, which charges
-:attr:`CUDARuntime.alloc_overhead_s` itself.
+:attr:`CUDARuntime.alloc_overhead_s` itself.  The stream calls are what
+``benchmarks/perf/probes.py`` times; the engine's path is inline (below).
 
 Synchronous calls are simulation generators (``yield from`` them inside a
 process); asynchronous calls enqueue onto a :class:`~repro.gpu.stream.CUDAStream`
@@ -52,8 +52,6 @@ class CUDARuntime:
     pageable_staging_bps = 4.0e9
     #: Driver time for cudaMalloc/cudaFree.
     alloc_overhead_s = 10e-6
-    #: Page-locking cost per byte (cudaHostRegister walks page tables).
-    pin_bps = 20.0e9
     #: Entries either priced-once table may hold.  A pipeline has a handful
     #: of distinct block shapes; only a chain whose fan-out differs block by
     #: block adds one per block, and then the table is dropped and refilled.
@@ -64,8 +62,6 @@ class CUDARuntime:
         self.env = env
         self.devices = list(devices)
         self.registry = registry
-        self._streams: Dict[int, list[CUDAStream]] = {
-            d.index: [] for d in devices}
         # The default stream per device.
         self.default_streams = {d.index: self.stream_create(d)
                                 for d in devices}
@@ -81,36 +77,14 @@ class CUDARuntime:
         yield self.env.timeout(self.alloc_overhead_s)
         return device.memory.alloc(nbytes)
 
-    def host_register(self, hbuf: HostBuffer, redirect_s: float = 0.0
-                      ) -> Generator[Event, None, HostBuffer]:
-        """``cudaHostRegister``: page-lock a host buffer for async DMA.
-
-        ``redirect_s`` is the caller's control-channel latency (the JNI
-        redirect), charged ahead of the driver time in the same fused
-        event: ``(now + redirect_s) + driver_s``.
-        """
-        if not hbuf.pinned:
-            yield self.env.timeout(redirect_s, then=hbuf.nbytes / self.pin_bps)
-            hbuf.pinned = True
-        elif redirect_s:
-            yield self.env.timeout(redirect_s)
-        return hbuf
-
     # -- streams -------------------------------------------------------------------
     def stream_create(self, device: GPUDevice) -> CUDAStream:
         """``cudaStreamCreate``."""
-        stream = CUDAStream(self.env, device)
-        self._streams[device.index].append(stream)
-        return stream
+        return CUDAStream(self.env, device)
 
     def stream_synchronize(self, stream: CUDAStream) -> Event:
         """``cudaStreamSynchronize``: event for all enqueued work done."""
         return stream.synchronize()
-
-    def device_synchronize(self, device: GPUDevice) -> Event:
-        """``cudaDeviceSynchronize``: all streams of the device drained."""
-        return self.env.all_of([s.synchronize()
-                                for s in self._streams[device.index]])
 
     # -- transfers -----------------------------------------------------------------
     def transfer_op(self, device: GPUDevice, direction: str, nbytes: int,
@@ -151,15 +125,6 @@ class CUDARuntime:
         dst.data = snapshot(src.data)
         return window
 
-    def memcpy_d2h(self, device: GPUDevice, dst: HostBuffer,
-                   src: DeviceBuffer, nbytes: Optional[int] = None
-                   ) -> Generator[Event, None, "tuple[float, float]"]:
-        """``cudaMemcpyD2H`` (synchronous); returns the engine window."""
-        n = src.nbytes if nbytes is None else nbytes
-        window = yield from self.transfer_op(device, "d2h", n, dst.pinned)
-        dst.data = snapshot(src.data)
-        return window
-
     def memcpy_h2d_async(self, device: GPUDevice, stream: CUDAStream,
                          dst: DeviceBuffer, src: HostBuffer,
                          nbytes: Optional[int] = None) -> Event:
@@ -183,15 +148,6 @@ class CUDARuntime:
             dst.data = snapshot(src.data)
 
         return stream.enqueue(op, name="d2h-async")
-
-    def memset(self, device: GPUDevice, buf: DeviceBuffer, value: int = 0
-               ) -> Generator[Event, None, None]:
-        """``cudaMemset``: fill a device buffer at device-memory bandwidth."""
-        yield self.env.timeout(buf.nbytes / device.spec.mem_bandwidth_bps)
-        if isinstance(buf.data, np.ndarray):
-            buf.data = np.full_like(buf.data, value)
-        else:
-            buf.data = None if value == 0 else buf.data
 
     # -- kernels -----------------------------------------------------------------
     def launch_config(self, n_elements: float,

@@ -1,4 +1,4 @@
-"""CUDA streams and events.
+"""CUDA streams.
 
 "Stream is a sequence of commands that executes on the GPU in order.
 Different Streams may execute their commands out of order with each other or
@@ -20,28 +20,6 @@ from repro.gpu.device import GPUDevice
 _stream_ids = itertools.count(1)  # stream 0 is the default stream
 
 
-class CUDAEvent:
-    """A marker in a stream, signaled when the preceding work completes."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._event = env.event()
-
-    def record_done(self) -> None:
-        """(Internal) signal the event."""
-        if not self._event.triggered:
-            self._event.succeed(self.env.now)
-
-    @property
-    def done(self) -> bool:
-        """Has the event been signaled?"""
-        return self._event.triggered
-
-    def wait(self) -> Event:
-        """Event to ``yield`` on (``cudaEventSynchronize``)."""
-        return self._event
-
-
 class CUDAStream:
     """An in-order command queue on one device."""
 
@@ -52,11 +30,6 @@ class CUDAStream:
         self._order = Resource(env, capacity=1)
         self._last_op: Optional[Event] = None
         self.ops_enqueued = 0
-
-    @property
-    def idle(self) -> bool:
-        """True when no operation is running or queued on this stream."""
-        return self._order.count == 0 and self._order.queue_length == 0
 
     def enqueue(self, operation, name: str | None = None) -> Event:
         """Enqueue ``operation`` (a generator function of no args).
@@ -85,15 +58,3 @@ class CUDAStream:
             done.succeed(self.env.now)
             return done
         return self._last_op
-
-    def record_event(self) -> CUDAEvent:
-        """``cudaEventRecord``: event fires when prior stream work finishes."""
-        marker = CUDAEvent(self.env)
-
-        def op():
-            marker.record_done()
-            return
-            yield  # pragma: no cover - generator marker
-
-        self.enqueue(op, name=f"stream{self.stream_id}-event")
-        return marker

@@ -1,11 +1,13 @@
 """Metrics registry: labelled counters, gauges and histograms.
 
 The registry is the export surface the ad-hoc per-object counters
-(``device.h2d_bytes``, cache hit fields, ``JobMetrics`` totals) feed into:
-hot paths either increment a registry metric directly (cheap: one dict
-lookup amortized by caching the returned object) or stay plain attributes
-that :func:`repro.obs.export.collect_cluster` gathers into gauges at
-snapshot time — the Prometheus collector pattern.
+(``device.h2d_bytes``, cache hit fields, ``JobMetrics`` totals) feed into.
+Engine code never updates it directly: a fact stated on the bus
+(:mod:`repro.obs.bus`) is derived into it through :data:`UPDATES`, and
+plain attributes are gathered into gauges at snapshot time by
+:func:`repro.obs.export.collect_cluster` — the Prometheus collector
+pattern.  ``counter(...).inc()`` on a held metric object is the direct
+update ``benchmarks/perf/probes.py`` times.
 
 Metric identity is ``(name, sorted labels)``; the flat rendering is
 ``name{k=v,...}`` so snapshots diff cleanly across runs.
@@ -32,7 +34,7 @@ QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
 def label_items(labels: Dict[str, Any]) -> LabelItems:
     """Canonical label identity: ``(key, str(value))`` pairs sorted by key.
 
-    Every emission (``registry.counter(...)``, ``monitor.count(...)``)
+    Every emission (``registry.counter(...)``, a monitor series)
     resolves its series through here, almost always with no label or one:
     those need no sort.
     """
@@ -249,12 +251,6 @@ class MetricsRegistry:
         """All registered metric objects, sorted by (name, labels)."""
         self._sync()
         return [self._metrics[k] for k in sorted(self._metrics)]
-
-    def value(self, name: str, **labels: Any) -> Any:
-        """Current value of one metric, or None if never registered."""
-        self._sync()
-        metric = self._metrics.get(metric_key(name, labels))
-        return None if metric is None else metric.snapshot_value()
 
     def sum_values(self, name: str) -> float:
         """Sum of a counter/gauge family's values across all label sets."""

@@ -12,14 +12,14 @@ and a profiler-driven autoscaler (ROADMAP items 1 and 4).
 Clock discipline (the PR 2 contract, kept here): the monitor **never
 schedules simulation events**.  Windows are closed lazily — when a fact
 with a monitor derivation is stated at or past :attr:`GMonitor.boundary`,
-at a read (or when a direct feed ticks there), the elapsed windows are
-closed, alert rules evaluated and health scored, all synchronously inside
-whatever process was already running.  A bus's monitor is a fold over its
-fact log: each fact lands in the window of its own instant, registry
-derivations included (a registry counter's window value is what the facts
-of that window added to it), and the windows before that instant close
-first.  Enabled or disabled, the simulated clock is bit-identical
-(asserted by ``tests/obs/test_monitor.py``).
+at a read (or when :meth:`GMonitor.observe` ticks there), the elapsed
+windows are closed, alert rules evaluated and health scored, all
+synchronously inside whatever process was already running.  A bus's
+monitor is a fold over its fact log: each fact lands in the window of its
+own instant, registry derivations included (a registry counter's window
+value is what the facts of that window added to it), and the windows
+before that instant close first.  Enabled or disabled, the simulated clock
+is bit-identical (asserted by ``tests/obs/test_monitor.py``).
 
 Window semantics:
 
@@ -591,10 +591,11 @@ class GMonitor:
     schedules events.  On a bus the feeds are the facts' derivations,
     folded by the bus (see :mod:`repro.obs.bus`) into the window of each
     fact's instant; ``_fold`` is the bus's, called before any read.  The
-    direct API (:meth:`count`, :meth:`gauge`, :meth:`observe`,
-    :meth:`feed`) starts with a :meth:`tick`: when ``env.now`` has reached
-    :attr:`boundary`, the elapsed windows are closed (alerts evaluated,
-    health scored) before the observation is recorded.
+    one direct feed, :meth:`observe` (a histogram observation, kept for
+    ``benchmarks/perf/probes.py``), starts with a :meth:`tick`: when
+    ``env.now`` has reached :attr:`boundary`, the elapsed windows are
+    closed (alerts evaluated, health scored) before the observation is
+    recorded.
 
     ``registry`` is accepted and ignored (``benchmarks/perf/probes.py``
     still passes one): the bus feeds the registry's derivations in with
@@ -677,7 +678,7 @@ class GMonitor:
             self._cur += 1
         self._set_boundary()
 
-    # -- feeds (all tick first) ---------------------------------------------------
+    # -- feeds ---------------------------------------------------------------
 
     def _record(self, kind: str, name: str, value: Any,
                 labels: LabelItems = ()) -> None:
@@ -697,20 +698,6 @@ class GMonitor:
             self.slo.observe_event(self._cur, name, value)
         elif kind == "health.down":
             self.health.worker_down(dict(labels)["worker"])
-
-    def feed(self, kind: str, name: str, value: Any,
-             labels: LabelItems = ()) -> None:
-        """One observation of any :meth:`_record` kind, ticking first."""
-        self.tick()
-        self._record(kind, name, value, labels)
-
-    def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        self.tick()
-        self.store.series(name, "counter", **labels).record(self._cur, amount)
-
-    def gauge(self, name: str, value: float, **labels: Any) -> None:
-        self.tick()
-        self.store.series(name, "gauge", **labels).record(self._cur, value)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         self.tick()

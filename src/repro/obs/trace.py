@@ -269,13 +269,6 @@ class Tracer:
                 and (cat is None or e.cat == cat)
                 and (name is None or e.name == name)]
 
-    def instants(self, cat: Optional[str] = None,
-                 name: Optional[str] = None) -> List[TraceEvent]:
-        """Recorded instants, optionally filtered by category and/or name."""
-        return [e for e in self.events if e.ph == "i"
-                and (cat is None or e.cat == cat)
-                and (name is None or e.name == name)]
-
     def lane_names(self) -> Tuple[Dict[int, str], Dict[Tuple[int, int], str]]:
         """``({pid: process}, {(pid, tid): thread})`` of every lane drawn."""
         self._draw()

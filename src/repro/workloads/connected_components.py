@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.gdst import ExtraInput
 from repro.flink.dataset import OpCost
+from repro.flink.iterators import field_min
 from repro.gpu.kernel import KernelSpec
 from repro.workloads.base import Workload, ensure_kernel, gpu_parallelism
 from repro.workloads.pagerank import Edge, EDGES_PER_PAGE
@@ -125,8 +126,9 @@ class ConnectedComponentsWorkload(Workload):
             merged = partial_rows.map_partition(
                 lambda rows: rows,
                 cost=OpCost(flops_per_element=0.0), name="cc-tuples") \
-                .group_by(0).min(1, cost=OpCost(flops_per_element=1.0),
-                                 name="cc-min")
+                .group_by(0).reduce(field_min(1),
+                                    cost=OpCost(flops_per_element=1.0),
+                                    name="cc-min")
             result = yield from merged.collect_job(
                 job_name=f"cc-{mode}-iter{it}")
             # One row per vertex (the keyed min), applied as one block.

@@ -21,7 +21,7 @@ from repro.obs.explain import explain_summaries
 from repro.obs.export import write_chrome_trace, write_metrics
 from repro.obs.flightrecorder import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.monitor import GMonitor
+from repro.obs.bus import Observability
 from repro.obs.profile import profile_file
 from tests.obs.test_export import Clock, small_trace
 
@@ -64,9 +64,10 @@ def run_cli(argv):
 
 
 def small_summary():
-    mon = GMonitor(Clock(), window_s=1.0)
+    obs = Observability(Clock(), monitoring=True)
+    mon = obs.monitor
     mon.register_worker("worker0")
-    mon.count("tasks", 3, worker="worker0")
+    obs.emit("place", reason="local", depth=3, worker="worker0")
     mon.observe("job.makespan_s", 0.4, job="job0")
     mon.finalize()
     return mon.summary()

@@ -23,32 +23,10 @@ class TestRDDBasics:
     def test_count(self, sc):
         assert sc.parallelize(range(37)).count() == 37
 
-    def test_reduce(self, sc):
-        assert sc.parallelize(range(1, 11)).reduce(lambda a, b: a + b) == 55
-
     def test_metrics_exposed(self, sc):
         sc.parallelize([1]).count()
         assert sc.last_job_metrics is not None
         assert sc.last_job_metrics.makespan > 0
-
-
-class TestPairRDD:
-    def test_reduce_by_key(self, sc):
-        data = [("a", 1), ("b", 2), ("a", 3)]
-        out = dict(sc.parallelize(data)
-                   .reduce_by_key(lambda x, y: x + y).collect())
-        assert out == {"a": 4, "b": 2}
-
-    def test_wordcount_in_spark_style(self, sc):
-        lines = ["to be or not", "to be"]
-        counts = dict(
-            sc.parallelize(lines)
-            .map_partitions(lambda part: [w for line in part
-                                          for w in line.split()])
-            .map(lambda w: (w, 1))
-            .reduce_by_key(lambda a, b: a + b)
-            .collect())
-        assert counts == {"to": 2, "be": 2, "or": 1, "not": 1}
 
 
 class TestGpuExtensions:
@@ -73,33 +51,14 @@ class TestGpuExtensions:
         # Cached lineage: the second action skips recomputation entirely.
         assert second.subtasks < first.subtasks
 
-    def test_save_to_hdfs(self, sc):
-        path = "/spark/out"
-        sc.parallelize([1, 2, 3], element_nbytes=8.0) \
-            .save_as_hdfs_file(path)
-        assert sc.cluster.hdfs.exists(path)
-
 
 def _keep_even(bufs, params):
     block = bufs["in"]
     return {"out": block[block % 2 == 0]}
 
 
-def _load(cluster):
-    cluster.load_hdfs_file("/in", [(list(range(50)), 400),
-                                   (list(range(50, 100)), 400)])
-
-
 #: facade method -> (build on the RDD side, the GDST call it delegates to)
 DELEGATIONS = {
-    "hdfs_file": (
-        lambda sc: sc.hdfs_file("/in", 8.0, scale=10.0, min_partitions=2),
-        lambda s: s.read_hdfs("/in", 8.0, scale=10.0, parallelism=2)),
-    "map_partitions": (
-        lambda sc: sc.parallelize(range(40), 4)
-        .map_partitions(lambda rows: [sum(rows)]),
-        lambda s: s.from_collection(range(40), parallelism=4)
-        .map_partition(lambda rows: [sum(rows)])),
     "gpu_map_partitions": (
         lambda sc: sc.parallelize(np.arange(64, dtype=np.int64), 2,
                                   element_nbytes=8.0, scale=100.0)
@@ -124,8 +83,6 @@ class TestEveryMethodIsOneDelegation:
                             flops_per_element=1.0, efficiency=0.5)
         sc.register_kernel(kernel)
         session.register_kernel(kernel)
-        _load(sc.cluster)
-        _load(session.cluster)
 
         rows = via_rdd(sc).collect()
         expected = via_gdst(session).collect()

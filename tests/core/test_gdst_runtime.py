@@ -76,6 +76,8 @@ class TestGpuMapPartition:
         assert sorted(result.value) == sorted((data + 5).tolist())
 
     def test_params_fn_reevaluated_each_job(self):
+        # Per-job values: each job builds its GPU operator with that job's
+        # ``params`` (as the iterative workloads do inside their loop).
         _, session = make_gflink()
         session.register_kernel(KernelSpec(
             "scale_by_param", lambda i, p: {"out": i["in"] * p["factor"]},
@@ -85,13 +87,11 @@ class TestGpuMapPartition:
         ds = session.from_collection(data, element_nbytes=8,
                                      parallelism=1).persist()
         ds.materialize()
-        gds = ds.gpu_map_partition("scale_by_param",
-                                   params_fn=lambda: dict(state))
-        first = gds.collect()
+        first = ds.gpu_map_partition("scale_by_param",
+                                     params=dict(state)).collect()
         state["factor"] = 10.0
-        gds2 = ds.gpu_map_partition("scale_by_param",
-                                    params_fn=lambda: dict(state))
-        second = gds2.collect()
+        second = ds.gpu_map_partition("scale_by_param",
+                                      params=dict(state)).collect()
         assert sorted(first.value) == sorted((data * 2).tolist())
         assert sorted(second.value) == sorted((data * 10).tolist())
 

@@ -11,10 +11,11 @@ partial per device block, so there the partials' sum is compared.  (The
 test names are kept from when the retired single-kernel and chain bodies
 were the oracle.)
 
-Axes: chain length 1-4, the three ``scale_semantics`` on every member, cache
-on/off with and without an explicit ``cache_key_base``, secondary operands
-(fresh and constant, the same name on several members), ``params_fn``,
-declared and undeclared output sizes, the three transfer paths, both device
+Axes: chain length 1-4 (count-keeping, count-changing and reduce-style
+members, all under the one output-scale rule), cache on/off with and
+without an explicit ``cache_key_base``, secondary operands (fresh and
+constant, the same name on several members), declared and undeclared
+output sizes, the three transfer paths, both device
 layouts, a streamed (HDFS) and a resident (collection) input,
 an empty partition, a second submission (cache hits, resumed chains) and
 CPU degradation.  Tier-1 runs the sweep and a few generated cases;
@@ -67,11 +68,9 @@ KERNELS = {
 @dataclass(frozen=True)
 class Member:
     kernel: str = "double"
-    scale_semantics: str = "auto"
     cache: bool = False
     cache_key_base: Optional[tuple] = None
     operand: Optional[str] = None        # None | "fresh" | "constant"
-    params_fn: bool = False
     out_element_nbytes: Optional[float] = None
     cuda_block_size: int = 256
 
@@ -106,12 +105,10 @@ def build_op(case: Case):
         }[m.operand]
         prev = GpuMapPartitionOp(
             prev, m.kernel, APP, extra_inputs=operand, params={"a": 1.0},
-            params_fn=(lambda: {"a": 0.25}) if m.params_fn else None,
             cache=m.cache, cache_key_base=m.cache_key_base,
             out_element_nbytes=m.out_element_nbytes,
             comm_mode=case.comm_mode, cuda_block_size=m.cuda_block_size,
-            layout=case.layout, scale_semantics=m.scale_semantics,
-            name=f"m{j}({m.kernel})")
+            layout=case.layout, name=f"m{j}({m.kernel})")
         members.append(prev)
     return members[0] if len(members) == 1 else FusedGpuOp(source, members)
 
@@ -159,7 +156,7 @@ def partial_of_nothing(op, registry):
     """What the reduce-style tail adds to every partial it emits (its
     operand and parameter): its kernel over an empty block."""
     tail = op.stages[-1]
-    params = dict(tail.params, **(tail.params_fn() if tail.params_fn else {}))
+    params = dict(tail.params)
     inputs = {name: extra.supplier()
               for name, extra in tail.extra_inputs.items()}
     inputs["in"] = np.zeros(0)
@@ -184,7 +181,6 @@ def assert_same(case: Case):
 
 # -- the sweep: every axis around a base case, chain lengths 1-4 --------------------
 
-SEMANTICS = ("auto", "map", "reduce")
 CHAINS = {
     1: ("double",),
     2: ("double", "inc"),
@@ -202,12 +198,8 @@ def swept_cases():
     for length in CHAINS:
         base = chain(length)
         tail = base[-1]
-        for semantics in SEMANTICS:
-            cases.append(Case(base[:-1] + (replace(
-                tail, scale_semantics=semantics),), label="tail"))
-            cases.append(Case(tuple(replace(
-                m, scale_semantics=semantics) for m in base), label="all"))
         cases += [
+            Case(base, label="all"),
             Case(chain(length, cache=True), label="cache"),
             Case(chain(length, cache=True, cache_key_base=("base", length)),
                  label="cache-key-base"),
@@ -218,7 +210,6 @@ def swept_cases():
             Case(chain(length, operand="fresh"), label="operands-collide"),
             Case(chain(length, operand="constant", cache=True),
                  label="cached-operands-collide"),
-            Case(chain(length, params_fn=True), label="params-fn"),
             Case(chain(length, out_element_nbytes=16.0), label="sizes"),
             Case((replace(base[0], out_element_nbytes=4.0),) + base[1:],
                  label="size-head-only"),
@@ -230,16 +221,18 @@ def swept_cases():
             Case(base, n=7, scale=1.0, label="one-block"),
             Case(chain(length, cache=True, operand="constant"), hdfs=True,
                  label="streamed-input"),
-            Case(chain(length, operand="fresh", params_fn=True),
-                 degraded=True, label="cpu-degraded"),
+            Case(chain(length, operand="fresh"), degraded=True,
+                 label="cpu-degraded"),
         ]
     return cases
 
 
+# Each member is tagged "auto", the name the one output-scale rule had when
+# a member could also pick "map" or "reduce": the case ids stay put.
 @pytest.mark.parametrize(
     "case", swept_cases(),
     ids=lambda c: f"{len(c.members)}-{c.label}-"
-                  f"{'+'.join(m.scale_semantics for m in c.members)}")
+                  f"{'+'.join('auto' for _ in c.members)}")
 def test_swept_case_matches_the_retired_bodies(case):
     assert_same(case)
 
@@ -259,11 +252,9 @@ def test_the_sweep_reaches_both_retired_bodies_and_the_cache():
 members = st.builds(
     Member,
     kernel=st.sampled_from(sorted(KERNELS)),
-    scale_semantics=st.sampled_from(SEMANTICS),
     cache=st.booleans(),
     cache_key_base=st.sampled_from([None, ("base", 0), ("base", 1)]),
     operand=st.sampled_from([None, "fresh", "constant"]),
-    params_fn=st.booleans(),
     out_element_nbytes=st.sampled_from([None, 4.0, 16.0]),
     cuda_block_size=st.sampled_from([128, 256]))
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.flink import vectorized_udf
 
 
@@ -40,6 +41,23 @@ class TestAggregations:
             .reduce(lambda x, y: (x[0], x[1] + y[1])) \
             .collect()
         assert sorted(result.value) == [("a", 4), ("b", 6), ("c", 5)]
+
+    @pytest.mark.parametrize("pair", ["element key, vectorized reducer",
+                                      "vectorized key, element reducer"])
+    def test_a_mixed_keyed_pair_is_rejected_when_the_plan_is_built(
+            self, session, pair):
+        # A vectorized() UDF has no row form and an element one no block
+        # form: the pair is two of one kind or it is no keyed reduce.
+        element_key, element_sum = (lambda kv: kv[0],
+                                    lambda a, b: (a[0], a[1] + b[1]))
+        block_key = vectorized_udf(lambda block: block[:, 0])
+        block_first = vectorized_udf(lambda block, starts: block[starts])
+        key_fn, reduce_fn = ((element_key, block_first)
+                             if pair.startswith("element")
+                             else (block_key, element_sum))
+        grouped = session.from_collection(np.ones((4, 2))).group_by(key_fn)
+        with pytest.raises(ConfigError, match="keyed pair"):
+            grouped.reduce(reduce_fn)
 
     def test_global_reduce(self, session):
         result = session.from_collection(list(range(1, 101))) \

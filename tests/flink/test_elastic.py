@@ -33,7 +33,7 @@ from repro.flink.chaos import (
 )
 from repro.flink.graph import ExecutionVertex
 from repro.flink.iterators import vectorized
-from repro.flink.payload import segment_sum
+from repro.flink.payload import segment_fold
 from repro.flink.rebalance import Rebalancer
 from repro.flink.scheduler import Scheduler
 from repro.workloads import KMeansWorkload, PageRankWorkload, SpMVWorkload
@@ -285,7 +285,7 @@ class TestAutoscaler:
 
         def reduce_fn(block, starts):
             out = block[starts]
-            out[:, 1] = segment_sum(block[:, 1], starts)
+            out[:, 1] = segment_fold(np.add, block[:, 1], starts)
             return out
 
         def run(born, widen):

@@ -18,9 +18,9 @@ from hypothesis import given, strategies as st
 from repro.common import Environment
 from repro.common.network import Network, NetworkConfig
 from repro.flink.config import FlinkConfig
-from repro.flink.iterators import is_vectorized, vectorized
+from repro.flink.iterators import vectorized
 from repro.flink.partition import Partition
-from repro.flink.payload import segment_sum
+from repro.flink.payload import segment_fold
 from repro.flink.plan import ShipStrategy
 from repro.flink.serialization import Serializer
 from repro.flink.shuffle import COUNT_COMBINER, Exchange
@@ -92,15 +92,15 @@ def element_sum(a, b):
 def block_sum(block, starts):
     out = block[starts]
     if block.dtype.names:
-        out["v"] = segment_sum(block["v"], starts)
+        out["v"] = segment_fold(np.add, block["v"], starts)
     else:
-        out[:, 1] = segment_sum(block[:, 1], starts)
+        out[:, 1] = segment_fold(np.add, block[:, 1], starts)
     return out
 
 
 def make_combiner(name, key_name, key_fn):
     """``None``, a pair keyed on the routing key *object*, a pair keyed on
-    an equal but distinct extractor, ReduceOp's keyless pre-fold, or the
+    an equal but distinct extractor, a pair on one constant key, or the
     count."""
     if name is None:
         return None
@@ -152,7 +152,7 @@ def rows(payload):
 def folded(rows_, key_fn, reduce_fn):
     """Per key, the reference's fold of ``rows_`` (as tuples of floats: a
     row list and a GStruct block of one exchange do not stack)."""
-    return {key: canon(fold(members, reduce_fn, is_vectorized(key_fn)))
+    return {key: canon(fold(members, reduce_fn))
             for key, members in group(list(map(canon, rows_)),
                                       key_fn).items()}
 
@@ -205,11 +205,13 @@ KEYS = ([f"element:{name}" for name in ELEMENT_KEYS]
 
 
 def combiners_for(key):
+    """A keyed pair is two element UDFs or two with a block form
+    (``GroupedDataSet.reduce``): an element key takes the element reducer,
+    a ``vectorized()`` one the block reducer."""
     names = [None, "count", "fold"]
     if key is not None:
-        names += ["same+element", "twin+element"]
-        if key.startswith("column:"):
-            names += ["same+block", "twin+block"]
+        reducer = "element" if key.startswith("element:") else "block"
+        names += [f"same+{reducer}", f"twin+{reducer}"]
     return names
 
 
@@ -265,8 +267,9 @@ class TestOneRoutedPathEqualsTheTwoItReplaced:
             out = run_case(case)
             price_lists.add((case["strategy"], out.bytes_zero_copy > 0,
                              case["combiner"]))
-        # The sweep prices both ways under every strategy, and reaches the
-        # combine-before-route branch of either format.
+        # The sweep prices both ways under every strategy, reaches the
+        # combine-before-route branch of a block-form pair under either
+        # price list, and routes-then-combines an element pair.
         for strategy in STRATEGIES:
             assert {(strategy, True, None),
                     (strategy, False, None)} <= price_lists

@@ -1,12 +1,10 @@
-"""Tests for the GPU cache statistics and wrapper-level CUDA events."""
+"""Tests for the GPU cache statistics."""
 
 import numpy as np
 
-from repro.common import Environment
 from repro.core import GFlinkCluster, GFlinkSession
-from repro.core.channels import CommCosts, CUDAWrapper
 from repro.flink import ClusterConfig, CPUSpec
-from repro.gpu import CUDARuntime, GPUDevice, KernelRegistry, KernelSpec, TESLA_C2050
+from repro.gpu import KernelSpec
 
 
 class TestGpuReport:
@@ -37,25 +35,3 @@ class TestGpuReport:
         assert any(s.hit_rate is not None and s.hit_rate > 0
                    for s in stats.values())
 
-
-class TestWrapperEvents:
-    def test_event_record_and_synchronize(self):
-        env = Environment()
-        device = GPUDevice(env, TESLA_C2050)
-        runtime = CUDARuntime(env, [device], KernelRegistry())
-        wrapper = CUDAWrapper(env, runtime, CommCosts())
-        stream = wrapper.cuda_stream_create(device)
-
-        def op():
-            yield env.timeout(1.5)
-
-        stream.enqueue(op)
-        marker = wrapper.cuda_event_record(stream)
-
-        def waiter():
-            yield wrapper.cuda_event_synchronize(marker)
-            return env.now
-
-        p = env.process(waiter())
-        assert env.run(until=p) == 1.5
-        assert wrapper.jni_calls >= 3  # stream create + record + sync

@@ -8,7 +8,7 @@ from repro.common.errors import ConfigError
 from repro.flink.iterators import (
     apply_map,
     apply_reduce,
-    group_elements,
+    fold_by_key,
     is_vectorized,
     vectorized,
 )
@@ -36,10 +36,11 @@ class TestAppliers:
         assert apply_reduce([], lambda a, b: a + b) is None
 
     def test_group_elements_preserves_first_seen_order(self):
-        groups = group_elements([("b", 1), ("a", 2), ("b", 3)],
-                                lambda kv: kv[0])
-        assert list(groups) == ["b", "a"]
-        assert groups["b"] == [("b", 1), ("b", 3)]
+        # The element keyed fold groups as it goes: keys first-seen,
+        # members in row order.
+        folded = fold_by_key([("b", 1), ("a", 2), ("b", 3)],
+                             lambda kv: kv[0], lambda a, b: a + b[1:])
+        assert folded == [("b", 1, 3), ("a", 2)]
 
     @given(st.lists(st.integers(), max_size=50))
     @settings(max_examples=50, deadline=None)

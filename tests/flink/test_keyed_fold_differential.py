@@ -1,21 +1,23 @@
 """Reduce on insert, held to the reference's keyed reduce.
 
 An element ``(key_fn, reduce_fn)`` pair is aggregated in one pass by
-:func:`repro.flink.iterators.fold_by_key` — on the producer side of the
-exchange (``Exchange._buckets``) and on the consumer side
+:func:`repro.flink.iterators.fold_by_key` — per bucket on the producer
+side of the exchange (``Exchange._buckets`` routes each row, then
+``Exchange._combine`` folds each bucket) and on the consumer side
 (``apply_grouped_reduce``).  The oracle is what a keyed
 reduce *means* (:mod:`tests.reference.interp`): every key's rows, keys in
 first-seen order, folded left to right — here per bucket, a bucket being
-the rows its function routes there.
+the rows :func:`~repro.flink.shuffle.hash_bucket` routes there.
 
-Per bucket the fold must return the same rows in the same order, and the
-*same objects* for one-row groups; ``key_fn`` must run once per row and
-``reduce_fn`` see the same calls (the same operands, every key's in the same
-order — only the interleaving across keys may differ).  Axes: a key zoo
-(``int``, ``bool``, ``float`` with ``-0.0`` and integral floats, NumPy
-scalars, ``str``, tuples, and mixtures that are one dict key), q in
-{1, 2, 7, 40}, two bucket functions, row lists and blocks, empty and
-one-row payloads, and reducers that reveal the order they were applied in.
+Per bucket the exchange must return the same rows in the same order, and
+the *same objects* for one-row groups; ``key_fn`` must run twice per row
+(once to route it, once to fold it in its bucket) and ``reduce_fn`` see the
+same calls (the same operands, every key's in the same order — only the
+interleaving across keys may differ).  Axes: a key zoo (``int``, ``bool``,
+``float`` with ``-0.0`` and integral floats, NumPy scalars, ``str``,
+tuples, and mixtures that are one dict key), q in {1, 2, 7, 40}, row lists
+and blocks, empty and one-row payloads, and reducers that reveal the order
+they were applied in.
 
 The last class is the wall-clock-free guard in the style of
 ``TestEventBudget``: rows, groups and UDF calls per keyed pass of a small
@@ -23,7 +25,6 @@ PageRank job, pinned.
 """
 
 import contextlib
-import zlib
 from collections import Counter
 from unittest import mock
 
@@ -33,28 +34,39 @@ from hypothesis import given, strategies as st
 
 from repro.flink import iterators
 from repro.flink.iterators import (apply_grouped_reduce, fold_by_key,
-                                   is_vectorized, vectorized)
+                                   vectorized)
+from repro.flink.partition import Partition
 from repro.flink.payload import real_len
-from repro.flink.shuffle import hash_bucket
+from repro.flink.plan import ShipStrategy
+from repro.flink.shuffle import Exchange, hash_bucket
 from tests.flink.conftest import depth, make_payload
 from tests.flink.test_exchange_differential import block_sum, first_column
 from tests.reference.interp import fold, group, value
 
 
-def reference_buckets(rows, key_fn, reduce_fn, q, bucket_of):
+def reference_buckets(rows, key_fn, reduce_fn, q):
     """The reference's keyed reduce of each bucket's rows."""
     buckets = [[] for _ in range(q)]
     for x in rows:
-        buckets[bucket_of(key_fn(x), q)].append(x)
-    return [[fold(members, reduce_fn, False)
+        buckets[hash_bucket(key_fn(x), q)].append(x)
+    return [[fold(members, reduce_fn)
              for members in group(bucket, key_fn).values()]
             for bucket in buckets]
 
 
 def reference_reduce(payload, key_fn, reduce_fn):
     """The reference's keyed reduce of one payload."""
-    return [fold(members, reduce_fn, is_vectorized(key_fn))
+    return [fold(members, reduce_fn)
             for members in group(list(payload), key_fn).values()]
+
+
+def exchange_buckets(rows, key_fn, reduce_fn, q):
+    """One producer's buckets under an element pair combiner keyed on the
+    routing key: what a HASH exchange's producer side ships."""
+    exchange = Exchange(None, None, None, ShipStrategy.HASH, [], q,
+                        ["w0"] * q, key_fn=key_fn,
+                        combiner=(key_fn, reduce_fn))
+    return exchange._buckets(Partition(0, rows, 16.0, 1.0, "w0"), None)
 
 # -- the key zoo -----------------------------------------------------------------
 # Rows carry a small int in field 0; a family maps it to a key.
@@ -84,13 +96,6 @@ KEYS = {
                         np.int64(i)][i % 6],
 }
 
-
-def by_repr(key, q):
-    """A bucket function that tells apart every spelling of a key."""
-    return zlib.crc32(repr(key).encode()) % q
-
-
-BUCKETS = {"hash_bucket": hash_bucket, "by_repr": by_repr}
 
 # -- reducers that reveal the order they were applied in -------------------------
 
@@ -135,12 +140,11 @@ class Counting:
 def disagreement(fold_fn, case):
     """Why ``fold_fn`` differs from the reference on ``case`` — ``None``
     when it does not."""
-    kind, pairs, key, reducer, q, bucket = case
+    kind, pairs, key, reducer, q = case
     rows = make_payload(kind, pairs)
     new, old = (Counting(KEYS[key], REDUCERS[reducer]) for _ in range(2))
-    got = fold_fn(rows, new.key_fn, new.reduce_fn, q, BUCKETS[bucket])
-    want = reference_buckets(rows, old.key_fn, old.reduce_fn, q,
-                             BUCKETS[bucket])
+    got = fold_fn(rows, new.key_fn, new.reduce_fn, q)
+    want = reference_buckets(rows, old.key_fn, old.reduce_fn, q)
     if len(got) != q:
         return f"{len(got)} buckets for q={q}"
     inputs = {id(row) for row in rows} if kind == "list" else set()
@@ -152,7 +156,7 @@ def disagreement(fold_fn, case):
             # or what a pick-one reducer returned) is the very same object.
             if id(b) in inputs and a is not b:
                 return f"bucket {j}: {a!r} is a copy"
-    if new.key_calls != real_len(rows):
+    if new.key_calls != 2 * real_len(rows):
         return f"key_fn ran {new.key_calls}x over {real_len(rows)} rows"
     if new.reduce_calls != old.reduce_calls:
         return "reduce_fn saw different calls"
@@ -165,26 +169,25 @@ def disagreement(fold_fn, case):
 def swept_cases(key):
     pairs = [((7 * i + i // 3) % 12, VALUES[i % len(VALUES)])
              for i in range(36)]
-    cases = [("list", pairs, key, reducer, q, "hash_bucket")
+    cases = [("list", pairs, key, reducer, q)
              for reducer in REDUCERS for q in (1, 2, 7, 40)]
-    cases += [("list", pairs, key, "concat", q, "by_repr") for q in (2, 7)]
-    cases += [(kind, pairs, key, reducer, 7, "hash_bucket")
+    cases += [(kind, pairs, key, reducer, 7)
               for kind in ("2d", "struct") for reducer in REDUCERS]
-    cases += [(kind, pairs[:n], key, "float_sum", q, "hash_bucket")
+    cases += [(kind, pairs[:n], key, "float_sum", q)
               for kind in ("list", "2d", "struct") for n in (0, 1)
               for q in (1, 7)]
     return cases
 
 
 def case_id(case):
-    kind, pairs, key, reducer, q, bucket = case
-    return f"{kind}[{len(pairs)}]-{key}-{reducer}-q{q}-{bucket}"
+    kind, pairs, key, reducer, q = case
+    return f"{kind}[{len(pairs)}]-{key}-{reducer}-q{q}"
 
 
 @pytest.mark.parametrize("key", sorted(KEYS))
 def test_swept_cases_match_group_then_fold(key):
     for case in swept_cases(key):
-        assert disagreement(fold_by_key, case) is None, case_id(case)
+        assert disagreement(exchange_buckets, case) is None, case_id(case)
 
 
 generated_cases = st.tuples(
@@ -192,44 +195,54 @@ generated_cases = st.tuples(
     st.lists(st.tuples(st.integers(0, 11), st.sampled_from(VALUES)),
              max_size=40),
     st.sampled_from(sorted(KEYS)), st.sampled_from(sorted(REDUCERS)),
-    st.sampled_from([1, 2, 7, 40]), st.sampled_from(sorted(BUCKETS)))
+    st.sampled_from([1, 2, 7, 40]))
 
 
 @depth(tier1=100, full=2500)
 @given(generated_cases)
 def test_generated_case_matches_group_then_fold(case):
-    assert disagreement(fold_by_key, case) is None
+    assert disagreement(exchange_buckets, case) is None
 
 
 # -- the sweep must be able to fail ----------------------------------------------
+# Each mutant routes and then folds each bucket, as the exchange does, and
+# gets one step wrong.
 
-def _memoised_bucket(rows, key_fn, reduce_fn, q=1, bucket_of=None):
-    """Asks the bucket once per *key*: 2 and 2.0 end up in one."""
-    tables, bucket = [{} for _ in range(q)], {}
+def _route(rows, key_fn, q):
+    buckets = [[] for _ in range(q)]
+    for x in rows:
+        buckets[hash_bucket(key_fn(x), q)].append(x)
+    return buckets
+
+
+def _memoised_bucket(rows, key_fn, reduce_fn, q):
+    """Asks the route once per *key*: keys that are one dict key but hash
+    apart end up in one bucket."""
+    buckets, bucket = [[] for _ in range(q)], {}
     for x in rows:
         key = key_fn(x)
         if key not in bucket:
-            bucket[key] = bucket_of(key, q)
-        table = tables[bucket[key]]
-        table[key] = reduce_fn(table[key], x) if key in table else x
+            bucket[key] = hash_bucket(key, q)
+        buckets[bucket[key]].append(x)
+    return [fold_by_key(b, key_fn, reduce_fn) for b in buckets]
+
+
+def _right_to_left(rows, key_fn, reduce_fn, q):
+    tables = [{} for _ in range(q)]
+    for table, bucket in zip(tables, _route(rows, key_fn, q)):
+        for x in bucket:
+            key = key_fn(x)
+            table[key] = reduce_fn(x, table[key]) if key in table else x
     return [list(table.values()) for table in tables]
 
 
-def _right_to_left(rows, key_fn, reduce_fn, q=1, bucket_of=None):
+def _last_seen_order(rows, key_fn, reduce_fn, q):
     tables = [{} for _ in range(q)]
-    for x in rows:
-        key = key_fn(x)
-        table = tables[bucket_of(key, q)]
-        table[key] = reduce_fn(x, table[key]) if key in table else x
-    return [list(table.values()) for table in tables]
-
-
-def _last_seen_order(rows, key_fn, reduce_fn, q=1, bucket_of=None):
-    tables = [{} for _ in range(q)]
-    for x in rows:
-        key = key_fn(x)
-        table = tables[bucket_of(key, q)]
-        table[key] = reduce_fn(table.pop(key), x) if key in table else x
+    for table, bucket in zip(tables, _route(rows, key_fn, q)):
+        for x in bucket:
+            key = key_fn(x)
+            table[key] = (reduce_fn(table.pop(key), x) if key in table
+                          else x)
     return [list(table.values()) for table in tables]
 
 
@@ -241,20 +254,17 @@ def test_the_sweep_catches_each_mutant(mutant):
                if disagreement(mutant, case) is not None]
     assert failing
     if mutant is _memoised_bucket:
-        # Under the engine's own bucket function only a key whose equal
-        # spellings still hash apart shows it.
-        assert any("int_or_float_tuple" in name and "hash_bucket" in name
-                   for name in failing)
+        # Only a key whose equal spellings still hash apart shows it.
+        assert any("int_or_float_tuple" in name for name in failing)
 
 
 # -- errors surface as they did --------------------------------------------------
 
 class TestErrorsSurface:
     def test_unhashable_key_raises_type_error(self):
-        for fold_fn in (fold_by_key, reference_buckets):
+        for fold_fn in (fold_by_key, reference_reduce):
             with pytest.raises(TypeError, match="unhashable"):
-                fold_fn([(1, 2.0)], lambda row: [row[0]], REDUCERS["first"],
-                        3, lambda key, q: 0)
+                fold_fn([(1, 2.0)], lambda row: [row[0]], REDUCERS["first"])
 
     def test_udf_exceptions_propagate(self):
         def bad_key(row):
@@ -273,24 +283,14 @@ class TestErrorsSurface:
         rows = ((i % 3, float(i)) for i in range(9))
         assert fold_by_key(rows, lambda row: row[0],
                            REDUCERS["float_sum"]) == [
-            [(0, 9.0), (1, 12.0), (2, 15.0)]]
+            (0, 9.0), (1, 12.0), (2, 15.0)]
 
 
-# -- apply_grouped_reduce: every pair kind against the reference ------------------
-
-@vectorized
-def member_sum(members):
-    """An element key's vectorized reducer is handed the member list."""
-    return (members[0][0], sum(float(m[1]) for m in members), len(members))
-
+# -- apply_grouped_reduce: both pair kinds against the reference -----------------
 
 PAIRS = {
     "element+element": (lambda row: int(row[0]) // 2, REDUCERS["float_sum"]),
     "element+first": (lambda row: int(row[0]) // 2, REDUCERS["first"]),
-    "element+vectorized": (lambda row: int(row[0]) // 2, member_sum),
-    "vectorized+element": (
-        vectorized(lambda block: first_column(block).astype(np.int64) // 2),
-        REDUCERS["float_sum"]),
     "vectorized+vectorized": (
         vectorized(lambda block: first_column(block).astype(np.int64) // 2),
         block_sum),
@@ -367,8 +367,7 @@ class TestRowsPerKeyedPass:
         def entered(*args, **kw):
             raise AssertionError("a built-in keyed stage walked rows")
 
-        return [mock.patch("repro.flink.shuffle.fold_by_key", entered),
-                mock.patch("repro.flink.iterators.fold_by_key", entered),
+        return [mock.patch("repro.flink.iterators.fold_by_key", entered),
                 mock.patch("repro.flink.iterators.apply_reduce", entered),
                 mock.patch("repro.flink.plan.apply_reduce", entered),
                 mock.patch.object(iterators.field, "__call__", entered),

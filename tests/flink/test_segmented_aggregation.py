@@ -5,11 +5,11 @@ The columnar path groups a block with one sort (``group_plan``), calls a
 inside an exchange, combines before it routes.  None of that may move a
 bit of the result, its row order, the simulated clock or the accounting —
 checked here on generated inputs against the element path
-(``group_elements`` + left fold), plus a deterministic guard that the
-UDFs really run once per block rather than once per bucket or per group.
+(``fold_by_key``: a left fold per key), plus a deterministic guard that
+the UDFs really run once per block rather than once per bucket or per
+group.
 """
 
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,13 +18,12 @@ from hypothesis import given, settings, strategies as st
 from repro.common import Environment
 from repro.flink import FlinkSession
 from repro.flink.chaos import values_equal
-from repro.flink.iterators import (apply_grouped_reduce, group_elements,
-                                   vectorized)
+from repro.flink.iterators import apply_grouped_reduce, vectorized
 from repro.flink.partition import Partition
-from repro.flink.payload import (bucket_plan, group_columnar, group_plan,
-                                 segment_sum)
+from repro.flink.payload import (bucket_plan, group_plan, real_len,
+                                 segment_fold)
 from repro.flink.plan import ShipStrategy
-from repro.flink.shuffle import Exchange, hash_bucket
+from repro.flink.shuffle import hash_bucket
 from tests.flink.conftest import make_cluster
 from tests.flink.test_shuffle_accounting import WORKERS, make_exchange, run
 
@@ -39,7 +38,7 @@ def plain_key(rows):
 
 def plain_sum(block, starts):
     out = block[starts]
-    out[:, 1] = segment_sum(block[:, 1], starts)
+    out[:, 1] = segment_fold(np.add, block[:, 1], starts)
     return out
 
 
@@ -49,7 +48,7 @@ def struct_key(rows):
 
 def struct_sum(block, starts):
     out = block[starts]
-    out["v"] = segment_sum(block["v"], starts)
+    out["v"] = segment_fold(np.add, block["v"], starts)
     return out
 
 
@@ -109,17 +108,6 @@ class TestSegmentedReduce:
         if not any(np.isnan(v) for _, v in expected):  # inf + -inf
             assert values_equal([tuple(r) for r in out], expected)
 
-    @given(pairs=pairs_st, structured=st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_group_columnar_matches_group_elements(self, pairs, structured):
-        key_fn, _ = udfs(structured)
-        block = make_block(pairs, structured)
-        groups = group_elements(block, vectorized(key_fn))
-        expected = group_elements(pairs, lambda kv: kv[0])
-        assert list(groups) == list(expected)
-        for key, members in expected.items():
-            assert same_bits(groups[key], members, structured)
-
     @given(keys=st.lists(st.integers(-100, 100), max_size=80),
            q=st.integers(1, 64))
     @settings(max_examples=150, deadline=None)
@@ -160,7 +148,7 @@ class TestSegmentedReduce:
         acc = column[0]
         for v in column[1:]:
             acc = acc + v
-        assert segment_sum(column, np.array([0]))[0] == acc
+        assert segment_fold(np.add, column, np.array([0]))[0] == acc
         assert np.add.reduceat(column, [0])[0] != acc
 
 
@@ -176,12 +164,13 @@ class TestKeyDtypes:
         assert out.tolist() == [[0.5, 4.0], [-0.0, 6.0]]
 
     def test_negative_zero_and_zero_are_one_group(self):
-        groups = group_elements(self.FLOAT_BLOCK, self.first_column)
-        rows = group_elements([tuple(r) for r in self.FLOAT_BLOCK],
-                              lambda r: r[0])
-        assert list(groups) == list(rows) == [0.5, -0.0]
-        assert np.signbit(list(groups)[1])  # the first-seen spelling
-        assert groups[-0.0].tolist() == [[-0.0, 2.0], [0.0, 4.0]]
+        out = apply_grouped_reduce(self.FLOAT_BLOCK, self.first_column,
+                                   vectorized(plain_sum))
+        rows = apply_grouped_reduce([tuple(r) for r in self.FLOAT_BLOCK],
+                                    lambda r: r[0], element_sum)
+        assert out[:, 0].tolist() == [r[0] for r in rows] == [0.5, -0.0]
+        assert np.signbit(out[1, 0])  # the first-seen spelling
+        assert out[1, 1] == rows[1][1] == 6.0
 
     def test_nan_key_is_rejected(self):
         block = np.array([[np.nan, 1.0], [1.0, 2.0]])
@@ -189,37 +178,37 @@ class TestKeyDtypes:
             apply_grouped_reduce(block, self.first_column,
                                  vectorized(plain_sum))
         with pytest.raises(ValueError, match="NaN key"):
-            group_columnar(block, block[:, 0])
+            group_plan(block[:, 0])
 
     def test_string_keys_group(self):
         words = np.array(["b", "a", "b", "c", "a"])
-        groups = group_columnar(np.arange(5), words)
-        assert list(groups) == ["b", "a", "c"]
-        assert [g.tolist() for g in groups.values()] == [[0, 2], [1, 4], [3]]
+        plan = group_plan(words)
+        assert words[plan.order[plan.starts]].tolist() == ["b", "a", "c"]
+        assert plan.order.tolist() == [0, 2, 1, 4, 3]
+        assert plan.starts.tolist() == [0, 2, 4]
 
     def test_row_list_is_lifted_to_a_block(self):
         rows = list(self.FLOAT_BLOCK)
         out = apply_grouped_reduce(rows, self.first_column,
                                    vectorized(plain_sum))
         assert out.tolist() == [[0.5, 4.0], [-0.0, 6.0]]
-        assert list(group_elements(rows, self.first_column)) == [0.5, -0.0]
 
     def test_empty_payloads_group_to_nothing(self):
         for empty in ([], None, np.empty((0, 2))):
-            assert group_elements(empty, self.first_column) == {}
+            assert real_len(apply_grouped_reduce(
+                empty, self.first_column, vectorized(plain_sum))) == 0
 
     def test_rows_that_do_not_stack_name_the_contract(self):
         ragged = [(1, "a"), (2,)]
-        for call in (
-                lambda: group_elements(ragged, self.first_column),
-                lambda: apply_grouped_reduce(ragged, self.first_column,
-                                             vectorized(plain_sum))):
-            with pytest.raises(TypeError, match="NumPy block"):
-                call()
+        with pytest.raises(TypeError, match="NumPy block"):
+            apply_grouped_reduce(ragged, self.first_column,
+                                 vectorized(plain_sum))
 
     def test_key_extractor_must_return_one_key_per_row(self):
         with pytest.raises(TypeError, match="1-D key column"):
-            group_elements(self.FLOAT_BLOCK, vectorized(lambda rows: rows))
+            apply_grouped_reduce(self.FLOAT_BLOCK,
+                                 vectorized(lambda rows: rows),
+                                 vectorized(plain_sum))
 
     def test_float_keys_keep_a_hash_exchange_on_the_row_path(self):
         env = Environment()
@@ -233,10 +222,9 @@ class TestKeyDtypes:
         assert sorted(merged) == [(0.5, 4.0), (2.5, 6.0)]
 
     def test_block_only_key_extractor_routes_on_the_row_path(self):
-        # ``rows[:, 0]`` cannot index one row: the row fallback must hand a
-        # vectorized extractor the producer's block, as every other caller
-        # does — in an exchange, and under an element reducer (no
-        # vectorized combiner).
+        # ``rows[:, 0]`` cannot index one row: the row fallback (float keys)
+        # must hand a vectorized extractor the producer's block, as every
+        # other caller does.
         block = np.array([[0.5, 1.0], [2.5, 2.0], [0.5, 3.0], [2.5, 4.0]])
         producers = [Partition(0, block, 16.0, 1.0, "w0")]
         result = run_exchange(Environment(), producers, 2, self.first_column,
@@ -244,10 +232,6 @@ class TestKeyDtypes:
         assert result.bytes_zero_copy == 0.0
         merged = [tuple(r) for p in result.inputs for r in p.elements]
         assert sorted(merged) == [(0.5, 4.0), (2.5, 6.0)]
-        firsts = FlinkSession(make_cluster()).from_collection(
-            block, element_nbytes=16.0).group_by(self.first_column) \
-            .reduce(lambda a, b: a).collect()
-        assert sorted(r[0] for r in firsts.value) == [0.5, 2.5]
 
     def test_equal_keys_of_mixed_scalar_type_share_a_bucket(self):
         for q in range(1, 33):
@@ -292,8 +276,8 @@ def exchange_variants(partitions, q, structured, only_consumers=None):
     reference the fused path must match to the last simulated second;
     ``rows`` ships the same rows as list payloads, which is what selects
     the per-row price list; ``elements`` ships the ``(k, v)`` tuples
-    themselves under an element-wise pair keyed on the routing key — the
-    row lists' own combine-before-route.
+    themselves under an element-wise pair keyed on the routing key, which
+    routes, then combines each bucket.
     """
     key_fn, reduce_fn = udfs(structured)
     key, reducer = vectorized(key_fn), vectorized(reduce_fn)
@@ -421,32 +405,6 @@ class TestOneCallPerBlock:
         result = run_exchange(Environment(), producers, 40, float_key, None)
         assert result.bytes_zero_copy == 0.0
         assert float_calls == [300] * 4
-
-    def test_row_exchange_extracts_once_per_row_and_groups_once_per_producer(
-            self):
-        extracted = []
-
-        def key_fn(kv):
-            extracted.append(kv)
-            return kv[0]
-
-        rng = np.random.default_rng(5)
-        partitions = [list(zip(rng.integers(0, 500, 300).tolist(),
-                               rng.random(300).tolist())) for _ in range(4)]
-        producers = [Partition(i, rows, 16.0, 1.0, WORKERS[i % 2])
-                     for i, rows in enumerate(partitions)]
-        producers.append(Partition(4, [], 16.0, 1.0, "w0"))  # emitted nothing
-        with mock.patch.object(Exchange, "_combine") as per_bucket:
-            result = run_exchange(Environment(), producers, 40, key_fn,
-                                  (key_fn, element_sum))
-        assert result.bytes_zero_copy == 0.0
-        assert ([p.elements for p in result.inputs]
-                == expected_consumer_rows(partitions, 40))
-        # One key per row — not one to route it and another to group it.
-        assert len(extracted) == 4 * 300
-        # Grouped in that one pass per producer — not bucket by bucket
-        # (4 x 40 combines, 40 more for the producer that emitted nothing).
-        per_bucket.assert_not_called()
 
     def test_keyed_reduce_job_calls_udfs_once_per_partition(self):
         calls, key_fn, reduce_fn = self.counting_udfs()

@@ -12,8 +12,8 @@ are kept from when the three retired bodies were the oracle.)
 
 Axes: chain length 1-4 over the operator kinds (a map, a partition
 function that drops rows and one that aggregates them), element and
-``vectorized()`` UDFs (the two CPU price lists), selectivity / element size
-/ per-element overhead declared or not, a row-list and a block payload, an
+``vectorized()`` UDFs (the two CPU price lists), element size /
+per-element overhead declared or not, a row-list and a block payload, an
 empty partition, and a streamed (HDFS) input — where a lone map relays its
 source's block stream (``functional_output``) and a chain does not.
 """
@@ -60,7 +60,6 @@ KINDS = {
 class Member:
     kind: str = "map"
     block_udf: bool = False
-    selectivity: Optional[float] = None
     out_element_nbytes: Optional[float] = None
     element_overhead_s: Optional[float] = None
 
@@ -91,7 +90,6 @@ def build_op(case: Case):
         udf = block_udf if m.block_udf else element_udf
         prev = cls(prev, udf,
                    OpCost(flops_per_element=3.0 + j,
-                          selectivity=m.selectivity,
                           out_element_nbytes=m.out_element_nbytes,
                           element_overhead_s=m.element_overhead_s),
                    name=f"m{j}({m.kind})")
@@ -138,8 +136,7 @@ def assert_same(case: Case):
         for member in op.stages:
             want = stage(member, want)
         assert values_equal(list(part_out.elements), want.rows)
-        if not any(m.cost.selectivity for m in op.stages):
-            assert part_out.nominal_count == sum(want.weights)
+        assert part_out.nominal_count == sum(want.weights)
 
 
 CHAINS = {
@@ -166,7 +163,6 @@ def swept_cases():
             Case(chain(length), block_payload=True, label="block-payload"),
             Case(chain(length, block_udf=True), block_payload=True,
                  label="block-udfs"),
-            Case(chain(length, selectivity=0.5), label="selectivity"),
             Case(chain(length, out_element_nbytes=16.0), label="sizes"),
             Case(chain(length, element_overhead_s=2e-6), label="overhead"),
             Case(chain(length), n=1, label="empty-partition"),
@@ -205,7 +201,6 @@ members = st.builds(
     Member,
     kind=st.sampled_from(sorted(KINDS)),
     block_udf=st.booleans(),
-    selectivity=st.sampled_from([None, 0.5, 2.0]),
     out_element_nbytes=st.sampled_from([None, 4.0, 16.0]),
     element_overhead_s=st.sampled_from([None, 2e-6]))
 

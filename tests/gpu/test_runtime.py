@@ -102,16 +102,6 @@ class TestKernelRegistry:
         with pytest.raises(KernelError):
             registry.get("nope")
 
-    def test_decorator_registration(self):
-        reg = KernelRegistry()
-
-        @reg.register_fn("addone", flops_per_element=1.0)
-        def addone(inputs, params):
-            return {"out": inputs["in"] + 1}
-
-        assert "addone" in reg
-        assert reg.get("addone").fn is addone
-
 
 class TestRuntimeTransfers:
     def test_sync_h2d_moves_data_and_charges_time(self, env, device, runtime):
@@ -148,28 +138,16 @@ class TestRuntimeTransfers:
         assert unpinned_t - pinned_t == pytest.approx(
             10_000_000 / CUDARuntime.pageable_staging_bps)
 
-    def test_host_register_pins_once(self, env, device, runtime):
-        host = HostBuffer(20_000_000)
-
-        def proc():
-            yield from runtime.host_register(host)
-            t_first = env.now
-            yield from runtime.host_register(host)  # already pinned: free
-            return t_first
-
-        t_first = run(env, proc())
-        assert host.pinned
-        assert env.now == t_first
-
     def test_d2h_roundtrip(self, env, device, runtime):
         data = np.arange(4, dtype=np.float64)
         host_in = HostBuffer(32, data=data, pinned=True)
         host_out = HostBuffer(32, pinned=True)
+        stream = runtime.stream_create(device)
 
         def proc():
             dev = yield from runtime.malloc(device, 32)
             yield from runtime.memcpy_h2d(device, dev, host_in)
-            yield from runtime.memcpy_d2h(device, host_out, dev)
+            yield runtime.memcpy_d2h_async(device, stream, host_out, dev)
 
         run(env, proc())
         assert np.array_equal(host_out.data, data)
@@ -223,8 +201,8 @@ class TestStreamsAndKernels:
                 device, stream, "scale2", n_elements=8,
                 launch=LaunchConfig.for_elements(8),
                 inputs={"in": d_in}, outputs={"out": d_out})
+            runtime.memcpy_d2h_async(device, stream, out_host, d_out)
             yield runtime.stream_synchronize(stream)
-            yield from runtime.memcpy_d2h(device, out_host, d_out)
 
         run(env, proc())
         assert np.array_equal(out_host.data, data * 2.0)
@@ -289,25 +267,6 @@ class TestStreamsAndKernels:
         with pytest.raises(KernelError):
             env.run()
 
-    def test_device_synchronize_waits_all_streams(self, env, device, runtime):
-        s1 = runtime.stream_create(device)
-        s2 = runtime.stream_create(device)
-
-        def op(dur):
-            def inner():
-                yield env.timeout(dur)
-            return inner
-
-        s1.enqueue(op(1.0))
-        s2.enqueue(op(3.0))
-
-        def waiter():
-            yield runtime.device_synchronize(device)
-            return env.now
-
-        p = env.process(waiter())
-        assert env.run(until=p) == 3.0
-
 
 def _dummy_buf(runtime, device):
     data = np.zeros(4)
@@ -315,20 +274,3 @@ def _dummy_buf(runtime, device):
     buf.data = data
     return buf
 
-
-class TestMemset:
-    def test_memset_fills_and_charges(self, env, device, runtime):
-        import numpy as np
-
-        def proc():
-            buf = yield from runtime.malloc(device, 144_000_000)
-            buf.data = np.ones(16, dtype=np.float64)
-            t0 = env.now
-            yield from runtime.memset(device, buf, 0)
-            return env.now - t0, buf.data
-
-        p = env.process(proc())
-        seconds, data = env.run(until=p)
-        # 144 MB at the C2050's 144 GB/s device bandwidth: 1 ms.
-        assert seconds == pytest.approx(1e-3)
-        assert (data == 0).all()

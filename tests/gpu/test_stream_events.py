@@ -1,11 +1,10 @@
-"""Tests for CUDA events, stream idling and wrapper control-channel calls."""
+"""Tests for CUDA stream bookkeeping and wrapper control-channel calls."""
 
 import pytest
 
 from repro.common import Environment
 from repro.core.channels import CommCosts, CUDAWrapper
 from repro.gpu import CUDARuntime, GPUDevice, KernelRegistry, TESLA_C2050
-from repro.gpu.memory import HostBuffer
 from repro.gpu.stream import CUDAStream
 
 
@@ -19,51 +18,7 @@ def device(env):
     return GPUDevice(env, TESLA_C2050)
 
 
-class TestCudaEvents:
-    def test_event_fires_after_prior_work(self, env, device):
-        stream = CUDAStream(env, device)
-
-        def slow_op():
-            yield env.timeout(2.0)
-
-        stream.enqueue(slow_op)
-        marker = stream.record_event()
-        assert not marker.done
-
-        def waiter():
-            yield marker.wait()
-            return env.now
-
-        p = env.process(waiter())
-        assert env.run(until=p) == 2.0
-        assert marker.done
-
-    def test_event_on_empty_stream_fires_immediately(self, env, device):
-        stream = CUDAStream(env, device)
-        marker = stream.record_event()
-
-        def waiter():
-            yield marker.wait()
-            return env.now
-
-        p = env.process(waiter())
-        assert env.run(until=p) == 0.0
-
-
 class TestStreamIdle:
-    def test_idle_transitions(self, env, device):
-        stream = CUDAStream(env, device)
-        assert stream.idle
-
-        def op():
-            yield env.timeout(1.0)
-
-        stream.enqueue(op)
-        env.run(until=0.5)
-        assert not stream.idle
-        env.run()
-        assert stream.idle
-
     def test_ops_enqueued_counter(self, env, device):
         stream = CUDAStream(env, device)
         for _ in range(3):
@@ -85,31 +40,3 @@ class TestControlChannel:
         # Two JNI redirects plus two driver alloc overheads.
         expected = 2 * 1e-6 + 2 * CUDARuntime.alloc_overhead_s
         assert env.now == pytest.approx(expected)
-
-    def test_wrapper_host_register(self, env, device):
-        runtime = CUDARuntime(env, [device], KernelRegistry())
-        wrapper = CUDAWrapper(env, runtime, CommCosts())
-        host = HostBuffer(2_000_000)
-
-        def proc():
-            yield from wrapper.cuda_host_register(host)
-
-        env.run(until=env.process(proc()))
-        assert host.pinned
-
-    def test_wrapper_device_synchronize(self, env, device):
-        runtime = CUDARuntime(env, [device], KernelRegistry())
-        wrapper = CUDAWrapper(env, runtime, CommCosts())
-        stream = wrapper.cuda_stream_create(device)
-
-        def op():
-            yield env.timeout(3.0)
-
-        stream.enqueue(op)
-
-        def waiter():
-            yield wrapper.cuda_device_synchronize(device)
-            return env.now
-
-        p = env.process(waiter())
-        assert env.run(until=p) == 3.0

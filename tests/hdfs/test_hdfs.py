@@ -192,7 +192,8 @@ class TestHDFSFacade:
         with pytest.raises(ConfigError):
             run(env, fs.read_block(second, at_node="node0"))
         assert fs.block_reads == {"local": 1, "remote": 2}
-        assert {loc: obs.registry.value("hdfs.reads", locality=loc)
+        reads = obs.registry.snapshot()
+        assert {loc: reads[f"hdfs.reads{{locality={loc}}}"]
                 for loc in fs.block_reads} == fs.block_reads
 
     def test_delete_removes_replicas(self, env, fs):

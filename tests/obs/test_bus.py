@@ -88,17 +88,19 @@ class TestOneSwitch:
         assert (span.ts, span.dur, span.args["error"]) == (1.0, 2.0,
                                                            "KeyError")
         # The read did not happen: its counter is derived `unless` error.
-        assert obs.registry.value("hdfs.reads", locality="local") is None
+        assert "hdfs.reads{locality=local}" not in obs.registry.snapshot()
 
     def test_t0_without_t1_is_the_instant_t0(self):
         obs = Observability(mock.Mock(now=5.0), tracing=True)
         obs.emit("h2d", "gpu0", "copy:h2d", 1.0, nbytes=5)
         obs.emit("cache.probe", "gpu0", "cache", 2.0, outcome="hit")
         [span] = obs.tracer.spans(name="h2d")
-        [instant] = obs.tracer.instants(name="cache.probe")
+        [instant] = [e for e in obs.tracer.events
+                     if e.ph == "i" and e.name == "cache.probe"]
         assert (span.ts, span.dur, instant.ts, instant.dur) \
             == (1.0, 0.0, 2.0, 0.0)
-        assert obs.registry.value("gpu.pcie.h2d.bytes", device="gpu0") == 5
+        assert obs.registry.snapshot()["gpu.pcie.h2d.bytes{device=gpu0}"] \
+            == 5
 
     def test_t1_before_t0_is_refused(self):
         obs = Observability(mock.Mock(now=5.0), tracing=True,

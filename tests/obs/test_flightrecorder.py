@@ -26,7 +26,7 @@ from repro.obs.flightrecorder import (
     validate_postmortem_bundle,
 )
 from repro.obs.metrics import label_items, render_key
-from repro.obs.monitor import GMonitor
+from repro.obs.bus import Observability
 from repro.workloads import WordCountWorkload
 
 
@@ -40,40 +40,44 @@ class TestRecorderUnit:
         """A bundle carries the newest WINDOW_CAPACITY closed values, in
         window order and then closing order."""
         env = FakeEnv()
-        mon = GMonitor(env)
+        obs = Observability(env, monitoring=True)
         n = WINDOW_CAPACITY // 2 + 10
         for i in range(n):
             env.now = i + 0.5
-            mon.count("b", i)
-            mon.gauge("a", -i)
+            for _ in range(i + 1):
+                obs.emit("heartbeat.missed", worker="w0")
+            obs.emit("slot_pressure", pressure=-i)
         env.now = float(n)
-        mon.tick()
+        obs.monitor.tick()
         rec = FlightRecorder(env)
-        rec.dump("x", monitor=mon)
+        rec.dump("x", monitor=obs.monitor)
         windows = rec.last_bundle["metric_windows"]
         assert len(windows) == WINDOW_CAPACITY
+        missed, pressure = ("worker.heartbeat.missed{worker=w0}",
+                            "scheduler.slot_pressure")
         assert [(w["idx"], w["series"], w["value"]) for w in windows] \
             == [(i, key, v) for i in range(n)
-                for key, v in (("b", float(i)), ("a", float(-i)))
+                for key, v in ((missed, float(i + 1)), (pressure, float(-i)))
                 ][-WINDOW_CAPACITY:]
         assert windows[-1]["t_end_s"] == float(n)
 
     def test_dump_writes_validated_bundle(self, tmp_path):
         env = FakeEnv(now=0.5)
-        mon = GMonitor(env)
-        mon.count("tasks", 7)
+        obs = Observability(env, monitoring=True)
+        obs.emit("slot_pressure", pressure=7)
         env.now = 42.5
-        mon.tick()
+        obs.monitor.tick()
         rec = FlightRecorder(env, dirpath=tmp_path)
         name = rec.dump("fault:worker-kill", detail={"worker": "w1"},
-                        monitor=mon)
+                        monitor=obs.monitor)
         assert name == "postmortem-000-fault-worker-kill.json"
         doc = json.loads((tmp_path / name).read_text())
         assert validate_postmortem_bundle(doc) == []
         assert doc["schema"] == POSTMORTEM_SCHEMA
         assert doc["triggered_at_s"] == 42.5
         assert doc["detail"] == {"worker": "w1"}
-        assert doc["metric_windows"][0]["series"] == "tasks"
+        assert doc["metric_windows"][0]["series"] \
+            == "scheduler.slot_pressure"
 
     def test_max_bundles_cap_counts_skips(self, tmp_path):
         rec = FlightRecorder(FakeEnv(), dirpath=tmp_path)
@@ -105,11 +109,11 @@ class TestRecorderUnit:
 
     def test_alert_dump_via_monitor_wiring(self):
         env = FakeEnv()
-        rec = FlightRecorder(env)
-        mon = GMonitor(env, recorder=rec)
+        obs = Observability(env, monitoring=True, flight_recorder=True)
+        rec, mon = obs.recorder, obs.monitor
         env.now = 5.0
         # worker_unhealthy, sustained=1
-        mon.count("worker.heartbeat.missed", worker="worker0")
+        obs.emit("heartbeat.missed", worker="worker0")
         env.now = 7.0
         mon.finalize()
         fired = [a for a in mon.alerts.history

@@ -47,7 +47,7 @@ class TestCounterGauge:
         c = reg.counter("n")
         c.inc()
         c.inc(2.5)
-        assert reg.value("n") == 3.5
+        assert reg.snapshot() == {"n": 3.5}
 
     def test_counter_rejects_negative(self):
         with pytest.raises(ConfigError, match="cannot decrease"):
@@ -58,16 +58,13 @@ class TestCounterGauge:
         g = reg.gauge("temp", node="w0")
         g.set(10)
         g.set(4)
-        assert reg.value("temp", node="w0") == 4.0
+        assert reg.snapshot() == {"temp{node=w0}": 4.0}
 
     def test_sum_values_across_labels(self):
         reg = MetricsRegistry()
         reg.counter("reads", locality="local").inc(3)
         reg.counter("reads", locality="remote").inc(4)
         assert reg.sum_values("reads") == 7.0
-
-    def test_value_unknown_metric_is_none(self):
-        assert MetricsRegistry().value("nope") is None
 
 
 class TestHistogram:

@@ -16,6 +16,7 @@ from repro.common.errors import ConfigError
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.flink.chaos import ChaosSchedule
+from repro.obs.bus import Observability
 from repro.obs.dashboard import render_dashboard
 from repro.obs.monitor import (
     RETENTION_WINDOWS,
@@ -273,11 +274,14 @@ class TestHealthScorer:
 class TestGMonitorWindows:
     def test_lazy_window_close_on_tick(self):
         env = FakeEnv()
-        mon = GMonitor(env, window_s=1.0)
-        mon.count("x", 1)
+        obs = Observability(env, monitoring=True)
+        mon = obs.monitor
+        obs.emit("heartbeat.missed", worker="w0")
         env.now = 2.5
-        mon.count("x", 1)                  # ticks: closes windows 0 and 1
-        series = mon.store.series("x", "counter")
+        # Past the boundary: folds, closing windows 0 and 1.
+        obs.emit("heartbeat.missed", worker="w0")
+        series = mon.store.series("worker.heartbeat.missed", "counter",
+                                  worker="w0")
         assert list(series.points) == [(0, 1)]
         env.now = 3.0
         mon.finalize()
@@ -285,8 +289,9 @@ class TestGMonitorWindows:
 
     def test_finalize_is_idempotent(self):
         env = FakeEnv(now=1.5)
-        mon = GMonitor(env, window_s=1.0)
-        mon.count("x", 1)
+        obs = Observability(env, monitoring=True)
+        mon = obs.monitor
+        obs.emit("heartbeat.missed", worker="w0")
         mon.finalize()
         n = mon._windows_closed
         mon.finalize()
@@ -307,16 +312,18 @@ class TestGMonitorWindows:
 
     def test_summary_validates_and_renders(self):
         env = FakeEnv()
-        mon = GMonitor(env, window_s=1.0)
+        obs = Observability(env, monitoring=True)
+        mon = obs.monitor
         mon.register_worker("worker0")
-        mon.count("tasks", 3, worker="worker0")
-        mon.feed("slo.latency", "job_latency", 0.4)
-        mon.observe("job.makespan_s", 0.4, job="job0")
-        mon.feed("slo.event", "task_availability", True)
-        mon.feed("slo.event", "task_availability", False)
-        mon.count("task.failures", op="map")
+        obs.emit("place", reason="local", depth=3, worker="worker0")
+        env.now = 0.4
+        # job_latency and job.makespan_s: the job's duration.
+        obs.emit("job", t0=0.0, t1=0.4, job="job0")
+        # task_availability: one task done, one retried (task.failures).
+        obs.emit("task", t0=0.0, t1=0.4, op="map", subtask=0, deploy_s=0.0)
+        obs.emit("task.retry", op="map")
         env.now = 4.0
-        mon.count("worker.heartbeat.missed", worker="worker0")
+        obs.emit("heartbeat.missed", worker="worker0")
         mon.finalize()
         summary = mon.summary()
         assert validate_monitor_summary(summary) == []

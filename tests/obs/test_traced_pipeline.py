@@ -19,6 +19,11 @@ from repro.workloads import WordCountWorkload
 from tests.flink.conftest import make_cluster
 
 
+def instants(tracer, name):
+    """The instants ``tracer`` drew under ``name``."""
+    return [e for e in tracer.events if e.ph == "i" and e.name == name]
+
+
 def traced_wordcount(enable_tracing: bool):
     cluster = GFlinkCluster(ClusterConfig(
         n_workers=2, cpu=CPUSpec(cores=2),
@@ -104,16 +109,16 @@ class TestTracedFaults:
         assert result.metrics.retries == 2
 
         tracer = cluster.obs.tracer
-        retries = tracer.instants(name="task.retry")
+        retries = instants(tracer, "task.retry")
         assert len(retries) == 2
         assert all(ev.args["op"] == "flaky-map" for ev in retries)
         assert [ev.args["attempt"] for ev in retries] == [0, 1]
-        faults = tracer.instants(name="fault.injected")
+        faults = instants(tracer, "fault.injected")
         assert len(faults) == 2
 
-        reg = cluster.obs.registry
-        assert reg.value("task.retries", op="flaky-map") == 2
-        assert reg.value("faults.injected", op="flaky-map") == 2
+        reg = cluster.obs.registry.snapshot()
+        assert reg["task.retries{op=flaky-map}"] == 2
+        assert reg["faults.injected{op=flaky-map}"] == 2
         # The injector's own attribution log mirrors the trace.
         assert injector.injected == [("flaky-map", 0, 0), ("flaky-map", 0, 1)]
 
@@ -122,7 +127,7 @@ class TestTracedFaults:
         session = FlinkSession(cluster)
         session.from_collection(list(range(8)), parallelism=4) \
             .map(lambda x: x + 1, name="m").count()
-        places = cluster.obs.tracer.instants(name="place")
+        places = instants(cluster.obs.tracer, "place")
         assert len(places) >= 4
         assert all(ev.args["reason"] in
                    ("block-local", "spread", "colocate-input")

@@ -89,14 +89,11 @@ def group(rows: list, key_fn: Callable) -> Dict[Any, list]:
     return groups
 
 
-def fold(members: list, reduce_fn: Callable, vectorized_key: bool) -> Any:
+def fold(members: list, reduce_fn: Callable) -> Any:
     """One key's rows folded left to right — a ``vectorized()`` reducer is
-    handed the group whole: a block of one segment, or (after an element
-    key) the member list."""
+    handed the group whole, as a block of one segment."""
     if not is_vectorized(reduce_fn):
         return functools.reduce(reduce_fn, members)
-    if not vectorized_key and not hasattr(reduce_fn, "reduce"):
-        return reduce_fn(members)
     out = getattr(reduce_fn, "reduce", reduce_fn)(block(members),
                                                   np.array([0]))
     return out[0]
@@ -124,17 +121,12 @@ def kernels(op: GpuMapPartitionOp, bag: Bag,
     cur: Any = block(bag.rows)
     for member in op.stages:
         params = dict(member.params)
-        if member.params_fn is not None:
-            params.update(member.params_fn())
         inputs = {"in": cur}
         inputs.update({name: extra.supplier()
                        for name, extra in member.extra_inputs.items()})
         cur = registry.get(member.kernel_name).fn(inputs, params)["out"]
     out = list(np.atleast_1d(cur)) if isinstance(cur, np.ndarray) else cur
-    semantics = op.stages[-1].scale_semantics
-    keep = semantics == "map" or (semantics == "auto"
-                                  and len(out) == len(bag.rows))
-    return whole(bag, out, keep)
+    return whole(bag, out, keep=len(out) == len(bag.rows))
 
 
 def evaluate(op, registry: Optional[KernelRegistry] = None,
@@ -158,7 +150,7 @@ def _apply(op, ins: List[Bag], registry, files) -> Any:
         rows = list(op.elements)
         return Bag(rows, [float(op.scale)] * len(rows))
     if isinstance(op, HdfsSource):
-        rows = [r for chunk in files[op.path] for r in op.parser(chunk)]
+        rows = [r for chunk in files[op.path] for r in chunk]
         return Bag(rows, [float(op.scale)] * len(rows))
     if isinstance(op, (CollectSink, HdfsSink)):
         return ins[0]
@@ -173,8 +165,7 @@ def _apply(op, ins: List[Bag], registry, files) -> Any:
         return kernels(op, ins[0], registry)
     bag = ins[0]
     if isinstance(op, KeyedReduceOp):
-        vkey = is_vectorized(op.key_fn)
-        rows = [fold(members, op.reduce_fn, vkey)
+        rows = [fold(members, op.reduce_fn)
                 for members in group(bag.rows, op.key_fn).values()]
         return Bag(rows, [1.0] * len(rows))
     if isinstance(op, ReduceOp):

@@ -61,8 +61,7 @@ VALUE_MUTANTS = {
         also=["repro.flink.iterators"]),
     "fold_by_key keeps the last row": lambda: patched(
         "repro.flink.iterators:fold_by_key",
-        ("table[key] = reduce_fn(table[key], x)", "table[key] = x"),
-        also=["repro.flink.shuffle"]),
+        ("table[key] = reduce_fn(table[key], x)", "table[key] = x")),
     "_output_scale is off by the producer's scale": lambda: patched(
         "repro.flink.plan:MapOp._output_scale",
         ("return part.scale\n", "return part.scale * part.scale\n")),

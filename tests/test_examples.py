@@ -2,6 +2,7 @@
 
 import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,10 @@ EXAMPLES = sorted(
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
-def test_example_runs(script, capsys):
+def test_example_runs(script, capsys, monkeypatch, tmp_path):
+    # An example that writes into a fresh temporary directory (and prints
+    # its path for the user) writes it under this test's own.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{script.name} printed nothing"

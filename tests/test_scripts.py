@@ -77,7 +77,8 @@ class TestLintTable:
         target.parent.mkdir(parents=True)
         target.write_text(f"    def {row.exactly_once[0]}(self):\n")
         assert lint.hits(row, tmp_path) \
-            == [f"{row.roots[0]}: no definition of {row.exactly_once[1]}"]
+            == [f"{', '.join(row.roots)}: no definition of "
+                f"{row.exactly_once[1]}"]
 
     def test_an_allowed_site_may_keep_the_spelling(self, tmp_path):
         row = next(row for row in lint.LINTS if row.allowed)

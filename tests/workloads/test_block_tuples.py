@@ -3,8 +3,9 @@
 ``pagerank-tuples``, ``cc-tuples`` and ``wordcount-tuples`` each spelled
 ``[(int(r[0]), float(r[1])) for r in rows]`` so that ``group_by(lambda kv:
 kv[0]).reduce(lambda a, b: (a[0], a[1] + b[1]))`` could walk them.  The
-three steps now hand their block on and ``group_by(0).sum(1)`` / ``.min(1)``
-fold it whole.  On every block the three workloads hand a
+three steps now hand their block on and
+``group_by(0).reduce(field_sum(1))`` / ``reduce(field_min(1))`` fold it
+whole.  On every block the three workloads hand a
 ``*-tuples`` step at their test sizes, the engine's fold over the block
 must emit — values, Python types and order — what the reference's keyed
 reduce (:mod:`tests.reference.interp`) gives over the rows spelled that
@@ -74,7 +75,7 @@ def test_equals_the_comprehension_on_every_block_the_workload_lifts(name):
     def same_fold(blocks):
         lifted = [row for block in blocks
                   for row in comprehension(block, *casts)]
-        want = [fold(members, reduce_fn, False)
+        want = [fold(members, reduce_fn)
                 for members in group(lifted, key_fn).values()]
         got = to_tuples(apply_grouped_reduce(
             np.concatenate([step(block) for block in blocks]),
