@@ -242,13 +242,12 @@ assert specs == sorted(SPECS), specs
 PY
     # The same run as the traced wordcount smoke: its Prometheus text,
     # read back, carries every counter and gauge of that smoke's metrics
-    # snapshot, value for value to the six significant digits the
-    # exposition prints.
+    # snapshot, value for value exactly (a sample prints the registry's
+    # float as repr does).
     python -m repro metrics wordcount --workers 2 --real 4000 --nominal 1e6 \
         --format prom --out traces/ci_wordcount_metrics.prom
     python - <<'PY'
 import json
-import math
 from repro.obs.metrics import parse_prometheus, prometheus_name
 samples = parse_prometheus(open("traces/ci_wordcount_metrics.prom").read())
 snapshot = json.load(open("traces/ci_wordcount_metrics.json"))
@@ -258,8 +257,7 @@ for key, value in scalars.items():
     name, _, labels = key.rstrip("}").partition("{")
     items = tuple(sorted(tuple(pair.split("=", 1))
                          for pair in labels.split(",") if pair))
-    assert math.isclose(samples[prometheus_name(name), items], value,
-                        rel_tol=1e-5), key
+    assert samples[prometheus_name(name), items] == value, key
 PY
 fi
 

@@ -446,6 +446,18 @@ LINTS = (
          "below-surface cut",
          ("src/repro/core/gdst.py",
           '        kwargs.setdefault("scale_semantics", "map")')),
+    Lint("one executor — no staged wave path beside the pipeline",
+         # A job, and every lineage recovery, runs the partitions its sinks
+         # need that do not exist through PipelinedExecutor: no staged
+         # operator wave, no FORWARD exchange, no whole-wave placement.
+         r"\b_run_operator\b|\b_run_forward\b|\bschedule_consumer\b",
+         ("src/repro",),
+         "a second execution path (recover through "
+         "PipelinedExecutor._compute; a forward partition feeds its subtask "
+         "whole; place each subtask with Scheduler.schedule_subtask)",
+         "lineage walk",
+         ("src/repro/flink/jobmanager.py",
+          "    def _run_operator(self, op: Operator, graph: ExecutionGraph,")),
 )
 
 

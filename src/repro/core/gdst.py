@@ -151,7 +151,6 @@ class GpuMapPartitionOp(Operator):
                  cache_key_base: Optional[Any] = None,
                  out_element_nbytes: Optional[float] = None,
                  comm_mode: CommMode = CommMode.GFLINK,
-                 cuda_block_size: int = 256,
                  layout: DataLayout = DataLayout.AOS,
                  parallelism: Optional[int] = None,
                  name: Optional[str] = None):
@@ -167,7 +166,6 @@ class GpuMapPartitionOp(Operator):
                                else source.uid)
         self.out_elem_nbytes = out_element_nbytes
         self.comm_mode = comm_mode
-        self.cuda_block_size = cuda_block_size
         self.layout = layout
         self.stages: List[GpuMapPartitionOp] = [self]
 
@@ -225,7 +223,6 @@ class GpuMapPartitionOp(Operator):
                 execute_name=op.kernel_name,
                 params=dict(op.params),
                 out_element_nbytes=per_elem,
-                block_size=op.cuda_block_size,
                 extra=extra,
                 # Operator i+1 caching its input == stage i caching its
                 # output, under i+1's (stable) cache_key_base — so iterative
@@ -245,7 +242,6 @@ class GpuMapPartitionOp(Operator):
             out_buffer=HBuffer([], per_elem, scale=part.scale,
                                off_heap=gflink, pinned=gflink),
             size=part.nominal_count,
-            block_size=head.cuda_block_size,
             cache=cache,
             cache_key=(head.cache_key_base, part.index),
             params=kernel_stages[0].params,
@@ -331,7 +327,6 @@ class GDST(DataSet):
                           cache_key_base: Optional[Any] = None,
                           out_element_nbytes: Optional[float] = None,
                           comm_mode: CommMode = CommMode.GFLINK,
-                          cuda_block_size: int = 256,
                           layout: DataLayout = DataLayout.AOS,
                           parallelism: Optional[int] = None,
                           name: Optional[str] = None) -> "GDST":
@@ -349,7 +344,7 @@ class GDST(DataSet):
             params=params, cache=cache,
             cache_key_base=cache_key_base,
             out_element_nbytes=out_element_nbytes, comm_mode=comm_mode,
-            cuda_block_size=cuda_block_size, layout=layout,
+            layout=layout,
             parallelism=parallelism, name=name))
 
     def gpu_map(self, kernel_name: str, **kwargs) -> "GDST":

@@ -107,6 +107,16 @@ class ChaosEvent:
             object.__setattr__(self, "device", 0)
 
 
+def _arrivals(rng, rate: float, duration_s: float,
+              start_s: float) -> List[float]:
+    """Poisson arrivals over ``[start_s, start_s+duration_s]``: ``n ~
+    Poisson(rate * duration)``, then ``n`` sorted uniforms over the window
+    (:meth:`ChaosSchedule.random` says why)."""
+    n = int(rng.poisson(rate * duration_s))
+    return sorted(start_s + float(u)
+                  for u in rng.uniform(0.0, duration_s, size=n))
+
+
 def _event_order(event: ChaosEvent) -> Tuple:
     return (event.at, event.worker, event.kind.value,
             -1 if event.device is None else event.device)
@@ -215,15 +225,10 @@ class ChaosSchedule:
         """
         schedule = cls()
 
-        def arrivals(rng, rate: float) -> List[float]:
-            n = int(rng.poisson(rate * duration_s))
-            return sorted(start_s + float(u)
-                          for u in rng.uniform(0.0, duration_s, size=n))
-
         if worker_kill_rate > 0 and len(workers) > 1:
             rng = generator(seed, "chaos", "worker-kill")
             victims: set = set()
-            for t in arrivals(rng, worker_kill_rate):
+            for t in _arrivals(rng, worker_kill_rate, duration_s, start_s):
                 if len(victims) >= len(workers) - 1:
                     break
                 alive = [w for w in workers if w not in victims]
@@ -232,14 +237,14 @@ class ChaosSchedule:
                 schedule.kill_worker(victim, at=t)
         if gpu_fault_rate > 0 and gpus_per_worker > 0:
             rng = generator(seed, "chaos", "gpu-fault")
-            for t in arrivals(rng, gpu_fault_rate):
+            for t in _arrivals(rng, gpu_fault_rate, duration_s, start_s):
                 worker = workers[int(rng.integers(len(workers)))]
                 device = int(rng.integers(gpus_per_worker))
                 kind = GPU_FAULT_KINDS[int(rng.integers(len(GPU_FAULT_KINDS)))]
                 schedule.fail_gpu(worker, device, at=t, kind=kind)
         if pcie_fault_rate > 0 and gpus_per_worker > 0:
             rng = generator(seed, "chaos", "pcie-fault")
-            for t in arrivals(rng, pcie_fault_rate):
+            for t in _arrivals(rng, pcie_fault_rate, duration_s, start_s):
                 worker = workers[int(rng.integers(len(workers)))]
                 device = int(rng.integers(gpus_per_worker))
                 kind = PCIE_FAULT_KINDS[
@@ -275,15 +280,12 @@ class ChurnSchedule(ChaosSchedule):
         """
         schedule = cls()
 
-        def arrivals(rng, rate: float) -> List[float]:
-            n = int(rng.poisson(rate * duration_s))
-            return sorted(start_s + float(u)
-                          for u in rng.uniform(0.0, duration_s, size=n))
-
         join_rng = generator(seed, "churn", "join")
         leave_rng = generator(seed, "churn", "leave")
-        timeline = [(t, "join") for t in arrivals(join_rng, join_rate)] + \
-                   [(t, "leave") for t in arrivals(leave_rng, leave_rate)]
+        joins = _arrivals(join_rng, join_rate, duration_s, start_s)
+        leaves = _arrivals(leave_rng, leave_rate, duration_s, start_s)
+        timeline = [(t, "join") for t in joins] + \
+                   [(t, "leave") for t in leaves]
         timeline.sort()
         pool = list(workers)
         next_id = 0

@@ -56,16 +56,20 @@ class ExecutionGraph:
             self.vertices[op.uid] = jv
 
     def _resolve_parallelism(self, op: Operator, default: int) -> int:
-        if op.parallelism is not None:
-            return op.parallelism
-        forward_inputs = [
-            inp for inp, strat in zip(op.inputs, op.strategies)
-            if strat is ShipStrategy.FORWARD
-        ]
-        if forward_inputs:
-            # FORWARD requires equal parallelism with the (first) input.
-            return self.vertices[forward_inputs[0].uid].parallelism
-        return default
+        """``op``'s own parallelism, else its (first) FORWARD input's, else
+        ``default``.  Partition *i* of a FORWARD input feeds subtask *i*,
+        so a FORWARD edge between unequal parallelisms is a ValueError."""
+        forward = [self.vertices[inp.uid].parallelism
+                   for inp, strat in zip(op.inputs, op.strategies)
+                   if strat is ShipStrategy.FORWARD]
+        parallelism = (op.parallelism if op.parallelism is not None
+                       else forward[0] if forward else default)
+        for width in forward:
+            if width != parallelism:
+                raise ValueError(
+                    f"FORWARD needs equal parallelism: {op.name} has "
+                    f"{parallelism}, its input {width}")
+        return parallelism
 
     def job_vertex(self, op: Operator) -> ExecutionJobVertex:
         """The job vertex compiled for ``op``."""

@@ -6,12 +6,13 @@ paper §3.3).  For each job it:
 1. charges the job-submission overhead (Eq. 1's ``T_submit``),
 2. compiles the logical plan into an :class:`~repro.flink.graph.ExecutionGraph`,
 3. hands the graph to the block pipeline
-   (:class:`~repro.flink.pipeline.PipelinedExecutor`), which skips operators
-   already materialized (persisted datasets from earlier jobs — the
-   in-memory iteration path) after recovering any partitions they lost,
-4. runs the data exchange at every pipeline-region boundary and each
-   operator's subtasks in task slots with per-task scheduling/deploy
-   overhead and retry-on-failure,
+   (:class:`~repro.flink.pipeline.PipelinedExecutor`), which runs exactly
+   the partitions the sinks need that do not already exist on a live
+   worker — persisted datasets from earlier jobs (the in-memory iteration
+   path) are reused, lost partitions and their missing lineage recomputed —
+   with the data exchange at every pipeline-region boundary,
+4. runs each subtask in a task slot with per-task scheduling/deploy
+   overhead and retry-on-failure (:meth:`JobManager._run_subtask`),
 5. extracts sink results and evicts non-persisted intermediates.
 """
 
@@ -26,13 +27,11 @@ from repro.common.errors import JobExecutionError
 from repro.common.simclock import Environment, Event, InterruptError
 from repro.flink.chaos import backoff_delay
 from repro.flink.fault import FailureInjector, TaskFailure
-from repro.flink.graph import ExecutionGraph, ExecutionJobVertex, \
-    ExecutionVertex
+from repro.flink.graph import ExecutionGraph, ExecutionVertex
 from repro.flink.iterators import is_vectorized
-from repro.flink.partition import Partition, split_evenly
+from repro.flink.partition import Partition
 from repro.flink.pipeline import PipelinedExecutor
 from repro.flink.plan import (
-    CollectionSource,
     CollectSink,
     CountSink,
     HdfsSink,
@@ -41,7 +40,6 @@ from repro.flink.plan import (
     Operator,
 )
 from repro.flink.scheduler import Scheduler
-from repro.flink.shuffle import Exchange
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flink.runtime import Cluster
@@ -69,7 +67,6 @@ class JobMetrics:
     started_at: float = 0.0
     finished_at: float = 0.0
     submit_s: float = 0.0
-    schedule_s: float = 0.0
     compute_s: float = 0.0          # summed across subtasks (CPU-seconds)
     gpu_kernel_s: float = 0.0       # summed kernel time (GFlink operators)
     #: Kernel seconds per kernel name — fused chains report every stage
@@ -82,8 +79,6 @@ class JobMetrics:
     #: HDFS because a destination payload exceeded the spill threshold.
     shuffle_zero_copy_bytes: float = 0.0
     shuffle_spill_bytes: float = 0.0
-    #: Blocks charged at the vectorized (SIMD block) CPU rate.
-    vectorized_blocks: int = 0
     hdfs_read_bytes: float = 0.0
     hdfs_write_bytes: float = 0.0
     retries: int = 0
@@ -219,7 +214,6 @@ class TaskContext:
             seconds = (n_blocks * flink.block_overhead_s
                        + nominal_elements * cost.flops_per_element
                        / self.config.cpu.simd_flops_per_core)
-            self.metrics.vectorized_blocks += n_blocks
             self.cluster.obs.emit("cpu.vectorized", op=self.op_name,
                                   blocks=n_blocks)
         else:
@@ -321,165 +315,6 @@ class JobManager:
                  spill_bytes=metrics.shuffle_spill_bytes)
         return metrics
 
-    # -- exchange boundary -----------------------------------------------------
-    def _run_exchanges(self, op: Operator, jv: ExecutionJobVertex,
-                      graph: ExecutionGraph, scheduler: Scheduler,
-                      metrics: JobMetrics,
-                      producer_parts: List[List[Partition]],
-                      only_consumers: Optional[Set[int]] = None
-                      ) -> Generator[Event, None, List[List[Partition]]]:
-        """Place ``op``'s subtasks and ship every input edge to them.
-
-        The exchange boundary of a pipeline region: ``producer_parts`` holds
-        the final partitions of each input, one
-        :class:`~repro.flink.shuffle.Exchange` per edge runs under an
-        ``exchange:*`` span, and the result is each subtask's input list.
-        ``only_consumers`` (lineage recovery) ships to the lost consumer
-        indices only.
-        """
-        scheduler.schedule_consumer(jv, graph, producer_parts)
-        consumer_workers = [v.worker for v in jv.subtasks]
-        per_subtask_inputs: List[List[Partition]] = [
-            [] for _ in range(jv.parallelism)]
-        for k, strat in enumerate(op.strategies):
-            exchange = Exchange(
-                self.env, self.cluster.network, self.cluster.serializer,
-                strat, producer_parts[k], jv.parallelism, consumer_workers,
-                key_fn=op.key_fn_for_input(k),
-                combiner=op.combiner_for_input(k),
-                only_consumers=only_consumers,
-                hdfs=self.cluster.hdfs, flink=self.config.flink,
-                block_nbytes=self.cluster.tuning.pipeline_block_nbytes)
-            with self.cluster.obs.span(
-                    "exchange", self.cluster.master_name, "exchange",
-                    op=op.name, input=k, strategy=strat.name) as sp:
-                result = yield self.env.process(
-                    exchange.run(), name=f"exchange-{op.name}-{k}")
-                sp.set(bytes=result.bytes_shuffled,
-                       zero_copy=result.bytes_zero_copy)
-            metrics.shuffle_bytes += result.bytes_shuffled
-            metrics.shuffle_zero_copy_bytes += result.bytes_zero_copy
-            metrics.shuffle_spill_bytes += result.bytes_spilled
-            for j, part in enumerate(result.inputs):
-                per_subtask_inputs[j].append(part)
-        return per_subtask_inputs
-
-    # -- lineage recovery ------------------------------------------------------
-    def _run_operator(self, op: Operator, graph: ExecutionGraph,
-                      scheduler: Scheduler, metrics: JobMetrics,
-                      injector: Optional[FailureInjector],
-                      only: Optional[Set[int]] = None
-                      ) -> Generator[Event, None, None]:
-        """Re-run one operator's subtask wave behind an exchange boundary.
-
-        Reached from :meth:`_recover_dataset` only.  When ``only`` is given
-        a *fresh* job vertex is scheduled at the dataset's original
-        parallelism, the exchanges ship data only to the lost consumer
-        indices, and only those subtasks execute; their outputs replace the
-        lost partitions in ``cluster.materialized``.  Without it the whole
-        dataset (an evicted intermediate) is recomputed.
-        """
-        recovering = only is not None
-        if recovering:
-            # A fresh vertex: graph vertices accumulate state (assigned
-            # blocks, attempts) that must not double up across recoveries,
-            # and the lost dataset's parallelism may differ from this job's.
-            jv = ExecutionJobVertex(op, len(self.cluster.materialized[op.uid]))
-            jv.expand()
-        else:
-            jv = graph.job_vertex(op)
-        preassigned: List[Optional[Partition]] = [None] * jv.parallelism
-        per_subtask_inputs: List[List[Partition]] = [
-            [] for _ in range(jv.parallelism)]
-        obs = self.cluster.obs
-
-        with obs.span("recover" if recovering else "operator",
-                      self.cluster.master_name, "jobmanager", op=op.name,
-                      parallelism=jv.parallelism):
-            if isinstance(op, HdfsSource):
-                scheduler.schedule_source(jv, self.cluster.hdfs)
-            elif isinstance(op, CollectionSource):
-                parts = split_evenly(op.elements, jv.parallelism,
-                                     op.element_nbytes, op.scale)
-                scheduler.schedule_collection_source(jv, parts)
-                preassigned = list(parts)
-            else:
-                if not recovering:
-                    # Inputs materialized earlier (this job or a previous
-                    # one) may have lost partitions to a worker death —
-                    # recompute exactly those before consuming them.
-                    for inp in op.inputs:
-                        yield from self._recover_dataset(
-                            inp, graph, scheduler, metrics, injector)
-                producer_parts = [self.cluster.materialized[inp.uid]
-                                  for inp in op.inputs]
-                per_subtask_inputs = yield from self._run_exchanges(
-                    op, jv, graph, scheduler, metrics, producer_parts,
-                    only_consumers=only)
-
-            if isinstance(op, HdfsSink) and not recovering:
-                self.cluster.hdfs.namenode.create_file(op.path)
-
-            start = self.env.now
-            run_indices = (sorted(only) if recovering
-                           else range(jv.parallelism))
-            subtask_procs = [
-                self.env.process(
-                    self._run_subtask(jv.subtasks[i], per_subtask_inputs[i],
-                                      preassigned[i], metrics, injector,
-                                      scheduler),
-                    name=f"{op.name}[{i}]")
-                for i in run_indices
-            ]
-            results = yield self.env.all_of(subtask_procs)
-            outputs = sorted(results.values(), key=lambda p: p.index)
-
-            if not recovering:
-                metrics.record_operator(op, jv.parallelism, start,
-                                        self.env.now)
-            metrics.subtasks += len(subtask_procs)
-
-        if recovering:
-            existing = self.cluster.materialized[op.uid]
-            pos = {p.index: i for i, p in enumerate(existing)}
-            for part in outputs:
-                existing[pos[part.index]] = part
-            metrics.recovered_partitions += len(outputs)
-            obs.emit("recover.done", op=op.name, partitions=len(outputs))
-            self.cluster.note_recovery_action("recompute")
-        else:
-            self.cluster.materialized[op.uid] = outputs
-        scheduler.release(jv)
-
-    def _recover_dataset(self, op: Operator, graph: ExecutionGraph,
-                         scheduler: Scheduler, metrics: JobMetrics,
-                         injector: Optional[FailureInjector]
-                         ) -> Generator[Event, None, None]:
-        """Recompute the partitions of ``op`` lost to dead workers.
-
-        Healthy partitions are left untouched: recovery re-executes the
-        producing operator only for the lost indices (after recursively
-        recovering its own inputs).  A dataset missing entirely — evicted
-        intermediates an earlier job cleaned up — is re-run in full.
-        """
-        parts = self.cluster.materialized.get(op.uid)
-        if parts is None:
-            yield from self._run_operator(op, graph, scheduler, metrics,
-                                          injector)
-            # Re-materialized by this job: mark for this job's cleanup so a
-            # non-persisted input does not linger after recovery.
-            metrics.materialized_uids.add(op.uid)
-            return
-        lost = {p.index for p in parts
-                if not self.cluster.worker_is_alive(p.worker)}
-        if not lost:
-            return
-        for inp in op.inputs:
-            yield from self._recover_dataset(inp, graph, scheduler, metrics,
-                                             injector)
-        yield from self._run_operator(op, graph, scheduler, metrics,
-                                      injector, only=lost)
-
     def _run_subtask(self, vertex: ExecutionVertex,
                      inputs: List[Partition],
                      preassigned: Optional[Partition],
@@ -515,7 +350,6 @@ class JobManager:
                                   subtask=vertex.subtask_index,
                                   attempt=vertex.attempts,
                                   deploy_s=overhead) as sp:
-                        metrics.schedule_s += overhead
                         yield self.env.timeout(overhead)
                         ctx = TaskContext(self.cluster, vertex, metrics,
                                           preassigned_partition=preassigned,

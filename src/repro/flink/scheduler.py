@@ -6,9 +6,10 @@ experiments):
 * HDFS sources — blocks are dealt round-robin to subtasks; a subtask runs on
   a worker holding a replica of its first block when possible (input
   locality), otherwise on the least-loaded worker.
-* FORWARD consumers — co-located with their input partition (chaining
-  locality: no network on the forward edge).
-* Shuffle/gather/rebalance consumers — spread round-robin by load.
+* Every other subtask is placed one at a time
+  (:meth:`Scheduler.schedule_subtask`): a FORWARD consumer co-located with
+  its input partition (chaining locality: no network on the forward edge),
+  a shuffle/gather/rebalance consumer on the least-loaded worker.
 
 Fault tolerance: every placement decision consults the cluster's worker
 ``health`` predicate, so nothing is ever scheduled onto a dead node, and
@@ -25,9 +26,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.common.errors import JobExecutionError
-from repro.flink.graph import ExecutionGraph, ExecutionJobVertex, \
-    ExecutionVertex
-from repro.flink.plan import HdfsSource, ShipStrategy
+from repro.flink.graph import ExecutionJobVertex, ExecutionVertex
+from repro.flink.plan import HdfsSource
 from repro.flink.partition import Partition
 from repro.hdfs.filesystem import HDFS
 from repro.obs import OFF, Observability
@@ -159,45 +159,15 @@ class Scheduler:
             self._trace_place(jv.op.name, vertex.subtask_index,
                               vertex.worker, "spread")
 
-    def schedule_consumer(self, jv: ExecutionJobVertex,
-                          graph: ExecutionGraph,
-                          input_partitions: List[List[Partition]]) -> None:
-        """Assign workers to a non-source operator's subtasks.
-
-        ``input_partitions[k]`` holds the materialized partitions of input
-        ``k`` (for locality decisions).
-        """
-        op = jv.op
-        forward_idx = None
-        for k, strat in enumerate(op.strategies):
-            if strat is ShipStrategy.FORWARD:
-                forward_idx = k
-                break
-        for vertex in jv.subtasks:
-            home = None
-            if forward_idx is not None:
-                parts = input_partitions[forward_idx]
-                if vertex.subtask_index < len(parts):
-                    home = parts[vertex.subtask_index].worker
-            if home is not None and home in self.worker_names \
-                    and self._is_healthy(home):
-                vertex.worker = self._assign(home)
-                reason = "colocate-input"
-            else:
-                vertex.worker = self._assign(self._least_loaded())
-                reason = "spread"
-            self._trace_place(op.name, vertex.subtask_index, vertex.worker,
-                              reason)
-
     def schedule_subtask(self, vertex: ExecutionVertex,
                          colocate: Optional[str] = None) -> str:
         """Lazily place one subtask (pipelined executor).
 
         Streamed (forward) edges preserve partitioning, so a consumer
         subtask is placed the moment its producer partition's home is known:
-        co-located with it when that worker is healthy, otherwise on the
-        least-loaded healthy worker.  This is the per-subtask counterpart of
-        :meth:`schedule_consumer`, which places a whole wave at once.
+        co-located with it (``colocate``) when that worker is healthy,
+        otherwise — and for a consumer behind an exchange, which has no
+        home to follow — on the least-loaded healthy worker.
         """
         if colocate is not None and colocate in self.worker_names \
                 and self._is_healthy(colocate):

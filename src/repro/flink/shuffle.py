@@ -1,8 +1,10 @@
-"""Data exchange between operators: forward, hash shuffle, rebalance, gather.
+"""Data exchange between operators: hash shuffle, rebalance, gather.
 
 An :class:`Exchange` moves the materialized output partitions of a producer
-operator to the consumer's subtasks according to a
-:class:`~repro.flink.plan.ShipStrategy`.  Producer-side work (pre-combine,
+operator to the consumer's subtasks according to a routing
+:class:`~repro.flink.plan.ShipStrategy`.  A FORWARD edge never comes here:
+partition *i* feeds subtask *i* whole, on its own worker
+(:mod:`repro.flink.pipeline`).  Producer-side work (pre-combine,
 serialization) runs as processes on the producer's workers; wire time goes
 through the shared :class:`~repro.common.network.Network`; consumers pay
 deserialization.  Functional element routing (hash bucketing, combining) is
@@ -33,11 +35,10 @@ routine (``_buckets``) through :mod:`repro.flink.payload`'s accessors:
   receives the row objects deserialization materializes — or, when it
   folds with a built-in pair (``group_by(0).reduce(field_sum(1))``), the
   block itself: the price is the marker's, the host path the pair's.
-  Forward edges always price ``per_row``.
 
-Shipping is **one sender loop** (``_send``) whatever the strategy: a routed
-producer's buckets and a moved forward partition are both a list of
-shipments walked in order.  Its rule is *carry
+Shipping is **one sender loop** (``_send``) whatever the strategy: a
+producer's buckets are a list of shipments walked in order.  Its rule is
+*carry
 the unfired charge, flush before a wait*: serialize, memcpy and deserialize
 charges that follow one another with nothing observing the instants between
 them are collected and fired as one fused event
@@ -60,9 +61,10 @@ both regimes against the retired loops).
 A routed destination payload above
 ``FlinkConfig.shuffle_spill_nbytes`` is spilled through the simulated HDFS
 (disk + replication) instead of held in exchange buffers.
-``only_consumers`` (lineage recovery) restricts every strategy identically:
-non-recovering consumer indexes get no shipping, no spill and a ``None``
-input slot.
+``only_consumers`` (a job that needs some of the consumer's partitions
+only, as lineage recovery does) restricts every strategy identically:
+consumer indexes outside it get no shipping, no spill and a ``None`` input
+slot.
 """
 
 from __future__ import annotations
@@ -148,6 +150,8 @@ class Exchange:
                  only_consumers: Optional[Set[int]] = None,
                  hdfs=None, flink: Optional[FlinkConfig] = None,
                  block_nbytes: Optional[float] = None):
+        if strategy.is_streaming:
+            raise ValueError("a FORWARD edge does not go through an Exchange")
         self.env = env
         self.network = network
         self.serializer = serializer
@@ -157,9 +161,9 @@ class Exchange:
         self.consumer_workers = consumer_workers
         self.key_fn = key_fn
         self.combiner = combiner
-        # Lineage recovery re-executes only the *lost* consumer subtasks;
-        # restricting the exchange to them skips shipping (and payloads) for
-        # every other consumer index, whose input slot comes back as None.
+        # A job that recomputes only some consumer subtasks (lineage
+        # recovery) restricts the exchange to them: every other consumer
+        # index gets no shipping (and no payload), its input slot None.
         self.only_consumers = only_consumers
         # Spill target for oversized destination payloads (None: never spill).
         self.hdfs = hdfs
@@ -179,43 +183,9 @@ class Exchange:
     # -- entry point -------------------------------------------------------------
     def run(self) -> Generator[Event, None, ExchangeResult]:
         """Simulation process performing the whole exchange."""
-        if self.strategy.is_streaming:  # forward
-            inputs = yield from self._run_forward()
-        else:  # hash / rebalance / gather
-            inputs = yield from self._run_routed()
+        inputs = yield from self._run_routed()
         return ExchangeResult(inputs, self.bytes_shuffled,
                               self.bytes_zero_copy, self.bytes_spilled)
-
-    # -- forward -------------------------------------------------------------
-    def _run_forward(self) -> Generator[Event, None, List[Partition]]:
-        """Partition *i* feeds subtask *i* whole.
-
-        A partition already on its consumer's worker does not move.
-        """
-        q = self.n_consumers
-        if len(self.producers) != q:
-            raise ValueError(
-                f"FORWARD needs equal parallelism: {len(self.producers)} "
-                f"producers vs {q} consumers")
-        inputs: List[Optional[Partition]] = [None] * q
-        moves = []
-        for j, part in enumerate(self.producers):
-            if not self._want(j):
-                continue
-            moved = part.derive(part.elements)
-            moved.index = j
-            moved.worker = self.consumer_workers[j]
-            inputs[j] = moved
-            if part.worker != moved.worker:
-                moves.append(self.env.process(
-                    self._send(part.worker,
-                               [(moved.worker, part.nominal_nbytes,
-                                 part.nominal_count, part.elements, None)],
-                               zero_copy=False),
-                    name=f"{self.strategy.value}-{j}"))
-        if moves:
-            yield self.env.all_of(moves)
-        return inputs
 
     # -- price list ---------------------------------------------------------------
     def _block_payloads(self) -> bool:
@@ -422,9 +392,8 @@ class Exchange:
         ``Serializer`` calls and byte counters keep their program order;
         they are read only when the exchange ends.
 
-        A payload that carries a ``spill_tag`` (routed edges) goes through
-        HDFS instead of direct exchange buffers when oversized; forward
-        edges carry none and never spill.
+        A payload that carries a ``spill_tag`` goes through HDFS instead of
+        direct exchange buffers when oversized; one without never spills.
         """
         env, serializer = self.env, self.serializer
         owed: List[float] = []

@@ -62,9 +62,6 @@ class CUDARuntime:
         self.env = env
         self.devices = list(devices)
         self.registry = registry
-        # The default stream per device.
-        self.default_streams = {d.index: self.stream_create(d)
-                                for d in devices}
         # Priced once: launch geometry by (count, block size), roofline
         # seconds by (kernel, count, grid, block size, device, layout).
         self._launches: Dict[tuple, LaunchConfig] = {}

@@ -344,8 +344,8 @@ def _prom_sample(name: str, labels: LabelItems, value: float,
     if items:
         inner = ",".join(f'{k}="{_escape_label(str(v))}"'
                          for k, v in items)
-        return f"{name}{{{inner}}} {float(value):g}"
-    return f"{name} {float(value):g}"
+        return f"{name}{{{inner}}} {float(value)!r}"
+    return f"{name} {float(value)!r}"
 
 
 def parse_prometheus(text: str) -> Dict[Tuple[str, LabelItems], float]:

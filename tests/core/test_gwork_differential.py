@@ -72,7 +72,6 @@ class Member:
     cache_key_base: Optional[tuple] = None
     operand: Optional[str] = None        # None | "fresh" | "constant"
     out_element_nbytes: Optional[float] = None
-    cuda_block_size: int = 256
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,8 @@ def build_op(case: Case):
             prev, m.kernel, APP, extra_inputs=operand, params={"a": 1.0},
             cache=m.cache, cache_key_base=m.cache_key_base,
             out_element_nbytes=m.out_element_nbytes,
-            comm_mode=case.comm_mode, cuda_block_size=m.cuda_block_size,
-            layout=case.layout, name=f"m{j}({m.kernel})")
+            comm_mode=case.comm_mode, layout=case.layout,
+            name=f"m{j}({m.kernel})")
         members.append(prev)
     return members[0] if len(members) == 1 else FusedGpuOp(source, members)
 
@@ -213,7 +212,6 @@ def swept_cases():
             Case(chain(length, out_element_nbytes=16.0), label="sizes"),
             Case((replace(base[0], out_element_nbytes=4.0),) + base[1:],
                  label="size-head-only"),
-            Case(chain(length, cuda_block_size=128), label="block-size"),
             Case(base, comm_mode=CommMode.JNI_HEAP, label="jni-heap"),
             Case(base, comm_mode=CommMode.RPC, label="rpc"),
             Case(base, layout=DataLayout.SOA, label="soa"),
@@ -255,8 +253,7 @@ members = st.builds(
     cache=st.booleans(),
     cache_key_base=st.sampled_from([None, ("base", 0), ("base", 1)]),
     operand=st.sampled_from([None, "fresh", "constant"]),
-    out_element_nbytes=st.sampled_from([None, 4.0, 16.0]),
-    cuda_block_size=st.sampled_from([128, 256]))
+    out_element_nbytes=st.sampled_from([None, 4.0, 16.0]))
 
 
 @st.composite

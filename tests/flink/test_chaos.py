@@ -28,6 +28,7 @@ from repro.flink.chaos import (
     values_equal,
 )
 from repro.flink.jobmanager import JobManager
+from repro.flink.pipeline import PipelinedExecutor
 from repro.gpu import KernelSpec
 from repro.gpu.kernel import KernelRegistry
 from repro.workloads import PageRankWorkload, PointAddWorkload
@@ -223,10 +224,10 @@ class TestLineageRecovery:
 class TestInFlightRecovery:
     """A worker dies after some of a wave's partitions finished on it and
     before the wave ends.  The barrier consumer is woken by the wave's
-    finals before the producer's own runner has put the dataset in
-    ``cluster.materialized``; recovery must still find it there and
-    recompute the lost partitions — not re-run the operator as if the
-    dataset had been evicted."""
+    finals, possibly before the producer's own runner has put the dataset
+    in ``cluster.materialized``; recovery must still recompute the lost
+    partitions only — not re-run the operator as if the dataset had been
+    evicted."""
 
     WAVE = "chain(pagerank-contrib->pagerank-tuples)"
 
@@ -250,40 +251,36 @@ class TestInFlightRecovery:
             self, monkeypatch):
         baseline = self.run()
         wave = baseline.job_metrics[0].span_of(self.WAVE)
-        recoveries = []   # (op name, only, lost when entered)
+        recoveries = []   # (op, indices run, lost when entered)
         executed = []     # (op uid, subtask index) per subtask process
-        run_operator = JobManager._run_operator
+        run_op = PipelinedExecutor._run_op
         run_subtask = JobManager._run_subtask
 
-        def recording_operator(jm, op, graph, scheduler, metrics, injector,
-                               only=None):
-            parts = jm.cluster.materialized.get(op.uid)
-            lost = None if parts is None else {
-                p.index for p in parts
-                if not jm.cluster.worker_is_alive(p.worker)}
-            recoveries.append((op, only, lost))
-            return run_operator(jm, op, graph, scheduler, metrics, injector,
-                                only=only)
+        def recording_op(executor, op, todo, existed):
+            if existed:
+                lost = {i for i, part in enumerate(executor._parts[op.uid])
+                        if not executor.cluster.worker_is_alive(part.worker)}
+                recoveries.append((op, set(todo), lost))
+            return run_op(executor, op, todo, existed)
 
         def recording_subtask(jm, vertex, *args, **kwargs):
             executed.append((vertex.op.uid, vertex.subtask_index))
             return run_subtask(jm, vertex, *args, **kwargs)
 
-        monkeypatch.setattr(JobManager, "_run_operator", recording_operator)
+        monkeypatch.setattr(PipelinedExecutor, "_run_op", recording_op)
         monkeypatch.setattr(JobManager, "_run_subtask", recording_subtask)
         # Late in the wave: worker1 has finished partitions to lose.
         result = self.run(kill_at=wave.start + 0.95 * wave.seconds)
 
         assert values_equal(result.value, baseline.value)
         assert sum(m.recovered_partitions for m in result.job_metrics) > 0
-        # No dataset whose finals fired was re-run whole ...
-        assert recoveries and all(
-            only is not None and only == lost
-            for _op, only, lost in recoveries)
-        # ... the wave's least of all: its lost partitions ran twice, the
-        # rest of its subtasks once.
-        (op, lost), = [(op, only) for op, only, _ in recoveries
-                       if op.name == self.WAVE]
+        # Every recovery recomputed lost partitions only ...
+        assert recoveries and all(todo <= lost
+                                  for _op, todo, lost in recoveries)
+        # ... the wave's all of them: they ran twice, the rest of its
+        # subtasks once.
+        (op, lost), = [(op, todo) for op, todo, lost in recoveries
+                       if op.name == self.WAVE and todo == lost]
         assert 0 < len(lost) < wave.parallelism
         runs = [i for uid, i in executed if uid == op.uid]
         assert sorted(runs) == sorted(list(range(wave.parallelism))

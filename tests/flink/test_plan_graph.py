@@ -69,6 +69,14 @@ class TestExecutionGraph:
         graph = ExecutionGraph([CollectSink(m)], default_parallelism=8)
         assert graph.job_vertex(m).parallelism == 3
 
+    def test_forward_parallelism_mismatch_rejected(self):
+        # Partition i feeds subtask i: a FORWARD edge between unequal
+        # parallelisms is refused when the graph is built, not mid-job.
+        src = CollectionSource(list(range(10)), 8.0, parallelism=2)
+        m = MapOp(src, lambda x: x, OpCost(), parallelism=3)
+        with pytest.raises(ValueError, match="FORWARD needs equal"):
+            ExecutionGraph([CollectSink(m)], default_parallelism=8)
+
     def test_reduce_is_singleton(self):
         src = CollectionSource([1], 8.0, parallelism=4)
         red = ReduceOp(src, lambda a, b: a + b, OpCost())

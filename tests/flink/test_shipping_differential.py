@@ -54,41 +54,11 @@ from tests.flink.conftest import assert_ports_free, depth, make_payload
 
 class PerChargeExchange(Exchange):
     """An :class:`Exchange` that ships the way ``shuffle.py`` did before the
-    one sender loop: ``_send_buckets`` / a process per moved partition, each
-    through ``_ship_payload`` — serialize, move and deserialize as three
-    separate events per destination payload, loopback included.  The two
-    ``_run_*`` drivers are here because they are what called them;
-    bucketing, pricing, merging and spilling are the engine's."""
-
-    def _run_forward(self) -> Generator[Event, None, List[Partition]]:
-        """Partition *i* feeds subtask *i* whole.
-
-        A partition already on its consumer's worker does not move.
-        """
-        q = self.n_consumers
-        if len(self.producers) != q:
-            raise ValueError(
-                f"FORWARD needs equal parallelism: {len(self.producers)} "
-                f"producers vs {q} consumers")
-        inputs: List[Optional[Partition]] = [None] * q
-        moves = []
-        for j, part in enumerate(self.producers):
-            if not self._want(j):
-                continue
-            moved = part.derive(part.elements)
-            moved.index = j
-            moved.worker = self.consumer_workers[j]
-            inputs[j] = moved
-            if part.worker != moved.worker:
-                moves.append(self.env.process(
-                    self._ship_payload(part.worker, moved.worker,
-                                       part.nominal_nbytes,
-                                       part.nominal_count, part.elements,
-                                       zero_copy=False),
-                    name=f"{self.strategy.value}-{j}"))
-        if moves:
-            yield self.env.all_of(moves)
-        return inputs
+    one sender loop: ``_send_buckets``, each bucket through
+    ``_ship_payload`` — serialize, move and deserialize as three separate
+    events per destination payload, loopback included.  The routed driver
+    is here because it is what called them; bucketing, pricing, merging and
+    spilling are the engine's."""
 
     def _run_routed(self) -> Generator[Event, None, List[Partition]]:
         q = self.n_consumers
@@ -147,9 +117,8 @@ class PerChargeExchange(Exchange):
                       ) -> Generator[Event, None, None]:
         """Move one destination payload under its price list.
 
-        A payload that carries a ``spill_tag`` (routed edges) goes through
-        HDFS instead of direct exchange buffers when oversized; forward
-        edges carry none and never spill.
+        A payload that carries a ``spill_tag`` goes through HDFS instead of
+        direct exchange buffers when oversized.
         """
         blocks = 0
         if zero_copy:
@@ -204,7 +173,8 @@ COSTS = {
              NetworkConfig(latency_s=0.0)),
 }
 
-STRATEGIES = [s.value for s in ShipStrategy]
+#: The routed strategies: a FORWARD edge never goes through an exchange.
+STRATEGIES = [s.value for s in ShipStrategy if not s.is_streaming]
 
 
 def key_fn_for(kind):
@@ -306,12 +276,9 @@ PRIMES = [101.0, 103.0, 107.0, 109.0, 113.0, 127.0, 131.0, 137.0, 139.0,
 
 
 def exchange_spec(strategy, kind, keys, q, only=None, delay=0.0):
-    """Keys per producer; a forward edge fixes ``q`` from the producers
-    (equal parallelism)."""
+    """Keys per producer; a gather has one consumer."""
     if strategy == "gather":
         q = 1
-    elif strategy == "forward":
-        q = len(keys)
     if only is not None:
         only = {j for j in only if j < q}
     return {"strategy": strategy, "kind": kind, "keys": keys, "q": q,
@@ -327,8 +294,7 @@ def untied(case):
 
 
 #: Producers' keys: equal-sized buckets under HASH and REBALANCE for q = 3,
-#: and a skewed set with an empty producer (a zero-byte shipment on
-#: forward edges).
+#: and a skewed set with an empty producer.
 EQUAL = [list(range(6))] * 3
 SKEWED = [[0, 0, 0, 1, 5, 7, 7, 9], [], [2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4]]
 
@@ -347,8 +313,8 @@ def concurrent_exchanges():
     mid-way through the first) beside HDFS traffic, on one network."""
     for layout, costs, (first, second), delay in itertools.product(
             ["aligned", "shared_nic"], COSTS,
-            [("hash", "hash"), ("hash", "rebalance"), ("rebalance", "forward"),
-             ("gather", "forward")],
+            [("hash", "hash"), ("hash", "rebalance"), ("rebalance", "gather"),
+             ("gather", "hash")],
             [0.0, 2.0 ** -14]):
         yield {"layout": layout, "costs": costs,
                "spill": 8000.0 if delay else None, "traffic": True,
@@ -423,14 +389,11 @@ class TestOneSenderLoopEqualsTheShippingItReplaced:
             spec = case["exchanges"][0]
             seen.add((spec["strategy"], out["ends"][0][2] > 0,
                       out["ends"][0][3] > 0, out["nic"] == [(0, 0)]))
-        # Both price lists, with and without a spill, under every strategy
-        # that has them; forward edges price per row and never spill.
-        for strategy in ("hash", "rebalance", "gather"):
+        # Both price lists, with and without a spill, under every strategy.
+        for strategy in STRATEGIES:
             for zero_copy, spilled in itertools.product([False, True],
                                                         repeat=2):
                 assert (strategy, zero_copy, spilled, False) in seen
-        assert {s[1:3] for s in seen if s[0] == "forward"} \
-            == {(False, False)}
         assert any(all_loopback for *_, all_loopback in seen)
 
     @given(case=st.builds(untied_case, one_empty=st.booleans(),

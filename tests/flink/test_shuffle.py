@@ -145,12 +145,11 @@ class TestExchangeStrategies:
         assert sum(sizes) == 100
         assert max(sizes) - min(sizes) <= 2
 
-    def test_forward_parallelism_mismatch_rejected(self):
-        env = Environment()
-        producers = parts(list(range(10)), 2)
-        ex = make_exchange(env, ShipStrategy.FORWARD, producers, 3)
-        with pytest.raises(ValueError):
-            run(env, ex)
+    def test_a_forward_edge_is_refused(self):
+        # Partition i feeds subtask i whole in the executor: no exchange.
+        with pytest.raises(ValueError, match="FORWARD"):
+            make_exchange(Environment(), ShipStrategy.FORWARD,
+                          parts(list(range(10)), 2), 2)
 
     def test_combiner_shrinks_traffic(self):
         def traffic(combiner):

@@ -158,36 +158,36 @@ RECORDED_SNAPSHOTS = {
 }
 RECORDED_PROMETHEUS = """\
 # TYPE job_makespan_s histogram
-job_makespan_s_bucket{case="one",le="1e-06"} 0
-job_makespan_s_bucket{case="one",le="0.0001"} 0
-job_makespan_s_bucket{case="one",le="0.01"} 0
-job_makespan_s_bucket{case="one",le="1"} 1
-job_makespan_s_bucket{case="one",le="10"} 1
-job_makespan_s_bucket{case="one",le="100"} 1
-job_makespan_s_bucket{case="one",le="1000"} 1
-job_makespan_s_bucket{case="one",le="+Inf"} 1
+job_makespan_s_bucket{case="one",le="1e-06"} 0.0
+job_makespan_s_bucket{case="one",le="0.0001"} 0.0
+job_makespan_s_bucket{case="one",le="0.01"} 0.0
+job_makespan_s_bucket{case="one",le="1"} 1.0
+job_makespan_s_bucket{case="one",le="10"} 1.0
+job_makespan_s_bucket{case="one",le="100"} 1.0
+job_makespan_s_bucket{case="one",le="1000"} 1.0
+job_makespan_s_bucket{case="one",le="+Inf"} 1.0
 job_makespan_s_sum{case="one"} 0.5
-job_makespan_s_count{case="one"} 1
-job_makespan_s_bucket{case="spread",le="1e-06"} 1
-job_makespan_s_bucket{case="spread",le="0.0001"} 1
-job_makespan_s_bucket{case="spread",le="0.01"} 3
-job_makespan_s_bucket{case="spread",le="1"} 4
-job_makespan_s_bucket{case="spread",le="10"} 5
-job_makespan_s_bucket{case="spread",le="100"} 7
-job_makespan_s_bucket{case="spread",le="1000"} 8
-job_makespan_s_bucket{case="spread",le="+Inf"} 9
-job_makespan_s_sum{case="spread"} 4277.51
-job_makespan_s_count{case="spread"} 9
-job_makespan_s_bucket{case="ties",le="1e-06"} 1
-job_makespan_s_bucket{case="ties",le="0.0001"} 2
-job_makespan_s_bucket{case="ties",le="0.01"} 3
-job_makespan_s_bucket{case="ties",le="1"} 6
-job_makespan_s_bucket{case="ties",le="10"} 7
-job_makespan_s_bucket{case="ties",le="100"} 8
-job_makespan_s_bucket{case="ties",le="1000"} 9
-job_makespan_s_bucket{case="ties",le="+Inf"} 9
-job_makespan_s_sum{case="ties"} 1113.01
-job_makespan_s_count{case="ties"} 9
+job_makespan_s_count{case="one"} 1.0
+job_makespan_s_bucket{case="spread",le="1e-06"} 1.0
+job_makespan_s_bucket{case="spread",le="0.0001"} 1.0
+job_makespan_s_bucket{case="spread",le="0.01"} 3.0
+job_makespan_s_bucket{case="spread",le="1"} 4.0
+job_makespan_s_bucket{case="spread",le="10"} 5.0
+job_makespan_s_bucket{case="spread",le="100"} 7.0
+job_makespan_s_bucket{case="spread",le="1000"} 8.0
+job_makespan_s_bucket{case="spread",le="+Inf"} 9.0
+job_makespan_s_sum{case="spread"} 4277.5082003
+job_makespan_s_count{case="spread"} 9.0
+job_makespan_s_bucket{case="ties",le="1e-06"} 1.0
+job_makespan_s_bucket{case="ties",le="0.0001"} 2.0
+job_makespan_s_bucket{case="ties",le="0.01"} 3.0
+job_makespan_s_bucket{case="ties",le="1"} 6.0
+job_makespan_s_bucket{case="ties",le="10"} 7.0
+job_makespan_s_bucket{case="ties",le="100"} 8.0
+job_makespan_s_bucket{case="ties",le="1000"} 9.0
+job_makespan_s_bucket{case="ties",le="+Inf"} 9.0
+job_makespan_s_sum{case="ties"} 1113.010101
+job_makespan_s_count{case="ties"} 9.0
 """
 
 

@@ -70,10 +70,10 @@ VALUE_MUTANTS = {
         ("            spec = registry.get(kernel_name)\n            in_arrays",
          "            spec = registry.get('ref_keep' if kernel_name != "
          "'ref_keep' else 'ref_double')\n            in_arrays")),
-    "_recover_dataset recomputes the wrong partition index": lambda: patched(
-        "repro.flink.jobmanager:JobManager._recover_dataset",
-        ("lost = {p.index for p in parts",
-         "lost = {(p.index + 1) % len(parts) for p in parts")),
+    "the lineage walk recomputes the wrong partition index": lambda: patched(
+        "repro.flink.pipeline:PipelinedExecutor._missing",
+        ("not alive(parts[i].worker)",
+         "not alive(parts[(i + 1) % len(parts)].worker)")),
 }
 
 
