@@ -22,7 +22,13 @@ which is what lets the exchange ship them without per-row serde: the wire
 carries the SoA regions verbatim plus a fixed-cost descriptor per block
 (``FlinkConfig.shuffle_block_header_s``).  The block algorithms that make
 that one pass per producer — :func:`bucket_plan`, :func:`group_plan`,
-:func:`segment_fold` — live here too.
+:func:`segment_fold` — live here too.  What one keyed block costs: a block
+whose keys are all distinct (a pre-summed producer block) is one key sort
+and a sort of its rows by bucket, with ``starts = arange(n)``; folding
+one-row segments is a copy of their first rows; only a block with repeated
+keys pays a sort over its groups and a ``ufunc.at`` pass over its rows.
+They call array methods, not NumPy's Python-level wrappers, so their host
+cost follows the rows, not a floor of calls.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ import numpy as np
 
 def real_len(payload: Any) -> int:
     """Number of real rows in a payload (a lone scalar or 0-d array is one)."""
+    if type(payload) is list or type(payload) is np.ndarray and payload.ndim:
+        return len(payload)  # a row list or a block: the common case
     if payload is None:
         return 0
     if isinstance(payload, np.ndarray):
@@ -257,28 +265,38 @@ def group_plan(keys: np.ndarray, q: int = 1) -> GroupPlan:
     sortable 1-D key dtype groups; ``q > 1`` needs integer keys.  ``-0.0``
     and ``0.0`` are one key, as in a dict; NaN keys equal nothing, not even
     themselves, and are rejected.
+
+    When every key is distinct each row is its own segment: the runs'
+    order is the rows' order and ``starts`` is ``arange(n)``, with no
+    per-row segment arithmetic.
     """
     if keys.dtype.kind in "fc" and np.isnan(keys).any():
         raise ValueError("NaN key: NaN never equals itself, so it cannot "
                          "name a group")
     n = len(keys)
-    perm = np.argsort(keys, kind="stable")  # by (key, original position)
+    perm = keys.argsort(kind="stable")  # by (key, original position)
     by_key = keys[perm]
-    # One run per distinct key ([:n] drops the lone True of an empty block).
-    run_starts = np.flatnonzero(
-        np.concatenate(([True], by_key[1:] != by_key[:-1]))[:n])
+    # One run per distinct key: edges[:-1] are the runs' first rows,
+    # edges[1:] their ends.
+    new_run = np.empty(n + 1, dtype=bool)
+    new_run[0] = new_run[n] = True
+    np.not_equal(by_key[1:], by_key[:-1], out=new_run[1:n])
+    edges = new_run.nonzero()[0]
+    run_starts = edges[:-1]
     first_seen = perm[run_starts]
     if q > 1:
         buckets = by_key[run_starts] % q
         run_order = np.lexsort((first_seen, buckets))
-        bounds = np.searchsorted(buckets[run_order], np.arange(q + 1))
+        bounds = buckets[run_order].searchsorted(np.arange(q + 1))
     else:
-        run_order = np.argsort(first_seen, kind="stable")
+        run_order = first_seen.argsort(kind="stable")
         bounds = np.array([0, len(run_starts)])
-    counts = np.diff(np.append(run_starts, n))[run_order]
-    starts = np.cumsum(counts) - counts
+    if len(run_starts) == n:  # every key distinct: a segment per row
+        return GroupPlan(perm[run_order], np.arange(n), bounds)
+    counts = (edges[1:] - run_starts)[run_order]
+    starts = counts.cumsum() - counts
     # Segment i of the output is run run_order[i] of the key-sorted rows.
-    order = perm[np.repeat(run_starts[run_order] - starts, counts)
+    order = perm[(run_starts[run_order] - starts).repeat(counts)
                  + np.arange(n)]
     return GroupPlan(order, starts, bounds)
 
@@ -291,10 +309,15 @@ def segment_fold(ufunc: np.ufunc, column: np.ndarray,
     row order (unbuffered ``ufunc.at``) — the element path's left fold, so
     float sums are bit-identical to it and ``np.minimum`` / ``np.maximum``
     come free.  ``np.add.reduceat`` is not: it sums long segments pairwise.
+    When every segment is one row there is nothing to fold: the seeds,
+    a fresh array, are the answer.
     """
     out = column[starts]
-    rest = np.ones(len(column), dtype=bool)
-    rest[starts] = False
-    segment_of_row = np.cumsum(~rest) - 1
+    if len(starts) == len(column):
+        return out
+    head = np.zeros(len(column), dtype=bool)
+    head[starts] = True
+    segment_of_row = head.cumsum() - 1
+    rest = ~head
     ufunc.at(out, segment_of_row[rest], column[rest])
     return out

@@ -93,9 +93,9 @@ from repro.flink.serialization import Serializer
 COUNT_COMBINER = object()
 
 #: One destination payload of a sender: ``(dst, nbytes, count, payload,
-#: spill_tag)`` — nominal bytes and records, and the scratch-file tag of an
-#: edge that may spill (``None``: never).
-Shipment = Tuple[str, float, float, Any, Optional[str]]
+#: edge)`` — nominal bytes and records, and the ``(producer, consumer)``
+#: indexes that name its scratch file if it spills.
+Shipment = Tuple[str, float, float, Any, Tuple[int, int]]
 
 _DEFAULT_FLINK = FlinkConfig()
 _spill_ids = itertools.count()
@@ -272,8 +272,8 @@ class Exchange:
                 plan = group_plan(keys, q)
                 combined = reduce_segments(
                     self.combiner[1], take(rows, plan.order), plan.starts)
-                return [combined[plan.bounds[j]:plan.bounds[j + 1]]
-                        for j in range(q)]
+                bounds = plan.bounds.tolist()
+                return [combined[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
             else:
                 ids = keys % q  # == hash_bucket() on ints
             buckets = cut(rows, ids, q)
@@ -285,6 +285,8 @@ class Exchange:
         q = self.n_consumers
         keys = self._key_columns()
         zero_copy = self._zero_copy(keys)
+        wanted = [j for j in range(q) if self._want(j)]
+        workers = self.consumer_workers
         # Per consumer: one bucket per producer, and what they stand for.
         parts: List[List[Any]] = [[] for _ in range(q)]
         nominal, nominal_nbytes = [0.0] * q, [0.0] * q
@@ -309,11 +311,9 @@ class Exchange:
             # combiner's operator cost; the sender charges shipping only.
             senders.append(self.env.process(
                 self._send(part.worker,
-                           [(self.consumer_workers[j], count * element_nbytes,
-                             count, bucket, f"{part.index}-{j}")
-                            for j, (bucket, count)
-                            in enumerate(zip(buckets, counts))
-                            if count > 0 and self._want(j)],
+                           [(workers[j], counts[j] * element_nbytes,
+                             counts[j], buckets[j], (part.index, j))
+                            for j in wanted if counts[j] > 0],
                            zero_copy),
                 name=f"shuffle-send-{part.index}"))
         if senders:
@@ -324,9 +324,12 @@ class Exchange:
         # deserialization is charged, the row objects are not built.
         as_blocks = zero_copy or (isinstance(self.combiner, tuple)
                                   and all(map(is_builtin, self.combiner)))
-        return [self._consumer_input(j, self._merge(parts[j], as_blocks),
-                                     nominal[j], nominal_nbytes[j], unit)
-                if self._want(j) else None for j in range(q)]
+        inputs: List[Optional[Partition]] = [None] * q
+        for j in wanted:
+            inputs[j] = self._consumer_input(
+                j, self._merge(parts[j], as_blocks), nominal[j],
+                nominal_nbytes[j], unit)
+        return inputs
 
     @staticmethod
     def _merge(parts: List[Any], as_blocks: bool) -> Any:
@@ -392,25 +395,25 @@ class Exchange:
         ``Serializer`` calls and byte counters keep their program order;
         they are read only when the exchange ends.
 
-        A payload that carries a ``spill_tag`` goes through HDFS instead of
-        direct exchange buffers when oversized; one without never spills.
+        An oversized payload goes through HDFS instead of direct exchange
+        buffers; its scratch file is named after its edge.
         """
         env, serializer = self.env, self.serializer
         owed: List[float] = []
-        for dst, nbytes, count, payload, spill_tag in shipments:
+        for dst, nbytes, count, payload, edge in shipments:
             if zero_copy:
                 blocks = n_wire_blocks(payload, nbytes, self.block_nbytes)
                 # Sender frames block descriptors; bytes bypass serde entirely.
                 owed.append(serializer.zero_copy_time(nbytes, blocks))
             else:
                 owed.append(serializer.serialize_time(nbytes, count))
-            spills = (spill_tag is not None and self.hdfs is not None
+            spills = (self.hdfs is not None
                       and nbytes > self.flink.shuffle_spill_nbytes)
             if spills or src != dst:
                 yield env.timeout(owed[0], then=owed[1:])
                 owed = []
                 if spills:
-                    yield from self._spill(src, dst, nbytes, spill_tag)
+                    yield from self._spill(src, dst, nbytes, "%d-%d" % edge)
                 else:
                     yield from self.network.transfer(src, dst, int(nbytes))
             else:

@@ -11,6 +11,14 @@ Graph model: a synthetic web graph of ``pages`` vertices with
 are broadcast each iteration; per-partition partial contributions are
 pre-aggregated (``np.bincount``) before the shuffle, as a combinable Flink
 job would.
+
+What the keyed step costs the host: ``_contrib_partials`` (the CPU UDF and
+the GPU kernel alike) gathers its edges' ranks and degrees, adds them into a
+dense vector of every page, and scans that vector once with a boolean mask
+for the non-zero pages — no float ``nonzero``.  Its rows are one per
+destination, so every producer block reaches the exchange with distinct
+keys: grouping it is one key sort and a sort by bucket, and folding its
+one-row segments is a copy (``repro.flink.payload``).
 """
 
 from __future__ import annotations
@@ -35,12 +43,20 @@ class Edge(GStruct4):
 
 def _contrib_partials(edges: np.ndarray, ranks: np.ndarray,
                       out_degree: np.ndarray) -> np.ndarray:
-    """Per-destination partial contributions: rows ``[dst, partial]``."""
-    contrib = ranks[edges["src"]] / out_degree[edges["src"]]
-    sums = np.bincount(edges["dst"], weights=contrib,
+    """Per-destination partial contributions: rows ``[dst, partial]``, one
+    per page whose partial is non-zero, ascending by ``dst``.
+
+    The edges add into a dense per-page vector (``bincount``, in edge
+    order); one boolean scan of it picks the rows to emit."""
+    src = edges["src"].astype(np.intp)  # one index cast for two gathers
+    sums = np.bincount(edges["dst"],
+                       weights=ranks.take(src) / out_degree.take(src),
                        minlength=len(ranks))
-    nz = np.nonzero(sums)[0]
-    return np.stack([nz.astype(np.float64), sums[nz]], axis=1)
+    dst = (sums != 0).nonzero()[0]
+    out = np.empty((len(dst), 2))
+    out[:, 0] = dst
+    out[:, 1] = sums[dst]
+    return out
 
 
 def pagerank_contrib_kernel(inputs, params):

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.common import Environment
 from repro.flink import FlinkSession
 from repro.flink.chaos import values_equal
-from repro.flink.iterators import apply_grouped_reduce, vectorized
+from repro.flink.iterators import (apply_grouped_reduce, field_sum,
+                                   vectorized)
 from repro.flink.partition import Partition
 from repro.flink.payload import (bucket_plan, group_plan, real_len,
                                  segment_fold)
@@ -81,6 +82,21 @@ def same_bits(payload, pairs, structured):
     return payload.tobytes() == make_block(pairs, structured).tobytes()
 
 
+def dict_grouping(keys, q):
+    """Reference plan of a key list: rows ordered by (bucket, first-seen
+    key, position), a segment start per key, each bucket's segments."""
+    first_seen = {}
+    for pos, k in enumerate(keys):
+        first_seen.setdefault(k, pos)
+    bucket = [k % q if q > 1 else 0 for k in keys]
+    order = sorted(range(len(keys)),
+                   key=lambda i: (bucket[i], first_seen[keys[i]], i))
+    starts = [n for n, i in enumerate(order)
+              if n == 0 or keys[i] != keys[order[n - 1]]]
+    bounds = [sum(bucket[order[s]] < j for s in starts) for j in range(q + 1)]
+    return order, starts, bounds
+
+
 keys_st = st.one_of(st.integers(-40, 40), st.integers(-2**40, 2**40),
                     st.just(7))
 values_st = st.one_of(
@@ -114,21 +130,40 @@ class TestSegmentedReduce:
     def test_plan_orders_by_bucket_then_first_seen_then_position(
             self, keys, q):
         plan = group_plan(np.array(keys, dtype=np.int64), q)
-        first_seen = {}
-        for pos, k in enumerate(keys):
-            first_seen.setdefault(k, pos)
-        expected = sorted(range(len(keys)),
-                          key=lambda i: (keys[i] % q, first_seen[keys[i]], i))
-        assert plan.order.tolist() == expected
-        ordered = [keys[i] for i in expected]
-        starts = [i for i in range(len(ordered))
-                  if i == 0 or ordered[i] != ordered[i - 1]]
+        order, starts, bounds = dict_grouping(keys, q)
+        assert plan.order.tolist() == order
         assert plan.starts.tolist() == starts
-        segment_buckets = [ordered[s] % q for s in starts]
-        for j in range(q):
-            lo, hi = plan.bounds[j], plan.bounds[j + 1]
-            assert all(b == j for b in segment_buckets[lo:hi])
-        assert plan.bounds[0] == 0 and plan.bounds[q] == len(starts)
+        assert plan.bounds.tolist() == bounds
+
+    @given(keys=st.one_of(
+               st.tuples(st.lists(st.integers(-2**40, 2**40), unique=True,
+                                  max_size=200), st.integers(1, 64)),
+               st.tuples(st.lists(st.floats(allow_nan=False), unique=True,
+                                  max_size=200), st.just(1))),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_keys_are_one_row_segments(self, keys, data):
+        # Every key distinct, as in a producer block PageRank pre-summed:
+        # the plan is still the dict grouping's, each row its own segment,
+        # and folding one-row segments returns fresh rows, not the input.
+        keys, q = keys
+        plan = group_plan(np.array(keys), q)
+        order, starts, bounds = dict_grouping(keys, q)
+        assert plan.order.tolist() == order
+        assert plan.starts.tolist() == starts == list(range(len(keys)))
+        assert plan.bounds.tolist() == bounds
+        values = data.draw(st.lists(st.floats(allow_nan=False),
+                                    min_size=len(keys), max_size=len(keys)))
+        block = make_block(list(zip(keys, values)), structured=False)
+        before = block.tobytes()
+        grouped = block[plan.order]
+        folded = segment_fold(np.add, grouped[:, 1], plan.starts)
+        reduced = field_sum(1).reduce(grouped, plan.starts)
+        assert folded.tobytes() == grouped[:, 1].tobytes()
+        assert reduced.tobytes() == grouped.tobytes()
+        folded[:] = reduced[:] = 1.0
+        assert grouped.tobytes() == block[plan.order].tobytes()
+        assert block.tobytes() == before
 
     @given(keys=st.lists(st.integers(-100, 100), max_size=80),
            q=st.integers(1, 64))

@@ -59,6 +59,10 @@ VALUE_MUTANTS = {
         ("out = column[starts]",
          "out = column[np.minimum(starts + 1, len(column) - 1)]"),
         also=["repro.flink.iterators"]),
+    "group_plan's distinct-key path keeps the key-sorted order": lambda: (
+        patched("repro.flink.payload:group_plan",
+                ("GroupPlan(perm[run_order], ", "GroupPlan(perm, "),
+                also=["repro.flink.shuffle", "repro.flink.iterators"])),
     "fold_by_key keeps the last row": lambda: patched(
         "repro.flink.iterators:fold_by_key",
         ("table[key] = reduce_fn(table[key], x)", "table[key] = x")),

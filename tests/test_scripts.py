@@ -1,5 +1,5 @@
-"""The instruments under scripts/: the code-line counter, the lint table and
-the reach census."""
+"""The instruments under scripts/: the code-line counter, the lint table,
+the reach census and the parent/change pair verdict."""
 
 import importlib.util
 import subprocess
@@ -21,6 +21,7 @@ def _script(name):
 
 
 lint = _script("lint")
+pairs = _script("pairs")
 reach = _script("reach")
 
 
@@ -124,3 +125,39 @@ class TestReachCensus:
 
     def test_the_allow_list_gives_a_reason_for_every_entry(self):
         assert all(reason for reason in reach.allowed().values())
+
+
+class TestPairsVerdict:
+    """Rule (i): a gain needs ≥ 10 pairs, the change winning nine tenths
+    of them (ties count for neither), and a median gap wider than the
+    parent's interquartile distance."""
+
+    PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+    def test_nine_wins_and_a_wide_gap_claim(self):
+        change = [0.8] * 9 + [1.2]
+        assert pairs.verdict(self.PARENT, change, "lower").endswith(
+            "gain CLAIMED")
+
+    def test_a_tie_is_not_a_win(self):
+        change = [0.8] * 8 + [self.PARENT[8], 0.8]
+        assert "wins 9/10" in pairs.verdict(self.PARENT, change, "lower")
+        change[9] = self.PARENT[9]
+        assert pairs.verdict(self.PARENT, change, "lower").endswith(
+            "no claim")
+
+    def test_a_gap_inside_the_parent_spread_does_not_claim(self):
+        change = [p - 0.005 for p in self.PARENT]
+        verdict = pairs.verdict(self.PARENT, change, "lower")
+        assert "wins 10/10" in verdict and verdict.endswith("no claim")
+
+    def test_higher_is_better_flips_the_sign(self):
+        change = [1.2] * 10
+        assert pairs.verdict(self.PARENT, change, "higher").endswith(
+            "gain CLAIMED")
+        assert pairs.verdict(self.PARENT, change, "lower").endswith(
+            "no claim")
+
+    def test_fewer_than_ten_pairs_never_claim(self):
+        assert "fewer than 10 pairs" in pairs.verdict(
+            self.PARENT[:9], [0.5] * 9, "lower")
